@@ -22,6 +22,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import hashlib
+import math
 import os
 import re
 import sys
@@ -77,8 +78,8 @@ class RunConfig:
             raise CliError(f"map must be one of {_MAP_KINDS}, got {self.map!r}")
         if self.n < 2:
             raise CliError(f"n must be >= 2, got {self.n}")
-        if self.epsilon < 0:
-            raise CliError(f"epsilon must be non-negative, got {self.epsilon}")
+        if not math.isfinite(self.epsilon) or self.epsilon < 0:
+            raise CliError(f"epsilon must be finite and non-negative, got {self.epsilon}")
         if self.t_max < 1:
             raise CliError(f"t_max must be >= 1, got {self.t_max}")
         if self.kick_mode not in _KICK_MODES:
@@ -219,8 +220,9 @@ def run_otoc(config: RunConfig) -> dict:
     # default fit windows split the series at the Ehrenfest time; a map with
     # no positive exponent has no growth regime, so fall back to short windows
     t_e_windows = t_e if np.isfinite(t_e) else float(config.t_max)
-    lyap_window = (config.lyap_fit_start or 1,
-                   config.lyap_fit_end or max(2, int(np.floor(t_e_windows)) - 1))
+    lyap_window = (1 if config.lyap_fit_start is None else config.lyap_fit_start,
+                   max(2, int(np.floor(t_e_windows)) - 1) if config.lyap_fit_end is None
+                   else config.lyap_fit_end)
     lyap_window = (lyap_window[0], min(lyap_window[1], config.t_max))
     try:
         mask = (series.t >= lyap_window[0]) & (series.t <= lyap_window[1])
@@ -233,8 +235,9 @@ def run_otoc(config: RunConfig) -> dict:
     except ValueError as exc:
         derived.append(("derived.lyapunov_fit", f"skipped ({exc})"))
 
-    tail_window = (config.tail_fit_start or int(np.ceil(t_e_windows)) + 2,
-                   config.tail_fit_end or config.t_max)
+    tail_window = (int(np.ceil(t_e_windows)) + 2 if config.tail_fit_start is None
+                   else config.tail_fit_start,
+                   config.t_max if config.tail_fit_end is None else config.tail_fit_end)
     if tail_window[1] - tail_window[0] >= 3 and tail_window[1] <= config.t_max:
         try:
             fit = fit_tail_rate(series, tail_window[0], tail_window[1])
@@ -266,6 +269,8 @@ _SWEEP_AXES = ("epsilon", "k", "N")
 
 
 def _with_value(config: RunConfig, axis: str, value: float) -> RunConfig:
+    if axis == "N" and not float(value).is_integer():
+        raise CliError(f"N must be an integer, got {value:g}")
     sub_out = str(Path(config.outputs) / f"{axis}={value:g}")
     if axis == "epsilon":
         return dataclasses.replace(config, epsilon=value, outputs=sub_out)

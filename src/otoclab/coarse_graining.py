@@ -10,11 +10,14 @@ where c_eps is the 2D discrete Fourier transform of the quasi-Gaussian
     c~(mu, nu) = exp(-(eps N / pi) (sin^2(pi mu/N) + sin^2(pi nu/N)) / 2),
 
 renormalized to unit sum so the channel is exactly unital and trace
-preserving.  Translations are eigenoperators of D_eps, which makes the
-channel diagonal in the chord (translation) expansion: the production path
-multiplies each chord coefficient by a precomputed real eigenvalue in
-O(N^2 log N).  The literal weighted sum over all N^2 translations is kept
-as a small-N oracle.
+preserving.  Translations are eigenoperators of D_eps with eigenvalues
+diag_chord[chi_q, chi_p] = f[chi_q] g[chi_p], separable because c~ is.  T_chi
+lies on cyclic diagonal chi_q in the position basis and chi_p in the momentum
+basis, so D_eps is a circulant mask f[(r - s) % N] in one frame times
+g[(p - p') % N] in the other.  :func:`evolve`, the package's one Heisenberg
+step, applies each kick and mask in the frame where it is elementwise.  The
+chord-space dephasing and the literal sum over all N^2 translations are kept
+as oracles.
 """
 
 from __future__ import annotations
@@ -23,15 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import QuantumMap, heisenberg_conjugate
-from .phase_space import (OperatorMatrix, POSITION, TorusSpace, _cyclic_diagonals,
-                          _from_cyclic_diagonals, _position_entries, translation)
+from .maps import QuantumMap
+from .phase_space import (MOMENTUM, POSITION, OperatorMatrix, TorusSpace, _change_frame,
+                          _cyclic_diagonals, _from_cyclic_diagonals, _position_entries,
+                          translation)
 
 __all__ = [
     "CoarseGrainKernel",
     "build_kernel",
     "apply_dephasing_dense",
     "apply_dephasing_chord",
+    "evolve",
     "channel_step",
 ]
 
@@ -62,7 +67,8 @@ def build_kernel(space: TorusSpace, epsilon: float) -> CoarseGrainKernel:
 
     diag_chord(chi) = sum_xi c_weights(xi) exp(2i pi <chi, xi> / N); the
     imaginary part vanishes by the even symmetry of the weights and is
-    discarded after a consistency check.
+    discarded after a consistency check, as is any failure to factor into
+    outer(diag_chord[:, 0], diag_chord[0, :]), which :func:`evolve` relies on.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
@@ -83,6 +89,8 @@ def build_kernel(space: TorusSpace, epsilon: float) -> CoarseGrainKernel:
     if np.abs(g.imag).max() > 1e-10:
         raise ValueError("chord eigenvalues acquired an imaginary part; kernel symmetry broken")
     diag_chord = g.real.T.copy()
+    if np.abs(diag_chord - np.outer(diag_chord[:, 0], diag_chord[0, :])).max() > 1e-12:
+        raise ValueError("chord eigenvalues are not separable; the dephasing masks would be wrong")
     return CoarseGrainKernel(space, float(epsilon), c_tilde, weights, diag_chord, clip)
 
 
@@ -107,7 +115,7 @@ def apply_dephasing_dense(kernel: CoarseGrainKernel, a, force: bool = False) -> 
 
 
 def apply_dephasing_chord(kernel: CoarseGrainKernel, a):
-    """Production path: multiply each chord coefficient by its eigenvalue.
+    """Oracle path: multiply each chord coefficient by its eigenvalue.
 
     Works diagonal by diagonal; the translation phases cancel between the
     forward and inverse transforms, leaving one FFT pair per diagonal.
@@ -120,15 +128,47 @@ def apply_dephasing_chord(kernel: CoarseGrainKernel, a):
     return OperatorMatrix(out, POSITION) if wrapped else out
 
 
-def channel_step(umap: QuantumMap, kernel: CoarseGrainKernel | None, a):
-    """One coarse-grained Heisenberg step: dephasing after U^dag A U."""
-    wrapped = isinstance(a, OperatorMatrix)
-    entries = a.entries if wrapped else np.asarray(a, dtype=complex)
+def _circulant(f: np.ndarray) -> np.ndarray:
+    """Read-only view m[r, s] = f[(r - s) % n] over a buffer of 2n - 1 values."""
+    n = f.size
+    return np.lib.stride_tricks.sliding_window_view(f[(n - 1 - np.arange(2 * n - 1)) % n], n)[::-1]
+
+
+def evolve(umap: QuantumMap, kernel: CoarseGrainKernel | None, a, steps: int):
+    """Yield A(0), A(1), ..., A(steps) in the momentum frame.
+
+    A(t+1) = D_eps(U^dag A(t) U), or U^dag A(t) U when ``kernel`` is None or
+    has epsilon 0; ``a`` is an operator or raw position-basis entries.  One
+    buffer is yielded each time and overwritten by the next step.
+    """
+    entries = np.array(_position_entries(umap.space, a), dtype=complex)
     if entries.shape[0] != umap.dim:
         raise ValueError(f"dimension mismatch: operator {entries.shape[0]}, map {umap.dim}")
-    if wrapped and a.basis != POSITION:
-        raise ValueError("channel_step expects position-basis operator entries")
-    out = heisenberg_conjugate(umap, entries)
-    if kernel is not None and kernel.epsilon > 0:
-        out = apply_dephasing_chord(kernel, out)
-    return OperatorMatrix(out, POSITION) if wrapped else out
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+    pos, mom = umap.phase_position, umap.phase_momentum
+    dephase = kernel is not None and kernel.epsilon > 0
+    if dephase:
+        f_mask = _circulant(kernel.diag_chord[:, 0])
+        g_mask = _circulant(kernel.diag_chord[0, :])
+    at = _change_frame(entries, MOMENTUM)
+    yield at
+    for _ in range(steps):
+        at *= mom.conj()[:, None]
+        at *= mom
+        _change_frame(at, POSITION)
+        at *= pos.conj()[:, None]
+        at *= pos
+        if dephase:
+            at *= f_mask
+        _change_frame(at, MOMENTUM)
+        if dephase:
+            at *= g_mask
+        yield at
+
+
+def channel_step(umap: QuantumMap, kernel: CoarseGrainKernel | None, a):
+    """One coarse-grained Heisenberg step D_eps(U^dag A U), returned in the position basis."""
+    *_, out = evolve(umap, kernel, a, 1)
+    _change_frame(out, POSITION)
+    return OperatorMatrix(out, POSITION) if isinstance(a, OperatorMatrix) else out

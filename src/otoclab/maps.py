@@ -171,7 +171,6 @@ class QuantumMap:
     phase_momentum: np.ndarray
     map_spec: ClassicalMapSpec
     kick_mode: str = CORRESPONDENCE
-    kick_order: str = "position-then-momentum"
 
     @property
     def dim(self) -> int:
@@ -244,13 +243,9 @@ def _lmul(umap: QuantumMap, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     return pos.conj() * np.fft.ifft(mom.conj() * np.fft.fft(x, axis=0), axis=0)
 
 
-def _rmul(x: np.ndarray, umap: QuantumMap, adjoint: bool = False) -> np.ndarray:
-    """x @ U (or x @ U^dag) for a matrix x."""
-    pos = umap.phase_position[None, :]
-    mom = umap.phase_momentum[None, :]
-    if not adjoint:
-        return pos * np.fft.fft(mom * np.fft.ifft(x, axis=1), axis=1)
-    return np.fft.fft(mom.conj() * np.fft.ifft(pos.conj() * x, axis=1), axis=1)
+def _rmul(x: np.ndarray, umap: QuantumMap) -> np.ndarray:
+    """x @ U for a matrix x."""
+    return umap.phase_position * np.fft.fft(umap.phase_momentum * np.fft.ifft(x, axis=1), axis=1)
 
 
 def apply_map(umap: QuantumMap, operand, direction: str = "forward"):
@@ -276,7 +271,7 @@ def apply_map(umap: QuantumMap, operand, direction: str = "forward"):
 
 def heisenberg_conjugate(umap: QuantumMap, entries: np.ndarray) -> np.ndarray:
     """One Heisenberg step U^dag A U on raw position-basis entries."""
-    return _rmul(_lmul(umap, entries, adjoint=True), umap, adjoint=False)
+    return _rmul(_lmul(umap, entries, adjoint=True), umap)
 
 
 def materialize(umap: QuantumMap) -> OperatorMatrix:

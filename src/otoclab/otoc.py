@@ -7,9 +7,11 @@ The correlator of Hermitian A, B under a one-step propagator is
 
 with the infinite-temperature average <.> = Tr(.)/N.  All values reported
 here carry that 1/N normalization, so O2 = 1/4 and C saturates at 1/2 for
-the sine observables.  A(t) is advanced one map step per iteration, by
-unitary conjugation or by the coarse-grained channel when a dephasing
-kernel is supplied.
+the sine observables.  :func:`otoclab.coarse_graining.evolve` yields A(t)
+in the momentum frame, where B has K nonzero cyclic diagonals (1 for the sine
+of momentum, 2 for any other F_xi, N if dense): W = A(t) B is K shifted,
+scaled copies of A(t), O1 = Tr(W W)/N and, A and B being Hermitian,
+O2 = ||W||_F^2/N.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 from . import coarse_graining
 from .classical import CAT_LYAPUNOV, cat_matrix_power
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
-from .phase_space import (MOMENTUM, POSITION, OperatorMatrix, change_basis,
-                          hermiticity_defect, symplectic_product)
+from .phase_space import (MOMENTUM, POSITION, OperatorMatrix, _change_frame,
+                          _cyclic_diagonals, hermiticity_defect, symplectic_product)
 
 __all__ = [
     "OtocSeries",
@@ -62,70 +64,19 @@ class OtocSeries:
 
 def heisenberg_evolve(a: OperatorMatrix, umap: QuantumMap, steps: int) -> OperatorMatrix:
     """U^dag^steps A U^steps via FFT conjugation, O(N^2 log N) per step."""
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
     if a.dim != umap.dim:
         raise ValueError(f"dimension mismatch: operator {a.dim}, map {umap.dim}")
-    entries = a.to_basis(umap.space, POSITION).entries
-    for _ in range(steps):
-        entries = heisenberg_conjugate(umap, entries)
-    return OperatorMatrix(entries, POSITION)
-
-
-class _RightFactor:
-    """Right multiplication by a fixed observable, exploiting its structure.
-
-    Operators diagonal in position multiply columns; operators diagonal in
-    momentum act as circulants, applied with one FFT pair per product.  Only
-    genuinely unstructured observables fall back to dense matmul.
-    """
-
-    def __init__(self, space, b: OperatorMatrix):
-        pos = b.to_basis(space, POSITION).entries
-        diag = _diagonal_of(pos)
-        if diag is not None:
-            self.kind = "posdiag"
-            self.diag = diag
-            self.diag_sq = diag * diag
-            return
-        mom = change_basis(space, pos, POSITION, MOMENTUM)
-        diag = _diagonal_of(mom)
-        if diag is not None:
-            self.kind = "momdiag"
-            self.diag = diag
-            self.diag_sq = diag * diag
-            return
-        self.kind = "dense"
-        self.matrix = pos
-        self.matrix_sq = pos @ pos
-
-    def times(self, a: np.ndarray, squared: bool = False) -> np.ndarray:
-        if self.kind == "posdiag":
-            d = self.diag_sq if squared else self.diag
-            return a * d[None, :]
-        if self.kind == "momdiag":
-            d = self.diag_sq if squared else self.diag
-            return np.fft.fft(d[None, :] * np.fft.ifft(a, axis=1), axis=1)
-        return a @ (self.matrix_sq if squared else self.matrix)
-
-
-def _diagonal_of(entries: np.ndarray):
-    diag = np.diag(entries).copy()
-    off = entries - np.diag(diag)
-    scale = max(np.abs(diag).max(), 1.0)
-    if np.abs(off).max() <= _DIAG_TOL * scale:
-        return diag
-    return None
+    if steps == 0:  # exactly A, without a rounding round trip through the momentum frame
+        return a.to_basis(umap.space, POSITION)
+    *_, at = coarse_graining.evolve(umap, None, a, steps)
+    return OperatorMatrix(_change_frame(at, POSITION), POSITION)
 
 
 def otoc_series(umap: QuantumMap, a: OperatorMatrix, b: OperatorMatrix, t_max: int,
                 kernel: "coarse_graining.CoarseGrainKernel | None" = None,
                 operators: str = "XP") -> OtocSeries:
-    """Compute C(t), O1(t), O2(t) for t = 0 .. t_max.
-
-    A(t) advances one step per iteration: unitary conjugation when ``kernel``
-    is None or has epsilon 0, otherwise the dephasing channel step.  A and B
-    must be Hermitian.
+    """Compute C(t), O1(t), O2(t) for t = 0 .. t_max, with A(t) advanced by
+    the channel of ``kernel`` (unitarily when None).  A and B must be Hermitian.
     """
     for name, op in (("A", a), ("B", b)):
         defect = hermiticity_defect(op.to_basis(umap.space, POSITION).entries)
@@ -134,19 +85,24 @@ def otoc_series(umap: QuantumMap, a: OperatorMatrix, b: OperatorMatrix, t_max: i
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     n = umap.dim
-    dephase = kernel is not None and kernel.epsilon > 0
-    right = _RightFactor(umap.space, b)
-    at = a.to_basis(umap.space, POSITION).entries.copy()
+    # B in the momentum frame as its cyclic diagonals d[j, q] = B[q + j, q], noise dropped
+    d = _cyclic_diagonals(b.to_basis(umap.space, MOMENTUM).entries)
+    size = np.abs(d).max(axis=1)
+    shifts = np.flatnonzero(size > _DIAG_TOL * max(size.max(), 1.0))
+    d = d[shifts]
+    w = np.zeros((n, n), dtype=complex)
     o1 = np.empty(t_max + 1, dtype=complex)
     o2 = np.empty(t_max + 1)
-    for t in range(t_max + 1):
-        ab = right.times(at)
-        o1[t] = np.einsum("ij,ji->", ab, ab) / n
-        o2[t] = np.einsum("ij,ji->", at, right.times(at, squared=True)).real / n
-        if t < t_max:
-            at = heisenberg_conjugate(umap, at)
-            if dephase:
-                at = coarse_graining.apply_dephasing_chord(kernel, at)
+    for t, at in enumerate(coarse_graining.evolve(umap, kernel, a, t_max)):
+        # W = A(t) B, column q being sum_j A(t)[:, q + j] d[j, q] with indices mod N
+        for k, j in enumerate(shifts):
+            for cols, src in ((slice(0, n - j), slice(j, n)), (slice(n - j, n), slice(0, j))):
+                if k == 0:
+                    np.multiply(at[:, src], d[k, cols], out=w[:, cols])
+                else:
+                    w[:, cols] += at[:, src] * d[k, cols]
+        o1[t] = np.einsum("ij,ji->", w, w) / n
+        o2[t] = (np.einsum("ij,ij->", w.real, w.real) + np.einsum("ij,ij->", w.imag, w.imag)) / n
     c = -2.0 * (o1 - o2).real
     return OtocSeries(np.arange(t_max + 1), c, o1, o2, umap.map_spec, n,
                       0.0 if kernel is None else kernel.epsilon, operators, umap.kick_mode)

@@ -8,10 +8,9 @@ Every other module inherits the conventions fixed here:
 * symplectic product <u, v> = u_p v_q - u_q v_p.
 
 Operators are dense N x N complex arrays wrapped in :class:`OperatorMatrix`
-together with a tag naming the basis the entries are written in.  Diagonal
-observables (sine of position in the position basis, sine of momentum in the
-momentum basis) stay recognizable through the tag, which lets the correlator
-code run its trace contractions in O(N^2) instead of O(N^3).
+together with a tag naming the basis the entries are written in.  The two
+frames are one FFT pair apart, and the Heisenberg step in
+:mod:`otoclab.coarse_graining` crosses between them in place.
 """
 
 from __future__ import annotations
@@ -147,11 +146,16 @@ def change_basis(space: TorusSpace, entries: np.ndarray, frm: str, to: str) -> n
     """
     if frm == to:
         return entries
-    if frm == POSITION and to == MOMENTUM:
-        return np.fft.ifft(np.fft.fft(entries, axis=0), axis=1)
-    if frm == MOMENTUM and to == POSITION:
-        return np.fft.fft(np.fft.ifft(entries, axis=0), axis=1)
-    raise ValueError(f"unknown basis pair {frm!r} -> {to!r}")
+    if {frm, to} != {POSITION, MOMENTUM}:
+        raise ValueError(f"unknown basis pair {frm!r} -> {to!r}")
+    return _change_frame(np.array(entries, dtype=complex), to)
+
+
+def _change_frame(x: np.ndarray, to: str) -> np.ndarray:
+    """In place on complex entries: F^dag x F to momentum, F x F^dag to position."""
+    first, second = (np.fft.fft, np.fft.ifft) if to == MOMENTUM else (np.fft.ifft, np.fft.fft)
+    first(x, axis=0, out=x)
+    return second(x, axis=1, out=x)
 
 
 def hermiticity_defect(a) -> float:

@@ -106,6 +106,25 @@ def test_cli_error_line_on_bad_config(tmp_path):
     assert result.stderr.strip().startswith("ERROR:")
 
 
+def test_cli_rejects_nan_epsilon(tmp_path):
+    result = run_cli(["otoc", "--map", "cat", "--n", "16", "--epsilon", "nan",
+                      "--out", str(tmp_path / "nan")])
+    assert result.returncode == 1
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "epsilon" in lines[0]
+    assert not (tmp_path / "nan").exists()
+
+
+def test_cli_fit_window_starts_at_zero(tmp_path):
+    out = tmp_path / "zero"
+    assert main(["otoc", "--map", "cat", "--n", "32", "--map-param", "0.02", "--epsilon", "0.2",
+                 "--t-max", "12", "--tail-fit-start", "0", "--lyap-fit-start", "0",
+                 "--out", str(out)]) == 0
+    manifest = dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    assert manifest["derived.alpha1_tail_window"] == "0:12"
+    assert manifest["derived.lyapunov_fit_window"].startswith("0:")
+
+
 def test_cli_rejects_unknown_config_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("map = cat\nn = 32\nbogus = 1\n")
@@ -131,6 +150,16 @@ def test_sweep_records_partial_failures(tmp_path):
     header, rows = read_csv(summary)
     assert rows[0][1] == "ok"
     assert rows[1][1] == "error" and rows[1][-1] != ""
+
+
+def test_sweep_records_fractional_n_as_error(tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--map", "cat", "--n", "32", "--t-max", "5", "--axis", "N",
+                 "--values", "32,32.7", "--out", str(out)]) == 0
+    header, rows = read_csv(out / "summary.csv")
+    assert rows[0][1] == "ok"
+    assert rows[1][1] == "error" and "integer" in rows[1][-1]
+    assert not (out / "N=32.7").exists()
 
 
 def test_sweep_rejects_empty_values(tmp_path):

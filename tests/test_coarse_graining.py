@@ -18,6 +18,23 @@ def test_kernel_rejects_negative_epsilon():
         build_kernel(TorusSpace(8), -0.1)
 
 
+def test_kernel_rejects_non_separable_eigenvalues(monkeypatch):
+    """Even-symmetric weights keep the eigenvalues real, but weight placed off
+    the product structure breaks the factorization the dephasing masks use."""
+    n = 8
+    ifft2 = np.fft.ifft2
+
+    def coupled(c_tilde):
+        w = ifft2(c_tilde)
+        w[1, 1] += 0.01
+        w[n - 1, n - 1] += 0.01
+        return w
+
+    monkeypatch.setattr(np.fft, "ifft2", coupled)
+    with pytest.raises(ValueError, match="separable"):
+        build_kernel(TorusSpace(n), 0.3)
+
+
 def test_zero_epsilon_kernel_is_identity_channel():
     space = TorusSpace(16)
     kernel = build_kernel(space, 0.0)

@@ -212,7 +212,8 @@ def test_commutator_oracle_refuses_large_n():
 
 
 def test_translation_b_uses_generic_path(space64, cat64):
-    """B neither position- nor momentum-diagonal exercises the dense branch."""
+    """B = F_(1,1) has two cyclic diagonals in the momentum frame, so A B is
+    two shifted, scaled copies of A."""
     a = sine_position(space64)
     b = hermitian_f(space64, (1, 1))
     series = otoc_series(cat64, a, b, 4)
@@ -221,7 +222,8 @@ def test_translation_b_uses_generic_path(space64, cat64):
 
 
 def test_position_diagonal_b_fast_path(space64):
-    """Swapped sine pair: B = sine of position takes the column-scaling branch."""
+    """Swapped sine pair: B = sine of position sits on the cyclic diagonals
+    +1 and -1 of the momentum frame, so A B takes column shifts that wrap."""
     umap = quantize(cat_map(0.05), space64)
     a, b = sine_momentum(space64), sine_position(space64)
     series = otoc_series(umap, a, b, 5)
