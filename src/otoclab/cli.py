@@ -12,8 +12,9 @@ seeded from a flat key=value config file (``#`` starts a comment; unknown
 keys are errors so that generated configs fail loudly on typos).  All
 randomness flows from the config seed, every float is written with 17
 significant digits, and files are written atomically, so re-running an
-identical config reproduces every CSV byte for byte.  The environment
-variable OTOCLAB_OUTPUT_ROOT sets the root for relative output paths.
+identical config at a fixed BLAS thread count, which the manifest records,
+reproduces every CSV byte for byte.  The environment variable
+OTOCLAB_OUTPUT_ROOT sets the root for relative output paths.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import platform
 import re
 import sys
 import time
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .classical import ehrenfest_time, lyapunov
@@ -167,11 +170,29 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _environment() -> list[tuple[str, str]]:
+    """Library versions and thread settings the results and timings depend on.
+
+    Threaded BLAS reductions change the last bits of Krylov results, so the
+    thread count is part of what makes a run reproducible.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    items = [("environment.python", platform.python_version()),
+             ("environment.numpy", np.__version__),
+             ("environment.scipy", scipy.__version__),
+             ("environment.blas", f"{blas.get('name')} {blas.get('version')}"),
+             ("environment.cpu_count", str(os.cpu_count()))]
+    items += [(f"environment.{var}", os.environ.get(var, "unset"))
+              for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")]
+    return items
+
+
 def _write_manifest(outdir: Path, config: RunConfig, derived: list[tuple[str, str]],
                     files: list[Path], wallclock: float) -> Path:
     lines = [f"{k}={v}" for k, v in config.echo_items()]
     lines.append(f"version={__version__}")
     lines.append(f"wallclock_seconds={wallclock:.3f}")
+    lines.extend(f"{k}={v}" for k, v in _environment())
     lines.extend(f"{k}={v}" for k, v in derived)
     for f in files:
         lines.append(f"file.{f.name}.sha256={_sha256(f)}")
@@ -333,10 +354,20 @@ def run_sweep(config: RunConfig, axis: str, values: list[float], jobs: int = 1) 
 
 def run_resonances(config: RunConfig, method: str, depth: int = 40,
                    n_wanted: int = 10, seed_op: str = "sine") -> Path:
-    """Channel eigenvalues to resonances.csv; dense is refused above N=24."""
+    """Channel eigenvalues to resonances.csv; dense is refused above N=24.
+
+    A Krylov run whose basis, 16 (depth + 1) N^2 bytes, exceeds physical
+    memory is refused before anything is allocated.
+    """
     start = time.monotonic()
     if method not in ("dense", "krylov"):
         raise CliError(f"method must be dense or krylov, got {method!r}")
+    if method == "krylov":
+        need = 16 * (depth + 1) * config.n ** 2
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > physical:
+            raise CliError(f"Krylov basis needs {need / 1e9:.1f} GB (16 x (depth + 1) x N^2 bytes), "
+                           f"more than the {physical / 1e9:.1f} GB of physical memory")
     outdir = config.output_dir()
     spec = config.map_spec()
     space = TorusSpace(config.n)
@@ -358,7 +389,9 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
             raise CliError(f"seed_op must be sine or random, got {seed_op!r}")
         spectrum = krylov_leading(umap, kernel, a0, depth=depth, n_wanted=n_wanted)
         converged = spectrum.converged
-        derived += [("derived.depth", str(depth)), ("derived.seed_op", seed_op)]
+        derived += [("derived.depth", str(depth)), ("derived.seed_op", seed_op),
+                    ("derived.krylov_dim", str(spectrum.params["krylov_dim"])),
+                    ("derived.krylov_matvecs", str(spectrum.params["matvecs"]))]
     derived.append(("derived.alpha1_abs", _fmt(float(abs(spectrum.alpha1)))))
     derived.append(("derived.degenerate_leaders", str(spectrum.degenerate)))
 

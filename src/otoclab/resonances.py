@@ -157,10 +157,20 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     unsafe), projects the channel onto the subspace, and returns the largest
     Ritz values by modulus.  Residuals ||S R - alpha R|| are recomputed
     explicitly for the returned pairs; entries above 1e-4 are marked
-    unconverged.  Deterministic given the seed operator.
+    unconverged.  Deterministic given the seed operator and the BLAS thread
+    count (threaded reductions may change the last bits).
 
-    The full basis is kept for reorthogonalization, so memory grows as
-    depth x N^2 complex entries (about 1.5 GB at N = 1000, depth 90).
+    The basis lives in one preallocated (depth + 1) x N^2 complex array whose
+    rows are the operators flattened row-major, so the Hilbert-Schmidt
+    product Tr(x^dag y) is a plain vdot.  Each step orthogonalizes by
+    classical Gram-Schmidt run twice (CGS2, "twice is enough"): a pass is two
+    matrix-vector products against the rows built so far, coefficients
+    V w* conjugated and the update w -= c V, with no copy of the basis.
+    Ritz operators are assembled one at a time from the same array.  Memory
+    is that of the basis, (depth + 1) x N^2 x 16 bytes: about 1.46 GB at
+    N = 1000, depth 90.  ``params`` records ``krylov_dim`` (the dimension
+    reached, below ``depth`` when an invariant subspace closes early) and
+    ``matvecs`` (channel applications, including the residual checks).
     """
     if depth < n_wanted + 2:
         raise ValueError(f"depth must be at least n_wanted + 2 = {n_wanted + 2}, got {depth}")
@@ -170,34 +180,30 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     if trace > 1e-9 * max(1.0, np.linalg.norm(entries)):
         raise ValueError(f"Krylov seed must be traceless, got |Tr| = {trace:.2e}")
 
-    def hs(x, y):
-        return np.vdot(x, y)  # Tr(x^dag y) on matrices flattened row-major
-
-    def deflated_step(x):
-        # The identity is the channel's dominant eigenoperator; rounding noise
-        # feeds it and power iteration would amplify it past the traceless
-        # spectrum.  Projecting the trace out after every application keeps
-        # the Krylov space in the sector the resonances live in.
-        y = channel_step(umap, kernel, x)
-        y.flat[:: n + 1] -= np.trace(y) / n
-        return y
-
-    basis = [entries / np.linalg.norm(entries)]
+    basis = np.empty((depth + 1, n * n), dtype=complex)
+    basis[0] = entries.reshape(-1) / np.linalg.norm(entries)
     m = depth
     h = np.zeros((depth + 1, depth), dtype=complex)
     for j in range(depth):
-        w = deflated_step(basis[j])
-        for _ in range(2):  # modified Gram-Schmidt, one reorthogonalization pass
-            for i, v in enumerate(basis):
-                coeff = hs(v, w)
-                h[i, j] += coeff
-                w = w - coeff * v
+        w = channel_step(umap, kernel, basis[j].reshape(n, n)).reshape(-1)
+        v = basis[: j + 1]
+        for _ in range(2):
+            # V.conj() @ w would copy the whole basis on every pass
+            coeff = (v @ w.conj()).conj()
+            h[: j + 1, j] += coeff
+            w -= coeff @ v
+        # The identity is the channel's dominant eigenoperator, outside the
+        # traceless sector the resonances live in.  Gram-Schmidt never removes
+        # it, and dividing by a small h[j+1, j] amplifies the rounding noise
+        # along it (10x a step late in a deep run), so every new direction
+        # has its trace projected out.
+        w[:: n + 1] -= w[:: n + 1].sum() / n
         norm = np.linalg.norm(w)
         h[j + 1, j] = norm
         if norm < 1e-13:
             m = j + 1  # invariant subspace found
             break
-        basis.append(w / norm)
+        np.divide(w, norm, out=basis[j + 1])
 
     ritz, vecs = np.linalg.eig(h[:m, :m])
     order = np.argsort(-np.abs(ritz))
@@ -205,9 +211,10 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     keep = min(n_wanted, m)
     residuals = np.empty(keep)
     for i in range(keep):
-        op = sum(vecs[k, i] * basis[k] for k in range(m))
+        # one Ritz operator at a time: all at once would add keep x N^2 entries
+        op = (vecs[:, i] @ basis[:m]).reshape(n, n)
         op /= np.linalg.norm(op)
-        residuals[i] = np.linalg.norm(deflated_step(op) - ritz[i] * op)
+        residuals[i] = np.linalg.norm(channel_step(umap, kernel, op) - ritz[i] * op)
     converged = residuals < _KRYLOV_RESIDUAL_TOL
     if not converged.all():
         warnings.warn(
@@ -222,7 +229,8 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     return ResonanceSpectrum(
         alphas=alphas, method="krylov",
         params={"n": n, "epsilon": 0.0 if kernel is None else kernel.epsilon,
-                "map": umap.map_spec, "depth": depth},
+                "map": umap.map_spec, "depth": depth,
+                "krylov_dim": m, "matvecs": m + keep},
         residuals=residuals, converged=converged,
         degenerate=cluster > 1, includes_identity=False)
 

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from otoclab import cli
 from otoclab.cli import (CliError, RunConfig, main, parse_config_file, run_otoc,
                          run_resonances, run_sweep)
 
@@ -72,6 +73,9 @@ def test_run_otoc_emits_exact_row(tmp_path):
     assert "config.map=cat" in manifest
     assert "derived.lambda_classical=" in manifest
     assert "file.otoc.csv.sha256=" in manifest
+    for key in ("python", "numpy", "scipy", "blas", "cpu_count",
+                "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert f"\nenvironment.{key}=" in manifest
 
 
 def test_run_otoc_deterministic_bytes(tmp_path):
@@ -242,6 +246,26 @@ def test_resonances_krylov_cli(tmp_path):
     header, rows = read_csv(tmp_path / "kry" / "resonances.csv")
     assert len(rows) == 3
     assert all(r[5] in ("0", "1") for r in rows)  # convergence flagged, never dropped
+    manifest = dict(line.split("=", 1) for line in
+                    (tmp_path / "kry" / "manifest.txt").read_text().splitlines())
+    assert manifest["derived.krylov_dim"] == "20"
+    assert manifest["derived.krylov_matvecs"] == "23"  # 20 Arnoldi steps + 3 residual checks
+
+
+def test_resonances_krylov_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
+    """N=100000 at depth 90 needs about 14.6 TB of basis: refused before the
+    map or the kernel is built."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built before the memory preflight")
+
+    monkeypatch.setattr(cli, "quantize", unreachable)
+    monkeypatch.setattr(cli, "build_kernel", unreachable)
+    code = main(["resonances", "--map", "cat", "--n", "100000", "--epsilon", "0.0001",
+                 "--method", "krylov", "--depth", "90", "--out", str(tmp_path / "big")])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "14560.0 GB" in lines[0]
+    assert not (tmp_path / "big").exists()
 
 
 def test_lyapunov_cli(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from otoclab.coarse_graining import build_kernel, channel_step
-from otoclab.maps import cat_map, quantize, standard_map
+from otoclab.maps import AS_PRINTED, CORRESPONDENCE, cat_map, harper_map, quantize, standard_map
 from otoclab.otoc import OtocSeries
 from otoclab.phase_space import TorusSpace, sine_momentum, sine_position
 from otoclab.resonances import (dense_superoperator, fit_tail_rate, full_spectrum,
@@ -114,6 +116,29 @@ def test_krylov_sine_seed_stays_in_parity_sector():
     assert abs(krylov.alpha1) < dense_top - 1e-3
     dense_mods = np.abs(spectrum.nontrivial)
     assert np.min(np.abs(dense_mods - abs(krylov.alpha1))) < 1e-6
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(3, 7), st.sampled_from((cat_map, standard_map, harper_map)),
+       st.floats(-2.0, 2.0), st.sampled_from((CORRESPONDENCE, AS_PRINTED)),
+       st.just(0.0) | st.floats(0.1, 2.0), st.integers(0, 2**32 - 1))
+@example(7, harper_map, 0.671875, AS_PRINTED, 0.125, 2)  # identity leak, see krylov_leading
+def test_krylov_full_depth_matches_dense_oracle(n, family, param, kick_mode, eps, seed):
+    """At depth N^2 - 1 the Krylov space of a cyclic seed is the whole
+    traceless sector, so the Ritz values are the channel's nontrivial
+    eigenvalues.  A repeated eigenvalue (Harper channels have exact doublets)
+    makes every seed non-cyclic: the space closes early and holds one copy.
+    Such spectra are skipped unless the channel is unitary, where every
+    modulus is 1 whatever the multiplicity."""
+    space = TorusSpace(n)
+    umap = quantize(family(param), space, kick_mode)
+    kernel = build_kernel(space, eps) if eps > 0 else None
+    nontrivial = full_spectrum(dense_superoperator(umap, kernel)).nontrivial
+    gaps = np.abs(nontrivial[:, None] - nontrivial[None, :]) + np.eye(nontrivial.size)
+    assume(kernel is None or gaps.min() > 1e-6)
+    krylov = krylov_leading(umap, kernel, random_traceless_hermitian(space, seed),
+                            depth=n * n - 1, n_wanted=3)
+    assert np.abs(np.abs(nontrivial[:3]) - np.abs(krylov.alphas)).max() < 1e-10
 
 
 def test_krylov_validation_and_determinism():
