@@ -201,6 +201,21 @@ def _write_manifest(outdir: Path, config: RunConfig, derived: list[tuple[str, st
     return path
 
 
+# Peak RSS of `otoc` with the XP pair, the largest of its working sets, read
+# 168 MB at N=1024 and 447 MB at N=2048 (numpy 2.4): 75 MB of interpreter and
+# libraries plus 89 N^2 bytes, about five and a half complex N x N arrays.
+_OTOC_BASE_BYTES = 75e6
+_OTOC_BYTES_PER_N2 = 89
+
+
+def _refuse_beyond_memory(need: float, what: str) -> None:
+    """CliError when ``need`` bytes exceed physical memory, before anything is allocated."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > physical:
+        raise CliError(f"{what} needs {need / 1e9:.1f} GB, "
+                       f"more than the {physical / 1e9:.1f} GB of physical memory")
+
+
 def _operator_pair(config: RunConfig, space: TorusSpace):
     """Evolved observable A and static observable B from the operators field."""
     if config.operators == "XP":
@@ -218,8 +233,14 @@ def _classical_rates(config: RunConfig):
 
 
 def run_otoc(config: RunConfig) -> dict:
-    """One correlator run: otoc.csv plus manifest; returns derived values."""
+    """One correlator run: otoc.csv plus manifest; returns derived values.
+
+    A run whose working set, 75 MB + 89 N^2 bytes, exceeds physical memory is
+    refused before anything is allocated.
+    """
     start = time.monotonic()
+    _refuse_beyond_memory(_OTOC_BASE_BYTES + _OTOC_BYTES_PER_N2 * config.n ** 2,
+                          "otoc working set (75 MB + 89 x N^2 bytes)")
     outdir = config.output_dir()
     spec = config.map_spec()
     space = TorusSpace(config.n)
@@ -356,18 +377,16 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
                    n_wanted: int = 10, seed_op: str = "sine") -> Path:
     """Channel eigenvalues to resonances.csv; dense is refused above N=24.
 
-    A Krylov run whose basis, 16 (depth + 1) N^2 bytes, exceeds physical
-    memory is refused before anything is allocated.
+    A Krylov run whose real basis, 8 (depth + 1) N^2 bytes without a parity
+    sector (half that with one), exceeds physical memory is refused before
+    anything is allocated.
     """
     start = time.monotonic()
     if method not in ("dense", "krylov"):
         raise CliError(f"method must be dense or krylov, got {method!r}")
     if method == "krylov":
-        need = 16 * (depth + 1) * config.n ** 2
-        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if need > physical:
-            raise CliError(f"Krylov basis needs {need / 1e9:.1f} GB (16 x (depth + 1) x N^2 bytes), "
-                           f"more than the {physical / 1e9:.1f} GB of physical memory")
+        _refuse_beyond_memory(8 * (depth + 1) * config.n ** 2,
+                              "Krylov basis (8 x (depth + 1) x N^2 bytes)")
     outdir = config.output_dir()
     spec = config.map_spec()
     space = TorusSpace(config.n)
@@ -390,6 +409,7 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
         spectrum = krylov_leading(umap, kernel, a0, depth=depth, n_wanted=n_wanted)
         converged = spectrum.converged
         derived += [("derived.depth", str(depth)), ("derived.seed_op", seed_op),
+                    ("derived.krylov_sector", spectrum.params["sector"]),
                     ("derived.krylov_dim", str(spectrum.params["krylov_dim"])),
                     ("derived.krylov_matvecs", str(spectrum.params["matvecs"]))]
     derived.append(("derived.alpha1_abs", _fmt(float(abs(spectrum.alpha1)))))

@@ -147,6 +147,62 @@ def random_traceless_hermitian(space: TorusSpace, seed: int = 0) -> OperatorMatr
     return OperatorMatrix(h, POSITION)
 
 
+class _RealSector:
+    """Real coordinates of the Hermitian operators in one parity sector.
+
+    A Hermitian A = S + iK (S real symmetric, K real antisymmetric) is the
+    real matrix R = A.real + A.imag, with Tr(A^dag B) = R_A . R_B and
+    A = (R + R^T)/2 + i(R - R^T)/2.  Parity A[i, j] -> A[-i, -j] preserves
+    R; in a sector A[-i, -j] = sign A[i, j] only one entry per mirror pair is
+    kept, scaled by sqrt 2 so the dot product stays the Hilbert-Schmidt one,
+    plus (even sector only) the 1 or 4 self-mirrored entries.  ``sign`` 0
+    keeps every entry of R.
+    """
+
+    def __init__(self, n: int, sign: int):
+        self.n, self.sign, self.dim = n, sign, n * n
+        if sign:
+            flat = np.arange(n * n)
+            mirror = ((-(flat // n)) % n) * n + (-flat) % n
+            self.pairs = flat[flat < mirror]
+            self.mirrors = mirror[self.pairs]
+            self.fixed = flat[flat == mirror] if sign > 0 else flat[:0]
+            self.dim = self.pairs.size + self.fixed.size
+
+    def pack(self, a: np.ndarray) -> np.ndarray:
+        r = (a.real + a.imag).reshape(-1)
+        if self.sign == 0:
+            return r
+        return np.concatenate((np.sqrt(2.0) * r[self.pairs], r[self.fixed]))
+
+    def unpack(self, x: np.ndarray) -> np.ndarray:
+        if self.sign == 0:
+            r = x.reshape(self.n, self.n)
+        else:
+            half = x[: self.pairs.size] / np.sqrt(2.0)
+            r = np.zeros(self.n * self.n)
+            r[self.pairs] = half
+            r[self.mirrors] = self.sign * half
+            r[self.fixed] = x[self.pairs.size:]
+            r = r.reshape(self.n, self.n)
+        a = np.empty((self.n, self.n), dtype=complex)
+        np.add(r, r.T, out=a.real)
+        np.subtract(r, r.T, out=a.imag)
+        a *= 0.5
+        return a
+
+
+_SECTOR_NAMES = {1: "even", -1: "odd", 0: "none"}
+
+
+def _parity(x: np.ndarray) -> int:
+    """+1 or -1 when x[-i, -j] = +-x[i, j] to 1e-12 relative, else 0."""
+    neg = -np.arange(x.shape[0]) % x.shape[0]
+    mirrored = x[np.ix_(neg, neg)]
+    limit = 1e-12 * np.linalg.norm(x)
+    return next((s for s in (1, -1) if np.linalg.norm(x - s * mirrored) <= limit), 0)
+
+
 def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
                    a0: OperatorMatrix, depth: int = 40, n_wanted: int = 5) -> ResonanceSpectrum:
     """Leading channel eigenvalues by Arnoldi iteration in operator space.
@@ -160,36 +216,64 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     unconverged.  Deterministic given the seed operator and the BLAS thread
     count (threaded reductions may change the last bits).
 
-    The basis lives in one preallocated (depth + 1) x N^2 complex array whose
-    rows are the operators flattened row-major, so the Hilbert-Schmidt
-    product Tr(x^dag y) is a plain vdot.  Each step orthogonalizes by
-    classical Gram-Schmidt run twice (CGS2, "twice is enough"): a pass is two
-    matrix-vector products against the rows built so far, coefficients
-    V w* conjugated and the update w -= c V, with no copy of the basis.
-    Ritz operators are assembled one at a time from the same array.  Memory
-    is that of the basis, (depth + 1) x N^2 x 16 bytes: about 1.46 GB at
-    N = 1000, depth 90.  ``params`` records ``krylov_dim`` (the dimension
-    reached, below ``depth`` when an invariant subspace closes early) and
+    The channel maps Hermitian operators to Hermitian operators, and the
+    Harper channel at every N and the cat and standard channels at even N
+    commute with parity q -> -q, so the orbit of a Hermitian seed of definite
+    parity stays in the seed's sector.  Each Krylov direction is stored as
+    the real coordinates of :class:`_RealSector`: one entry per mirror pair
+    in the even or odd sector (about N^2 / 2 reals; the odd sector holds no
+    identity component), all N^2 entries of A.real + A.imag otherwise.  The
+    sector is read from the seed and kept only if the first channel image
+    has the same parity to 1e-12; an image that is not Hermitian to 1e-12
+    raises.  The basis is one preallocated (depth + 1) x d real array, d the
+    sector dimension; each step orthogonalizes by classical Gram-Schmidt run
+    twice (CGS2, "twice is enough"), a pass being two real matrix-vector
+    products against the rows built so far.  Ritz operators are assembled
+    one at a time from the real and imaginary parts of their coefficients.
+    Memory is that of the basis, 8 (depth + 1) d bytes: at N = 1000, depth 90
+    about 364 MB in a parity sector (the sine seed is odd; the run peaks at
+    575 MB of RSS) and 728 MB without one, against 1.46 GB for a complex
+    basis.  ``params`` records
+    ``sector`` (even, odd or none), ``krylov_dim`` (the dimension reached,
+    below ``depth`` when an invariant subspace closes early, which warns) and
     ``matvecs`` (channel applications, including the residual checks).
     """
     if depth < n_wanted + 2:
         raise ValueError(f"depth must be at least n_wanted + 2 = {n_wanted + 2}, got {depth}")
     entries = a0.to_basis(umap.space, POSITION).entries
     n = umap.dim
+    scale = np.linalg.norm(entries)
+    if np.linalg.norm(entries - entries.conj().T) > 1e-12 * scale:
+        raise ValueError("Krylov seed must be Hermitian")
     trace = abs(np.trace(entries))
-    if trace > 1e-9 * max(1.0, np.linalg.norm(entries)):
+    if trace > 1e-9 * max(1.0, scale):
         raise ValueError(f"Krylov seed must be traceless, got |Tr| = {trace:.2e}")
+    a = entries / scale
+    image = channel_step(umap, kernel, a)
+    if np.linalg.norm(image - image.conj().T) > 1e-12 * np.linalg.norm(image):
+        raise ValueError("channel image of the Hermitian seed is not Hermitian")
+    # The seed's parity sector, kept only when its image stays in it: the
+    # quadratic kicks of the cat and standard maps break parity at odd N.
+    sign = _parity(a) if _parity(image) == _parity(a) else 0
+    sector = _RealSector(n, sign)
+    # the odd sector is traceless by construction; elsewhere every new
+    # direction has its identity component projected out (see below)
+    ident = sector.pack(np.eye(n) / np.sqrt(n)) if sign >= 0 else np.zeros(sector.dim)
+    diag = np.flatnonzero(ident)
+    ident = ident[diag]
 
-    basis = np.empty((depth + 1, n * n), dtype=complex)
-    basis[0] = entries.reshape(-1) / np.linalg.norm(entries)
+    basis = np.empty((depth + 1, sector.dim))
+    basis[0] = sector.pack(a)
+    basis[0] /= np.linalg.norm(basis[0])
     m = depth
-    h = np.zeros((depth + 1, depth), dtype=complex)
+    h = np.zeros((depth + 1, depth))
     for j in range(depth):
-        w = channel_step(umap, kernel, basis[j].reshape(n, n)).reshape(-1)
+        if j:
+            image = channel_step(umap, kernel, sector.unpack(basis[j]))
+        w = sector.pack(image)
         v = basis[: j + 1]
         for _ in range(2):
-            # V.conj() @ w would copy the whole basis on every pass
-            coeff = (v @ w.conj()).conj()
+            coeff = v @ w
             h[: j + 1, j] += coeff
             w -= coeff @ v
         # The identity is the channel's dominant eigenoperator, outside the
@@ -197,22 +281,32 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
         # it, and dividing by a small h[j+1, j] amplifies the rounding noise
         # along it (10x a step late in a deep run), so every new direction
         # has its trace projected out.
-        w[:: n + 1] -= w[:: n + 1].sum() / n
+        w[diag] -= (ident @ w[diag]) * ident
         norm = np.linalg.norm(w)
         h[j + 1, j] = norm
         if norm < 1e-13:
             m = j + 1  # invariant subspace found
             break
         np.divide(w, norm, out=basis[j + 1])
+    if m < depth:
+        warnings.warn(
+            f"Krylov space closed at dimension {m} < depth {depth}: its Ritz values are exact, "
+            "but a single seed holds one eigenoperator per eigenvalue, so a repeated "
+            "eigenvalue is listed once", stacklevel=2)
 
     ritz, vecs = np.linalg.eig(h[:m, :m])
-    order = np.argsort(-np.abs(ritz))
+    # h is real, so complex Ritz values come in exact conjugate pairs of equal
+    # modulus: list the member with positive imaginary part first
+    order = np.lexsort((-ritz.imag, -np.abs(ritz)))
     ritz, vecs = ritz[order], vecs[:, order]
     keep = min(n_wanted, m)
     residuals = np.empty(keep)
     for i in range(keep):
-        # one Ritz operator at a time: all at once would add keep x N^2 entries
-        op = (vecs[:, i] @ basis[:m]).reshape(n, n)
+        # one Ritz operator at a time, each part a real product: a complex
+        # coefficient vector times the real basis would cast the whole basis
+        op = sector.unpack(vecs[:, i].real @ basis[:m])
+        if vecs[:, i].imag.any():
+            op += 1j * sector.unpack(vecs[:, i].imag @ basis[:m])
         op /= np.linalg.norm(op)
         residuals[i] = np.linalg.norm(channel_step(umap, kernel, op) - ritz[i] * op)
     converged = residuals < _KRYLOV_RESIDUAL_TOL
@@ -229,7 +323,7 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     return ResonanceSpectrum(
         alphas=alphas, method="krylov",
         params={"n": n, "epsilon": 0.0 if kernel is None else kernel.epsilon,
-                "map": umap.map_spec, "depth": depth,
+                "map": umap.map_spec, "depth": depth, "sector": _SECTOR_NAMES[sign],
                 "krylov_dim": m, "matvecs": m + keep},
         residuals=residuals, converged=converged,
         degenerate=cluster > 1, includes_identity=False)

@@ -250,10 +250,11 @@ def test_resonances_krylov_cli(tmp_path):
                     (tmp_path / "kry" / "manifest.txt").read_text().splitlines())
     assert manifest["derived.krylov_dim"] == "20"
     assert manifest["derived.krylov_matvecs"] == "23"  # 20 Arnoldi steps + 3 residual checks
+    assert manifest["derived.krylov_sector"] == "none"  # a random seed has no parity
 
 
 def test_resonances_krylov_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
-    """N=100000 at depth 90 needs about 14.6 TB of basis: refused before the
+    """N=100000 at depth 90 needs about 7.3 TB of basis: refused before the
     map or the kernel is built."""
     def unreachable(*args, **kwargs):
         raise AssertionError("built before the memory preflight")
@@ -264,8 +265,29 @@ def test_resonances_krylov_refused_beyond_physical_memory(tmp_path, monkeypatch,
                  "--method", "krylov", "--depth", "90", "--out", str(tmp_path / "big")])
     assert code == 1
     lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "14560.0 GB" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "7280.0 GB" in lines[0]
     assert not (tmp_path / "big").exists()
+
+
+def test_otoc_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
+    """N=100000 needs about 890 GB of working set: refused before the map or
+    the kernel is built, for a run and for a sweep sub-run alike."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built before the memory preflight")
+
+    monkeypatch.setattr(cli, "quantize", unreachable)
+    monkeypatch.setattr(cli, "build_kernel", unreachable)
+    code = main(["otoc", "--map", "cat", "--n", "100000", "--epsilon", "0.0001",
+                 "--out", str(tmp_path / "big")])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "890.1 GB" in lines[0]
+    assert not (tmp_path / "big").exists()
+    summary = run_sweep(RunConfig(map="cat", n=16, epsilon=0.0001, outputs=str(tmp_path / "sw")),
+                        "N", [100000.0])
+    _, rows = read_csv(summary)
+    assert rows[0][1] == "error" and "physical memory" in rows[0][6]
+    assert not (tmp_path / "sw" / "N=100000").exists()
 
 
 def test_lyapunov_cli(tmp_path):

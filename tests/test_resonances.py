@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from otoclab import resonances
 from otoclab.coarse_graining import build_kernel, channel_step
 from otoclab.maps import AS_PRINTED, CORRESPONDENCE, cat_map, harper_map, quantize, standard_map
 from otoclab.otoc import OtocSeries
-from otoclab.phase_space import TorusSpace, sine_momentum, sine_position
+from otoclab.phase_space import OperatorMatrix, TorusSpace, sine_momentum, sine_position
 from otoclab.resonances import (dense_superoperator, fit_tail_rate, full_spectrum,
                                 krylov_leading, random_traceless_hermitian,
                                 spectral_o1_prediction)
@@ -139,6 +142,99 @@ def test_krylov_full_depth_matches_dense_oracle(n, family, param, kick_mode, eps
     krylov = krylov_leading(umap, kernel, random_traceless_hermitian(space, seed),
                             depth=n * n - 1, n_wanted=3)
     assert np.abs(np.abs(nontrivial[:3]) - np.abs(krylov.alphas)).max() < 1e-10
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(3, 7), st.sampled_from((cat_map, standard_map, harper_map)),
+       st.floats(-2.0, 2.0), st.sampled_from((CORRESPONDENCE, AS_PRINTED)),
+       st.floats(0.1, 2.0), st.sampled_from((1, -1)), st.integers(0, 2**32 - 1))
+@example(4, cat_map, 0.02, CORRESPONDENCE, 0.7, 1, 0)
+@example(6, cat_map, 0.3, CORRESPONDENCE, 1.3, -1, 1)
+@example(6, standard_map, 1.5, AS_PRINTED, 0.9, 1, 2)
+def test_krylov_parity_sector_matches_dense_oracle(n, family, param, kick_mode, eps, sign, seed):
+    """A channel that commutes with parity A[i, j] -> A[-i, -j] keeps the
+    Krylov space of a seed of definite parity in that sector.  At depth equal
+    to the sector's traceless dimension the Ritz values are the eigenvalues
+    whose right eigenoperators share the seed's parity, the identity
+    excluded.  The cat and standard maps break parity at odd N (their
+    quadratic kick phases flip sign under q -> -q for q != 0); there the
+    basis keeps every entry."""
+    space = TorusSpace(n)
+    umap = quantize(family(param), space, kick_mode)
+    kernel = build_kernel(space, eps)
+    superop = dense_superoperator(umap, kernel)
+    dense = full_spectrum(superop)
+    nontrivial = dense.nontrivial
+    gaps = np.abs(nontrivial[:, None] - nontrivial[None, :]) + np.eye(nontrivial.size)
+    assume(gaps.min() > 1e-6)
+    neg = -np.arange(n) % n
+    mirror = (neg[:, None] * n + neg[None, :]).reshape(-1)
+    commutes = np.abs(superop[np.ix_(mirror, mirror)] - superop).max() < 1e-12
+    fixed = 1 if n % 2 else 4  # entries with (i, j) = (-i, -j) mod n
+    dim = (n * n - fixed) // 2 if sign < 0 else (n * n + fixed) // 2 - 1
+    a = random_traceless_hermitian(space, seed).entries
+    a = (a + sign * a[np.ix_(neg, neg)]) / 2
+    krylov = krylov_leading(umap, kernel, OperatorMatrix(a), depth=dim, n_wanted=min(3, dim - 2))
+    if not commutes:
+        assert family is not harper_map and n % 2
+        assert krylov.params["sector"] == "none"
+        return
+    assert krylov.params["sector"] == ("even" if sign > 0 else "odd")
+    assert krylov.params["krylov_dim"] == dim
+    in_sector = np.array([np.linalg.norm(r - sign * r[np.ix_(neg, neg)]) < 1e-6
+                          for r in dense.rights])
+    in_sector[np.argmin(np.abs(dense.alphas - 1.0))] = False
+    expected = np.abs(dense.alphas[in_sector])
+    assert expected.size == dim
+    assert np.abs(expected[:krylov.alphas.size] - np.abs(krylov.alphas)).max() < 1e-10
+
+
+def test_krylov_refuses_non_hermitian_seed():
+    space = TorusSpace(8)
+    umap = quantize(cat_map(0.02), space)
+    seed = OperatorMatrix((1 + 0.5j) * random_traceless_hermitian(space, 0).entries)
+    with pytest.raises(ValueError, match="Hermitian"):
+        krylov_leading(umap, build_kernel(space, 0.5), seed, depth=10, n_wanted=3)
+
+
+def test_krylov_sector_is_checked_on_the_channel_image():
+    """The sine seed is parity odd.  At even N the cat channel keeps the odd
+    sector and the basis halves; at odd N it does not, and the basis keeps
+    every entry with the same result as a full-depth run shows.  A channel
+    image that is not Hermitian cannot be stored in real numbers and is
+    refused."""
+    space = TorusSpace(8)
+    umap = quantize(cat_map(0.02), space)
+    assert krylov_leading(umap, build_kernel(space, 0.5), sine_position(space),
+                          depth=10, n_wanted=3).params["sector"] == "odd"
+    umap, kernel, spectrum = _dense(7, cat_map(0.02), 0.5)
+    krylov = krylov_leading(umap, kernel, sine_position(umap.space), depth=48, n_wanted=3)
+    assert krylov.params["sector"] == "none"
+    assert np.abs(np.abs(spectrum.nontrivial[:3]) - np.abs(krylov.alphas)).max() < 1e-10
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resonances, "channel_step", lambda umap, kernel, a: 1j * a)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            krylov_leading(umap, kernel, sine_position(umap.space), depth=10, n_wanted=3)
+
+
+def test_krylov_warns_when_space_closes_early():
+    """This Harper channel has an exact doublet at 0.51622655.  The seed
+    reaches one eigenoperator of it, the space closes at 12 < 15, and the
+    doublet would otherwise be dropped from the list without notice."""
+    space = TorusSpace(4)
+    umap = quantize(harper_map(0.06427434219151484), space, CORRESPONDENCE)
+    kernel = build_kernel(space, 1.5756979172503662)
+    seed = random_traceless_hermitian(space, 497639016)
+    with pytest.warns(UserWarning, match="repeated eigenvalue is listed once"):
+        spectrum = krylov_leading(umap, kernel, seed, depth=15, n_wanted=3)
+    assert spectrum.params["krylov_dim"] == 12
+    # a simple spectrum: the same seed spans the whole traceless space
+    umap = quantize(cat_map(0.02), space)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spectrum = krylov_leading(umap, build_kernel(space, 0.7), seed, depth=15, n_wanted=3)
+    assert spectrum.params["krylov_dim"] == 15
+    assert not [w for w in caught if "closed" in str(w.message)]
 
 
 def test_krylov_validation_and_determinism():
