@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -29,6 +30,7 @@ import platform
 import re
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,8 +51,10 @@ __all__ = ["RunConfig", "run_otoc", "run_sweep", "run_resonances", "run_lyapunov
 
 OUTPUT_ROOT_ENV = "OTOCLAB_OUTPUT_ROOT"
 
-_MAP_KINDS = (CAT, STANDARD, HARPER)
+_MAPS = {CAT: cat_map, STANDARD: standard_map, HARPER: harper_map}
 _KICK_MODES = (CORRESPONDENCE, AS_PRINTED)
+# sweep axis name -> the RunConfig field it sets
+_SWEEP_AXES = {"epsilon": "epsilon", "k": "map_param", "N": "n"}
 _OPERATOR_RE = re.compile(r"^F\(\s*(-?\d+)\s*,\s*(-?\d+)\s*;\s*(-?\d+)\s*,\s*(-?\d+)\s*\)$")
 
 
@@ -60,7 +64,11 @@ class CliError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated parameters of one run; echoed verbatim into the manifest."""
+    """Validated parameters of one run; echoed verbatim into the manifest.
+
+    Each field is also a config-file key and a flag (``--`` plus the name
+    with dashes; ``--out`` for ``outputs``).
+    """
 
     map: str
     n: int
@@ -77,8 +85,8 @@ class RunConfig:
     lyap_fit_end: int | None = None
 
     def __post_init__(self) -> None:
-        if self.map not in _MAP_KINDS:
-            raise CliError(f"map must be one of {_MAP_KINDS}, got {self.map!r}")
+        if self.map not in _MAPS:
+            raise CliError(f"map must be one of {tuple(_MAPS)}, got {self.map!r}")
         if self.n < 2:
             raise CliError(f"n must be >= 2, got {self.n}")
         if not math.isfinite(self.epsilon) or self.epsilon < 0:
@@ -91,11 +99,7 @@ class RunConfig:
             raise CliError(f"operators must be 'XP' or 'F(aq,ap;bq,bp)', got {self.operators!r}")
 
     def map_spec(self) -> ClassicalMapSpec:
-        if self.map == CAT:
-            return cat_map(self.map_param)
-        if self.map == STANDARD:
-            return standard_map(self.map_param)
-        return harper_map(self.map_param)
+        return _MAPS[self.map](self.map_param)
 
     def output_dir(self) -> Path:
         path = Path(self.outputs)
@@ -103,21 +107,11 @@ class RunConfig:
             path = Path(os.environ.get(OUTPUT_ROOT_ENV, ".")) / path
         return path
 
-    def echo_items(self) -> list[tuple[str, str]]:
-        items = []
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            items.append((f"config.{f.name}", _fmt(value)))
-        return items
 
-
-_CONFIG_TYPES = {
-    "map": str, "n": int, "map_param": float, "epsilon": float, "t_max": int,
-    "operators": str, "seed": int, "kick_mode": str, "outputs": str,
-    "tail_fit_start": int, "tail_fit_end": int, "lyap_fit_start": int, "lyap_fit_end": int,
-}
+# config key -> value type, ``int | None`` read as int
+_CONFIG_TYPES = {key: (typing.get_args(kind) or (kind,))[0]
+                 for key, kind in typing.get_type_hints(RunConfig).items()}
+_CONFIG_CHOICES = {"map": tuple(_MAPS), "kick_mode": _KICK_MODES}
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -159,15 +153,11 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
     _write_atomic(path, "\n".join(lines) + "\n")
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _environment() -> list[tuple[str, str]]:
@@ -187,18 +177,21 @@ def _environment() -> list[tuple[str, str]]:
     return items
 
 
-def _write_manifest(outdir: Path, config: RunConfig, derived: list[tuple[str, str]],
-                    files: list[Path], wallclock: float) -> Path:
-    lines = [f"{k}={v}" for k, v in config.echo_items()]
+def _write_run(config: RunConfig, start: float, name: str, header: list[str], rows,
+               derived: list[tuple[str, str]]) -> Path:
+    """``<name>.csv`` plus manifest.txt (config echo, wallclock since ``start``,
+    environment, derived values, checksum) in the run's output directory."""
+    csv_path = config.output_dir() / f"{name}.csv"
+    _write_csv(csv_path, header, rows)
+    lines = [f"config.{k}={_fmt(v)}" for k, v in dataclasses.asdict(config).items()
+             if v is not None]
     lines.append(f"version={__version__}")
-    lines.append(f"wallclock_seconds={wallclock:.3f}")
-    lines.extend(f"{k}={v}" for k, v in _environment())
-    lines.extend(f"{k}={v}" for k, v in derived)
-    for f in files:
-        lines.append(f"file.{f.name}.sha256={_sha256(f)}")
-    path = outdir / "manifest.txt"
-    _write_atomic(path, "\n".join(lines) + "\n")
-    return path
+    lines.append(f"wallclock_seconds={time.monotonic() - start:.3f}")
+    lines.extend(f"{k}={v}" for k, v in _environment() + derived)
+    lines.append(f"file.{csv_path.name}.sha256="
+                 f"{hashlib.sha256(csv_path.read_bytes()).hexdigest()}")
+    _write_atomic(csv_path.parent / "manifest.txt", "\n".join(lines) + "\n")
+    return csv_path
 
 
 # Peak RSS of `otoc` with the XP pair, the largest of its working sets, read
@@ -216,6 +209,14 @@ def _refuse_beyond_memory(need: float, what: str) -> None:
                        f"more than the {physical / 1e9:.1f} GB of physical memory")
 
 
+def _build_channel(config: RunConfig):
+    """Space, quantized map and kernel (None without dephasing) of a run."""
+    space = TorusSpace(config.n)
+    umap = quantize(config.map_spec(), space, config.kick_mode)
+    kernel = build_kernel(space, config.epsilon) if config.epsilon > 0 else None
+    return space, umap, kernel
+
+
 def _operator_pair(config: RunConfig, space: TorusSpace):
     """Evolved observable A and static observable B from the operators field."""
     if config.operators == "XP":
@@ -223,13 +224,6 @@ def _operator_pair(config: RunConfig, space: TorusSpace):
     m = _OPERATOR_RE.match(config.operators)
     aq, ap, bq, bp = (int(g) for g in m.groups())
     return hermitian_f(space, (aq, ap)), hermitian_f(space, (bq, bp))
-
-
-def _classical_rates(config: RunConfig):
-    spec = config.map_spec()
-    est = lyapunov(spec, n_traj=200, t_horizon=400, seed=config.seed)
-    t_e = ehrenfest_time(config.n, est.lam) if est.lam > 0 else float("nan")
-    return est, t_e
 
 
 def run_otoc(config: RunConfig) -> dict:
@@ -241,13 +235,10 @@ def run_otoc(config: RunConfig) -> dict:
     start = time.monotonic()
     _refuse_beyond_memory(_OTOC_BASE_BYTES + _OTOC_BYTES_PER_N2 * config.n ** 2,
                           "otoc working set (75 MB + 89 x N^2 bytes)")
-    outdir = config.output_dir()
-    spec = config.map_spec()
-    space = TorusSpace(config.n)
-    umap = quantize(spec, space, config.kick_mode)
-    kernel = build_kernel(space, config.epsilon) if config.epsilon > 0 else None
+    space, umap, kernel = _build_channel(config)
     a, b = _operator_pair(config, space)
-    est, t_e = _classical_rates(config)
+    est = lyapunov(config.map_spec(), n_traj=200, t_horizon=400, seed=config.seed)
+    t_e = ehrenfest_time(config.n, est.lam) if est.lam > 0 else float("nan")
     series = otoc_series(umap, a, b, config.t_max, kernel=kernel, operators=config.operators)
 
     derived: list[tuple[str, str]] = [
@@ -300,73 +291,52 @@ def run_otoc(config: RunConfig) -> dict:
                     np.array([abs(e.o1) for e in exact]),
                     np.array([e.o2 for e in exact])]
 
-    rows = [[col[i] for col in columns] for i in range(len(series.t))]
-    csv_path = outdir / "otoc.csv"
-    _write_csv(csv_path, header, rows)
-    _write_manifest(outdir, config, derived, [csv_path], time.monotonic() - start)
+    _write_run(config, start, "otoc", header, zip(*columns), derived)
     return dict(derived)
 
 
-_SWEEP_AXES = ("epsilon", "k", "N")
-
-
-def _with_value(config: RunConfig, axis: str, value: float) -> RunConfig:
+def _sweep_worker(task: tuple[RunConfig, str, float]) -> dict:
+    """Derived values of the otoc sub-run with ``axis`` set to ``value``."""
+    config, axis, value = task
     if axis == "N" and not float(value).is_integer():
         raise CliError(f"N must be an integer, got {value:g}")
-    sub_out = str(Path(config.outputs) / f"{axis}={value:g}")
-    if axis == "epsilon":
-        return dataclasses.replace(config, epsilon=value, outputs=sub_out)
-    if axis == "k":
-        return dataclasses.replace(config, map_param=value, outputs=sub_out)
-    return dataclasses.replace(config, n=int(value), outputs=sub_out)
+    key = _SWEEP_AXES[axis]
+    return run_otoc(dataclasses.replace(config, **{key: _CONFIG_TYPES[key](value)},
+                                        outputs=str(Path(config.outputs) / f"{axis}={value:g}")))
 
 
-def _sweep_worker(task: tuple[RunConfig, str, float]) -> dict:
-    config, axis, value = task
-    return run_otoc(_with_value(config, axis, value))
+def _summary_row(value: float, outcome) -> list:
+    """Summary row of one sub-run; ``outcome()`` returns its derived values or raises."""
+    try:
+        derived = outcome()
+    except Exception as exc:  # recorded per sub-run
+        return [value, "error", "", "", "", "", str(exc).replace(",", ";")]
+    return [value, "ok"] + [derived.get(f"derived.{key}", "") for key in (
+        "alpha1_tail", "alpha1_tail_r2", "lyapunov_fit", "lyapunov_fit_r2")] + [""]
 
 
 def run_sweep(config: RunConfig, axis: str, values: list[float], jobs: int = 1) -> Path:
     """One otoc sub-run per value plus a summary CSV (written last).
 
-    Sub-run failures, including invalid substituted configs, are recorded in
-    the summary but do not abort the sweep.
+    Sub-run failures, including invalid substituted configs and workers that
+    die, are recorded in the summary but do not abort the sweep.  The pool
+    holds at most one worker per value and per CPU, whatever ``jobs`` asks.
     """
     if axis not in _SWEEP_AXES:
-        raise CliError(f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}")
+        raise CliError(f"sweep axis must be one of {tuple(_SWEEP_AXES)}, got {axis!r}")
     if not values:
         raise CliError("sweep values list is empty")
+    if jobs < 1:
+        raise CliError(f"jobs must be >= 1, got {jobs}")
     tasks = [(config, axis, v) for v in values]
-    results: list[dict | Exception] = [None] * len(tasks)  # type: ignore[list-item]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_sweep_worker, task): i for i, task in enumerate(tasks)}
-            for fut in concurrent.futures.as_completed(futures):
-                i = futures[fut]
-                try:
-                    results[i] = fut.result()
-                except Exception as exc:  # recorded per sub-run
-                    results[i] = exc
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_sweep_worker, task) for task in tasks]
+            rows = [_summary_row(v, fut.result) for v, fut in zip(values, futures)]
     else:
-        for i, task in enumerate(tasks):
-            try:
-                results[i] = _sweep_worker(task)
-            except Exception as exc:
-                results[i] = exc
-
-    rows = []
-    for value, result in zip(values, results):
-        if isinstance(result, Exception):
-            rows.append([value, "error", "", "", "", "", str(result).replace(",", ";")])
-            continue
-        rows.append([
-            value, "ok",
-            result.get("derived.alpha1_tail", ""),
-            result.get("derived.alpha1_tail_r2", ""),
-            result.get("derived.lyapunov_fit", ""),
-            result.get("derived.lyapunov_fit_r2", ""),
-            "",
-        ])
+        rows = [_summary_row(v, functools.partial(_sweep_worker, task))
+                for v, task in zip(values, tasks)]
     summary = config.output_dir() / "summary.csv"
     _write_csv(summary, ["value", "status", "alpha1_tail", "alpha1_r2",
                          "lambda_fit", "lambda_r2", "error"], rows)
@@ -377,28 +347,23 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
                    n_wanted: int = 10, seed_op: str = "sine") -> Path:
     """Channel eigenvalues to resonances.csv; dense is refused above N=24.
 
-    A Krylov run whose real basis, 8 (depth + 1) N^2 bytes without a parity
-    sector (half that with one), exceeds physical memory is refused before
-    anything is allocated.
+    A dense run above N=24, and a Krylov run whose real basis, 8 (depth + 1)
+    N^2 bytes without a parity sector (half that with one), exceeds physical
+    memory, are refused before anything is allocated.
     """
     start = time.monotonic()
     if method not in ("dense", "krylov"):
         raise CliError(f"method must be dense or krylov, got {method!r}")
+    if method == "dense" and config.n > 24:
+        raise CliError(f"dense resonances need N <= 24, got N={config.n}")
     if method == "krylov":
         _refuse_beyond_memory(8 * (depth + 1) * config.n ** 2,
                               "Krylov basis (8 x (depth + 1) x N^2 bytes)")
-    outdir = config.output_dir()
-    spec = config.map_spec()
-    space = TorusSpace(config.n)
-    umap = quantize(spec, space, config.kick_mode)
-    kernel = build_kernel(space, config.epsilon) if config.epsilon > 0 else None
+    space, umap, kernel = _build_channel(config)
     derived: list[tuple[str, str]] = [("derived.method", method)]
     if method == "dense":
-        if config.n > 24:
-            raise CliError(f"dense resonances need N <= 24, got N={config.n}")
         spectrum = full_spectrum(dense_superoperator(umap, kernel),
                                  params={"n": config.n, "epsilon": config.epsilon})
-        converged = spectrum.converged
     else:
         if seed_op == "sine":
             a0 = sine_position(space)
@@ -407,7 +372,6 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
         else:
             raise CliError(f"seed_op must be sine or random, got {seed_op!r}")
         spectrum = krylov_leading(umap, kernel, a0, depth=depth, n_wanted=n_wanted)
-        converged = spectrum.converged
         derived += [("derived.depth", str(depth)), ("derived.seed_op", seed_op),
                     ("derived.krylov_sector", spectrum.params["sector"]),
                     ("derived.krylov_dim", str(spectrum.params["krylov_dim"])),
@@ -415,63 +379,45 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
     derived.append(("derived.alpha1_abs", _fmt(float(abs(spectrum.alpha1)))))
     derived.append(("derived.degenerate_leaders", str(spectrum.degenerate)))
 
-    rows = []
-    for i, alpha in enumerate(spectrum.alphas):
-        resid = spectrum.residuals[i] if spectrum.residuals is not None else float("nan")
-        rows.append([i, float(alpha.real), float(alpha.imag), float(abs(alpha)),
-                     float(resid), int(bool(converged[i]))])
-    csv_path = outdir / "resonances.csv"
-    _write_csv(csv_path, ["index", "alpha_re", "alpha_im", "alpha_abs", "residual", "converged"], rows)
-    _write_manifest(outdir, config, derived, [csv_path], time.monotonic() - start)
-    return csv_path
+    alphas = spectrum.alphas
+    # scalar abs: the vectorized np.abs may round the last bit differently
+    rows = zip(range(len(alphas)), alphas.real, alphas.imag, map(abs, alphas),
+               spectrum.residuals, spectrum.converged.astype(int))
+    return _write_run(config, start, "resonances",
+                      ["index", "alpha_re", "alpha_im", "alpha_abs", "residual", "converged"],
+                      rows, derived)
 
 
 def run_lyapunov(config: RunConfig, n_traj: int = 200, t_horizon: int = 1000) -> Path:
     """Classical Lyapunov exponents of the configured map to lyapunov.csv."""
     start = time.monotonic()
-    outdir = config.output_dir()
     est = lyapunov(config.map_spec(), n_traj=n_traj, t_horizon=t_horizon, seed=config.seed)
-    csv_path = outdir / "lyapunov.csv"
-    _write_csv(csv_path,
-               ["lambda", "lambda_generalized", "standard_error", "n_trajectories",
-                "t_horizon", "seed", "resampled"],
-               [[est.lam, est.lam_generalized, est.standard_error, est.n_trajectories,
-                 est.t_horizon, est.seed, est.resampled]])
     derived = [("derived.t_ehrenfest", _fmt(ehrenfest_time(config.n, est.lam)))] \
         if est.lam > 0 else []
-    _write_manifest(outdir, config, derived, [csv_path], time.monotonic() - start)
-    return csv_path
+    return _write_run(config, start, "lyapunov",
+                      ["lambda", "lambda_generalized", "standard_error", "n_trajectories",
+                       "t_horizon", "seed", "resampled"],
+                      [[est.lam, est.lam_generalized, est.standard_error, est.n_trajectories,
+                        est.t_horizon, est.seed, est.resampled]], derived)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _config_parser(sub, name: str, summary: str) -> argparse.ArgumentParser:
+    """Subcommand parser with ``--config`` and one flag per RunConfig field."""
+    parser = sub.add_parser(name, help=summary)
     parser.add_argument("--config", help="key=value config file; flags override its entries")
-    parser.add_argument("--map", choices=_MAP_KINDS)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--map-param", type=float, dest="map_param")
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--t-max", type=int, dest="t_max")
-    parser.add_argument("--operators")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--kick-mode", choices=_KICK_MODES, dest="kick_mode")
-    parser.add_argument("--out", dest="outputs")
-    parser.add_argument("--tail-fit-start", type=int, dest="tail_fit_start")
-    parser.add_argument("--tail-fit-end", type=int, dest="tail_fit_end")
-    parser.add_argument("--lyap-fit-start", type=int, dest="lyap_fit_start")
-    parser.add_argument("--lyap-fit-end", type=int, dest="lyap_fit_end")
+    for key, kind in _CONFIG_TYPES.items():
+        flag = "--out" if key == "outputs" else "--" + key.replace("_", "-")
+        parser.add_argument(flag, type=kind, dest=key, choices=_CONFIG_CHOICES.get(key))
+    return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if args.config:
-        values.update(parse_config_file(args.config))
-    for key in _CONFIG_TYPES:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    if "map" not in values:
-        raise CliError("map is required (flag --map or config key map)")
-    if "n" not in values:
-        raise CliError("n is required (flag --n or config key n)")
+    values = parse_config_file(args.config) if args.config else {}
+    values.update((key, getattr(args, key)) for key in _CONFIG_TYPES
+                  if getattr(args, key) is not None)
+    for key in ("map", "n"):
+        if key not in values:
+            raise CliError(f"{key} is required (flag --{key} or config key {key})")
     try:
         return RunConfig(**values)
     except TypeError as exc:
@@ -482,26 +428,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="otoclab",
                                      description="OTOC laboratory for quantized torus maps")
     sub = parser.add_subparsers(dest="command", required=True)
+    _config_parser(sub, "otoc", "compute one correlator series")
 
-    p_otoc = sub.add_parser("otoc", help="compute one correlator series")
-    _add_config_flags(p_otoc)
-
-    p_sweep = sub.add_parser("sweep", help="one otoc run per swept value plus a summary")
-    _add_config_flags(p_sweep)
-    p_sweep.add_argument("--axis", required=True, choices=_SWEEP_AXES)
+    p_sweep = _config_parser(sub, "sweep", "one otoc run per swept value plus a summary")
+    p_sweep.add_argument("--axis", required=True, choices=tuple(_SWEEP_AXES))
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated list of values for the swept axis")
     p_sweep.add_argument("--jobs", type=int, default=1)
 
-    p_res = sub.add_parser("resonances", help="extract channel eigenvalues")
-    _add_config_flags(p_res)
+    p_res = _config_parser(sub, "resonances", "extract channel eigenvalues")
     p_res.add_argument("--method", required=True, choices=("dense", "krylov"))
     p_res.add_argument("--depth", type=int, default=40)
     p_res.add_argument("--n-wanted", type=int, default=10, dest="n_wanted")
     p_res.add_argument("--seed-op", choices=("sine", "random"), default="sine", dest="seed_op")
 
-    p_lyap = sub.add_parser("lyapunov", help="classical Lyapunov exponents")
-    _add_config_flags(p_lyap)
+    p_lyap = _config_parser(sub, "lyapunov", "classical Lyapunov exponents")
     p_lyap.add_argument("--n-traj", type=int, default=200, dest="n_traj")
     p_lyap.add_argument("--t-horizon", type=int, default=1000, dest="t_horizon")
 

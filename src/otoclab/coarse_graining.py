@@ -28,8 +28,7 @@ import numpy as np
 
 from .maps import QuantumMap
 from .phase_space import (MOMENTUM, POSITION, OperatorMatrix, TorusSpace, _change_frame,
-                          _cyclic_diagonals, _from_cyclic_diagonals, _position_entries,
-                          translation)
+                          _cyclic_diagonals, _entries, _from_cyclic_diagonals, translation)
 
 __all__ = [
     "CoarseGrainKernel",
@@ -103,15 +102,13 @@ def apply_dephasing_dense(kernel: CoarseGrainKernel, a, force: bool = False) -> 
     n = space.dim
     if n > _DENSE_LIMIT and not force:
         raise ValueError(f"dense dephasing is O(N^4); pass force=True above N={_DENSE_LIMIT}")
-    entries = _position_entries(space, a)
+    entries = _entries(a)
     out = np.zeros_like(entries)
     for xq in range(n):
         for xp in range(n):
             t = translation(space, (xq, xp)).entries
             out += kernel.c_weights[xq, xp] * (t.conj().T @ entries @ t)
-    if isinstance(a, OperatorMatrix):
-        return OperatorMatrix(out, POSITION)
-    return out
+    return OperatorMatrix(out) if isinstance(a, OperatorMatrix) else out
 
 
 def apply_dephasing_chord(kernel: CoarseGrainKernel, a):
@@ -121,11 +118,11 @@ def apply_dephasing_chord(kernel: CoarseGrainKernel, a):
     forward and inverse transforms, leaving one FFT pair per diagonal.
     """
     wrapped = isinstance(a, OperatorMatrix)
-    entries = _position_entries(kernel.space, a)
+    entries = _entries(a)
     d = _cyclic_diagonals(entries)
     d = np.fft.ifft(np.fft.fft(d, axis=1) * kernel.diag_chord, axis=1)
     out = _from_cyclic_diagonals(d)
-    return OperatorMatrix(out, POSITION) if wrapped else out
+    return OperatorMatrix(out) if wrapped else out
 
 
 def _circulant(f: np.ndarray) -> np.ndarray:
@@ -141,7 +138,7 @@ def evolve(umap: QuantumMap, kernel: CoarseGrainKernel | None, a, steps: int):
     has epsilon 0; ``a`` is an operator or raw position-basis entries.  One
     buffer is yielded each time and overwritten by the next step.
     """
-    entries = np.array(_position_entries(umap.space, a), dtype=complex)
+    entries = np.array(_entries(a), dtype=complex)
     if entries.shape[0] != umap.dim:
         raise ValueError(f"dimension mismatch: operator {entries.shape[0]}, map {umap.dim}")
     if steps < 0:
@@ -171,4 +168,4 @@ def channel_step(umap: QuantumMap, kernel: CoarseGrainKernel | None, a):
     """One coarse-grained Heisenberg step D_eps(U^dag A U), returned in the position basis."""
     *_, out = evolve(umap, kernel, a, 1)
     _change_frame(out, POSITION)
-    return OperatorMatrix(out, POSITION) if isinstance(a, OperatorMatrix) else out
+    return OperatorMatrix(out) if isinstance(a, OperatorMatrix) else out

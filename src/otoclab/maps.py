@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import POSITION, OperatorMatrix, TorusSpace
+from .phase_space import OperatorMatrix, TorusSpace, _entries
 
 __all__ = [
     "ClassicalMapSpec",
@@ -256,17 +256,11 @@ def apply_map(umap: QuantumMap, operand, direction: str = "forward"):
     """
     if direction not in ("forward", "adjoint"):
         raise ValueError(f"unknown direction {direction!r}")
-    adjoint = direction == "adjoint"
-    if isinstance(operand, OperatorMatrix):
-        if operand.basis != POSITION:
-            raise ValueError("apply_map expects position-basis operator entries")
-        if operand.dim != umap.dim:
-            raise ValueError(f"dimension mismatch: operator {operand.dim}, map {umap.dim}")
-        return OperatorMatrix(_lmul(umap, operand.entries, adjoint), POSITION)
-    x = np.asarray(operand, dtype=complex)
+    x = _entries(operand)
     if x.shape[0] != umap.dim:
         raise ValueError(f"dimension mismatch: operand {x.shape[0]}, map {umap.dim}")
-    return _lmul(umap, x, adjoint)
+    out = _lmul(umap, x, adjoint=direction == "adjoint")
+    return OperatorMatrix(out) if isinstance(operand, OperatorMatrix) else out
 
 
 def heisenberg_conjugate(umap: QuantumMap, entries: np.ndarray) -> np.ndarray:
@@ -276,4 +270,4 @@ def heisenberg_conjugate(umap: QuantumMap, entries: np.ndarray) -> np.ndarray:
 
 def materialize(umap: QuantumMap) -> OperatorMatrix:
     """Dense unitary matrix of the map in the position basis."""
-    return OperatorMatrix(_lmul(umap, np.eye(umap.dim, dtype=complex)), POSITION)
+    return OperatorMatrix(_lmul(umap, np.eye(umap.dim, dtype=complex)))

@@ -25,8 +25,8 @@ import numpy as np
 from . import coarse_graining
 from .classical import CAT_LYAPUNOV, cat_matrix_power
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
-from .phase_space import (MOMENTUM, POSITION, OperatorMatrix, _change_frame,
-                          _cyclic_diagonals, hermiticity_defect, symplectic_product)
+from .phase_space import (MOMENTUM, POSITION, OperatorMatrix, _change_frame, _cyclic_diagonals,
+                          change_basis, hermiticity_defect, symplectic_product)
 
 __all__ = [
     "OtocSeries",
@@ -67,9 +67,9 @@ def heisenberg_evolve(a: OperatorMatrix, umap: QuantumMap, steps: int) -> Operat
     if a.dim != umap.dim:
         raise ValueError(f"dimension mismatch: operator {a.dim}, map {umap.dim}")
     if steps == 0:  # exactly A, without a rounding round trip through the momentum frame
-        return a.to_basis(umap.space, POSITION)
+        return a
     *_, at = coarse_graining.evolve(umap, None, a, steps)
-    return OperatorMatrix(_change_frame(at, POSITION), POSITION)
+    return OperatorMatrix(_change_frame(at, POSITION))
 
 
 def otoc_series(umap: QuantumMap, a: OperatorMatrix, b: OperatorMatrix, t_max: int,
@@ -79,14 +79,14 @@ def otoc_series(umap: QuantumMap, a: OperatorMatrix, b: OperatorMatrix, t_max: i
     the channel of ``kernel`` (unitarily when None).  A and B must be Hermitian.
     """
     for name, op in (("A", a), ("B", b)):
-        defect = hermiticity_defect(op.to_basis(umap.space, POSITION).entries)
+        defect = hermiticity_defect(op)
         if defect > _HERMITIAN_TOL:
             raise ValueError(f"operator {name} is not Hermitian (defect {defect:.2e})")
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     n = umap.dim
     # B in the momentum frame as its cyclic diagonals d[j, q] = B[q + j, q], noise dropped
-    d = _cyclic_diagonals(b.to_basis(umap.space, MOMENTUM).entries)
+    d = _cyclic_diagonals(change_basis(umap.space, b.entries, POSITION, MOMENTUM))
     size = np.abs(d).max(axis=1)
     shifts = np.flatnonzero(size > _DIAG_TOL * max(size.max(), 1.0))
     d = d[shifts]
@@ -118,9 +118,8 @@ def otoc_via_commutator(umap: QuantumMap, a: OperatorMatrix, b: OperatorMatrix,
     """
     if umap.dim > 64 and not force:
         raise ValueError("commutator oracle is O(N^3) per step; pass force=True above N=64")
-    space = umap.space
-    at = a.to_basis(space, POSITION).entries.copy()
-    bb = b.to_basis(space, POSITION).entries
+    at = a.entries.copy()
+    bb = b.entries
     dephase = kernel is not None and kernel.epsilon > 0
     c = np.empty(t_max + 1)
     for t in range(t_max + 1):

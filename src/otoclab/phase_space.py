@@ -7,10 +7,10 @@ Every other module inherits the conventions fixed here:
 * tau = exp(i pi / N), the primitive 2N-th root of unity;
 * symplectic product <u, v> = u_p v_q - u_q v_p.
 
-Operators are dense N x N complex arrays wrapped in :class:`OperatorMatrix`
-together with a tag naming the basis the entries are written in.  The two
-frames are one FFT pair apart, and the Heisenberg step in
-:mod:`otoclab.coarse_graining` crosses between them in place.
+Operators are dense N x N complex arrays of position-basis entries, wrapped
+in :class:`OperatorMatrix`.  The momentum frame is one FFT pair away
+(:func:`change_basis`), and the Heisenberg step in
+:mod:`otoclab.coarse_graining` crosses between the frames in place.
 """
 
 from __future__ import annotations
@@ -90,17 +90,14 @@ class PhaseVector(NamedTuple):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense operator with a tag naming the basis its entries are written in."""
+    """Dense operator, entries written in the position basis."""
 
     entries: np.ndarray
-    basis: str = POSITION
 
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"operator entries must be square, got shape {entries.shape}")
-        if self.basis not in (POSITION, MOMENTUM):
-            raise ValueError(f"unknown basis tag {self.basis!r}")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -108,12 +105,7 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
     def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T, self.basis)
-
-    def to_basis(self, space: TorusSpace, basis: str) -> "OperatorMatrix":
-        if basis == self.basis:
-            return self
-        return OperatorMatrix(change_basis(space, self.entries, self.basis, basis), basis)
+        return OperatorMatrix(self.entries.conj().T)
 
 
 @dataclass(frozen=True)
@@ -129,13 +121,6 @@ class ChordCoefficients:
 
 def _entries(a) -> np.ndarray:
     return a.entries if isinstance(a, OperatorMatrix) else np.asarray(a, dtype=complex)
-
-
-def _position_entries(space: TorusSpace, a) -> np.ndarray:
-    """Entries in the position basis, converting tagged operators as needed."""
-    if isinstance(a, OperatorMatrix):
-        return a.to_basis(space, POSITION).entries
-    return np.asarray(a, dtype=complex)
 
 
 def change_basis(space: TorusSpace, entries: np.ndarray, frm: str, to: str) -> np.ndarray:
@@ -174,14 +159,14 @@ def shift_v(space: TorusSpace) -> OperatorMatrix:
     v = np.zeros((n, n), dtype=complex)
     q = np.arange(n)
     v[(q + 1) % n, q] = 1.0
-    return OperatorMatrix(v, POSITION)
+    return OperatorMatrix(v)
 
 
 def clock_u(space: TorusSpace) -> OperatorMatrix:
     """Clock phase U = diag(tau^{2q}) = diag(exp(2i pi q / N)).  U^N = 1."""
     n = space.dim
     q = np.arange(n)
-    return OperatorMatrix(np.diag(space.tau_power(2 * q)), POSITION)
+    return OperatorMatrix(np.diag(space.tau_power(2 * q)))
 
 
 def symplectic_product(xi, chi) -> int:
@@ -214,7 +199,7 @@ def translation(space: TorusSpace, xi) -> OperatorMatrix:
     phase = space.tau_power((a * b) % (2 * n))
     t = np.zeros((n, n), dtype=complex)
     t[(q + a) % n, q] = phase * diag
-    return OperatorMatrix(t, POSITION)
+    return OperatorMatrix(t)
 
 
 def hermitian_f(space: TorusSpace, xi) -> OperatorMatrix:
@@ -225,7 +210,7 @@ def hermitian_f(space: TorusSpace, xi) -> OperatorMatrix:
     :func:`sine_position` and :func:`sine_momentum`.
     """
     t = translation(space, xi).entries
-    return OperatorMatrix((t - t.conj().T) / 2j, POSITION)
+    return OperatorMatrix((t - t.conj().T) / 2j)
 
 
 def sine_position(space: TorusSpace) -> OperatorMatrix:
@@ -258,11 +243,10 @@ def chord_transform(space: TorusSpace, a) -> ChordCoefficients:
 
     Computed diagonal by diagonal with FFTs in O(N^2 log N); the inverse
     transform reconstructs A = sum_chi c(chi) T_chi exactly because the
-    translations are trace-orthogonal.  Tagged operators are converted to
-    the position basis first.
+    translations are trace-orthogonal.
     """
     n = space.dim
-    d = _cyclic_diagonals(_position_entries(space, a))
+    d = _cyclic_diagonals(_entries(a))
     c = np.fft.fft(d, axis=1) / n
     j = np.arange(n)
     c *= space.tau_power(-(j[:, None] * j[None, :]))
@@ -275,7 +259,7 @@ def chord_inverse(space: TorusSpace, coefficients: ChordCoefficients | np.ndarra
     c = coefficients.coeffs if isinstance(coefficients, ChordCoefficients) else np.asarray(coefficients)
     j = np.arange(n)
     d = np.fft.ifft(c * space.tau_power(j[:, None] * j[None, :]), axis=1) * n
-    return OperatorMatrix(_from_cyclic_diagonals(d), POSITION)
+    return OperatorMatrix(_from_cyclic_diagonals(d))
 
 
 def coherent_state(space: TorusSpace, q0: float, p0: float) -> np.ndarray:

@@ -22,7 +22,7 @@ import scipy.linalg
 from .coarse_graining import CoarseGrainKernel, channel_step
 from .maps import QuantumMap
 from .otoc import OtocSeries, loglinear_fit
-from .phase_space import OperatorMatrix, POSITION, TorusSpace
+from .phase_space import OperatorMatrix, TorusSpace
 
 __all__ = [
     "ResonanceSpectrum",
@@ -144,7 +144,7 @@ def random_traceless_hermitian(space: TorusSpace, seed: int = 0) -> OperatorMatr
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (raw + raw.conj().T) / 2.0
     h -= np.trace(h) / n * np.eye(n)
-    return OperatorMatrix(h, POSITION)
+    return OperatorMatrix(h)
 
 
 class _RealSector:
@@ -238,9 +238,11 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     below ``depth`` when an invariant subspace closes early, which warns) and
     ``matvecs`` (channel applications, including the residual checks).
     """
+    if n_wanted < 1:
+        raise ValueError(f"n_wanted must be >= 1, got {n_wanted}")
     if depth < n_wanted + 2:
         raise ValueError(f"depth must be at least n_wanted + 2 = {n_wanted + 2}, got {depth}")
-    entries = a0.to_basis(umap.space, POSITION).entries
+    entries = a0.entries
     n = umap.dim
     scale = np.linalg.norm(entries)
     if np.linalg.norm(entries - entries.conj().T) > 1e-12 * scale:

@@ -1,6 +1,9 @@
+import concurrent.futures
+import dataclasses
 import os
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -237,6 +240,31 @@ def test_resonances_dense_refused_above_24(tmp_path):
     assert "N <= 24" in result.stderr
 
 
+def test_resonances_dense_refused_before_building(tmp_path, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built before the dense size check")
+
+    monkeypatch.setattr(cli, "quantize", unreachable)
+    monkeypatch.setattr(cli, "build_kernel", unreachable)
+    code = main(["resonances", "--map", "cat", "--n", "30", "--epsilon", "0.1",
+                 "--method", "dense", "--out", str(tmp_path / "dense")])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "N <= 24" in lines[0]
+    assert not (tmp_path / "dense").exists()
+
+
+@pytest.mark.parametrize("n_wanted", ["0", "-1"])
+def test_resonances_krylov_rejects_n_wanted_below_one(tmp_path, capsys, n_wanted):
+    code = main(["resonances", "--map", "cat", "--n", "8", "--epsilon", "0.3",
+                 "--method", "krylov", "--depth", "10", "--n-wanted", n_wanted,
+                 "--out", str(tmp_path / "kry")])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "n_wanted" in lines[0]
+    assert not (tmp_path / "kry").exists()
+
+
 def test_resonances_krylov_cli(tmp_path):
     result = run_cli(["resonances", "--map", "cat", "--n", "24", "--map-param", "0.02",
                       "--epsilon", "0.4", "--method", "krylov", "--depth", "20",
@@ -305,3 +333,84 @@ def test_main_returns_zero(tmp_path):
                  "--out", str(tmp_path / "m")])
     assert code == 0
     assert (tmp_path / "m" / "otoc.csv").exists()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size and runs each
+    task in this process, so that no worker process is started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def test_sweep_pool_capped_by_values_and_cpus(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    config = RunConfig(map="cat", n=8, map_param=0.02, t_max=3, outputs=str(tmp_path / "s"))
+    summary = run_sweep(config, "epsilon", [0.1, 0.2, 0.3, 0.4], jobs=100000)
+    _, rows = read_csv(summary)
+    assert [r[1] for r in rows] == ["ok"] * 4
+    run_sweep(config, "epsilon", [0.1, 0.2], jobs=100000)
+    run_sweep(config, "epsilon", [0.1, 0.2], jobs=1)  # serial: no pool at all
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: one CPU
+    run_sweep(config, "epsilon", [0.1, 0.2], jobs=2)
+    assert _RecordingPool.sizes == [3, 2]
+    for jobs in (0, -1):
+        with pytest.raises(CliError, match="jobs must be >= 1"):
+            run_sweep(config, "epsilon", [0.1], jobs=jobs)
+    code = main(["sweep", "--map", "cat", "--n", "8", "--axis", "epsilon", "--values", "0.1",
+                 "--jobs", "0", "--out", str(tmp_path / "zero")])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "jobs" in lines[0]
+    assert not (tmp_path / "zero").exists()
+    assert _RecordingPool.sizes == [3, 2]
+
+
+def test_every_config_field_is_a_flag_a_key_and_echoed(tmp_path):
+    """Each RunConfig field, set by its flag and by its config key, is echoed
+    as config.<field> in the manifest."""
+    hints = typing.get_type_hints(RunConfig)
+    # strings are checked against choices or a pattern, so they are spelled
+    # out; numbers differ per field, so that a flag bound to the wrong field shows
+    strings = {"map": "standard", "kick_mode": "as_printed", "operators": "F(1,0;0,1)"}
+    fields = dataclasses.fields(RunConfig)
+    values = {}
+    for i, f in enumerate(fields):
+        if f.name != "outputs":
+            kind = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
+            values[f.name] = {str: strings.get(f.name), int: 4 + i, float: 0.125 * i}[kind]
+    flag_out, key_out = tmp_path / "flags", tmp_path / "keys"
+    argv = ["otoc", "--out", str(flag_out)]
+    for key, value in values.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    assert main(argv) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items())
+                   + f"outputs = {key_out}\n")
+    assert main(["otoc", "--config", str(cfg)]) == 0
+    for out in (flag_out, key_out):
+        manifest = dict(line.split("=", 1)
+                        for line in (out / "manifest.txt").read_text().splitlines())
+        echoed = {key[len("config."):]: value for key, value in manifest.items()
+                  if key.startswith("config.")}
+        assert set(echoed) == {f.name for f in fields}
+        assert echoed.pop("outputs") == str(out)
+        assert {key: type(values[key])(value) for key, value in echoed.items()} == values

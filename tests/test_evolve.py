@@ -77,7 +77,7 @@ def test_otoc_series_matches_commutator_oracle(channel, b_name, seed):
     umap, kernel = channel
     space = umap.space
     a = random_matrix(16, seed + 1, hermitian=True)
-    a = OperatorMatrix(a * np.sqrt(16) / np.linalg.norm(a), POSITION)
+    a = OperatorMatrix(a * np.sqrt(16) / np.linalg.norm(a))
     b = static_observables(space, seed)[b_name]
     series = otoc_series(umap, a, b, 5, kernel=kernel)
     oracle = otoc_via_commutator(umap, a, b, 5, kernel=kernel)

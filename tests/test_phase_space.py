@@ -206,11 +206,8 @@ def test_change_basis_round_trip_and_momentum_diagonals():
 def test_operator_matrix_wrapper():
     with pytest.raises(ValueError):
         OperatorMatrix(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        OperatorMatrix(np.eye(2), basis="fourier")
-    op = OperatorMatrix(np.eye(3), basis=POSITION)
+    op = OperatorMatrix(np.eye(3))
     assert op.dim == 3
-    assert op.dagger().basis == POSITION
 
 
 def test_phase_vector_canonical():

@@ -251,6 +251,17 @@ def test_krylov_validation_and_determinism():
     assert np.array_equal(a.alphas, b.alphas)
 
 
+def test_krylov_refuses_n_wanted_below_one():
+    """n_wanted = 0 used to reach alphas[0] of an empty list (IndexError) and
+    -1 an empty-array error; both are refused before the channel is applied."""
+    space = TorusSpace(8)
+    umap = quantize(cat_map(0.02), space)
+    kernel = build_kernel(space, 0.5)
+    for n_wanted in (0, -1):
+        with pytest.raises(ValueError, match="n_wanted must be >= 1"):
+            krylov_leading(umap, kernel, sine_position(space), depth=10, n_wanted=n_wanted)
+
+
 def test_krylov_flags_unconverged():
     space = TorusSpace(20)
     umap = quantize(cat_map(0.02), space)
