@@ -6,7 +6,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .maps import ClassicalMapSpec, _jacobian_qp, classical_step
 
@@ -120,12 +119,22 @@ def lyapunov(spec: ClassicalMapSpec, n_traj: int = 100, t_horizon: int = 1000,
     rates = log_growth / t_horizon
     lam = float(rates.mean())
     stderr = float(rates.std(ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else 0.0
-    lam_gen = float((logsumexp(log_growth) - np.log(n_traj)) / t_horizon)
+    lam_gen = float((_logsumexp(log_growth) - np.log(n_traj)) / t_horizon)
     if lam != 0.0 and stderr > 0.05 * abs(lam):
         warnings.warn(
             f"Lyapunov standard error {stderr:.3g} exceeds 5% of the estimate {lam:.3g}; "
             "increase n_traj or t_horizon", stacklevel=2)
     return LyapunovEstimate(lam, lam_gen, n_traj, t_horizon, stderr, seed, resampled)
+
+
+def _logsumexp(a: np.ndarray) -> np.floating:
+    """log(sum(exp(a))) of a finite 1D array, bit for bit as scipy.special.logsumexp
+    computes it: the maxima are counted and taken out, the scaled rest goes through log1p."""
+    a_max = a.max()
+    is_max = a == a_max
+    count = float(np.count_nonzero(is_max))
+    rest = np.exp(np.where(is_max, -np.inf, a) - a_max).sum()
+    return np.log1p(rest / count) + np.log(count) + a_max
 
 
 def _near_fixed_point(spec: ClassicalMapSpec, x) -> bool:

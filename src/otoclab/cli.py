@@ -195,10 +195,10 @@ def _write_run(config: RunConfig, start: float, name: str, header: list[str], ro
 
 
 # Peak RSS of `otoc` with the XP pair, the largest of its working sets, read
-# 168 MB at N=1024 and 447 MB at N=2048 (numpy 2.4): 75 MB of interpreter and
-# libraries plus 89 N^2 bytes, about five and a half complex N x N arrays.
-_OTOC_BASE_BYTES = 75e6
-_OTOC_BYTES_PER_N2 = 89
+# 133 MB at N=1024 and 342 MB at N=2048 (numpy 2.4, MB = 10^6 bytes): 64 MB of
+# interpreter and libraries plus 66 N^2 bytes, about four complex N x N arrays.
+_OTOC_BASE_BYTES = 64e6
+_OTOC_BYTES_PER_N2 = 66
 
 
 def _refuse_beyond_memory(need: float, what: str) -> None:
@@ -226,18 +226,26 @@ def _operator_pair(config: RunConfig, space: TorusSpace):
     return hermitian_f(space, (aq, ap)), hermitian_f(space, (bq, bp))
 
 
+@functools.lru_cache(maxsize=64)
+def _classical_estimate(estimator, spec: ClassicalMapSpec, n_traj: int, t_horizon: int,
+                        seed: int):
+    """One estimate per process and key, so the sub-runs of a sweep over epsilon or N share
+    it; the key holds the estimator, so a replaced ``lyapunov`` is called afresh."""
+    return estimator(spec, n_traj=n_traj, t_horizon=t_horizon, seed=seed)
+
+
 def run_otoc(config: RunConfig) -> dict:
     """One correlator run: otoc.csv plus manifest; returns derived values.
 
-    A run whose working set, 75 MB + 89 N^2 bytes, exceeds physical memory is
+    A run whose working set, 64 MB + 66 N^2 bytes, exceeds physical memory is
     refused before anything is allocated.
     """
     start = time.monotonic()
     _refuse_beyond_memory(_OTOC_BASE_BYTES + _OTOC_BYTES_PER_N2 * config.n ** 2,
-                          "otoc working set (75 MB + 89 x N^2 bytes)")
+                          "otoc working set (64 MB + 66 x N^2 bytes)")
     space, umap, kernel = _build_channel(config)
     a, b = _operator_pair(config, space)
-    est = lyapunov(config.map_spec(), n_traj=200, t_horizon=400, seed=config.seed)
+    est = _classical_estimate(lyapunov, config.map_spec(), 200, 400, config.seed)
     t_e = ehrenfest_time(config.n, est.lam) if est.lam > 0 else float("nan")
     series = otoc_series(umap, a, b, config.t_max, kernel=kernel, operators=config.operators)
 

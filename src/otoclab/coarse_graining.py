@@ -10,18 +10,20 @@ where c_eps is the 2D discrete Fourier transform of the quasi-Gaussian
     c~(mu, nu) = exp(-(eps N / pi) (sin^2(pi mu/N) + sin^2(pi nu/N)) / 2),
 
 renormalized to unit sum so the channel is exactly unital and trace
-preserving.  Translations are eigenoperators of D_eps with eigenvalues
-diag_chord[chi_q, chi_p] = f[chi_q] g[chi_p], separable because c~ is.  T_chi
-lies on cyclic diagonal chi_q in the position basis and chi_p in the momentum
-basis, so D_eps is a circulant mask f[(r - s) % N] in one frame times
-g[(p - p') % N] in the other.  :func:`evolve`, the package's one Heisenberg
-step, applies each kick and mask in the frame where it is elementwise.  The
-chord-space dephasing and the literal sum over all N^2 translations are kept
-as oracles.
+preserving.  c~ is an outer product, so the kernel is kept as 1D factors:
+c_eps = outer(w, w) with w the inverse DFT of one factor, and translations
+are eigenoperators of D_eps with eigenvalues diag_chord[chi_q, chi_p] =
+f[chi_q] f[chi_p], f the DFT of w.  T_chi lies on cyclic diagonal chi_q in
+the position basis and chi_p in the momentum basis, so D_eps is a circulant
+mask f[(r - s) % N] in one frame times f[(p - p') % N] in the other.
+:func:`evolve`, the package's one Heisenberg step, applies each kick and
+mask in the frame where it is elementwise.  The chord-space dephasing and
+the literal sum over all N^2 translations are kept as oracles.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,53 +46,57 @@ _DENSE_LIMIT = 64
 
 @dataclass(frozen=True)
 class CoarseGrainKernel:
-    """Precomputed dephasing data for one (N, epsilon) pair.
+    """Dephasing data for one (N, epsilon) pair, as 1D factors.
 
-    c_weights are the convex translation weights; diag_chord[chi_q, chi_p]
-    is the channel eigenvalue on the translation T_chi, real and in [0, 1].
-    clip_magnitude records how much negative DFT leakage was clipped away
-    (zero in exact arithmetic: the kernel is a product of von Mises factors,
-    whose Fourier coefficients are strictly positive).
+    ``axis`` is one factor of c~, ``w`` the 1D weights and ``f`` their DFT,
+    real and in [0, 1].  c_tilde, the convex translation weights c_weights
+    and the chord eigenvalues diag_chord[chi_q, chi_p] are their N x N outer
+    products, built on first use.  clip_magnitude is the most negative 2D
+    weight clipped away (zero in exact arithmetic: the kernel is a product of
+    von Mises factors, whose Fourier coefficients are strictly positive).
     """
 
     space: TorusSpace
     epsilon: float
-    c_tilde: np.ndarray
-    c_weights: np.ndarray
-    diag_chord: np.ndarray
+    axis: np.ndarray
+    w: np.ndarray
+    f: np.ndarray
     clip_magnitude: float
+
+    @functools.cached_property
+    def c_tilde(self) -> np.ndarray:
+        return np.outer(self.axis, self.axis)
+
+    @functools.cached_property
+    def c_weights(self) -> np.ndarray:
+        return np.outer(self.w, self.w)
+
+    @functools.cached_property
+    def diag_chord(self) -> np.ndarray:
+        return np.outer(self.f, self.f)
 
 
 def build_kernel(space: TorusSpace, epsilon: float) -> CoarseGrainKernel:
-    """Weights and chord eigenvalues of the dephasing channel.
+    """1D weights and chord eigenvalues of the dephasing channel, O(N log N).
 
-    diag_chord(chi) = sum_xi c_weights(xi) exp(2i pi <chi, xi> / N); the
-    imaginary part vanishes by the even symmetry of the weights and is
-    discarded after a consistency check, as is any failure to factor into
-    outer(diag_chord[:, 0], diag_chord[0, :]), which :func:`evolve` relies on.
+    f[chi] = sum_xi w(xi) exp(2i pi chi xi / N); its imaginary part vanishes
+    by the even symmetry of w and is discarded after a consistency check.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     n = space.dim
     idx = np.arange(n)
     axis = np.exp(-(epsilon * n / (2.0 * np.pi)) * np.sin(np.pi * idx / n) ** 2)
-    c_tilde = np.outer(axis, axis)
-    weights = np.fft.ifft2(c_tilde).real
-    clip = max(0.0, float(-weights.min()))
+    w = np.fft.ifft(axis).real
+    clip = max(0.0, -float(w.min() * w.max()))  # most negative entry of outer(w, w)
     if clip > 1e-10:
         raise ValueError(f"dephasing weights came out negative beyond tolerance ({clip:.2e})")
-    if clip > 0.0:
-        weights = np.clip(weights, 0.0, None)
-    weights /= weights.sum()
-    # g[a, b] = sum_xi w[xi_q, xi_p] e^{2i pi (a xi_q - b xi_p)/n}; the chord
-    # eigenvalue at chi = (chi_q, chi_p) is g[chi_p, chi_q].
-    g = np.fft.fft(np.fft.ifft(weights, axis=0) * n, axis=1)
-    if np.abs(g.imag).max() > 1e-10:
+    w = np.clip(w, 0.0, None)
+    w /= w.sum()
+    f = np.fft.fft(w)
+    if np.abs(f.imag).max() > 1e-10:
         raise ValueError("chord eigenvalues acquired an imaginary part; kernel symmetry broken")
-    diag_chord = g.real.T.copy()
-    if np.abs(diag_chord - np.outer(diag_chord[:, 0], diag_chord[0, :])).max() > 1e-12:
-        raise ValueError("chord eigenvalues are not separable; the dephasing masks would be wrong")
-    return CoarseGrainKernel(space, float(epsilon), c_tilde, weights, diag_chord, clip)
+    return CoarseGrainKernel(space, float(epsilon), axis, w, f.real.copy(), clip)
 
 
 def apply_dephasing_dense(kernel: CoarseGrainKernel, a, force: bool = False) -> OperatorMatrix:
@@ -146,8 +152,7 @@ def evolve(umap: QuantumMap, kernel: CoarseGrainKernel | None, a, steps: int):
     pos, mom = umap.phase_position, umap.phase_momentum
     dephase = kernel is not None and kernel.epsilon > 0
     if dephase:
-        f_mask = _circulant(kernel.diag_chord[:, 0])
-        g_mask = _circulant(kernel.diag_chord[0, :])
+        mask = _circulant(kernel.f)
     at = _change_frame(entries, MOMENTUM)
     yield at
     for _ in range(steps):
@@ -157,10 +162,10 @@ def evolve(umap: QuantumMap, kernel: CoarseGrainKernel | None, a, steps: int):
         at *= pos.conj()[:, None]
         at *= pos
         if dephase:
-            at *= f_mask
+            at *= mask
         _change_frame(at, MOMENTUM)
         if dephase:
-            at *= g_mask
+            at *= mask
         yield at
 
 

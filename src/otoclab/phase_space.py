@@ -104,9 +104,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T)
-
 
 @dataclass(frozen=True)
 class ChordCoefficients:

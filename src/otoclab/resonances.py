@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .coarse_graining import CoarseGrainKernel, channel_step
 from .maps import QuantumMap
@@ -115,6 +114,7 @@ def full_spectrum(superop: np.ndarray, params: dict | None = None) -> ResonanceS
     n = int(round(np.sqrt(dim2)))
     if n * n != dim2:
         raise ValueError("superoperator must be N^2 x N^2")
+    import scipy.linalg  # only this oracle needs it: imported on demand to keep start-up cheap
     w, vl, vr = scipy.linalg.eig(superop, left=True, right=True)
     order = np.argsort(-np.abs(w))
     w, vl, vr = w[order], vl[:, order], vr[:, order]

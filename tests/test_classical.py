@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from otoclab.classical import (CAT_LYAPUNOV, cat_matrix_power, ehrenfest_time, lyapunov)
+from otoclab.classical import (CAT_LYAPUNOV, _logsumexp, cat_matrix_power, ehrenfest_time,
+                               lyapunov)
 from otoclab.maps import cat_map, classical_step, harper_map, standard_map
 
 
@@ -137,3 +138,20 @@ def test_ehrenfest_time_rejects_bad_inputs():
         ehrenfest_time(1024, -1.0)
     with pytest.raises(ValueError):
         ehrenfest_time(1, 1.0)
+
+
+def test_logsumexp_bit_identical_to_scipy():
+    """The numpy copy must reproduce scipy to the bit, so lambda_generalized
+    keeps its bytes: ties of the maximum, single elements and wide ranges."""
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(20)
+    cases = [np.array([3.5]), np.array([-700.0]), np.zeros(7), np.array([1.0, 1.0])]
+    for i in range(3000):
+        n = int(rng.integers(1, 300))
+        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 3)
+        if i % 2:
+            a[rng.integers(0, n, size=int(rng.integers(1, n + 1)))] = a.max()
+        cases.append(a)
+    for a in cases:
+        assert _logsumexp(a) == logsumexp(a), a

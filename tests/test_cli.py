@@ -298,7 +298,7 @@ def test_resonances_krylov_refused_beyond_physical_memory(tmp_path, monkeypatch,
 
 
 def test_otoc_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
-    """N=100000 needs about 890 GB of working set: refused before the map or
+    """N=100000 needs about 660 GB of working set: refused before the map or
     the kernel is built, for a run and for a sweep sub-run alike."""
     def unreachable(*args, **kwargs):
         raise AssertionError("built before the memory preflight")
@@ -309,13 +309,47 @@ def test_otoc_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path / "big")])
     assert code == 1
     lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "890.1 GB" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "660.1 GB" in lines[0]
     assert not (tmp_path / "big").exists()
     summary = run_sweep(RunConfig(map="cat", n=16, epsilon=0.0001, outputs=str(tmp_path / "sw")),
                         "N", [100000.0])
     _, rows = read_csv(summary)
     assert rows[0][1] == "error" and "physical memory" in rows[0][6]
     assert not (tmp_path / "sw" / "N=100000").exists()
+
+
+class _CountingLyapunov:
+    """Stands in for ``cli.lyapunov``: a fixed estimate, calls counted by map."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, spec, n_traj, t_horizon, seed):
+        from otoclab.classical import LyapunovEstimate
+        self.calls.append(spec)
+        return LyapunovEstimate(0.9, 1.0, n_traj, t_horizon, 0.001, seed, 0)
+
+
+def test_sweep_estimates_lyapunov_once_per_map(tmp_path, monkeypatch):
+    """The classical estimate depends on the map and the seed only: a sweep
+    over epsilon computes it once, a sweep over k once per value."""
+    fake = _CountingLyapunov()
+    monkeypatch.setattr(cli, "lyapunov", fake)
+    config = RunConfig(map="cat", n=16, map_param=0.02, t_max=5, outputs=str(tmp_path / "e"))
+    run_sweep(config, "epsilon", [0.1, 0.2, 0.3])
+    assert len(fake.calls) == 1
+    run_sweep(dataclasses.replace(config, outputs=str(tmp_path / "k")), "k", [0.0, 0.01, 0.03])
+    assert [spec.k for spec in fake.calls[1:]] == [0.0, 0.01, 0.03]
+
+
+@pytest.mark.parametrize("module", ["otoclab", "otoclab.cli"])
+def test_import_loads_no_scipy_submodules(module):
+    """A run imports scipy.linalg and scipy.special only where it calls them."""
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_lyapunov_cli(tmp_path):

@@ -18,21 +18,40 @@ def test_kernel_rejects_negative_epsilon():
         build_kernel(TorusSpace(8), -0.1)
 
 
-def test_kernel_rejects_non_separable_eigenvalues(monkeypatch):
-    """Even-symmetric weights keep the eigenvalues real, but weight placed off
-    the product structure breaks the factorization the dephasing masks use."""
-    n = 8
-    ifft2 = np.fft.ifft2
+def _kernel_2d(n, eps):
+    """Weights and chord eigenvalues by the 2D transforms of the full c~."""
+    idx = np.arange(n)
+    axis = np.exp(-(eps * n / (2.0 * np.pi)) * np.sin(np.pi * idx / n) ** 2)
+    weights = np.fft.ifft2(np.outer(axis, axis)).real
+    weights = np.clip(weights, 0.0, None)
+    weights /= weights.sum()
+    # g[a, b] = sum_xi w[xi_q, xi_p] e^{2i pi (a xi_q - b xi_p)/n}; the chord
+    # eigenvalue at chi = (chi_q, chi_p) is g[chi_p, chi_q].
+    g = np.fft.fft(np.fft.ifft(weights, axis=0) * n, axis=1)
+    return weights, g.real.T
 
-    def coupled(c_tilde):
-        w = ifft2(c_tilde)
-        w[1, 1] += 0.01
-        w[n - 1, n - 1] += 0.01
+
+@pytest.mark.parametrize("n", [64, 1000, 1024])
+@pytest.mark.parametrize("eps", [0.01, 0.1, 1.0])
+def test_kernel_factors_match_2d_construction(n, eps):
+    kernel = build_kernel(TorusSpace(n), eps)
+    weights, diag_chord = _kernel_2d(n, eps)
+    assert np.abs(kernel.diag_chord - diag_chord).max() < 1e-13
+    assert np.abs(kernel.c_weights - weights).max() < 1e-14
+
+
+def test_kernel_rejects_negative_leakage(monkeypatch):
+    """Weights that dip below zero by more than round-off are an error, not clipped."""
+    ifft = np.fft.ifft
+
+    def leaky(a):
+        w = ifft(a)
+        w[a.size // 2] -= 1e-6
         return w
 
-    monkeypatch.setattr(np.fft, "ifft2", coupled)
-    with pytest.raises(ValueError, match="separable"):
-        build_kernel(TorusSpace(n), 0.3)
+    monkeypatch.setattr(np.fft, "ifft", leaky)
+    with pytest.raises(ValueError, match="negative"):
+        build_kernel(TorusSpace(16), 0.3)
 
 
 def test_zero_epsilon_kernel_is_identity_channel():
