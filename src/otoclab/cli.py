@@ -199,6 +199,10 @@ def _write_run(config: RunConfig, start: float, name: str, header: list[str], ro
 # interpreter and libraries plus 66 N^2 bytes, about four complex N x N arrays.
 _OTOC_BASE_BYTES = 64e6
 _OTOC_BYTES_PER_N2 = 66
+# Peak RSS per time step of `otoc --n 8` with the cat k=0 overlay, the widest
+# rows (eleven columns), read at t_max 1000, 20000 and 40000: 948 and 966
+# bytes a step for the series arrays, the overlay points and the CSV text.
+_OTOC_BYTES_PER_STEP = 970
 
 
 def _refuse_beyond_memory(need: float, what: str) -> None:
@@ -237,12 +241,13 @@ def _classical_estimate(estimator, spec: ClassicalMapSpec, n_traj: int, t_horizo
 def run_otoc(config: RunConfig) -> dict:
     """One correlator run: otoc.csv plus manifest; returns derived values.
 
-    A run whose working set, 64 MB + 66 N^2 bytes, exceeds physical memory is
-    refused before anything is allocated.
+    A run whose working set, 64 MB + 66 N^2 + 970 (t_max + 1) bytes, exceeds
+    physical memory is refused before anything is allocated.
     """
     start = time.monotonic()
-    _refuse_beyond_memory(_OTOC_BASE_BYTES + _OTOC_BYTES_PER_N2 * config.n ** 2,
-                          "otoc working set (64 MB + 66 x N^2 bytes)")
+    _refuse_beyond_memory(_OTOC_BASE_BYTES + _OTOC_BYTES_PER_N2 * config.n ** 2
+                          + _OTOC_BYTES_PER_STEP * (config.t_max + 1),
+                          "otoc working set (64 MB + 66 x N^2 + 970 x (t_max + 1) bytes)")
     space, umap, kernel = _build_channel(config)
     a, b = _operator_pair(config, space)
     est = _classical_estimate(lyapunov, config.map_spec(), 200, 400, config.seed)
@@ -383,7 +388,8 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
         derived += [("derived.depth", str(depth)), ("derived.seed_op", seed_op),
                     ("derived.krylov_sector", spectrum.params["sector"]),
                     ("derived.krylov_dim", str(spectrum.params["krylov_dim"])),
-                    ("derived.krylov_matvecs", str(spectrum.params["matvecs"]))]
+                    ("derived.krylov_matvecs", str(spectrum.params["matvecs"])),
+                    ("derived.krylov_reorth", str(spectrum.params["reorth"]))]
     derived.append(("derived.alpha1_abs", _fmt(float(abs(spectrum.alpha1)))))
     derived.append(("derived.degenerate_leaders", str(spectrum.degenerate)))
 

@@ -16,9 +16,11 @@ are eigenoperators of D_eps with eigenvalues diag_chord[chi_q, chi_p] =
 f[chi_q] f[chi_p], f the DFT of w.  T_chi lies on cyclic diagonal chi_q in
 the position basis and chi_p in the momentum basis, so D_eps is a circulant
 mask f[(r - s) % N] in one frame times f[(p - p') % N] in the other.
-:func:`evolve`, the package's one Heisenberg step, applies each kick and
-mask in the frame where it is elementwise.  The chord-space dephasing and
-the literal sum over all N^2 translations are kept as oracles.
+The package's one Heisenberg step, :func:`_step`, applies each kick and
+mask in place in the frame where it is elementwise and starts and ends in
+the momentum frame; :func:`evolve` iterates it and the Krylov solver calls
+it directly.  The chord-space dephasing and the literal sum over all N^2
+translations are kept as oracles.
 """
 
 from __future__ import annotations
@@ -137,36 +139,50 @@ def _circulant(f: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(f[(n - 1 - np.arange(2 * n - 1)) % n], n)[::-1]
 
 
+def _mask(kernel: CoarseGrainKernel | None) -> np.ndarray | None:
+    """The dephasing mask of :func:`_step`, None when there is nothing to dephase."""
+    return _circulant(kernel.f) if kernel is not None and kernel.epsilon > 0 else None
+
+
+def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray) -> np.ndarray:
+    """One channel step in place on momentum-frame entries: four 1D FFT passes.
+
+    The momentum kick, the frame change to position, the position kick, the
+    mask, the frame change back and the mask again.
+    """
+    pos, mom = umap.phase_position, umap.phase_momentum
+    at *= mom.conj()[:, None]
+    at *= mom
+    _change_frame(at, POSITION)
+    at *= pos.conj()[:, None]
+    at *= pos
+    if mask is not None:
+        at *= mask
+    _change_frame(at, MOMENTUM)
+    if mask is not None:
+        at *= mask
+    return at
+
+
 def evolve(umap: QuantumMap, kernel: CoarseGrainKernel | None, a, steps: int):
     """Yield A(0), A(1), ..., A(steps) in the momentum frame.
 
     A(t+1) = D_eps(U^dag A(t) U), or U^dag A(t) U when ``kernel`` is None or
-    has epsilon 0; ``a`` is an operator or raw position-basis entries.  One
-    buffer is yielded each time and overwritten by the next step.
+    has epsilon 0; ``a`` is an operator or raw position-basis entries.  The
+    input is copied and changed to the momentum frame once; each step is the
+    in-place :func:`_step` that the Krylov solver shares, so one buffer is
+    yielded each time and overwritten by the next step.
     """
     entries = np.array(_entries(a), dtype=complex)
     if entries.shape[0] != umap.dim:
         raise ValueError(f"dimension mismatch: operator {entries.shape[0]}, map {umap.dim}")
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
-    pos, mom = umap.phase_position, umap.phase_momentum
-    dephase = kernel is not None and kernel.epsilon > 0
-    if dephase:
-        mask = _circulant(kernel.f)
+    mask = _mask(kernel)
     at = _change_frame(entries, MOMENTUM)
     yield at
     for _ in range(steps):
-        at *= mom.conj()[:, None]
-        at *= mom
-        _change_frame(at, POSITION)
-        at *= pos.conj()[:, None]
-        at *= pos
-        if dephase:
-            at *= mask
-        _change_frame(at, MOMENTUM)
-        if dephase:
-            at *= mask
-        yield at
+        yield _step(umap, mask, at)
 
 
 def channel_step(umap: QuantumMap, kernel: CoarseGrainKernel | None, a):

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coarse_graining import CoarseGrainKernel, channel_step
+from .coarse_graining import CoarseGrainKernel, _mask, _step, channel_step
 from .maps import QuantumMap
 from .otoc import OtocSeries, loglinear_fit
-from .phase_space import OperatorMatrix, TorusSpace
+from .phase_space import MOMENTUM, OperatorMatrix, TorusSpace, _change_frame
 
 __all__ = [
     "ResonanceSpectrum",
@@ -104,11 +104,12 @@ def dense_superoperator(umap: QuantumMap, kernel: CoarseGrainKernel | None,
 def full_spectrum(superop: np.ndarray, params: dict | None = None) -> ResonanceSpectrum:
     """All eigenvalues with biorthogonalized left/right eigenoperators.
 
-    Right eigenoperators keep unit Hilbert-Schmidt norm; left ones are
-    rescaled so Tr(L_i^dag R_j) = delta_ij (exact biorthogonality and unit
-    normalization of both sides cannot hold simultaneously for a non-normal
-    operator).  Near-degenerate spectra are flagged: the rank-one spectral
-    decomposition breaks down there.
+    Eigenvalues are sorted by decreasing modulus, the member of a conjugate
+    pair with positive imaginary part first.  Right eigenoperators keep unit
+    Hilbert-Schmidt norm; left ones are rescaled so Tr(L_i^dag R_j) = delta_ij
+    (exact biorthogonality and unit normalization of both sides cannot hold
+    simultaneously for a non-normal operator).  Near-degenerate spectra are
+    flagged: the rank-one spectral decomposition breaks down there.
     """
     dim2 = superop.shape[0]
     n = int(round(np.sqrt(dim2)))
@@ -117,6 +118,12 @@ def full_spectrum(superop: np.ndarray, params: dict | None = None) -> ResonanceS
     import scipy.linalg  # only this oracle needs it: imported on demand to keep start-up cheap
     w, vl, vr = scipy.linalg.eig(superop, left=True, right=True)
     order = np.argsort(-np.abs(w))
+    # the members of a conjugate pair have equal moduli up to round-off, so
+    # list the one with positive imaginary part first, as krylov_leading does
+    for i in range(order.size - 1):
+        x, y = w[order[i]], w[order[i + 1]]
+        if x.imag < 0 < y.imag and abs(x - y.conjugate()) <= 1e-10 * abs(x):
+            order[i], order[i + 1] = order[i + 1], order[i]
     w, vl, vr = w[order], vl[:, order], vr[:, order]
     vr /= np.linalg.norm(vr, axis=0)[None, :]
     overlaps = np.einsum("ki,ki->i", vl.conj(), vr)
@@ -156,7 +163,8 @@ class _RealSector:
     R; in a sector A[-i, -j] = sign A[i, j] only one entry per mirror pair is
     kept, scaled by sqrt 2 so the dot product stays the Hilbert-Schmidt one,
     plus (even sector only) the 1 or 4 self-mirrored entries.  ``sign`` 0
-    keeps every entry of R.
+    keeps every entry of R.  :meth:`pack` and :meth:`unpack` write into the
+    caller's buffer through scratch arrays allocated once.
     """
 
     def __init__(self, n: int, sign: int):
@@ -166,30 +174,36 @@ class _RealSector:
             mirror = ((-(flat // n)) % n) * n + (-flat) % n
             self.pairs = flat[flat < mirror]
             self.mirrors = mirror[self.pairs]
-            self.fixed = flat[flat == mirror] if sign > 0 else flat[:0]
-            self.dim = self.pairs.size + self.fixed.size
+            self.fixed = flat[flat == mirror]  # zero in the odd sector, so not stored
+            self.dim = self.pairs.size + (self.fixed.size if sign > 0 else 0)
+            self._r = np.empty((n, n))
+            self._half = np.empty(self.pairs.size)
 
-    def pack(self, a: np.ndarray) -> np.ndarray:
-        r = (a.real + a.imag).reshape(-1)
+    def pack(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         if self.sign == 0:
-            return r
-        return np.concatenate((np.sqrt(2.0) * r[self.pairs], r[self.fixed]))
+            return np.add(a.real, a.imag, out=out.reshape(self.n, self.n)).reshape(-1)
+        r = np.add(a.real, a.imag, out=self._r).reshape(-1)
+        half = self.pairs.size
+        np.take(r, self.pairs, out=out[:half])
+        out[:half] *= np.sqrt(2.0)
+        if self.sign > 0:
+            np.take(r, self.fixed, out=out[half:])
+        return out
 
-    def unpack(self, x: np.ndarray) -> np.ndarray:
+    def unpack(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         if self.sign == 0:
             r = x.reshape(self.n, self.n)
         else:
-            half = x[: self.pairs.size] / np.sqrt(2.0)
-            r = np.zeros(self.n * self.n)
-            r[self.pairs] = half
-            r[self.mirrors] = self.sign * half
-            r[self.fixed] = x[self.pairs.size:]
-            r = r.reshape(self.n, self.n)
-        a = np.empty((self.n, self.n), dtype=complex)
-        np.add(r, r.T, out=a.real)
-        np.subtract(r, r.T, out=a.imag)
-        a *= 0.5
-        return a
+            half = np.divide(x[: self.pairs.size], np.sqrt(2.0), out=self._half)
+            flat = self._r.reshape(-1)
+            flat[self.pairs] = half
+            flat[self.mirrors] = half if self.sign > 0 else np.negative(half, out=half)
+            flat[self.fixed] = x[self.pairs.size:] if self.sign > 0 else 0.0
+            r = self._r
+        np.add(r, r.T, out=out.real)
+        np.subtract(r, r.T, out=out.imag)
+        out *= 0.5
+        return out
 
 
 _SECTOR_NAMES = {1: "even", -1: "odd", 0: "none"}
@@ -208,7 +222,7 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     """Leading channel eigenvalues by Arnoldi iteration in operator space.
 
     Builds the forward orbit of a traceless Hermitian seed, orthonormalizes
-    it in the Hilbert-Schmidt inner product with full reorthogonalization
+    it in the Hilbert-Schmidt inner product against every earlier direction
     (the channel is not normal, so plain Lanczos three-term recurrences are
     unsafe), projects the channel onto the subspace, and returns the largest
     Ritz values by modulus.  Residuals ||S R - alpha R|| are recomputed
@@ -216,27 +230,40 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     unconverged.  Deterministic given the seed operator and the BLAS thread
     count (threaded reductions may change the last bits).
 
+    The recursion runs on momentum-frame operators.  The seed changes frame
+    once; the change is unitary, so the Hilbert-Schmidt product, Hermiticity,
+    the identity and parity (q -> -q is p -> -p) keep their form there.  Each
+    channel application, residual checks included, is the in-place step that
+    :func:`~otoclab.coarse_graining.evolve` iterates, on one complex buffer
+    reused for the whole run: four 1D FFT passes, where a matvec that starts
+    and ends in the position frame needs eight.
+
     The channel maps Hermitian operators to Hermitian operators, and the
     Harper channel at every N and the cat and standard channels at even N
-    commute with parity q -> -q, so the orbit of a Hermitian seed of definite
-    parity stays in the seed's sector.  Each Krylov direction is stored as
-    the real coordinates of :class:`_RealSector`: one entry per mirror pair
-    in the even or odd sector (about N^2 / 2 reals; the odd sector holds no
+    commute with parity, so the orbit of a Hermitian seed of definite parity
+    stays in the seed's sector.  Each Krylov direction is stored as the real
+    coordinates of :class:`_RealSector`: one entry per mirror pair in the
+    even or odd sector (about N^2 / 2 reals; the odd sector holds no
     identity component), all N^2 entries of A.real + A.imag otherwise.  The
     sector is read from the seed and kept only if the first channel image
     has the same parity to 1e-12; an image that is not Hermitian to 1e-12
     raises.  The basis is one preallocated (depth + 1) x d real array, d the
-    sector dimension; each step orthogonalizes by classical Gram-Schmidt run
-    twice (CGS2, "twice is enough"), a pass being two real matrix-vector
-    products against the rows built so far.  Ritz operators are assembled
-    one at a time from the real and imaginary parts of their coefficients.
-    Memory is that of the basis, 8 (depth + 1) d bytes: at N = 1000, depth 90
-    about 364 MB in a parity sector (the sine seed is odd; the run peaks at
-    575 MB of RSS) and 728 MB without one, against 1.46 GB for a complex
-    basis.  ``params`` records
-    ``sector`` (even, odd or none), ``krylov_dim`` (the dimension reached,
-    below ``depth`` when an invariant subspace closes early, which warns) and
-    ``matvecs`` (channel applications, including the residual checks).
+    sector dimension.  Each channel image is packed straight into the next
+    row and orthogonalized by classical Gram-Schmidt, a pass being two real
+    matrix-vector products against the rows built so far.  A second pass
+    runs only when the first leaves less than 1/sqrt 2 of the norm (the DGKS
+    test of Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30, 1976): it
+    never fires at depth 90 for N = 320 or 1000, and does near full depth.
+    Ritz operators are assembled one at a time from the real and imaginary
+    parts of their coefficients.  Memory is that of the basis, 8 (depth + 1)
+    d bytes: at N = 1000, depth 90 about 364 MB in a parity sector (the sine
+    seed is odd; the run peaks at about 520 MB of RSS) and 728 MB without
+    one, against 1.46 GB for a complex basis.  That call (cat k = 0.02,
+    epsilon 0.01, sine seed) takes 8.5-10 s on 2 vCPUs.  ``params``
+    records ``sector`` (even, odd or none), ``krylov_dim`` (the dimension
+    reached, below ``depth`` when an invariant subspace closes early, which
+    warns), ``matvecs`` (channel applications, including the residual
+    checks) and ``reorth`` (second Gram-Schmidt passes).
     """
     if n_wanted < 1:
         raise ValueError(f"n_wanted must be >= 1, got {n_wanted}")
@@ -250,31 +277,44 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     trace = abs(np.trace(entries))
     if trace > 1e-9 * max(1.0, scale):
         raise ValueError(f"Krylov seed must be traceless, got |Tr| = {trace:.2e}")
-    a = entries / scale
-    image = channel_step(umap, kernel, a)
-    if np.linalg.norm(image - image.conj().T) > 1e-12 * np.linalg.norm(image):
+    # the whole recursion runs on momentum-frame operators: a unitary change
+    # of frame that keeps the Hilbert-Schmidt product, Hermiticity, the
+    # identity and parity (q -> -q is p -> -p), so each matvec is one step
+    seed = _change_frame(np.array(entries, dtype=complex) / scale, MOMENTUM)
+    mask = _mask(kernel)
+    buf = _step(umap, mask, seed.copy())  # the one complex buffer of the run
+    if np.linalg.norm(buf - buf.conj().T) > 1e-12 * np.linalg.norm(buf):
         raise ValueError("channel image of the Hermitian seed is not Hermitian")
     # The seed's parity sector, kept only when its image stays in it: the
     # quadratic kicks of the cat and standard maps break parity at odd N.
-    sign = _parity(a) if _parity(image) == _parity(a) else 0
+    sign = _parity(seed) if _parity(buf) == _parity(seed) else 0
     sector = _RealSector(n, sign)
     # the odd sector is traceless by construction; elsewhere every new
     # direction has its identity component projected out (see below)
-    ident = sector.pack(np.eye(n) / np.sqrt(n)) if sign >= 0 else np.zeros(sector.dim)
+    ident = (sector.pack(np.eye(n, dtype=complex) / np.sqrt(n), np.empty(sector.dim))
+             if sign >= 0 else np.zeros(sector.dim))
     diag = np.flatnonzero(ident)
     ident = ident[diag]
 
     basis = np.empty((depth + 1, sector.dim))
-    basis[0] = sector.pack(a)
+    sector.pack(seed, basis[0])
     basis[0] /= np.linalg.norm(basis[0])
+    del seed
     m = depth
+    reorth = 0
     h = np.zeros((depth + 1, depth))
     for j in range(depth):
         if j:
-            image = channel_step(umap, kernel, sector.unpack(basis[j]))
-        w = sector.pack(image)
+            _step(umap, mask, sector.unpack(basis[j], buf))
+        w = sector.pack(buf, basis[j + 1])
         v = basis[: j + 1]
-        for _ in range(2):
+        before = np.linalg.norm(w)
+        coeff = v @ w
+        h[: j + 1, j] = coeff
+        w -= coeff @ v
+        if np.linalg.norm(w) < before / np.sqrt(2.0):
+            # DGKS: a second pass only when the first cancelled most of w
+            reorth += 1
             coeff = v @ w
             h[: j + 1, j] += coeff
             w -= coeff @ v
@@ -289,7 +329,7 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
         if norm < 1e-13:
             m = j + 1  # invariant subspace found
             break
-        np.divide(w, norm, out=basis[j + 1])
+        w /= norm
     if m < depth:
         warnings.warn(
             f"Krylov space closed at dimension {m} < depth {depth}: its Ritz values are exact, "
@@ -303,14 +343,16 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     ritz, vecs = ritz[order], vecs[:, order]
     keep = min(n_wanted, m)
     residuals = np.empty(keep)
+    op = np.empty_like(buf)
     for i in range(keep):
         # one Ritz operator at a time, each part a real product: a complex
         # coefficient vector times the real basis would cast the whole basis
-        op = sector.unpack(vecs[:, i].real @ basis[:m])
+        sector.unpack(vecs[:, i].real @ basis[:m], op)
         if vecs[:, i].imag.any():
-            op += 1j * sector.unpack(vecs[:, i].imag @ basis[:m])
+            op += 1j * sector.unpack(vecs[:, i].imag @ basis[:m], buf)
         op /= np.linalg.norm(op)
-        residuals[i] = np.linalg.norm(channel_step(umap, kernel, op) - ritz[i] * op)
+        np.copyto(buf, op)
+        residuals[i] = np.linalg.norm(_step(umap, mask, buf) - ritz[i] * op)
     converged = residuals < _KRYLOV_RESIDUAL_TOL
     if not converged.all():
         warnings.warn(
@@ -326,7 +368,7 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
         alphas=alphas, method="krylov",
         params={"n": n, "epsilon": 0.0 if kernel is None else kernel.epsilon,
                 "map": umap.map_spec, "depth": depth, "sector": _SECTOR_NAMES[sign],
-                "krylov_dim": m, "matvecs": m + keep},
+                "krylov_dim": m, "matvecs": m + keep, "reorth": reorth},
         residuals=residuals, converged=converged,
         degenerate=cluster > 1, includes_identity=False)
 

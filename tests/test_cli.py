@@ -279,6 +279,7 @@ def test_resonances_krylov_cli(tmp_path):
     assert manifest["derived.krylov_dim"] == "20"
     assert manifest["derived.krylov_matvecs"] == "23"  # 20 Arnoldi steps + 3 residual checks
     assert manifest["derived.krylov_sector"] == "none"  # a random seed has no parity
+    assert manifest["derived.krylov_reorth"].isdigit()  # second Gram-Schmidt passes
 
 
 def test_resonances_krylov_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
@@ -316,6 +317,22 @@ def test_otoc_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
     _, rows = read_csv(summary)
     assert rows[0][1] == "error" and "physical memory" in rows[0][6]
     assert not (tmp_path / "sw" / "N=100000").exists()
+
+
+def test_otoc_t_max_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
+    """t_max = 10^12 needs about 970 TB of series arrays and CSV text even at
+    N=8: refused before the map or the kernel is built."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built before the memory preflight")
+
+    monkeypatch.setattr(cli, "quantize", unreachable)
+    monkeypatch.setattr(cli, "build_kernel", unreachable)
+    code = main(["otoc", "--map", "cat", "--n", "8", "--t-max", "1000000000000",
+                 "--out", str(tmp_path / "long")])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "t_max" in lines[0]
+    assert not (tmp_path / "long").exists()
 
 
 class _CountingLyapunov:

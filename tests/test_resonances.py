@@ -71,6 +71,19 @@ def test_biorthogonality_after_rescaling():
     assert np.abs(gram - np.eye(64)).max() < 1e-8
 
 
+def test_full_spectrum_lists_conjugate_pairs_positive_imaginary_first():
+    """The two members of a conjugate pair have moduli equal up to round-off,
+    so the modulus sort alone leaves their order to the last bits, which a
+    1e-15 change in the kernel can flip.  The member with positive imaginary
+    part comes first, as in krylov_leading."""
+    _, _, spectrum = _dense(12, cat_map(0.02), 0.2)
+    w = spectrum.alphas
+    conjugate = (np.abs(w[:-1] - w[1:].conj()) <= 1e-10 * np.abs(w[:-1])) & (np.abs(w[:-1].imag) > 1e-8)
+    assert conjugate.sum() >= 60  # 66 complex pairs among 144 eigenvalues
+    assert (w[:-1][conjugate].imag > 0).all()
+    assert np.all(np.diff(np.abs(w)) <= 1e-12)
+
+
 def test_dense_superoperator_refuses_large_n():
     space = TorusSpace(32)
     umap = quantize(cat_map(0.0), space)
@@ -212,22 +225,24 @@ def test_krylov_sector_is_checked_on_the_channel_image():
     assert krylov.params["sector"] == "none"
     assert np.abs(np.abs(spectrum.nontrivial[:3]) - np.abs(krylov.alphas)).max() < 1e-10
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(resonances, "channel_step", lambda umap, kernel, a: 1j * a)
+        patch.setattr(resonances, "_step", lambda umap, mask, at: 1j * at)
         with pytest.raises(ValueError, match="not Hermitian"):
             krylov_leading(umap, kernel, sine_position(umap.space), depth=10, n_wanted=3)
 
 
 def test_krylov_warns_when_space_closes_early():
-    """This Harper channel has an exact doublet at 0.51622655.  The seed
-    reaches one eigenoperator of it, the space closes at 12 < 15, and the
-    doublet would otherwise be dropped from the list without notice."""
-    space = TorusSpace(4)
-    umap = quantize(harper_map(0.06427434219151484), space, CORRESPONDENCE)
-    kernel = build_kernel(space, 1.5756979172503662)
-    seed = random_traceless_hermitian(space, 497639016)
+    """The unitary k=0 cat map has period 6 at N=8, so the sixth power of its
+    channel is the identity and the orbit of any seed spans at most six
+    directions: the space closes exactly at 6 < 15, and each eigenvalue, a
+    sixth root of unity many times over, would otherwise be listed once
+    without notice."""
+    umap = quantize(cat_map(0.0), TorusSpace(8))
     with pytest.warns(UserWarning, match="repeated eigenvalue is listed once"):
-        spectrum = krylov_leading(umap, kernel, seed, depth=15, n_wanted=3)
-    assert spectrum.params["krylov_dim"] == 12
+        spectrum = krylov_leading(umap, None, random_traceless_hermitian(umap.space, 497639016),
+                                  depth=15, n_wanted=3)
+    assert spectrum.params["krylov_dim"] == 6
+    space = TorusSpace(4)
+    seed = random_traceless_hermitian(space, 497639016)
     # a simple spectrum: the same seed spans the whole traceless space
     umap = quantize(cat_map(0.02), space)
     with warnings.catch_warnings(record=True) as caught:
@@ -235,6 +250,18 @@ def test_krylov_warns_when_space_closes_early():
         spectrum = krylov_leading(umap, build_kernel(space, 0.7), seed, depth=15, n_wanted=3)
     assert spectrum.params["krylov_dim"] == 15
     assert not [w for w in caught if "closed" in str(w.message)]
+
+
+def test_krylov_reorthogonalizes_only_when_needed():
+    """The second Gram-Schmidt pass runs only when the first removes most of
+    the new direction (the DGKS test).  Near full depth the new directions
+    lie almost inside the basis, so it must fire; it is counted in params."""
+    space = TorusSpace(7)
+    umap = quantize(cat_map(0.02), space)
+    spectrum = krylov_leading(umap, build_kernel(space, 0.5), random_traceless_hermitian(space, 3),
+                              depth=48, n_wanted=3)
+    assert spectrum.params["krylov_dim"] == 48
+    assert 0 < spectrum.params["reorth"] < 48
 
 
 def test_krylov_validation_and_determinism():
