@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import ClassicalMapSpec, _jacobian_qp, classical_step
+from .maps import ClassicalMapSpec, _advance, classical_step
 
 __all__ = [
     "MonodromyPower",
@@ -48,20 +48,27 @@ class MonodromyPower:
 
 def cat_matrix_power(t: int) -> MonodromyPower:
     """M^t for M = (2 1; 1 1) in arbitrary-precision integers."""
+    return MonodromyPower(int(t), *_cat_power(t))
+
+
+def _cat_power(t: int, n: int = 0) -> tuple[int, int, int, int]:
+    """Entries (a, b, c, d) of M^t by square-and-multiply, reduced mod n after
+    every product when n > 0, so each entry stays below n."""
     if t < 0 or int(t) != t:
         raise ValueError(f"power must be a non-negative integer, got {t}")
-    t = int(t)
     ra, rb, rc, rd = 1, 0, 0, 1
     ba, bb, bc, bd = 2, 1, 1, 1
-    e = t
+    e = int(t)
     while e:
         if e & 1:
             ra, rb, rc, rd = (ra * ba + rb * bc, ra * bb + rb * bd,
                               rc * ba + rd * bc, rc * bb + rd * bd)
         ba, bb, bc, bd = (ba * ba + bb * bc, ba * bb + bb * bd,
                           bc * ba + bd * bc, bc * bb + bd * bd)
+        if n:
+            ra, rb, rc, rd, ba, bb, bc, bd = (x % n for x in (ra, rb, rc, rd, ba, bb, bc, bd))
         e >>= 1
-    return MonodromyPower(t, ra, rb, rc, rd)
+    return ra, rb, rc, rd
 
 
 @dataclass(frozen=True)
@@ -81,12 +88,15 @@ def lyapunov(spec: ClassicalMapSpec, n_traj: int = 100, t_horizon: int = 1000,
 
     Initial conditions are drawn uniformly on [0,1)^2 with one generator per
     trajectory (spawned from ``seed``), so the result is independent of
-    evaluation order.  Tangent vectors are renormalized every step with the
-    log growth accumulated only after ``warmup`` alignment steps; that keeps
-    the transient from biasing the mean.  ``lam`` averages the per-trajectory
-    log growth rates; ``lam_generalized`` averages the growth factors before
-    taking the logarithm, so it is never below ``lam``.  Trajectories that
-    start within 1e-12 of a fixed point are redrawn and counted.
+    evaluation order.  Each step makes one call to the map, which returns the
+    image and the tangent map together (Benettin, Galgani, Giorgilli &
+    Strelcyn, Meccanica 15, 1980).  Tangent vectors are renormalized every
+    step with the log growth accumulated only after ``warmup`` alignment
+    steps; that keeps the transient from biasing the mean.  ``lam`` averages
+    the per-trajectory log growth rates; ``lam_generalized`` averages the
+    growth factors before taking the logarithm, so it is never below ``lam``.
+    Trajectories that start within 1e-12 of a fixed point are redrawn and
+    counted.
     """
     if t_horizon < 10:
         raise ValueError(f"t_horizon must be at least 10, got {t_horizon}")
@@ -108,13 +118,12 @@ def lyapunov(spec: ClassicalMapSpec, n_traj: int = 100, t_horizon: int = 1000,
     q, p = points[:, 0], points[:, 1]
     log_growth = np.zeros(n_traj)
     for t in range(warmup + t_horizon):
-        jac = _jacobian_qp(spec, q, p)
+        q, p, jac = _advance(spec, q, p)
         vectors = np.einsum("nij,nj->ni", jac, vectors)
         norms = np.linalg.norm(vectors, axis=1)
         vectors /= norms[:, None]
         if t >= warmup:
             log_growth += np.log(norms)
-        q, p = classical_step(spec, (q, p))
 
     rates = log_growth / t_horizon
     lam = float(rates.mean())

@@ -252,7 +252,7 @@ def run_otoc(config: RunConfig) -> dict:
     a, b = _operator_pair(config, space)
     est = _classical_estimate(lyapunov, config.map_spec(), 200, 400, config.seed)
     t_e = ehrenfest_time(config.n, est.lam) if est.lam > 0 else float("nan")
-    series = otoc_series(umap, a, b, config.t_max, kernel=kernel, operators=config.operators)
+    series = otoc_series(umap, a, b, config.t_max, kernel=kernel)
 
     derived: list[tuple[str, str]] = [
         ("derived.lambda_classical", _fmt(est.lam)),

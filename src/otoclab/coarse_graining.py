@@ -46,7 +46,7 @@ __all__ = [
 _DENSE_LIMIT = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoarseGrainKernel:
     """Dephasing data for one (N, epsilon) pair, as 1D factors.
 

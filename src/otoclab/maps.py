@@ -12,6 +12,10 @@ Three map families are supported on the unit torus (q, p in [0, 1)):
       p' = p - K1 sin(2 pi q)
       q' = q + K2 sin(2 pi p')
 
+Each map's formulas are written once, in one private step that returns the
+image and its exact tangent map: ``classical_step`` and ``jacobian`` read it,
+and ``classical.lyapunov`` calls it once per iteration for both.
+
 Each quantum map is a product of two diagonal kick factors, one in the
 position basis and one in the momentum basis, applied with FFTs and never
 materialized unless asked for.  The kick phases are calibrated so that a
@@ -97,53 +101,44 @@ def harper_map(k1: float, k2: float | None = None) -> ClassicalMapSpec:
     return ClassicalMapSpec(HARPER, float(k1), None if k2 is None else float(k2))
 
 
-def classical_step(spec: ClassicalMapSpec, point):
-    """One iteration of the map; accepts scalars or arrays, reduces mod 1."""
-    q = np.mod(np.asarray(point[0], dtype=float), 1.0)
-    p = np.mod(np.asarray(point[1], dtype=float), 1.0)
+def _advance(spec: ClassicalMapSpec, q, p):
+    """One step from (q, p) reduced mod 1: the image (q', p') and its tangent map.
+
+    Every map is two shears, p' = p + f(q) then q' = q + g(p'), so the exact
+    Jacobian d(q', p')/d(q, p) is ((1 + g' f', g'), (f', 1)) with f' taken at q
+    and g' at p'; it broadcasts over q, p arrays.
+    """
+    q = np.mod(np.asarray(q, dtype=float), 1.0)
+    p = np.mod(np.asarray(p, dtype=float), 1.0)
     if spec.kind == CAT:
         p1 = np.mod(p + q - _TWO_PI * spec.k * np.sin(_TWO_PI * q), 1.0)
+        df = 1.0 - _TWO_PI**2 * spec.k * np.cos(_TWO_PI * q)
         q1 = np.mod(q + p1 + _TWO_PI * spec.k * np.sin(_TWO_PI * p1), 1.0)
+        dg = 1.0 + _TWO_PI**2 * spec.k * np.cos(_TWO_PI * p1)
     elif spec.kind == STANDARD:
         p1 = np.mod(p + spec.k / _TWO_PI * np.sin(_TWO_PI * q), 1.0)
+        df = spec.k * np.cos(_TWO_PI * q)
         q1 = np.mod(q + p1, 1.0)
+        dg = 1.0
     else:
         p1 = np.mod(p - spec.k * np.sin(_TWO_PI * q), 1.0)
+        df = -_TWO_PI * spec.k * np.cos(_TWO_PI * q)
         q1 = np.mod(q + spec.k_second * np.sin(_TWO_PI * p1), 1.0)
+        dg = _TWO_PI * spec.k_second * np.cos(_TWO_PI * p1)
+    jac = np.empty(np.shape(q1) + (2, 2))
+    jac[..., 0, 0] = 1.0 + dg * df
+    jac[..., 0, 1] = dg
+    jac[..., 1, 0] = df
+    jac[..., 1, 1] = 1.0
+    return q1, p1, jac
+
+
+def classical_step(spec: ClassicalMapSpec, point):
+    """One iteration of the map; accepts scalars or arrays, reduces mod 1."""
+    q1, p1, _ = _advance(spec, point[0], point[1])
     if q1.ndim == 0:
         return float(q1), float(p1)
     return q1, p1
-
-
-def _jacobian_qp(spec: ClassicalMapSpec, q, p):
-    """Tangent map entries d(q', p')/d(q, p), broadcasting over q, p arrays."""
-    if spec.kind == CAT:
-        dp_dq = 1.0 - _TWO_PI**2 * spec.k * np.cos(_TWO_PI * q)
-        p1 = np.mod(p + q - _TWO_PI * spec.k * np.sin(_TWO_PI * q), 1.0)
-        dq_dp1 = 1.0 + _TWO_PI**2 * spec.k * np.cos(_TWO_PI * p1)
-        j = np.empty(np.broadcast(q, p).shape + (2, 2))
-        j[..., 0, 0] = 1.0 + dq_dp1 * dp_dq
-        j[..., 0, 1] = dq_dp1
-        j[..., 1, 0] = dp_dq
-        j[..., 1, 1] = 1.0
-        return j
-    if spec.kind == STANDARD:
-        kick = spec.k * np.cos(_TWO_PI * q)
-        j = np.empty(np.broadcast(q, p).shape + (2, 2))
-        j[..., 0, 0] = 1.0 + kick
-        j[..., 0, 1] = 1.0
-        j[..., 1, 0] = kick
-        j[..., 1, 1] = 1.0
-        return j
-    dp_dq = -_TWO_PI * spec.k * np.cos(_TWO_PI * q)
-    p1 = np.mod(p - spec.k * np.sin(_TWO_PI * q), 1.0)
-    dq_dp1 = _TWO_PI * spec.k_second * np.cos(_TWO_PI * p1)
-    j = np.empty(np.broadcast(q, p).shape + (2, 2))
-    j[..., 0, 0] = 1.0 + dq_dp1 * dp_dq
-    j[..., 0, 1] = dq_dp1
-    j[..., 1, 0] = dp_dq
-    j[..., 1, 1] = 1.0
-    return j
 
 
 def jacobian(spec: ClassicalMapSpec, point) -> np.ndarray:
@@ -151,12 +146,10 @@ def jacobian(spec: ClassicalMapSpec, point) -> np.ndarray:
 
     Rows and columns are ordered (q, p).
     """
-    q = np.mod(float(point[0]), 1.0)
-    p = np.mod(float(point[1]), 1.0)
-    return _jacobian_qp(spec, q, p)
+    return _advance(spec, float(point[0]), float(point[1]))[2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumMap:
     """One-step unitary stored as its two kick-phase diagonals.
 

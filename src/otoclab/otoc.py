@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import coarse_graining
-from .classical import CAT_LYAPUNOV, cat_matrix_power
+from .classical import CAT_LYAPUNOV, _cat_power, cat_matrix_power
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
 from .phase_space import (MOMENTUM, POSITION, OperatorMatrix, _change_frame, _cyclic_diagonals,
                           change_basis, hermiticity_defect, symplectic_product)
@@ -43,19 +43,14 @@ _HERMITIAN_TOL = 1e-10
 _DIAG_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OtocSeries:
-    """Per-step record of C(t), O1(t), O2(t) plus the run parameters."""
+    """Per-step record of C(t), O1(t), O2(t)."""
 
     t: np.ndarray
     c: np.ndarray
     o1: np.ndarray
     o2: np.ndarray
-    map_spec: ClassicalMapSpec
-    n: int
-    epsilon: float
-    operators: str = "XP"
-    kick_mode: str = "correspondence"
 
     @property
     def o1_abs(self) -> np.ndarray:
@@ -73,8 +68,7 @@ def heisenberg_evolve(a: OperatorMatrix, umap: QuantumMap, steps: int) -> Operat
 
 
 def otoc_series(umap: QuantumMap, a: OperatorMatrix, b: OperatorMatrix, t_max: int,
-                kernel: "coarse_graining.CoarseGrainKernel | None" = None,
-                operators: str = "XP") -> OtocSeries:
+                kernel: "coarse_graining.CoarseGrainKernel | None" = None) -> OtocSeries:
     """Compute C(t), O1(t), O2(t) for t = 0 .. t_max, with A(t) advanced by
     the channel of ``kernel`` (unitarily when None).  A and B must be Hermitian.
     """
@@ -104,8 +98,7 @@ def otoc_series(umap: QuantumMap, a: OperatorMatrix, b: OperatorMatrix, t_max: i
         o1[t] = np.einsum("ij,ji->", w, w) / n
         o2[t] = (np.einsum("ij,ij->", w.real, w.real) + np.einsum("ij,ij->", w.imag, w.imag)) / n
     c = -2.0 * (o1 - o2).real
-    return OtocSeries(np.arange(t_max + 1), c, o1, o2, umap.map_spec, n,
-                      0.0 if kernel is None else kernel.epsilon, operators, umap.kick_mode)
+    return OtocSeries(np.arange(t_max + 1), c, o1, o2)
 
 
 def otoc_via_commutator(umap: QuantumMap, a: OperatorMatrix, b: OperatorMatrix,
@@ -143,19 +136,20 @@ def analytic_cat_otoc(t: int, n: int) -> CatOtocPoint:
     """Closed-form OTOC of the unperturbed cat map for the sine pair.
 
     C(t) = sin^2(pi a_t / N), O1(t) = cos(2 pi a_t / N)/4, O2 = 1/4, where
-    a_t is the top-left integer entry of the t-th cat matrix power, reduced
-    mod N before evaluating the trig functions so large t stays exact.  The
-    last field is the small-angle growth approximation (pi^2/N^2) e^{2 lam t}.
+    a_t is the top-left integer entry of the t-th cat matrix power, computed
+    mod N in O(log t) so large t stays exact.  The last field is the
+    small-angle growth approximation (pi^2/N^2) e^{2 lam t}, inf once the
+    exponential overflows.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
     if n < 2:
         raise ValueError("n must be >= 2")
-    a_mod = cat_matrix_power(t).a % n
-    angle = np.pi * a_mod / n
+    angle = np.pi * _cat_power(t, n)[0] / n
     c = float(np.sin(angle) ** 2)
     o1 = float(np.cos(2 * angle) / 4.0)
-    approx = float((np.pi / n) ** 2 * np.exp(2.0 * CAT_LYAPUNOV * t))
+    with np.errstate(over="ignore"):
+        approx = float((np.pi / n) ** 2 * np.exp(2.0 * CAT_LYAPUNOV * t))
     return CatOtocPoint(c, o1, 0.25, approx)
 
 

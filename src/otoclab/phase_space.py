@@ -88,7 +88,7 @@ class PhaseVector(NamedTuple):
         return PhaseVector(self.q % n, self.p % n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Dense operator, entries written in the position basis."""
 
@@ -105,7 +105,7 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChordCoefficients:
     """Expansion of an operator over translations, coeffs[chi_q, chi_p]."""
 

@@ -38,7 +38,7 @@ _DENSE_LIMIT = 24
 _KRYLOV_RESIDUAL_TOL = 1e-4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResonanceSpectrum:
     """Channel eigenvalues sorted by decreasing modulus, with diagnostics.
 

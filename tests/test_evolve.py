@@ -1,8 +1,9 @@
-"""Property tests of the frame-fused Heisenberg step against dense oracles.
+"""Property tests of the frame-fused Heisenberg step and its channel.
 
 Every case is checked against references that share no code with the step:
 the materialized unitary, the literal translation sum of the dephasing
-channel, and the commutator form of C(t).
+channel, and the commutator form of C(t).  The channel is also checked for
+the properties of a unital quantum channel.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from otoclab.coarse_graining import apply_dephasing_dense, build_kernel, channel
 from otoclab.maps import AS_PRINTED, CORRESPONDENCE, cat_map, harper_map, materialize, quantize, standard_map
 from otoclab.otoc import otoc_series, otoc_via_commutator
 from otoclab.phase_space import (MOMENTUM, POSITION, OperatorMatrix, TorusSpace, change_basis,
-                                 hermitian_f, sine_momentum, sine_position)
+                                 hermitian_f, hermiticity_defect, sine_momentum, sine_position)
 
 FAMILIES = (cat_map, standard_map, harper_map)
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
@@ -62,6 +63,23 @@ def test_channel_step_matches_dense_oracle(channel, seed):
     umap, kernel = channel
     a = random_matrix(umap.dim, seed)
     assert np.abs(channel_step(umap, kernel, a) - oracle_step(umap, kernel, a)).max() < 1e-12
+
+
+@PROPERTY
+@given(channels(), st.integers(0, 2**32 - 1))
+def test_channel_unital_trace_and_hermiticity_preserving_contractive(channel, seed):
+    umap, kernel = channel
+    n = umap.dim
+    ident = np.eye(n, dtype=complex)
+    assert np.abs(channel_step(umap, kernel, ident) - ident).max() < 1e-12
+    a = random_matrix(n, seed)
+    scale = np.linalg.norm(a)
+    assert abs(np.trace(channel_step(umap, kernel, a)) - np.trace(a)) < 1e-12 * scale
+    h = random_matrix(n, seed, hermitian=True)
+    assert hermiticity_defect(channel_step(umap, kernel, h)) < 1e-12 * scale
+    traceless = h - np.trace(h) / n * ident
+    before = np.linalg.norm(traceless)
+    assert np.linalg.norm(channel_step(umap, kernel, traceless)) <= before * (1 + 1e-12)
 
 
 def static_observables(space, seed):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from otoclab.classical import cat_matrix_power
+from otoclab.coarse_graining import build_kernel
 from otoclab.maps import (ClassicalMapSpec, apply_map, cat_map, classical_step,
                           harper_map, heisenberg_conjugate, jacobian, kick_prefactor,
                           materialize, quantize, standard_map)
-from otoclab.phase_space import (TorusSpace, coherent_state, sine_momentum, sine_position,
-                                 translation, unitarity_defect)
+from otoclab.phase_space import (OperatorMatrix, TorusSpace, coherent_state, sine_momentum,
+                                 sine_position, translation, unitarity_defect)
 
 # index matrix of the exact translation covariance U^dag T_xi U = T_{S xi}
 # realized by the k=0 quantization (the cat matrix with q and p roles swapped)
@@ -63,7 +64,8 @@ def test_jacobian_standard_quarter_point():
     assert np.allclose(j, [[1, 1], [0, 1]], atol=1e-12)
 
 
-@pytest.mark.parametrize("spec", [cat_map(0.02), cat_map(0.3), standard_map(19.74), harper_map(0.94)])
+@pytest.mark.parametrize("spec", [cat_map(0.0), cat_map(0.02), cat_map(0.3), standard_map(19.74),
+                                  harper_map(0.94), harper_map(0.94, 0.7)])
 def test_jacobian_finite_difference_oracle(spec):
     rng = np.random.default_rng(7)
     h = 1e-7
@@ -217,3 +219,18 @@ def test_wavepacket_follows_classical_step(spec):
         qc, pc = classical_step(spec, (q0, p0))
         assert abs((psi.conj() @ x_op @ psi).real - np.sin(2 * np.pi * qc)) < 10.0 / n
         assert abs((psi.conj() @ p_op @ psi).real - np.sin(2 * np.pi * pc)) < 10.0 / n
+
+
+def test_array_records_compare_by_identity_and_hash():
+    # records that hold arrays get identity semantics; the map spec and the
+    # space keep value equality, because the spec is a cache key
+    space = TorusSpace(8)
+    pairs = [(build_kernel(space, 0.1), build_kernel(space, 0.1)),
+             (OperatorMatrix(np.eye(8)), OperatorMatrix(np.eye(8))),
+             (quantize(cat_map(0.02), space), quantize(cat_map(0.02), space))]
+    for first, second in pairs:
+        assert first == first
+        assert first != second
+        assert len({first, second, first}) == 2
+    assert cat_map(0.02) == cat_map(0.02) and hash(cat_map(0.02)) == hash(cat_map(0.02))
+    assert TorusSpace(8) == space and hash(TorusSpace(8)) == hash(space)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,20 @@ def test_analytic_cat_rejects_bad_args():
         analytic_cat_otoc(3, 1)
 
 
+def test_analytic_cat_large_t_matches_recurrence_without_warnings():
+    # a_t is the top-left entry of M^t; a_{t+2} = 3 a_{t+1} - a_t (mod N), a_0 = 1, a_1 = 2
+    n, t_big = 8, 10**5
+    a = [1, 2]
+    for _ in range(t_big - 1):
+        a = [a[1], (3 * a[1] - a[0]) % n]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = analytic_cat_otoc(t_big, n)
+    assert point.c == np.sin(np.pi * a[1] / n) ** 2
+    assert point.o1 == np.cos(2 * np.pi * a[1] / n) / 4.0
+    assert point.c_growth_approx == np.inf
+
+
 def test_family_linear_reduces_to_sine_pair():
     n = 1024
     for t in range(10):
@@ -243,23 +259,21 @@ def test_loglinear_fit_recovers_synthetic_rate():
 
 def test_fit_lyapunov_synthetic_exact():
     t = np.arange(10)
-    series = OtocSeries(t, np.exp(2 * 0.5 * t), np.zeros(10, complex), np.zeros(10),
-                        cat_map(0.0), 64, 0.0)
+    series = OtocSeries(t, np.exp(2 * 0.5 * t), np.zeros(10, complex), np.zeros(10))
     assert fit_lyapunov_from_otoc(series, (1, 8)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_fit_lyapunov_warns_on_poor_fit():
     t = np.arange(8)
     curved = np.exp(0.3 * t * t)  # not an exponential
-    series = OtocSeries(t, curved, np.zeros(8, complex), np.zeros(8), cat_map(0.0), 64, 0.0)
+    series = OtocSeries(t, curved, np.zeros(8, complex), np.zeros(8))
     with pytest.warns(UserWarning, match="R\\^2"):
         fit_lyapunov_from_otoc(series, (1, 6))
 
 
 def test_fit_lyapunov_window_validation():
     t = np.arange(10)
-    series = OtocSeries(t, np.exp(t), np.zeros(10, complex), np.zeros(10),
-                        cat_map(0.0), 64, 0.0)
+    series = OtocSeries(t, np.exp(t), np.zeros(10, complex), np.zeros(10))
     with pytest.raises(ValueError):
         fit_lyapunov_from_otoc(series, (0, 5))
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otoclab.phase_space import (MOMENTUM, POSITION, ChordCoefficients, OperatorMatrix,
                                  PhaseVector, TorusSpace, change_basis, chord_inverse,
@@ -186,6 +188,17 @@ def test_chord_round_trip_and_parseval():
     assert np.abs(back - a).max() < 1e-10
     hs = np.trace(a.conj().T @ a).real / 16
     assert abs((np.abs(coeffs.coeffs) ** 2).sum() - hs) < 1e-10
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(2, 24), st.integers(0, 2**32 - 1))
+def test_chord_transform_round_trips(n, seed):
+    space = TorusSpace(n)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    coeffs = chord_transform(space, a)
+    assert np.abs(chord_inverse(space, coeffs).entries - a).max() < 1e-12
+    assert abs((np.abs(coeffs.coeffs) ** 2).sum() - np.linalg.norm(a) ** 2 / n) < 1e-12 * n
 
 
 def test_change_basis_round_trip_and_momentum_diagonals():

@@ -302,8 +302,7 @@ def test_krylov_flags_unconverged():
 def _synthetic_series(alpha, t_max=24, floor=0.0):
     t = np.arange(t_max + 1)
     o1 = 0.3 * alpha ** (2 * t) + floor
-    return OtocSeries(t, np.zeros(t_max + 1), o1.astype(complex), np.full(t_max + 1, 0.25),
-                      cat_map(0.02), 128, 0.01)
+    return OtocSeries(t, np.zeros(t_max + 1), o1.astype(complex), np.full(t_max + 1, 0.25))
 
 
 def test_fit_tail_rate_synthetic_exact():
@@ -404,8 +403,7 @@ def test_complex_leading_resonance_fit_targets_envelope():
     alpha = 0.6 * np.exp(0.4j)
     t = np.arange(41)
     o1 = 0.2 * (alpha ** (2 * t) + np.conj(alpha) ** (2 * t))
-    series = OtocSeries(t, np.zeros(t.size), o1, np.full(t.size, 0.25),
-                        cat_map(0.02), 256, 0.01)
+    series = OtocSeries(t, np.zeros(t.size), o1, np.full(t.size, 0.25))
     env = [i for i in range(1, 40)
            if series.o1_abs[i] >= series.o1_abs[i - 1] and series.o1_abs[i] >= series.o1_abs[i + 1]]
     from otoclab.otoc import loglinear_fit
