@@ -194,11 +194,12 @@ def _write_run(config: RunConfig, start: float, name: str, header: list[str], ro
     return csv_path
 
 
-# Peak RSS of `otoc` with the XP pair, the largest of its working sets, read
-# 133 MB at N=1024 and 342 MB at N=2048 (numpy 2.4, MB = 10^6 bytes): 64 MB of
-# interpreter and libraries plus 66 N^2 bytes, about four complex N x N arrays.
-_OTOC_BASE_BYTES = 64e6
-_OTOC_BYTES_PER_N2 = 66
+# Peak RSS of `otoc` with eps 0.01 and t_max 18, largest with the F(1,1;0,1)
+# pair, read 90.3 MB at N=1024 and 240.9 MB at N=2048 (numpy 2.4, MB = 10^6
+# bytes): 41 MB of interpreter and libraries plus 48 N^2 bytes, three complex
+# N x N arrays (A, B and the evolving A(t)).
+_OTOC_BASE_BYTES = 41e6
+_OTOC_BYTES_PER_N2 = 48
 # Peak RSS per time step of `otoc --n 8` with the cat k=0 overlay, the widest
 # rows (eleven columns), read at t_max 1000, 20000 and 40000: 948 and 966
 # bytes a step for the series arrays, the overlay points and the CSV text.
@@ -241,13 +242,13 @@ def _classical_estimate(estimator, spec: ClassicalMapSpec, n_traj: int, t_horizo
 def run_otoc(config: RunConfig) -> dict:
     """One correlator run: otoc.csv plus manifest; returns derived values.
 
-    A run whose working set, 64 MB + 66 N^2 + 970 (t_max + 1) bytes, exceeds
+    A run whose working set, 41 MB + 48 N^2 + 970 (t_max + 1) bytes, exceeds
     physical memory is refused before anything is allocated.
     """
     start = time.monotonic()
     _refuse_beyond_memory(_OTOC_BASE_BYTES + _OTOC_BYTES_PER_N2 * config.n ** 2
                           + _OTOC_BYTES_PER_STEP * (config.t_max + 1),
-                          "otoc working set (64 MB + 66 x N^2 + 970 x (t_max + 1) bytes)")
+                          "otoc working set (41 MB + 48 x N^2 + 970 x (t_max + 1) bytes)")
     space, umap, kernel = _build_channel(config)
     a, b = _operator_pair(config, space)
     est = _classical_estimate(lyapunov, config.map_spec(), 200, 400, config.seed)

@@ -201,8 +201,6 @@ def quantize(spec: ClassicalMapSpec, space: TorusSpace, kick_mode: str = CORRESP
     The quadratic phases use exact integer reduction of q^2 mod 2N so the
     stored phases stay on the unit circle to machine precision for any N.
     """
-    if space.dim <= 0:
-        raise ValueError("Hilbert-space dimension must be positive")
     n = space.dim
     idx = np.arange(n)
     quad = np.pi * ((idx * idx) % (2 * n)) / n

@@ -9,9 +9,15 @@ with the infinite-temperature average <.> = Tr(.)/N.  All values reported
 here carry that 1/N normalization, so O2 = 1/4 and C saturates at 1/2 for
 the sine observables.  :func:`otoclab.coarse_graining.evolve` yields A(t)
 in the momentum frame, where B has K nonzero cyclic diagonals (1 for the sine
-of momentum, 2 for any other F_xi, N if dense): W = A(t) B is K shifted,
-scaled copies of A(t), O1 = Tr(W W)/N and, A and B being Hermitian,
-O2 = ||W||_F^2/N.
+of momentum, 2 for any other F_xi, N if dense).  A(t) and B are Hermitian (the
+channel keeps A(t) so), hence W = A(t) B has W^dag = B A(t) and
+
+    O1 = Tr(W W)/N = <B A(t), A(t) B>_F / N,   O2 = ||A(t) B||_F^2 / N
+
+with <X, Y>_F = Tr(X^dag Y).  A row of A(t) B is the same row of A(t) with
+its columns shifted and scaled by B's diagonals, and a row of B A(t) a sum of
+K scaled rows of A(t), so both sums run over blocks of rows in two scratch
+arrays: W is never formed, and every read is along a row.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ import numpy as np
 from . import coarse_graining
 from .classical import CAT_LYAPUNOV, _cat_power, cat_matrix_power
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
-from .phase_space import (MOMENTUM, POSITION, OperatorMatrix, _change_frame, _cyclic_diagonals,
-                          change_basis, hermiticity_defect, symplectic_product)
+from .phase_space import (_ROW_BLOCK, MOMENTUM, POSITION, OperatorMatrix, _change_frame,
+                          _cyclic_diagonals, change_basis, hermiticity_defect, symplectic_product)
 
 __all__ = [
     "OtocSeries",
@@ -71,6 +77,11 @@ def otoc_series(umap: QuantumMap, a: OperatorMatrix, b: OperatorMatrix, t_max: i
                 kernel: "coarse_graining.CoarseGrainKernel | None" = None) -> OtocSeries:
     """Compute C(t), O1(t), O2(t) for t = 0 .. t_max, with A(t) advanced by
     the channel of ``kernel`` (unitarily when None).  A and B must be Hermitian.
+
+    O1 = <B A(t), A(t) B>_F / N and O2 = ||A(t) B||_F^2 / N, both summed over
+    blocks of rows.  Besides A and B the call holds one N x N array, the
+    evolving A(t): B's momentum-frame copy is dropped once its nonzero cyclic
+    diagonals are gathered, before A(t) is allocated.
     """
     for name, op in (("A", a), ("B", b)):
         defect = hermiticity_defect(op)
@@ -78,27 +89,67 @@ def otoc_series(umap: QuantumMap, a: OperatorMatrix, b: OperatorMatrix, t_max: i
             raise ValueError(f"operator {name} is not Hermitian (defect {defect:.2e})")
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
-    n = umap.dim
-    # B in the momentum frame as its cyclic diagonals d[j, q] = B[q + j, q], noise dropped
-    d = _cyclic_diagonals(change_basis(umap.space, b.entries, POSITION, MOMENTUM))
-    size = np.abs(d).max(axis=1)
-    shifts = np.flatnonzero(size > _DIAG_TOL * max(size.max(), 1.0))
-    d = d[shifts]
-    w = np.zeros((n, n), dtype=complex)
+    shifts, d = _nonzero_diagonals(change_basis(umap.space, b.entries, POSITION, MOMENTUM))
+    # zeroed, so a zero B (no diagonals) gives O1 = O2 = 0
+    ab = np.zeros((min(_ROW_BLOCK, umap.dim), umap.dim), dtype=complex)
+    ba = np.zeros_like(ab)
     o1 = np.empty(t_max + 1, dtype=complex)
     o2 = np.empty(t_max + 1)
     for t, at in enumerate(coarse_graining.evolve(umap, kernel, a, t_max)):
-        # W = A(t) B, column q being sum_j A(t)[:, q + j] d[j, q] with indices mod N
-        for k, j in enumerate(shifts):
-            for cols, src in ((slice(0, n - j), slice(j, n)), (slice(n - j, n), slice(0, j))):
-                if k == 0:
-                    np.multiply(at[:, src], d[k, cols], out=w[:, cols])
-                else:
-                    w[:, cols] += at[:, src] * d[k, cols]
-        o1[t] = np.einsum("ij,ji->", w, w) / n
-        o2[t] = (np.einsum("ij,ij->", w.real, w.real) + np.einsum("ij,ij->", w.imag, w.imag)) / n
+        o1[t], o2[t] = _contract(at, shifts, d, ab, ba)
     c = -2.0 * (o1 - o2).real
     return OtocSeries(np.arange(t_max + 1), c, o1, o2)
+
+
+def _nonzero_diagonals(bm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shifts j and rows d[k, q] = bm[q + j_k, q] of the cyclic diagonals that are not noise,
+    found a block of diagonals at a time so no N x N gather is made."""
+    n = bm.shape[0]
+    blocks = (range(j, min(j + _ROW_BLOCK, n)) for j in range(0, n, _ROW_BLOCK))
+    size = np.concatenate([np.abs(_cyclic_diagonals(bm, js)).max(axis=1) for js in blocks])
+    shifts = np.flatnonzero(size > _DIAG_TOL * max(size.max(), 1.0))
+    return shifts, _cyclic_diagonals(bm, shifts)
+
+
+def _wrapped(start: int, m: int, n: int) -> list[tuple[slice, slice]]:
+    """(destination, source) slice pairs that read indices start .. start + m - 1 mod n."""
+    start %= n
+    head = min(m, n - start)
+    pairs = [(slice(0, head), slice(start, start + head))]
+    return pairs + [(slice(head, m), slice(0, m - head))] if head < m else pairs
+
+
+def _axpy(first: bool, out: np.ndarray, x: np.ndarray, scale: np.ndarray) -> None:
+    if first:
+        np.multiply(x, scale, out=out)
+    else:
+        out += x * scale
+
+
+def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
+              ab: np.ndarray, ba: np.ndarray) -> tuple[complex, float]:
+    """O1 = <BA, AB>_F / N and O2 = ||AB||_F^2 / N of momentum-frame A(t) against
+    B's cyclic diagonals, a block of rows of AB and BA at a time in ``ab`` and ``ba``.
+
+    The sums are ufunc and einsum reductions, never BLAS ones, so their bits
+    do not depend on the BLAS thread count.
+    """
+    n = at.shape[0]
+    o1, o2 = 0j, 0.0
+    for i in range(0, n, ab.shape[0]):
+        x, y = ab[:n - i], ba[:n - i]
+        m = x.shape[0]
+        for k, j in enumerate(shifts):
+            for dst, src in _wrapped(j, n, n):  # AB[r, q] = sum_j A[r, q + j] d[j, q]
+                _axpy(k == 0, x[:, dst], at[i:i + m, src], d[k, dst])
+            for dst, src in _wrapped(i - j, m, n):  # BA[r, :] = sum_j d[j, r - j] A[r - j, :]
+                _axpy(k == 0, y[dst], at[src], d[k, src, None])
+        xv = x.view(float)
+        o2 += np.einsum("ij,ij->", xv, xv)
+        np.conjugate(y, out=y)
+        y *= x
+        o1 += y.sum()
+    return o1 / n, o2 / n
 
 
 def otoc_via_commutator(umap: QuantumMap, a: OperatorMatrix, b: OperatorMatrix,

@@ -22,6 +22,10 @@ import numpy as np
 
 POSITION = "position"
 MOMENTUM = "momentum"
+# Rows per block of the N x N passes that work in blocks to keep their
+# temporaries small.  For the OTOC contraction (2 vCPUs, 2 MB of L2 per core)
+# 16 and 32 rows ran alike at N=1000 and N=1024, and 64 rows were slower.
+_ROW_BLOCK = 16
 
 __all__ = [
     "POSITION",
@@ -141,8 +145,10 @@ def _change_frame(x: np.ndarray, to: str) -> np.ndarray:
 
 
 def hermiticity_defect(a) -> float:
+    """max |A - A^dag|, a block of rows at a time."""
     e = _entries(a)
-    return float(np.abs(e - e.conj().T).max())
+    return max(float(np.abs(e[i:i + _ROW_BLOCK] - e[:, i:i + _ROW_BLOCK].conj().T).max())
+               for i in range(0, e.shape[0], _ROW_BLOCK))
 
 
 def unitarity_defect(a) -> float:
@@ -206,8 +212,14 @@ def hermitian_f(space: TorusSpace, xi) -> OperatorMatrix:
     sine-of-momentum one; those two are exactly the operators returned by
     :func:`sine_position` and :func:`sine_momentum`.
     """
-    t = translation(space, xi).entries
-    return OperatorMatrix((t - t.conj().T) / 2j)
+    f = translation(space, xi).entries
+    n = space.dim
+    q = np.arange(n)
+    rows = (q + int(xi[0])) % n
+    r, c = np.concatenate((rows, q)), np.concatenate((q, rows))
+    # (T - T^dag) / 2i on the two cyclic diagonals, entry by entry as the dense formula
+    f[r, c] = (f[r, c] - f[c, r].conj()) / 2j
+    return OperatorMatrix(f)
 
 
 def sine_position(space: TorusSpace) -> OperatorMatrix:
@@ -220,11 +232,12 @@ def sine_momentum(space: TorusSpace) -> OperatorMatrix:
     return hermitian_f(space, PhaseVector(1, 0))
 
 
-def _cyclic_diagonals(a: np.ndarray) -> np.ndarray:
-    """d[j, q] = a[(q + j) % n, q]: the j-th cyclic diagonal as a row."""
+def _cyclic_diagonals(a: np.ndarray, shifts=None) -> np.ndarray:
+    """d[k, q] = a[(q + j_k) % n, q]: cyclic diagonal j_k as row k, every diagonal by default."""
     n = a.shape[0]
     q = np.arange(n)
-    return a[(q[None, :] + q[:, None]) % n, q[None, :]]
+    j = q if shifts is None else np.asarray(shifts)
+    return a[(q[None, :] + j[:, None]) % n, q[None, :]]
 
 
 def _from_cyclic_diagonals(d: np.ndarray) -> np.ndarray:

@@ -98,6 +98,20 @@ def test_cli_otoc_subprocess_and_env_root(tmp_path):
     assert (tmp_path / "sub" / "otoc.csv").exists()
 
 
+def test_otoc_csv_bytes_independent_of_blas_threads(tmp_path):
+    """The O1/O2 sums are no BLAS reductions, so otoc.csv keeps its bytes
+    whatever the BLAS thread count."""
+    csv = {}
+    for threads in ("1", "2"):
+        result = run_cli(["otoc", "--map", "cat", "--n", "64", "--epsilon", "0.1",
+                          "--t-max", "10", "--out", threads],
+                         env_extra={"OTOCLAB_OUTPUT_ROOT": str(tmp_path),
+                                    "OPENBLAS_NUM_THREADS": threads})
+        assert result.returncode == 0, result.stderr
+        csv[threads] = (tmp_path / threads / "otoc.csv").read_bytes()
+    assert csv["1"] == csv["2"]
+
+
 def test_cli_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"map = cat\nn = 32\nt_max = 4\noutputs = {tmp_path / 'c'}\n")
@@ -299,7 +313,7 @@ def test_resonances_krylov_refused_beyond_physical_memory(tmp_path, monkeypatch,
 
 
 def test_otoc_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
-    """N=100000 needs about 660 GB of working set: refused before the map or
+    """N=100000 needs about 480 GB of working set: refused before the map or
     the kernel is built, for a run and for a sweep sub-run alike."""
     def unreachable(*args, **kwargs):
         raise AssertionError("built before the memory preflight")
@@ -310,7 +324,7 @@ def test_otoc_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path / "big")])
     assert code == 1
     lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "660.1 GB" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "480.0 GB" in lines[0]
     assert not (tmp_path / "big").exists()
     summary = run_sweep(RunConfig(map="cat", n=16, epsilon=0.0001, outputs=str(tmp_path / "sw")),
                         "N", [100000.0])

@@ -27,13 +27,13 @@ def random_matrix(n, seed, hermitian=False):
 
 
 @st.composite
-def channels(draw, dims=st.integers(2, 24)):
+def channels(draw, dims=st.integers(2, 24), epsilons=st.none() | st.floats(0.0, 3.0)):
     """A quantized map of any family and kick mode, plus a kernel or None."""
     space = TorusSpace(draw(dims))
     family = draw(st.sampled_from(FAMILIES))
     umap = quantize(family(draw(st.floats(-2.0, 2.0))), space,
                     draw(st.sampled_from((CORRESPONDENCE, AS_PRINTED))))
-    eps = draw(st.none() | st.floats(0.0, 3.0))
+    eps = draw(epsilons)
     return umap, None if eps is None else build_kernel(space, eps)
 
 
@@ -97,6 +97,29 @@ def test_otoc_series_matches_commutator_oracle(channel, b_name, seed):
     a = random_matrix(16, seed + 1, hermitian=True)
     a = OperatorMatrix(a * np.sqrt(16) / np.linalg.norm(a))
     b = static_observables(space, seed)[b_name]
+    series = otoc_series(umap, a, b, 5, kernel=kernel)
+    oracle = otoc_via_commutator(umap, a, b, 5, kernel=kernel)
+    assert np.abs(series.c - oracle).max() < 1e-10
+
+
+displacements = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
+
+
+@PROPERTY
+@given(channels(epsilons=st.none() | st.just(0.0) | st.floats(0.0, 3.0)), displacements,
+       displacements | st.none(), st.integers(0, 2**32 - 1))
+def test_otoc_contraction_matches_commutator_oracle(channel, xi, chi, seed):
+    """O1 = <BA, AB>_F and O2 = ||AB||_F^2 in row blocks, for any N from 2 to 24
+    (odd and prime N included), against the commutator form: B = F_chi on two
+    cyclic diagonals (one or none when they coincide or vanish) or, for chi
+    None, a dense Hermitian B on all N."""
+    umap, kernel = channel
+    space = umap.space
+    a = hermitian_f(space, xi)
+    if chi is None:
+        b = OperatorMatrix(random_matrix(space.dim, seed, hermitian=True) / np.sqrt(space.dim))
+    else:
+        b = hermitian_f(space, chi)
     series = otoc_series(umap, a, b, 5, kernel=kernel)
     oracle = otoc_via_commutator(umap, a, b, 5, kernel=kernel)
     assert np.abs(series.c - oracle).max() < 1e-10

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -245,6 +246,25 @@ def test_position_diagonal_b_fast_path(space64):
     series = otoc_series(umap, a, b, 5)
     oracle = otoc_via_commutator(umap, a, b, 5)
     assert np.abs(series.c - oracle).max() < 1e-10
+
+
+def test_otoc_series_working_set_is_one_operator():
+    """Besides A and B, otoc_series holds the evolving A(t) and, before it,
+    B's momentum-frame copy; no product W = A(t) B and no dense temporaries."""
+    n = 512
+    space = TorusSpace(n)
+    umap = quantize(cat_map(0.02), space)
+    kernel = build_kernel(space, 0.01)
+    tracemalloc.start()
+    try:
+        a, b = sine_position(space), sine_momentum(space)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        otoc_series(umap, a, b, 3, kernel=kernel)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * 16 * n**2
 
 
 def test_loglinear_fit_recovers_synthetic_rate():

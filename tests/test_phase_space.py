@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,34 @@ def test_hermitian_f_matches_sine_operators_bitwise():
     space = TorusSpace(12)
     assert np.array_equal(hermitian_f(space, (1, 0)).entries, sine_momentum(space).entries)
     assert np.array_equal(hermitian_f(space, (0, 1)).entries, sine_position(space).entries)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 12, 64, 1000, 1024])
+def test_hermitian_f_bit_identical_to_dense_formula(n):
+    """F_xi is written on its two cyclic diagonals; every bit, signed zeros
+    included, equals the dense (T - T^dag) / 2i, also where the diagonals
+    coincide (xi_q = 0 mod N) or overlap (2 xi_q = 0 mod N)."""
+    space = TorusSpace(n)
+    rng = np.random.default_rng(n)
+    xis = [(0, 0), (0, 1), (1, 0), (n, 3), (n // 2, 1), (3 * n // 2, -2), (n // 2, n // 2)]
+    xis += [tuple(int(v) for v in rng.integers(-3 * n, 3 * n, 2)) for _ in range(3)]
+    for xi in xis:
+        t = translation(space, xi).entries
+        assert hermitian_f(space, xi).entries.tobytes() == ((t - t.conj().T) / 2j).tobytes(), xi
+
+
+def test_hermitian_f_allocates_one_operator():
+    """No dense temporaries beside the result: T, T^dag and their difference are gone."""
+    space = TorusSpace(512)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        hermitian_f(space, (1, 1))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * 16 * 512**2
 
 
 @pytest.mark.parametrize("xi", [(1, 1), (2, 3), (3, 1)])
