@@ -19,10 +19,10 @@ from .classical import (CAT_LYAPUNOV, MonodromyPower, LyapunovEstimate,
                         cat_matrix_power, lyapunov, ehrenfest_time)
 from .otoc import (OtocSeries, heisenberg_evolve, otoc_series, otoc_via_commutator,
                    analytic_cat_otoc, otoc_family_linear, fit_lyapunov_from_otoc,
-                   loglinear_fit)
+                   fit_growth, loglinear_fit, WindowFit)
 from .coarse_graining import (CoarseGrainKernel, build_kernel, apply_dephasing_dense,
                               apply_dephasing_chord, evolve, channel_step)
-from .resonances import (ResonanceSpectrum, TailFit, dense_superoperator, full_spectrum,
+from .resonances import (ResonanceSpectrum, dense_superoperator, full_spectrum,
                          krylov_leading, fit_tail_rate, spectral_o1_prediction,
                          random_traceless_hermitian)
 

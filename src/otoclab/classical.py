@@ -22,6 +22,7 @@ __all__ = [
 CAT_LYAPUNOV = float(np.log((3.0 + np.sqrt(5.0)) / 2.0))
 
 _FIXED_POINT_TOL = 1e-12
+_WARMUP = 100  # tangent-vector alignment steps before log growth is accumulated
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ class LyapunovEstimate:
 
 
 def lyapunov(spec: ClassicalMapSpec, n_traj: int = 100, t_horizon: int = 1000,
-             seed: int = 0, warmup: int = 100) -> LyapunovEstimate:
+             seed: int = 0) -> LyapunovEstimate:
     """Lyapunov exponents from tangent-vector renormalization.
 
     Initial conditions are drawn uniformly on [0,1)^2 with one generator per
@@ -91,7 +92,7 @@ def lyapunov(spec: ClassicalMapSpec, n_traj: int = 100, t_horizon: int = 1000,
     evaluation order.  Each step makes one call to the map, which returns the
     image and the tangent map together (Benettin, Galgani, Giorgilli &
     Strelcyn, Meccanica 15, 1980).  Tangent vectors are renormalized every
-    step with the log growth accumulated only after ``warmup`` alignment
+    step with the log growth accumulated only after 100 alignment
     steps; that keeps the transient from biasing the mean.  ``lam`` averages
     the per-trajectory log growth rates; ``lam_generalized`` averages the
     growth factors before taking the logarithm, so it is never below ``lam``.
@@ -117,12 +118,12 @@ def lyapunov(spec: ClassicalMapSpec, n_traj: int = 100, t_horizon: int = 1000,
 
     q, p = points[:, 0], points[:, 1]
     log_growth = np.zeros(n_traj)
-    for t in range(warmup + t_horizon):
+    for t in range(_WARMUP + t_horizon):
         q, p, jac = _advance(spec, q, p)
         vectors = np.einsum("nij,nj->ni", jac, vectors)
         norms = np.linalg.norm(vectors, axis=1)
         vectors /= norms[:, None]
-        if t >= warmup:
+        if t >= _WARMUP:
             log_growth += np.log(norms)
 
     rates = log_growth / t_horizon

@@ -31,6 +31,7 @@ import re
 import sys
 import time
 import typing
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +43,7 @@ from .classical import ehrenfest_time, lyapunov
 from .coarse_graining import build_kernel
 from .maps import (AS_PRINTED, CAT, CORRESPONDENCE, HARPER, STANDARD,
                    ClassicalMapSpec, cat_map, harper_map, quantize, standard_map)
-from .otoc import analytic_cat_otoc, loglinear_fit, otoc_series
+from .otoc import analytic_cat_otoc, fit_growth, otoc_series
 from .phase_space import TorusSpace, hermitian_f, sine_momentum, sine_position
 from .resonances import (dense_superoperator, fit_tail_rate, full_spectrum,
                          krylov_leading, random_traceless_hermitian)
@@ -97,6 +98,13 @@ class RunConfig:
             raise CliError(f"kick_mode must be one of {_KICK_MODES}, got {self.kick_mode!r}")
         if self.operators != "XP" and _OPERATOR_RE.match(self.operators) is None:
             raise CliError(f"operators must be 'XP' or 'F(aq,ap;bq,bp)', got {self.operators!r}")
+        for fit in ("tail_fit", "lyap_fit"):
+            lo, hi = getattr(self, fit + "_start"), getattr(self, fit + "_end")
+            for key, value in ((fit + "_start", lo), (fit + "_end", hi)):
+                if value is not None and value < 0:
+                    raise CliError(f"{key} must be >= 0, got {value}")
+            if lo is not None and hi is not None and lo > hi:
+                raise CliError(f"{fit}_start {lo} is after {fit}_end {hi}")
 
     def map_spec(self) -> ClassicalMapSpec:
         return _MAPS[self.map](self.map_param)
@@ -178,9 +186,10 @@ def _environment() -> list[tuple[str, str]]:
 
 
 def _write_run(config: RunConfig, start: float, name: str, header: list[str], rows,
-               derived: list[tuple[str, str]]) -> Path:
+               derived: list[tuple[str, str]], caught: list[warnings.WarningMessage]) -> Path:
     """``<name>.csv`` plus manifest.txt (config echo, wallclock since ``start``,
-    environment, derived values, checksum) in the run's output directory."""
+    environment, derived values, the ``caught`` warnings, checksum) in the run's
+    output directory; the warnings are then echoed to stderr."""
     csv_path = config.output_dir() / f"{name}.csv"
     _write_csv(csv_path, header, rows)
     lines = [f"config.{k}={_fmt(v)}" for k, v in dataclasses.asdict(config).items()
@@ -188,9 +197,13 @@ def _write_run(config: RunConfig, start: float, name: str, header: list[str], ro
     lines.append(f"version={__version__}")
     lines.append(f"wallclock_seconds={time.monotonic() - start:.3f}")
     lines.extend(f"{k}={v}" for k, v in _environment() + derived)
+    lines.extend(f"warning.{i}={w.category.__name__}: {' '.join(str(w.message).splitlines())}"
+                 for i, w in enumerate(caught))
     lines.append(f"file.{csv_path.name}.sha256="
                  f"{hashlib.sha256(csv_path.read_bytes()).hexdigest()}")
     _write_atomic(csv_path.parent / "manifest.txt", "\n".join(lines) + "\n")
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     return csv_path
 
 
@@ -249,63 +262,63 @@ def run_otoc(config: RunConfig) -> dict:
     _refuse_beyond_memory(_OTOC_BASE_BYTES + _OTOC_BYTES_PER_N2 * config.n ** 2
                           + _OTOC_BYTES_PER_STEP * (config.t_max + 1),
                           "otoc working set (41 MB + 48 x N^2 + 970 x (t_max + 1) bytes)")
-    space, umap, kernel = _build_channel(config)
-    a, b = _operator_pair(config, space)
-    est = _classical_estimate(lyapunov, config.map_spec(), 200, 400, config.seed)
-    t_e = ehrenfest_time(config.n, est.lam) if est.lam > 0 else float("nan")
-    series = otoc_series(umap, a, b, config.t_max, kernel=kernel)
+    with warnings.catch_warnings(record=True) as caught:
+        space, umap, kernel = _build_channel(config)
+        a, b = _operator_pair(config, space)
+        est = _classical_estimate(lyapunov, config.map_spec(), 200, 400, config.seed)
+        t_e = ehrenfest_time(config.n, est.lam) if est.lam > 0 else float("nan")
+        series = otoc_series(umap, a, b, config.t_max, kernel=kernel)
 
-    derived: list[tuple[str, str]] = [
-        ("derived.lambda_classical", _fmt(est.lam)),
-        ("derived.lambda_generalized", _fmt(est.lam_generalized)),
-        ("derived.lambda_standard_error", _fmt(est.standard_error)),
-        ("derived.t_ehrenfest", _fmt(t_e)),
-    ]
-    header = ["t", "C", "O1_re", "O1_im", "O1_abs", "O2"]
-    columns = [series.t, series.c, series.o1.real, series.o1.imag, series.o1_abs, series.o2]
+        derived: list[tuple[str, str]] = [
+            ("derived.lambda_classical", _fmt(est.lam)),
+            ("derived.lambda_generalized", _fmt(est.lam_generalized)),
+            ("derived.lambda_standard_error", _fmt(est.standard_error)),
+            ("derived.t_ehrenfest", _fmt(t_e)),
+        ]
+        header = ["t", "C", "O1_re", "O1_im", "O1_abs", "O2"]
+        columns = [series.t, series.c, series.o1.real, series.o1.imag, series.o1_abs, series.o2]
 
-    # default fit windows split the series at the Ehrenfest time; a map with
-    # no positive exponent has no growth regime, so fall back to short windows
-    t_e_windows = t_e if np.isfinite(t_e) else float(config.t_max)
-    lyap_window = (1 if config.lyap_fit_start is None else config.lyap_fit_start,
-                   max(2, int(np.floor(t_e_windows)) - 1) if config.lyap_fit_end is None
-                   else config.lyap_fit_end)
-    lyap_window = (lyap_window[0], min(lyap_window[1], config.t_max))
-    try:
-        mask = (series.t >= lyap_window[0]) & (series.t <= lyap_window[1])
-        slope, intercept, r2 = loglinear_fit(series.t[mask], series.c[mask])
-        derived += [("derived.lyapunov_fit", _fmt(slope / 2.0)),
-                    ("derived.lyapunov_fit_r2", _fmt(r2)),
-                    ("derived.lyapunov_fit_window", f"{lyap_window[0]}:{lyap_window[1]}")]
-        header.append("ref_lyapunov")
-        columns.append(np.exp(intercept + slope * series.t.astype(float)))
-    except ValueError as exc:
-        derived.append(("derived.lyapunov_fit", f"skipped ({exc})"))
-
-    tail_window = (int(np.ceil(t_e_windows)) + 2 if config.tail_fit_start is None
-                   else config.tail_fit_start,
-                   config.t_max if config.tail_fit_end is None else config.tail_fit_end)
-    if tail_window[1] - tail_window[0] >= 3 and tail_window[1] <= config.t_max:
+        # default fit windows split the series at the Ehrenfest time; a map with
+        # no positive exponent has no growth regime, so fall back to short windows
+        t_e_windows = t_e if np.isfinite(t_e) else float(config.t_max)
+        lyap_window = (1 if config.lyap_fit_start is None else config.lyap_fit_start,
+                       max(2, int(np.floor(t_e_windows)) - 1) if config.lyap_fit_end is None
+                       else config.lyap_fit_end)
+        lyap_window = (lyap_window[0], min(lyap_window[1], config.t_max))
         try:
-            fit = fit_tail_rate(series, tail_window[0], tail_window[1])
-            derived += [("derived.alpha1_tail", _fmt(fit.alpha1)),
-                        ("derived.alpha1_tail_r2", _fmt(fit.r2)),
-                        ("derived.alpha1_tail_window", f"{fit.window[0]}:{fit.window[1]}")]
-            header.append("ref_ruelle")
+            fit = fit_growth(series, lyap_window)
+            derived += [("derived.lyapunov_fit", _fmt(fit.slope / 2.0)),
+                        ("derived.lyapunov_fit_r2", _fmt(fit.r2)),
+                        ("derived.lyapunov_fit_window", f"{fit.window[0]}:{fit.window[1]}")]
+            header.append("ref_lyapunov")
             columns.append(np.exp(fit.intercept + fit.slope * series.t.astype(float)))
         except ValueError as exc:
-            derived.append(("derived.alpha1_tail", f"skipped ({exc})"))
-    else:
-        derived.append(("derived.alpha1_tail", "skipped (window does not fit in t_max)"))
+            derived.append(("derived.lyapunov_fit", f"skipped ({exc})"))
 
-    if config.map == CAT and config.map_param == 0.0 and config.operators == "XP":
-        exact = [analytic_cat_otoc(int(t), config.n) for t in series.t]
-        header += ["C_exact", "O1_abs_exact", "O2_exact"]
-        columns += [np.array([e.c for e in exact]),
-                    np.array([abs(e.o1) for e in exact]),
-                    np.array([e.o2 for e in exact])]
+        tail_window = (int(np.ceil(t_e_windows)) + 2 if config.tail_fit_start is None
+                       else config.tail_fit_start,
+                       config.t_max if config.tail_fit_end is None else config.tail_fit_end)
+        if tail_window[1] - tail_window[0] >= 3 and tail_window[1] <= config.t_max:
+            try:
+                fit = fit_tail_rate(series, tail_window[0], tail_window[1])
+                derived += [("derived.alpha1_tail", _fmt(fit.alpha1)),
+                            ("derived.alpha1_tail_r2", _fmt(fit.r2)),
+                            ("derived.alpha1_tail_window", f"{fit.window[0]}:{fit.window[1]}")]
+                header.append("ref_ruelle")
+                columns.append(np.exp(fit.intercept + fit.slope * series.t.astype(float)))
+            except ValueError as exc:
+                derived.append(("derived.alpha1_tail", f"skipped ({exc})"))
+        else:
+            derived.append(("derived.alpha1_tail", "skipped (window does not fit in t_max)"))
 
-    _write_run(config, start, "otoc", header, zip(*columns), derived)
+        if config.map == CAT and config.map_param == 0.0 and config.operators == "XP":
+            exact = [analytic_cat_otoc(int(t), config.n) for t in series.t]
+            header += ["C_exact", "O1_abs_exact", "O2_exact"]
+            columns += [np.array([e.c for e in exact]),
+                        np.array([abs(e.o1) for e in exact]),
+                        np.array([e.o2 for e in exact])]
+
+    _write_run(config, start, "otoc", header, zip(*columns), derived, caught)
     return dict(derived)
 
 
@@ -373,24 +386,25 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
     if method == "krylov":
         _refuse_beyond_memory(8 * (depth + 1) * config.n ** 2,
                               "Krylov basis (8 x (depth + 1) x N^2 bytes)")
-    space, umap, kernel = _build_channel(config)
-    derived: list[tuple[str, str]] = [("derived.method", method)]
-    if method == "dense":
-        spectrum = full_spectrum(dense_superoperator(umap, kernel),
-                                 params={"n": config.n, "epsilon": config.epsilon})
-    else:
-        if seed_op == "sine":
-            a0 = sine_position(space)
-        elif seed_op == "random":
-            a0 = random_traceless_hermitian(space, seed=config.seed)
+    with warnings.catch_warnings(record=True) as caught:
+        space, umap, kernel = _build_channel(config)
+        derived: list[tuple[str, str]] = [("derived.method", method)]
+        if method == "dense":
+            spectrum = full_spectrum(dense_superoperator(umap, kernel),
+                                     params={"n": config.n, "epsilon": config.epsilon})
         else:
-            raise CliError(f"seed_op must be sine or random, got {seed_op!r}")
-        spectrum = krylov_leading(umap, kernel, a0, depth=depth, n_wanted=n_wanted)
-        derived += [("derived.depth", str(depth)), ("derived.seed_op", seed_op),
-                    ("derived.krylov_sector", spectrum.params["sector"]),
-                    ("derived.krylov_dim", str(spectrum.params["krylov_dim"])),
-                    ("derived.krylov_matvecs", str(spectrum.params["matvecs"])),
-                    ("derived.krylov_reorth", str(spectrum.params["reorth"]))]
+            if seed_op == "sine":
+                a0 = sine_position(space)
+            elif seed_op == "random":
+                a0 = random_traceless_hermitian(space, seed=config.seed)
+            else:
+                raise CliError(f"seed_op must be sine or random, got {seed_op!r}")
+            spectrum = krylov_leading(umap, kernel, a0, depth=depth, n_wanted=n_wanted)
+            derived += [("derived.depth", str(depth)), ("derived.seed_op", seed_op),
+                        ("derived.krylov_sector", spectrum.params["sector"]),
+                        ("derived.krylov_dim", str(spectrum.params["krylov_dim"])),
+                        ("derived.krylov_matvecs", str(spectrum.params["matvecs"])),
+                        ("derived.krylov_reorth", str(spectrum.params["reorth"]))]
     derived.append(("derived.alpha1_abs", _fmt(float(abs(spectrum.alpha1)))))
     derived.append(("derived.degenerate_leaders", str(spectrum.degenerate)))
 
@@ -400,20 +414,21 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
                spectrum.residuals, spectrum.converged.astype(int))
     return _write_run(config, start, "resonances",
                       ["index", "alpha_re", "alpha_im", "alpha_abs", "residual", "converged"],
-                      rows, derived)
+                      rows, derived, caught)
 
 
 def run_lyapunov(config: RunConfig, n_traj: int = 200, t_horizon: int = 1000) -> Path:
     """Classical Lyapunov exponents of the configured map to lyapunov.csv."""
     start = time.monotonic()
-    est = lyapunov(config.map_spec(), n_traj=n_traj, t_horizon=t_horizon, seed=config.seed)
+    with warnings.catch_warnings(record=True) as caught:
+        est = lyapunov(config.map_spec(), n_traj=n_traj, t_horizon=t_horizon, seed=config.seed)
     derived = [("derived.t_ehrenfest", _fmt(ehrenfest_time(config.n, est.lam)))] \
         if est.lam > 0 else []
     return _write_run(config, start, "lyapunov",
                       ["lambda", "lambda_generalized", "standard_error", "n_trajectories",
                        "t_horizon", "seed", "resampled"],
                       [[est.lam, est.lam_generalized, est.standard_error, est.n_trajectories,
-                        est.t_horizon, est.seed, est.resampled]], derived)
+                        est.t_horizon, est.seed, est.resampled]], derived, caught)
 
 
 def _config_parser(sub, name: str, summary: str) -> argparse.ArgumentParser:

@@ -101,15 +101,15 @@ def build_kernel(space: TorusSpace, epsilon: float) -> CoarseGrainKernel:
     return CoarseGrainKernel(space, float(epsilon), axis, w, f.real.copy(), clip)
 
 
-def apply_dephasing_dense(kernel: CoarseGrainKernel, a, force: bool = False) -> OperatorMatrix:
+def apply_dephasing_dense(kernel: CoarseGrainKernel, a) -> OperatorMatrix:
     """Oracle path: the literal weighted sum over all N^2 translations.
 
-    Cost O(N^4); refused above N = 64 unless forced.
+    Cost O(N^4); refused above N = 64.
     """
     space = kernel.space
     n = space.dim
-    if n > _DENSE_LIMIT and not force:
-        raise ValueError(f"dense dephasing is O(N^4); pass force=True above N={_DENSE_LIMIT}")
+    if n > _DENSE_LIMIT:
+        raise ValueError(f"dense dephasing is O(N^4); refused above N={_DENSE_LIMIT}")
     entries = _entries(a)
     out = np.zeros_like(entries)
     for xq in range(n):

@@ -22,6 +22,7 @@ arrays: W is never formed, and every read is along a row.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -42,7 +43,9 @@ __all__ = [
     "analytic_cat_otoc",
     "otoc_family_linear",
     "fit_lyapunov_from_otoc",
+    "fit_growth",
     "loglinear_fit",
+    "WindowFit",
 ]
 
 _HERMITIAN_TOL = 1e-10
@@ -153,15 +156,14 @@ def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
 
 
 def otoc_via_commutator(umap: QuantumMap, a: OperatorMatrix, b: OperatorMatrix,
-                        t_max: int, kernel=None, force: bool = False) -> np.ndarray:
+                        t_max: int, kernel=None) -> np.ndarray:
     """Slow-path oracle: C(t) from the materialized commutator.
 
     Evaluates Tr([A(t), B][A(t), B]^dag)/N with dense products, independent
-    of the O1/O2 decomposition.  Cost O(N^3) per step, refused above N = 64
-    unless forced.
+    of the O1/O2 decomposition.  Cost O(N^3) per step, refused above N = 64.
     """
-    if umap.dim > 64 and not force:
-        raise ValueError("commutator oracle is O(N^3) per step; pass force=True above N=64")
+    if umap.dim > 64:
+        raise ValueError("commutator oracle is O(N^3) per step; refused above N=64")
     at = a.entries.copy()
     bb = b.entries
     dephase = kernel is not None and kernel.epsilon > 0
@@ -221,6 +223,20 @@ def otoc_family_linear(xi, chi, t: int, n: int,
     return float(np.sin(np.pi * s / n) ** 2)
 
 
+@dataclass(frozen=True)
+class WindowFit:
+    """A :func:`loglinear_fit` over a closed window; alpha1 = exp(slope/2) fits |O1| tails."""
+
+    slope: float
+    intercept: float
+    r2: float
+    window: tuple[int, int]
+
+    @property
+    def alpha1(self) -> float:
+        return float(np.exp(self.slope / 2.0))
+
+
 def loglinear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares line through (x, ln y); returns slope, intercept, R^2."""
     x = np.asarray(x, dtype=float)
@@ -238,9 +254,21 @@ def loglinear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
+def fit_growth(series: OtocSeries, window: tuple[int, int]) -> WindowFit:
+    """Log-linear fit of C(t) over [window[0], window[1]], lambda = slope / 2; any
+    start, 0 included, is accepted.  Warns when R^2 < 0.98."""
+    lo, hi = int(window[0]), int(window[1])
+    mask = (series.t >= lo) & (series.t <= hi)
+    slope, intercept, r2 = loglinear_fit(series.t[mask], series.c[mask])
+    if r2 < 0.98:  # blame the nearest caller outside this module
+        warnings.warn(f"Lyapunov fit R^2 = {r2:.4f} below 0.98; window may span a regime change",
+                      stacklevel=2 if sys._getframe(1).f_globals.get("__name__") != __name__ else 3)
+    return WindowFit(slope, intercept, r2, (lo, hi))
+
+
 def fit_lyapunov_from_otoc(series: OtocSeries, window: tuple[int, int],
                            t_ehrenfest: float | None = None) -> float:
-    """Half the log-linear growth rate of C(t) over [window[0], window[1]].
+    """Half the :func:`fit_growth` slope of C(t) over [window[0], window[1]].
 
     Warns when the fit quality drops below R^2 = 0.98.  When the Ehrenfest
     time is supplied the window is checked against [1, t_E - 1].
@@ -253,11 +281,6 @@ def fit_lyapunov_from_otoc(series: OtocSeries, window: tuple[int, int],
     mask = (series.t >= lo) & (series.t <= hi)
     if mask.sum() < 2:
         raise ValueError(f"window [{lo}, {hi}] selects fewer than two samples")
-    cvals = series.c[mask]
-    if np.any(cvals <= 0):
+    if np.any(series.c[mask] <= 0):
         raise ValueError("C(t) must be positive inside the growth window")
-    slope, _, r2 = loglinear_fit(series.t[mask], cvals)
-    if r2 < 0.98:
-        warnings.warn(f"Lyapunov fit R^2 = {r2:.4f} below 0.98; window may span a regime change",
-                      stacklevel=2)
-    return 0.5 * slope
+    return 0.5 * fit_growth(series, (lo, hi)).slope

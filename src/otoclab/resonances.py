@@ -20,12 +20,11 @@ import numpy as np
 
 from .coarse_graining import CoarseGrainKernel, _mask, _step, channel_step
 from .maps import QuantumMap
-from .otoc import OtocSeries, loglinear_fit
+from .otoc import OtocSeries, WindowFit, loglinear_fit
 from .phase_space import MOMENTUM, OperatorMatrix, TorusSpace, _change_frame
 
 __all__ = [
     "ResonanceSpectrum",
-    "TailFit",
     "dense_superoperator",
     "full_spectrum",
     "krylov_leading",
@@ -82,16 +81,15 @@ class ResonanceSpectrum:
         return nt[np.abs(np.abs(nt) - lead) <= rtol * lead]
 
 
-def dense_superoperator(umap: QuantumMap, kernel: CoarseGrainKernel | None,
-                        force: bool = False) -> np.ndarray:
+def dense_superoperator(umap: QuantumMap, kernel: CoarseGrainKernel | None) -> np.ndarray:
     """Matrix of the channel on the basis of elementary matrix units.
 
     Column j is the channel step applied to the j-th unit (row-major vec),
-    an N^2 x N^2 array.  Refused above N = 24 unless forced.
+    an N^2 x N^2 array.  Refused above N = 24.
     """
     n = umap.dim
-    if n > _DENSE_LIMIT and not force:
-        raise ValueError(f"dense superoperator is {n * n} x {n * n}; pass force=True above N={_DENSE_LIMIT}")
+    if n > _DENSE_LIMIT:
+        raise ValueError(f"dense superoperator is {n * n} x {n * n}; refused above N={_DENSE_LIMIT}")
     s = np.empty((n * n, n * n), dtype=complex)
     unit = np.zeros((n, n), dtype=complex)
     for j in range(n * n):
@@ -373,20 +371,9 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
         degenerate=cluster > 1, includes_identity=False)
 
 
-@dataclass(frozen=True)
-class TailFit:
-    """Exponential tail fit of |O1|: the modulus estimate plus fit quality."""
-
-    alpha1: float
-    slope: float
-    intercept: float
-    r2: float
-    window: tuple[int, int]
-
-
 def fit_tail_rate(series: OtocSeries, t_start: int, t_end: int,
-                  t_ehrenfest: float | None = None) -> TailFit:
-    """|alpha_1| = exp(slope/2) from least squares on ln |O1(t)|.
+                  t_ehrenfest: float | None = None) -> WindowFit:
+    """Least squares on ln |O1(t)|; the fit's ``alpha1`` = exp(slope/2) estimates |alpha_1|.
 
     The window must hold at least four samples and, when the Ehrenfest time
     is supplied, start at or beyond it (the growth regime would bias the
@@ -403,8 +390,7 @@ def fit_tail_rate(series: OtocSeries, t_start: int, t_end: int,
     o1 = series.o1_abs[mask]
     if o1.min() < 1e-13:
         warnings.warn("|O1| reached the numerical floor inside the fit window", stacklevel=2)
-    slope, intercept, r2 = loglinear_fit(series.t[mask], o1)
-    return TailFit(float(np.exp(slope / 2.0)), slope, intercept, r2, (int(t_start), int(t_end)))
+    return WindowFit(*loglinear_fit(series.t[mask], o1), (int(t_start), int(t_end)))
 
 
 def spectral_o1_prediction(spectrum: ResonanceSpectrum, a: OperatorMatrix,

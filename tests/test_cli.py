@@ -146,6 +146,34 @@ def test_cli_fit_window_starts_at_zero(tmp_path):
     assert manifest["derived.lyapunov_fit_window"].startswith("0:")
 
 
+def test_cli_rejects_bad_fit_windows(tmp_path):
+    result = run_cli(["otoc", "--map", "cat", "--n", "32", "--map-param", "0.02",
+                      "--epsilon", "0.1", "--t-max", "12", "--tail-fit-start", "-3",
+                      "--lyap-fit-start", "-2", "--out", str(tmp_path / "neg")])
+    assert result.returncode == 1
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "tail_fit_start" in lines[0]
+    assert not (tmp_path / "neg").exists()
+    for bad in ({"tail_fit_end": -1}, {"lyap_fit_end": -1}, {"lyap_fit_start": -2},
+                {"tail_fit_start": 9, "tail_fit_end": 8}, {"lyap_fit_start": 4, "lyap_fit_end": 3}):
+        with pytest.raises(CliError, match=next(iter(bad))):
+            RunConfig(map="cat", n=32, **bad)
+    RunConfig(map="cat", n=32, tail_fit_start=0, tail_fit_end=0, lyap_fit_start=0, lyap_fit_end=2)
+
+
+def test_manifest_records_run_warnings(tmp_path):
+    """A run's warnings go to its manifest, one flattened line each, and to stderr."""
+    out = tmp_path / "warn"
+    result = run_cli(["otoc", "--map", "cat", "--n", "128", "--map-param", "0.02",
+                      "--epsilon", "0.1", "--t-max", "16", "--out", str(out)])
+    assert result.returncode == 0, result.stderr
+    assert "UserWarning: Lyapunov fit R^2 = 0.6700 below 0.98" in result.stderr
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert [line for line in lines if line.startswith("warning.")] == [
+        "warning.0=UserWarning: Lyapunov fit R^2 = 0.6700 below 0.98; "
+        "window may span a regime change"]
+
+
 def test_cli_rejects_unknown_config_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("map = cat\nn = 32\nbogus = 1\n")
@@ -208,7 +236,7 @@ def test_sweep_parallel_matches_serial(tmp_path):
 
 def test_summary_values_recomputable_from_raw_csv(tmp_path):
     """Every summary number is a pure function of the per-step CSV plus the
-    windows recorded in the sub-run manifest."""
+    windows recorded in the sub-run manifest, which also records the sub-run's warnings."""
     from otoclab.otoc import loglinear_fit
 
     config = RunConfig(map="cat", n=128, map_param=0.02, t_max=16,
@@ -225,6 +253,12 @@ def test_summary_values_recomputable_from_raw_csv(tmp_path):
     mask = (t >= lo) & (t <= hi)
     slope, _, _ = loglinear_fit(t[mask], o1_abs[mask])
     assert np.exp(slope / 2) == pytest.approx(alpha_summary, rel=1e-12)
+    lo, hi = (int(v) for v in manifest["derived.lyapunov_fit_window"].split(":"))
+    c = np.array([float(r[oheader.index("C")]) for r in orows])
+    mask = (t >= lo) & (t <= hi)
+    slope, _, _ = loglinear_fit(t[mask], c[mask])
+    assert slope / 2 == pytest.approx(float(rows[0][header.index("lambda_fit")]), rel=1e-12)
+    assert manifest["warning.0"].startswith("UserWarning: Lyapunov fit R^2 = 0.6700 below 0.98")
 
 
 def test_run_otoc_with_translation_pair(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from otoclab.classical import CAT_LYAPUNOV, cat_matrix_power, ehrenfest_time
 from otoclab.coarse_graining import build_kernel
 from otoclab.maps import cat_map, quantize
-from otoclab.otoc import (OtocSeries, analytic_cat_otoc, fit_lyapunov_from_otoc,
+from otoclab.otoc import (OtocSeries, analytic_cat_otoc, fit_growth, fit_lyapunov_from_otoc,
                           heisenberg_evolve, loglinear_fit, otoc_family_linear,
                           otoc_series, otoc_via_commutator)
 from otoclab.phase_space import (OperatorMatrix, TorusSpace, hermitian_f, sine_momentum,
@@ -287,8 +287,24 @@ def test_fit_lyapunov_warns_on_poor_fit():
     t = np.arange(8)
     curved = np.exp(0.3 * t * t)  # not an exponential
     series = OtocSeries(t, curved, np.zeros(8, complex), np.zeros(8))
-    with pytest.warns(UserWarning, match="R\\^2"):
-        fit_lyapunov_from_otoc(series, (1, 6))
+    for fit in (fit_lyapunov_from_otoc, fit_growth):
+        with pytest.warns(UserWarning, match="R\\^2") as record:
+            fit(series, (1, 6))
+        assert record[0].filename == __file__  # the warning points at this call
+
+
+def test_fit_lyapunov_is_half_the_growth_slope(space64):
+    """The library's Lyapunov float and the CLI's growth fit are one computation."""
+    umap = quantize(cat_map(0.02), space64)
+    series = otoc_series(umap, sine_position(space64), sine_momentum(space64), 8,
+                         kernel=build_kernel(space64, 0.1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the R^2 check is tested above
+        for window in ((1, 3), (1, 5), (2, 8)):
+            assert fit_lyapunov_from_otoc(series, window) == fit_growth(series, window).slope / 2
+        fit = fit_growth(series, (0, 4))  # start 0 is a valid growth window
+    slope, intercept, r2 = loglinear_fit(series.t[:5], series.c[:5])
+    assert (fit.slope, fit.intercept, fit.r2, fit.window) == (slope, intercept, r2, (0, 4))
 
 
 def test_fit_lyapunov_window_validation():
