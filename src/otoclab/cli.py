@@ -28,6 +28,7 @@ import math
 import os
 import platform
 import re
+import resource
 import sys
 import time
 import typing
@@ -44,7 +45,7 @@ from .coarse_graining import build_kernel
 from .maps import (AS_PRINTED, CAT, CORRESPONDENCE, HARPER, STANDARD,
                    ClassicalMapSpec, cat_map, harper_map, quantize, standard_map)
 from .otoc import analytic_cat_otoc, fit_growth, otoc_series
-from .phase_space import TorusSpace, hermitian_f, sine_momentum, sine_position
+from .phase_space import TorusSpace, sine_position
 from .resonances import (dense_superoperator, fit_tail_rate, full_spectrum,
                          krylov_leading, random_traceless_hermitian)
 
@@ -188,8 +189,8 @@ def _environment() -> list[tuple[str, str]]:
 def _write_run(config: RunConfig, start: float, name: str, header: list[str], rows,
                derived: list[tuple[str, str]], caught: list[warnings.WarningMessage]) -> Path:
     """``<name>.csv`` plus manifest.txt (config echo, wallclock since ``start``,
-    environment, derived values, the ``caught`` warnings, checksum) in the run's
-    output directory; the warnings are then echoed to stderr."""
+    environment, derived values, peak RSS, the ``caught`` warnings, checksum) in
+    the run's output directory; the warnings are then echoed to stderr."""
     csv_path = config.output_dir() / f"{name}.csv"
     _write_csv(csv_path, header, rows)
     lines = [f"config.{k}={_fmt(v)}" for k, v in dataclasses.asdict(config).items()
@@ -197,6 +198,10 @@ def _write_run(config: RunConfig, start: float, name: str, header: list[str], ro
     lines.append(f"version={__version__}")
     lines.append(f"wallclock_seconds={time.monotonic() - start:.3f}")
     lines.extend(f"{k}={v}" for k, v in _environment() + derived)
+    # the peak so far of the process that ran this, in KiB on Linux; a process
+    # started by vfork (subprocess's default) starts from its spawner's peak
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    lines.append(f"resource.peak_rss_mb={peak:.1f}")
     lines.extend(f"warning.{i}={w.category.__name__}: {' '.join(str(w.message).splitlines())}"
                  for i, w in enumerate(caught))
     lines.append(f"file.{csv_path.name}.sha256="
@@ -208,11 +213,12 @@ def _write_run(config: RunConfig, start: float, name: str, header: list[str], ro
 
 
 # Peak RSS of `otoc` with eps 0.01 and t_max 18, largest with the F(1,1;0,1)
-# pair, read 90.3 MB at N=1024 and 240.9 MB at N=2048 (numpy 2.4, MB = 10^6
-# bytes): 41 MB of interpreter and libraries plus 48 N^2 bytes, three complex
-# N x N arrays (A, B and the evolving A(t)).
-_OTOC_BASE_BYTES = 41e6
-_OTOC_BYTES_PER_N2 = 48
+# pair, read 57.2 MB at N=1024 and 108.7 MB at N=2048 (numpy 2.4, MB = 10^6
+# bytes), 40.0 MB + 16.4 N^2, and 40.5-40.8 MB at N <= 256: the interpreter and
+# libraries plus one complex N x N array, the buffer that holds B, then A and
+# A(t).  The base is rounded up by 3 MB for other library builds.
+_OTOC_BASE_BYTES = 44e6
+_OTOC_BYTES_PER_N2 = 17
 # Peak RSS per time step of `otoc --n 8` with the cat k=0 overlay, the widest
 # rows (eleven columns), read at t_max 1000, 20000 and 40000: 948 and 966
 # bytes a step for the series arrays, the overlay points and the CSV text.
@@ -235,36 +241,49 @@ def _build_channel(config: RunConfig):
     return space, umap, kernel
 
 
-def _operator_pair(config: RunConfig, space: TorusSpace):
-    """Evolved observable A and static observable B from the operators field."""
+def _operator_pair(config: RunConfig) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Displacements of the evolved F_xi (A) and the static F_chi (B) named by the
+    operators field; XP is the sine pair F(0,1), F(1,0)."""
     if config.operators == "XP":
-        return sine_position(space), sine_momentum(space)
-    m = _OPERATOR_RE.match(config.operators)
-    aq, ap, bq, bp = (int(g) for g in m.groups())
-    return hermitian_f(space, (aq, ap)), hermitian_f(space, (bq, bp))
+        return (0, 1), (1, 0)
+    aq, ap, bq, bp = (int(g) for g in _OPERATOR_RE.match(config.operators).groups())
+    return (aq, ap), (bq, bp)
 
 
 @functools.lru_cache(maxsize=64)
+def _cached_estimate(estimator, spec: ClassicalMapSpec, n_traj: int, t_horizon: int,
+                     seed: int):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est = estimator(spec, n_traj=n_traj, t_horizon=t_horizon, seed=seed)
+    return est, tuple(caught)
+
+
 def _classical_estimate(estimator, spec: ClassicalMapSpec, n_traj: int, t_horizon: int,
                         seed: int):
     """One estimate per process and key, so the sub-runs of a sweep over epsilon or N share
-    it; the key holds the estimator, so a replaced ``lyapunov`` is called afresh."""
-    return estimator(spec, n_traj=n_traj, t_horizon=t_horizon, seed=seed)
+    it; the key holds the estimator, so a replaced ``lyapunov`` is called afresh.  The
+    warnings the estimate raised are cached with it and raised again in every run."""
+    est, caught = _cached_estimate(estimator, spec, n_traj, t_horizon, seed)
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return est
 
 
 def run_otoc(config: RunConfig) -> dict:
     """One correlator run: otoc.csv plus manifest; returns derived values.
 
-    A run whose working set, 41 MB + 48 N^2 + 970 (t_max + 1) bytes, exceeds
-    physical memory is refused before anything is allocated.
+    A run whose working set, 44 MB + 17 N^2 + 970 (t_max + 1) bytes, exceeds
+    physical memory is refused before anything is allocated; the manifest
+    records that preflight and the peak RSS, in MB of 2^20 bytes.
     """
     start = time.monotonic()
-    _refuse_beyond_memory(_OTOC_BASE_BYTES + _OTOC_BYTES_PER_N2 * config.n ** 2
-                          + _OTOC_BYTES_PER_STEP * (config.t_max + 1),
-                          "otoc working set (41 MB + 48 x N^2 + 970 x (t_max + 1) bytes)")
+    need = (_OTOC_BASE_BYTES + _OTOC_BYTES_PER_N2 * config.n ** 2
+            + _OTOC_BYTES_PER_STEP * (config.t_max + 1))
+    _refuse_beyond_memory(need, "otoc working set (44 MB + 17 x N^2 + 970 x (t_max + 1) bytes)")
     with warnings.catch_warnings(record=True) as caught:
-        space, umap, kernel = _build_channel(config)
-        a, b = _operator_pair(config, space)
+        _, umap, kernel = _build_channel(config)
+        a, b = _operator_pair(config)
         est = _classical_estimate(lyapunov, config.map_spec(), 200, 400, config.seed)
         t_e = ehrenfest_time(config.n, est.lam) if est.lam > 0 else float("nan")
         series = otoc_series(umap, a, b, config.t_max, kernel=kernel)
@@ -318,6 +337,7 @@ def run_otoc(config: RunConfig) -> dict:
                         np.array([abs(e.o1) for e in exact]),
                         np.array([e.o2 for e in exact])]
 
+    derived.append(("resource.preflight_mb", f"{need / 2**20:.1f}"))
     _write_run(config, start, "otoc", header, zip(*columns), derived, caught)
     return dict(derived)
 

@@ -18,7 +18,8 @@ the position basis and chi_p in the momentum basis, so D_eps is a circulant
 mask f[(r - s) % N] in one frame times f[(p - p') % N] in the other.
 The package's one Heisenberg step, :func:`_step`, applies each kick and
 mask in place in the frame where it is elementwise and starts and ends in
-the momentum frame; :func:`evolve` iterates it and the Krylov solver calls
+the momentum frame; :func:`_evolve_in_place` iterates it on a caller's
+buffer (for :func:`evolve` and the OTOC series) and the Krylov solver calls
 it directly.  The chord-space dephasing and the literal sum over all N^2
 translations are kept as oracles.
 """
@@ -169,18 +170,24 @@ def evolve(umap: QuantumMap, kernel: CoarseGrainKernel | None, a, steps: int):
 
     A(t+1) = D_eps(U^dag A(t) U), or U^dag A(t) U when ``kernel`` is None or
     has epsilon 0; ``a`` is an operator or raw position-basis entries.  The
-    input is copied and changed to the momentum frame once; each step is the
-    in-place :func:`_step` that the Krylov solver shares, so one buffer is
+    input is copied and evolved by :func:`_evolve_in_place`, so one buffer is
     yielded each time and overwritten by the next step.
     """
     entries = np.array(_entries(a), dtype=complex)
     if entries.shape[0] != umap.dim:
         raise ValueError(f"dimension mismatch: operator {entries.shape[0]}, map {umap.dim}")
+    yield from _evolve_in_place(umap, kernel, entries, steps)
+
+
+def _evolve_in_place(umap: QuantumMap, kernel: CoarseGrainKernel | None, at: np.ndarray,
+                     steps: int):
+    """:func:`evolve` on the caller's N x N complex buffer of position-basis entries: it is
+    changed to the momentum frame once, yielded, and advanced by :func:`_step`, the step
+    the Krylov solver shares, each time."""
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     mask = _mask(kernel)
-    at = _change_frame(entries, MOMENTUM)
-    yield at
+    yield _change_frame(at, MOMENTUM)
     for _ in range(steps):
         yield _step(umap, mask, at)
 

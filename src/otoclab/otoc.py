@@ -7,10 +7,11 @@ The correlator of Hermitian A, B under a one-step propagator is
 
 with the infinite-temperature average <.> = Tr(.)/N.  All values reported
 here carry that 1/N normalization, so O2 = 1/4 and C saturates at 1/2 for
-the sine observables.  :func:`otoclab.coarse_graining.evolve` yields A(t)
-in the momentum frame, where B has K nonzero cyclic diagonals (1 for the sine
-of momentum, 2 for any other F_xi, N if dense).  A(t) and B are Hermitian (the
-channel keeps A(t) so), hence W = A(t) B has W^dag = B A(t) and
+the sine observables.  A(t) is evolved in the momentum frame, in the one
+N x N buffer that first held B; in that frame B has K nonzero cyclic
+diagonals (1 for the sine of momentum, 2 for any other F_xi, N if dense).
+A(t) and B are Hermitian (the channel keeps A(t) so), hence W = A(t) B has
+W^dag = B A(t) and
 
     O1 = Tr(W W)/N = <B A(t), A(t) B>_F / N,   O2 = ||A(t) B||_F^2 / N
 
@@ -32,8 +33,9 @@ import numpy as np
 from . import coarse_graining
 from .classical import CAT_LYAPUNOV, _cat_power, cat_matrix_power
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
-from .phase_space import (_ROW_BLOCK, MOMENTUM, POSITION, OperatorMatrix, _change_frame,
-                          _cyclic_diagonals, change_basis, hermiticity_defect, symplectic_product)
+from .phase_space import (_ROW_BLOCK, MOMENTUM, POSITION, OperatorMatrix, TorusSpace,
+                          _change_frame, _cyclic_diagonals, _write_f, hermiticity_defect,
+                          symplectic_product)
 
 __all__ = [
     "OtocSeries",
@@ -76,32 +78,50 @@ def heisenberg_evolve(a: OperatorMatrix, umap: QuantumMap, steps: int) -> Operat
     return OperatorMatrix(_change_frame(at, POSITION))
 
 
-def otoc_series(umap: QuantumMap, a: OperatorMatrix, b: OperatorMatrix, t_max: int,
+def otoc_series(umap: QuantumMap, a: OperatorMatrix | tuple[int, int],
+                b: OperatorMatrix | tuple[int, int], t_max: int,
                 kernel: "coarse_graining.CoarseGrainKernel | None" = None) -> OtocSeries:
     """Compute C(t), O1(t), O2(t) for t = 0 .. t_max, with A(t) advanced by
-    the channel of ``kernel`` (unitarily when None).  A and B must be Hermitian.
+    the channel of ``kernel`` (unitarily when None).
 
-    O1 = <B A(t), A(t) B>_F / N and O2 = ||A(t) B||_F^2 / N, both summed over
-    blocks of rows.  Besides A and B the call holds one N x N array, the
-    evolving A(t): B's momentum-frame copy is dropped once its nonzero cyclic
-    diagonals are gathered, before A(t) is allocated.
+    ``a`` and ``b`` are each a Hermitian :class:`OperatorMatrix` or an integer
+    displacement (xi_q, xi_p) standing for F_xi.  O1 = <B A(t), A(t) B>_F / N
+    and O2 = ||A(t) B||_F^2 / N are summed over blocks of rows.  The call
+    holds one N x N array: B is written into it, checked and changed to the
+    momentum frame, where its nonzero cyclic diagonals are gathered; A is then
+    written over it, checked, and evolved there in place.
     """
-    for name, op in (("A", a), ("B", b)):
-        defect = hermiticity_defect(op)
-        if defect > _HERMITIAN_TOL:
-            raise ValueError(f"operator {name} is not Hermitian (defect {defect:.2e})")
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
-    shifts, d = _nonzero_diagonals(change_basis(umap.space, b.entries, POSITION, MOMENTUM))
+    buffer = np.empty((umap.dim, umap.dim), dtype=complex)
+    shifts, d = _nonzero_diagonals(_change_frame(_fill(umap.space, b, buffer, "B"), MOMENTUM))
+    _fill(umap.space, a, buffer, "A")
     # zeroed, so a zero B (no diagonals) gives O1 = O2 = 0
     ab = np.zeros((min(_ROW_BLOCK, umap.dim), umap.dim), dtype=complex)
     ba = np.zeros_like(ab)
     o1 = np.empty(t_max + 1, dtype=complex)
     o2 = np.empty(t_max + 1)
-    for t, at in enumerate(coarse_graining.evolve(umap, kernel, a, t_max)):
+    for t, at in enumerate(coarse_graining._evolve_in_place(umap, kernel, buffer, t_max)):
         o1[t], o2[t] = _contract(at, shifts, d, ab, ba)
     c = -2.0 * (o1 - o2).real
     return OtocSeries(np.arange(t_max + 1), c, o1, o2)
+
+
+def _fill(space: TorusSpace, op: OperatorMatrix | tuple[int, int], out: np.ndarray,
+          name: str) -> np.ndarray:
+    """Position-basis entries of ``op``, an operator or the displacement of F_xi, written
+    into ``out`` and checked to be Hermitian."""
+    if not isinstance(op, OperatorMatrix):
+        out.fill(0)
+        _write_f(space, op, out)
+    elif op.dim != space.dim:
+        raise ValueError(f"dimension mismatch: operator {name} {op.dim}, map {space.dim}")
+    else:
+        np.copyto(out, op.entries)
+    defect = hermiticity_defect(out)
+    if defect > _HERMITIAN_TOL:
+        raise ValueError(f"operator {name} is not Hermitian (defect {defect:.2e})")
+    return out
 
 
 def _nonzero_diagonals(bm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

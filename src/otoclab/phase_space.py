@@ -195,14 +195,19 @@ def translation(space: TorusSpace, xi) -> OperatorMatrix:
     the canonical [0, N) square; canonicalizing the phase instead would cost
     a sign on every wrap.
     """
+    t = np.zeros((space.dim, space.dim), dtype=complex)
+    return OperatorMatrix(_write_translation(space, xi, t))
+
+
+def _write_translation(space: TorusSpace, xi, out: np.ndarray) -> np.ndarray:
+    """T_xi's one cyclic diagonal xi_q written into ``out``, whose other entries are left."""
     n = space.dim
     a, b = int(xi[0]), int(xi[1])
     q = np.arange(n)
     diag = space.tau_power(2 * (b % n) * q)
     phase = space.tau_power((a * b) % (2 * n))
-    t = np.zeros((n, n), dtype=complex)
-    t[(q + a) % n, q] = phase * diag
-    return OperatorMatrix(t)
+    out[(q + a) % n, q] = phase * diag
+    return out
 
 
 def hermitian_f(space: TorusSpace, xi) -> OperatorMatrix:
@@ -212,14 +217,20 @@ def hermitian_f(space: TorusSpace, xi) -> OperatorMatrix:
     sine-of-momentum one; those two are exactly the operators returned by
     :func:`sine_position` and :func:`sine_momentum`.
     """
-    f = translation(space, xi).entries
+    return OperatorMatrix(_write_f(space, xi, np.zeros((space.dim, space.dim), dtype=complex)))
+
+
+def _write_f(space: TorusSpace, xi, out: np.ndarray) -> np.ndarray:
+    """F_xi's two cyclic diagonals written into ``out``, a zeroed N x N complex array;
+    only they are gathered, so no N x N temporary is made."""
     n = space.dim
+    _write_translation(space, xi, out)
     q = np.arange(n)
     rows = (q + int(xi[0])) % n
     r, c = np.concatenate((rows, q)), np.concatenate((q, rows))
     # (T - T^dag) / 2i on the two cyclic diagonals, entry by entry as the dense formula
-    f[r, c] = (f[r, c] - f[c, r].conj()) / 2j
-    return OperatorMatrix(f)
+    out[r, c] = (out[r, c] - out[c, r].conj()) / 2j
+    return out
 
 
 def sine_position(space: TorusSpace) -> OperatorMatrix:

@@ -3,6 +3,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 import typing
 
 import numpy as np
@@ -13,11 +14,13 @@ from otoclab.cli import (CliError, RunConfig, main, parse_config_file, run_otoc,
                          run_resonances, run_sweep)
 
 
-def run_cli(args, env_extra=None):
+def run_cli(args, env_extra=None, spawner=None):
+    """The CLI in a new interpreter, started by ``python -c spawner`` when one is given."""
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "otoclab.cli", *args],
+    prefix = [sys.executable, "-c", spawner] if spawner else []
+    return subprocess.run([*prefix, sys.executable, "-m", "otoclab.cli", *args],
                           capture_output=True, text=True, env=env)
 
 
@@ -347,7 +350,7 @@ def test_resonances_krylov_refused_beyond_physical_memory(tmp_path, monkeypatch,
 
 
 def test_otoc_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
-    """N=100000 needs about 480 GB of working set: refused before the map or
+    """N=100000 needs about 170 GB of working set: refused before the map or
     the kernel is built, for a run and for a sweep sub-run alike."""
     def unreachable(*args, **kwargs):
         raise AssertionError("built before the memory preflight")
@@ -358,7 +361,7 @@ def test_otoc_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path / "big")])
     assert code == 1
     lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "480.0 GB" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "170.0 GB" in lines[0]
     assert not (tmp_path / "big").exists()
     summary = run_sweep(RunConfig(map="cat", n=16, epsilon=0.0001, outputs=str(tmp_path / "sw")),
                         "N", [100000.0])
@@ -381,6 +384,57 @@ def test_otoc_t_max_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("ERROR:") and "t_max" in lines[0]
     assert not (tmp_path / "long").exists()
+
+
+def test_otoc_preflight_bounds_peak_rss(tmp_path):
+    """The preflight that a run records is at least the peak RSS it then reaches.
+
+    A child's ru_maxrss starts at its spawner's peak (vfork) or its spawner's RSS
+    (fork), so the run is started by a small interpreter, not by the test process."""
+    spawner = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+    for n in (256, 768):
+        out = tmp_path / f"n{n}"
+        result = run_cli(["otoc", "--map", "cat", "--n", str(n), "--map-param", "0.02",
+                          "--epsilon", "0.01", "--t-max", "18", "--operators", "F(1,1;0,1)",
+                          "--out", str(out)], spawner=spawner)
+        assert result.returncode == 0, result.stderr
+        manifest = dict(line.split("=", 1) for line in
+                        (out / "manifest.txt").read_text().splitlines())
+        peak, preflight = (float(manifest[f"resource.{key}"])
+                           for key in ("peak_rss_mb", "preflight_mb"))
+        assert preflight >= peak > 0, n
+
+
+def test_cli_otoc_working_set_is_one_array(tmp_path):
+    """A CLI otoc run allocates one N x N array: A and B are displacements
+    written into the evolving buffer, never kept dense."""
+    n = 512
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        code = main(["otoc", "--map", "cat", "--n", str(n), "--map-param", "0.02",
+                     "--epsilon", "0.01", "--t-max", "8", "--out", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1.6 * 16 * n**2
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_manifests_all_carry_the_estimate_warnings(tmp_path, jobs):
+    """The classical estimate is computed once per map, but the warning it raised is
+    recorded in every sub-run's manifest, in a serial and a parallel sweep alike."""
+    out = tmp_path / "sweep"
+    result = run_cli(["sweep", "--map", "harper", "--n", "80", "--map-param", "0.3",
+                      "--t-max", "12", "--axis", "epsilon", "--values", "0.05,0.1",
+                      "--jobs", str(jobs), "--out", str(out)])
+    assert result.returncode == 0, result.stderr
+    for value in ("0.05", "0.1"):
+        lines = (out / f"epsilon={value}" / "manifest.txt").read_text().splitlines()
+        assert any(line.startswith("warning.") and "=UserWarning: Lyapunov standard error "
+                   in line for line in lines), (value, lines)
 
 
 class _CountingLyapunov:

@@ -249,8 +249,8 @@ def test_position_diagonal_b_fast_path(space64):
 
 
 def test_otoc_series_working_set_is_one_operator():
-    """Besides A and B, otoc_series holds the evolving A(t) and, before it,
-    B's momentum-frame copy; no product W = A(t) B and no dense temporaries."""
+    """Besides the given A and B, otoc_series holds one N x N array, the buffer
+    that holds B, then A and A(t); no product W = A(t) B and no dense temporaries."""
     n = 512
     space = TorusSpace(n)
     umap = quantize(cat_map(0.02), space)
@@ -265,6 +265,31 @@ def test_otoc_series_working_set_is_one_operator():
     finally:
         tracemalloc.stop()
     assert peak < 1.6 * 16 * n**2
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("xi, chi", [((0, 1), (1, 0)), ((1, 1), (0, 1))])
+def test_otoc_series_displacements_equal_operators(xi, chi, eps):
+    """A displacement (xi_q, xi_p) is F_xi written into the run's buffer: every bit of
+    C, O1 and O2 equals the run on hermitian_f operators, with and without a kernel."""
+    space = TorusSpace(64)
+    umap = quantize(cat_map(0.05), space)
+    kernel = build_kernel(space, eps) if eps > 0 else None
+    by_xi = otoc_series(umap, xi, chi, 8, kernel=kernel)
+    by_op = otoc_series(umap, hermitian_f(space, xi), hermitian_f(space, chi), 8, kernel=kernel)
+    for name in ("c", "o1", "o2"):
+        assert np.array_equal(getattr(by_xi, name), getattr(by_op, name)), name
+
+
+def test_otoc_series_checks_its_operators(space64, cat64):
+    """A and B are each checked for Hermiticity and size once written into the buffer."""
+    skew = OperatorMatrix(1j * np.eye(64))
+    with pytest.raises(ValueError, match="operator A is not Hermitian"):
+        otoc_series(cat64, skew, (1, 0), 2)
+    with pytest.raises(ValueError, match="operator B is not Hermitian"):
+        otoc_series(cat64, (0, 1), skew, 2)
+    with pytest.raises(ValueError, match="dimension mismatch: operator B 32"):
+        otoc_series(cat64, (0, 1), sine_momentum(TorusSpace(32)), 2)
 
 
 def test_loglinear_fit_recovers_synthetic_rate():

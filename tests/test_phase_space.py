@@ -10,6 +10,7 @@ from otoclab.phase_space import (MOMENTUM, POSITION, ChordCoefficients, Operator
                                  chord_transform, clock_u, coherent_state, hermitian_f,
                                  hermiticity_defect, shift_v, sine_momentum, sine_position,
                                  symplectic_product, translation, unitarity_defect)
+from otoclab.phase_space import _write_f
 
 
 def test_torus_space_rejects_small_dims():
@@ -182,6 +183,21 @@ def test_hermitian_f_allocates_one_operator():
     finally:
         tracemalloc.stop()
     assert peak < 1.2 * 16 * 512**2
+
+
+def test_f_writer_reproduces_translation_based_hermitian_f():
+    """The writer gives the bits that hermitian_f had when it started from
+    translation(): T's diagonal, then (T - T^dag) / 2i on both diagonals."""
+    n = 48
+    space = TorusSpace(n)
+    q = np.arange(n)
+    for xi in [(0, 0), (0, 1), (1, 0), (1, 1), (n // 2, 5), (-7, 3 * n + 1), (2 * n, -n)]:
+        f = translation(space, xi).entries
+        rows = (q + xi[0]) % n
+        r, c = np.concatenate((rows, q)), np.concatenate((q, rows))
+        f[r, c] = (f[r, c] - f[c, r].conj()) / 2j
+        assert _write_f(space, xi, np.zeros((n, n), dtype=complex)).tobytes() == f.tobytes(), xi
+        assert hermitian_f(space, xi).entries.tobytes() == f.tobytes(), xi
 
 
 @pytest.mark.parametrize("xi", [(1, 1), (2, 3), (3, 1)])
