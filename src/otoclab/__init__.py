@@ -7,23 +7,12 @@ Lyapunov exponent (short-time growth) and the leading Ruelle-Pollicott
 resonances (long-time decay).
 """
 
-from .phase_space import (POSITION, MOMENTUM, TorusSpace, PhaseVector, OperatorMatrix,
-                          ChordCoefficients, shift_v, clock_u, symplectic_product,
-                          translation, sine_position, sine_momentum, hermitian_f,
-                          chord_transform, chord_inverse, change_basis, coherent_state,
-                          hermiticity_defect, unitarity_defect)
-from .maps import (ClassicalMapSpec, QuantumMap, cat_map, standard_map, harper_map,
-                   classical_step, jacobian, quantize, kick_prefactor, apply_map,
-                   materialize)
-from .classical import (CAT_LYAPUNOV, MonodromyPower, LyapunovEstimate,
-                        cat_matrix_power, lyapunov, ehrenfest_time)
-from .otoc import (OtocSeries, heisenberg_evolve, otoc_series, otoc_via_commutator,
-                   analytic_cat_otoc, otoc_family_linear, fit_lyapunov_from_otoc,
-                   fit_growth, loglinear_fit, WindowFit)
-from .coarse_graining import (CoarseGrainKernel, build_kernel, apply_dephasing_dense,
-                              apply_dephasing_chord, evolve, channel_step)
-from .resonances import (ResonanceSpectrum, dense_superoperator, full_spectrum,
-                         krylov_leading, fit_tail_rate, spectral_o1_prediction,
-                         random_traceless_hermitian)
+# the public namespace is exactly the union of the library modules' __all__
+from .phase_space import *  # noqa: F403
+from .maps import *  # noqa: F403
+from .classical import *  # noqa: F403
+from .otoc import *  # noqa: F403
+from .coarse_graining import *  # noqa: F403
+from .resonances import *  # noqa: F403
 
 __version__ = "0.1.0"

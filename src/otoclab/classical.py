@@ -35,12 +35,6 @@ class MonodromyPower:
     c: int
     d: int
 
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    def mod(self, n: int) -> tuple[int, int, int, int]:
-        return (self.a % n, self.b % n, self.c % n, self.d % n)
-
     def apply(self, xi) -> tuple[int, int]:
         """Image of the integer displacement (xi_q, xi_p) under the power."""
         return (self.a * int(xi[0]) + self.b * int(xi[1]),

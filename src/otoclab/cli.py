@@ -46,7 +46,7 @@ from .maps import (AS_PRINTED, CAT, CORRESPONDENCE, HARPER, STANDARD,
                    ClassicalMapSpec, cat_map, harper_map, quantize, standard_map)
 from .otoc import analytic_cat_otoc, fit_growth, otoc_series
 from .phase_space import TorusSpace, sine_position
-from .resonances import (dense_superoperator, fit_tail_rate, full_spectrum,
+from .resonances import (_DENSE_LIMIT, dense_superoperator, fit_tail_rate, full_spectrum,
                          krylov_leading, random_traceless_hermitian)
 
 __all__ = ["RunConfig", "run_otoc", "run_sweep", "run_resonances", "run_lyapunov", "main"]
@@ -186,6 +186,17 @@ def _environment() -> list[tuple[str, str]]:
     return items
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak RSS in MB of 2^20 bytes: its own high-water mark VmHWM where
+    /proc exists, else ru_maxrss (KiB on Linux), which in a process started by vfork or
+    fork starts from its spawner's memory."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+    except OSError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def _write_run(config: RunConfig, start: float, name: str, header: list[str], rows,
                derived: list[tuple[str, str]], caught: list[warnings.WarningMessage]) -> Path:
     """``<name>.csv`` plus manifest.txt (config echo, wallclock since ``start``,
@@ -198,10 +209,7 @@ def _write_run(config: RunConfig, start: float, name: str, header: list[str], ro
     lines.append(f"version={__version__}")
     lines.append(f"wallclock_seconds={time.monotonic() - start:.3f}")
     lines.extend(f"{k}={v}" for k, v in _environment() + derived)
-    # the peak so far of the process that ran this, in KiB on Linux; a process
-    # started by vfork (subprocess's default) starts from its spawner's peak
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    lines.append(f"resource.peak_rss_mb={peak:.1f}")
+    lines.append(f"resource.peak_rss_mb={_peak_rss_mb():.1f}")
     lines.extend(f"warning.{i}={w.category.__name__}: {' '.join(str(w.message).splitlines())}"
                  for i, w in enumerate(caught))
     lines.append(f"file.{csv_path.name}.sha256="
@@ -401,8 +409,8 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
     start = time.monotonic()
     if method not in ("dense", "krylov"):
         raise CliError(f"method must be dense or krylov, got {method!r}")
-    if method == "dense" and config.n > 24:
-        raise CliError(f"dense resonances need N <= 24, got N={config.n}")
+    if method == "dense" and config.n > _DENSE_LIMIT:
+        raise CliError(f"dense resonances need N <= {_DENSE_LIMIT}, got N={config.n}")
     if method == "krylov":
         _refuse_beyond_memory(8 * (depth + 1) * config.n ** 2,
                               "Krylov basis (8 x (depth + 1) x N^2 bytes)")

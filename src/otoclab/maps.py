@@ -239,18 +239,16 @@ def _rmul(x: np.ndarray, umap: QuantumMap) -> np.ndarray:
     return umap.phase_position * np.fft.fft(umap.phase_momentum * np.fft.ifft(x, axis=1), axis=1)
 
 
-def apply_map(umap: QuantumMap, operand, direction: str = "forward"):
-    """Multiply a state vector or operator from the left by U (or U^dag).
+def apply_map(umap: QuantumMap, operand):
+    """Multiply a state vector or operator from the left by U.
 
     Equivalent to the materialized matrix product but costs O(N log N) per
     column.  Operator entries must be written in the position basis.
     """
-    if direction not in ("forward", "adjoint"):
-        raise ValueError(f"unknown direction {direction!r}")
     x = _entries(operand)
     if x.shape[0] != umap.dim:
         raise ValueError(f"dimension mismatch: operand {x.shape[0]}, map {umap.dim}")
-    out = _lmul(umap, x, adjoint=direction == "adjoint")
+    out = _lmul(umap, x)
     return OperatorMatrix(out) if isinstance(operand, OperatorMatrix) else out
 
 

@@ -31,15 +31,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import coarse_graining
-from .classical import CAT_LYAPUNOV, _cat_power, cat_matrix_power
+from .classical import _cat_power, cat_matrix_power
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
-from .phase_space import (_ROW_BLOCK, MOMENTUM, POSITION, OperatorMatrix, TorusSpace,
-                          _change_frame, _cyclic_diagonals, _write_f, hermiticity_defect,
-                          symplectic_product)
+from .phase_space import (_ROW_BLOCK, MOMENTUM, OperatorMatrix, TorusSpace, _change_frame,
+                          _cyclic_diagonals, _write_f, hermiticity_defect, symplectic_product)
 
 __all__ = [
     "OtocSeries",
-    "heisenberg_evolve",
     "otoc_series",
     "otoc_via_commutator",
     "analytic_cat_otoc",
@@ -52,6 +50,7 @@ __all__ = [
 
 _HERMITIAN_TOL = 1e-10
 _DIAG_TOL = 1e-12
+_COMMUTATOR_LIMIT = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,16 +65,6 @@ class OtocSeries:
     @property
     def o1_abs(self) -> np.ndarray:
         return np.abs(self.o1)
-
-
-def heisenberg_evolve(a: OperatorMatrix, umap: QuantumMap, steps: int) -> OperatorMatrix:
-    """U^dag^steps A U^steps via FFT conjugation, O(N^2 log N) per step."""
-    if a.dim != umap.dim:
-        raise ValueError(f"dimension mismatch: operator {a.dim}, map {umap.dim}")
-    if steps == 0:  # exactly A, without a rounding round trip through the momentum frame
-        return a
-    *_, at = coarse_graining.evolve(umap, None, a, steps)
-    return OperatorMatrix(_change_frame(at, POSITION))
 
 
 def otoc_series(umap: QuantumMap, a: OperatorMatrix | tuple[int, int],
@@ -182,8 +171,8 @@ def otoc_via_commutator(umap: QuantumMap, a: OperatorMatrix, b: OperatorMatrix,
     Evaluates Tr([A(t), B][A(t), B]^dag)/N with dense products, independent
     of the O1/O2 decomposition.  Cost O(N^3) per step, refused above N = 64.
     """
-    if umap.dim > 64:
-        raise ValueError("commutator oracle is O(N^3) per step; refused above N=64")
+    if umap.dim > _COMMUTATOR_LIMIT:
+        raise ValueError(f"commutator oracle is O(N^3) per step; refused above N={_COMMUTATOR_LIMIT}")
     at = a.entries.copy()
     bb = b.entries
     dephase = kernel is not None and kernel.epsilon > 0
@@ -202,7 +191,6 @@ class CatOtocPoint(NamedTuple):
     c: float
     o1: float
     o2: float
-    c_growth_approx: float
 
 
 def analytic_cat_otoc(t: int, n: int) -> CatOtocPoint:
@@ -210,9 +198,7 @@ def analytic_cat_otoc(t: int, n: int) -> CatOtocPoint:
 
     C(t) = sin^2(pi a_t / N), O1(t) = cos(2 pi a_t / N)/4, O2 = 1/4, where
     a_t is the top-left integer entry of the t-th cat matrix power, computed
-    mod N in O(log t) so large t stays exact.  The last field is the
-    small-angle growth approximation (pi^2/N^2) e^{2 lam t}, inf once the
-    exponential overflows.
+    mod N in O(log t) so large t stays exact.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -221,9 +207,7 @@ def analytic_cat_otoc(t: int, n: int) -> CatOtocPoint:
     angle = np.pi * _cat_power(t, n)[0] / n
     c = float(np.sin(angle) ** 2)
     o1 = float(np.cos(2 * angle) / 4.0)
-    with np.errstate(over="ignore"):
-        approx = float((np.pi / n) ** 2 * np.exp(2.0 * CAT_LYAPUNOV * t))
-    return CatOtocPoint(c, o1, 0.25, approx)
+    return CatOtocPoint(c, o1, 0.25)
 
 
 def otoc_family_linear(xi, chi, t: int, n: int,
@@ -291,16 +275,13 @@ def fit_lyapunov_from_otoc(series: OtocSeries, window: tuple[int, int],
     """Half the :func:`fit_growth` slope of C(t) over [window[0], window[1]].
 
     Warns when the fit quality drops below R^2 = 0.98.  When the Ehrenfest
-    time is supplied the window is checked against [1, t_E - 1].
+    time is supplied the window is checked against [1, t_E - 1]; a window of
+    fewer than two samples, or one where C(t) is not positive, raises in
+    :func:`loglinear_fit`.
     """
     lo, hi = int(window[0]), int(window[1])
     if lo < 1:
         raise ValueError("growth-rate window must start at t >= 1")
     if t_ehrenfest is not None and hi > t_ehrenfest - 1:
         raise ValueError(f"window end {hi} exceeds the growth regime bound {t_ehrenfest - 1:.2f}")
-    mask = (series.t >= lo) & (series.t <= hi)
-    if mask.sum() < 2:
-        raise ValueError(f"window [{lo}, {hi}] selects fewer than two samples")
-    if np.any(series.c[mask] <= 0):
-        raise ValueError("C(t) must be positive inside the growth window")
     return 0.5 * fit_growth(series, (lo, hi)).slope

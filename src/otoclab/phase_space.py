@@ -33,7 +33,6 @@ __all__ = [
     "TorusSpace",
     "PhaseVector",
     "OperatorMatrix",
-    "ChordCoefficients",
     "shift_v",
     "clock_u",
     "symplectic_product",
@@ -44,8 +43,8 @@ __all__ = [
     "chord_transform",
     "chord_inverse",
     "change_basis",
+    "coherent_state",
     "hermiticity_defect",
-    "unitarity_defect",
 ]
 
 
@@ -69,12 +68,6 @@ class TorusSpace:
         """exp(i pi / N), the phase unit of the translation algebra."""
         return complex(np.exp(1j * np.pi / self.dim))
 
-    @property
-    def h_eff(self) -> float:
-        """Effective Planck constant 1/(2 pi N).  Stored for reference; only N
-        itself enters any formula in this package."""
-        return 1.0 / (2.0 * np.pi * self.dim)
-
     def tau_power(self, k) -> np.ndarray | complex:
         """tau**k computed exactly from integer exponents (k reduced mod 2N)."""
         k = np.mod(k, 2 * self.dim)
@@ -86,10 +79,6 @@ class PhaseVector(NamedTuple):
 
     q: int
     p: int
-
-    def canonical(self, n: int) -> "PhaseVector":
-        """Representative with both components reduced into [0, n)."""
-        return PhaseVector(self.q % n, self.p % n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,17 +96,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class ChordCoefficients:
-    """Expansion of an operator over translations, coeffs[chi_q, chi_p]."""
-
-    coeffs: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[0]
 
 
 def _entries(a) -> np.ndarray:
@@ -149,11 +127,6 @@ def hermiticity_defect(a) -> float:
     e = _entries(a)
     return max(float(np.abs(e[i:i + _ROW_BLOCK] - e[:, i:i + _ROW_BLOCK].conj().T).max())
                for i in range(0, e.shape[0], _ROW_BLOCK))
-
-
-def unitarity_defect(a) -> float:
-    e = _entries(a)
-    return float(np.abs(e.conj().T @ e - np.eye(e.shape[0])).max())
 
 
 def shift_v(space: TorusSpace) -> OperatorMatrix:
@@ -259,8 +232,8 @@ def _from_cyclic_diagonals(d: np.ndarray) -> np.ndarray:
     return a
 
 
-def chord_transform(space: TorusSpace, a) -> ChordCoefficients:
-    """Expansion coefficients c(chi) = Tr(T_chi^dag A) / N.
+def chord_transform(space: TorusSpace, a) -> np.ndarray:
+    """Expansion coefficients c[chi_q, chi_p] = Tr(T_chi^dag A) / N.
 
     Computed diagonal by diagonal with FFTs in O(N^2 log N); the inverse
     transform reconstructs A = sum_chi c(chi) T_chi exactly because the
@@ -271,13 +244,12 @@ def chord_transform(space: TorusSpace, a) -> ChordCoefficients:
     c = np.fft.fft(d, axis=1) / n
     j = np.arange(n)
     c *= space.tau_power(-(j[:, None] * j[None, :]))
-    return ChordCoefficients(c)
+    return c
 
 
-def chord_inverse(space: TorusSpace, coefficients: ChordCoefficients | np.ndarray) -> OperatorMatrix:
-    """Rebuild the operator from its translation expansion."""
+def chord_inverse(space: TorusSpace, c: np.ndarray) -> OperatorMatrix:
+    """Rebuild the operator from its translation expansion c[chi_q, chi_p]."""
     n = space.dim
-    c = coefficients.coeffs if isinstance(coefficients, ChordCoefficients) else np.asarray(coefficients)
     j = np.arange(n)
     d = np.fft.ifft(c * space.tau_power(j[:, None] * j[None, :]), axis=1) * n
     return OperatorMatrix(_from_cyclic_diagonals(d))

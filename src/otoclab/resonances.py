@@ -14,7 +14,7 @@ values), and exponential-tail fits of correlator series.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -356,19 +356,17 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
         warnings.warn(
             f"{(~converged).sum()} of {keep} Ritz values above residual {_KRYLOV_RESIDUAL_TOL}; "
             "increase depth", stacklevel=2)
-    alphas = ritz[:keep]
-    lead = np.abs(alphas[0])
-    cluster = int((np.abs(np.abs(alphas) - lead) <= 0.01 * lead).sum())
-    if cluster > 1:
-        warnings.warn(f"{cluster} eigenvalues within 1% modulus of the leader; "
-                      "tail decays will look averaged", stacklevel=2)
-    return ResonanceSpectrum(
-        alphas=alphas, method="krylov",
+    spectrum = ResonanceSpectrum(
+        alphas=ritz[:keep], method="krylov",
         params={"n": n, "epsilon": 0.0 if kernel is None else kernel.epsilon,
                 "map": umap.map_spec, "depth": depth, "sector": _SECTOR_NAMES[sign],
                 "krylov_dim": m, "matvecs": m + keep, "reorth": reorth},
-        residuals=residuals, converged=converged,
-        degenerate=cluster > 1, includes_identity=False)
+        residuals=residuals, converged=converged, includes_identity=False)
+    cluster = spectrum.leading_cluster().size
+    if cluster > 1:
+        warnings.warn(f"{cluster} eigenvalues within 1% modulus of the leader; "
+                      "tail decays will look averaged", stacklevel=2)
+    return replace(spectrum, degenerate=cluster > 1)
 
 
 def fit_tail_rate(series: OtocSeries, t_start: int, t_end: int,

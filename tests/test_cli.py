@@ -14,13 +14,11 @@ from otoclab.cli import (CliError, RunConfig, main, parse_config_file, run_otoc,
                          run_resonances, run_sweep)
 
 
-def run_cli(args, env_extra=None, spawner=None):
-    """The CLI in a new interpreter, started by ``python -c spawner`` when one is given."""
+def run_cli(args, env_extra=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
-    prefix = [sys.executable, "-c", spawner] if spawner else []
-    return subprocess.run([*prefix, sys.executable, "-m", "otoclab.cli", *args],
+    return subprocess.run([sys.executable, "-m", "otoclab.cli", *args],
                           capture_output=True, text=True, env=env)
 
 
@@ -389,14 +387,14 @@ def test_otoc_t_max_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys
 def test_otoc_preflight_bounds_peak_rss(tmp_path):
     """The preflight that a run records is at least the peak RSS it then reaches.
 
-    A child's ru_maxrss starts at its spawner's peak (vfork) or its spawner's RSS
-    (fork), so the run is started by a small interpreter, not by the test process."""
-    spawner = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+    The run is started straight from the test process: the recorded peak must
+    be the run's own high-water mark, which does not start from the spawner's
+    memory as ru_maxrss does."""
     for n in (256, 768):
         out = tmp_path / f"n{n}"
         result = run_cli(["otoc", "--map", "cat", "--n", str(n), "--map-param", "0.02",
                           "--epsilon", "0.01", "--t-max", "18", "--operators", "F(1,1;0,1)",
-                          "--out", str(out)], spawner=spawner)
+                          "--out", str(out)])
         assert result.returncode == 0, result.stderr
         manifest = dict(line.split("=", 1) for line in
                         (out / "manifest.txt").read_text().splitlines())

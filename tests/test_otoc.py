@@ -4,14 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from otoclab.classical import CAT_LYAPUNOV, cat_matrix_power, ehrenfest_time
-from otoclab.coarse_graining import build_kernel
+from otoclab.classical import CAT_LYAPUNOV, ehrenfest_time
+from otoclab.coarse_graining import build_kernel, channel_step, evolve
 from otoclab.maps import cat_map, quantize
 from otoclab.otoc import (OtocSeries, analytic_cat_otoc, fit_growth, fit_lyapunov_from_otoc,
-                          heisenberg_evolve, loglinear_fit, otoc_family_linear,
-                          otoc_series, otoc_via_commutator)
-from otoclab.phase_space import (OperatorMatrix, TorusSpace, hermitian_f, sine_momentum,
-                                 sine_position, translation)
+                          loglinear_fit, otoc_family_linear, otoc_series, otoc_via_commutator)
+from otoclab.phase_space import (MOMENTUM, POSITION, OperatorMatrix, TorusSpace, change_basis,
+                                 hermitian_f, sine_momentum, sine_position)
 
 
 @pytest.fixture(scope="module")
@@ -25,22 +24,27 @@ def cat64(space64):
 
 
 def test_heisenberg_zero_steps_and_identity(space64, cat64):
+    """Zero steps yield A itself in the momentum frame; the identity is left
+    unchanged by the unitary steps (and by every frame change)."""
     x = sine_position(space64)
-    assert np.array_equal(heisenberg_evolve(x, cat64, 0).entries, x.entries)
-    ident = OperatorMatrix(np.eye(64, dtype=complex))
-    assert np.abs(heisenberg_evolve(ident, cat64, 5).entries - np.eye(64)).max() < 1e-12
+    (x0,) = evolve(cat64, None, x, 0)
+    assert np.array_equal(x0, change_basis(space64, x.entries, POSITION, MOMENTUM))
+    *_, ident = evolve(cat64, None, np.eye(64, dtype=complex), 5)
+    assert np.abs(ident - np.eye(64)).max() < 1e-12
 
 
 def test_heisenberg_hermiticity_preserved(space64, cat64):
-    x = heisenberg_evolve(sine_position(space64), cat64, 10).entries
-    assert np.abs(x - x.conj().T).max() < 1e-10
+    x = sine_position(space64)
+    for _ in range(10):
+        x = channel_step(cat64, None, x)
+    assert np.abs(x.entries - x.entries.conj().T).max() < 1e-10
 
 
 def test_heisenberg_single_step_covariance(space64, cat64):
     """One step maps the sine pair onto the next translation combination."""
-    evolved = heisenberg_evolve(hermitian_f(space64, (0, 1)), cat64, 1).entries
+    evolved = channel_step(cat64, None, hermitian_f(space64, (0, 1))).entries
     assert np.abs(evolved - hermitian_f(space64, (1, 2)).entries).max() < 1e-12
-    evolved = heisenberg_evolve(hermitian_f(space64, (1, 0)), cat64, 1).entries
+    evolved = channel_step(cat64, None, hermitian_f(space64, (1, 0))).entries
     assert np.abs(evolved - hermitian_f(space64, (1, 1)).entries).max() < 1e-12
 
 
@@ -134,16 +138,6 @@ def test_analytic_cat_otoc_growth_ratio():
         assert abs(ratio - rate) / rate < 0.02
 
 
-def test_analytic_cat_otoc_approximation_prefactor_bounded():
-    # a_t = e^{lam t} phi/sqrt(5), so the pure e^{2 lam t} approximation
-    # overshoots the exact value by a factor approaching 5/phi^2 = 1.91;
-    # it is a rate statement, not an amplitude
-    n = 4096
-    for t in range(1, 7):
-        point = analytic_cat_otoc(t, n)
-        assert 1.0 < point.c_growth_approx / point.c < 2.0
-
-
 def test_analytic_cat_rejects_bad_args():
     with pytest.raises(ValueError):
         analytic_cat_otoc(-1, 64)
@@ -162,7 +156,6 @@ def test_analytic_cat_large_t_matches_recurrence_without_warnings():
         point = analytic_cat_otoc(t_big, n)
     assert point.c == np.sin(np.pi * a[1] / n) ** 2
     assert point.o1 == np.cos(2 * np.pi * a[1] / n) / 4.0
-    assert point.c_growth_approx == np.inf
 
 
 def test_family_linear_reduces_to_sine_pair():
@@ -206,7 +199,7 @@ def test_family_linear_matches_numerics_for_random_pairs(space64, cat64):
             c_num = np.einsum("ij,ij->", comm, comm.conj()).real / n
             c_formula = otoc_family_linear(xi, chi, t, n)
             assert abs(c_num - c_formula) < 1e-9
-            a = heisenberg_evolve(OperatorMatrix(a), cat64, 1).entries
+            a = channel_step(cat64, None, a)
 
 
 def test_commutator_oracle_agrees_with_decomposition(space64):
