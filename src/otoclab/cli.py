@@ -13,7 +13,8 @@ keys are errors so that generated configs fail loudly on typos).  All
 randomness flows from the config seed, every float is written with 17
 significant digits, and files are written atomically, so re-running an
 identical config at a fixed BLAS thread count, which the manifest records,
-reproduces every CSV byte for byte.  The environment variable
+reproduces every CSV byte for byte; otoc.csv keeps its bytes at any BLAS
+thread count and any number of otoclab threads.  The environment variable
 OTOCLAB_OUTPUT_ROOT sets the root for relative output paths.
 """
 
@@ -39,7 +40,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, phase_space
 from .classical import ehrenfest_time, lyapunov
 from .coarse_graining import build_kernel
 from .maps import (AS_PRINTED, CAT, CORRESPONDENCE, HARPER, STANDARD,
@@ -173,14 +174,17 @@ def _environment() -> list[tuple[str, str]]:
     """Library versions and thread settings the results and timings depend on.
 
     Threaded BLAS reductions change the last bits of Krylov results, so the
-    thread count is part of what makes a run reproducible.
+    thread count is part of what makes a run reproducible.  ``otoclab_threads``
+    is the most parts an N x N pass runs in (one per 256 lines at most), which
+    changes timings only.
     """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     items = [("environment.python", platform.python_version()),
              ("environment.numpy", np.__version__),
              ("environment.scipy", scipy.__version__),
              ("environment.blas", f"{blas.get('name')} {blas.get('version')}"),
-             ("environment.cpu_count", str(os.cpu_count()))]
+             ("environment.cpu_count", str(os.cpu_count())),
+             ("environment.otoclab_threads", str(phase_space._part_count))]
     items += [(f"environment.{var}", os.environ.get(var, "unset"))
               for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")]
     return items
@@ -224,13 +228,22 @@ def _write_run(config: RunConfig, start: float, name: str, header: list[str], ro
 # pair, read 57.2 MB at N=1024 and 108.7 MB at N=2048 (numpy 2.4, MB = 10^6
 # bytes), 40.0 MB + 16.4 N^2, and 40.5-40.8 MB at N <= 256: the interpreter and
 # libraries plus one complex N x N array, the buffer that holds B, then A and
-# A(t).  The base is rounded up by 3 MB for other library builds.
+# A(t).  The base is rounded up by 3 MB for other library builds, the N^2 term
+# to 17 N^2.
 _OTOC_BASE_BYTES = 44e6
 _OTOC_BYTES_PER_N2 = 17
+_OTOC_MEASURED_PER_N2 = 16.4
 # Peak RSS per time step of `otoc --n 8` with the cat k=0 overlay, the widest
 # rows (eleven columns), read at t_max 1000, 20000 and 40000: 948 and 966
 # bytes a step for the series arrays, the overlay points and the CSV text.
 _OTOC_BYTES_PER_STEP = 970
+# Peak RSS of the N^2 run per part of its passes beyond the first, forced to
+# 1-8 parts: +0.6 MB at N=512, +1.1 MB at N=1024, +1.4 MB at N=1536 and +1.8 MB
+# at N=2048 (2^20 bytes), 0.4 MB + 720 N bytes: the part's thread, its
+# temporaries and its pair of 16-row contraction blocks (512 N bytes).  They
+# are added to the measured 16.4 N^2, and count where that passes 17 N^2.
+_OTOC_BYTES_PER_PART = 0.5e6
+_OTOC_BYTES_PER_PART_N = 800
 
 
 def _refuse_beyond_memory(need: float, what: str) -> None:
@@ -281,14 +294,22 @@ def _classical_estimate(estimator, spec: ClassicalMapSpec, n_traj: int, t_horizo
 def run_otoc(config: RunConfig) -> dict:
     """One correlator run: otoc.csv plus manifest; returns derived values.
 
-    A run whose working set, 44 MB + 17 N^2 + 970 (t_max + 1) bytes, exceeds
-    physical memory is refused before anything is allocated; the manifest
-    records that preflight and the peak RSS, in MB of 2^20 bytes.
+    A run whose working set exceeds physical memory is refused before
+    anything is allocated.  That is 44 MB + 970 (t_max + 1) bytes plus the
+    larger of 17 N^2 and 16.4 N^2 + (parts - 1)(0.5 MB + 800 N) bytes, where
+    the N x N passes run in parts (at most N / 256 of them, see
+    :func:`~otoclab.phase_space._parts`).  The manifest records that
+    preflight and the peak RSS, in MB of 2^20 bytes.
     """
     start = time.monotonic()
-    need = (_OTOC_BASE_BYTES + _OTOC_BYTES_PER_N2 * config.n ** 2
-            + _OTOC_BYTES_PER_STEP * (config.t_max + 1))
-    _refuse_beyond_memory(need, "otoc working set (44 MB + 17 x N^2 + 970 x (t_max + 1) bytes)")
+    n, parts = config.n, len(phase_space._parts(config.n))
+    need = (_OTOC_BASE_BYTES + _OTOC_BYTES_PER_STEP * (config.t_max + 1)
+            + max(_OTOC_BYTES_PER_N2 * n ** 2,
+                  _OTOC_MEASURED_PER_N2 * n ** 2
+                  + (parts - 1) * (_OTOC_BYTES_PER_PART + _OTOC_BYTES_PER_PART_N * n)))
+    _refuse_beyond_memory(need, "otoc working set (44 MB + 970 x (t_max + 1) bytes + the larger"
+                                " of 17 x N^2 and 16.4 x N^2 + (parts - 1) x (0.5 MB + 800 x N)"
+                                " bytes)")
     with warnings.catch_warnings(record=True) as caught:
         _, umap, kernel = _build_channel(config)
         a, b = _operator_pair(config)
@@ -375,7 +396,8 @@ def run_sweep(config: RunConfig, axis: str, values: list[float], jobs: int = 1) 
 
     Sub-run failures, including invalid substituted configs and workers that
     die, are recorded in the summary but do not abort the sweep.  The pool
-    holds at most one worker per value and per CPU, whatever ``jobs`` asks.
+    holds at most one worker per value and per CPU, whatever ``jobs`` asks,
+    and each worker runs its N x N passes in usable CPUs // workers parts.
     """
     if axis not in _SWEEP_AXES:
         raise CliError(f"sweep axis must be one of {tuple(_SWEEP_AXES)}, got {axis!r}")
@@ -386,7 +408,10 @@ def run_sweep(config: RunConfig, axis: str, values: list[float], jobs: int = 1) 
     tasks = [(config, axis, v) for v in values]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # each worker splits its N x N passes over its share of the CPUs
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=phase_space._set_parts,
+                initargs=(max(1, phase_space._usable_cpus() // workers),)) as pool:
             futures = [pool.submit(_sweep_worker, task) for task in tasks]
             rows = [_summary_row(v, fut.result) for v, fut in zip(values, futures)]
     else:

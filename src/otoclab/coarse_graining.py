@@ -33,7 +33,8 @@ import numpy as np
 
 from .maps import QuantumMap
 from .phase_space import (MOMENTUM, POSITION, OperatorMatrix, TorusSpace, _change_frame,
-                          _cyclic_diagonals, _entries, _from_cyclic_diagonals, translation)
+                          _cyclic_diagonals, _entries, _from_cyclic_diagonals, _split,
+                          translation)
 
 __all__ = [
     "CoarseGrainKernel",
@@ -145,23 +146,30 @@ def _mask(kernel: CoarseGrainKernel | None) -> np.ndarray | None:
     return _circulant(kernel.f) if kernel is not None and kernel.epsilon > 0 else None
 
 
+def _kick(rows: np.ndarray, phase_rows: np.ndarray, phase: np.ndarray,
+          mask: np.ndarray | None) -> None:
+    """In place: rows *= conj(phase_rows)[:, None] * phase, then * mask, one factor a pass."""
+    rows *= phase_rows.conj()[:, None]
+    rows *= phase
+    if mask is not None:
+        rows *= mask
+
+
 def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray) -> np.ndarray:
     """One channel step in place on momentum-frame entries: four 1D FFT passes.
 
     The momentum kick, the frame change to position, the position kick, the
-    mask, the frame change back and the mask again.
+    mask, the frame change back and the mask again.  Each kick and mask pass
+    runs over fixed parts of the rows (:func:`~otoclab.phase_space._split`);
+    it is elementwise, so the bits do not depend on the part count.
     """
-    pos, mom = umap.phase_position, umap.phase_momentum
-    at *= mom.conj()[:, None]
-    at *= mom
+    n, pos, mom = at.shape[0], umap.phase_position, umap.phase_momentum
+    _split(lambda _, s: _kick(at[s], mom[s], mom, None), n)
     _change_frame(at, POSITION)
-    at *= pos.conj()[:, None]
-    at *= pos
-    if mask is not None:
-        at *= mask
+    _split(lambda _, s: _kick(at[s], pos[s], pos, None if mask is None else mask[s]), n)
     _change_frame(at, MOMENTUM)
     if mask is not None:
-        at *= mask
+        _split(lambda _, s: np.multiply(at[s], mask[s], out=at[s]), n)
     return at
 
 

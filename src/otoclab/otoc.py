@@ -18,7 +18,10 @@ W^dag = B A(t) and
 with <X, Y>_F = Tr(X^dag Y).  A row of A(t) B is the same row of A(t) with
 its columns shifted and scaled by B's diagonals, and a row of B A(t) a sum of
 K scaled rows of A(t), so both sums run over blocks of rows in two scratch
-arrays: W is never formed, and every read is along a row.
+arrays: W is never formed, and every read is along a row.  The blocks are
+spread over the CPUs with :func:`~otoclab.phase_space._split`, one scratch
+pair per part, and their sums are added in block order on the calling
+thread, so the series does not depend on the part count.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from . import coarse_graining
 from .classical import _cat_power, cat_matrix_power
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
 from .phase_space import (_ROW_BLOCK, MOMENTUM, OperatorMatrix, TorusSpace, _change_frame,
-                          _cyclic_diagonals, _write_f, hermiticity_defect, symplectic_product)
+                          _cyclic_diagonals, _parts, _split, _write_f, hermiticity_defect,
+                          symplectic_product)
 
 __all__ = [
     "OtocSeries",
@@ -78,20 +82,22 @@ def otoc_series(umap: QuantumMap, a: OperatorMatrix | tuple[int, int],
     and O2 = ||A(t) B||_F^2 / N are summed over blocks of rows.  The call
     holds one N x N array: B is written into it, checked and changed to the
     momentum frame, where its nonzero cyclic diagonals are gathered; A is then
-    written over it, checked, and evolved there in place.
+    written over it, checked, and evolved there in place.  Beside it the
+    contraction holds two 16-row blocks of AB and BA per part, at most N / 256
+    parts (:func:`~otoclab.phase_space._parts`), so at most N^2 / 8 entries.
     """
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     buffer = np.empty((umap.dim, umap.dim), dtype=complex)
     shifts, d = _nonzero_diagonals(_change_frame(_fill(umap.space, b, buffer, "B"), MOMENTUM))
     _fill(umap.space, a, buffer, "A")
-    # zeroed, so a zero B (no diagonals) gives O1 = O2 = 0
-    ab = np.zeros((min(_ROW_BLOCK, umap.dim), umap.dim), dtype=complex)
-    ba = np.zeros_like(ab)
+    # one ab/ba pair per part, zeroed, so a zero B (no diagonals) gives O1 = O2 = 0
+    scratch = [np.zeros((2, min(_ROW_BLOCK, umap.dim), umap.dim), dtype=complex)
+               for _ in _parts(umap.dim, _ROW_BLOCK)]
     o1 = np.empty(t_max + 1, dtype=complex)
     o2 = np.empty(t_max + 1)
     for t, at in enumerate(coarse_graining._evolve_in_place(umap, kernel, buffer, t_max)):
-        o1[t], o2[t] = _contract(at, shifts, d, ab, ba)
+        o1[t], o2[t] = _contract(at, shifts, d, scratch)
     c = -2.0 * (o1 - o2).real
     return OtocSeries(np.arange(t_max + 1), c, o1, o2)
 
@@ -139,17 +145,33 @@ def _axpy(first: bool, out: np.ndarray, x: np.ndarray, scale: np.ndarray) -> Non
 
 
 def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
-              ab: np.ndarray, ba: np.ndarray) -> tuple[complex, float]:
+              scratch: list[np.ndarray]) -> tuple[complex, float]:
     """O1 = <BA, AB>_F / N and O2 = ||AB||_F^2 / N of momentum-frame A(t) against
-    B's cyclic diagonals, a block of rows of AB and BA at a time in ``ab`` and ``ba``.
+    B's cyclic diagonals, a block of rows of AB and BA at a time.
 
-    The sums are ufunc and einsum reductions, never BLAS ones, so their bits
-    do not depend on the BLAS thread count.
+    The blocks are spread over the parts of :func:`~otoclab.phase_space._split`,
+    part i holding its blocks of AB and BA in ``scratch[i]``.  The per-block
+    sums come back and are added here in block order, so the bits depend on
+    neither the part count nor the BLAS thread count: every sum is a ufunc or
+    einsum reduction.
     """
     n = at.shape[0]
     o1, o2 = 0j, 0.0
-    for i in range(0, n, ab.shape[0]):
-        x, y = ab[:n - i], ba[:n - i]
+    for part in _split(lambda i, rows: _contract_rows(at, shifts, d, *scratch[i], rows),
+                       n, _ROW_BLOCK):
+        for b1, b2 in part:
+            o1 += b1
+            o2 += b2
+    return o1 / n, o2 / n
+
+
+def _contract_rows(at: np.ndarray, shifts: np.ndarray, d: np.ndarray, ab: np.ndarray,
+                   ba: np.ndarray, rows: slice) -> list[tuple[complex, float]]:
+    """(O1, O2) partial sums, unscaled, of each block of ``rows`` in ``ab`` and ``ba``."""
+    n = at.shape[0]
+    sums = []
+    for i in range(rows.start, rows.stop, ab.shape[0]):
+        x, y = ab[:rows.stop - i], ba[:rows.stop - i]
         m = x.shape[0]
         for k, j in enumerate(shifts):
             for dst, src in _wrapped(j, n, n):  # AB[r, q] = sum_j A[r, q + j] d[j, q]
@@ -157,11 +179,10 @@ def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
             for dst, src in _wrapped(i - j, m, n):  # BA[r, :] = sum_j d[j, r - j] A[r - j, :]
                 _axpy(k == 0, y[dst], at[src], d[k, src, None])
         xv = x.view(float)
-        o2 += np.einsum("ij,ij->", xv, xv)
         np.conjugate(y, out=y)
         y *= x
-        o1 += y.sum()
-    return o1 / n, o2 / n
+        sums.append((y.sum(), np.einsum("ij,ij->", xv, xv)))
+    return sums
 
 
 def otoc_via_commutator(umap: QuantumMap, a: OperatorMatrix, b: OperatorMatrix,

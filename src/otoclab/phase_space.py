@@ -11,10 +11,19 @@ Operators are dense N x N complex arrays of position-basis entries, wrapped
 in :class:`OperatorMatrix`.  The momentum frame is one FFT pair away
 (:func:`change_basis`), and the Heisenberg step in
 :mod:`otoclab.coarse_graining` crosses between the frames in place.
+
+The N x N passes of a run (the frame changes, the kicks and masks of the
+step, the OTOC contraction) are independent per line or per block of rows,
+so :func:`_split` runs them in fixed contiguous parts, one per usable CPU
+and at most one per 256 lines, on a per-process thread pool.  Every line or
+block gets the same arithmetic as in one serial pass, so no result depends on
+the part count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,6 +35,13 @@ MOMENTUM = "momentum"
 # temporaries small.  For the OTOC contraction (2 vCPUs, 2 MB of L2 per core)
 # 16 and 32 rows ran alike at N=1000 and N=1024, and 64 rows were slower.
 _ROW_BLOCK = 16
+# Lines (rows or columns) per part of an N x N pass, at least: N < 512 runs
+# inline, N = 1024 in at most 4 parts.  On 2 vCPUs a channel step fell from
+# 13.5 to 7.8 ms at N=512 on two parts and from 4.2 to 3.5 ms at N=320, but the
+# depth-90 Krylov call at N=320, whose BLAS threads share the CPUs, went from
+# 0.70-0.88 s inline to 0.77-1.12 s split.  The bound also keeps the OTOC
+# contraction's scratch, one pair of row blocks per part, within N^2 / 8 entries.
+_PART_MIN = 256
 
 __all__ = [
     "POSITION",
@@ -98,6 +114,69 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, the CPU count where affinity is not reported."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# parts per N x N pass at most; a sweep worker gets its share of the CPUs
+_part_count = _usable_cpus()
+# the _part_count - 1 threads that run every part but the first, started on first use
+_executor: ThreadPoolExecutor | None = None
+
+
+def _set_parts(k: int) -> None:
+    """Split passes into at most ``k`` parts from now on, on a pool of k - 1 threads."""
+    global _part_count
+    _part_count = max(1, k)
+    if _executor is not None:
+        _executor.shutdown(wait=False)
+    _drop_pool()
+
+
+def _drop_pool() -> None:
+    global _executor
+    _executor = None
+
+
+def _pool() -> ThreadPoolExecutor:
+    global _executor
+    if _executor is None:
+        _executor = ThreadPoolExecutor(max_workers=_part_count - 1, thread_name_prefix="otoclab")
+    return _executor
+
+
+# a forked child inherits the pool but not its threads, so it starts its own
+if hasattr(os, "register_at_fork"):  # not on Windows, which cannot fork
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _parts(n: int, unit: int = 1) -> list[slice]:
+    """Contiguous slices of range(n), each starting on a multiple of ``unit``: at most
+    :data:`_part_count` of them and one per :data:`_PART_MIN` lines."""
+    units = -(-n // unit)
+    k = max(1, min(_part_count, n // _PART_MIN, units))
+    edges = [min(n, unit * (i * units // k)) for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _split(fn, n: int, unit: int = 1) -> list:
+    """[fn(i, s_i)] over the slices s_i of :func:`_parts`: part 0 on the calling thread,
+    the others on the pool, all finished before this returns or raises."""
+    parts = _parts(n, unit)
+    if len(parts) == 1:
+        return [fn(0, parts[0])]
+    futures = [_pool().submit(fn, i, s) for i, s in enumerate(parts[1:], 1)]
+    try:
+        first = fn(0, parts[0])
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
+
+
 def _entries(a) -> np.ndarray:
     return a.entries if isinstance(a, OperatorMatrix) else np.asarray(a, dtype=complex)
 
@@ -116,10 +195,17 @@ def change_basis(space: TorusSpace, entries: np.ndarray, frm: str, to: str) -> n
 
 
 def _change_frame(x: np.ndarray, to: str) -> np.ndarray:
-    """In place on complex entries: F^dag x F to momentum, F x F^dag to position."""
+    """In place on complex entries: F^dag x F to momentum, F x F^dag to position.
+
+    The axis-0 FFT runs over fixed parts of the columns and the axis-1 FFT
+    over parts of the rows (:func:`_split`); each line is transformed alone,
+    so the bits do not depend on the part count.
+    """
     first, second = (np.fft.fft, np.fft.ifft) if to == MOMENTUM else (np.fft.ifft, np.fft.fft)
-    first(x, axis=0, out=x)
-    return second(x, axis=1, out=x)
+    n = x.shape[0]
+    _split(lambda _, s: first(x[:, s], axis=0, out=x[:, s]), n)
+    _split(lambda _, s: second(x[s], axis=1, out=x[s]), n)
+    return x
 
 
 def hermiticity_defect(a) -> float:

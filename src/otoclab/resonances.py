@@ -257,7 +257,9 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     d bytes: at N = 1000, depth 90 about 364 MB in a parity sector (the sine
     seed is odd; the run peaks at about 520 MB of RSS) and 728 MB without
     one, against 1.46 GB for a complex basis.  That call (cat k = 0.02,
-    epsilon 0.01, sine seed) takes 8.5-10 s on 2 vCPUs.  ``params``
+    epsilon 0.01, sine seed) takes 11.5-12.8 s on 2 vCPUs with its channel
+    steps split over both, and 10.1-12.7 s with them inline (five runs each,
+    20-25 s of CPU either way).  ``params``
     records ``sector`` (even, odd or none), ``krylov_dim`` (the dimension
     reached, below ``depth`` when an invariant subspace closes early, which
     warns), ``matvecs`` (channel applications, including the residual

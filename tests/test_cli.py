@@ -403,6 +403,27 @@ def test_otoc_preflight_bounds_peak_rss(tmp_path):
         assert preflight >= peak > 0, n
 
 
+def test_otoc_preflight_bounds_peak_rss_at_the_most_parts(tmp_path):
+    """The preflight bounds the peak RSS also when the passes run in as many parts
+    as N allows (N / 256), whatever the number of CPUs of the host: at N=1536 the
+    six parts' threads and scratch pass the headroom of the one-part bound."""
+    code = ("import sys; from otoclab import phase_space; phase_space._set_parts(64); "
+            "from otoclab.cli import main; sys.exit(main(sys.argv[1:]))")
+    for n in (768, 1536):
+        out = tmp_path / f"n{n}"
+        result = subprocess.run([sys.executable, "-c", code, "otoc", "--map", "cat",
+                                 "--n", str(n), "--map-param", "0.02", "--epsilon", "0.01",
+                                 "--t-max", "18", "--operators", "F(1,1;0,1)",
+                                 "--out", str(out)], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        manifest = dict(line.split("=", 1) for line in
+                        (out / "manifest.txt").read_text().splitlines())
+        assert manifest["environment.otoclab_threads"] == "64"
+        peak, preflight = (float(manifest[f"resource.{key}"])
+                           for key in ("peak_rss_mb", "preflight_mb"))
+        assert preflight >= peak > 0, n
+
+
 def test_cli_otoc_working_set_is_one_array(tmp_path):
     """A CLI otoc run allocates one N x N array: A and B are displacements
     written into the evolving buffer, never kept dense."""
@@ -487,13 +508,16 @@ def test_main_returns_zero(tmp_path):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the pool size and runs each
-    task in this process, so that no worker process is started."""
+    """Stands in for ProcessPoolExecutor: records the pool size and the worker
+    initializer with its arguments, and runs each task in this process, so
+    that no worker process is started (and the initializer is not called)."""
 
     sizes: list = []
+    inits: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
+        self.inits.append((initializer, initargs))
 
     def __enter__(self):
         return self
@@ -565,3 +589,34 @@ def test_every_config_field_is_a_flag_a_key_and_echoed(tmp_path):
         assert set(echoed) == {f.name for f in fields}
         assert echoed.pop("outputs") == str(out)
         assert {key: type(values[key])(value) for key, value in echoed.items()} == values
+
+
+@pytest.mark.parametrize("cpus, parts", [(4, 2), (2, 1)])
+def test_sweep_workers_share_the_cpus(tmp_path, monkeypatch, cpus, parts):
+    """Each sweep worker runs its N x N passes in usable CPUs // workers parts."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "inits", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli.phase_space, "_usable_cpus", lambda: cpus)
+    config = RunConfig(map="cat", n=8, map_param=0.02, t_max=3, outputs=str(tmp_path / "s"))
+    run_sweep(config, "epsilon", [0.1, 0.2], jobs=2)
+    assert _RecordingPool.inits == [(cli.phase_space._set_parts, (parts,))]
+
+
+def test_manifests_record_the_part_count(tmp_path):
+    """An otoc run records its process's part count, a parallel sweep's sub-run its
+    worker's share of the CPUs."""
+    def threads(path):
+        return dict(line.split("=", 1) for line in path.read_text().splitlines())[
+            "environment.otoclab_threads"]
+
+    config = RunConfig(map="cat", n=8, map_param=0.02, t_max=3, outputs=str(tmp_path / "one"))
+    run_otoc(config)
+    assert threads(tmp_path / "one" / "manifest.txt") == str(cli.phase_space._part_count)
+    run_sweep(dataclasses.replace(config, outputs=str(tmp_path / "s")), "epsilon",
+              [0.1, 0.2], jobs=2)
+    workers = min(2, os.cpu_count() or 1)
+    share = cli.phase_space._usable_cpus() // workers if workers > 1 \
+        else cli.phase_space._part_count
+    for value in ("0.1", "0.2"):
+        assert threads(tmp_path / "s" / f"epsilon={value}" / "manifest.txt") == str(max(1, share))

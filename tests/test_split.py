@@ -1,0 +1,167 @@
+"""The N x N passes run in parts over threads and give the serial bits."""
+
+import multiprocessing
+import sys
+import warnings
+
+import numpy as np
+import pytest
+
+from otoclab import coarse_graining, otoc, phase_space
+from otoclab.cli import main
+from otoclab.maps import cat_map, harper_map, quantize
+from otoclab.phase_space import MOMENTUM, POSITION, TorusSpace
+
+
+@pytest.fixture
+def set_parts():
+    """Set the part count in a test; the process's own count is set back after it."""
+    yield phase_space._set_parts
+    phase_space._set_parts(phase_space._usable_cpus())
+
+
+@pytest.fixture
+def split_all(set_parts, monkeypatch):
+    """Split every pass, whatever its size, in as many parts as the test sets."""
+    monkeypatch.setattr(phase_space, "_PART_MIN", 1)
+    return set_parts
+
+
+def _random(n: int) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def test_parts_start_on_block_edges(split_all):
+    split_all(3)
+    assert phase_space._parts(63, 16) == [slice(0, 16), slice(16, 32), slice(32, 63)]
+    assert phase_space._parts(64) == [slice(0, 21), slice(21, 42), slice(42, 64)]
+    assert phase_space._parts(10, 16) == [slice(0, 10)]  # one block: one part
+    split_all(0)
+    assert phase_space._parts(64) == [slice(0, 64)]
+
+
+def test_parts_hold_at_least_the_part_minimum(set_parts):
+    set_parts(64)
+    assert phase_space._parts(511) == [slice(0, 511)]
+    assert phase_space._parts(512, 16) == [slice(0, 256), slice(256, 512)]
+    assert len(phase_space._parts(1024)) == len(phase_space._parts(1024, 16)) == 4
+
+
+def test_split_finishes_every_part_before_raising(split_all):
+    split_all(3)
+    done = []
+
+    def fn(i, s):
+        if i == 0:
+            raise RuntimeError("part 0")
+        done.append(i)
+        return s
+
+    with pytest.raises(RuntimeError, match="part 0"):
+        phase_space._split(fn, 30)
+    assert sorted(done) == [1, 2]
+    assert phase_space._split(lambda i, s: (i, s.start), 30) == [(0, 0), (1, 10), (2, 20)]
+
+
+def _at_part_counts(split_all, compute):
+    results = []
+    for k in (1, 2, 3):
+        split_all(k)
+        results.append(compute())
+    return results
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_change_frame_bits_do_not_depend_on_parts(split_all, n):
+    x = _random(n)
+    for to in (MOMENTUM, POSITION):
+        first, *rest = _at_part_counts(split_all,
+                                       lambda: phase_space._change_frame(x.copy(), to))
+        assert all(np.array_equal(first, r) for r in rest)
+
+
+@pytest.mark.parametrize("n", [63, 64])
+@pytest.mark.parametrize("epsilon", [None, 0.1])
+def test_step_bits_do_not_depend_on_parts(split_all, n, epsilon):
+    space = TorusSpace(n)
+    umap = quantize(cat_map(0.3), space)
+    mask = None if epsilon is None else coarse_graining._mask(
+        coarse_graining.build_kernel(space, epsilon))
+    x = _random(n)
+    first, *rest = _at_part_counts(split_all,
+                                   lambda: coarse_graining._step(umap, mask, x.copy()))
+    assert all(np.array_equal(first, r) for r in rest)
+
+
+@pytest.mark.parametrize("n", [63, 64])
+@pytest.mark.parametrize("pair", [((0, 1), (1, 0)), ((1, 1), (0, 1))])
+def test_otoc_series_bits_do_not_depend_on_parts(split_all, n, pair):
+    space = TorusSpace(n)
+    umap = quantize(harper_map(0.94), space)
+    kernel = coarse_graining.build_kernel(space, 0.1)
+    first, *rest = _at_part_counts(
+        split_all, lambda: otoc.otoc_series(umap, *pair, 6, kernel=kernel))
+    for r in rest:
+        assert np.array_equal(first.o1, r.o1) and np.array_equal(first.o2, r.o2)
+
+
+def test_otoc_series_bits_hold_under_thread_switching(split_all):
+    """More parts than CPUs, switching threads every microsecond: a part that
+    wrote into another's rows or a lost block sum would change the bits."""
+    space = TorusSpace(64)
+    umap = quantize(harper_map(0.94), space)
+    kernel = coarse_graining.build_kernel(space, 0.1)
+    split_all(1)
+    serial = otoc.otoc_series(umap, (1, 1), (0, 1), 6, kernel=kernel)
+    split_all(phase_space._usable_cpus() + 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            series = otoc.otoc_series(umap, (1, 1), (0, 1), 6, kernel=kernel)
+            assert np.array_equal(serial.o1, series.o1)
+            assert np.array_equal(serial.o2, series.o2)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_cli_otoc_bytes_do_not_depend_on_parts(tmp_path, set_parts):
+    """At N=512 the passes split in two at the default part minimum."""
+    outputs = []
+    for k in (1, 2):
+        set_parts(k)
+        out = tmp_path / f"parts{k}"
+        assert main(["otoc", "--map", "cat", "--n", "512", "--map-param", "0.02",
+                     "--epsilon", "0.01", "--t-max", "6", "--out", str(out)]) == 0
+        assert f"environment.otoclab_threads={k}\n" in (out / "manifest.txt").read_text()
+        outputs.append((out / "otoc.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def _step_matches(umap, x, expected):
+    assert np.array_equal(coarse_graining._step(umap, None, x.copy()), expected)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_forked_child_builds_its_own_pool(split_all):
+    """The parent's pool threads do not exist in a forked child; were the pool
+    inherited, the child's first split would wait for them forever."""
+    split_all(2)
+    space = TorusSpace(64)
+    umap = quantize(cat_map(0.3), space)
+    x = _random(64)
+    expected = coarse_graining._step(umap, None, x.copy())
+    assert phase_space._executor is not None
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on any fork of a threaded process, the case under test
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child = multiprocessing.get_context("fork").Process(target=_step_matches,
+                                                            args=(umap, x, expected))
+        child.start()
+    child.join(timeout=60)
+    if child.exitcode is None:
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
