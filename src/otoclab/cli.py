@@ -371,14 +371,14 @@ def run_otoc(config: RunConfig) -> dict:
     return dict(derived)
 
 
-def _sweep_worker(task: tuple[RunConfig, str, float]) -> dict:
-    """Derived values of the otoc sub-run with ``axis`` set to ``value``."""
-    config, axis, value = task
+def _sweep_worker(task: tuple[RunConfig, str, float, str]) -> dict:
+    """Derived values of the otoc sub-run with ``axis`` set to ``value``, in directory ``name``."""
+    config, axis, value, name = task
     if axis == "N" and not float(value).is_integer():
         raise CliError(f"N must be an integer, got {value:g}")
     key = _SWEEP_AXES[axis]
     return run_otoc(dataclasses.replace(config, **{key: _CONFIG_TYPES[key](value)},
-                                        outputs=str(Path(config.outputs) / f"{axis}={value:g}")))
+                                        outputs=str(Path(config.outputs) / name)))
 
 
 def _summary_row(value: float, outcome) -> list:
@@ -395,9 +395,10 @@ def run_sweep(config: RunConfig, axis: str, values: list[float], jobs: int = 1) 
     """One otoc sub-run per value plus a summary CSV (written last).
 
     Sub-run failures, including invalid substituted configs and workers that
-    die, are recorded in the summary but do not abort the sweep.  The pool
-    holds at most one worker per value and per CPU, whatever ``jobs`` asks,
-    and each worker runs its N x N passes in usable CPUs // workers parts.
+    die, are recorded in the summary but do not abort the sweep; values whose
+    directories ``<axis>=<value:g>`` clash are refused first.  The pool holds at
+    most one worker per value and per usable CPU, whatever ``jobs`` asks, and
+    each worker runs its N x N passes in usable CPUs // workers parts.
     """
     if axis not in _SWEEP_AXES:
         raise CliError(f"sweep axis must be one of {tuple(_SWEEP_AXES)}, got {axis!r}")
@@ -405,13 +406,19 @@ def run_sweep(config: RunConfig, axis: str, values: list[float], jobs: int = 1) 
         raise CliError("sweep values list is empty")
     if jobs < 1:
         raise CliError(f"jobs must be >= 1, got {jobs}")
-    tasks = [(config, axis, v) for v in values]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    names = [f"{axis}={v:g}" for v in values]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise CliError(f"sweep values {values[names.index(name)]!r} and {values[i]!r} "
+                           f"would share the sub-run directory {name}")
+    tasks = [(config, axis, v, name) for v, name in zip(values, names)]
+    cpus = phase_space._usable_cpus()
+    workers = min(jobs, len(tasks), cpus)
     if workers > 1:
         # each worker splits its N x N passes over its share of the CPUs
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=phase_space._set_parts,
-                initargs=(max(1, phase_space._usable_cpus() // workers),)) as pool:
+                initargs=(cpus // workers,)) as pool:
             futures = [pool.submit(_sweep_worker, task) for task in tasks]
             rows = [_summary_row(v, fut.result) for v, fut in zip(values, futures)]
     else:

@@ -32,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import QuantumMap
-from .phase_space import (MOMENTUM, POSITION, OperatorMatrix, TorusSpace, _change_frame,
-                          _cyclic_diagonals, _entries, _from_cyclic_diagonals, _split,
-                          translation)
+from .phase_space import (MOMENTUM, POSITION, TorusSpace, _change_frame, _cyclic_diagonals,
+                          _from_cyclic_diagonals, _operator, _split, translation)
 
 __all__ = [
     "CoarseGrainKernel",
@@ -103,7 +102,7 @@ def build_kernel(space: TorusSpace, epsilon: float) -> CoarseGrainKernel:
     return CoarseGrainKernel(space, float(epsilon), axis, w, f.real.copy(), clip)
 
 
-def apply_dephasing_dense(kernel: CoarseGrainKernel, a) -> OperatorMatrix:
+def apply_dephasing_dense(kernel: CoarseGrainKernel, a: np.ndarray) -> np.ndarray:
     """Oracle path: the literal weighted sum over all N^2 translations.
 
     Cost O(N^4); refused above N = 64.
@@ -112,27 +111,24 @@ def apply_dephasing_dense(kernel: CoarseGrainKernel, a) -> OperatorMatrix:
     n = space.dim
     if n > _DENSE_LIMIT:
         raise ValueError(f"dense dephasing is O(N^4); refused above N={_DENSE_LIMIT}")
-    entries = _entries(a)
+    entries = _operator(a, n, "operator")
     out = np.zeros_like(entries)
     for xq in range(n):
         for xp in range(n):
-            t = translation(space, (xq, xp)).entries
+            t = translation(space, (xq, xp))
             out += kernel.c_weights[xq, xp] * (t.conj().T @ entries @ t)
-    return OperatorMatrix(out) if isinstance(a, OperatorMatrix) else out
+    return out
 
 
-def apply_dephasing_chord(kernel: CoarseGrainKernel, a):
+def apply_dephasing_chord(kernel: CoarseGrainKernel, a: np.ndarray) -> np.ndarray:
     """Oracle path: multiply each chord coefficient by its eigenvalue.
 
     Works diagonal by diagonal; the translation phases cancel between the
     forward and inverse transforms, leaving one FFT pair per diagonal.
     """
-    wrapped = isinstance(a, OperatorMatrix)
-    entries = _entries(a)
-    d = _cyclic_diagonals(entries)
+    d = _cyclic_diagonals(_operator(a, kernel.space.dim, "operator"))
     d = np.fft.ifft(np.fft.fft(d, axis=1) * kernel.diag_chord, axis=1)
-    out = _from_cyclic_diagonals(d)
-    return OperatorMatrix(out) if wrapped else out
+    return _from_cyclic_diagonals(d)
 
 
 def _circulant(f: np.ndarray) -> np.ndarray:
@@ -173,18 +169,15 @@ def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray) -> np.ndarr
     return at
 
 
-def evolve(umap: QuantumMap, kernel: CoarseGrainKernel | None, a, steps: int):
+def evolve(umap: QuantumMap, kernel: CoarseGrainKernel | None, a: np.ndarray, steps: int):
     """Yield A(0), A(1), ..., A(steps) in the momentum frame.
 
     A(t+1) = D_eps(U^dag A(t) U), or U^dag A(t) U when ``kernel`` is None or
-    has epsilon 0; ``a`` is an operator or raw position-basis entries.  The
-    input is copied and evolved by :func:`_evolve_in_place`, so one buffer is
+    has epsilon 0; ``a`` is A's N x N array of position-basis entries.  It
+    is copied and evolved by :func:`_evolve_in_place`, so one buffer is
     yielded each time and overwritten by the next step.
     """
-    entries = np.array(_entries(a), dtype=complex)
-    if entries.shape[0] != umap.dim:
-        raise ValueError(f"dimension mismatch: operator {entries.shape[0]}, map {umap.dim}")
-    yield from _evolve_in_place(umap, kernel, entries, steps)
+    yield from _evolve_in_place(umap, kernel, np.array(_operator(a, umap.dim, "operator")), steps)
 
 
 def _evolve_in_place(umap: QuantumMap, kernel: CoarseGrainKernel | None, at: np.ndarray,
@@ -200,8 +193,7 @@ def _evolve_in_place(umap: QuantumMap, kernel: CoarseGrainKernel | None, at: np.
         yield _step(umap, mask, at)
 
 
-def channel_step(umap: QuantumMap, kernel: CoarseGrainKernel | None, a):
+def channel_step(umap: QuantumMap, kernel: CoarseGrainKernel | None, a: np.ndarray) -> np.ndarray:
     """One coarse-grained Heisenberg step D_eps(U^dag A U), returned in the position basis."""
     *_, out = evolve(umap, kernel, a, 1)
-    _change_frame(out, POSITION)
-    return OperatorMatrix(out) if isinstance(a, OperatorMatrix) else out
+    return _change_frame(out, POSITION)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import OperatorMatrix, TorusSpace, _entries
+from .phase_space import TorusSpace, _operator
 
 __all__ = [
     "ClassicalMapSpec",
@@ -245,11 +245,12 @@ def apply_map(umap: QuantumMap, operand):
     Equivalent to the materialized matrix product but costs O(N log N) per
     column.  Operator entries must be written in the position basis.
     """
-    x = _entries(operand)
-    if x.shape[0] != umap.dim:
-        raise ValueError(f"dimension mismatch: operand {x.shape[0]}, map {umap.dim}")
-    out = _lmul(umap, x)
-    return OperatorMatrix(out) if isinstance(operand, OperatorMatrix) else out
+    x = np.asarray(operand, dtype=complex)
+    if x.ndim != 1:
+        x = _operator(x, umap.dim, "operand")
+    elif x.size != umap.dim:
+        raise ValueError(f"dimension mismatch: operand {x.size}, map {umap.dim}")
+    return _lmul(umap, x)
 
 
 def heisenberg_conjugate(umap: QuantumMap, entries: np.ndarray) -> np.ndarray:
@@ -257,6 +258,6 @@ def heisenberg_conjugate(umap: QuantumMap, entries: np.ndarray) -> np.ndarray:
     return _rmul(_lmul(umap, entries, adjoint=True), umap)
 
 
-def materialize(umap: QuantumMap) -> OperatorMatrix:
+def materialize(umap: QuantumMap) -> np.ndarray:
     """Dense unitary matrix of the map in the position basis."""
-    return OperatorMatrix(_lmul(umap, np.eye(umap.dim, dtype=complex)))
+    return _lmul(umap, np.eye(umap.dim, dtype=complex))

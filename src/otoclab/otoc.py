@@ -7,9 +7,10 @@ The correlator of Hermitian A, B under a one-step propagator is
 
 with the infinite-temperature average <.> = Tr(.)/N.  All values reported
 here carry that 1/N normalization, so O2 = 1/4 and C saturates at 1/2 for
-the sine observables.  A(t) is evolved in the momentum frame, in the one
-N x N buffer that first held B; in that frame B has K nonzero cyclic
-diagonals (1 for the sine of momentum, 2 for any other F_xi, N if dense).
+the sine observables.  A and B are N x N complex arrays or the displacements
+(q, p) of F_xi.  A(t) is evolved in the momentum frame, in the one N x N
+buffer that first held B; in that frame B has K nonzero cyclic diagonals
+(1 for the sine of momentum, 2 for any other F_xi, N if dense).
 A(t) and B are Hermitian (the channel keeps A(t) so), hence W = A(t) B has
 W^dag = B A(t) and
 
@@ -36,8 +37,8 @@ import numpy as np
 from . import coarse_graining
 from .classical import _cat_power, cat_matrix_power
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
-from .phase_space import (_ROW_BLOCK, MOMENTUM, OperatorMatrix, TorusSpace, _change_frame,
-                          _cyclic_diagonals, _parts, _split, _write_f, hermiticity_defect,
+from .phase_space import (_ROW_BLOCK, MOMENTUM, TorusSpace, _change_frame, _cyclic_diagonals,
+                          _operator, _parts, _split, _write_f, hermiticity_defect,
                           symplectic_product)
 
 __all__ = [
@@ -71,13 +72,13 @@ class OtocSeries:
         return np.abs(self.o1)
 
 
-def otoc_series(umap: QuantumMap, a: OperatorMatrix | tuple[int, int],
-                b: OperatorMatrix | tuple[int, int], t_max: int,
+def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
+                b: np.ndarray | tuple[int, int], t_max: int,
                 kernel: "coarse_graining.CoarseGrainKernel | None" = None) -> OtocSeries:
     """Compute C(t), O1(t), O2(t) for t = 0 .. t_max, with A(t) advanced by
     the channel of ``kernel`` (unitarily when None).
 
-    ``a`` and ``b`` are each a Hermitian :class:`OperatorMatrix` or an integer
+    ``a`` and ``b`` are each a Hermitian N x N array or an integer
     displacement (xi_q, xi_p) standing for F_xi.  O1 = <B A(t), A(t) B>_F / N
     and O2 = ||A(t) B||_F^2 / N are summed over blocks of rows.  The call
     holds one N x N array: B is written into it, checked and changed to the
@@ -102,17 +103,15 @@ def otoc_series(umap: QuantumMap, a: OperatorMatrix | tuple[int, int],
     return OtocSeries(np.arange(t_max + 1), c, o1, o2)
 
 
-def _fill(space: TorusSpace, op: OperatorMatrix | tuple[int, int], out: np.ndarray,
+def _fill(space: TorusSpace, op: np.ndarray | tuple[int, int], out: np.ndarray,
           name: str) -> np.ndarray:
-    """Position-basis entries of ``op``, an operator or the displacement of F_xi, written
-    into ``out`` and checked to be Hermitian."""
-    if not isinstance(op, OperatorMatrix):
+    """Position-basis entries of ``op``, an N x N array or the displacement (q, p) of F_xi,
+    written into ``out`` and checked to be Hermitian."""
+    if np.shape(op) == (2,):
         out.fill(0)
         _write_f(space, op, out)
-    elif op.dim != space.dim:
-        raise ValueError(f"dimension mismatch: operator {name} {op.dim}, map {space.dim}")
     else:
-        np.copyto(out, op.entries)
+        np.copyto(out, _operator(op, space.dim, f"operator {name}"))
     defect = hermiticity_defect(out)
     if defect > _HERMITIAN_TOL:
         raise ValueError(f"operator {name} is not Hermitian (defect {defect:.2e})")
@@ -185,7 +184,7 @@ def _contract_rows(at: np.ndarray, shifts: np.ndarray, d: np.ndarray, ab: np.nda
     return sums
 
 
-def otoc_via_commutator(umap: QuantumMap, a: OperatorMatrix, b: OperatorMatrix,
+def otoc_via_commutator(umap: QuantumMap, a: np.ndarray, b: np.ndarray,
                         t_max: int, kernel=None) -> np.ndarray:
     """Slow-path oracle: C(t) from the materialized commutator.
 
@@ -194,12 +193,11 @@ def otoc_via_commutator(umap: QuantumMap, a: OperatorMatrix, b: OperatorMatrix,
     """
     if umap.dim > _COMMUTATOR_LIMIT:
         raise ValueError(f"commutator oracle is O(N^3) per step; refused above N={_COMMUTATOR_LIMIT}")
-    at = a.entries.copy()
-    bb = b.entries
+    at = a.copy()
     dephase = kernel is not None and kernel.epsilon > 0
     c = np.empty(t_max + 1)
     for t in range(t_max + 1):
-        comm = at @ bb - bb @ at
+        comm = at @ b - b @ at
         c[t] = np.einsum("ij,ij->", comm, comm.conj()).real / umap.dim
         if t < t_max:
             at = heisenberg_conjugate(umap, at)

@@ -7,9 +7,9 @@ Every other module inherits the conventions fixed here:
 * tau = exp(i pi / N), the primitive 2N-th root of unity;
 * symplectic product <u, v> = u_p v_q - u_q v_p.
 
-Operators are dense N x N complex arrays of position-basis entries, wrapped
-in :class:`OperatorMatrix`.  The momentum frame is one FFT pair away
-(:func:`change_basis`), and the Heisenberg step in
+An operator is a plain N x N complex array of position-basis entries, its
+shape checked by :func:`_operator` where it enters.  The momentum frame is
+one FFT pair away (:func:`change_basis`), and the Heisenberg step in
 :mod:`otoclab.coarse_graining` crosses between the frames in place.
 
 The N x N passes of a run (the frame changes, the kicks and masks of the
@@ -25,7 +25,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +46,6 @@ __all__ = [
     "POSITION",
     "MOMENTUM",
     "TorusSpace",
-    "PhaseVector",
-    "OperatorMatrix",
     "shift_v",
     "clock_u",
     "symplectic_product",
@@ -88,30 +85,6 @@ class TorusSpace:
         """tau**k computed exactly from integer exponents (k reduced mod 2N)."""
         k = np.mod(k, 2 * self.dim)
         return np.exp(1j * np.pi * np.asarray(k, dtype=float) / self.dim)
-
-
-class PhaseVector(NamedTuple):
-    """Integer phase-space displacement (q component, p component)."""
-
-    q: int
-    p: int
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """Dense operator, entries written in the position basis."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"operator entries must be square, got shape {entries.shape}")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 def _usable_cpus() -> int:
@@ -177,11 +150,18 @@ def _split(fn, n: int, unit: int = 1) -> list:
     return [first] + [f.result() for f in futures]
 
 
-def _entries(a) -> np.ndarray:
-    return a.entries if isinstance(a, OperatorMatrix) else np.asarray(a, dtype=complex)
+def _operator(a, n: int, name: str) -> np.ndarray:
+    """``a`` as an n x n complex array, not copied when it is one already; ValueError,
+    naming it ``name``, when it is not square or not n x n."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} entries must be square, got shape {a.shape}")
+    if a.shape[0] != n:
+        raise ValueError(f"dimension mismatch: {name} {a.shape[0]}, map {n}")
+    return a
 
 
-def change_basis(space: TorusSpace, entries: np.ndarray, frm: str, to: str) -> np.ndarray:
+def change_basis(entries: np.ndarray, frm: str, to: str) -> np.ndarray:
     """Re-express operator entries between the position and momentum bases.
 
     With F[q, p] = exp(2i pi q p / N)/sqrt(N), the momentum representation is
@@ -208,27 +188,24 @@ def _change_frame(x: np.ndarray, to: str) -> np.ndarray:
     return x
 
 
-def hermiticity_defect(a) -> float:
+def hermiticity_defect(a: np.ndarray) -> float:
     """max |A - A^dag|, a block of rows at a time."""
-    e = _entries(a)
-    return max(float(np.abs(e[i:i + _ROW_BLOCK] - e[:, i:i + _ROW_BLOCK].conj().T).max())
-               for i in range(0, e.shape[0], _ROW_BLOCK))
+    return max(float(np.abs(a[i:i + _ROW_BLOCK] - a[:, i:i + _ROW_BLOCK].conj().T).max())
+               for i in range(0, a.shape[0], _ROW_BLOCK))
 
 
-def shift_v(space: TorusSpace) -> OperatorMatrix:
+def shift_v(space: TorusSpace) -> np.ndarray:
     """Cyclic shift V with V|q> = |q+1 mod N>.  Unitary, V^N = 1."""
     n = space.dim
     v = np.zeros((n, n), dtype=complex)
     q = np.arange(n)
     v[(q + 1) % n, q] = 1.0
-    return OperatorMatrix(v)
+    return v
 
 
-def clock_u(space: TorusSpace) -> OperatorMatrix:
+def clock_u(space: TorusSpace) -> np.ndarray:
     """Clock phase U = diag(tau^{2q}) = diag(exp(2i pi q / N)).  U^N = 1."""
-    n = space.dim
-    q = np.arange(n)
-    return OperatorMatrix(np.diag(space.tau_power(2 * q)))
+    return np.diag(space.tau_power(2 * np.arange(space.dim)))
 
 
 def symplectic_product(xi, chi) -> int:
@@ -241,7 +218,7 @@ def symplectic_product(xi, chi) -> int:
     return int(xi[1]) * int(chi[0]) - int(xi[0]) * int(chi[1])
 
 
-def translation(space: TorusSpace, xi) -> OperatorMatrix:
+def translation(space: TorusSpace, xi) -> np.ndarray:
     """Weyl translation T_xi = V^{xi_q} U^{xi_p} tau^{xi_q xi_p}.
 
     The operator powers only depend on xi mod N, but the symmetrizing phase
@@ -254,8 +231,7 @@ def translation(space: TorusSpace, xi) -> OperatorMatrix:
     the canonical [0, N) square; canonicalizing the phase instead would cost
     a sign on every wrap.
     """
-    t = np.zeros((space.dim, space.dim), dtype=complex)
-    return OperatorMatrix(_write_translation(space, xi, t))
+    return _write_translation(space, xi, np.zeros((space.dim, space.dim), dtype=complex))
 
 
 def _write_translation(space: TorusSpace, xi, out: np.ndarray) -> np.ndarray:
@@ -269,14 +245,14 @@ def _write_translation(space: TorusSpace, xi, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermitian_f(space: TorusSpace, xi) -> OperatorMatrix:
+def hermitian_f(space: TorusSpace, xi) -> np.ndarray:
     """Hermitian combination F_xi = (T_xi - T_xi^dag) / 2i.
 
     F_(0,1) is the sine-of-position observable and F_(1,0) the
     sine-of-momentum one; those two are exactly the operators returned by
     :func:`sine_position` and :func:`sine_momentum`.
     """
-    return OperatorMatrix(_write_f(space, xi, np.zeros((space.dim, space.dim), dtype=complex)))
+    return _write_f(space, xi, np.zeros((space.dim, space.dim), dtype=complex))
 
 
 def _write_f(space: TorusSpace, xi, out: np.ndarray) -> np.ndarray:
@@ -292,14 +268,14 @@ def _write_f(space: TorusSpace, xi, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def sine_position(space: TorusSpace) -> OperatorMatrix:
+def sine_position(space: TorusSpace) -> np.ndarray:
     """(U - U^dag)/2i: diagonal in position with entries sin(2 pi q / N)."""
-    return hermitian_f(space, PhaseVector(0, 1))
+    return hermitian_f(space, (0, 1))
 
 
-def sine_momentum(space: TorusSpace) -> OperatorMatrix:
+def sine_momentum(space: TorusSpace) -> np.ndarray:
     """(V - V^dag)/2i: diagonal in momentum, circulant in position."""
-    return hermitian_f(space, PhaseVector(1, 0))
+    return hermitian_f(space, (1, 0))
 
 
 def _cyclic_diagonals(a: np.ndarray, shifts=None) -> np.ndarray:
@@ -318,7 +294,7 @@ def _from_cyclic_diagonals(d: np.ndarray) -> np.ndarray:
     return a
 
 
-def chord_transform(space: TorusSpace, a) -> np.ndarray:
+def chord_transform(space: TorusSpace, a: np.ndarray) -> np.ndarray:
     """Expansion coefficients c[chi_q, chi_p] = Tr(T_chi^dag A) / N.
 
     Computed diagonal by diagonal with FFTs in O(N^2 log N); the inverse
@@ -326,19 +302,19 @@ def chord_transform(space: TorusSpace, a) -> np.ndarray:
     translations are trace-orthogonal.
     """
     n = space.dim
-    d = _cyclic_diagonals(_entries(a))
+    d = _cyclic_diagonals(a)
     c = np.fft.fft(d, axis=1) / n
     j = np.arange(n)
     c *= space.tau_power(-(j[:, None] * j[None, :]))
     return c
 
 
-def chord_inverse(space: TorusSpace, c: np.ndarray) -> OperatorMatrix:
+def chord_inverse(space: TorusSpace, c: np.ndarray) -> np.ndarray:
     """Rebuild the operator from its translation expansion c[chi_q, chi_p]."""
     n = space.dim
     j = np.arange(n)
     d = np.fft.ifft(c * space.tau_power(j[:, None] * j[None, :]), axis=1) * n
-    return OperatorMatrix(_from_cyclic_diagonals(d))
+    return _from_cyclic_diagonals(d)
 
 
 def coherent_state(space: TorusSpace, q0: float, p0: float) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from .coarse_graining import CoarseGrainKernel, _mask, _step, channel_step
 from .maps import QuantumMap
 from .otoc import OtocSeries, WindowFit, loglinear_fit
-from .phase_space import MOMENTUM, OperatorMatrix, TorusSpace, _change_frame
+from .phase_space import MOMENTUM, TorusSpace, _change_frame, _operator
 
 __all__ = [
     "ResonanceSpectrum",
@@ -142,14 +142,14 @@ def full_spectrum(superop: np.ndarray, params: dict | None = None) -> ResonanceS
         rights=vr.T.reshape(dim2, n, n), lefts=vl.T.reshape(dim2, n, n))
 
 
-def random_traceless_hermitian(space: TorusSpace, seed: int = 0) -> OperatorMatrix:
+def random_traceless_hermitian(space: TorusSpace, seed: int = 0) -> np.ndarray:
     """Seeded random Hermitian operator with the trace projected out."""
     rng = np.random.default_rng(seed)
     n = space.dim
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (raw + raw.conj().T) / 2.0
     h -= np.trace(h) / n * np.eye(n)
-    return OperatorMatrix(h)
+    return h
 
 
 class _RealSector:
@@ -216,7 +216,7 @@ def _parity(x: np.ndarray) -> int:
 
 
 def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
-                   a0: OperatorMatrix, depth: int = 40, n_wanted: int = 5) -> ResonanceSpectrum:
+                   a0: np.ndarray, depth: int = 40, n_wanted: int = 5) -> ResonanceSpectrum:
     """Leading channel eigenvalues by Arnoldi iteration in operator space.
 
     Builds the forward orbit of a traceless Hermitian seed, orthonormalizes
@@ -269,8 +269,8 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
         raise ValueError(f"n_wanted must be >= 1, got {n_wanted}")
     if depth < n_wanted + 2:
         raise ValueError(f"depth must be at least n_wanted + 2 = {n_wanted + 2}, got {depth}")
-    entries = a0.entries
     n = umap.dim
+    entries = _operator(a0, n, "Krylov seed")
     scale = np.linalg.norm(entries)
     if np.linalg.norm(entries - entries.conj().T) > 1e-12 * scale:
         raise ValueError("Krylov seed must be Hermitian")
@@ -393,8 +393,8 @@ def fit_tail_rate(series: OtocSeries, t_start: int, t_end: int,
     return WindowFit(*loglinear_fit(series.t[mask], o1), (int(t_start), int(t_end)))
 
 
-def spectral_o1_prediction(spectrum: ResonanceSpectrum, a: OperatorMatrix,
-                           b: OperatorMatrix, t: int, terms: int | None = None) -> complex:
+def spectral_o1_prediction(spectrum: ResonanceSpectrum, a: np.ndarray,
+                           b: np.ndarray, t: int, terms: int | None = None) -> complex:
     """O1(t) predicted from the spectral decomposition of the channel.
 
     Expands A over right eigenoperators with coefficients x_i = Tr(L_i^dag A),
@@ -407,10 +407,8 @@ def spectral_o1_prediction(spectrum: ResonanceSpectrum, a: OperatorMatrix,
         raise ValueError("spectral prediction needs a dense spectrum with eigenoperators")
     n = spectrum.rights.shape[1]
     count = spectrum.alphas.size if terms is None else min(terms, spectrum.alphas.size)
-    ae = a.entries
-    be = b.entries
     at = np.zeros((n, n), dtype=complex)
     for i in range(count):
-        x_i = np.vdot(spectrum.lefts[i], ae)
+        x_i = np.vdot(spectrum.lefts[i], a)
         at += x_i * spectrum.alphas[i] ** t * spectrum.rights[i]
-    return complex(np.einsum("ij,jk,kl,li->", at, be, at, be) / n)
+    return complex(np.einsum("ij,jk,kl,li->", at, b, at, b) / n)

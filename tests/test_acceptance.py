@@ -229,12 +229,12 @@ def test_criterion_7c_translation_algebra_exhaustive():
     worst = 0.0
     for n in range(2, 9):
         space = ol.TorusSpace(n)
-        ts = {(a, b): ol.translation(space, (a, b)).entries
+        ts = {(a, b): ol.translation(space, (a, b))
               for a in range(n) for b in range(n)}
         for xi, ta in ts.items():
             for chi, tb in ts.items():
                 s = ol.symplectic_product(xi, chi)
-                tsum = ol.translation(space, (xi[0] + chi[0], xi[1] + chi[1])).entries
+                tsum = ol.translation(space, (xi[0] + chi[0], xi[1] + chi[1]))
                 worst = max(worst, float(np.abs(ta @ tb - space.tau_power(s) * tsum).max()))
     assert report("7c", worst < 1e-12, f"composition law residual {worst:.2e} exhaustive N<=8 (tol 1e-12)")
 
@@ -258,14 +258,14 @@ def test_criterion_7e_spectral_prediction_single_resonance():
     kernel = ol.build_kernel(space, 10.0 / n)
     spectrum = full_spectrum(dense_superoperator(umap, kernel), params={})
     x, p = ol.sine_position(space), ol.sine_momentum(space)
-    coeffs = np.array([np.vdot(spectrum.lefts[i], x.entries)
+    coeffs = np.array([np.vdot(spectrum.lefts[i], x)
                        for i in range(spectrum.alphas.size)])
     contributing = np.where(np.abs(coeffs) > 1e-10)[0]
     order = contributing[np.argsort(-np.abs(spectrum.alphas[contributing]))]
     lead, sub = order[0], order[1]
     ratio = abs(spectrum.alphas[sub]) / abs(spectrum.alphas[lead])
-    t11 = np.einsum("ij,jk,kl,li->", spectrum.rights[lead], p.entries,
-                    spectrum.rights[lead], p.entries)
+    t11 = np.einsum("ij,jk,kl,li->", spectrum.rights[lead], p,
+                    spectrum.rights[lead], p)
 
     def single(t):
         return coeffs[lead] ** 2 * spectrum.alphas[lead] ** (2 * t) * t11 / n
@@ -274,14 +274,14 @@ def test_criterion_7e_spectral_prediction_single_resonance():
     t_star = next(t for t in range(threshold_t, threshold_t + 100)
                   if abs(spectral_o1_prediction(spectrum, x, p, t) - single(t))
                   < 0.08 * abs(single(t)))
-    at = x.entries.copy()
+    at = x.copy()
     log_scale = 0.0
     for _ in range(t_star):
         at = ol.channel_step(umap, kernel, at)
         norm = np.linalg.norm(at)
         log_scale += np.log(norm)
         at /= norm
-    direct = np.einsum("ij,jk,kl,li->", at, p.entries, at, p.entries) / n * np.exp(2 * log_scale)
+    direct = np.einsum("ij,jk,kl,li->", at, p, at, p) / n * np.exp(2 * log_scale)
     rel = abs(single(t_star) - direct) / abs(direct)
     ok = rel < 0.10 and ratio ** t_star < 0.05
     assert report("7e", ok,
@@ -328,8 +328,8 @@ def test_criterion_9_wavepacket_correspondence():
     by two orders of magnitude."""
     n = 2048
     space = ol.TorusSpace(n)
-    x_op = ol.sine_position(space).entries
-    p_op = ol.sine_momentum(space).entries
+    x_op = ol.sine_position(space)
+    p_op = ol.sine_momentum(space)
     rng = np.random.default_rng(77)
     worst = 0.0
     for spec in [ol.cat_map(0.02), ol.standard_map(0.3), ol.harper_map(0.1)]:

@@ -186,12 +186,14 @@ def test_cli_rejects_unknown_config_key(tmp_path):
 def test_sweep_summary_and_subruns(tmp_path):
     config = RunConfig(map="cat", n=32, map_param=0.02, t_max=6,
                        outputs=str(tmp_path / "sweep"))
-    summary = run_sweep(config, "epsilon", [0.1, 0.2])
+    summary = run_sweep(config, "epsilon", [0.01, 0.02, 0.05, 0.1])  # the sweep-eps values
     header, rows = read_csv(summary)
-    assert header[0] == "value" and len(rows) == 2
+    assert header[0] == "value" and len(rows) == 4
     assert all(r[1] == "ok" for r in rows)
+    assert sorted(p.name for p in (tmp_path / "sweep").iterdir() if p.is_dir()) == [
+        "epsilon=0.01", "epsilon=0.02", "epsilon=0.05", "epsilon=0.1"]
     assert (tmp_path / "sweep" / "epsilon=0.1" / "otoc.csv").exists()
-    assert (tmp_path / "sweep" / "epsilon=0.2" / "manifest.txt").exists()
+    assert (tmp_path / "sweep" / "epsilon=0.02" / "manifest.txt").exists()
 
 
 def test_sweep_records_partial_failures(tmp_path):
@@ -537,14 +539,14 @@ class _RecordingPool:
 def test_sweep_pool_capped_by_values_and_cpus(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cli.phase_space, "_usable_cpus", lambda: 3)
     config = RunConfig(map="cat", n=8, map_param=0.02, t_max=3, outputs=str(tmp_path / "s"))
     summary = run_sweep(config, "epsilon", [0.1, 0.2, 0.3, 0.4], jobs=100000)
     _, rows = read_csv(summary)
     assert [r[1] for r in rows] == ["ok"] * 4
     run_sweep(config, "epsilon", [0.1, 0.2], jobs=100000)
     run_sweep(config, "epsilon", [0.1, 0.2], jobs=1)  # serial: no pool at all
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: one CPU
+    monkeypatch.setattr(cli.phase_space, "_usable_cpus", lambda: 1)
     run_sweep(config, "epsilon", [0.1, 0.2], jobs=2)
     assert _RecordingPool.sizes == [3, 2]
     for jobs in (0, -1):
@@ -591,16 +593,31 @@ def test_every_config_field_is_a_flag_a_key_and_echoed(tmp_path):
         assert {key: type(values[key])(value) for key, value in echoed.items()} == values
 
 
-@pytest.mark.parametrize("cpus, parts", [(4, 2), (2, 1)])
+@pytest.mark.parametrize("cpus, parts", [(4, 2), (2, 1), (1, None)])
 def test_sweep_workers_share_the_cpus(tmp_path, monkeypatch, cpus, parts):
-    """Each sweep worker runs its N x N passes in usable CPUs // workers parts."""
+    """On a 4-CPU host whose affinity set holds ``cpus``, each sweep worker runs its
+    N x N passes in usable CPUs // workers parts; one usable CPU runs serially, no pool."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "inits", [])
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(cli.phase_space, "_usable_cpus", lambda: cpus)
     config = RunConfig(map="cat", n=8, map_param=0.02, t_max=3, outputs=str(tmp_path / "s"))
     run_sweep(config, "epsilon", [0.1, 0.2], jobs=2)
-    assert _RecordingPool.inits == [(cli.phase_space._set_parts, (parts,))]
+    assert _RecordingPool.inits == ([] if parts is None else
+                                    [(cli.phase_space._set_parts, (parts,))])
+
+
+@pytest.mark.parametrize("axis, values", [("epsilon", "0.1,0.10,0.1000001"), ("N", "64,64.0")])
+def test_sweep_refuses_values_that_share_a_directory(tmp_path, capsys, axis, values):
+    """Sub-run directories are named <axis>=<value:g>: values that format alike would
+    write the same files, so the sweep is refused before any sub-run starts."""
+    out = tmp_path / "s"
+    code = main(["sweep", "--map", "cat", "--n", "8", "--t-max", "3", "--axis", axis,
+                 "--values", values, "--out", str(out)])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "share" in lines[0], lines
+    assert not out.exists()
 
 
 def test_manifests_record_the_part_count(tmp_path):
@@ -615,7 +632,7 @@ def test_manifests_record_the_part_count(tmp_path):
     assert threads(tmp_path / "one" / "manifest.txt") == str(cli.phase_space._part_count)
     run_sweep(dataclasses.replace(config, outputs=str(tmp_path / "s")), "epsilon",
               [0.1, 0.2], jobs=2)
-    workers = min(2, os.cpu_count() or 1)
+    workers = min(2, cli.phase_space._usable_cpus())
     share = cli.phase_space._usable_cpus() // workers if workers > 1 \
         else cli.phase_space._part_count
     for value in ("0.1", "0.2"):

@@ -4,7 +4,7 @@ import pytest
 from otoclab.coarse_graining import (apply_dephasing_chord, apply_dephasing_dense,
                                      build_kernel, channel_step)
 from otoclab.maps import cat_map, heisenberg_conjugate, quantize, standard_map
-from otoclab.phase_space import (OperatorMatrix, TorusSpace, sine_position, translation)
+from otoclab.phase_space import (TorusSpace, sine_position, translation)
 
 
 def random_hermitian(n, seed):
@@ -150,7 +150,7 @@ def test_translations_are_dephasing_eigenoperators():
     rng = np.random.default_rng(2)
     for _ in range(6):
         chi = tuple(rng.integers(0, n, 2))
-        t = translation(space, chi).entries
+        t = translation(space, chi)
         out = apply_dephasing_chord(kernel, t)
         assert np.abs(out - kernel.diag_chord[chi] * t).max() < 1e-12
 
@@ -227,11 +227,3 @@ def test_channel_step_dimension_mismatch():
     with pytest.raises(ValueError):
         channel_step(umap, kernel, np.eye(9, dtype=complex))
 
-
-def test_channel_step_wrapped_operator():
-    space = TorusSpace(16)
-    umap = quantize(cat_map(0.0), space)
-    kernel = build_kernel(space, 0.2)
-    out = channel_step(umap, kernel, sine_position(space))
-    assert isinstance(out, OperatorMatrix)
-    assert np.abs(out.entries - channel_step(umap, kernel, sine_position(space).entries)).max() == 0.0

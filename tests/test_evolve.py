@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from otoclab.coarse_graining import apply_dephasing_dense, build_kernel, channel_step, evolve
 from otoclab.maps import AS_PRINTED, CORRESPONDENCE, cat_map, harper_map, materialize, quantize, standard_map
 from otoclab.otoc import otoc_series, otoc_via_commutator
-from otoclab.phase_space import (MOMENTUM, POSITION, OperatorMatrix, TorusSpace, change_basis,
+from otoclab.phase_space import (MOMENTUM, POSITION, TorusSpace, change_basis,
                                  hermitian_f, hermiticity_defect, sine_momentum, sine_position)
 
 FAMILIES = (cat_map, standard_map, harper_map)
@@ -38,7 +38,7 @@ def channels(draw, dims=st.integers(2, 24), epsilons=st.none() | st.floats(0.0, 
 
 
 def oracle_step(umap, kernel, a):
-    u = materialize(umap).entries
+    u = materialize(umap)
     out = u.conj().T @ a @ u
     if kernel is not None and kernel.epsilon > 0:
         out = apply_dephasing_dense(kernel, out)
@@ -52,7 +52,7 @@ def test_evolve_matches_dense_oracle(channel, seed):
     a = random_matrix(umap.dim, seed)
     expected = a
     for t, at in enumerate(evolve(umap, kernel, a, 3)):
-        assert np.abs(change_basis(umap.space, at, MOMENTUM, POSITION) - expected).max() < 1e-12
+        assert np.abs(change_basis(at, MOMENTUM, POSITION) - expected).max() < 1e-12
         expected = oracle_step(umap, kernel, expected)
     assert t == 3
 
@@ -85,7 +85,7 @@ def test_channel_unital_trace_and_hermiticity_preserving_contractive(channel, se
 def static_observables(space, seed):
     b = random_matrix(space.dim, seed, hermitian=True)
     return {"sine_momentum": sine_momentum(space), "sine_position": sine_position(space),
-            "F(1,1)": hermitian_f(space, (1, 1)), "dense": OperatorMatrix(b / np.linalg.norm(b))}
+            "F(1,1)": hermitian_f(space, (1, 1)), "dense": b / np.linalg.norm(b)}
 
 
 @PROPERTY
@@ -95,7 +95,7 @@ def test_otoc_series_matches_commutator_oracle(channel, b_name, seed):
     umap, kernel = channel
     space = umap.space
     a = random_matrix(16, seed + 1, hermitian=True)
-    a = OperatorMatrix(a * np.sqrt(16) / np.linalg.norm(a))
+    a = a * np.sqrt(16) / np.linalg.norm(a)
     b = static_observables(space, seed)[b_name]
     series = otoc_series(umap, a, b, 5, kernel=kernel)
     oracle = otoc_via_commutator(umap, a, b, 5, kernel=kernel)
@@ -117,7 +117,7 @@ def test_otoc_contraction_matches_commutator_oracle(channel, xi, chi, seed):
     space = umap.space
     a = hermitian_f(space, xi)
     if chi is None:
-        b = OperatorMatrix(random_matrix(space.dim, seed, hermitian=True) / np.sqrt(space.dim))
+        b = random_matrix(space.dim, seed, hermitian=True) / np.sqrt(space.dim)
     else:
         b = hermitian_f(space, chi)
     series = otoc_series(umap, a, b, 5, kernel=kernel)

@@ -6,8 +6,8 @@ from otoclab.coarse_graining import build_kernel
 from otoclab.maps import (ClassicalMapSpec, apply_map, cat_map, classical_step,
                           harper_map, heisenberg_conjugate, jacobian, kick_prefactor,
                           materialize, quantize, standard_map)
-from otoclab.phase_space import (OperatorMatrix, TorusSpace, coherent_state, sine_momentum,
-                                 sine_position, translation)
+from otoclab.phase_space import (TorusSpace, coherent_state, sine_momentum, sine_position,
+                                 translation)
 
 # index matrix of the exact translation covariance U^dag T_xi U = T_{S xi}
 # realized by the k=0 quantization (the cat matrix with q and p roles swapped)
@@ -97,7 +97,7 @@ def test_quantize_unitary(n, spec):
     umap = quantize(spec, TorusSpace(n))
     assert np.abs(np.abs(umap.phase_position) - 1.0).max() < 1e-14
     assert np.abs(np.abs(umap.phase_momentum) - 1.0).max() < 1e-14
-    u = materialize(umap).entries
+    u = materialize(umap)
     assert np.abs(u.conj().T @ u - np.eye(n)).max() < 1e-10
 
 
@@ -125,14 +125,14 @@ def test_materialize_against_independent_dense_construction(spec):
     q = np.arange(n)
     f = np.exp(2j * np.pi * np.outer(q, q) / n) / np.sqrt(n)
     dense = f @ np.diag(umap.phase_momentum) @ f.conj().T @ np.diag(umap.phase_position)
-    assert np.abs(materialize(umap).entries - dense).max() < 1e-12
+    assert np.abs(materialize(umap) - dense).max() < 1e-12
 
 
 @pytest.mark.parametrize("spec", [cat_map(0.05), standard_map(19.74), harper_map(0.94)])
 def test_apply_map_against_dense_product(spec):
     space = TorusSpace(16)
     umap = quantize(spec, space)
-    u = materialize(umap).entries
+    u = materialize(umap)
     rng = np.random.default_rng(5)
     a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     assert np.abs(apply_map(umap, a) - u @ a).max() < 1e-11
@@ -151,8 +151,8 @@ def test_cat_small_n_series_follows_integer_recurrence():
     n = 8
     space = TorusSpace(n)
     umap = quantize(cat_map(0.0), space)
-    x = sine_position(space).entries.copy()
-    p = sine_momentum(space).entries
+    x = sine_position(space).copy()
+    p = sine_momentum(space)
     for t in range(13):
         o1 = np.trace(x @ p @ x @ p) / n
         o2 = np.trace(x @ x @ p @ p) / n
@@ -167,8 +167,8 @@ def test_cat_small_n_series_follows_integer_recurrence():
 def test_cat_covariance_translations_transform_classically(n, xi):
     space = TorusSpace(n)
     umap = quantize(cat_map(0.0), space)
-    t_evolved = heisenberg_conjugate(umap, translation(space, xi).entries)
-    target = translation(space, tuple(COVARIANCE_S @ np.array(xi))).entries
+    t_evolved = heisenberg_conjugate(umap, translation(space, xi))
+    target = translation(space, tuple(COVARIANCE_S @ np.array(xi)))
     overlap = np.trace(target.conj().T @ t_evolved) / n
     assert abs(abs(overlap) - 1.0) < 1e-8          # same translation, up to phase
     assert np.abs(t_evolved - overlap * target).max() < 1e-8
@@ -181,8 +181,8 @@ def test_cat_covariance_breaks_for_odd_n():
     n = 9
     space = TorusSpace(n)
     umap = quantize(cat_map(0.0), space)
-    t_evolved = heisenberg_conjugate(umap, translation(space, (1, 0)).entries)
-    target = translation(space, tuple(COVARIANCE_S @ np.array([1, 0]))).entries
+    t_evolved = heisenberg_conjugate(umap, translation(space, (1, 0)))
+    target = translation(space, tuple(COVARIANCE_S @ np.array([1, 0])))
     overlap = np.trace(target.conj().T @ t_evolved) / n
     assert np.abs(t_evolved - overlap * target).max() > 0.1
 
@@ -198,8 +198,8 @@ def test_wavepacket_follows_classical_step(spec):
     n = 1024
     space = TorusSpace(n)
     umap = quantize(spec, space)
-    x_op = sine_position(space).entries
-    p_op = sine_momentum(space).entries
+    x_op = sine_position(space)
+    p_op = sine_momentum(space)
     rng = np.random.default_rng(21)
     for _ in range(3):
         q0 = round(rng.uniform(0.05, 0.95) * n) / n
@@ -215,7 +215,6 @@ def test_array_records_compare_by_identity_and_hash():
     # space keep value equality, because the spec is a cache key
     space = TorusSpace(8)
     pairs = [(build_kernel(space, 0.1), build_kernel(space, 0.1)),
-             (OperatorMatrix(np.eye(8)), OperatorMatrix(np.eye(8))),
              (quantize(cat_map(0.02), space), quantize(cat_map(0.02), space))]
     for first, second in pairs:
         assert first == first

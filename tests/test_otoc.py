@@ -9,7 +9,7 @@ from otoclab.coarse_graining import build_kernel, channel_step, evolve
 from otoclab.maps import cat_map, quantize
 from otoclab.otoc import (OtocSeries, analytic_cat_otoc, fit_growth, fit_lyapunov_from_otoc,
                           loglinear_fit, otoc_family_linear, otoc_series, otoc_via_commutator)
-from otoclab.phase_space import (MOMENTUM, POSITION, OperatorMatrix, TorusSpace, change_basis,
+from otoclab.phase_space import (MOMENTUM, POSITION, TorusSpace, change_basis,
                                  hermitian_f, sine_momentum, sine_position)
 
 
@@ -28,7 +28,7 @@ def test_heisenberg_zero_steps_and_identity(space64, cat64):
     unchanged by the unitary steps (and by every frame change)."""
     x = sine_position(space64)
     (x0,) = evolve(cat64, None, x, 0)
-    assert np.array_equal(x0, change_basis(space64, x.entries, POSITION, MOMENTUM))
+    assert np.array_equal(x0, change_basis(x, POSITION, MOMENTUM))
     *_, ident = evolve(cat64, None, np.eye(64, dtype=complex), 5)
     assert np.abs(ident - np.eye(64)).max() < 1e-12
 
@@ -37,15 +37,15 @@ def test_heisenberg_hermiticity_preserved(space64, cat64):
     x = sine_position(space64)
     for _ in range(10):
         x = channel_step(cat64, None, x)
-    assert np.abs(x.entries - x.entries.conj().T).max() < 1e-10
+    assert np.abs(x - x.conj().T).max() < 1e-10
 
 
 def test_heisenberg_single_step_covariance(space64, cat64):
     """One step maps the sine pair onto the next translation combination."""
-    evolved = channel_step(cat64, None, hermitian_f(space64, (0, 1))).entries
-    assert np.abs(evolved - hermitian_f(space64, (1, 2)).entries).max() < 1e-12
-    evolved = channel_step(cat64, None, hermitian_f(space64, (1, 0))).entries
-    assert np.abs(evolved - hermitian_f(space64, (1, 1)).entries).max() < 1e-12
+    evolved = channel_step(cat64, None, hermitian_f(space64, (0, 1)))
+    assert np.abs(evolved - hermitian_f(space64, (1, 2))).max() < 1e-12
+    evolved = channel_step(cat64, None, hermitian_f(space64, (1, 0)))
+    assert np.abs(evolved - hermitian_f(space64, (1, 1))).max() < 1e-12
 
 
 def test_otoc_series_matches_exact_cat_law():
@@ -71,7 +71,7 @@ def test_otoc_series_decomposition_identity_and_positivity():
 
 
 def test_otoc_series_rejects_non_hermitian(space64, cat64):
-    bad = OperatorMatrix(np.triu(np.ones((64, 64), dtype=complex)))
+    bad = np.triu(np.ones((64, 64), dtype=complex))
     with pytest.raises(ValueError):
         otoc_series(cat64, bad, sine_momentum(space64), 3)
 
@@ -192,8 +192,8 @@ def test_family_linear_matches_numerics_for_random_pairs(space64, cat64):
         if xi != chi and xi != (0, 0) and chi != (0, 0):
             pairs.append((xi, chi))
     for xi, chi in pairs:
-        a = hermitian_f(space64, (xi[1], xi[0])).entries.copy()
-        b = hermitian_f(space64, (chi[1], chi[0])).entries
+        a = hermitian_f(space64, (xi[1], xi[0])).copy()
+        b = hermitian_f(space64, (chi[1], chi[0]))
         for t in range(6):
             comm = a @ b - b @ a
             c_num = np.einsum("ij,ij->", comm, comm.conj()).real / n
@@ -276,7 +276,7 @@ def test_otoc_series_displacements_equal_operators(xi, chi, eps):
 
 def test_otoc_series_checks_its_operators(space64, cat64):
     """A and B are each checked for Hermiticity and size once written into the buffer."""
-    skew = OperatorMatrix(1j * np.eye(64))
+    skew = 1j * np.eye(64)
     with pytest.raises(ValueError, match="operator A is not Hermitian"):
         otoc_series(cat64, skew, (1, 0), 2)
     with pytest.raises(ValueError, match="operator B is not Hermitian"):

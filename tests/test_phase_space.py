@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otoclab.phase_space import (MOMENTUM, POSITION, OperatorMatrix, TorusSpace, change_basis,
+from otoclab.coarse_graining import (apply_dephasing_chord, apply_dephasing_dense, build_kernel,
+                                     channel_step, evolve)
+from otoclab.maps import apply_map, cat_map, quantize
+from otoclab.otoc import otoc_series
+from otoclab.phase_space import (MOMENTUM, POSITION, TorusSpace, change_basis,
                                  chord_inverse, chord_transform, clock_u, coherent_state,
                                  hermitian_f, hermiticity_defect, shift_v, sine_momentum,
                                  sine_position, symplectic_product, translation)
 from otoclab.phase_space import _write_f
+from otoclab.resonances import krylov_leading
 
 
 def test_torus_space_rejects_small_dims():
@@ -27,17 +32,17 @@ def test_tau_is_2n_th_root_of_unity(n):
 
 
 def test_shift_n2_is_swap():
-    v = shift_v(TorusSpace(2)).entries
+    v = shift_v(TorusSpace(2))
     assert np.array_equal(v, np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 def test_shift_periodicity_n3():
-    v = shift_v(TorusSpace(3)).entries
+    v = shift_v(TorusSpace(3))
     assert np.abs(v @ v @ v - np.eye(3)).max() < 1e-15
 
 
 def test_shift_wraps_last_basis_column():
-    v = shift_v(TorusSpace(8)).entries
+    v = shift_v(TorusSpace(8))
     e7 = np.zeros(8)
     e7[7] = 1.0
     out = v @ e7
@@ -45,15 +50,15 @@ def test_shift_wraps_last_basis_column():
 
 
 def test_clock_entries():
-    u4 = clock_u(TorusSpace(4)).entries
+    u4 = clock_u(TorusSpace(4))
     assert abs(u4[1, 1] - 1j) < 1e-15
-    u2 = clock_u(TorusSpace(2)).entries
+    u2 = clock_u(TorusSpace(2))
     assert np.allclose(np.diag(u2), [1, -1])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 17])
 def test_clock_traceless_and_unitary(n):
-    u = clock_u(TorusSpace(n)).entries
+    u = clock_u(TorusSpace(n))
     assert abs(np.trace(u)) < 1e-12
     assert np.abs(u.conj().T @ u - np.eye(n)).max() < 1e-12
     assert np.abs(np.linalg.matrix_power(u, n) - np.eye(n)).max() < 1e-10
@@ -70,22 +75,22 @@ def test_symplectic_product_values():
 
 def test_translation_generators():
     space = TorusSpace(6)
-    assert np.abs(translation(space, (0, 0)).entries - np.eye(6)).max() == 0.0
-    assert np.array_equal(translation(space, (1, 0)).entries, shift_v(space).entries)
-    assert np.array_equal(translation(space, (0, 1)).entries, clock_u(space).entries)
+    assert np.abs(translation(space, (0, 0)) - np.eye(6)).max() == 0.0
+    assert np.array_equal(translation(space, (1, 0)), shift_v(space))
+    assert np.array_equal(translation(space, (0, 1)), clock_u(space))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
 def test_translation_algebra_exhaustive(n):
     """T_xi T_chi = tau^<xi,chi> T_{xi+chi}, commutator included, all pairs."""
     space = TorusSpace(n)
-    ts = {(a, b): translation(space, (a, b)).entries for a in range(n) for b in range(n)}
+    ts = {(a, b): translation(space, (a, b)) for a in range(n) for b in range(n)}
     worst_prod = 0.0
     worst_comm = 0.0
     for (aq, ap), ta in ts.items():
         for (bq, bp), tb in ts.items():
             s = symplectic_product((aq, ap), (bq, bp))
-            tsum = translation(space, (aq + bq, ap + bp)).entries
+            tsum = translation(space, (aq + bq, ap + bp))
             lhs = ta @ tb
             worst_prod = max(worst_prod, np.abs(lhs - space.tau_power(s) * tsum).max())
             comm = lhs - tb @ ta
@@ -100,9 +105,9 @@ def test_translations_orthogonal(n):
     space = TorusSpace(n)
     vecs = [(a, b) for a in range(n) for b in range(n)]
     for xi in vecs:
-        txi = translation(space, xi).entries
+        txi = translation(space, xi)
         for chi in vecs:
-            tchi = translation(space, chi).entries
+            tchi = translation(space, chi)
             overlap = np.trace(txi.conj().T @ tchi) / n
             expected = 1.0 if xi == chi else 0.0
             assert abs(overlap - expected) < 1e-12
@@ -110,20 +115,19 @@ def test_translations_orthogonal(n):
 
 def test_translation_unitary_large_components():
     space = TorusSpace(8)
-    t = translation(space, (13, -5)).entries
+    t = translation(space, (13, -5))
     assert np.abs(t.conj().T @ t - np.eye(8)).max() < 1e-12
 
 
 def test_sine_position_n4():
-    x = sine_position(TorusSpace(4)).entries
+    x = sine_position(TorusSpace(4))
     assert np.allclose(x, np.diag([0.0, 1.0, 0.0, -1.0]), atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 32])
 def test_sine_operators_traceless_with_half_second_moment(n):
     space = TorusSpace(n)
-    for op in (sine_position(space), sine_momentum(space)):
-        e = op.entries
+    for e in (sine_position(space), sine_momentum(space)):
         assert hermiticity_defect(e) < 1e-14
         assert abs(np.trace(e)) < 1e-12
         assert abs(np.trace(e @ e) / n - 0.5) < 1e-12
@@ -133,8 +137,8 @@ def test_commutator_scales_as_inverse_dimension():
     norms = {}
     for n in [128, 256, 512]:
         space = TorusSpace(n)
-        x = sine_position(space).entries
-        p = sine_momentum(space).entries
+        x = sine_position(space)
+        p = sine_momentum(space)
         norms[n] = np.linalg.norm(x @ p - p @ x, 2)
     scaled = [norms[n] * n for n in norms]
     assert max(scaled) / min(scaled) < 1.05
@@ -142,13 +146,13 @@ def test_commutator_scales_as_inverse_dimension():
 
 
 def test_hermitian_f_zero_vector():
-    assert np.abs(hermitian_f(TorusSpace(5), (0, 0)).entries).max() == 0.0
+    assert np.abs(hermitian_f(TorusSpace(5), (0, 0))).max() == 0.0
 
 
 def test_hermitian_f_matches_sine_operators_bitwise():
     space = TorusSpace(12)
-    assert np.array_equal(hermitian_f(space, (1, 0)).entries, sine_momentum(space).entries)
-    assert np.array_equal(hermitian_f(space, (0, 1)).entries, sine_position(space).entries)
+    assert np.array_equal(hermitian_f(space, (1, 0)), sine_momentum(space))
+    assert np.array_equal(hermitian_f(space, (0, 1)), sine_position(space))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 12, 64, 1000, 1024])
@@ -161,8 +165,8 @@ def test_hermitian_f_bit_identical_to_dense_formula(n):
     xis = [(0, 0), (0, 1), (1, 0), (n, 3), (n // 2, 1), (3 * n // 2, -2), (n // 2, n // 2)]
     xis += [tuple(int(v) for v in rng.integers(-3 * n, 3 * n, 2)) for _ in range(3)]
     for xi in xis:
-        t = translation(space, xi).entries
-        assert hermitian_f(space, xi).entries.tobytes() == ((t - t.conj().T) / 2j).tobytes(), xi
+        t = translation(space, xi)
+        assert hermitian_f(space, xi).tobytes() == ((t - t.conj().T) / 2j).tobytes(), xi
 
 
 def test_hermitian_f_allocates_one_operator():
@@ -186,18 +190,18 @@ def test_f_writer_reproduces_translation_based_hermitian_f():
     space = TorusSpace(n)
     q = np.arange(n)
     for xi in [(0, 0), (0, 1), (1, 0), (1, 1), (n // 2, 5), (-7, 3 * n + 1), (2 * n, -n)]:
-        f = translation(space, xi).entries
+        f = translation(space, xi)
         rows = (q + xi[0]) % n
         r, c = np.concatenate((rows, q)), np.concatenate((q, rows))
         f[r, c] = (f[r, c] - f[c, r].conj()) / 2j
         assert _write_f(space, xi, np.zeros((n, n), dtype=complex)).tobytes() == f.tobytes(), xi
-        assert hermitian_f(space, xi).entries.tobytes() == f.tobytes(), xi
+        assert hermitian_f(space, xi).tobytes() == f.tobytes(), xi
 
 
 @pytest.mark.parametrize("xi", [(1, 1), (2, 3), (3, 1)])
 def test_hermitian_f_is_hermitian_traceless(xi):
     space = TorusSpace(4)
-    f = hermitian_f(space, xi).entries
+    f = hermitian_f(space, xi)
     assert hermiticity_defect(f) < 1e-14
     assert abs(np.trace(f)) < 1e-13
 
@@ -224,7 +228,7 @@ def test_chord_round_trip_and_parseval():
     raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     a = (raw + raw.conj().T) / 2
     coeffs = chord_transform(space, a)
-    back = chord_inverse(space, coeffs).entries
+    back = chord_inverse(space, coeffs)
     assert np.abs(back - a).max() < 1e-10
     hs = np.trace(a.conj().T @ a).real / 16
     assert abs((np.abs(coeffs) ** 2).sum() - hs) < 1e-10
@@ -237,7 +241,7 @@ def test_chord_transform_round_trips(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     coeffs = chord_transform(space, a)
-    assert np.abs(chord_inverse(space, coeffs).entries - a).max() < 1e-12
+    assert np.abs(chord_inverse(space, coeffs) - a).max() < 1e-12
     assert abs((np.abs(coeffs) ** 2).sum() - np.linalg.norm(a) ** 2 / n) < 1e-12 * n
 
 
@@ -245,22 +249,38 @@ def test_change_basis_round_trip_and_momentum_diagonals():
     space = TorusSpace(32)
     rng = np.random.default_rng(3)
     a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-    there = change_basis(space, a, POSITION, MOMENTUM)
-    back = change_basis(space, there, MOMENTUM, POSITION)
+    there = change_basis(a, POSITION, MOMENTUM)
+    back = change_basis(there, MOMENTUM, POSITION)
     assert np.abs(back - a).max() < 1e-12
     # the shift is diagonal in momentum; the clock shifts momentum up by one
-    v_mom = change_basis(space, shift_v(space).entries, POSITION, MOMENTUM)
+    v_mom = change_basis(shift_v(space), POSITION, MOMENTUM)
     p = np.arange(32)
     assert np.abs(v_mom - np.diag(np.exp(-2j * np.pi * p / 32))).max() < 1e-12
-    u_mom = change_basis(space, clock_u(space).entries, POSITION, MOMENTUM)
-    assert np.abs(u_mom - shift_v(space).entries).max() < 1e-12
+    u_mom = change_basis(clock_u(space), POSITION, MOMENTUM)
+    assert np.abs(u_mom - shift_v(space)).max() < 1e-12
 
 
-def test_operator_matrix_wrapper():
-    with pytest.raises(ValueError):
-        OperatorMatrix(np.zeros((2, 3)))
-    op = OperatorMatrix(np.eye(3))
-    assert op.dim == 3
+# every public entry point that takes an operator, called on a map and kernel at N=8
+_OPERATOR_ENTRY_POINTS = {
+    "evolve": lambda umap, kernel, x: next(evolve(umap, kernel, x, 1)),
+    "channel_step": channel_step,
+    "apply_dephasing_chord": lambda umap, kernel, x: apply_dephasing_chord(kernel, x),
+    "apply_dephasing_dense": lambda umap, kernel, x: apply_dephasing_dense(kernel, x),
+    "apply_map": lambda umap, kernel, x: apply_map(umap, x),
+    "krylov_leading": lambda umap, kernel, x: krylov_leading(umap, kernel, x, depth=10),
+    "otoc_series_A": lambda umap, kernel, x: otoc_series(umap, x, (1, 0), 2, kernel),
+    "otoc_series_B": lambda umap, kernel, x: otoc_series(umap, (0, 1), x, 2, kernel),
+}
+
+
+@pytest.mark.parametrize("shape", [(8, 9), (9, 9)], ids=["non-square", "wrong-size"])
+@pytest.mark.parametrize("entry", sorted(_OPERATOR_ENTRY_POINTS))
+def test_operator_entry_points_refuse_bad_shapes(entry, shape):
+    """An operator is an N x N array: each entry point refuses any other shape."""
+    space = TorusSpace(8)
+    umap, kernel = quantize(cat_map(0.02), space), build_kernel(space, 0.1)
+    with pytest.raises(ValueError, match="must be square|dimension mismatch"):
+        _OPERATOR_ENTRY_POINTS[entry](umap, kernel, np.zeros(shape, dtype=complex))
 
 
 def test_coherent_state_centers():
@@ -268,7 +288,7 @@ def test_coherent_state_centers():
     q0, p0 = 154 / 512, 301 / 512
     psi = coherent_state(space, q0, p0)
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
-    x = (psi.conj() @ sine_position(space).entries @ psi).real
-    p = (psi.conj() @ sine_momentum(space).entries @ psi).real
+    x = (psi.conj() @ sine_position(space) @ psi).real
+    p = (psi.conj() @ sine_momentum(space) @ psi).real
     assert abs(x - np.sin(2 * np.pi * q0)) < 5.0 / 512
     assert abs(p - np.sin(2 * np.pi * p0)) < 5.0 / 512

@@ -9,7 +9,7 @@ from otoclab import resonances
 from otoclab.coarse_graining import build_kernel, channel_step
 from otoclab.maps import AS_PRINTED, CORRESPONDENCE, cat_map, harper_map, quantize, standard_map
 from otoclab.otoc import OtocSeries
-from otoclab.phase_space import OperatorMatrix, TorusSpace, sine_momentum, sine_position
+from otoclab.phase_space import TorusSpace, sine_momentum, sine_position
 from otoclab.resonances import (dense_superoperator, fit_tail_rate, full_spectrum,
                                 krylov_leading, random_traceless_hermitian,
                                 spectral_o1_prediction)
@@ -185,9 +185,9 @@ def test_krylov_parity_sector_matches_dense_oracle(n, family, param, kick_mode, 
     commutes = np.abs(superop[np.ix_(mirror, mirror)] - superop).max() < 1e-12
     fixed = 1 if n % 2 else 4  # entries with (i, j) = (-i, -j) mod n
     dim = (n * n - fixed) // 2 if sign < 0 else (n * n + fixed) // 2 - 1
-    a = random_traceless_hermitian(space, seed).entries
+    a = random_traceless_hermitian(space, seed)
     a = (a + sign * a[np.ix_(neg, neg)]) / 2
-    krylov = krylov_leading(umap, kernel, OperatorMatrix(a), depth=dim, n_wanted=min(3, dim - 2))
+    krylov = krylov_leading(umap, kernel, a, depth=dim, n_wanted=min(3, dim - 2))
     if not commutes:
         assert family is not harper_map and n % 2
         assert krylov.params["sector"] == "none"
@@ -205,7 +205,7 @@ def test_krylov_parity_sector_matches_dense_oracle(n, family, param, kick_mode, 
 def test_krylov_refuses_non_hermitian_seed():
     space = TorusSpace(8)
     umap = quantize(cat_map(0.02), space)
-    seed = OperatorMatrix((1 + 0.5j) * random_traceless_hermitian(space, 0).entries)
+    seed = (1 + 0.5j) * random_traceless_hermitian(space, 0)
     with pytest.raises(ValueError, match="Hermitian"):
         krylov_leading(umap, build_kernel(space, 0.5), seed, depth=10, n_wanted=3)
 
@@ -270,9 +270,8 @@ def test_krylov_validation_and_determinism():
     kernel = build_kernel(space, 0.5)
     with pytest.raises(ValueError):
         krylov_leading(umap, kernel, sine_position(space), depth=4, n_wanted=4)
-    from otoclab.phase_space import OperatorMatrix
     with pytest.raises(ValueError):
-        krylov_leading(umap, kernel, OperatorMatrix(np.eye(16, dtype=complex)), depth=20)
+        krylov_leading(umap, kernel, np.eye(16, dtype=complex), depth=20)
     a = krylov_leading(umap, kernel, random_traceless_hermitian(space, 3), depth=25, n_wanted=3)
     b = krylov_leading(umap, kernel, random_traceless_hermitian(space, 3), depth=25, n_wanted=3)
     assert np.array_equal(a.alphas, b.alphas)
@@ -326,14 +325,14 @@ def test_spectral_prediction_complete_at_t0():
     n = 16
     umap, kernel, spectrum = _dense(n, cat_map(0.02), 0.625)
     x, p = sine_position(umap.space), sine_momentum(umap.space)
-    direct0 = np.einsum("ij,jk,kl,li->", x.entries, p.entries, x.entries, p.entries) / n
+    direct0 = np.einsum("ij,jk,kl,li->", x, p, x, p) / n
     pred0 = spectral_o1_prediction(spectrum, x, p, 0)
     assert abs(pred0 - direct0) < 1e-8
 
 
 def test_spectral_prediction_identity_coefficient_vanishes():
     umap, kernel, spectrum = _dense(12, cat_map(0.02), 0.8)
-    x0 = np.vdot(spectrum.lefts[0], sine_position(umap.space).entries)
+    x0 = np.vdot(spectrum.lefts[0], sine_position(umap.space))
     assert abs(x0) < 1e-10
 
 
@@ -341,10 +340,10 @@ def test_spectral_prediction_tracks_direct_iteration():
     n = 16
     umap, kernel, spectrum = _dense(n, cat_map(0.02), 0.625)
     x, p = sine_position(umap.space), sine_momentum(umap.space)
-    at = x.entries.copy()
+    at = x.copy()
     for t in range(1, 9):
         at = channel_step(umap, kernel, at)
-        direct = np.einsum("ij,jk,kl,li->", at, p.entries, at, p.entries) / n
+        direct = np.einsum("ij,jk,kl,li->", at, p, at, p) / n
         pred = spectral_o1_prediction(spectrum, x, p, t)
         assert abs(pred - direct) < 1e-10 * max(1.0, abs(direct))
 
@@ -362,15 +361,15 @@ def test_spectral_prediction_single_resonance_regime():
     n = 16
     umap, kernel, spectrum = _dense(n, cat_map(0.02), 0.625)
     x, p = sine_position(umap.space), sine_momentum(umap.space)
-    coeffs = np.array([np.vdot(spectrum.lefts[i], x.entries)
+    coeffs = np.array([np.vdot(spectrum.lefts[i], x)
                        for i in range(spectrum.alphas.size)])
     contributing = np.where(np.abs(coeffs) > 1e-10)[0]
     order = contributing[np.argsort(-np.abs(spectrum.alphas[contributing]))]
     lead, sub = order[0], order[1]
     a1, a2 = spectrum.alphas[lead], spectrum.alphas[sub]
     assert abs(a1.imag) < 1e-10  # real leading resonance: clean decay, no envelope
-    t11 = np.einsum("ij,jk,kl,li->", spectrum.rights[lead], p.entries,
-                    spectrum.rights[lead], p.entries)
+    t11 = np.einsum("ij,jk,kl,li->", spectrum.rights[lead], p,
+                    spectrum.rights[lead], p)
     assert abs(t11) > 1e-12
 
     def single(t):
@@ -385,14 +384,14 @@ def test_spectral_prediction_single_resonance_regime():
             break
     assert t_star is not None
     assert (abs(a2) / abs(a1)) ** t_star < 0.05
-    at = x.entries.copy()
+    at = x.copy()
     log_scale = 0.0
     for _ in range(t_star):
         at = channel_step(umap, kernel, at)
         norm = np.linalg.norm(at)
         log_scale += np.log(norm)
         at /= norm
-    direct = np.einsum("ij,jk,kl,li->", at, p.entries, at, p.entries) / n * np.exp(2 * log_scale)
+    direct = np.einsum("ij,jk,kl,li->", at, p, at, p) / n * np.exp(2 * log_scale)
     assert abs(single(t_star) - direct) / abs(direct) < 0.10
 
 
