@@ -322,6 +322,7 @@ def run_otoc(config: RunConfig) -> dict:
             ("derived.lambda_generalized", _fmt(est.lam_generalized)),
             ("derived.lambda_standard_error", _fmt(est.standard_error)),
             ("derived.t_ehrenfest", _fmt(t_e)),
+            ("derived.otoc_sector", series.sector),
         ]
         header = ["t", "C", "O1_re", "O1_im", "O1_abs", "O2"]
         columns = [series.t, series.c, series.o1.real, series.o1.imag, series.o1_abs, series.o2]

@@ -20,8 +20,12 @@ The package's one Heisenberg step, :func:`_step`, applies each kick and
 mask in place in the frame where it is elementwise and starts and ends in
 the momentum frame; :func:`_evolve_in_place` iterates it on a caller's
 buffer (for :func:`evolve` and the OTOC series) and the Krylov solver calls
-it directly.  The chord-space dephasing and the literal sum over all N^2
-translations are kept as oracles.
+it directly.  Given a parity sign the step works on rows 0 .. N/2 only: the
+OTOC series passes one when A(t) keeps a definite parity, x[-i, -j] =
+sign x[i, j], which holds at even N when the kick phases are mirror-symmetric
+(the mask f[(r - s) % N] always is).  :func:`evolve` and the Krylov solver
+take the full step.  The chord-space dephasing and the literal sum over all
+N^2 translations are kept as oracles.
 """
 
 from __future__ import annotations
@@ -85,6 +89,8 @@ def build_kernel(space: TorusSpace, epsilon: float) -> CoarseGrainKernel:
     f[chi] = sum_xi w(xi) exp(2i pi chi xi / N); its imaginary part vanishes
     by the even symmetry of w and is discarded after a consistency check.
     """
+    if not np.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     n = space.dim
@@ -151,21 +157,28 @@ def _kick(rows: np.ndarray, phase_rows: np.ndarray, phase: np.ndarray,
         rows *= mask
 
 
-def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray) -> np.ndarray:
+def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray,
+          sign: int = 0) -> np.ndarray:
     """One channel step in place on momentum-frame entries: four 1D FFT passes.
 
     The momentum kick, the frame change to position, the position kick, the
     mask, the frame change back and the mask again.  Each kick and mask pass
     runs over fixed parts of the rows (:func:`~otoclab.phase_space._split`);
-    it is elementwise, so the bits do not depend on the part count.
+    it is elementwise, so the bits do not depend on the part count.  A
+    nonzero ``sign`` is the parity of ``at`` at even N, which the caller
+    vouches the channel keeps: every pass then reads and writes rows
+    0 .. N/2 only (see :func:`~otoclab.phase_space._change_frame`), and the
+    other rows are left stale.
     """
     n, pos, mom = at.shape[0], umap.phase_position, umap.phase_momentum
-    _split(lambda _, s: _kick(at[s], mom[s], mom, None), n)
-    _change_frame(at, POSITION)
-    _split(lambda _, s: _kick(at[s], pos[s], pos, None if mask is None else mask[s]), n)
-    _change_frame(at, MOMENTUM)
+    lines = n // 2 + 1 if sign else n
+    _split(lambda _, s: _kick(at[s], mom[s], mom, None), n, lines=lines)
+    _change_frame(at, POSITION, sign)
+    _split(lambda _, s: _kick(at[s], pos[s], pos, None if mask is None else mask[s]), n,
+           lines=lines)
+    _change_frame(at, MOMENTUM, sign)
     if mask is not None:
-        _split(lambda _, s: np.multiply(at[s], mask[s], out=at[s]), n)
+        _split(lambda _, s: np.multiply(at[s], mask[s], out=at[s]), n, lines=lines)
     return at
 
 
@@ -181,16 +194,17 @@ def evolve(umap: QuantumMap, kernel: CoarseGrainKernel | None, a: np.ndarray, st
 
 
 def _evolve_in_place(umap: QuantumMap, kernel: CoarseGrainKernel | None, at: np.ndarray,
-                     steps: int):
+                     steps: int, sign: int = 0):
     """:func:`evolve` on the caller's N x N complex buffer of position-basis entries: it is
     changed to the momentum frame once, yielded, and advanced by :func:`_step`, the step
-    the Krylov solver shares, each time."""
+    the Krylov solver shares, each time; a nonzero ``sign`` is passed on to the step, so
+    only rows 0 .. N/2 are valid after the first."""
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     mask = _mask(kernel)
     yield _change_frame(at, MOMENTUM)
     for _ in range(steps):
-        yield _step(umap, mask, at)
+        yield _step(umap, mask, at, sign)
 
 
 def channel_step(umap: QuantumMap, kernel: CoarseGrainKernel | None, a: np.ndarray) -> np.ndarray:

@@ -23,10 +23,20 @@ arrays: W is never formed, and every read is along a row.  The blocks are
 spread over the CPUs with :func:`~otoclab.phase_space._split`, one scratch
 pair per part, and their sums are added in block order on the calling
 thread, so the series does not depend on the part count.
+
+At even N, when A and B each have a definite parity x[-i, -j] = +-x[i, j]
+(F_xi is odd) and both kick phase vectors of the map are mirror-symmetric,
+A(t) keeps A's parity, and the series runs in that sector: each step works
+on rows 0 .. N/2 only (:func:`~otoclab.coarse_graining._step`), and the
+contraction sums rows 1 .. N/2 - 1 twice and rows 0 and N/2 once, since AB
+and BA have the same parity, after filling the few rows beyond N/2 that BA
+reads.  The sector agrees with the full path to rounding, and its bits do not
+depend on the part count either.  Every other case takes the full path.
 """
 
 from __future__ import annotations
 
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -37,9 +47,9 @@ import numpy as np
 from . import coarse_graining
 from .classical import _cat_power, cat_matrix_power
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
-from .phase_space import (_ROW_BLOCK, MOMENTUM, TorusSpace, _change_frame, _cyclic_diagonals,
-                          _operator, _parts, _split, _write_f, hermiticity_defect,
-                          symplectic_product)
+from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame,
+                          _cyclic_diagonals, _mirror_rows, _operator, _parity, _parts, _split,
+                          _write_f, hermiticity_defect, symplectic_product)
 
 __all__ = [
     "OtocSeries",
@@ -55,17 +65,20 @@ __all__ = [
 
 _HERMITIAN_TOL = 1e-10
 _DIAG_TOL = 1e-12
+_MIRROR_TOL = 1e-12
 _COMMUTATOR_LIMIT = 64
 
 
 @dataclass(frozen=True, eq=False)
 class OtocSeries:
-    """Per-step record of C(t), O1(t), O2(t)."""
+    """Per-step record of C(t), O1(t), O2(t); ``sector`` is the parity sector the series
+    ran in (odd, even, or none for the full path)."""
 
     t: np.ndarray
     c: np.ndarray
     o1: np.ndarray
     o2: np.ndarray
+    sector: str = "none"
 
     @property
     def o1_abs(self) -> np.ndarray:
@@ -86,36 +99,58 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
     written over it, checked, and evolved there in place.  Beside it the
     contraction holds two 16-row blocks of AB and BA per part, at most N / 256
     parts (:func:`~otoclab.phase_space._parts`), so at most N^2 / 8 entries.
+    The parity sector (see the module notes) is picked from the data, and
+    recorded as ``sector``.
     """
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     buffer = np.empty((umap.dim, umap.dim), dtype=complex)
-    shifts, d = _nonzero_diagonals(_change_frame(_fill(umap.space, b, buffer, "B"), MOMENTUM))
+    _fill(umap.space, b, buffer, "B")
+    b_sign = _sign(b, buffer) if _keeps_parity(umap) else 0
+    shifts, d = _nonzero_diagonals(_change_frame(buffer, MOMENTUM))
     _fill(umap.space, a, buffer, "A")
+    sign = _sign(a, buffer) if b_sign else 0
     # one ab/ba pair per part, zeroed, so a zero B (no diagonals) gives O1 = O2 = 0
     scratch = [np.zeros((2, min(_ROW_BLOCK, umap.dim), umap.dim), dtype=complex)
                for _ in _parts(umap.dim, _ROW_BLOCK)]
     o1 = np.empty(t_max + 1, dtype=complex)
     o2 = np.empty(t_max + 1)
-    for t, at in enumerate(coarse_graining._evolve_in_place(umap, kernel, buffer, t_max)):
-        o1[t], o2[t] = _contract(at, shifts, d, scratch)
+    for t, at in enumerate(coarse_graining._evolve_in_place(umap, kernel, buffer, t_max, sign)):
+        o1[t], o2[t] = _contract(at, shifts, d, scratch, sign)
     c = -2.0 * (o1 - o2).real
-    return OtocSeries(np.arange(t_max + 1), c, o1, o2)
+    return OtocSeries(np.arange(t_max + 1), c, o1, o2, _SECTOR_NAMES[sign])
 
 
 def _fill(space: TorusSpace, op: np.ndarray | tuple[int, int], out: np.ndarray,
           name: str) -> np.ndarray:
-    """Position-basis entries of ``op``, an N x N array or the displacement (q, p) of F_xi,
-    written into ``out`` and checked to be Hermitian."""
+    """Position-basis entries of ``op``, an N x N array or the integer displacement
+    (q, p) of F_xi, written into ``out`` and checked to be Hermitian, NaN refused."""
     if np.shape(op) == (2,):
+        if not all(isinstance(x, numbers.Integral)
+                   or (isinstance(x, numbers.Real) and float(x).is_integer()) for x in op):
+            raise ValueError(f"operator {name} displacement must be two integers, got {op}")
         out.fill(0)
         _write_f(space, op, out)
     else:
         np.copyto(out, _operator(op, space.dim, f"operator {name}"))
     defect = hermiticity_defect(out)
-    if defect > _HERMITIAN_TOL:
+    if not defect <= _HERMITIAN_TOL:
         raise ValueError(f"operator {name} is not Hermitian (defect {defect:.2e})")
     return out
+
+
+def _sign(op: np.ndarray | tuple[int, int], filled: np.ndarray) -> int:
+    """Parity of ``op``, whose entries ``filled`` holds: F_xi is odd, an array is scanned."""
+    return -1 if np.shape(op) == (2,) else _parity(filled)
+
+
+def _keeps_parity(umap: QuantumMap) -> bool:
+    """Whether the channel keeps an operator's parity in a form the sector step uses: N
+    even and both kick phase vectors mirror-symmetric to 1e-12 (the mask always is)."""
+    n = umap.dim
+    neg = -np.arange(n) % n
+    return n % 2 == 0 and all(np.abs(v - v[neg]).max() <= _MIRROR_TOL
+                              for v in (umap.phase_position, umap.phase_momentum))
 
 
 def _nonzero_diagonals(bm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,7 +179,7 @@ def _axpy(first: bool, out: np.ndarray, x: np.ndarray, scale: np.ndarray) -> Non
 
 
 def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
-              scratch: list[np.ndarray]) -> tuple[complex, float]:
+              scratch: list[np.ndarray], sign: int = 0) -> tuple[complex, float]:
     """O1 = <BA, AB>_F / N and O2 = ||AB||_F^2 / N of momentum-frame A(t) against
     B's cyclic diagonals, a block of rows of AB and BA at a time.
 
@@ -152,16 +187,42 @@ def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
     part i holding its blocks of AB and BA in ``scratch[i]``.  The per-block
     sums come back and are added here in block order, so the bits depend on
     neither the part count nor the BLAS thread count: every sum is a ufunc or
-    einsum reduction.
+    einsum reduction.  With A(t)'s parity ``sign`` only rows 0 .. N/2 of A(t)
+    are valid: the rows beyond that BA reads are filled from their mirrors,
+    and row r of AB and BA is row -r up to one common sign, so rows
+    1 .. N/2 - 1 are summed and doubled, and rows 0 and N/2 added once.
     """
     n = at.shape[0]
+    h = n // 2
+    if sign:
+        for rows in _mirrored_rows(shifts, n):
+            _mirror_rows(at, rows, sign)
+    start, stop = (1, h) if sign else (0, n)
     o1, o2 = 0j, 0.0
-    for part in _split(lambda i, rows: _contract_rows(at, shifts, d, *scratch[i], rows),
-                       n, _ROW_BLOCK):
+    for part in _split(lambda i, s: _contract_rows(at, shifts, d, *scratch[i],
+                                                   slice(start + s.start, start + s.stop)),
+                       n, _ROW_BLOCK, stop - start):
         for b1, b2 in part:
             o1 += b1
             o2 += b2
+    if sign:
+        o1, o2 = 2 * o1, 2 * o2
+        for r in (0, h):
+            ((b1, b2),) = _contract_rows(at, shifts, d, *scratch[0], slice(r, r + 1))
+            o1 += b1
+            o2 += b2
     return o1 / n, o2 / n
+
+
+def _mirrored_rows(shifts: np.ndarray, n: int) -> list[slice]:
+    """The rows beyond N/2 that rows 0 .. N/2 of BA read, (r - j) % N for B's shifts j,
+    as at most two runs: N/2 + 1 .. N/2 + N - j for j > N/2, and max(N - j, N/2 + 1)
+    .. N - 1 for 0 < j <= N/2.  None for B diagonal in momentum (shift 0 only)."""
+    h = n // 2
+    below = h + 1 + max((n - j for j in shifts if j > h), default=0)
+    above = n - max((min(j, h - 1) for j in shifts if 0 < j <= h), default=0)
+    runs = [slice(h + 1, n)] if below >= above else [slice(h + 1, below), slice(above, n)]
+    return [s for s in runs if s.start < s.stop]
 
 
 def _contract_rows(at: np.ndarray, shifts: np.ndarray, d: np.ndarray, ab: np.ndarray,
@@ -193,7 +254,8 @@ def otoc_via_commutator(umap: QuantumMap, a: np.ndarray, b: np.ndarray,
     """
     if umap.dim > _COMMUTATOR_LIMIT:
         raise ValueError(f"commutator oracle is O(N^3) per step; refused above N={_COMMUTATOR_LIMIT}")
-    at = a.copy()
+    b = _operator(b, umap.dim, "operator B")
+    at = _operator(a, umap.dim, "operator A").copy()
     dephase = kernel is not None and kernel.epsilon > 0
     c = np.empty(t_max + 1)
     for t in range(t_max + 1):

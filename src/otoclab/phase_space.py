@@ -15,9 +15,15 @@ one FFT pair away (:func:`change_basis`), and the Heisenberg step in
 The N x N passes of a run (the frame changes, the kicks and masks of the
 step, the OTOC contraction) are independent per line or per block of rows,
 so :func:`_split` runs them in fixed contiguous parts, one per usable CPU
-and at most one per 256 lines, on a per-process thread pool.  Every line or
-block gets the same arithmetic as in one serial pass, so no result depends on
-the part count.
+and at most one per 256 lines of N, on a per-process thread pool.  Every
+line or block gets the same arithmetic as in one serial pass, so no result
+depends on the part count.
+
+Parity q -> -q maps entries x[i, j] to x[-i, -j] (indices mod N) in both
+frames.  An operator of definite parity, x[-i, -j] = sign x[i, j], is fixed
+by its rows 0 .. N/2 at even N; :func:`_change_frame` given the sign keeps
+only those rows valid and transforms N/2 + 1 columns and rows, each after
+filling its other half from the mirror entries (:func:`_mirror_fill`).
 """
 
 from __future__ import annotations
@@ -127,19 +133,22 @@ if hasattr(os, "register_at_fork"):  # not on Windows, which cannot fork
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _parts(n: int, unit: int = 1) -> list[slice]:
-    """Contiguous slices of range(n), each starting on a multiple of ``unit``: at most
-    :data:`_part_count` of them and one per :data:`_PART_MIN` lines."""
-    units = -(-n // unit)
+def _parts(n: int, unit: int = 1, lines: int | None = None) -> list[slice]:
+    """Contiguous slices of range(lines), ``lines`` n by default, each starting on a
+    multiple of ``unit``: at most :data:`_part_count` of them and one per
+    :data:`_PART_MIN` of the N = n lines, so a half pass of an N x N array is split
+    as its whole pass is."""
+    lines = n if lines is None else lines
+    units = -(-lines // unit)
     k = max(1, min(_part_count, n // _PART_MIN, units))
-    edges = [min(n, unit * (i * units // k)) for i in range(k + 1)]
+    edges = [min(lines, unit * (i * units // k)) for i in range(k + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _split(fn, n: int, unit: int = 1) -> list:
+def _split(fn, n: int, unit: int = 1, lines: int | None = None) -> list:
     """[fn(i, s_i)] over the slices s_i of :func:`_parts`: part 0 on the calling thread,
     the others on the pool, all finished before this returns or raises."""
-    parts = _parts(n, unit)
+    parts = _parts(n, unit, lines)
     if len(parts) == 1:
         return [fn(0, parts[0])]
     futures = [_pool().submit(fn, i, s) for i, s in enumerate(parts[1:], 1)]
@@ -174,24 +183,81 @@ def change_basis(entries: np.ndarray, frm: str, to: str) -> np.ndarray:
     return _change_frame(np.array(entries, dtype=complex), to)
 
 
-def _change_frame(x: np.ndarray, to: str) -> np.ndarray:
+def _change_frame(x: np.ndarray, to: str, sign: int = 0) -> np.ndarray:
     """In place on complex entries: F^dag x F to momentum, F x F^dag to position.
 
     The axis-0 FFT runs over fixed parts of the columns and the axis-1 FFT
     over parts of the rows (:func:`_split`); each line is transformed alone,
-    so the bits do not depend on the part count.
+    so the bits do not depend on the part count.  A nonzero ``sign`` is the
+    parity of x at even N, of which only rows 0 .. N/2 are read and written:
+    columns 0 .. N/2 are transformed after their rows N/2 + 1 .. N - 1 are
+    filled from the mirror entries, then rows 0 .. N/2 after their columns
+    N/2 + 1 .. N - 1 are.  The FFTs do half the work, and each fill reads only
+    entries that no other part writes.
     """
     first, second = (np.fft.fft, np.fft.ifft) if to == MOMENTUM else (np.fft.ifft, np.fft.fft)
     n = x.shape[0]
-    _split(lambda _, s: first(x[:, s], axis=0, out=x[:, s]), n)
-    _split(lambda _, s: second(x[s], axis=1, out=x[s]), n)
+    lines = n // 2 + 1 if sign else n
+
+    def columns(_, s):
+        if sign:
+            _mirror_fill(x.T, s, sign)
+        first(x[:, s], axis=0, out=x[:, s])
+
+    def rows(_, s):
+        if sign:
+            _mirror_fill(x, s, sign)
+        second(x[s], axis=1, out=x[s])
+
+    _split(columns, n, lines=lines)
+    _split(rows, n, lines=lines)
     return x
 
 
+def _mirror_fill(x: np.ndarray, rows: slice, sign: int) -> None:
+    """x[r, c] = sign x[-r, -c] for the ``rows`` r within 0 .. N/2 and the columns
+    c = N/2 + 1 .. N - 1, from columns N/2 - 1 .. 1, through strided views: the source
+    is not copied."""
+    n = x.shape[0]
+    h = n // 2
+    a, b = rows.start, rows.stop
+    if a == 0:  # row 0 is its own mirror
+        np.multiply(x[0, h - 1:0:-1], sign, out=x[0, h + 1:])
+        a = 1
+    if a < b:  # rows a .. b - 1 read rows N - a down to N - b + 1
+        np.multiply(x[n - a:n - b:-1, h - 1:0:-1], sign, out=x[a:b, h + 1:])
+
+
+def _mirror_rows(x: np.ndarray, rows: slice, sign: int) -> None:
+    """x[r, c] = sign x[-r, -c] for the ``rows`` r within N/2 + 1 .. N - 1 and every c,
+    from rows 1 .. N/2 - 1."""
+    n = x.shape[0]
+    src = slice(n - rows.start, n - rows.stop, -1)
+    np.multiply(x[src, 0], sign, out=x[rows, 0])
+    np.multiply(x[src, :0:-1], sign, out=x[rows, 1:])
+
+
+_SECTOR_NAMES = {1: "even", -1: "odd", 0: "none"}
+
+
+def _parity(x: np.ndarray) -> int:
+    """+1 or -1 when x[-i, -j] = +-x[i, j] to 1e-12 relative in the Frobenius norm,
+    else 0; summed a block of rows at a time, so no N x N temporary is made."""
+    n = x.shape[0]
+    neg = -np.arange(n) % n
+    norms = np.zeros(3)  # ||x||^2, ||x - Px||^2, ||x + Px||^2
+    for i in range(0, n, _ROW_BLOCK):
+        block = x[i:i + _ROW_BLOCK]
+        mirrored = x[np.ix_(neg[i:i + _ROW_BLOCK], neg)]
+        norms += [np.vdot(y, y).real for y in (block, block - mirrored, block + mirrored)]
+    limit = 1e-24 * norms[0]
+    return next((s for s, d in ((1, norms[1]), (-1, norms[2])) if d <= limit), 0)
+
+
 def hermiticity_defect(a: np.ndarray) -> float:
-    """max |A - A^dag|, a block of rows at a time."""
-    return max(float(np.abs(a[i:i + _ROW_BLOCK] - a[:, i:i + _ROW_BLOCK].conj().T).max())
-               for i in range(0, a.shape[0], _ROW_BLOCK))
+    """max |A - A^dag|, a block of rows at a time; NaN when any entry is NaN."""
+    return float(np.max([np.abs(a[i:i + _ROW_BLOCK] - a[:, i:i + _ROW_BLOCK].conj().T).max()
+                         for i in range(0, a.shape[0], _ROW_BLOCK)]))
 
 
 def shift_v(space: TorusSpace) -> np.ndarray:
@@ -302,7 +368,7 @@ def chord_transform(space: TorusSpace, a: np.ndarray) -> np.ndarray:
     translations are trace-orthogonal.
     """
     n = space.dim
-    d = _cyclic_diagonals(a)
+    d = _cyclic_diagonals(_operator(a, n, "operator"))
     c = np.fft.fft(d, axis=1) / n
     j = np.arange(n)
     c *= space.tau_power(-(j[:, None] * j[None, :]))

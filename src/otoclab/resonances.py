@@ -21,7 +21,8 @@ import numpy as np
 from .coarse_graining import CoarseGrainKernel, _mask, _step, channel_step
 from .maps import QuantumMap
 from .otoc import OtocSeries, WindowFit, loglinear_fit
-from .phase_space import MOMENTUM, TorusSpace, _change_frame, _operator
+from .phase_space import (_SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame, _operator,
+                          _parity)
 
 __all__ = [
     "ResonanceSpectrum",
@@ -204,17 +205,6 @@ class _RealSector:
         return out
 
 
-_SECTOR_NAMES = {1: "even", -1: "odd", 0: "none"}
-
-
-def _parity(x: np.ndarray) -> int:
-    """+1 or -1 when x[-i, -j] = +-x[i, j] to 1e-12 relative, else 0."""
-    neg = -np.arange(x.shape[0]) % x.shape[0]
-    mirrored = x[np.ix_(neg, neg)]
-    limit = 1e-12 * np.linalg.norm(x)
-    return next((s for s in (1, -1) if np.linalg.norm(x - s * mirrored) <= limit), 0)
-
-
 def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
                    a0: np.ndarray, depth: int = 40, n_wanted: int = 5) -> ResonanceSpectrum:
     """Leading channel eigenvalues by Arnoldi iteration in operator space.
@@ -256,14 +246,11 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     parts of their coefficients.  Memory is that of the basis, 8 (depth + 1)
     d bytes: at N = 1000, depth 90 about 364 MB in a parity sector (the sine
     seed is odd; the run peaks at about 520 MB of RSS) and 728 MB without
-    one, against 1.46 GB for a complex basis.  That call (cat k = 0.02,
-    epsilon 0.01, sine seed) takes 11.5-12.8 s on 2 vCPUs with its channel
-    steps split over both, and 10.1-12.7 s with them inline (five runs each,
-    20-25 s of CPU either way).  ``params``
-    records ``sector`` (even, odd or none), ``krylov_dim`` (the dimension
-    reached, below ``depth`` when an invariant subspace closes early, which
-    warns), ``matvecs`` (channel applications, including the residual
-    checks) and ``reorth`` (second Gram-Schmidt passes).
+    one, against 1.46 GB for a complex basis.  ``params`` records ``sector``
+    (even, odd or none), ``krylov_dim`` (the dimension reached, below
+    ``depth`` when an invariant subspace closes early, which warns),
+    ``matvecs`` (channel applications, including the residual checks) and
+    ``reorth`` (second Gram-Schmidt passes).
     """
     if n_wanted < 1:
         raise ValueError(f"n_wanted must be >= 1, got {n_wanted}")
@@ -287,7 +274,8 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
         raise ValueError("channel image of the Hermitian seed is not Hermitian")
     # The seed's parity sector, kept only when its image stays in it: the
     # quadratic kicks of the cat and standard maps break parity at odd N.
-    sign = _parity(seed) if _parity(buf) == _parity(seed) else 0
+    sign = _parity(seed)
+    sign = sign if _parity(buf) == sign else 0
     sector = _RealSector(n, sign)
     # the odd sector is traceless by construction; elsewhere every new
     # direction has its identity component projected out (see below)
@@ -406,6 +394,7 @@ def spectral_o1_prediction(spectrum: ResonanceSpectrum, a: np.ndarray,
     if spectrum.rights is None or spectrum.lefts is None:
         raise ValueError("spectral prediction needs a dense spectrum with eigenoperators")
     n = spectrum.rights.shape[1]
+    a, b = _operator(a, n, "operator A"), _operator(b, n, "operator B")
     count = spectrum.alphas.size if terms is None else min(terms, spectrum.alphas.size)
     at = np.zeros((n, n), dtype=complex)
     for i in range(count):

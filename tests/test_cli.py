@@ -620,6 +620,23 @@ def test_sweep_refuses_values_that_share_a_directory(tmp_path, capsys, axis, val
     assert not out.exists()
 
 
+def test_manifests_record_the_otoc_sector(tmp_path):
+    """Every otoc manifest, a sweep sub-run's too, names the parity sector its series
+    ran in: odd for the F_xi pair at even N, none where the cat map breaks parity."""
+    def sector(path):
+        return dict(line.split("=", 1) for line in path.read_text().splitlines())[
+            "derived.otoc_sector"]
+
+    config = RunConfig(map="cat", n=8, map_param=0.02, t_max=3, outputs=str(tmp_path / "even"))
+    assert run_otoc(config)["derived.otoc_sector"] == "odd"
+    assert sector(tmp_path / "even" / "manifest.txt") == "odd"
+    run_otoc(dataclasses.replace(config, n=7, outputs=str(tmp_path / "odd")))
+    assert sector(tmp_path / "odd" / "manifest.txt") == "none"
+    run_sweep(dataclasses.replace(config, outputs=str(tmp_path / "s")), "N", [7, 8])
+    assert sector(tmp_path / "s" / "N=7" / "manifest.txt") == "none"
+    assert sector(tmp_path / "s" / "N=8" / "manifest.txt") == "odd"
+
+
 def test_manifests_record_the_part_count(tmp_path):
     """An otoc run records its process's part count, a parallel sweep's sub-run its
     worker's share of the CPUs."""

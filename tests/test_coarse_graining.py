@@ -14,8 +14,15 @@ def random_hermitian(n, seed):
 
 
 def test_kernel_rejects_negative_epsilon():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="epsilon must be non-negative, got -0.1"):
         build_kernel(TorusSpace(8), -0.1)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+def test_kernel_rejects_non_finite_epsilon(eps):
+    """NaN compares False with everything, so a sign check alone let it build an all-NaN kernel."""
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        build_kernel(TorusSpace(8), eps)
 
 
 def _kernel_2d(n, eps):

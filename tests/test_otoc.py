@@ -4,13 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
+from otoclab import otoc
 from otoclab.classical import CAT_LYAPUNOV, ehrenfest_time
 from otoclab.coarse_graining import build_kernel, channel_step, evolve
-from otoclab.maps import cat_map, quantize
+from otoclab.maps import cat_map, harper_map, quantize, standard_map
 from otoclab.otoc import (OtocSeries, analytic_cat_otoc, fit_growth, fit_lyapunov_from_otoc,
                           loglinear_fit, otoc_family_linear, otoc_series, otoc_via_commutator)
 from otoclab.phase_space import (MOMENTUM, POSITION, TorusSpace, change_basis,
                                  hermitian_f, sine_momentum, sine_position)
+from otoclab.resonances import random_traceless_hermitian
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +285,129 @@ def test_otoc_series_checks_its_operators(space64, cat64):
         otoc_series(cat64, (0, 1), skew, 2)
     with pytest.raises(ValueError, match="dimension mismatch: operator B 32"):
         otoc_series(cat64, (0, 1), sine_momentum(TorusSpace(32)), 2)
+
+
+@pytest.mark.parametrize("name, pair", [("A", ((0.5, 1), (1, 0))), ("B", ((0, 1), (1, 0.5))),
+                                        ("A", ((float("nan"), 1), (1, 0))),
+                                        ("B", ((0, 1), (float("inf"), 0)))])
+def test_otoc_series_refuses_non_integer_displacements(cat64, name, pair):
+    """F_xi is defined for integer xi only; (0.5, 1) was computed as F(0,1)."""
+    with pytest.raises(ValueError, match=f"operator {name} displacement must be two integers"):
+        otoc_series(cat64, *pair, 2)
+    otoc_series(cat64, (0.0, 1.0), (np.int64(1), 0), 2)  # integral values of any type pass
+
+
+@pytest.mark.parametrize("name", ["A", "B"])
+def test_otoc_series_refuses_nan_operators(cat64, name):
+    """NaN compares False with the tolerance, so a defect > tol test let NaN through."""
+    nan = np.full((64, 64), np.nan, dtype=complex)
+    ops = (nan, (1, 0)) if name == "A" else ((0, 1), nan)
+    with pytest.raises(ValueError, match=f"operator {name} is not Hermitian"):
+        otoc_series(cat64, *ops, 2)
+
+
+def _full_path(monkeypatch, umap, a, b, t_max, kernel):
+    """The series with the parity sector switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(otoc, "_keeps_parity", lambda umap: False)
+        return otoc_series(umap, a, b, t_max, kernel=kernel)
+
+
+@pytest.mark.parametrize("n", [64, 66])
+@pytest.mark.parametrize("spec", [cat_map(0.3), standard_map(1.5), harper_map(0.94)],
+                         ids=["cat", "standard", "harper"])
+@pytest.mark.parametrize("pair", [((0, 1), (1, 0)), ((1, 1), (0, 1))], ids=["XP", "F11-F01"])
+@pytest.mark.parametrize("eps", [None, 0.1])
+def test_parity_sector_agrees_with_the_full_path(monkeypatch, n, spec, pair, eps):
+    """At even N the F_xi pair runs in the odd sector, on half the rows, and agrees
+    with the full path to rounding.  C = -2 Re(O1 - O2) is a difference of terms of
+    the size of O2, so every error is measured relative to max O2."""
+    space = TorusSpace(n)
+    umap = quantize(spec, space)
+    kernel = None if eps is None else build_kernel(space, eps)
+    sector = otoc_series(umap, *pair, 10, kernel=kernel)
+    full = _full_path(monkeypatch, umap, *pair, 10, kernel)
+    assert sector.sector == "odd" and full.sector == "none"
+    for name in ("o1", "o2", "c"):
+        got, want = getattr(sector, name), getattr(full, name)
+        assert np.abs(got - want).max() <= 1e-14 * full.o2.max(), name
+
+
+@pytest.mark.parametrize("sign_a", [1, -1])
+@pytest.mark.parametrize("sign_b", [1, -1])
+def test_parity_sector_of_arrays_agrees_with_the_full_path(monkeypatch, sign_a, sign_b):
+    """Arrays of definite parity run in A's sector; B dense in the momentum frame makes
+    the contraction fill every row beyond N/2 that BA reads."""
+    space = TorusSpace(12)
+    umap = quantize(cat_map(0.3), space)
+    kernel = build_kernel(space, 0.1)
+    a = random_traceless_hermitian(space, 1)
+    b = random_traceless_hermitian(space, 2)
+    a, b = (a + sign_a * _mirror(a)) / 2, (b + sign_b * _mirror(b)) / 2
+    sector = otoc_series(umap, a, b, 6, kernel=kernel)
+    full = _full_path(monkeypatch, umap, a, b, 6, kernel)
+    assert sector.sector == ("even" if sign_a > 0 else "odd")
+    assert np.abs(sector.o1 - full.o1).max() <= 1e-14 * np.abs(full.o2).max()
+    assert np.abs(sector.o2 - full.o2).max() <= 1e-14 * np.abs(full.o2).max()
+
+
+@pytest.mark.parametrize("eps", [None, 0.1])
+def test_parity_sector_matches_commutator_oracle(eps):
+    space = TorusSpace(64)
+    umap = quantize(cat_map(0.3), space)
+    kernel = None if eps is None else build_kernel(space, eps)
+    a, b = hermitian_f(space, (1, 1)), hermitian_f(space, (0, 1))
+    series = otoc_series(umap, a, b, 8, kernel=kernel)
+    assert series.sector == "odd"
+    assert np.abs(series.c - otoc_via_commutator(umap, a, b, 8, kernel)).max() < 1e-10
+
+
+def _mirror(x):
+    neg = -np.arange(x.shape[0]) % x.shape[0]
+    return x[np.ix_(neg, neg)]
+
+
+def _full_path_by_hand(umap, a, b, t_max, kernel):
+    """O1 and O2 from the public full-path evolve and the full contraction."""
+    space = umap.space
+    bm = change_basis(hermitian_f(space, b) if np.shape(b) == (2,) else b, POSITION, MOMENTUM)
+    shifts, d = otoc._nonzero_diagonals(bm)
+    a = hermitian_f(space, a) if np.shape(a) == (2,) else a
+    scratch = [np.zeros((2, min(16, space.dim), space.dim), dtype=complex)
+               for _ in otoc._parts(space.dim, 16)]
+    o1, o2 = zip(*(otoc._contract(at, shifts, d, scratch) for at in evolve(umap, kernel, a, t_max)))
+    return np.array(o1), np.array(o2)
+
+
+@pytest.mark.parametrize("case", ["cat-odd-n", "a-without-parity", "b-without-parity"])
+def test_operators_and_maps_without_the_symmetry_take_the_full_path(case):
+    """Odd N under the cat map (its quadratic kick phases flip sign under q -> -q), or an
+    operator of no definite parity, keep today's full path, bit for bit."""
+    n = 63 if case == "cat-odd-n" else 64
+    space = TorusSpace(n)
+    umap = quantize(cat_map(0.3), space)
+    kernel = build_kernel(space, 0.1)
+    rand = random_traceless_hermitian(space, 5)
+    a, b = {"cat-odd-n": ((1, 1), (0, 1)), "a-without-parity": (rand, (0, 1)),
+            "b-without-parity": ((1, 1), rand)}[case]
+    series = otoc_series(umap, a, b, 6, kernel=kernel)
+    assert series.sector == "none"
+    o1, o2 = _full_path_by_hand(umap, a, b, 6, kernel)
+    assert np.array_equal(series.o1, o1) and np.array_equal(series.o2, o2)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 10, 64])
+def test_mirrored_rows_are_the_rows_beyond_the_half_that_ba_reads(n):
+    """Rows 0 .. N/2 of BA read rows (r - j) % N for each of B's shifts j."""
+    h = n // 2
+    rng = np.random.default_rng(n)
+    cases = [[0], [1], [h], [n - 1], [h + 1], list(range(n))]
+    cases += [sorted(rng.choice(n, size=min(k, n), replace=False)) for k in (1, 2, 3)
+              for _ in range(5)]
+    for shifts in cases:
+        want = {(r - j) % n for r in range(h + 1) for j in shifts} - set(range(h + 1))
+        got = [r for s in otoc._mirrored_rows(np.array(shifts), n) for r in range(n)[s]]
+        assert sorted(got) == sorted(want) and len(got) == len(set(got)), shifts
 
 
 def test_loglinear_fit_recovers_synthetic_rate():

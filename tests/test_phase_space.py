@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otoclab import phase_space
 from otoclab.coarse_graining import (apply_dephasing_chord, apply_dephasing_dense, build_kernel,
                                      channel_step, evolve)
 from otoclab.maps import apply_map, cat_map, quantize
-from otoclab.otoc import otoc_series
+from otoclab.otoc import otoc_series, otoc_via_commutator
 from otoclab.phase_space import (MOMENTUM, POSITION, TorusSpace, change_basis,
                                  chord_inverse, chord_transform, clock_u, coherent_state,
                                  hermitian_f, hermiticity_defect, shift_v, sine_momentum,
                                  sine_position, symplectic_product, translation)
 from otoclab.phase_space import _write_f
-from otoclab.resonances import krylov_leading
+from otoclab.resonances import (dense_superoperator, full_spectrum, krylov_leading,
+                                spectral_o1_prediction)
 
 
 def test_torus_space_rejects_small_dims():
@@ -270,6 +272,15 @@ _OPERATOR_ENTRY_POINTS = {
     "krylov_leading": lambda umap, kernel, x: krylov_leading(umap, kernel, x, depth=10),
     "otoc_series_A": lambda umap, kernel, x: otoc_series(umap, x, (1, 0), 2, kernel),
     "otoc_series_B": lambda umap, kernel, x: otoc_series(umap, (0, 1), x, 2, kernel),
+    "chord_transform": lambda umap, kernel, x: chord_transform(umap.space, x),
+    "otoc_via_commutator_A": lambda umap, kernel, x: otoc_via_commutator(
+        umap, x, sine_momentum(umap.space), 1, kernel),
+    "otoc_via_commutator_B": lambda umap, kernel, x: otoc_via_commutator(
+        umap, sine_position(umap.space), x, 1, kernel),
+    "spectral_o1_prediction_A": lambda umap, kernel, x: spectral_o1_prediction(
+        full_spectrum(dense_superoperator(umap, kernel)), x, sine_momentum(umap.space), 1),
+    "spectral_o1_prediction_B": lambda umap, kernel, x: spectral_o1_prediction(
+        full_spectrum(dense_superoperator(umap, kernel)), sine_position(umap.space), x, 1),
 }
 
 
@@ -281,6 +292,44 @@ def test_operator_entry_points_refuse_bad_shapes(entry, shape):
     umap, kernel = quantize(cat_map(0.02), space), build_kernel(space, 0.1)
     with pytest.raises(ValueError, match="must be square|dimension mismatch"):
         _OPERATOR_ENTRY_POINTS[entry](umap, kernel, np.zeros(shape, dtype=complex))
+
+
+def _mirror(x):
+    neg = -np.arange(x.shape[0]) % x.shape[0]
+    return x[np.ix_(neg, neg)]
+
+
+@pytest.mark.parametrize("n", [3, 8, 33, 40])
+def test_parity_reads_the_sector_a_block_at_a_time(n):
+    """x[-i, -j] = +-x[i, j] to 1e-12 relative in the Frobenius norm gives +-1; a
+    perturbation of 1e-10 relative, or no symmetry, gives 0."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for sign in (1, -1):
+        y = (x + sign * _mirror(x)) / 2
+        assert phase_space._parity(y) == sign
+        noise = np.zeros((n, n), dtype=complex)
+        noise[0, 1] = 1e-10 * np.linalg.norm(y)
+        assert phase_space._parity(y + noise) == 0
+    assert phase_space._parity(x) == 0
+    assert phase_space._parity(np.zeros((n, n), dtype=complex)) == 1
+
+
+@pytest.mark.parametrize("n", [2, 4, 10, 64])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_half_frame_change_matches_the_full_one(n, sign):
+    """Given the parity, rows 0 .. N/2 alone determine the frame change: the half
+    pass, fed only those rows, gives the full pass's rows 0 .. N/2."""
+    h = n // 2
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x = (x + sign * _mirror(x)) / 2
+    for to in (MOMENTUM, POSITION):
+        full = phase_space._change_frame(x.copy(), to)
+        half = x.copy()
+        half[h + 1:] = np.nan  # rows the half pass must not read
+        phase_space._change_frame(half, to, sign)
+        assert np.abs(half[:h + 1] - full[:h + 1]).max() <= 1e-13 * np.abs(full).max()
 
 
 def test_coherent_state_centers():

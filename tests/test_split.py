@@ -9,7 +9,7 @@ import pytest
 
 from otoclab import coarse_graining, otoc, phase_space
 from otoclab.cli import main
-from otoclab.maps import cat_map, harper_map, quantize
+from otoclab.maps import cat_map, harper_map, quantize, standard_map
 from otoclab.phase_space import MOMENTUM, POSITION, TorusSpace
 
 
@@ -48,6 +48,15 @@ def test_parts_hold_at_least_the_part_minimum(set_parts):
     assert len(phase_space._parts(1024)) == len(phase_space._parts(1024, 16)) == 4
 
 
+def test_half_pass_counts_parts_from_n(set_parts):
+    """A half pass over N/2 + 1 lines is split as the whole pass: counted from its
+    501 lines, N=1000 would fall under the part minimum and run inline."""
+    set_parts(2)
+    assert len(phase_space._parts(1000)) == 2
+    assert phase_space._parts(1000, lines=501) == [slice(0, 250), slice(250, 501)]
+    assert len(phase_space._parts(1000, 16, 499)) == 2
+
+
 def test_split_finishes_every_part_before_raising(split_all):
     split_all(3)
     done = []
@@ -72,16 +81,22 @@ def _at_part_counts(split_all, compute):
     return results
 
 
-@pytest.mark.parametrize("n", [63, 64])
+def _signs(n: int) -> tuple[int, ...]:
+    """The full pass, and at even N the half passes of both parity sectors."""
+    return (0,) if n % 2 else (0, 1, -1)
+
+
+@pytest.mark.parametrize("n", [63, 64, 66])
 def test_change_frame_bits_do_not_depend_on_parts(split_all, n):
     x = _random(n)
-    for to in (MOMENTUM, POSITION):
-        first, *rest = _at_part_counts(split_all,
-                                       lambda: phase_space._change_frame(x.copy(), to))
-        assert all(np.array_equal(first, r) for r in rest)
+    for sign in _signs(n):
+        for to in (MOMENTUM, POSITION):
+            first, *rest = _at_part_counts(
+                split_all, lambda: phase_space._change_frame(x.copy(), to, sign))
+            assert all(np.array_equal(first, r) for r in rest)
 
 
-@pytest.mark.parametrize("n", [63, 64])
+@pytest.mark.parametrize("n", [63, 64, 66])
 @pytest.mark.parametrize("epsilon", [None, 0.1])
 def test_step_bits_do_not_depend_on_parts(split_all, n, epsilon):
     space = TorusSpace(n)
@@ -89,21 +104,26 @@ def test_step_bits_do_not_depend_on_parts(split_all, n, epsilon):
     mask = None if epsilon is None else coarse_graining._mask(
         coarse_graining.build_kernel(space, epsilon))
     x = _random(n)
-    first, *rest = _at_part_counts(split_all,
-                                   lambda: coarse_graining._step(umap, mask, x.copy()))
-    assert all(np.array_equal(first, r) for r in rest)
+    for sign in _signs(n):
+        first, *rest = _at_part_counts(
+            split_all, lambda: coarse_graining._step(umap, mask, x.copy(), sign))
+        assert all(np.array_equal(first, r) for r in rest)
 
 
-@pytest.mark.parametrize("n", [63, 64])
+@pytest.mark.parametrize("n", [63, 64, 66])
 @pytest.mark.parametrize("pair", [((0, 1), (1, 0)), ((1, 1), (0, 1))])
 def test_otoc_series_bits_do_not_depend_on_parts(split_all, n, pair):
-    space = TorusSpace(n)
-    umap = quantize(harper_map(0.94), space)
-    kernel = coarse_graining.build_kernel(space, 0.1)
-    first, *rest = _at_part_counts(
-        split_all, lambda: otoc.otoc_series(umap, *pair, 6, kernel=kernel))
-    for r in rest:
-        assert np.array_equal(first.o1, r.o1) and np.array_equal(first.o2, r.o2)
+    """At even N the F_xi pair runs in the odd sector under each map; at N=63 the
+    full path runs (the cat and standard maps break parity there, and N is odd)."""
+    for spec in (harper_map(0.94), cat_map(0.3), standard_map(1.5)):
+        space = TorusSpace(n)
+        umap = quantize(spec, space)
+        kernel = coarse_graining.build_kernel(space, 0.1)
+        first, *rest = _at_part_counts(
+            split_all, lambda: otoc.otoc_series(umap, *pair, 6, kernel=kernel))
+        assert first.sector == ("none" if n % 2 else "odd")
+        for r in rest:
+            assert np.array_equal(first.o1, r.o1) and np.array_equal(first.o2, r.o2)
 
 
 def test_otoc_series_bits_hold_under_thread_switching(split_all):
@@ -114,6 +134,7 @@ def test_otoc_series_bits_hold_under_thread_switching(split_all):
     kernel = coarse_graining.build_kernel(space, 0.1)
     split_all(1)
     serial = otoc.otoc_series(umap, (1, 1), (0, 1), 6, kernel=kernel)
+    assert serial.sector == "odd"
     split_all(phase_space._usable_cpus() + 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
