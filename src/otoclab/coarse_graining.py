@@ -21,11 +21,12 @@ mask in place in the frame where it is elementwise and starts and ends in
 the momentum frame; :func:`_evolve_in_place` iterates it on a caller's
 buffer (for :func:`evolve` and the OTOC series) and the Krylov solver calls
 it directly.  Given a parity sign the step works on rows 0 .. N/2 only: the
-OTOC series passes one when A(t) keeps a definite parity, x[-i, -j] =
-sign x[i, j], which holds at even N when the kick phases are mirror-symmetric
-(the mask f[(r - s) % N] always is).  :func:`evolve` and the Krylov solver
-take the full step.  The chord-space dephasing and the literal sum over all
-N^2 translations are kept as oracles.
+OTOC series and the Krylov solver pass one when their operator keeps a
+definite parity, x[-i, -j] = sign x[i, j], which holds at even N when the
+kick phases are mirror-symmetric (:func:`_keeps_parity`; the mask
+f[(r - s) % N] always is).  :func:`evolve` takes the full step.  The
+chord-space dephasing and the literal sum over all N^2 translations are
+kept as oracles.
 """
 
 from __future__ import annotations
@@ -157,6 +158,13 @@ def _kick(rows: np.ndarray, phase_rows: np.ndarray, phase: np.ndarray,
         rows *= mask
 
 
+def _keeps_parity(umap: QuantumMap) -> bool:
+    """Whether the channel keeps an operator's parity in a form :func:`_step` uses: N
+    even and both kick phase vectors mirror-symmetric to 1e-12 (the mask always is)."""
+    return umap.dim % 2 == 0 and all(np.abs(v[1:] - v[:0:-1]).max() <= 1e-12
+                                     for v in (umap.phase_position, umap.phase_momentum))
+
+
 def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray,
           sign: int = 0) -> np.ndarray:
     """One channel step in place on momentum-frame entries: four 1D FFT passes.
@@ -166,9 +174,10 @@ def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray,
     runs over fixed parts of the rows (:func:`~otoclab.phase_space._split`);
     it is elementwise, so the bits do not depend on the part count.  A
     nonzero ``sign`` is the parity of ``at`` at even N, which the caller
-    vouches the channel keeps: every pass then reads and writes rows
-    0 .. N/2 only (see :func:`~otoclab.phase_space._change_frame`), and the
-    other rows are left stale.
+    vouches the channel keeps (:func:`_keeps_parity`): every pass then reads
+    and writes rows 0 .. N/2 only (see
+    :func:`~otoclab.phase_space._change_frame`), and the other rows are left
+    stale.
     """
     n, pos, mom = at.shape[0], umap.phase_position, umap.phase_momentum
     lines = n // 2 + 1 if sign else n

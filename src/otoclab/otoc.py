@@ -46,6 +46,7 @@ import numpy as np
 
 from . import coarse_graining
 from .classical import _cat_power, cat_matrix_power
+from .coarse_graining import _keeps_parity
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
 from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame,
                           _cyclic_diagonals, _mirror_rows, _operator, _parity, _parts, _split,
@@ -65,7 +66,6 @@ __all__ = [
 
 _HERMITIAN_TOL = 1e-10
 _DIAG_TOL = 1e-12
-_MIRROR_TOL = 1e-12
 _COMMUTATOR_LIMIT = 64
 
 
@@ -142,15 +142,6 @@ def _fill(space: TorusSpace, op: np.ndarray | tuple[int, int], out: np.ndarray,
 def _sign(op: np.ndarray | tuple[int, int], filled: np.ndarray) -> int:
     """Parity of ``op``, whose entries ``filled`` holds: F_xi is odd, an array is scanned."""
     return -1 if np.shape(op) == (2,) else _parity(filled)
-
-
-def _keeps_parity(umap: QuantumMap) -> bool:
-    """Whether the channel keeps an operator's parity in a form the sector step uses: N
-    even and both kick phase vectors mirror-symmetric to 1e-12 (the mask always is)."""
-    n = umap.dim
-    neg = -np.arange(n) % n
-    return n % 2 == 0 and all(np.abs(v - v[neg]).max() <= _MIRROR_TOL
-                              for v in (umap.phase_position, umap.phase_momentum))
 
 
 def _nonzero_diagonals(bm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

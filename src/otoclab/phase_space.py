@@ -21,9 +21,13 @@ depends on the part count.
 
 Parity q -> -q maps entries x[i, j] to x[-i, -j] (indices mod N) in both
 frames.  An operator of definite parity, x[-i, -j] = sign x[i, j], is fixed
-by its rows 0 .. N/2 at even N; :func:`_change_frame` given the sign keeps
-only those rows valid and transforms N/2 + 1 columns and rows, each after
-filling its other half from the mirror entries (:func:`_mirror_fill`).
+by its rows 0 .. N/2, the one parity-sector layout of the package: the OTOC
+series evolves those rows, and the Krylov solver stores its directions as
+slices of them.  At even N :func:`_change_frame` given the sign keeps only
+those rows valid and transforms N/2 + 1 columns and rows, each after filling
+its other half from the mirror entries (:func:`_mirror_fill`);
+:func:`_mirror_rows` fills the rows beyond N/2 where a whole operator is
+needed.
 """
 
 from __future__ import annotations
@@ -216,16 +220,16 @@ def _change_frame(x: np.ndarray, to: str, sign: int = 0) -> np.ndarray:
 
 def _mirror_fill(x: np.ndarray, rows: slice, sign: int) -> None:
     """x[r, c] = sign x[-r, -c] for the ``rows`` r within 0 .. N/2 and the columns
-    c = N/2 + 1 .. N - 1, from columns N/2 - 1 .. 1, through strided views: the source
-    is not copied."""
+    c = N//2 + 1 .. N - 1, from columns (N - 1)//2 .. 1, through strided views: the
+    source is not copied."""
     n = x.shape[0]
-    h = n // 2
+    h, src = n // 2, slice((n - 1) // 2, 0, -1)
     a, b = rows.start, rows.stop
     if a == 0:  # row 0 is its own mirror
-        np.multiply(x[0, h - 1:0:-1], sign, out=x[0, h + 1:])
+        np.multiply(x[0, src], sign, out=x[0, h + 1:])
         a = 1
     if a < b:  # rows a .. b - 1 read rows N - a down to N - b + 1
-        np.multiply(x[n - a:n - b:-1, h - 1:0:-1], sign, out=x[a:b, h + 1:])
+        np.multiply(x[n - a:n - b:-1, src], sign, out=x[a:b, h + 1:])
 
 
 def _mirror_rows(x: np.ndarray, rows: slice, sign: int) -> None:

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coarse_graining import CoarseGrainKernel, _mask, _step, channel_step
+from .coarse_graining import CoarseGrainKernel, _keeps_parity, _mask, _step, channel_step
 from .maps import QuantumMap
 from .otoc import OtocSeries, WindowFit, loglinear_fit
-from .phase_space import (_SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame, _operator,
-                          _parity)
+from .phase_space import (_SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame, _mirror_fill,
+                          _mirror_rows, _operator, _parity)
 
 __all__ = [
     "ResonanceSpectrum",
@@ -159,46 +159,54 @@ class _RealSector:
     A Hermitian A = S + iK (S real symmetric, K real antisymmetric) is the
     real matrix R = A.real + A.imag, with Tr(A^dag B) = R_A . R_B and
     A = (R + R^T)/2 + i(R - R^T)/2.  Parity A[i, j] -> A[-i, -j] preserves
-    R; in a sector A[-i, -j] = sign A[i, j] only one entry per mirror pair is
-    kept, scaled by sqrt 2 so the dot product stays the Hilbert-Schmidt one,
-    plus (even sector only) the 1 or 4 self-mirrored entries.  ``sign`` 0
-    keeps every entry of R.  :meth:`pack` and :meth:`unpack` write into the
-    caller's buffer through scratch arrays allocated once.
+    R, so in a sector A[-i, -j] = sign A[i, j] R is fixed by its rows
+    0 .. N/2, the layout of the sector step (see
+    :func:`~otoclab.phase_space._change_frame`).  One entry per mirror pair
+    is kept, scaled by sqrt 2 so the dot product stays the Hilbert-Schmidt
+    one, as slices of those rows in flat order: row 0 columns
+    1 .. ceil(N/2) - 1, rows 1 .. ceil(N/2) - 1 whole and, at even N, row N/2
+    columns 1 .. N/2 - 1; then, in the even sector only, the self-mirrored
+    entries (0, 0) and, at even N, (0, h), (h, 0) and (h, h), h = N/2.
+    ``sign`` 0 keeps every entry of R.  :meth:`pack` reads only those rows;
+    :meth:`unpack` writes every entry of the caller's buffer, through one
+    scratch R allocated once.
     """
 
     def __init__(self, n: int, sign: int):
-        self.n, self.sign, self.dim = n, sign, n * n
-        if sign:
-            flat = np.arange(n * n)
-            mirror = ((-(flat // n)) % n) * n + (-flat) % n
-            self.pairs = flat[flat < mirror]
-            self.mirrors = mirror[self.pairs]
-            self.fixed = flat[flat == mirror]  # zero in the odd sector, so not stored
-            self.dim = self.pairs.size + (self.fixed.size if sign > 0 else 0)
-            self._r = np.empty((n, n))
-            self._half = np.empty(self.pairs.size)
+        h, c = n // 2, (n + 1) // 2
+        # unpack's scratch R: np.zeros leaves its pages untouched when there is no
+        # sector, and keeps the self-mirrored entries 0 in the odd one
+        self.n, self.sign, self._r = n, sign, np.zeros((n, n))
+        # (rows, columns) of R in coordinate order: the mirror pairs, then the fixed entries
+        views = ([(slice(0, 1), slice(1, c)), (slice(1, c), slice(None)),
+                  (slice(c, h + 1), slice(1, h))] if sign else [(slice(None), slice(None))])
+        self._pairs = sum(self._r[v].size for v in views) if sign else 0
+        if sign > 0:  # the self-mirrored entries, zero and not stored in the odd sector
+            fixed = slice(0, h + 1, h) if n % 2 == 0 else slice(0, 1)
+            views.append((fixed, fixed))
+        edges = np.cumsum([0] + [self._r[v].size for v in views])
+        self._views = [(v, slice(lo, hi)) for v, lo, hi in zip(views, edges, edges[1:])]
+        self.dim = int(edges[-1])
 
     def pack(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if self.sign == 0:
-            return np.add(a.real, a.imag, out=out.reshape(self.n, self.n)).reshape(-1)
-        r = np.add(a.real, a.imag, out=self._r).reshape(-1)
-        half = self.pairs.size
-        np.take(r, self.pairs, out=out[:half])
-        out[:half] *= np.sqrt(2.0)
-        if self.sign > 0:
-            np.take(r, self.fixed, out=out[half:])
+        for v, seg in self._views:
+            view = a[v]
+            np.add(view.real, view.imag, out=out[seg].reshape(view.shape))
+        out[:self._pairs] *= np.sqrt(2.0)
         return out
 
     def unpack(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         if self.sign == 0:
             r = x.reshape(self.n, self.n)
         else:
-            half = np.divide(x[: self.pairs.size], np.sqrt(2.0), out=self._half)
-            flat = self._r.reshape(-1)
-            flat[self.pairs] = half
-            flat[self.mirrors] = half if self.sign > 0 else np.negative(half, out=half)
-            flat[self.fixed] = x[self.pairs.size:] if self.sign > 0 else 0.0
-            r = self._r
+            r, h = self._r, self.n // 2
+            for v, seg in self._views:
+                np.divide(x[seg].reshape(r[v].shape),
+                          np.sqrt(2.0) if seg.start < self._pairs else 1.0, out=r[v])
+            _mirror_rows(r, slice(h + 1, self.n), self.sign)
+            _mirror_fill(r, slice(0, 1), self.sign)
+            if self.n % 2 == 0:
+                _mirror_fill(r, slice(h, h + 1), self.sign)
         np.add(r, r.T, out=out.real)
         np.subtract(r, r.T, out=out.imag)
         out *= 0.5
@@ -230,23 +238,29 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     Harper channel at every N and the cat and standard channels at even N
     commute with parity, so the orbit of a Hermitian seed of definite parity
     stays in the seed's sector.  Each Krylov direction is stored as the real
-    coordinates of :class:`_RealSector`: one entry per mirror pair in the
-    even or odd sector (about N^2 / 2 reals; the odd sector holds no
-    identity component), all N^2 entries of A.real + A.imag otherwise.  The
-    sector is read from the seed and kept only if the first channel image
-    has the same parity to 1e-12; an image that is not Hermitian to 1e-12
-    raises.  The basis is one preallocated (depth + 1) x d real array, d the
-    sector dimension.  Each channel image is packed straight into the next
-    row and orthogonalized by classical Gram-Schmidt, a pass being two real
-    matrix-vector products against the rows built so far.  A second pass
-    runs only when the first leaves less than 1/sqrt 2 of the norm (the DGKS
-    test of Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30, 1976): it
-    never fires at depth 90 for N = 320 or 1000, and does near full depth.
-    Ritz operators are assembled one at a time from the real and imaginary
-    parts of their coefficients.  Memory is that of the basis, 8 (depth + 1)
-    d bytes: at N = 1000, depth 90 about 364 MB in a parity sector (the sine
-    seed is odd; the run peaks at about 520 MB of RSS) and 728 MB without
-    one, against 1.46 GB for a complex basis.  ``params`` records ``sector``
+    coordinates of :class:`_RealSector`: in the even or odd sector one entry
+    per mirror pair, slices of rows 0 .. N/2 (about N^2 / 2 reals; the odd
+    sector holds no identity component), all N^2 entries of A.real + A.imag
+    otherwise.  The sector is read from the seed and kept only if the first
+    channel image, a full step, has the same parity to 1e-12; an image that
+    is not Hermitian to 1e-12 raises.  Where the channel keeps parity in the
+    form the sector step uses (even N, see
+    :func:`~otoclab.coarse_graining._keeps_parity`), every later step of the
+    recursion is that step, on rows 0 .. N/2 only, which are the rows the
+    coordinates are read from.  The residual checks take the full step, so
+    they also check the sector steps independently.  The basis is one
+    preallocated (depth + 1) x d real array, d the sector dimension.  Each
+    channel image is packed straight into the next row and orthogonalized by
+    classical Gram-Schmidt, a pass being two real matrix-vector products
+    against the rows built so far.  A second pass runs only when the first
+    leaves less than 1/sqrt 2 of the norm (the DGKS test of Daniel, Gragg,
+    Kaufman and Stewart, Math. Comp. 30, 1976): it never fires at depth 90
+    for N = 320 or 1000, and does near full depth.  Ritz operators are
+    assembled one at a time from the real and imaginary parts of their
+    coefficients.  Memory is that of the basis, 8 (depth + 1) d bytes: at
+    N = 1000, depth 90 about 364 MB in a parity sector (the sine seed is odd;
+    the run peaks at about 470 MB of RSS on 2 vCPUs) and 728 MB without one,
+    against 1.46 GB for a complex basis.  ``params`` records ``sector``
     (even, odd or none), ``krylov_dim`` (the dimension reached, below
     ``depth`` when an invariant subspace closes early, which warns),
     ``matvecs`` (channel applications, including the residual checks) and
@@ -259,10 +273,12 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     n = umap.dim
     entries = _operator(a0, n, "Krylov seed")
     scale = np.linalg.norm(entries)
-    if np.linalg.norm(entries - entries.conj().T) > 1e-12 * scale:
+    if not 0 < scale < np.inf:
+        raise ValueError(f"Krylov seed must be finite and nonzero, got norm {scale}")
+    if not np.linalg.norm(entries - entries.conj().T) <= 1e-12 * scale:
         raise ValueError("Krylov seed must be Hermitian")
     trace = abs(np.trace(entries))
-    if trace > 1e-9 * max(1.0, scale):
+    if not trace <= 1e-9 * max(1.0, scale):
         raise ValueError(f"Krylov seed must be traceless, got |Tr| = {trace:.2e}")
     # the whole recursion runs on momentum-frame operators: a unitary change
     # of frame that keeps the Hilbert-Schmidt product, Hermiticity, the
@@ -277,6 +293,7 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     sign = _parity(seed)
     sign = sign if _parity(buf) == sign else 0
     sector = _RealSector(n, sign)
+    step_sign = sign if _keeps_parity(umap) else 0
     # the odd sector is traceless by construction; elsewhere every new
     # direction has its identity component projected out (see below)
     ident = (sector.pack(np.eye(n, dtype=complex) / np.sqrt(n), np.empty(sector.dim))
@@ -293,7 +310,7 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     h = np.zeros((depth + 1, depth))
     for j in range(depth):
         if j:
-            _step(umap, mask, sector.unpack(basis[j], buf))
+            _step(umap, mask, sector.unpack(basis[j], buf), step_sign)
         w = sector.pack(buf, basis[j + 1])
         v = basis[: j + 1]
         before = np.linalg.norm(w)

@@ -210,6 +210,105 @@ def test_krylov_refuses_non_hermitian_seed():
         krylov_leading(umap, build_kernel(space, 0.5), seed, depth=10, n_wanted=3)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
+def test_krylov_refuses_a_non_finite_or_zero_seed(value):
+    """A NaN or inf entry, or an all-zero seed, used to reach the division by the
+    seed's norm (a RuntimeWarning) and fail in the first eig; it is refused first."""
+    space = TorusSpace(8)
+    umap = quantize(cat_map(0.02), space)
+    seed = np.zeros((8, 8), dtype=complex) if value == 0 else sine_position(space)
+    seed[1, 2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Krylov seed must be finite and nonzero"):
+            krylov_leading(umap, build_kernel(space, 0.5), seed, depth=10, n_wanted=3)
+
+
+class _IndexTableSector:
+    """The parity-sector coordinates as index tables over the flattened R, as they
+    were stored before the slice layout: the reference it must match bit for bit."""
+
+    def __init__(self, n, sign):
+        flat = np.arange(n * n)
+        mirror = ((-(flat // n)) % n) * n + (-flat) % n
+        self.n, self.sign = n, sign
+        self.pairs = flat[flat < mirror]
+        self.mirrors = mirror[self.pairs]
+        self.fixed = flat[flat == mirror]
+
+    def pack(self, a):
+        r = (a.real + a.imag).reshape(-1)
+        out = np.take(r, self.pairs)
+        out *= np.sqrt(2.0)
+        return np.concatenate((out, np.take(r, self.fixed))) if self.sign > 0 else out
+
+    def unpack(self, x):
+        half = x[:self.pairs.size] / np.sqrt(2.0)
+        flat = np.empty(self.n * self.n)
+        flat[self.pairs] = half
+        flat[self.mirrors] = half if self.sign > 0 else np.negative(half)
+        flat[self.fixed] = x[self.pairs.size:] if self.sign > 0 else 0.0
+        r = flat.reshape(self.n, self.n)
+        out = np.empty((self.n, self.n), dtype=complex)
+        np.add(r, r.T, out=out.real)
+        np.subtract(r, r.T, out=out.imag)
+        out *= 0.5
+        return out
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 320])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sector_slices_match_the_index_tables(n, sign):
+    """Pack reads the entries the tables name (of any operator, so stale rows beyond
+    N/2 are never read) and unpack writes every entry, both bit for bit; a second
+    unpack shows that nothing of the first is left in the scratch R."""
+    rng = np.random.default_rng(n)
+    sector, tables = resonances._RealSector(n, sign), _IndexTableSector(n, sign)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    want = tables.pack(a)
+    assert sector.dim == want.size
+    assert np.array_equal(sector.pack(a, np.empty(sector.dim)), want)
+    for x in rng.standard_normal((2, sector.dim)):
+        got = sector.unpack(x, np.empty((n, n), dtype=complex))
+        assert np.array_equal(got, tables.unpack(x))
+
+
+@pytest.mark.parametrize("spec", [cat_map(0.3), standard_map(1.5), harper_map(0.94)],
+                         ids=["cat", "standard", "harper"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_krylov_steps_in_the_sector(monkeypatch, spec, sign):
+    """At even N the Arnoldi steps after the first take the sector step, with the
+    seed's sign; the first image, which decides the sector, and the residual checks
+    take the full step.  The result agrees with the full step throughout."""
+    n = 16
+    space = TorusSpace(n)
+    umap = quantize(spec, space)
+    kernel = build_kernel(space, 10.0 / n)
+    neg = -np.arange(n) % n
+    a = random_traceless_hermitian(space, 5)
+    a = (a + sign * a[np.ix_(neg, neg)]) / 2
+    signs = []
+    step = resonances._step
+
+    def recording(umap, mask, at, sign=0):
+        signs.append(sign)
+        return step(umap, mask, at, sign)
+
+    monkeypatch.setattr(resonances, "_step", recording)
+    got = krylov_leading(umap, kernel, a, depth=30, n_wanted=3)
+    m, keep = got.params["krylov_dim"], got.alphas.size
+    assert signs == [0] + [sign] * (m - 1) + [0] * keep
+    monkeypatch.setattr(resonances, "_keeps_parity", lambda umap: False)
+    signs.clear()
+    want = krylov_leading(umap, kernel, a, depth=30, n_wanted=3)
+    assert not any(signs)
+    assert got.params["sector"] == want.params["sector"] == ("even" if sign > 0 else "odd")
+    for key in ("krylov_dim", "matvecs", "reorth"):
+        assert got.params[key] == want.params[key], key
+    assert np.abs(np.abs(got.alphas) - np.abs(want.alphas)).max() <= 1e-13
+    assert np.array_equal(got.converged, want.converged)
+
+
 def test_krylov_sector_is_checked_on_the_channel_image():
     """The sine seed is parity odd.  At even N the cat channel keeps the odd
     sector and the basis halves; at odd N it does not, and the basis keeps
