@@ -49,8 +49,9 @@ from .classical import _cat_power, cat_matrix_power
 from .coarse_graining import _keeps_parity
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
 from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame,
-                          _cyclic_diagonals, _mirror_rows, _operator, _parity, _parts, _split,
-                          _write_f, hermiticity_defect, symplectic_product)
+                          _cyclic_diagonals, _diagonal_pair_defect, _mirror_rows, _operator,
+                          _parity, _parts, _split, _working, _write_f, hermiticity_defect,
+                          symplectic_product)
 
 __all__ = [
     "OtocSeries",
@@ -94,9 +95,12 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
     ``a`` and ``b`` are each a Hermitian N x N array or an integer
     displacement (xi_q, xi_p) standing for F_xi.  O1 = <B A(t), A(t) B>_F / N
     and O2 = ||A(t) B||_F^2 / N are summed over blocks of rows.  The call
-    holds one N x N array: B is written into it, checked and changed to the
+    holds one N x N array (:func:`~otoclab.phase_space._working`, rows
+    padded at some N): B is written into it, checked and changed to the
     momentum frame, where its nonzero cyclic diagonals are gathered; A is then
-    written over it, checked, and evolved there in place.  Beside it the
+    written over it, checked, and evolved there in place.  Only an array B has
+    all N diagonals scanned: F_(q,p) is F_(p,-q) in the momentum frame, so
+    only its diagonals +-p are read.  Beside it the
     contraction holds two 16-row blocks of AB and BA per part, at most N / 256
     parts (:func:`~otoclab.phase_space._parts`), so at most N^2 / 8 entries.
     The parity sector (see the module notes) is picked from the data, and
@@ -104,10 +108,10 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
     """
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
-    buffer = np.empty((umap.dim, umap.dim), dtype=complex)
+    buffer = _working(umap.dim)
     _fill(umap.space, b, buffer, "B")
     b_sign = _sign(b, buffer) if _keeps_parity(umap) else 0
-    shifts, d = _nonzero_diagonals(_change_frame(buffer, MOMENTUM))
+    shifts, d = _nonzero_diagonals(_change_frame(buffer, MOMENTUM), _momentum_shifts(b, umap.dim))
     _fill(umap.space, a, buffer, "A")
     sign = _sign(a, buffer) if b_sign else 0
     # one ab/ba pair per part, zeroed, so a zero B (no diagonals) gives O1 = O2 = 0
@@ -124,16 +128,19 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
 def _fill(space: TorusSpace, op: np.ndarray | tuple[int, int], out: np.ndarray,
           name: str) -> np.ndarray:
     """Position-basis entries of ``op``, an N x N array or the integer displacement
-    (q, p) of F_xi, written into ``out`` and checked to be Hermitian, NaN refused."""
+    (q, p) of F_xi, written into ``out`` and checked to be Hermitian, NaN refused.
+    Only an array is scanned whole, here as for B's diagonals in :func:`otoc_series`;
+    F_xi is checked on its two cyclic diagonals +-q, off which every entry is zero."""
     if np.shape(op) == (2,):
         if not all(isinstance(x, numbers.Integral)
                    or (isinstance(x, numbers.Real) and float(x).is_integer()) for x in op):
             raise ValueError(f"operator {name} displacement must be two integers, got {op}")
         out.fill(0)
         _write_f(space, op, out)
+        defect = _diagonal_pair_defect(out, int(op[0]))
     else:
         np.copyto(out, _operator(op, space.dim, f"operator {name}"))
-    defect = hermiticity_defect(out)
+        defect = hermiticity_defect(out)
     if not defect <= _HERMITIAN_TOL:
         raise ValueError(f"operator {name} is not Hermitian (defect {defect:.2e})")
     return out
@@ -144,13 +151,24 @@ def _sign(op: np.ndarray | tuple[int, int], filled: np.ndarray) -> int:
     return -1 if np.shape(op) == (2,) else _parity(filled)
 
 
-def _nonzero_diagonals(bm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _momentum_shifts(op: np.ndarray | tuple[int, int], n: int) -> list[int] | None:
+    """The momentum-frame cyclic diagonals where ``op`` can be nonzero: +-p for the
+    displacement (q, p) of F_xi, as F^dag F_(q,p) F = F_(p,-q); None, all, for an array."""
+    if np.shape(op) != (2,):
+        return None
+    p = int(op[1])
+    return sorted({p % n, -p % n})
+
+
+def _nonzero_diagonals(bm: np.ndarray, candidates: list[int] | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Shifts j and rows d[k, q] = bm[q + j_k, q] of the cyclic diagonals that are not noise,
-    found a block of diagonals at a time so no N x N gather is made."""
-    n = bm.shape[0]
-    blocks = (range(j, min(j + _ROW_BLOCK, n)) for j in range(0, n, _ROW_BLOCK))
+    among the shifts ``candidates`` (ascending, every diagonal when None), found a block
+    of diagonals at a time so no N x N gather is made."""
+    j = np.arange(bm.shape[0]) if candidates is None else np.asarray(candidates)
+    blocks = np.split(j, range(_ROW_BLOCK, j.size, _ROW_BLOCK))
     size = np.concatenate([np.abs(_cyclic_diagonals(bm, js)).max(axis=1) for js in blocks])
-    shifts = np.flatnonzero(size > _DIAG_TOL * max(size.max(), 1.0))
+    shifts = j[size > _DIAG_TOL * max(size.max(), 1.0)]
     return shifts, _cyclic_diagonals(bm, shifts)
 
 

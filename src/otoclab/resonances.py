@@ -22,7 +22,7 @@ from .coarse_graining import CoarseGrainKernel, _keeps_parity, _mask, _step, cha
 from .maps import QuantumMap
 from .otoc import OtocSeries, WindowFit, loglinear_fit
 from .phase_space import (_SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame, _mirror_fill,
-                          _mirror_rows, _operator, _parity)
+                          _mirror_rows, _operator, _parity, _working)
 
 __all__ = [
     "ResonanceSpectrum",
@@ -231,8 +231,9 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     the identity and parity (q -> -q is p -> -p) keep their form there.  Each
     channel application, residual checks included, is the in-place step that
     :func:`~otoclab.coarse_graining.evolve` iterates, on one complex buffer
-    reused for the whole run: four 1D FFT passes, where a matvec that starts
-    and ends in the position frame needs eight.
+    (:func:`~otoclab.phase_space._working`) reused for the whole run: four 1D
+    FFT passes, where a matvec that starts and ends in the position frame
+    needs eight.
 
     The channel maps Hermitian operators to Hermitian operators, and the
     Harper channel at every N and the cat and standard channels at even N
@@ -285,7 +286,9 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     # identity and parity (q -> -q is p -> -p), so each matvec is one step
     seed = _change_frame(np.array(entries, dtype=complex) / scale, MOMENTUM)
     mask = _mask(kernel)
-    buf = _step(umap, mask, seed.copy())  # the one complex buffer of the run
+    buf = _working(n)  # the one complex buffer of the run
+    np.copyto(buf, seed)
+    buf = _step(umap, mask, buf)
     if np.linalg.norm(buf - buf.conj().T) > 1e-12 * np.linalg.norm(buf):
         raise ValueError("channel image of the Hermitian seed is not Hermitian")
     # The seed's parity sector, kept only when its image stays in it: the

@@ -62,6 +62,25 @@ def test_run_config_validation():
     RunConfig(map="cat", n=64, operators="F(1,0;0,1)")
 
 
+def test_run_config_refuses_short_runs_and_unknown_kick_modes():
+    with pytest.raises(CliError, match="t_max must be >= 1, got 0"):
+        RunConfig(map="cat", n=64, t_max=0)
+    with pytest.raises(CliError, match="kick_mode must be one of .* got 'sideways'"):
+        RunConfig(map="cat", n=64, kick_mode="sideways")
+
+
+def test_parse_config_refuses_unreadable_files_and_bad_lines(tmp_path):
+    with pytest.raises(CliError, match="cannot read config file .*missing.cfg"):
+        parse_config_file(tmp_path / "missing.cfg")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("map = cat\nn 64\n")
+    with pytest.raises(CliError, match="bad.cfg:2: expected key=value, got 'n 64'"):
+        parse_config_file(bad)
+    bad.write_text("# n is an integer\nn = sixty-four\n")
+    with pytest.raises(CliError, match="bad.cfg:2: bad value for n: 'sixty-four'"):
+        parse_config_file(bad)
+
+
 def test_run_otoc_emits_exact_row(tmp_path):
     config = RunConfig(map="cat", n=64, map_param=0.0, t_max=8,
                        outputs=str(tmp_path / "run"))

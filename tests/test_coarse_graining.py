@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from otoclab.coarse_graining import (apply_dephasing_chord, apply_dephasing_dense,
-                                     build_kernel, channel_step)
+                                     build_kernel, channel_step, evolve)
 from otoclab.maps import cat_map, heisenberg_conjugate, quantize, standard_map
 from otoclab.phase_space import (TorusSpace, sine_position, translation)
 
@@ -234,3 +234,10 @@ def test_channel_step_dimension_mismatch():
     with pytest.raises(ValueError):
         channel_step(umap, kernel, np.eye(9, dtype=complex))
 
+
+
+def test_evolve_refuses_negative_steps():
+    space = TorusSpace(8)
+    umap = quantize(cat_map(0.0), space)
+    with pytest.raises(ValueError, match="steps must be non-negative, got -1"):
+        next(evolve(umap, None, sine_position(space), -1))

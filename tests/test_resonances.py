@@ -518,3 +518,15 @@ def test_leading_cluster_reporting():
     cluster = spectrum.leading_cluster(rtol=0.5)
     assert cluster.size >= 2
     assert abs(cluster[0]) == np.abs(spectrum.nontrivial).max()
+
+
+def test_full_spectrum_flags_a_defective_superoperator():
+    """A 2 x 2 Jordan block has one eigenvector, so its left and right eigenvectors
+    are orthogonal: the overlap is replaced by 1 and the spectrum flagged."""
+    superop = np.diag([0.9, 0.9, 0.5, 0.2]).astype(complex)
+    superop[0, 1] = 1.0
+    with pytest.warns(UserWarning, match="near-defective eigenpair"):
+        spectrum = full_spectrum(superop)
+    assert spectrum.degenerate
+    assert np.allclose(np.sort(np.abs(spectrum.alphas)), [0.2, 0.5, 0.9, 0.9])
+    assert np.isfinite(spectrum.lefts).all()

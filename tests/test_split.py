@@ -186,3 +186,19 @@ def test_forked_child_builds_its_own_pool(split_all):
         child.kill()
         child.join()
     assert child.exitcode == 0
+
+
+@pytest.mark.parametrize("text, cpus", [
+    ("max 100000\n", 4), ("150000 100000\n", 2), ("50000 100000\n", 1),
+    ("800000 100000\n", 4), (None, 4), ("garbled\n", 4), ("100000 0\n", 4)],
+    ids=["no-quota", "1.5-cpus", "half-cpu", "above-affinity", "missing", "garbled", "zero-period"])
+def test_usable_cpus_honour_a_cgroup_quota(tmp_path, monkeypatch, text, cpus):
+    """ceil(quota / period) caps the affinity count (4 here); no quota, no file or a
+    line that does not read as two integers leaves it."""
+    path = tmp_path / "cpu.max"
+    if text is not None:
+        path.write_text(text)
+    monkeypatch.setattr(phase_space, "_CPU_MAX", str(path))
+    monkeypatch.setattr(phase_space.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    assert phase_space._usable_cpus() == cpus

@@ -1,0 +1,132 @@
+"""The padded working buffer and the two-diagonal set-up of a displacement give the
+bits of the code they replace: a plain N x N array, the blocked Hermiticity scan and
+the scan of every cyclic diagonal."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from otoclab import coarse_graining, otoc, phase_space, resonances
+from otoclab.maps import cat_map, quantize
+from otoclab.phase_space import MOMENTUM, TorusSpace, hermitian_f, hermiticity_defect
+
+# padded at 512 and 1024, plain at 256 (too small) and 1000 (16 N not a multiple of 4 KiB)
+SIZES = [256, 512, 1000, 1024]
+
+
+def _plain(n: int) -> np.ndarray:
+    return np.empty((n, n), dtype=complex)
+
+
+def _random(n: int) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _displacements(n: int) -> list[tuple[int, int]]:
+    """Vanishing ones (F_(0,0), and at even N F_(0,N/2) and F_(N/2,0)), the sine pair,
+    negative ones and ones beyond N."""
+    h = n // 2
+    return [(0, 0), (0, h), (h, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, 2),
+            (3, -5), (n + 1, 2 * n + 3), (-n - 2, -3 * n + 1)]
+
+
+@pytest.mark.parametrize("n, padded", [(2, False), (256, False), (512, True), (768, True),
+                                       (1000, False), (1024, True), (1280, True)])
+def test_working_buffer_pads_rows_whose_stride_is_a_multiple_of_4k(n, padded):
+    x = phase_space._working(n)
+    assert x.shape == (n, n) and x.dtype == complex
+    assert x.strides == ((n + 4 * padded) * 16, 16)
+    assert x.ctypes.data % 64 == 0 or not padded
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_step_on_the_working_buffer_gives_the_plain_bits(n):
+    space = TorusSpace(n)
+    umap = quantize(cat_map(0.3), space)
+    mask = coarse_graining._mask(coarse_graining.build_kernel(space, 0.01))
+    x = _random(n)
+    buf = phase_space._working(n)
+    for sign in (0, 1, -1):
+        np.copyto(buf, x)
+        expected = coarse_graining._step(umap, mask, x.copy(), sign)
+        assert np.array_equal(coarse_graining._step(umap, mask, buf, sign), expected)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_otoc_series_on_the_working_buffer_gives_the_plain_bits(n, monkeypatch):
+    """The sine pair and an array pair run in the odd sector, a random A on the full
+    path; an array B has all its diagonals scanned."""
+    space = TorusSpace(n)
+    umap = quantize(cat_map(0.02), space)
+    kernel = coarse_graining.build_kernel(space, 0.01)
+    cases = [((0, 1), (1, 0), "odd"),
+             ((1, 1), hermitian_f(space, (0, 1)), "odd"),
+             (resonances.random_traceless_hermitian(space, 3), (1, 1), "none")]
+
+    def run():
+        return [otoc.otoc_series(umap, a, b, 3, kernel) for a, b, _ in cases]
+
+    padded = run()
+    monkeypatch.setattr(otoc, "_working", _plain)
+    for (*_, sector), p, q in zip(cases, padded, run()):
+        assert p.sector == q.sector == sector
+        assert np.array_equal(p.o1, q.o1) and np.array_equal(p.o2, q.o2)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_krylov_on_the_working_buffer_gives_the_plain_bits(n, monkeypatch):
+    """The sine seed takes the odd sector step; at N <= 512 a random seed takes the
+    full step (its N^2-real basis is kept small)."""
+    space = TorusSpace(n)
+    umap = quantize(cat_map(0.02), space)
+    kernel = coarse_graining.build_kernel(space, 10.0 / n)
+    seeds = [phase_space.sine_position(space)]
+    if n <= 512:
+        seeds.append(resonances.random_traceless_hermitian(space, 1))
+
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a shallow run leaves Ritz values unconverged
+            return [resonances.krylov_leading(umap, kernel, s, depth=7) for s in seeds]
+
+    padded = run()
+    monkeypatch.setattr(resonances, "_working", _plain)
+    for p, q in zip(padded, run()):
+        assert p.params == q.params
+        assert np.array_equal(p.alphas, q.alphas) and np.array_equal(p.residuals, q.residuals)
+    assert [p.params["sector"] for p in padded] == ["odd", "none"][:len(seeds)]
+
+
+@pytest.mark.parametrize("n", list(range(2, 25)) + [63, 64, 512, 1000, 1024])
+def test_gathered_diagonals_match_the_full_scan(n):
+    """F_(q,p) in the momentum frame lies on diagonals +-p; gathered there with the
+    scan's noise rule it gives the scan's shifts and rows, none for a vanishing F."""
+    space = TorusSpace(n)
+    buf = phase_space._working(n)
+    for xi in _displacements(n):
+        otoc._fill(space, xi, buf, "B")
+        bm = phase_space._change_frame(buf, MOMENTUM)
+        shifts, d = otoc._nonzero_diagonals(bm)
+        gathered, dg = otoc._nonzero_diagonals(bm, otoc._momentum_shifts(xi, n))
+        assert gathered.dtype == shifts.dtype and np.array_equal(gathered, shifts), xi
+        assert np.array_equal(dg, d), xi
+        vanishes = 2 * xi[0] % n == 0 and 2 * xi[1] % n == 0  # T_xi = T_-xi = T_xi^dag
+        assert (shifts.size == 0) == vanishes, xi
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 63, 64, 512])
+def test_two_diagonal_defect_equals_the_blocked_scan(n):
+    space = TorusSpace(n)
+    buf = phase_space._working(n)
+    for xi in _displacements(n):
+        buf.fill(0)
+        phase_space._write_f(space, xi, buf)
+        assert phase_space._diagonal_pair_defect(buf, xi[0]) == hermiticity_defect(buf)
+        buf[xi[0] % n, 0] += 0.25 + 0.5j  # off the diagonal, or an imaginary part on it
+        defect = phase_space._diagonal_pair_defect(buf, xi[0])
+        assert defect > 0 and defect == hermiticity_defect(buf)
+        buf[xi[0] % n, 0] = np.nan
+        assert np.isnan(phase_space._diagonal_pair_defect(buf, xi[0]))
+        assert np.isnan(hermiticity_defect(buf))
