@@ -10,8 +10,6 @@ import numpy as np
 from .maps import ClassicalMapSpec, _advance, classical_step
 
 __all__ = [
-    "MonodromyPower",
-    "cat_matrix_power",
     "LyapunovEstimate",
     "lyapunov",
     "ehrenfest_time",
@@ -25,30 +23,10 @@ _FIXED_POINT_TOL = 1e-12
 _WARMUP = 100  # tangent-vector alignment steps before log growth is accumulated
 
 
-@dataclass(frozen=True)
-class MonodromyPower:
-    """Exact integer entries of the t-th power of the cat matrix (2 1; 1 1)."""
-
-    t: int
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def apply(self, xi) -> tuple[int, int]:
-        """Image of the integer displacement (xi_q, xi_p) under the power."""
-        return (self.a * int(xi[0]) + self.b * int(xi[1]),
-                self.c * int(xi[0]) + self.d * int(xi[1]))
-
-
-def cat_matrix_power(t: int) -> MonodromyPower:
-    """M^t for M = (2 1; 1 1) in arbitrary-precision integers."""
-    return MonodromyPower(int(t), *_cat_power(t))
-
-
 def _cat_power(t: int, n: int = 0) -> tuple[int, int, int, int]:
-    """Entries (a, b, c, d) of M^t by square-and-multiply, reduced mod n after
-    every product when n > 0, so each entry stays below n."""
+    """Entries (a, b, c, d) of M^t, M = (2 1; 1 1), by square-and-multiply in Python
+    ints: exact when n = 0, reduced mod n after every product when n > 0, so each
+    entry stays below n."""
     if t < 0 or int(t) != t:
         raise ValueError(f"power must be a non-negative integer, got {t}")
     ra, rb, rc, rd = 1, 0, 0, 1

@@ -8,9 +8,9 @@ Three map families are supported on the unit torus (q, p in [0, 1)):
 * Chirikov standard map
       p' = p + (K / 2 pi) sin(2 pi q)
       q' = q + p'
-* Harper map (kicked Harper, symmetric case K1 = K2 by default)
-      p' = p - K1 sin(2 pi q)
-      q' = q + K2 sin(2 pi p')
+* Harper map (kicked Harper, one kick strength K for both kicks)
+      p' = p - K sin(2 pi q)
+      q' = q + K sin(2 pi p')
 
 Each map's formulas are written once, in one private step that returns the
 image and its exact tangent map: ``classical_step`` and ``jacobian`` read it,
@@ -62,31 +62,17 @@ _TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class ClassicalMapSpec:
-    """Map family plus its kick strength(s).
-
-    ``k`` is the cat perturbation k, the standard-map K, or the Harper K1;
-    ``k2`` is the Harper K2 and defaults to ``k`` (symmetric case).
-    """
+    """Map family plus its kick strength ``k``: the cat perturbation k, the
+    standard-map K, or the Harper K of both kicks."""
 
     kind: str
     k: float
-    k2: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in (CAT, STANDARD, HARPER):
             raise ValueError(f"unknown map kind {self.kind!r}")
         if not math.isfinite(self.k):
             raise ValueError("map parameter must be finite")
-        if self.k2 is not None:
-            if self.kind != HARPER:
-                raise ValueError("k2 is only meaningful for the harper map")
-            if not math.isfinite(self.k2):
-                raise ValueError("map parameter must be finite")
-
-    @property
-    def k_second(self) -> float:
-        """Second Harper kick strength (equals k in the symmetric case)."""
-        return self.k if self.k2 is None else self.k2
 
 
 def cat_map(k: float = 0.0) -> ClassicalMapSpec:
@@ -97,8 +83,8 @@ def standard_map(kk: float) -> ClassicalMapSpec:
     return ClassicalMapSpec(STANDARD, float(kk))
 
 
-def harper_map(k1: float, k2: float | None = None) -> ClassicalMapSpec:
-    return ClassicalMapSpec(HARPER, float(k1), None if k2 is None else float(k2))
+def harper_map(k: float) -> ClassicalMapSpec:
+    return ClassicalMapSpec(HARPER, float(k))
 
 
 def _advance(spec: ClassicalMapSpec, q, p):
@@ -123,8 +109,8 @@ def _advance(spec: ClassicalMapSpec, q, p):
     else:
         p1 = np.mod(p - spec.k * np.sin(_TWO_PI * q), 1.0)
         df = -_TWO_PI * spec.k * np.cos(_TWO_PI * q)
-        q1 = np.mod(q + spec.k_second * np.sin(_TWO_PI * p1), 1.0)
-        dg = _TWO_PI * spec.k_second * np.cos(_TWO_PI * p1)
+        q1 = np.mod(q + spec.k * np.sin(_TWO_PI * p1), 1.0)
+        dg = _TWO_PI * spec.k * np.cos(_TWO_PI * p1)
     jac = np.empty(np.shape(q1) + (2, 2))
     jac[..., 0, 0] = 1.0 + dg * df
     jac[..., 0, 1] = dg
@@ -214,10 +200,7 @@ def quantize(spec: ClassicalMapSpec, space: TorusSpace, kick_mode: str = CORRESP
         pos = np.exp(+1j * kappa * cosine)
         mom = np.exp(+1j * quad)
     else:
-        kappa1 = kick_prefactor(spec, space, kick_mode)
-        kappa2 = kick_prefactor(harper_map(spec.k_second), space, kick_mode)
-        pos = np.exp(-1j * kappa1 * cosine)
-        mom = np.exp(-1j * kappa2 * cosine)
+        pos = mom = np.exp(-1j * kick_prefactor(spec, space, kick_mode) * cosine)
     return QuantumMap(space, pos, mom, spec, kick_mode)
 
 

@@ -36,7 +36,6 @@ depend on the part count either.  Every other case takes the full path.
 
 from __future__ import annotations
 
-import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -45,13 +44,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import coarse_graining
-from .classical import _cat_power, cat_matrix_power
+from .classical import _cat_power
 from .coarse_graining import _keeps_parity
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
 from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame,
-                          _cyclic_diagonals, _diagonal_pair_defect, _mirror_rows, _operator,
-                          _parity, _parts, _split, _working, _write_f, hermiticity_defect,
-                          symplectic_product)
+                          _cyclic_diagonals, _diagonal_pair_defect, _displacement, _mirror_rows,
+                          _operator, _parity, _parts, _split, _working, _write_f,
+                          hermiticity_defect, symplectic_product)
 
 __all__ = [
     "OtocSeries",
@@ -109,11 +108,9 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     buffer = _working(umap.dim)
-    _fill(umap.space, b, buffer, "B")
-    b_sign = _sign(b, buffer) if _keeps_parity(umap) else 0
-    shifts, d = _nonzero_diagonals(_change_frame(buffer, MOMENTUM), _momentum_shifts(b, umap.dim))
-    _fill(umap.space, a, buffer, "A")
-    sign = _sign(a, buffer) if b_sign else 0
+    b_sign, b_shifts = _fill(umap.space, b, buffer, "B", _keeps_parity(umap))
+    shifts, d = _nonzero_diagonals(_change_frame(buffer, MOMENTUM), b_shifts)
+    sign, _ = _fill(umap.space, a, buffer, "A", b_sign != 0)
     # one ab/ba pair per part, zeroed, so a zero B (no diagonals) gives O1 = O2 = 0
     scratch = [np.zeros((2, min(_ROW_BLOCK, umap.dim), umap.dim), dtype=complex)
                for _ in _parts(umap.dim, _ROW_BLOCK)]
@@ -126,38 +123,30 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
 
 
 def _fill(space: TorusSpace, op: np.ndarray | tuple[int, int], out: np.ndarray,
-          name: str) -> np.ndarray:
-    """Position-basis entries of ``op``, an N x N array or the integer displacement
-    (q, p) of F_xi, written into ``out`` and checked to be Hermitian, NaN refused.
-    Only an array is scanned whole, here as for B's diagonals in :func:`otoc_series`;
+          name: str, parity: bool) -> tuple[int, list[int] | None]:
+    """Write the position-basis entries of ``op``, an N x N array or the integer
+    displacement (q, p) of F_xi, into ``out``, check that they are Hermitian (NaN
+    refused), and return (sign, shifts).
+
+    ``sign`` is the parity of ``op`` when ``parity`` asks for it, else 0: F_xi is odd,
+    and only then is an array scanned.  ``shifts`` are the momentum-frame cyclic
+    diagonals where ``op`` can be nonzero: +-p for F_(q,p), as F^dag F_(q,p) F =
+    F_(p,-q), and None, every diagonal, for an array.  Only an array is checked whole;
     F_xi is checked on its two cyclic diagonals +-q, off which every entry is zero."""
     if np.shape(op) == (2,):
-        if not all(isinstance(x, numbers.Integral)
-                   or (isinstance(x, numbers.Real) and float(x).is_integer()) for x in op):
-            raise ValueError(f"operator {name} displacement must be two integers, got {op}")
+        q, p = _displacement(op, f"operator {name} displacement")
         out.fill(0)
-        _write_f(space, op, out)
-        defect = _diagonal_pair_defect(out, int(op[0]))
-    else:
-        np.copyto(out, _operator(op, space.dim, f"operator {name}"))
-        defect = hermiticity_defect(out)
+        _write_f(space, (q, p), out)
+        _check_hermitian(_diagonal_pair_defect(out, q), name)
+        return (-1 if parity else 0), sorted({p % space.dim, -p % space.dim})
+    np.copyto(out, _operator(op, space.dim, f"operator {name}"))
+    _check_hermitian(hermiticity_defect(out), name)
+    return (_parity(out) if parity else 0), None
+
+
+def _check_hermitian(defect: float, name: str) -> None:
     if not defect <= _HERMITIAN_TOL:
         raise ValueError(f"operator {name} is not Hermitian (defect {defect:.2e})")
-    return out
-
-
-def _sign(op: np.ndarray | tuple[int, int], filled: np.ndarray) -> int:
-    """Parity of ``op``, whose entries ``filled`` holds: F_xi is odd, an array is scanned."""
-    return -1 if np.shape(op) == (2,) else _parity(filled)
-
-
-def _momentum_shifts(op: np.ndarray | tuple[int, int], n: int) -> list[int] | None:
-    """The momentum-frame cyclic diagonals where ``op`` can be nonzero: +-p for the
-    displacement (q, p) of F_xi, as F^dag F_(q,p) F = F_(p,-q); None, all, for an array."""
-    if np.shape(op) != (2,):
-        return None
-    p = int(op[1])
-    return sorted({p % n, -p % n})
 
 
 def _nonzero_diagonals(bm: np.ndarray, candidates: list[int] | None = None
@@ -305,15 +294,17 @@ def otoc_family_linear(xi, chi, t: int, n: int,
     """Exact OTOC sin^2(pi <M^t xi, chi> / N) of the unperturbed cat map.
 
     Valid for the linear (k = 0) cat map only; the symplectic product is
-    taken with exact integers and reduced mod N inside the sine.  This
-    quantization realizes the translation covariance with q and p mirrored,
-    so the matching numerical correlator evolves F_(xi_p, xi_q) against the
-    static F_(chi_p, chi_q); the sine pair (1,0)/(0,1) is mirror-fixed.
+    taken with integers, from the entries of M^t mod N, and reduced mod N
+    inside the sine, so large t stays exact.  This quantization realizes the
+    translation covariance with q and p mirrored, so the matching numerical
+    correlator evolves F_(xi_p, xi_q) against the static F_(chi_p, chi_q); the
+    sine pair (1,0)/(0,1) is mirror-fixed.
     """
     if map_spec is not None and (map_spec.kind != CAT or map_spec.k != 0.0):
         raise ValueError("the closed-form translation OTOC only holds for the k=0 cat map")
-    image = cat_matrix_power(t).apply(xi)
-    s = symplectic_product(image, chi) % n
+    a, b, c, d = _cat_power(t, n)
+    q, p = _displacement(xi, "xi")
+    s = symplectic_product((a * q + b * p, c * q + d * p), chi) % n
     return float(np.sin(np.pi * s / n) ** 2)
 
 

@@ -8,7 +8,8 @@ Every other module inherits the conventions fixed here:
 * symplectic product <u, v> = u_p v_q - u_q v_p.
 
 An operator is a plain N x N complex array of position-basis entries, its
-shape checked by :func:`_operator` where it enters.  The momentum frame is
+shape checked by :func:`_operator` where it enters; a displacement is a pair
+of integers, checked by :func:`_displacement` where it enters.  The momentum frame is
 one FFT pair away (:func:`change_basis`), and the Heisenberg step in
 :mod:`otoclab.coarse_graining` crosses between the frames in place.
 
@@ -40,6 +41,7 @@ pass does the same arithmetic on either layout, so no bit changes.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -315,7 +317,17 @@ def symplectic_product(xi, chi) -> int:
     reduction, which keeps sin and tau powers exact for arbitrarily large
     integer displacements.
     """
-    return int(xi[1]) * int(chi[0]) - int(xi[0]) * int(chi[1])
+    (xi_q, xi_p), (chi_q, chi_p) = _displacement(xi, "xi"), _displacement(chi, "chi")
+    return xi_p * chi_q - xi_q * chi_p
+
+
+def _displacement(xi, name: str) -> tuple[int, int]:
+    """``xi`` as two Python ints; ValueError naming it ``name`` unless it holds two
+    integral values (1.0 passes; 0.5, NaN and inf do not)."""
+    if np.shape(xi) != (2,) or not all(isinstance(x, numbers.Integral) or (
+            isinstance(x, numbers.Real) and float(x).is_integer()) for x in xi):
+        raise ValueError(f"{name} must be two integers, got {xi}")
+    return int(xi[0]), int(xi[1])
 
 
 def translation(space: TorusSpace, xi) -> np.ndarray:
@@ -337,7 +349,7 @@ def translation(space: TorusSpace, xi) -> np.ndarray:
 def _write_translation(space: TorusSpace, xi, out: np.ndarray) -> np.ndarray:
     """T_xi's one cyclic diagonal xi_q written into ``out``, whose other entries are left."""
     n = space.dim
-    a, b = int(xi[0]), int(xi[1])
+    a, b = _displacement(xi, "xi")
     q = np.arange(n)
     diag = space.tau_power(2 * (b % n) * q)
     phase = space.tau_power((a * b) % (2 * n))

@@ -258,11 +258,9 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     Kaufman and Stewart, Math. Comp. 30, 1976): it never fires at depth 90
     for N = 320 or 1000, and does near full depth.  Ritz operators are
     assembled one at a time from the real and imaginary parts of their
-    coefficients.  Memory is that of the basis, 8 (depth + 1) d bytes: at
-    N = 1000, depth 90 about 364 MB in a parity sector (the sine seed is odd;
-    the run peaks at about 470 MB of RSS on 2 vCPUs) and 728 MB without one,
-    against 1.46 GB for a complex basis.  ``params`` records ``sector``
-    (even, odd or none), ``krylov_dim`` (the dimension reached, below
+    coefficients.  Memory is that of the basis, 8 (depth + 1) d bytes, with d
+    about N^2 / 2 in a parity sector and N^2 without one.  ``params`` records
+    ``sector`` (even, odd or none), ``krylov_dim`` (the dimension reached, below
     ``depth`` when an invariant subspace closes early, which warns),
     ``matvecs`` (channel applications, including the residual checks) and
     ``reorth`` (second Gram-Schmidt passes).

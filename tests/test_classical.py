@@ -1,51 +1,49 @@
 import numpy as np
 import pytest
 
-from otoclab.classical import (CAT_LYAPUNOV, _logsumexp, cat_matrix_power, ehrenfest_time,
-                               lyapunov)
+from otoclab.classical import CAT_LYAPUNOV, _cat_power, _logsumexp, ehrenfest_time, lyapunov
 from otoclab.maps import cat_map, classical_step, harper_map, standard_map
 
 
 def test_cat_power_identity_and_base():
-    m0 = cat_matrix_power(0)
-    assert (m0.a, m0.b, m0.c, m0.d) == (1, 0, 0, 1)
-    m1 = cat_matrix_power(1)
-    assert (m1.a, m1.b, m1.c, m1.d) == (2, 1, 1, 1)
+    assert _cat_power(0) == (1, 0, 0, 1)
+    assert _cat_power(1) == (2, 1, 1, 1)
 
 
 def test_cat_power_small_values():
-    assert cat_matrix_power(2).a == 5
-    assert cat_matrix_power(3).a == 13
-    assert cat_matrix_power(4).a == 34
+    assert _cat_power(2)[0] == 5
+    assert _cat_power(3) == (13, 8, 8, 5)
+    assert _cat_power(4)[0] == 34
 
 
 def test_cat_power_trace_recurrence_and_det():
-    a = {t: cat_matrix_power(t).a for t in range(4, 42)}
+    a = {t: _cat_power(t)[0] for t in range(4, 42)}
     for t in range(5, 41):
         assert a[t + 1] == 3 * a[t] - a[t - 1]
-    big = cat_matrix_power(200)
-    assert big.a * big.d - big.b * big.c == 1  # exact integers, no overflow
+    ba, bb, bc, bd = _cat_power(200)
+    assert ba * bd - bb * bc == 1  # exact integers, no overflow
 
 
 def test_cat_power_growth_rate():
     # ln(a_t) = lambda_L t + ln(phi/sqrt(5)) + o(1), an offset of -0.3235,
     # so the 0.05 band on ln(a_t)/t is entered at t = 7
     for t in range(7, 41):
-        assert abs(np.log(cat_matrix_power(t).a) / t - CAT_LYAPUNOV) < 0.05
+        assert abs(np.log(_cat_power(t)[0]) / t - CAT_LYAPUNOV) < 0.05
     for t in range(5, 41):
         offset = np.log((1 + np.sqrt(5)) / 2) - np.log(np.sqrt(5))
-        assert abs(np.log(cat_matrix_power(t).a) - CAT_LYAPUNOV * t - offset) < 1e-2
+        assert abs(np.log(_cat_power(t)[0]) - CAT_LYAPUNOV * t - offset) < 1e-2
 
 
-def test_cat_power_apply_and_mod():
-    m = cat_matrix_power(3)
-    assert m.apply((1, 0)) == (13, 8)
-    assert (m.a, m.b, m.c, m.d) == (13, 8, 8, 5)
+def test_cat_power_mod_n_agrees_with_the_exact_power():
+    for n in (2, 3, 8, 1000, 1024):
+        for t in list(range(60)) + [200, 1001]:
+            assert _cat_power(t, n) == tuple(x % n for x in _cat_power(t)), (n, t)
 
 
 def test_cat_power_rejects_negative():
-    with pytest.raises(ValueError):
-        cat_matrix_power(-1)
+    for t in (-1, 2.5):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            _cat_power(t)
 
 
 def test_lyapunov_cat_unperturbed_exact():

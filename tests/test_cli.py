@@ -233,6 +233,19 @@ def test_sweep_records_fractional_n_as_error(tmp_path):
     assert not (out / "N=32.7").exists()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda c: run_sweep(c, "seed", [1.0]), "sweep axis must be one of .*, got 'seed'"),
+    (lambda c: run_resonances(c, "arnoldi"), "method must be dense or krylov, got 'arnoldi'"),
+    (lambda c: run_resonances(c, "krylov", depth=4, seed_op="cosine"),
+     "seed_op must be sine or random, got 'cosine'")], ids=["axis", "method", "seed_op"])
+def test_library_calls_refuse_what_argparse_choices_refuse(tmp_path, call, message):
+    """argparse's choices keep these values from the CLI; a library caller gets the
+    same refusal as a CliError, and nothing is written."""
+    with pytest.raises(CliError, match=message):
+        call(RunConfig(map="cat", n=16, outputs=str(tmp_path / "run")))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_rejects_empty_values(tmp_path):
     config = RunConfig(map="cat", n=32, outputs=str(tmp_path / "s"))
     with pytest.raises(CliError, match="empty"):

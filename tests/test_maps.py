@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from otoclab.classical import cat_matrix_power
+from otoclab.classical import _cat_power
 from otoclab.coarse_graining import build_kernel
 from otoclab.maps import (ClassicalMapSpec, apply_map, cat_map, classical_step,
                           harper_map, heisenberg_conjugate, jacobian, kick_prefactor,
@@ -20,9 +20,8 @@ def test_map_spec_validation():
     with pytest.raises(ValueError):
         ClassicalMapSpec("bogus", 0.1)
     with pytest.raises(ValueError):
-        ClassicalMapSpec("standard", 1.0, 2.0)  # k2 only for harper
-    assert harper_map(0.5).k_second == 0.5
-    assert harper_map(0.5, 0.7).k_second == 0.7
+        harper_map(float("inf"))
+    assert harper_map(0.5) == ClassicalMapSpec("harper", 0.5)
 
 
 def test_classical_step_cat_linear():
@@ -65,7 +64,7 @@ def test_jacobian_standard_quarter_point():
 
 
 @pytest.mark.parametrize("spec", [cat_map(0.0), cat_map(0.02), cat_map(0.3), standard_map(19.74),
-                                  harper_map(0.94), harper_map(0.94, 0.7)])
+                                  harper_map(0.94), harper_map(0.7)])
 def test_jacobian_finite_difference_oracle(spec):
     rng = np.random.default_rng(7)
     h = 1e-7
@@ -83,7 +82,7 @@ def test_jacobian_finite_difference_oracle(spec):
         assert np.abs(fd - j).max() < 1e-5
 
 
-@pytest.mark.parametrize("spec", [cat_map(0.25), standard_map(19.74), harper_map(0.94, 0.7)])
+@pytest.mark.parametrize("spec", [cat_map(0.25), standard_map(19.74), harper_map(0.7)])
 def test_jacobian_symplectic(spec):
     rng = np.random.default_rng(13)
     pts = rng.random((1000, 2))
@@ -157,7 +156,7 @@ def test_cat_small_n_series_follows_integer_recurrence():
         o1 = np.trace(x @ p @ x @ p) / n
         o2 = np.trace(x @ x @ p @ p) / n
         c = -2 * (o1 - o2).real
-        a_t = cat_matrix_power(t).a % n
+        a_t = _cat_power(t)[0] % n
         assert abs(c - np.sin(np.pi * a_t / n) ** 2) < 1e-10
         x = heisenberg_conjugate(umap, x)
 

@@ -11,7 +11,7 @@ from otoclab.maps import cat_map, harper_map, quantize, standard_map
 from otoclab.otoc import (OtocSeries, analytic_cat_otoc, fit_growth, fit_lyapunov_from_otoc,
                           loglinear_fit, otoc_family_linear, otoc_series, otoc_via_commutator)
 from otoclab.phase_space import (MOMENTUM, POSITION, TorusSpace, change_basis,
-                                 hermitian_f, sine_momentum, sine_position)
+                                 hermitian_f, sine_momentum, sine_position, translation)
 from otoclab.resonances import random_traceless_hermitian
 
 
@@ -176,6 +176,38 @@ def test_family_linear_rejects_nonlinear_maps():
         otoc_family_linear((1, 0), (0, 1), 2, 64, map_spec=cat_map(0.1))
 
 
+def _exact_family(xi, chi, t, n, powers):
+    """The closed form from the exact integer power M^t = powers[t], unreduced."""
+    (a, b), (c, d) = powers[t]
+    image = (a * xi[0] + b * xi[1], c * xi[0] + d * xi[1])
+    s = (image[1] * chi[0] - image[0] * chi[1]) % n
+    return float(np.sin(np.pi * s / n) ** 2)
+
+
+def test_family_linear_equals_the_exact_integer_formula():
+    """Entries of M^t reduced mod N give the same integer <M^t xi, chi> mod N, so the
+    same float, for negative displacements and ones far beyond N."""
+    powers = [((1, 0), (0, 1))]
+    for _ in range(200):
+        (a, b), (c, d) = powers[-1]
+        powers.append(((2 * a + b, a + b), (2 * c + d, c + d)))  # M^t (2 1; 1 1)
+    for n in (2, 3, 8, 64, 1000, 1024):
+        pairs = [((1, 0), (0, 1)), ((-3, 5), (2, -7)), ((5 * n + 1, -5 * n - 2), (-n, 3)),
+                 ((-(10 ** 6) - 1, 4 * n + 3), (7, -3 * n - 1))]
+        for t in list(range(0, 201, 7)) + [200]:
+            for xi, chi in pairs:
+                assert otoc_family_linear(xi, chi, t, n) == _exact_family(xi, chi, t, n, powers)
+
+
+@pytest.mark.parametrize("xi, chi, name", [((0.5, 0), (0, 1), "xi"), ((0, 1), (1, 0.5), "chi"),
+                                           ((float("nan"), 0), (0, 1), "xi"),
+                                           ((1, 0), (0, float("inf")), "chi")])
+def test_family_linear_refuses_non_integer_displacements(xi, chi, name):
+    """(0.5, 0) was truncated, giving 0 for (0.5, 0), (0, 1) at t = 2, N = 8."""
+    with pytest.raises(ValueError, match=f"^{name} must be two integers"):
+        otoc_family_linear(xi, chi, 2, 8)
+
+
 def test_family_linear_matches_numerics_for_random_pairs(space64, cat64):
     """Brute-force commutator evaluation against the closed form.
 
@@ -304,6 +336,54 @@ def test_otoc_series_refuses_nan_operators(cat64, name):
     ops = (nan, (1, 0)) if name == "A" else ((0, 1), nan)
     with pytest.raises(ValueError, match=f"operator {name} is not Hermitian"):
         otoc_series(cat64, *ops, 2)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_fill_classifies_displacements_and_arrays(n):
+    """(sign, shifts): F_xi is odd with momentum-frame shifts +-p; an array has its
+    parity scanned, and every diagonal a candidate; no sign unless asked for."""
+    space = TorusSpace(n)
+    buf = np.empty((n, n), dtype=complex)
+    for xi in [(1, 0), (0, 1), (2, 3), (-1, -2), (n + 1, 2 * n + 3), (0, 0)]:
+        expected = sorted({xi[1] % n, -xi[1] % n})
+        assert otoc._fill(space, xi, buf, "A", True) == (-1, expected)
+        assert otoc._fill(space, xi, buf, "A", False) == (0, expected)
+        assert np.array_equal(buf, hermitian_f(space, xi))
+    cosine = (translation(space, (1, 1)) + translation(space, (-1, -1))) / 2
+    for op, sign in [(sine_position(space), -1), (cosine, 1),
+                     (random_traceless_hermitian(space, 5), 0)]:
+        assert otoc._fill(space, op, buf, "B", True) == (sign, None)
+        assert otoc._fill(space, op, buf, "B", False) == (0, None)
+        assert np.array_equal(buf, op)
+
+
+@pytest.mark.parametrize("n, b, scans, sector", [(64, "even", ["B", "A"], "even"),
+                                                (64, "displacement", ["A"], "even"),
+                                                (64, "random", ["B"], "none"),
+                                                (63, "even", [], "none"),
+                                                (63, "displacement", [], "none")])
+def test_an_array_a_is_scanned_only_while_the_sector_is_possible(monkeypatch, n, b, scans,
+                                                                 sector):
+    """A's parity is scanned only when B has one at even N, and nothing at odd N.  A is
+    the even array (T_xi + T_-xi) / 2 at xi = (1, 1); B is that array at (2, 1), the
+    displacement of the odd F_(1,0), or a random array of no parity."""
+    space = TorusSpace(n)
+
+    def cosine(xi):
+        return (translation(space, xi) + translation(space, (-xi[0], -xi[1]))) / 2
+
+    a_op = cosine((1, 1))
+    b_op = {"even": cosine((2, 1)), "displacement": (1, 0),
+            "random": random_traceless_hermitian(space, 3)}[b]
+    parity, seen = otoc._parity, []
+
+    def counting(x):
+        seen.append("A" if np.array_equal(x, a_op) else "B")
+        return parity(x)
+
+    monkeypatch.setattr(otoc, "_parity", counting)
+    series = otoc_series(quantize(cat_map(0.02), space), a_op, b_op, 2)
+    assert seen == scans and series.sector == sector
 
 
 def _full_path(monkeypatch, umap, a, b, t_max, kernel):

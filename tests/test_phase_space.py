@@ -75,6 +75,28 @@ def test_symplectic_product_values():
     assert symplectic_product((1, 2), (3, 4)) == -symplectic_product((3, 4), (1, 2))
 
 
+@pytest.mark.parametrize("make", [lambda xi: translation(TorusSpace(8), xi),
+                                  lambda xi: hermitian_f(TorusSpace(8), xi),
+                                  lambda xi: symplectic_product(xi, (0, 1))],
+                         ids=["translation", "hermitian_f", "symplectic_product"])
+@pytest.mark.parametrize("xi", [(0.5, 1), (1.5, 0), (float("nan"), 0), (0, float("inf")),
+                                (1, 2, 3), 5])
+def test_displacements_must_be_two_integers(make, xi):
+    """(0.5, 1) was truncated to (0, 1), and NaN raised without naming the argument."""
+    with pytest.raises(ValueError, match=r"^xi must be two integers, got"):
+        make(xi)
+
+
+def test_integral_displacements_of_any_type_pass():
+    space = TorusSpace(8)
+    for xi in [(1.0, np.int64(-2)), np.array([1, -2]), (np.float32(1), -2.0)]:
+        assert np.array_equal(translation(space, xi), translation(space, (1, -2)))
+        assert np.array_equal(hermitian_f(space, xi), hermitian_f(space, (1, -2)))
+        assert symplectic_product(xi, (3, 4)) == symplectic_product((1, -2), (3, 4)) == -10
+    with pytest.raises(ValueError, match=r"^chi must be two integers, got \(0, 0.5\)"):
+        symplectic_product((1, 0), (0, 0.5))
+
+
 def test_translation_generators():
     space = TorusSpace(6)
     assert np.abs(translation(space, (0, 0)) - np.eye(6)).max() == 0.0

@@ -106,10 +106,10 @@ def test_gathered_diagonals_match_the_full_scan(n):
     space = TorusSpace(n)
     buf = phase_space._working(n)
     for xi in _displacements(n):
-        otoc._fill(space, xi, buf, "B")
+        _, candidates = otoc._fill(space, xi, buf, "B", False)
         bm = phase_space._change_frame(buf, MOMENTUM)
         shifts, d = otoc._nonzero_diagonals(bm)
-        gathered, dg = otoc._nonzero_diagonals(bm, otoc._momentum_shifts(xi, n))
+        gathered, dg = otoc._nonzero_diagonals(bm, candidates)
         assert gathered.dtype == shifts.dtype and np.array_equal(gathered, shifts), xi
         assert np.array_equal(dg, d), xi
         vanishes = 2 * xi[0] % n == 0 and 2 * xi[1] % n == 0  # T_xi = T_-xi = T_xi^dag
