@@ -38,7 +38,8 @@ import numpy as np
 
 from .maps import QuantumMap
 from .phase_space import (MOMENTUM, POSITION, TorusSpace, _change_frame, _cyclic_diagonals,
-                          _from_cyclic_diagonals, _operator, _split, translation)
+                          _from_cyclic_diagonals, _operator, _row_width, _split, _whole_rows,
+                          translation)
 
 __all__ = [
     "CoarseGrainKernel",
@@ -138,15 +139,21 @@ def apply_dephasing_chord(kernel: CoarseGrainKernel, a: np.ndarray) -> np.ndarra
     return _from_cyclic_diagonals(d)
 
 
-def _circulant(f: np.ndarray) -> np.ndarray:
-    """Read-only view m[r, s] = f[(r - s) % n] over a buffer of 2n - 1 values."""
+def _circulant(f: np.ndarray, width: int) -> np.ndarray:
+    """Read-only n x ``width`` view m[r, s] = f[(r - s) % n] over a buffer of n + width - 1
+    values."""
     n = f.size
-    return np.lib.stride_tricks.sliding_window_view(f[(n - 1 - np.arange(2 * n - 1)) % n], n)[::-1]
+    ring = f[(n - 1 - np.arange(n + width - 1)) % n]
+    return np.lib.stride_tricks.sliding_window_view(ring, width)[::-1]
 
 
 def _mask(kernel: CoarseGrainKernel | None) -> np.ndarray | None:
-    """The dephasing mask of :func:`_step`, None when there is nothing to dephase."""
-    return _circulant(kernel.f) if kernel is not None and kernel.epsilon > 0 else None
+    """The dephasing mask of :func:`_step`, as wide as a row of the working buffer with
+    its pad (:func:`~otoclab.phase_space._row_width`); None when there is nothing to
+    dephase."""
+    if kernel is not None and kernel.epsilon > 0:
+        return _circulant(kernel.f, _row_width(kernel.space.dim))
+    return None
 
 
 def _kick(rows: np.ndarray, phase_rows: np.ndarray, phase: np.ndarray,
@@ -172,22 +179,30 @@ def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray,
     The momentum kick, the frame change to position, the position kick, the
     mask, the frame change back and the mask again.  Each kick and mask pass
     runs over fixed parts of the rows (:func:`~otoclab.phase_space._split`);
-    it is elementwise, so the bits do not depend on the part count.  A
+    it is elementwise, so the bits do not depend on the part count.  On a
+    padded working buffer these passes cover whole rows with their zero pad
+    (:func:`~otoclab.phase_space._whole_rows`), one contiguous block a part,
+    with the phase vectors widened by ones and ``mask`` as wide as the rows.  A
     nonzero ``sign`` is the parity of ``at`` at even N, which the caller
     vouches the channel keeps (:func:`_keeps_parity`): every pass then reads
     and writes rows 0 .. N/2 only (see
     :func:`~otoclab.phase_space._change_frame`), and the other rows are left
     stale.
     """
-    n, pos, mom = at.shape[0], umap.phase_position, umap.phase_momentum
+    n = at.shape[0]
+    rows = _whole_rows(at)
+    width = rows.shape[1]
+    pos, mom = (np.concatenate((v, np.ones(width - n))) if width > n else v
+                for v in (umap.phase_position, umap.phase_momentum))
+    mask = None if mask is None else mask[:, :width]
     lines = n // 2 + 1 if sign else n
-    _split(lambda _, s: _kick(at[s], mom[s], mom, None), n, lines=lines)
+    _split(lambda _, s: _kick(rows[s], mom[s], mom, None), n, lines=lines)
     _change_frame(at, POSITION, sign)
-    _split(lambda _, s: _kick(at[s], pos[s], pos, None if mask is None else mask[s]), n,
+    _split(lambda _, s: _kick(rows[s], pos[s], pos, None if mask is None else mask[s]), n,
            lines=lines)
     _change_frame(at, MOMENTUM, sign)
     if mask is not None:
-        _split(lambda _, s: np.multiply(at[s], mask[s], out=at[s]), n, lines=lines)
+        _split(lambda _, s: np.multiply(rows[s], mask[s], out=rows[s]), n, lines=lines)
     return at
 
 

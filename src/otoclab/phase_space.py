@@ -30,13 +30,17 @@ its other half from the mirror entries (:func:`_mirror_fill`);
 :func:`_mirror_rows` fills the rows beyond N/2 where a whole operator is
 needed.
 
-A run's evolving N x N buffer comes from :func:`_working`.  Where the row
-stride of 16 N bytes is a multiple of 4 KiB (N a multiple of 256) and N is at
-least 512, it is the N x N view of an N x (N + 4) array with 64-byte aligned
-rows: the lines of a column pass then no longer all map to the same few L1
-sets.  Below 512 the half matrix sits in L2 and the padding only adds loop
-overhead, and at any other N the array is plain.  Every line and elementwise
-pass does the same arithmetic on either layout, so no bit changes.
+A run's evolving N x N buffer comes from :func:`_working`.  At N >= 512 its
+rows are padded with (4 - N) mod 8 entries, so that the row stride is an odd
+number of 64-byte lines: the lines of a column pass then spread over all the
+L1 sets instead of a few.  The buffer is the N x N view of an N x width array
+with 64-byte aligned rows, and its pad entries are zeroed once, when it is
+allocated; at an N whose stride is already an odd number of lines (N = 4 mod
+8) it is plain.  Below 512 the half matrix sits in L2 and the padding only adds
+loop overhead.  The elementwise passes of a step run over whole padded rows
+(:func:`_whole_rows`), one contiguous block per part, with factors that are
+finite on the pad, so the pad stays zero.  Every line and elementwise pass
+does the same arithmetic on either layout, so no bit changes.
 """
 
 from __future__ import annotations
@@ -183,16 +187,36 @@ def _split(fn, n: int, unit: int = 1, lines: int | None = None) -> list:
     return [first] + [f.result() for f in futures]
 
 
+def _row_width(n: int) -> int:
+    """Entries a row of :func:`_working`'s buffer holds: N + (4 - N) mod 8 at N >= 512,
+    which makes the 16-byte entries' row stride an odd number of 64-byte lines, else N."""
+    return n + (4 - n) % 8 if n >= 512 else n
+
+
 def _working(n: int) -> np.ndarray:
-    """An uninitialized N x N complex buffer, laid out as the module notes say: padded
-    to N + 4 entries a row, rows 64-byte aligned, when N is a multiple of 256 and at
-    least 512, plain otherwise."""
-    if n < 512 or n % 256:
+    """An uninitialized N x N complex buffer, laid out as the module notes say: the N x N
+    view of an N x :func:`_row_width` array with 64-byte aligned rows and zeroed pad
+    entries when the width exceeds N, plain otherwise."""
+    width = _row_width(n)
+    if width == n:
         return np.empty((n, n), dtype=complex)
-    size = n * (n + 4) * 16
+    size = n * width * 16
     raw = np.empty(size + 64, dtype=np.uint8)
     start = -raw.ctypes.data % 64
-    return raw[start:start + size].view(complex).reshape(n, n + 4)[:, :n]
+    rows = raw[start:start + size].view(complex).reshape(n, width)
+    rows[:, n:] = 0
+    return rows[:, :n]
+
+
+def _whole_rows(x: np.ndarray) -> np.ndarray:
+    """The rows of x together with their pad entries, as one C-contiguous N x width
+    array over the same memory; x itself when its rows are not padded.  For a
+    :func:`_working` buffer or a C-contiguous array only: the entries between the end
+    of a row and the start of the next are taken as x's own."""
+    width = x.strides[0] // x.itemsize
+    if width == x.shape[1] or x.strides[1] != x.itemsize:
+        return x
+    return np.lib.stride_tricks.as_strided(x, (x.shape[0], width), x.strides)
 
 
 def _operator(a, n: int, name: str) -> np.ndarray:
