@@ -221,12 +221,13 @@ def _evolve_in_place(umap: QuantumMap, kernel: CoarseGrainKernel | None, at: np.
                      steps: int, sign: int = 0):
     """:func:`evolve` on the caller's N x N complex buffer of position-basis entries: it is
     changed to the momentum frame once, yielded, and advanced by :func:`_step`, the step
-    the Krylov solver shares, each time; a nonzero ``sign`` is passed on to the step, so
-    only rows 0 .. N/2 are valid after the first."""
+    the Krylov solver shares, each time.  A nonzero ``sign``, the buffer's parity, makes
+    the first change of frame and every step the sector's, so only rows 0 .. N/2 are
+    valid from the first yield on."""
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     mask = _mask(kernel)
-    yield _change_frame(at, MOMENTUM)
+    yield _change_frame(at, MOMENTUM, sign)
     for _ in range(steps):
         yield _step(umap, mask, at, sign)
 

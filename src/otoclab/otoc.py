@@ -49,8 +49,8 @@ from .coarse_graining import _keeps_parity
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
 from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame,
                           _cyclic_diagonals, _diagonal_pair_defect, _displacement, _mirror_rows,
-                          _operator, _parity, _parts, _split, _working, _write_f,
-                          hermiticity_defect, symplectic_product)
+                          _operator, _parity, _parts, _split, _whole_rows, _working,
+                          _write_f, hermiticity_defect, symplectic_product)
 
 __all__ = [
     "OtocSeries",
@@ -71,14 +71,18 @@ _COMMUTATOR_LIMIT = 64
 
 @dataclass(frozen=True, eq=False)
 class OtocSeries:
-    """Per-step record of C(t), O1(t), O2(t); ``sector`` is the parity sector the series
-    ran in (odd, even, or none for the full path)."""
+    """Per-step record of C(t), O1(t), O2(t) and the path the series took: ``sector``
+    is the parity sector it ran in (odd, even, or none for the full path), ``layout``
+    the working buffer's rows (padded or plain, then the entries a row holds) and
+    ``contraction`` the form of the O1/O2 sums (diagonal or blocks)."""
 
     t: np.ndarray
     c: np.ndarray
     o1: np.ndarray
     o2: np.ndarray
     sector: str = "none"
+    layout: str = "plain"
+    contraction: str = "blocks"
 
     @property
     def o1_abs(self) -> np.ndarray:
@@ -93,7 +97,11 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
 
     ``a`` and ``b`` are each a Hermitian N x N array or an integer
     displacement (xi_q, xi_p) standing for F_xi.  O1 = <B A(t), A(t) B>_F / N
-    and O2 = ||A(t) B||_F^2 / N are summed over blocks of rows.  The call
+    and O2 = ||A(t) B||_F^2 / N are summed over blocks of rows; when B is
+    diagonal in the momentum frame, B = diag(d) (one cyclic diagonal, shift 0,
+    as for F_(q,0)), they come from one pass over |A(t)|^2 instead:
+    O1 = sum conj(d_r) d_q |A_rq|^2 / N and O2 = sum |d_q|^2 |A_rq|^2 / N
+    (:func:`_contract`).  The call
     holds one N x N array (:func:`~otoclab.phase_space._working`, rows
     padded at some N): B is written into it, checked and changed to the
     momentum frame, where its nonzero cyclic diagonals are gathered; A is then
@@ -101,9 +109,12 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
     all N diagonals scanned: F_(q,p) is F_(p,-q) in the momentum frame, so
     only its diagonals +-p are read.  Beside it the
     contraction holds two 16-row blocks of AB and BA per part, at most N / 256
-    parts (:func:`~otoclab.phase_space._parts`), so at most N^2 / 8 entries.
+    parts (:func:`~otoclab.phase_space._parts`), so at most N^2 / 8 entries;
+    the one-pass form squares 32 rows of A(t) at a time into the same scratch.
     The parity sector (see the module notes) is picked from the data, and
-    recorded as ``sector``.
+    recorded as ``sector``; in it A's first change to the momentum frame is the
+    sector transform too.  ``layout`` and ``contraction`` record the buffer's
+    rows and the form of the contraction.
     """
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
@@ -119,7 +130,10 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
     for t, at in enumerate(coarse_graining._evolve_in_place(umap, kernel, buffer, t_max, sign)):
         o1[t], o2[t] = _contract(at, shifts, d, scratch, sign)
     c = -2.0 * (o1 - o2).real
-    return OtocSeries(np.arange(t_max + 1), c, o1, o2, _SECTOR_NAMES[sign])
+    width = _whole_rows(buffer).shape[1]
+    layout = f"{'padded' if width > umap.dim else 'plain'} {width}"
+    return OtocSeries(np.arange(t_max + 1), c, o1, o2, _SECTOR_NAMES[sign], layout,
+                      _contraction(shifts))
 
 
 def _fill(space: TorusSpace, op: np.ndarray | tuple[int, int], out: np.ndarray,
@@ -176,40 +190,82 @@ def _axpy(first: bool, out: np.ndarray, x: np.ndarray, scale: np.ndarray) -> Non
         out += x * scale
 
 
+def _contraction(shifts: np.ndarray) -> str:
+    """The form of :func:`_contract` for B's momentum-frame ``shifts``: "diagonal" for
+    the one cyclic diagonal at shift 0, "blocks" otherwise."""
+    return "diagonal" if shifts.size == 1 and shifts[0] == 0 else "blocks"
+
+
 def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
               scratch: list[np.ndarray], sign: int = 0) -> tuple[complex, float]:
     """O1 = <BA, AB>_F / N and O2 = ||AB||_F^2 / N of momentum-frame A(t) against
-    B's cyclic diagonals, a block of rows of AB and BA at a time.
+    B's cyclic diagonals, a block of rows at a time.
 
-    The blocks are spread over the parts of :func:`~otoclab.phase_space._split`,
-    part i holding its blocks of AB and BA in ``scratch[i]``.  The per-block
-    sums come back and are added here in block order, so the bits depend on
-    neither the part count nor the BLAS thread count: every sum is a ufunc or
-    einsum reduction.  With A(t)'s parity ``sign`` only rows 0 .. N/2 of A(t)
-    are valid: the rows beyond that BA reads are filled from their mirrors,
-    and row r of AB and BA is row -r up to one common sign, so rows
-    1 .. N/2 - 1 are summed and doubled, and rows 0 and N/2 added once.
+    For B diagonal, B = diag(d) (:func:`_contraction`), AB[r, q] = A[r, q] d_q and
+    BA[r, q] = d_r A[r, q], so O1 = sum conj(d_r) d_q |A_rq|^2 and O2 = sum
+    |d_q|^2 |A_rq|^2 (before the 1/N) come from one pass over |A(t)|^2, 32 rows
+    at a time (:func:`_diagonal_rows`).  Any other B sums blocks of 16 rows of AB
+    and BA (:func:`_contract_rows`).  The blocks are spread over the parts of
+    :func:`~otoclab.phase_space._split`, part i working in ``scratch[i]``, and
+    start on fixed edges; the per-block sums come back and are added here in
+    block order, so the bits depend on neither the part count nor the BLAS
+    thread count: every sum is a ufunc or einsum reduction.  With A(t)'s parity
+    ``sign`` only rows 0 .. N/2 of A(t) are valid: the rows beyond that BA reads
+    are filled from their mirrors, and row r of AB and BA is row -r up to one
+    common sign, so rows 1 .. N/2 - 1 are summed and doubled, and rows 0 and
+    N/2 added once.
     """
     n = at.shape[0]
     h = n // 2
+    if _contraction(shifts) == "diagonal":
+        w = d[0]
+        weights = np.repeat(np.stack((w.real, w.imag, w.real * w.real + w.imag * w.imag)), 2,
+                            axis=1)
+        unit = 2 * _ROW_BLOCK
+
+        def block_sums(part, rows):
+            return _diagonal_rows(at, weights, w.conj(), scratch[part], rows)
+    else:
+        unit = _ROW_BLOCK
+
+        def block_sums(part, rows):
+            return _contract_rows(at, shifts, d, *scratch[part], rows)
     if sign:
         for rows in _mirrored_rows(shifts, n):
             _mirror_rows(at, rows, sign)
     start, stop = (1, h) if sign else (0, n)
     o1, o2 = 0j, 0.0
-    for part in _split(lambda i, s: _contract_rows(at, shifts, d, *scratch[i],
-                                                   slice(start + s.start, start + s.stop)),
-                       n, _ROW_BLOCK, stop - start):
+    for part in _split(lambda i, s: block_sums(i, slice(start + s.start, start + s.stop)),
+                       n, unit, stop - start):
         for b1, b2 in part:
             o1 += b1
             o2 += b2
     if sign:
         o1, o2 = 2 * o1, 2 * o2
         for r in (0, h):
-            ((b1, b2),) = _contract_rows(at, shifts, d, *scratch[0], slice(r, r + 1))
+            ((b1, b2),) = block_sums(0, slice(r, r + 1))
             o1 += b1
             o2 += b2
     return o1 / n, o2 / n
+
+
+def _diagonal_rows(at: np.ndarray, weights: np.ndarray, d_conj: np.ndarray,
+                   scratch: np.ndarray, rows: slice) -> list[tuple[complex, float]]:
+    """(O1, O2) partial sums, unscaled, of each block of 2 x 16 ``rows`` for B = diag(d):
+    the block's squared real and imaginary parts go into ``scratch``, read as reals,
+    and one einsum weighs each row with ``weights``, the rows d.real, d.imag and |d|^2
+    with every entry twice, as the (real, imaginary) pairs of a row of A(t) are."""
+    width = 2 * at.shape[1]
+    squares = scratch.reshape(-1).view(float)
+    sums = []
+    for i in range(rows.start, rows.stop, 2 * _ROW_BLOCK):
+        a = at[i:min(i + 2 * _ROW_BLOCK, rows.stop)].view(float)
+        s = squares[:a.size].reshape(-1, width)
+        np.multiply(a, a, out=s)
+        u = np.einsum("rj,kj->kr", s, weights)
+        sums.append((np.einsum("r,r->", d_conj[i:i + s.shape[0]], u[0] + 1j * u[1]),
+                     u[2].sum()))
+    return sums
 
 
 def _mirrored_rows(shifts: np.ndarray, n: int) -> list[slice]:
