@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import ClassicalMapSpec, _advance, classical_step
+from .phase_space import _size
 
 __all__ = [
     "LyapunovEstimate",
@@ -62,8 +63,9 @@ def lyapunov(spec: ClassicalMapSpec, n_traj: int = 100, t_horizon: int = 1000,
     Initial conditions are drawn uniformly on [0,1)^2 with one generator per
     trajectory (spawned from ``seed``), so the result is independent of
     evaluation order.  Each step makes one call to the map, which returns the
-    image and the tangent map together (Benettin, Galgani, Giorgilli &
-    Strelcyn, Meccanica 15, 1980).  Tangent vectors are renormalized every
+    image and the slopes of its two shears, from which the tangent vector
+    v = (v_q, v_p) is advanced as ((1 + g' f') v_q + g' v_p, f' v_q + v_p)
+    (Benettin, Galgani, Giorgilli & Strelcyn, Meccanica 15, 1980).  Tangent vectors are renormalized every
     step with the log growth accumulated only after 100 alignment
     steps; that keeps the transient from biasing the mean.  ``lam`` averages
     the per-trajectory log growth rates; ``lam_generalized`` averages the
@@ -76,7 +78,7 @@ def lyapunov(spec: ClassicalMapSpec, n_traj: int = 100, t_horizon: int = 1000,
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
     points = np.empty((n_traj, 2))
-    vectors = np.empty((n_traj, 2))
+    angles = np.empty(n_traj)
     resampled = 0
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_traj)):
         rng = np.random.default_rng(child)
@@ -85,16 +87,17 @@ def lyapunov(spec: ClassicalMapSpec, n_traj: int = 100, t_horizon: int = 1000,
             x = rng.random(2)
             resampled += 1
         points[i] = x
-        angle = rng.random() * 2.0 * np.pi
-        vectors[i] = (np.cos(angle), np.sin(angle))
+        angles[i] = rng.random() * 2.0 * np.pi
 
     q, p = points[:, 0], points[:, 1]
+    vq, vp = np.cos(angles), np.sin(angles)
     log_growth = np.zeros(n_traj)
     for t in range(_WARMUP + t_horizon):
-        q, p, jac = _advance(spec, q, p)
-        vectors = np.einsum("nij,nj->ni", jac, vectors)
-        norms = np.linalg.norm(vectors, axis=1)
-        vectors /= norms[:, None]
+        q, p, df, dg = _advance(spec, q, p)
+        vq, vp = (1.0 + dg * df) * vq + dg * vp, df * vq + vp
+        norms = np.sqrt(vq * vq + vp * vp)
+        vq /= norms
+        vp /= norms
         if t >= _WARMUP:
             log_growth += np.log(norms)
 
@@ -127,9 +130,9 @@ def _near_fixed_point(spec: ClassicalMapSpec, x) -> bool:
 
 
 def ehrenfest_time(n: int, lam: float) -> float:
-    """ln(N) / lambda, the log time separating growth from relaxation."""
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    if lam <= 0:
-        raise ValueError(f"Lyapunov exponent must be positive, got {lam}")
+    """ln(N) / lambda, the log time separating growth from relaxation; ValueError unless
+    the dimension ``n`` is an integer >= 2 and ``lam`` is positive and finite."""
+    n = _size(n, "dimension n")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"Lyapunov exponent lam must be positive and finite, got {lam}")
     return float(np.log(n) / lam)

@@ -323,6 +323,8 @@ def run_otoc(config: RunConfig) -> dict:
             ("derived.lambda_standard_error", _fmt(est.standard_error)),
             ("derived.t_ehrenfest", _fmt(t_e)),
             ("derived.otoc_sector", series.sector),
+            ("derived.otoc_layout", series.layout),
+            ("derived.otoc_contraction", series.contraction),
         ]
         header = ["t", "C", "O1_re", "O1_im", "O1_abs", "O2"]
         columns = [series.t, series.c, series.o1.real, series.o1.imag, series.o1_abs, series.o2]

@@ -182,7 +182,8 @@ def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray,
     it is elementwise, so the bits do not depend on the part count.  On a
     padded working buffer these passes cover whole rows with their zero pad
     (:func:`~otoclab.phase_space._whole_rows`), one contiguous block a part,
-    with the phase vectors widened by ones and ``mask`` as wide as the rows.  A
+    with the phase vectors widened by ones (``QuantumMap._row_phases``) and
+    ``mask`` as wide as the rows.  A
     nonzero ``sign`` is the parity of ``at`` at even N, which the caller
     vouches the channel keeps (:func:`_keeps_parity`): every pass then reads
     and writes rows 0 .. N/2 only (see
@@ -192,8 +193,7 @@ def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray,
     n = at.shape[0]
     rows = _whole_rows(at)
     width = rows.shape[1]
-    pos, mom = (np.concatenate((v, np.ones(width - n))) if width > n else v
-                for v in (umap.phase_position, umap.phase_momentum))
+    pos, mom = (v[:width] for v in umap._row_phases)
     mask = None if mask is None else mask[:, :width]
     lines = n // 2 + 1 if sign else n
     _split(lambda _, s: _kick(rows[s], mom[s], mom, None), n, lines=lines)

@@ -13,8 +13,9 @@ Three map families are supported on the unit torus (q, p in [0, 1)):
       q' = q + K sin(2 pi p')
 
 Each map's formulas are written once, in one private step that returns the
-image and its exact tangent map: ``classical_step`` and ``jacobian`` read it,
-and ``classical.lyapunov`` calls it once per iteration for both.
+image and the two shear slopes that fix its exact tangent map:
+``classical_step`` and ``jacobian`` read it, and ``classical.lyapunov`` calls
+it once per iteration for both.
 
 Each quantum map is a product of two diagonal kick factors, one in the
 position basis and one in the momentum basis, applied with FFTs and never
@@ -28,12 +29,13 @@ for the as-printed alternative coefficients of the nonlinear kicks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import TorusSpace, _operator
+from .phase_space import TorusSpace, _operator, _row_width
 
 __all__ = [
     "ClassicalMapSpec",
@@ -88,7 +90,7 @@ def harper_map(k: float) -> ClassicalMapSpec:
 
 
 def _advance(spec: ClassicalMapSpec, q, p):
-    """One step from (q, p) reduced mod 1: the image (q', p') and its tangent map.
+    """One step from (q, p) reduced mod 1: the image (q', p') and the slopes f', g'.
 
     Every map is two shears, p' = p + f(q) then q' = q + g(p'), so the exact
     Jacobian d(q', p')/d(q, p) is ((1 + g' f', g'), (f', 1)) with f' taken at q
@@ -111,17 +113,12 @@ def _advance(spec: ClassicalMapSpec, q, p):
         df = -_TWO_PI * spec.k * np.cos(_TWO_PI * q)
         q1 = np.mod(q + spec.k * np.sin(_TWO_PI * p1), 1.0)
         dg = _TWO_PI * spec.k * np.cos(_TWO_PI * p1)
-    jac = np.empty(np.shape(q1) + (2, 2))
-    jac[..., 0, 0] = 1.0 + dg * df
-    jac[..., 0, 1] = dg
-    jac[..., 1, 0] = df
-    jac[..., 1, 1] = 1.0
-    return q1, p1, jac
+    return q1, p1, df, dg
 
 
 def classical_step(spec: ClassicalMapSpec, point):
     """One iteration of the map; accepts scalars or arrays, reduces mod 1."""
-    q1, p1, _ = _advance(spec, point[0], point[1])
+    q1, p1, _, _ = _advance(spec, point[0], point[1])
     if q1.ndim == 0:
         return float(q1), float(p1)
     return q1, p1
@@ -132,7 +129,8 @@ def jacobian(spec: ClassicalMapSpec, point) -> np.ndarray:
 
     Rows and columns are ordered (q, p).
     """
-    return _advance(spec, float(point[0]), float(point[1]))[2]
+    _, _, df, dg = _advance(spec, float(point[0]), float(point[1]))
+    return np.array([[1.0 + dg * df, dg], [df, 1.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,6 +152,15 @@ class QuantumMap:
     @property
     def dim(self) -> int:
         return self.space.dim
+
+    @functools.cached_property
+    def _row_phases(self) -> tuple[np.ndarray, np.ndarray]:
+        """The position and momentum phases followed by ones up to the row width of the
+        working buffer (:func:`~otoclab.phase_space._row_width`), for the passes of the
+        channel step over whole padded rows; built on first use."""
+        ones = np.ones(_row_width(self.dim) - self.dim)
+        return (np.concatenate((self.phase_position, ones)),
+                np.concatenate((self.phase_momentum, ones)))
 
 
 def kick_prefactor(spec: ClassicalMapSpec, space: TorusSpace, kick_mode: str = CORRESPONDENCE) -> float:

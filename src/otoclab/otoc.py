@@ -49,7 +49,7 @@ from .coarse_graining import _keeps_parity
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
 from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame,
                           _cyclic_diagonals, _diagonal_pair_defect, _displacement, _mirror_rows,
-                          _operator, _parity, _parts, _split, _whole_rows, _working,
+                          _operator, _parity, _parts, _size, _split, _whole_rows, _working,
                           _write_f, hermiticity_defect, symplectic_product)
 
 __all__ = [
@@ -337,8 +337,7 @@ def analytic_cat_otoc(t: int, n: int) -> CatOtocPoint:
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = _size(n, "n")
     angle = np.pi * _cat_power(t, n)[0] / n
     c = float(np.sin(angle) ** 2)
     o1 = float(np.cos(2 * angle) / 4.0)
@@ -354,10 +353,11 @@ def otoc_family_linear(xi, chi, t: int, n: int,
     inside the sine, so large t stays exact.  This quantization realizes the
     translation covariance with q and p mirrored, so the matching numerical
     correlator evolves F_(xi_p, xi_q) against the static F_(chi_p, chi_q); the
-    sine pair (1,0)/(0,1) is mirror-fixed.
+    sine pair (1,0)/(0,1) is mirror-fixed.  ``n`` must be an integer >= 2.
     """
     if map_spec is not None and (map_spec.kind != CAT or map_spec.k != 0.0):
         raise ValueError("the closed-form translation OTOC only holds for the k=0 cat map")
+    n = _size(n, "n")
     a, b, c, d = _cat_power(t, n)
     q, p = _displacement(xi, "xi")
     s = symplectic_product((a * q + b * p, c * q + d * p), chi) % n

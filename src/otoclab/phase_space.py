@@ -345,13 +345,27 @@ def symplectic_product(xi, chi) -> int:
     return xi_p * chi_q - xi_q * chi_p
 
 
+def _integral(x) -> bool:
+    """Whether x is an integral value: 1 and 1.0 are; 0.5, NaN, inf and "1" are not."""
+    return isinstance(x, numbers.Integral) or (isinstance(x, numbers.Real)
+                                               and float(x).is_integer())
+
+
 def _displacement(xi, name: str) -> tuple[int, int]:
     """``xi`` as two Python ints; ValueError naming it ``name`` unless it holds two
     integral values (1.0 passes; 0.5, NaN and inf do not)."""
-    if np.shape(xi) != (2,) or not all(isinstance(x, numbers.Integral) or (
-            isinstance(x, numbers.Real) and float(x).is_integer()) for x in xi):
+    if np.shape(xi) != (2,) or not all(_integral(x) for x in xi):
         raise ValueError(f"{name} must be two integers, got {xi}")
     return int(xi[0]), int(xi[1])
+
+
+def _size(n, name: str) -> int:
+    """``n`` as a Python int; ValueError naming it ``name`` unless it is an integral
+    value of at least 2, the least torus dimension (8.0 passes; 8.5, NaN and inf do
+    not)."""
+    if not (_integral(n) and n >= 2):
+        raise ValueError(f"{name} must be an integer >= 2, got {n}")
+    return int(n)
 
 
 def translation(space: TorusSpace, xi) -> np.ndarray:

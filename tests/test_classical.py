@@ -138,6 +138,15 @@ def test_ehrenfest_time_rejects_bad_inputs():
         ehrenfest_time(1, 1.0)
 
 
+@pytest.mark.parametrize("n, lam, name", [(float("nan"), 1.0, "dimension n"),
+                                          (8.5, 1.0, "dimension n"), (-8, 1.0, "dimension n"),
+                                          (8, float("nan"), "lam"), (8, float("inf"), "lam")])
+def test_ehrenfest_time_refuses_non_finite_and_fractional_inputs(n, lam, name):
+    """NaN gave NaN, 8.5 gave a value and an infinite exponent gave 0."""
+    with pytest.raises(ValueError, match=name):
+        ehrenfest_time(n, lam)
+
+
 def test_logsumexp_bit_identical_to_scipy():
     """The numpy copy must reproduce scipy to the bit, so lambda_generalized
     keeps its bytes: ties of the maximum, single elements and wide ranges."""

@@ -686,3 +686,16 @@ def test_manifests_record_the_part_count(tmp_path):
         else cli.phase_space._part_count
     for value in ("0.1", "0.2"):
         assert threads(tmp_path / "s" / f"epsilon={value}" / "manifest.txt") == str(max(1, share))
+
+
+def test_otoc_manifest_records_the_layout_and_the_contraction(tmp_path):
+    """The sine pair's B is diagonal in the momentum frame; F_(0,1) as B is not."""
+    config = RunConfig(map="cat", n=8, map_param=0.02, t_max=3, outputs=str(tmp_path / "xp"))
+    derived = run_otoc(config)
+    assert (derived["derived.otoc_layout"], derived["derived.otoc_contraction"]) == (
+        "plain 8", "diagonal")
+    other = dataclasses.replace(config, operators="F(1,1;0,1)", outputs=str(tmp_path / "f"))
+    assert run_otoc(other)["derived.otoc_contraction"] == "blocks"
+    manifest = (tmp_path / "f" / "manifest.txt").read_text().splitlines()
+    assert "derived.otoc_layout=plain 8" in manifest
+    assert "derived.otoc_contraction=blocks" in manifest

@@ -171,6 +171,15 @@ def test_family_linear_equal_vectors_vanish_at_t0():
     assert otoc_family_linear((2, 5), (2, 5), 0, 64) == 0.0
 
 
+@pytest.mark.parametrize("n", [0, 1, -8, 8.5, float("nan"), float("inf")])
+def test_family_linear_and_cat_law_refuse_bad_dimensions(n):
+    """n = 0 raised ZeroDivisionError, and n = -8 gave the N = 8 value."""
+    with pytest.raises(ValueError, match="^n must be an integer >= 2"):
+        otoc_family_linear((1, 0), (0, 1), 2, n)
+    with pytest.raises(ValueError, match="^n must be an integer >= 2"):
+        analytic_cat_otoc(2, n)
+
+
 def test_family_linear_rejects_nonlinear_maps():
     with pytest.raises(ValueError):
         otoc_family_linear((1, 0), (0, 1), 2, 64, map_spec=cat_map(0.1))
@@ -411,6 +420,57 @@ def test_parity_sector_agrees_with_the_full_path(monkeypatch, n, spec, pair, eps
     for name in ("o1", "o2", "c"):
         got, want = getattr(sector, name), getattr(full, name)
         assert np.abs(got - want).max() <= 1e-14 * full.o2.max(), name
+
+
+def _blocks(monkeypatch, umap, a, b, t_max, kernel):
+    """The series with the one-pass contraction switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(otoc, "_contraction", lambda shifts: "blocks")
+        return otoc_series(umap, a, b, t_max, kernel=kernel)
+
+
+@pytest.mark.parametrize("n", [64, 66, 1000])
+@pytest.mark.parametrize("b", [(1, 0), (3, 0)])
+def test_one_pass_contraction_matches_the_blocks(monkeypatch, n, b):
+    """B = F_(q,0) is diagonal in the momentum frame, so O1 and O2 come from one pass
+    over |A(t)|^2; they agree with the AB/BA blocks to rounding, relative to max O2,
+    in the odd sector (A = F_(0,1)) and on the full path (A of no parity)."""
+    space = TorusSpace(n)
+    umap = quantize(cat_map(0.02), space)
+    kernel = build_kernel(space, 0.01)
+    t_max = 3 if n > 100 else 8
+    for a, sector in (((0, 1), "odd"), (random_traceless_hermitian(space, 5), "none")):
+        one_pass = otoc_series(umap, a, b, t_max, kernel=kernel)
+        blocks = _blocks(monkeypatch, umap, a, b, t_max, kernel)
+        assert (one_pass.sector, one_pass.contraction) == (sector, "diagonal")
+        assert (blocks.sector, blocks.contraction) == (sector, "blocks")
+        for name in ("o1", "o2", "c"):
+            got, want = getattr(one_pass, name), getattr(blocks, name)
+            assert np.abs(got - want).max() <= 1e-14 * blocks.o2.max(), (sector, name)
+
+
+@pytest.mark.parametrize("spec", [cat_map(0.3), standard_map(1.5), harper_map(0.94)],
+                         ids=["cat", "standard", "harper"])
+@pytest.mark.parametrize("eps", [None, 0.1])
+def test_one_pass_contraction_matches_the_commutator_oracle(spec, eps):
+    space = TorusSpace(64)
+    umap = quantize(spec, space)
+    kernel = None if eps is None else build_kernel(space, eps)
+    for a, b in (((0, 1), (1, 0)), ((1, 1), (3, 0))):
+        series = otoc_series(umap, a, b, 8, kernel=kernel)
+        assert (series.sector, series.contraction) == ("odd", "diagonal")
+        oracle = otoc_via_commutator(umap, hermitian_f(space, a), hermitian_f(space, b), 8,
+                                     kernel)
+        assert np.abs(series.c - oracle).max() < 1e-14
+
+
+@pytest.mark.parametrize("b, contraction", [((1, 0), "diagonal"), ((0, 1), "blocks"),
+                                            ((1, 1), "blocks")])
+def test_otoc_series_records_its_layout_and_contraction(b, contraction):
+    for n, layout in ((64, "plain 64"), (512, "padded 516")):
+        umap = quantize(cat_map(0.02), TorusSpace(n))
+        series = otoc_series(umap, (0, 1), b, 0)
+        assert (series.layout, series.contraction) == (layout, contraction)
 
 
 @pytest.mark.parametrize("sign_a", [1, -1])

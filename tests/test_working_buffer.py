@@ -2,6 +2,7 @@
 bits of the code they replace: a plain N x N array, the blocked Hermiticity scan and
 the scan of every cyclic diagonal."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,8 +12,8 @@ from otoclab import coarse_graining, otoc, phase_space, resonances
 from otoclab.maps import cat_map, quantize
 from otoclab.phase_space import MOMENTUM, TorusSpace, hermitian_f, hermiticity_defect
 
-# padded at 512, 1000 and 1024, plain at 256 (too small)
-SIZES = [256, 512, 1000, 1024]
+# padded at 512, 600, 1000 and 1024, plain at 256 (too small)
+SIZES = [256, 512, 600, 1000, 1024]
 
 
 def _plain(n: int) -> np.ndarray:
@@ -39,6 +40,27 @@ def test_working_buffer_pads_rows_whose_stride_is_a_multiple_of_4k(n, padded):
     assert x.shape == (n, n) and x.dtype == complex
     assert x.strides == ((n + 4 * padded) * 16, 16)
     assert x.ctypes.data % 64 == 0 or not padded
+
+
+@pytest.mark.parametrize("n", [512, 600, 768, 1000, 1001, 1024, 1500, 2048])
+def test_working_buffer_rows_span_an_odd_number_of_cache_lines(n):
+    """At N >= 512 the row stride is an odd number of 64-byte lines, padded with
+    (4 - N) mod 8 zeroed entries: N = 1500 (375 lines) stays plain."""
+    x = phase_space._working(n)
+    pad = (4 - n) % 8
+    assert x.shape == (n, n) and x.strides == ((n + pad) * 16, 16)
+    assert x.strides[0] // 64 % 2 == 1 and x.strides[0] % 64 == 0
+    assert x.ctypes.data % 64 == 0 or not pad
+    rows = phase_space._whole_rows(x)
+    assert rows.shape == (n, n + pad) and rows.flags.c_contiguous
+    assert np.shares_memory(rows, x) and not rows[:, n:].any()
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 255, 256, 320, 511])
+def test_working_buffer_is_plain_below_512(n):
+    x = phase_space._working(n)
+    assert x.shape == (n, n) and x.flags.c_contiguous
+    assert phase_space._whole_rows(x) is x
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -75,7 +97,7 @@ def test_otoc_series_on_the_working_buffer_gives_the_plain_bits(n, monkeypatch):
         assert np.array_equal(p.o1, q.o1) and np.array_equal(p.o2, q.o2)
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", [256, 512, 1000, 1024])
 def test_krylov_on_the_working_buffer_gives_the_plain_bits(n, monkeypatch):
     """The sine seed takes the odd sector step; at N <= 512 a random seed takes the
     full step (its N^2-real basis is kept small)."""
@@ -97,6 +119,29 @@ def test_krylov_on_the_working_buffer_gives_the_plain_bits(n, monkeypatch):
         assert p.params == q.params
         assert np.array_equal(p.alphas, q.alphas) and np.array_equal(p.residuals, q.residuals)
     assert [p.params["sector"] for p in padded] == ["odd", "none"][:len(seeds)]
+
+
+def test_a_step_on_the_padded_buffer_allocates_no_more_than_on_a_plain_array():
+    """The kick and mask passes run over whole padded rows, one contiguous block a part,
+    so numpy allocates no iteration buffer for them (a pass over the padded 2-D view
+    took a 256 KiB one).  The few hundred bytes of the whole-row view are allowed."""
+    n = 1024
+    space = TorusSpace(n)
+    umap = quantize(cat_map(0.02), space)
+    mask = coarse_graining._mask(coarse_graining.build_kernel(space, 0.01))
+    x = _random(n)
+    peaks = []
+    for buf in (phase_space._working(n), _plain(n)):
+        np.copyto(buf, x)
+        coarse_graining._step(umap, mask, buf, -1)  # starts the pool and widens the phases
+        tracemalloc.start()
+        try:
+            coarse_graining._step(umap, mask, buf, -1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    padded, plain = peaks
+    assert padded <= plain + 4096, peaks
 
 
 @pytest.mark.parametrize("n", list(range(2, 25)) + [63, 64, 512, 1000, 1024])
