@@ -65,9 +65,9 @@ def lyapunov(spec: ClassicalMapSpec, n_traj: int = 100, t_horizon: int = 1000,
     evaluation order.  Each step makes one call to the map, which returns the
     image and the slopes of its two shears, from which the tangent vector
     v = (v_q, v_p) is advanced as ((1 + g' f') v_q + g' v_p, f' v_q + v_p)
-    (Benettin, Galgani, Giorgilli & Strelcyn, Meccanica 15, 1980).  Tangent vectors are renormalized every
-    step with the log growth accumulated only after 100 alignment
-    steps; that keeps the transient from biasing the mean.  ``lam`` averages
+    (Benettin, Galgani, Giorgilli & Strelcyn, Meccanica 15, 1980).  Tangent
+    vectors are renormalized every step with the log growth accumulated only
+    after 100 alignment steps; that keeps the transient from biasing the mean.  ``lam`` averages
     the per-trajectory log growth rates; ``lam_generalized`` averages the
     growth factors before taking the logarithm, so it is never below ``lam``.
     Trajectories that start within 1e-12 of a fixed point are redrawn and

@@ -19,10 +19,12 @@ W^dag = B A(t) and
 with <X, Y>_F = Tr(X^dag Y).  A row of A(t) B is the same row of A(t) with
 its columns shifted and scaled by B's diagonals, and a row of B A(t) a sum of
 K scaled rows of A(t), so both sums run over blocks of rows in two scratch
-arrays: W is never formed, and every read is along a row.  The blocks are
-spread over the CPUs with :func:`~otoclab.phase_space._split`, one scratch
-pair per part, and their sums are added in block order on the calling
-thread, so the series does not depend on the part count.
+arrays: W is never formed, and every read is along a row.  For K = 1 at shift
+0, B = diag(d), both sums are weighted sums of |A(t)|^2 and come from one pass
+over it.  The blocks are spread over the CPUs with
+:func:`~otoclab.phase_space._split`, one scratch pair per part, and their sums
+are added in block order on the calling thread, so the series does not depend
+on the part count.
 
 At even N, when A and B each have a definite parity x[-i, -j] = +-x[i, j]
 (F_xi is odd) and both kick phase vectors of the map are mirror-symmetric,
@@ -67,6 +69,9 @@ __all__ = [
 _HERMITIAN_TOL = 1e-10
 _DIAG_TOL = 1e-12
 _COMMUTATOR_LIMIT = 64
+# rows a block of the one-pass contraction squares: as many rows of 2N reals as a
+# part's scratch pair of 16-row complex blocks holds
+_SQUARE_BLOCK = 2 * _ROW_BLOCK
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,26 +222,20 @@ def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
     """
     n = at.shape[0]
     h = n // 2
-    if _contraction(shifts) == "diagonal":
-        w = d[0]
-        weights = np.repeat(np.stack((w.real, w.imag, w.real * w.real + w.imag * w.imag)), 2,
-                            axis=1)
-        unit = 2 * _ROW_BLOCK
+    diagonal = _contraction(shifts) == "diagonal"
 
-        def block_sums(part, rows):
-            return _diagonal_rows(at, weights, w.conj(), scratch[part], rows)
-    else:
-        unit = _ROW_BLOCK
+    def block_sums(part, rows):
+        if diagonal:
+            return _diagonal_rows(at, d[0], scratch[part], rows)
+        return _contract_rows(at, shifts, d, *scratch[part], rows)
 
-        def block_sums(part, rows):
-            return _contract_rows(at, shifts, d, *scratch[part], rows)
     if sign:
         for rows in _mirrored_rows(shifts, n):
             _mirror_rows(at, rows, sign)
     start, stop = (1, h) if sign else (0, n)
     o1, o2 = 0j, 0.0
     for part in _split(lambda i, s: block_sums(i, slice(start + s.start, start + s.stop)),
-                       n, unit, stop - start):
+                       n, _SQUARE_BLOCK if diagonal else _ROW_BLOCK, stop - start):
         for b1, b2 in part:
             o1 += b1
             o2 += b2
@@ -249,17 +248,19 @@ def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
     return o1 / n, o2 / n
 
 
-def _diagonal_rows(at: np.ndarray, weights: np.ndarray, d_conj: np.ndarray,
-                   scratch: np.ndarray, rows: slice) -> list[tuple[complex, float]]:
-    """(O1, O2) partial sums, unscaled, of each block of 2 x 16 ``rows`` for B = diag(d):
+def _diagonal_rows(at: np.ndarray, d: np.ndarray, scratch: np.ndarray,
+                   rows: slice) -> list[tuple[complex, float]]:
+    """(O1, O2) partial sums, unscaled, of each block of 32 ``rows`` for B = diag(d):
     the block's squared real and imaginary parts go into ``scratch``, read as reals,
-    and one einsum weighs each row with ``weights``, the rows d.real, d.imag and |d|^2
-    with every entry twice, as the (real, imaginary) pairs of a row of A(t) are."""
+    and one einsum weighs each row with d.real, d.imag and |d|^2, every entry twice
+    to meet the (real, imaginary) pairs of a row of A(t)."""
     width = 2 * at.shape[1]
+    weights = np.repeat([d.real, d.imag, d.real * d.real + d.imag * d.imag], 2, axis=1)
+    d_conj = d.conj()
     squares = scratch.reshape(-1).view(float)
     sums = []
-    for i in range(rows.start, rows.stop, 2 * _ROW_BLOCK):
-        a = at[i:min(i + 2 * _ROW_BLOCK, rows.stop)].view(float)
+    for i in range(rows.start, rows.stop, _SQUARE_BLOCK):
+        a = at[i:min(i + _SQUARE_BLOCK, rows.stop)].view(float)
         s = squares[:a.size].reshape(-1, width)
         np.multiply(a, a, out=s)
         u = np.einsum("rj,kj->kr", s, weights)

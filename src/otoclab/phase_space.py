@@ -209,12 +209,14 @@ def _working(n: int) -> np.ndarray:
 
 
 def _whole_rows(x: np.ndarray) -> np.ndarray:
-    """The rows of x together with their pad entries, as one C-contiguous N x width
-    array over the same memory; x itself when its rows are not padded.  For a
-    :func:`_working` buffer or a C-contiguous array only: the entries between the end
-    of a row and the start of the next are taken as x's own."""
+    """The rows of a padded :func:`_working` buffer together with their pad entries, as
+    one C-contiguous N x width array over the same memory; x itself for any other
+    array.  A padded buffer is told by its base, the raw bytes :func:`_working`
+    allocated, so a slice of a caller's wider array is never widened."""
     width = x.strides[0] // x.itemsize
-    if width == x.shape[1] or x.strides[1] != x.itemsize:
+    base = x.base
+    if (width == x.shape[1] or x.strides[1] != x.itemsize or not isinstance(base, np.ndarray)
+            or base.dtype != np.uint8):
         return x
     return np.lib.stride_tricks.as_strided(x, (x.shape[0], width), x.strides)
 

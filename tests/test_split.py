@@ -126,6 +126,20 @@ def test_otoc_series_bits_do_not_depend_on_parts(split_all, n, pair):
             assert np.array_equal(first.o1, r.o1) and np.array_equal(first.o2, r.o2)
 
 
+@pytest.mark.parametrize("n, sector", [(200, "odd"), (199, "none")])
+def test_one_pass_contraction_bits_do_not_depend_on_parts(split_all, n, sector):
+    """B = F_(1,0) is diagonal in momentum: its 32-row blocks of |A(t)|^2 sit on fixed
+    edges, four of them in the sector at N=200 and seven on the full path at N=199."""
+    space = TorusSpace(n)
+    umap = quantize(cat_map(0.3), space)
+    kernel = coarse_graining.build_kernel(space, 0.1)
+    first, *rest = _at_part_counts(
+        split_all, lambda: otoc.otoc_series(umap, (0, 1), (1, 0), 4, kernel=kernel))
+    assert (first.sector, first.contraction) == (sector, "diagonal")
+    for r in rest:
+        assert np.array_equal(first.o1, r.o1) and np.array_equal(first.o2, r.o2)
+
+
 def test_otoc_series_bits_hold_under_thread_switching(split_all):
     """More parts than CPUs, switching threads every microsecond: a part that
     wrote into another's rows or a lost block sum would change the bits."""

@@ -63,6 +63,20 @@ def test_working_buffer_is_plain_below_512(n):
     assert phase_space._whole_rows(x) is x
 
 
+def test_only_a_working_buffer_is_widened_to_its_pad():
+    """A slice of a wider array has the stride of a padded buffer, but the entries
+    beyond its columns are the caller's: a step must neither read nor write them."""
+    n = 512
+    wide = _random(n + 4)[:n]
+    x = wide[:, :n]
+    assert phase_space._whole_rows(x) is x
+    umap = quantize(cat_map(0.3), TorusSpace(n))
+    mask = coarse_graining._mask(coarse_graining.build_kernel(TorusSpace(n), 0.01))
+    beyond = wide[:, n:].copy()
+    coarse_graining._step(umap, mask, x)
+    assert np.array_equal(wide[:, n:], beyond)
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_step_on_the_working_buffer_gives_the_plain_bits(n):
     space = TorusSpace(n)
