@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import ClassicalMapSpec, _advance, classical_step
-from .phase_space import _size
+from .phase_space import _count, _size
 
 __all__ = [
     "LyapunovEstimate",
@@ -73,6 +73,7 @@ def lyapunov(spec: ClassicalMapSpec, n_traj: int = 100, t_horizon: int = 1000,
     Trajectories that start within 1e-12 of a fixed point are redrawn and
     counted.
     """
+    n_traj, t_horizon = _count(n_traj, "n_traj"), _count(t_horizon, "t_horizon")
     if t_horizon < 10:
         raise ValueError(f"t_horizon must be at least 10, got {t_horizon}")
     if n_traj < 1:

@@ -47,8 +47,8 @@ from .maps import (AS_PRINTED, CAT, CORRESPONDENCE, HARPER, STANDARD,
                    ClassicalMapSpec, cat_map, harper_map, quantize, standard_map)
 from .otoc import analytic_cat_otoc, fit_growth, otoc_series
 from .phase_space import TorusSpace, sine_position
-from .resonances import (_DENSE_LIMIT, dense_superoperator, fit_tail_rate, full_spectrum,
-                         krylov_leading, random_traceless_hermitian)
+from .resonances import (_DENSE_LIMIT, _sector_dim, dense_superoperator, fit_tail_rate,
+                         full_spectrum, krylov_leading, random_traceless_hermitian)
 
 __all__ = ["RunConfig", "run_otoc", "run_sweep", "run_resonances", "run_lyapunov", "main"]
 
@@ -433,13 +433,22 @@ def run_sweep(config: RunConfig, axis: str, values: list[float], jobs: int = 1) 
     return summary
 
 
+def _krylov_sector(config: RunConfig, seed_op: str) -> int:
+    """The parity sector a Krylov run will take, known before anything is built: the
+    sine seed is odd and a random one has none, and the channel keeps parity, exactly,
+    for the Harper map at every N and for the cat and standard maps at even N."""
+    return -1 if seed_op == "sine" and (config.map == HARPER or config.n % 2 == 0) else 0
+
+
 def run_resonances(config: RunConfig, method: str, depth: int = 40,
                    n_wanted: int = 10, seed_op: str = "sine") -> Path:
     """Channel eigenvalues to resonances.csv; dense is refused above N=24.
 
-    A dense run above N=24, and a Krylov run whose real basis, 8 (depth + 1)
-    N^2 bytes without a parity sector (half that with one), exceeds physical
-    memory, are refused before anything is allocated.
+    A dense run above N=24, and a Krylov run whose real basis, 8 (depth + 1) d
+    bytes, exceeds physical memory, are refused before anything is allocated.
+    d is N^2 without a parity sector and about N^2 / 2 in one, the sector
+    predicted from the map, N and the seed (:func:`_krylov_sector`); the
+    manifest records that preflight as ``resource.preflight_mb``.
     """
     start = time.monotonic()
     if method not in ("dense", "krylov"):
@@ -447,8 +456,11 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
     if method == "dense" and config.n > _DENSE_LIMIT:
         raise CliError(f"dense resonances need N <= {_DENSE_LIMIT}, got N={config.n}")
     if method == "krylov":
-        _refuse_beyond_memory(8 * (depth + 1) * config.n ** 2,
-                              "Krylov basis (8 x (depth + 1) x N^2 bytes)")
+        if seed_op not in ("sine", "random"):
+            raise CliError(f"seed_op must be sine or random, got {seed_op!r}")
+        need = 8 * (depth + 1) * _sector_dim(config.n, _krylov_sector(config, seed_op))
+        _refuse_beyond_memory(need, "Krylov basis (8 x (depth + 1) x d bytes, d = N^2, or "
+                                    "about N^2 / 2 in a parity sector)")
     with warnings.catch_warnings(record=True) as caught:
         space, umap, kernel = _build_channel(config)
         derived: list[tuple[str, str]] = [("derived.method", method)]
@@ -456,12 +468,8 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
             spectrum = full_spectrum(dense_superoperator(umap, kernel),
                                      params={"n": config.n, "epsilon": config.epsilon})
         else:
-            if seed_op == "sine":
-                a0 = sine_position(space)
-            elif seed_op == "random":
-                a0 = random_traceless_hermitian(space, seed=config.seed)
-            else:
-                raise CliError(f"seed_op must be sine or random, got {seed_op!r}")
+            a0 = (sine_position(space) if seed_op == "sine"
+                  else random_traceless_hermitian(space, seed=config.seed))
             spectrum = krylov_leading(umap, kernel, a0, depth=depth, n_wanted=n_wanted)
             derived += [("derived.depth", str(depth)), ("derived.seed_op", seed_op),
                         ("derived.krylov_sector", spectrum.params["sector"]),
@@ -470,6 +478,8 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
                         ("derived.krylov_reorth", str(spectrum.params["reorth"]))]
     derived.append(("derived.alpha1_abs", _fmt(float(abs(spectrum.alpha1)))))
     derived.append(("derived.degenerate_leaders", str(spectrum.degenerate)))
+    if method == "krylov":
+        derived.append(("resource.preflight_mb", f"{need / 2**20:.1f}"))
 
     alphas = spectrum.alphas
     # scalar abs: the vectorized np.abs may round the last bit differently

@@ -38,8 +38,8 @@ import numpy as np
 
 from .maps import QuantumMap
 from .phase_space import (MOMENTUM, POSITION, TorusSpace, _change_frame, _cyclic_diagonals,
-                          _from_cyclic_diagonals, _operator, _row_width, _split, _whole_rows,
-                          translation)
+                          _count, _from_cyclic_diagonals, _imag_from_real, _operator, _row_width,
+                          _split, _whole_rows, translation)
 
 __all__ = [
     "CoarseGrainKernel",
@@ -167,8 +167,9 @@ def _kick(rows: np.ndarray, phase_rows: np.ndarray, phase: np.ndarray,
 
 def _keeps_parity(umap: QuantumMap) -> bool:
     """Whether the channel keeps an operator's parity in a form :func:`_step` uses: N
-    even and both kick phase vectors mirror-symmetric to 1e-12 (the mask always is)."""
-    return umap.dim % 2 == 0 and all(np.abs(v[1:] - v[:0:-1]).max() <= 1e-12
+    even and both kick phase vectors exactly mirror-symmetric, v[-q] = v[q] (the mask
+    always is)."""
+    return umap.dim % 2 == 0 and all(np.array_equal(v[1:], v[:0:-1])
                                      for v in (umap.phase_position, umap.phase_momentum))
 
 
@@ -183,12 +184,16 @@ def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray,
     padded working buffer these passes cover whole rows with their zero pad
     (:func:`~otoclab.phase_space._whole_rows`), one contiguous block a part,
     with the phase vectors widened by ones (``QuantumMap._row_phases``) and
-    ``mask`` as wide as the rows.  A
-    nonzero ``sign`` is the parity of ``at`` at even N, which the caller
-    vouches the channel keeps (:func:`_keeps_parity`): every pass then reads
-    and writes rows 0 .. N/2 only (see
-    :func:`~otoclab.phase_space._change_frame`), and the other rows are left
-    stale.
+    ``mask`` as wide as the rows.
+
+    A nonzero ``sign`` is the parity of the operator at even N, which the caller
+    vouches the channel keeps (:func:`_keeps_parity`).  ``at`` then holds the
+    parity sector of :mod:`~otoclab.phase_space`, R = Re Z on rows 0 .. N/2 with
+    Z = (1 - i)A, and only R is read and written.  A kick multiplies A entry by
+    entry, so it multiplies Z the same way, after Im Z = -R^T is rebuilt
+    (:func:`~otoclab.phase_space._imag_from_real`); the frame changes are the real
+    ones (:func:`~otoclab.phase_space._sector_frame`), and the last mask, which is
+    real, multiplies R alone.  Rows beyond N/2 and Im Z are left stale.
     """
     n = at.shape[0]
     rows = _whole_rows(at)
@@ -196,13 +201,18 @@ def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray,
     pos, mom = (v[:width] for v in umap._row_phases)
     mask = None if mask is None else mask[:, :width]
     lines = n // 2 + 1 if sign else n
+    if sign:
+        _imag_from_real(at, sign)
     _split(lambda _, s: _kick(rows[s], mom[s], mom, None), n, lines=lines)
     _change_frame(at, POSITION, sign)
+    if sign:
+        _imag_from_real(at, sign)
     _split(lambda _, s: _kick(rows[s], pos[s], pos, None if mask is None else mask[s]), n,
            lines=lines)
     _change_frame(at, MOMENTUM, sign)
     if mask is not None:
-        _split(lambda _, s: np.multiply(rows[s], mask[s], out=rows[s]), n, lines=lines)
+        last = rows.real if sign else rows
+        _split(lambda _, s: np.multiply(last[s], mask[s], out=last[s]), n, lines=lines)
     return at
 
 
@@ -221,12 +231,14 @@ def _evolve_in_place(umap: QuantumMap, kernel: CoarseGrainKernel | None, at: np.
                      steps: int, sign: int = 0):
     """:func:`evolve` on the caller's N x N complex buffer of position-basis entries: it is
     changed to the momentum frame once, yielded, and advanced by :func:`_step`, the step
-    the Krylov solver shares, each time.  A nonzero ``sign``, the buffer's parity, makes
-    the first change of frame and every step the sector's, so only rows 0 .. N/2 are
-    valid from the first yield on."""
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
+    the Krylov solver shares, each time.  A nonzero ``sign``, the buffer's parity, turns
+    rows 0 .. N/2 into the parity sector Z = (1 - i)A first and makes the first change of
+    frame and every step the sector's, so from the first yield on only R = Re Z on rows
+    0 .. N/2 is valid."""
+    steps = _count(steps, "steps")
     mask = _mask(kernel)
+    if sign:
+        at[:at.shape[0] // 2 + 1] *= 1 - 1j
     yield _change_frame(at, MOMENTUM, sign)
     for _ in range(steps):
         yield _step(umap, mask, at, sign)

@@ -192,12 +192,14 @@ def quantize(spec: ClassicalMapSpec, space: TorusSpace, kick_mode: str = CORRESP
     """Quantize the map as kick-phase diagonals plus DFT placement.
 
     The quadratic phases use exact integer reduction of q^2 mod 2N so the
-    stored phases stay on the unit circle to machine precision for any N.
+    stored phases stay on the unit circle to machine precision for any N.  The
+    cosine is taken at min(q, N - q), so at even N, where (N - q)^2 = q^2 mod
+    2N, both phase vectors are exactly mirror-symmetric, v[N - q] = v[q].
     """
     n = space.dim
     idx = np.arange(n)
     quad = np.pi * ((idx * idx) % (2 * n)) / n
-    cosine = np.cos(_TWO_PI * idx / n)
+    cosine = np.cos(_TWO_PI * np.minimum(idx, n - idx) / n)
     if spec.kind == CAT:
         kappa = kick_prefactor(spec, space, kick_mode)
         pos = np.exp(-1j * (quad + _TWO_PI * kappa * cosine))

@@ -49,10 +49,11 @@ from . import coarse_graining
 from .classical import _cat_power
 from .coarse_graining import _keeps_parity
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
-from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame,
-                          _cyclic_diagonals, _diagonal_pair_defect, _displacement, _mirror_rows,
-                          _operator, _parity, _parts, _size, _split, _whole_rows, _working,
-                          _write_f, hermiticity_defect, symplectic_product)
+from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame, _count,
+                          _cyclic_diagonals, _diagonal_pair_defect, _displacement,
+                          _imag_from_real, _mirror_rows, _operator, _parity, _parts, _size,
+                          _split, _whole_rows, _working, _write_f, hermiticity_defect,
+                          symplectic_product)
 
 __all__ = [
     "OtocSeries",
@@ -121,8 +122,7 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
     sector transform too.  ``layout`` and ``contraction`` record the buffer's
     rows and the form of the contraction.
     """
-    if t_max < 0:
-        raise ValueError("t_max must be non-negative")
+    t_max = _count(t_max, "t_max")
     buffer = _working(umap.dim)
     b_sign, b_shifts = _fill(umap.space, b, buffer, "B", _keeps_parity(umap))
     shifts, d = _nonzero_diagonals(_change_frame(buffer, MOMENTUM), b_shifts)
@@ -226,10 +226,12 @@ def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
 
     def block_sums(part, rows):
         if diagonal:
-            return _diagonal_rows(at, d[0], scratch[part], rows)
+            return (_sector_diagonal_rows if sign else _diagonal_rows)(at, d[0], scratch[part],
+                                                                       rows)
         return _contract_rows(at, shifts, d, *scratch[part], rows)
 
-    if sign:
+    if sign and not diagonal:
+        _imag_from_real(at, sign)
         for rows in _mirrored_rows(shifts, n):
             _mirror_rows(at, rows, sign)
     start, stop = (1, h) if sign else (0, n)
@@ -245,6 +247,8 @@ def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
             ((b1, b2),) = block_sums(0, slice(r, r + 1))
             o1 += b1
             o2 += b2
+        if not diagonal:  # the blocks summed Z = (1 - i)A: |1 - i|^2 = 2 in both sums
+            o1, o2 = o1 / 2, o2 / 2
     return o1 / n, o2 / n
 
 
@@ -266,6 +270,29 @@ def _diagonal_rows(at: np.ndarray, d: np.ndarray, scratch: np.ndarray,
         u = np.einsum("rj,kj->kr", s, weights)
         sums.append((np.einsum("r,r->", d_conj[i:i + s.shape[0]], u[0] + 1j * u[1]),
                      u[2].sum()))
+    return sums
+
+
+def _sector_diagonal_rows(at: np.ndarray, d: np.ndarray, scratch: np.ndarray,
+                          rows: slice) -> list[tuple[complex, float]]:
+    """:func:`_diagonal_rows` on the parity sector, from R = Re Z alone: |A_rc|^2 =
+    (R_rc^2 + R_cr^2) / 2, so O1 = sum R_rc^2 Re(conj(d_r) d_c) and O2 = sum R_rc^2
+    (|d_r|^2 + |d_c|^2) / 2.  The block's squares go into ``scratch``, read as reals,
+    and one einsum weighs each row with d.real, d.imag, |d|^2 and ones."""
+    n = at.shape[1]
+    size = d.real * d.real + d.imag * d.imag
+    weights = np.stack([d.real, d.imag, size, np.ones(n)])
+    squares = scratch.reshape(-1).view(float)
+    sums = []
+    for i in range(rows.start, rows.stop, _SQUARE_BLOCK):
+        r = at[i:min(i + _SQUARE_BLOCK, rows.stop)].real
+        s = squares[:r.size].reshape(r.shape)
+        np.multiply(r, r, out=s)
+        u = np.einsum("rc,kc->kr", s, weights)
+        k = slice(i, i + s.shape[0])
+        sums.append((complex(np.einsum("r,r->", d.real[k], u[0])
+                             + np.einsum("r,r->", d.imag[k], u[1])),
+                     (u[2].sum() + np.einsum("r,r->", size[k], u[3])) / 2))
     return sums
 
 

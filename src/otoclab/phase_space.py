@@ -99,9 +99,7 @@ class TorusSpace:
     dim: int
 
     def __post_init__(self) -> None:
-        if int(self.dim) != self.dim or self.dim < 2:
-            raise ValueError(f"torus dimension must be an integer >= 2, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _size(self.dim, "torus dimension"))
 
     @property
     def tau(self) -> complex:
@@ -246,48 +244,85 @@ def change_basis(entries: np.ndarray, frm: str, to: str) -> np.ndarray:
 
 
 def _change_frame(x: np.ndarray, to: str, sign: int = 0) -> np.ndarray:
-    """In place on complex entries: F^dag x F to momentum, F x F^dag to position.
+    """In place: F^dag x F to momentum, F x F^dag to position.
 
-    The axis-0 FFT runs over fixed parts of the columns and the axis-1 FFT
-    over parts of the rows (:func:`_split`); each line is transformed alone,
-    so the bits do not depend on the part count.  A nonzero ``sign`` is the
-    parity of x at even N, of which only rows 0 .. N/2 are read and written:
-    columns 0 .. N/2 are transformed after their rows N/2 + 1 .. N - 1 are
-    filled from the mirror entries, then rows 0 .. N/2 after their columns
-    N/2 + 1 .. N - 1 are.  The FFTs do half the work, and each fill reads only
-    entries that no other part writes.
+    Without ``sign`` x holds complex entries: the axis-0 FFT runs over fixed
+    parts of the columns and the axis-1 FFT over parts of the rows
+    (:func:`_split`); each line is transformed alone, so the bits do not depend
+    on the part count.  A nonzero ``sign`` is the parity of the operator at even
+    N, held as the parity sector Z = (1 - i)A of the module notes, and the
+    frame change is :func:`_sector_frame`'s real one.
     """
+    if sign:
+        return _sector_frame(x, to, sign)
     first, second = (np.fft.fft, np.fft.ifft) if to == MOMENTUM else (np.fft.ifft, np.fft.fft)
     n = x.shape[0]
-    lines = n // 2 + 1 if sign else n
-
-    def columns(_, s):
-        if sign:
-            _mirror_fill(x.T, s, sign)
-        first(x[:, s], axis=0, out=x[:, s])
-
-    def rows(_, s):
-        if sign:
-            _mirror_fill(x, s, sign)
-        second(x[s], axis=1, out=x[s])
-
-    _split(columns, n, lines=lines)
-    _split(rows, n, lines=lines)
+    _split(lambda _, s: first(x[:, s], axis=0, out=x[:, s]), n)
+    _split(lambda _, s: second(x[s], axis=1, out=x[s]), n)
     return x
 
 
-def _mirror_fill(x: np.ndarray, rows: slice, sign: int) -> None:
-    """x[r, c] = sign x[-r, -c] for the ``rows`` r within 0 .. N/2 and the columns
-    c = N//2 + 1 .. N - 1, from columns (N - 1)//2 .. 1, through strided views: the
-    source is not copied."""
+def _sector_frame(x: np.ndarray, to: str, sign: int) -> np.ndarray:
+    """The frame change of Z = (1 - i)A, A Hermitian of parity ``sign``, from
+    rows 0 .. N/2 of x to rows 0 .. N/2 of Re x, the new R; Im x is left stale
+    (:func:`_imag_from_real` rebuilds it).
+
+    For real R of parity s the transform G = F^dag R F is real (s = 1) or
+    imaginary (s = -1), and the new R is Re G - (Im G)^T.  In the odd sector
+    rows 0 .. N/2 of it are irfft(-+i rfft(R[:N/2 + 1], axis=1), n=N, axis=0),
+    minus to momentum and plus to position, the irfft written into the rows of
+    Re x through their transposed view.  The even sector reads Im Z = -R^T
+    instead, with the factor -1 both ways.  Each rfft covers a row and each irfft
+    a column of the (N/2 + 1)^2 half spectrum H (:func:`_half_spectrum`), in
+    fixed parts (:func:`_split`), so the bits do not depend on the part count;
+    irfft reads only the half spectrum, which is all the sector holds.
+    """
     n = x.shape[0]
-    h, src = n // 2, slice((n - 1) // 2, 0, -1)
-    a, b = rows.start, rows.stop
-    if a == 0:  # row 0 is its own mirror
-        np.multiply(x[0, src], sign, out=x[0, h + 1:])
-        a = 1
-    if a < b:  # rows a .. b - 1 read rows N - a down to N - b + 1
-        np.multiply(x[n - a:n - b:-1, src], sign, out=x[a:b, h + 1:])
+    z = x[:n // 2 + 1]
+    spectrum = _half_spectrum(x)
+    factor = (-1j if to == MOMENTUM else 1j) if sign < 0 else -1
+    source, rows_out = (z.real if sign < 0 else z.imag), z.real.T
+
+    def rows(_, s):
+        np.fft.rfft(source[s], axis=1, out=spectrum[s])
+        spectrum[s] *= factor
+
+    _split(rows, n, lines=z.shape[0])
+    _split(lambda _, s: np.fft.irfft(spectrum[:, s], n=n, axis=0, out=rows_out[:, s]), n,
+           lines=z.shape[0])
+    return x
+
+
+def _half_spectrum(x: np.ndarray) -> np.ndarray:
+    """(N/2 + 1)^2 complex scratch for :func:`_sector_frame`, carved from the memory
+    of x's rows beyond N/2 with their pad (:func:`_whole_rows`), which the sector does
+    not hold; a new array where they are too few (N < 10 unpadded) or not contiguous."""
+    h = x.shape[0] // 2
+    beyond = _whole_rows(x)[h + 1:]
+    if beyond.size < (h + 1) ** 2 or not beyond.flags.c_contiguous:
+        return np.empty((h + 1, h + 1), dtype=complex)
+    return beyond.reshape(-1)[:(h + 1) ** 2].reshape(h + 1, h + 1)
+
+
+def _imag_from_real(x: np.ndarray, sign: int) -> None:
+    """Im Z = -R^T on rows 0 .. N/2 of x from R = Re Z there, for the parity sector
+    ``sign``: Im Z[r, c] = -R[c, r] for c <= N/2 and -sign R[N - c, -r] beyond, through
+    strided views in fixed parts of the rows, so no part reads what another writes."""
+    n = x.shape[0]
+    h = n // 2
+    r, imag = x[:h + 1].real, x[:h + 1].imag
+    mirrors = r[h - 1:0:-1]  # rows N - c for the columns c = N/2 + 1 .. N - 1
+
+    def fill(_, s):
+        a, b = s.start, s.stop
+        np.negative(r[:, a:b].T, out=imag[a:b, :h + 1])
+        if a == 0:  # row 0 reads column 0
+            np.multiply(mirrors[:, 0], -sign, out=imag[0, h + 1:])
+            a = 1
+        if a < b:  # rows a .. b - 1 read columns N - a down to N - b + 1
+            np.multiply(mirrors[:, n - a:n - b:-1].T, -sign, out=imag[a:b, h + 1:])
+
+    _split(fill, n, lines=h + 1)
 
 
 def _mirror_rows(x: np.ndarray, rows: slice, sign: int) -> None:
@@ -368,6 +403,18 @@ def _size(n, name: str) -> int:
     if not (_integral(n) and n >= 2):
         raise ValueError(f"{name} must be an integer >= 2, got {n}")
     return int(n)
+
+
+def _count(k, name: str, least: int = 0) -> int:
+    """``k`` as a Python int; ValueError naming it ``name`` unless it is an integral value
+    of at least ``least``, a count of steps or items (3.0 passes; 2.5, NaN and inf do
+    not)."""
+    if not _integral(k):
+        raise ValueError(f"{name} must be an integer, got {k}")
+    if k < least:
+        raise ValueError(f"{name} must be {f'>= {least}' if least else 'non-negative'}, "
+                         f"got {k}")
+    return int(k)
 
 
 def translation(space: TorusSpace, xi) -> np.ndarray:
@@ -489,6 +536,9 @@ def coherent_state(space: TorusSpace, q0: float, p0: float) -> np.ndarray:
     the grid (integer multiples of 1/N) avoid an extra phase mismatch across
     the periodization images.
     """
+    for name, value in (("q0", q0), ("p0", p0)):
+        if not (isinstance(value, numbers.Real) and np.isfinite(value)):
+            raise ValueError(f"{name} must be a finite real number, got {value}")
     n = space.dim
     x = np.arange(n) / n
     psi = np.zeros(n, dtype=complex)

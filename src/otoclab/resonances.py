@@ -21,7 +21,7 @@ import numpy as np
 from .coarse_graining import CoarseGrainKernel, _keeps_parity, _mask, _step, channel_step
 from .maps import QuantumMap
 from .otoc import OtocSeries, WindowFit, loglinear_fit
-from .phase_space import (_SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame, _mirror_fill,
+from .phase_space import (_SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame, _count,
                           _mirror_rows, _operator, _parity, _working)
 
 __all__ = [
@@ -36,6 +36,9 @@ __all__ = [
 
 _DENSE_LIMIT = 24
 _KRYLOV_RESIDUAL_TOL = 1e-4
+# basis columns a block of the one-pass Ritz assembly reads: 2048-4096 ran alike at
+# N = 320 and 1000, depth 90 (2 vCPUs)
+_RITZ_COLUMNS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,6 +156,16 @@ def random_traceless_hermitian(space: TorusSpace, seed: int = 0) -> np.ndarray:
     return h
 
 
+def _sector_dim(n: int, sign: int) -> int:
+    """The coordinates :class:`_RealSector` keeps: N^2 without a sector, else one per
+    mirror pair of the N^2 - f entries that are not their own mirror (f = 4 at even N
+    and 1 at odd N), plus, in the even sector, those f."""
+    if not sign:
+        return n * n
+    fixed = 4 if n % 2 == 0 else 1
+    return (n * n - fixed) // 2 + (fixed if sign > 0 else 0)
+
+
 class _RealSector:
     """Real coordinates of the Hermitian operators in one parity sector.
 
@@ -160,53 +173,67 @@ class _RealSector:
     real matrix R = A.real + A.imag, with Tr(A^dag B) = R_A . R_B and
     A = (R + R^T)/2 + i(R - R^T)/2.  Parity A[i, j] -> A[-i, -j] preserves
     R, so in a sector A[-i, -j] = sign A[i, j] R is fixed by its rows
-    0 .. N/2, the layout of the sector step (see
-    :func:`~otoclab.phase_space._change_frame`).  One entry per mirror pair
-    is kept, scaled by sqrt 2 so the dot product stays the Hilbert-Schmidt
-    one, as slices of those rows in flat order: row 0 columns
+    0 .. N/2, the layout of the sector step, which holds R as the real part
+    of Z = (1 - i)A (see :mod:`~otoclab.phase_space`).  One entry per mirror
+    pair is kept, scaled by sqrt 2 so the dot product stays the
+    Hilbert-Schmidt one, as slices of those rows in flat order: row 0 columns
     1 .. ceil(N/2) - 1, rows 1 .. ceil(N/2) - 1 whole and, at even N, row N/2
     columns 1 .. N/2 - 1; then, in the even sector only, the self-mirrored
     entries (0, 0) and, at even N, (0, h), (h, 0) and (h, h), h = N/2.
-    ``sign`` 0 keeps every entry of R.  :meth:`pack` reads only those rows;
-    :meth:`unpack` writes every entry of the caller's buffer, through one
-    scratch R allocated once.
+    ``sign`` 0 keeps every entry of R.  :meth:`pack` reads only those rows, of
+    an operator or of R itself; :meth:`write` writes R's rows 0 .. N/2, all
+    the sector step reads, and :meth:`unpack` every entry of an operator,
+    through one scratch R allocated once.
     """
 
     def __init__(self, n: int, sign: int):
         h, c = n // 2, (n + 1) // 2
-        # unpack's scratch R: np.zeros leaves its pages untouched when there is no
-        # sector, and keeps the self-mirrored entries 0 in the odd one
+        # unpack's scratch R: np.zeros leaves its pages untouched when there is no sector
         self.n, self.sign, self._r = n, sign, np.zeros((n, n))
         # (rows, columns) of R in coordinate order: the mirror pairs, then the fixed entries
         views = ([(slice(0, 1), slice(1, c)), (slice(1, c), slice(None)),
                   (slice(c, h + 1), slice(1, h))] if sign else [(slice(None), slice(None))])
         self._pairs = sum(self._r[v].size for v in views) if sign else 0
-        if sign > 0:  # the self-mirrored entries, zero and not stored in the odd sector
-            fixed = slice(0, h + 1, h) if n % 2 == 0 else slice(0, 1)
-            views.append((fixed, fixed))
+        # the self-mirrored entries, zero and not stored in the odd sector
+        fixed = slice(0, h + 1, h) if n % 2 == 0 else slice(0, 1)
+        self._fixed = (fixed, fixed)
+        if sign > 0:
+            views.append(self._fixed)
         edges = np.cumsum([0] + [self._r[v].size for v in views])
         self._views = [(v, slice(lo, hi)) for v, lo, hi in zip(views, edges, edges[1:])]
         self.dim = int(edges[-1])
 
     def pack(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The coordinates of ``a``, a complex operator or its real R, into ``out``."""
         for v, seg in self._views:
             view = a[v]
-            np.add(view.real, view.imag, out=out[seg].reshape(view.shape))
+            dest = out[seg].reshape(view.shape)
+            if np.iscomplexobj(view):
+                np.add(view.real, view.imag, out=dest)
+            else:
+                np.copyto(dest, view)
         out[:self._pairs] *= np.sqrt(2.0)
         return out
+
+    def write(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Rows 0 .. N/2 of R from the sector coordinates ``x`` into the real N x N ``r``;
+        its other rows are left."""
+        for v, seg in self._views:
+            np.divide(x[seg].reshape(r[v].shape),
+                      np.sqrt(2.0) if seg.start < self._pairs else 1.0, out=r[v])
+        if self.sign < 0:
+            r[self._fixed] = 0
+        # rows 0 and N/2 are their own mirrors: r[i, -c] = sign r[i, c]
+        rows, n = self._fixed[0], self.n
+        np.multiply(r[rows, (n - 1) // 2:0:-1], self.sign, out=r[rows, n // 2 + 1:])
+        return r
 
     def unpack(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         if self.sign == 0:
             r = x.reshape(self.n, self.n)
         else:
-            r, h = self._r, self.n // 2
-            for v, seg in self._views:
-                np.divide(x[seg].reshape(r[v].shape),
-                          np.sqrt(2.0) if seg.start < self._pairs else 1.0, out=r[v])
-            _mirror_rows(r, slice(h + 1, self.n), self.sign)
-            _mirror_fill(r, slice(0, 1), self.sign)
-            if self.n % 2 == 0:
-                _mirror_fill(r, slice(h, h + 1), self.sign)
+            r = self.write(x, self._r)
+            _mirror_rows(r, slice(self.n // 2 + 1, self.n), self.sign)
         np.add(r, r.T, out=out.real)
         np.subtract(r, r.T, out=out.imag)
         out *= 0.5
@@ -265,8 +292,7 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     ``matvecs`` (channel applications, including the residual checks) and
     ``reorth`` (second Gram-Schmidt passes).
     """
-    if n_wanted < 1:
-        raise ValueError(f"n_wanted must be >= 1, got {n_wanted}")
+    depth, n_wanted = _count(depth, "depth"), _count(n_wanted, "n_wanted", 1)
     if depth < n_wanted + 2:
         raise ValueError(f"depth must be at least n_wanted + 2 = {n_wanted + 2}, got {depth}")
     n = umap.dim
@@ -310,9 +336,12 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     reorth = 0
     h = np.zeros((depth + 1, depth))
     for j in range(depth):
-        if j:
-            _step(umap, mask, sector.unpack(basis[j], buf), step_sign)
-        w = sector.pack(buf, basis[j + 1])
+        if j and step_sign:  # the sector step reads and writes R, the real part of rows 0 .. N/2
+            sector.write(basis[j], buf.real)
+            _step(umap, mask, buf, step_sign)
+        elif j:
+            _step(umap, mask, sector.unpack(basis[j], buf))
+        w = sector.pack(buf.real if j and step_sign else buf, basis[j + 1])
         v = basis[: j + 1]
         before = np.linalg.norm(w)
         coeff = v @ w
@@ -348,14 +377,26 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     order = np.lexsort((-ritz.imag, -np.abs(ritz)))
     ritz, vecs = ritz[order], vecs[:, order]
     keep = min(n_wanted, m)
+    # the coordinates of the Ritz operators' real and imaginary parts, each a real
+    # product: a complex coefficient vector times the real basis would cast it whole
+    coeffs = np.concatenate((vecs[:, :keep].real.T, vecs[:, :keep].imag.T))
+    one_pass = 2 * keep <= m
+    if one_pass:
+        # one pass over the basis, a block of columns at a time, whose products go
+        # into the first rows of that block once it has been read
+        for c in range(0, sector.dim, _RITZ_COLUMNS):
+            block = basis[:m, c:c + _RITZ_COLUMNS]
+            block[:2 * keep] = coeffs @ block
+
+    def coordinates(k):
+        return basis[k] if one_pass else coeffs[k] @ basis[:m]
+
     residuals = np.empty(keep)
     op = np.empty_like(buf)
     for i in range(keep):
-        # one Ritz operator at a time, each part a real product: a complex
-        # coefficient vector times the real basis would cast the whole basis
-        sector.unpack(vecs[:, i].real @ basis[:m], op)
+        sector.unpack(coordinates(i), op)
         if vecs[:, i].imag.any():
-            op += 1j * sector.unpack(vecs[:, i].imag @ basis[:m], buf)
+            op += 1j * sector.unpack(coordinates(keep + i), buf)
         op /= np.linalg.norm(op)
         np.copyto(buf, op)
         residuals[i] = np.linalg.norm(_step(umap, mask, buf) - ritz[i] * op)

@@ -9,7 +9,7 @@ import typing
 import numpy as np
 import pytest
 
-from otoclab import cli
+from otoclab import cli, resonances
 from otoclab.cli import (CliError, RunConfig, main, parse_config_file, run_otoc,
                          run_resonances, run_sweep)
 
@@ -365,20 +365,56 @@ def test_resonances_krylov_cli(tmp_path):
     assert manifest["derived.krylov_reorth"].isdigit()  # second Gram-Schmidt passes
 
 
-def test_resonances_krylov_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
-    """N=100000 at depth 90 needs about 7.3 TB of basis: refused before the
-    map or the kernel is built."""
+def _refused_before_building(monkeypatch, capsys, argv, out):
+    """The ERROR line of a run refused before the map, the kernel or the seed is built."""
     def unreachable(*args, **kwargs):
         raise AssertionError("built before the memory preflight")
 
-    monkeypatch.setattr(cli, "quantize", unreachable)
-    monkeypatch.setattr(cli, "build_kernel", unreachable)
-    code = main(["resonances", "--map", "cat", "--n", "100000", "--epsilon", "0.0001",
-                 "--method", "krylov", "--depth", "90", "--out", str(tmp_path / "big")])
-    assert code == 1
+    for name in ("quantize", "build_kernel", "sine_position", "random_traceless_hermitian"):
+        monkeypatch.setattr(cli, name, unreachable)
+    assert main(argv + ["--out", str(out)]) == 1
     lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "7280.0 GB" in lines[0]
-    assert not (tmp_path / "big").exists()
+    assert len(lines) == 1 and lines[0].startswith("ERROR:")
+    assert not out.exists()
+    return lines[0]
+
+
+def test_resonances_krylov_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
+    """N=100000 at depth 90 in the odd sector of the sine seed needs about 3.6 TB of
+    basis, half the N^2 reals a row: refused before anything is built."""
+    line = _refused_before_building(
+        monkeypatch, capsys, ["resonances", "--map", "cat", "--n", "100000", "--epsilon",
+                              "0.0001", "--method", "krylov", "--depth", "90"], tmp_path / "big")
+    assert "3640.0 GB" in line
+
+
+def test_resonances_krylov_preflight_sizes_a_random_seed_by_n_squared(tmp_path, monkeypatch,
+                                                                      capsys):
+    """A random seed has no parity: its basis keeps all N^2 reals a row, 7.3 TB."""
+    line = _refused_before_building(
+        monkeypatch, capsys, ["resonances", "--map", "cat", "--n", "100000", "--epsilon",
+                              "0.0001", "--method", "krylov", "--depth", "90", "--seed-op",
+                              "random"], tmp_path / "big")
+    assert "7280.0 GB" in line
+
+
+@pytest.mark.parametrize("spec", ["cat", "standard", "harper"])
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("seed_op", ["sine", "random"])
+def test_krylov_preflight_predicts_the_sector_the_run_takes(tmp_path, spec, n, seed_op):
+    """The predicted sector is the one recorded, and the preflight is the basis of the
+    recorded sector's dimension."""
+    out = tmp_path / "kry"
+    assert main(["resonances", "--map", spec, "--n", str(n), "--map-param", "0.3",
+                 "--epsilon", "0.5", "--method", "krylov", "--depth", "12", "--n-wanted", "3",
+                 "--seed-op", seed_op, "--out", str(out)]) == 0
+    manifest = dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    config = cli.RunConfig(map=spec, n=n)
+    sign = cli._krylov_sector(config, seed_op)
+    assert manifest["derived.krylov_sector"] == {-1: "odd", 0: "none"}[sign]
+    dim = resonances._RealSector(n, sign).dim
+    assert dim == resonances._sector_dim(n, sign)
+    assert manifest["resource.preflight_mb"] == f"{8 * 13 * dim / 2**20:.1f}"
 
 
 def test_otoc_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):

@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otoclab.classical import _cat_power
-from otoclab.coarse_graining import build_kernel
+from otoclab.coarse_graining import _keeps_parity, build_kernel
 from otoclab.maps import (ClassicalMapSpec, apply_map, cat_map, classical_step,
                           harper_map, heisenberg_conjugate, jacobian, kick_prefactor,
                           materialize, quantize, standard_map)
+from otoclab.otoc import otoc_series
 from otoclab.phase_space import (TorusSpace, coherent_state, sine_momentum, sine_position,
                                  translation)
 
@@ -221,3 +226,32 @@ def test_array_records_compare_by_identity_and_hash():
         assert len({first, second, first}) == 2
     assert cat_map(0.02) == cat_map(0.02) and hash(cat_map(0.02)) == hash(cat_map(0.02))
     assert TorusSpace(8) == space and hash(TorusSpace(8)) == hash(space)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((cat_map, standard_map, harper_map)), st.integers(1, 1024),
+       st.floats(0.0, 0.5), st.sampled_from(("correspondence", "as_printed")))
+def test_every_even_n_keeps_parity_exactly(family, half, k, kick_mode):
+    """At even N both phase vectors are mirror-symmetric to the bit, so the channel keeps
+    parity in the form the sector step uses, at any kick strength."""
+    umap = quantize(family(k), TorusSpace(2 * half), kick_mode)
+    assert _keeps_parity(umap)
+
+
+def test_asymmetric_phases_take_the_full_path():
+    """One phase moved by one ulp breaks the mirror symmetry: the sector is refused."""
+    umap = quantize(cat_map(0.3), TorusSpace(64))
+    assert otoc_series(umap, (0, 1), (1, 0), 1).sector == "odd"
+    phases = umap.phase_position.copy()
+    phases[5] = np.nextafter(phases[5].real, 2.0) + 1j * phases[5].imag
+    skewed = dataclasses.replace(umap, phase_position=phases)
+    assert not _keeps_parity(skewed)
+    assert otoc_series(skewed, (0, 1), (1, 0), 1).sector == "none"
+
+
+def test_strong_kicks_at_large_n_run_in_the_sector():
+    """Criterion 4's inset (cat k = 0.25 and 0.325 at N = 1024) takes the odd sector; its
+    cosine taken at q and N - q separately left the phases 1.1e-12 and 1.5e-12 apart."""
+    space = TorusSpace(1024)
+    for k in (0.25, 0.325):
+        assert otoc_series(quantize(cat_map(k), space), (0, 1), (1, 0), 1).sector == "odd"

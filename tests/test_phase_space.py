@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otoclab import phase_space
+from otoclab.classical import lyapunov
 from otoclab.coarse_graining import (apply_dephasing_chord, apply_dephasing_dense, build_kernel,
                                      channel_step, evolve)
 from otoclab.maps import apply_map, cat_map, quantize
@@ -316,6 +317,54 @@ def test_operator_entry_points_refuse_bad_shapes(entry, shape):
         _OPERATOR_ENTRY_POINTS[entry](umap, kernel, np.zeros(shape, dtype=complex))
 
 
+# every public entry point that takes a count, a size or a real coordinate, called on
+# the cat map at N=8, keyed by the argument's name
+_COUNT_ENTRY_POINTS = {
+    "t_max": lambda umap, k: otoc_series(umap, (0, 1), (1, 0), k),
+    "steps": lambda umap, k: next(evolve(umap, None, sine_position(umap.space), k)),
+    "depth": lambda umap, k: krylov_leading(umap, None, sine_position(umap.space), depth=k),
+    "n_wanted": lambda umap, k: krylov_leading(umap, None, sine_position(umap.space), depth=10,
+                                               n_wanted=k),
+    "n_traj": lambda umap, k: lyapunov(umap.map_spec, n_traj=k, t_horizon=10),
+    "t_horizon": lambda umap, k: lyapunov(umap.map_spec, n_traj=2, t_horizon=k),
+    "torus dimension": lambda umap, k: TorusSpace(k),
+    "q0": lambda umap, k: coherent_state(umap.space, k, 0.0),
+    "p0": lambda umap, k: coherent_state(umap.space, 0.0, k),
+}
+_NON_INTEGRAL = [2.5, 20.5, float("nan"), float("inf"), -float("inf")]
+
+
+@pytest.mark.parametrize("value", _NON_INTEGRAL)
+@pytest.mark.parametrize("name", [n for n in _COUNT_ENTRY_POINTS if n not in ("q0", "p0")])
+def test_counts_and_sizes_refuse_non_integral_values(name, value):
+    """A fractional, NaN or infinite count or size is refused with a ValueError that names
+    it (numpy's TypeError, an OverflowError or NaN's int conversion error before)."""
+    umap = quantize(cat_map(0.02), TorusSpace(8))
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        _COUNT_ENTRY_POINTS[name](umap, value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 1j])
+@pytest.mark.parametrize("name", ["q0", "p0"])
+def test_coherent_state_refuses_a_centre_that_is_not_finite(name, value):
+    """A NaN centre used to return a NaN state."""
+    with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+        _COUNT_ENTRY_POINTS[name](quantize(cat_map(0.02), TorusSpace(8)), value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_COUNT_ENTRY_POINTS)),
+       st.floats().filter(lambda x: not x.is_integer()) | st.integers(-10**6, -1))
+def test_every_count_size_and_centre_refuses_bad_values(name, value):
+    """Whatever the bad value, a ValueError names the argument: non-integral or negative
+    counts, sizes below 2 and non-finite centres."""
+    if name in ("q0", "p0") and np.isfinite(value):
+        value = float("nan")  # any finite centre is a valid one
+    umap = quantize(cat_map(0.02), TorusSpace(8))
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        _COUNT_ENTRY_POINTS[name](umap, value)
+
+
 def _mirror(x):
     neg = -np.arange(x.shape[0]) % x.shape[0]
     return x[np.ix_(neg, neg)]
@@ -340,17 +389,22 @@ def test_parity_reads_the_sector_a_block_at_a_time(n):
 @pytest.mark.parametrize("n", [2, 4, 10, 64])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_half_frame_change_matches_the_full_one(n, sign):
-    """Given the parity, rows 0 .. N/2 alone determine the frame change: the half
-    pass, fed only those rows, gives the full pass's rows 0 .. N/2."""
+    """Given the parity, rows 0 .. N/2 of R = Re Z, Z = (1 - i)A, alone determine the
+    frame change: Im Z = -R^T rebuilt from them, the real sector transform, and Im Z
+    rebuilt again give (1 - i) times the full complex pass's rows 0 .. N/2."""
     h = n // 2
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x = x + x.conj().T
     x = (x + sign * _mirror(x)) / 2
     for to in (MOMENTUM, POSITION):
-        full = phase_space._change_frame(x.copy(), to)
-        half = x.copy()
-        half[h + 1:] = np.nan  # rows the half pass must not read
+        full = (1 - 1j) * phase_space._change_frame(x.copy(), to)
+        half = (1 - 1j) * x
+        half[h + 1:] = np.nan  # rows the sector must not read
+        half.imag[:h + 1] = np.nan
+        phase_space._imag_from_real(half, sign)
         phase_space._change_frame(half, to, sign)
+        phase_space._imag_from_real(half, sign)
         assert np.abs(half[:h + 1] - full[:h + 1]).max() <= 1e-13 * np.abs(full).max()
 
 

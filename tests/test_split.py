@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from otoclab import coarse_graining, otoc, phase_space
+from otoclab.resonances import krylov_leading
 from otoclab.cli import main
 from otoclab.maps import cat_map, harper_map, quantize, standard_map
 from otoclab.phase_space import MOMENTUM, POSITION, TorusSpace
@@ -138,6 +139,26 @@ def test_one_pass_contraction_bits_do_not_depend_on_parts(split_all, n, sector):
     assert (first.sector, first.contraction) == (sector, "diagonal")
     for r in rest:
         assert np.array_equal(first.o1, r.o1) and np.array_equal(first.o2, r.o2)
+
+
+def test_krylov_sector_bits_do_not_depend_on_parts(set_parts):
+    """At N=1000 the sector steps of the sine seed split in two at the default part
+    minimum: the Ritz values and residuals keep their bits at 1 and 2 parts."""
+    space = TorusSpace(1000)
+    umap = quantize(cat_map(0.02), space)
+    kernel = coarse_graining.build_kernel(space, 0.01)
+    runs = []
+    for k in (1, 2):
+        set_parts(k)
+        assert len(phase_space._parts(1000)) == k
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a shallow run leaves Ritz values unconverged
+            runs.append(krylov_leading(umap, kernel, phase_space.sine_position(space), depth=8,
+                                       n_wanted=3))
+    one, two = runs
+    assert one.params["sector"] == two.params["sector"] == "odd"
+    assert np.array_equal(one.alphas, two.alphas)
+    assert np.array_equal(one.residuals, two.residuals)
 
 
 def test_otoc_series_bits_hold_under_thread_switching(split_all):
