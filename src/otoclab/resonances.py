@@ -380,13 +380,17 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     # the coordinates of the Ritz operators' real and imaginary parts, each a real
     # product: a complex coefficient vector times the real basis would cast it whole
     coeffs = np.concatenate((vecs[:, :keep].real.T, vecs[:, :keep].imag.T))
-    one_pass = 2 * keep <= m
+    one_pass = 2 * keep <= min(m, sector.dim)
     if one_pass:
-        # one pass over the basis, a block of columns at a time, whose products go
-        # into the first rows of that block once it has been read
-        for c in range(0, sector.dim, _RITZ_COLUMNS):
-            block = basis[:m, c:c + _RITZ_COLUMNS]
-            block[:2 * keep] = coeffs @ block
+        # one pass over the basis, a block of columns at a time: the block's products
+        # go through row m, which no Ritz operator reads, into its first rows
+        width = min(_RITZ_COLUMNS, sector.dim // (2 * keep))
+        products = basis[m, :2 * keep * width].reshape(2 * keep, width)
+        for c in range(0, sector.dim, width):
+            block = basis[:m, c:c + width]
+            out = products[:, :block.shape[1]]
+            np.matmul(coeffs, block, out=out)
+            block[:2 * keep] = out
 
     def coordinates(k):
         return basis[k] if one_pass else coeffs[k] @ basis[:m]
@@ -399,7 +403,10 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
             op += 1j * sector.unpack(coordinates(keep + i), buf)
         op /= np.linalg.norm(op)
         np.copyto(buf, op)
-        residuals[i] = np.linalg.norm(_step(umap, mask, buf) - ritz[i] * op)
+        _step(umap, mask, buf)
+        op *= -ritz[i]  # S R - alpha R, formed in R's array
+        op += buf
+        residuals[i] = np.linalg.norm(op)
     converged = residuals < _KRYLOV_RESIDUAL_TOL
     if not converged.all():
         warnings.warn(
