@@ -20,12 +20,14 @@ The package's one Heisenberg step, :func:`_step`, applies each kick and
 mask in place in the frame where it is elementwise and starts and ends in
 the momentum frame; :func:`_evolve_in_place` iterates it on a caller's
 buffer (for :func:`evolve` and the OTOC series) and the Krylov solver calls
-it directly.  Given a parity sign the step works on rows 0 .. N/2 only: the
+it directly.  Given a parity sign the step works on R = Re Z, Z = (1 - i)A, on
+rows 0 .. N/2 only (the parity sector of :mod:`otoclab.phase_space`): the
 OTOC series and the Krylov solver pass one when their operator keeps a
 definite parity, x[-i, -j] = sign x[i, j], which holds at even N when the
-kick phases are mirror-symmetric (:func:`_keeps_parity`; the mask
-f[(r - s) % N] always is).  :func:`evolve` takes the full step.  The
-chord-space dephasing and the literal sum over all N^2 translations are
+kick phases are exactly mirror-symmetric (:func:`_keeps_parity`, true of
+every map :func:`~otoclab.maps.quantize` builds; the mask f[(r - s) % N]
+always is).  :func:`evolve` takes the full step.  The chord-space dephasing
+and the literal sum over all N^2 translations are
 kept as oracles.
 """
 

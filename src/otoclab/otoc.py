@@ -28,12 +28,17 @@ on the part count.
 
 At even N, when A and B each have a definite parity x[-i, -j] = +-x[i, j]
 (F_xi is odd) and both kick phase vectors of the map are mirror-symmetric,
-A(t) keeps A's parity, and the series runs in that sector: each step works
-on rows 0 .. N/2 only (:func:`~otoclab.coarse_graining._step`), and the
-contraction sums rows 1 .. N/2 - 1 twice and rows 0 and N/2 once, since AB
-and BA have the same parity, after filling the few rows beyond N/2 that BA
-reads.  The sector agrees with the full path to rounding, and its bits do not
-depend on the part count either.  Every other case takes the full path.
+A(t) keeps A's parity, and the series runs in that sector: A(t) is held as
+R = Re Z, Z = (1 - i)A(t), on rows 0 .. N/2 (see
+:mod:`~otoclab.phase_space`), and each step works on those rows only
+(:func:`~otoclab.coarse_graining._step`).  The contraction sums rows
+1 .. N/2 - 1 twice and rows 0 and N/2 once, since AB and BA have the same
+parity.  Its constant factors are exact: for B diagonal the one-pass sums
+read R alone, as |A_rc|^2 = (R_rc^2 + R_cr^2) / 2; any other B sums blocks
+of ZB and BZ, after Im Z = -R^T is rebuilt and the few rows beyond N/2 that
+BZ reads are filled from their mirrors, and |1 - i|^2 = 2 divides both sums.
+The sector agrees with the full path to rounding, and its bits do not depend
+on the part count either.  Every other case takes the full path.
 """
 
 from __future__ import annotations
@@ -118,8 +123,8 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
     parts (:func:`~otoclab.phase_space._parts`), so at most N^2 / 8 entries;
     the one-pass form squares 32 rows of A(t) at a time into the same scratch.
     The parity sector (see the module notes) is picked from the data, and
-    recorded as ``sector``; in it A's first change to the momentum frame is the
-    sector transform too.  ``layout`` and ``contraction`` record the buffer's
+    recorded as ``sector``; in it A's rows 0 .. N/2 become Z = (1 - i)A, and
+    their first change to the momentum frame is the sector's real transform.  ``layout`` and ``contraction`` record the buffer's
     rows and the form of the contraction.
     """
     t_max = _count(t_max, "t_max")
@@ -215,19 +220,21 @@ def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
     start on fixed edges; the per-block sums come back and are added here in
     block order, so the bits depend on neither the part count nor the BLAS
     thread count: every sum is a ufunc or einsum reduction.  With A(t)'s parity
-    ``sign`` only rows 0 .. N/2 of A(t) are valid: the rows beyond that BA reads
-    are filled from their mirrors, and row r of AB and BA is row -r up to one
-    common sign, so rows 1 .. N/2 - 1 are summed and doubled, and rows 0 and
-    N/2 added once.
+    ``sign`` ``at`` holds the sector, R = Re Z on rows 0 .. N/2: the diagonal
+    form reads R alone (:func:`_sector_diagonal_rows`); the blocks rebuild Im Z,
+    fill the rows beyond N/2 that BZ reads from their mirrors and halve their
+    sums over Z = (1 - i)A.  Row r of AB and BA is row -r up to one common
+    sign, so rows 1 .. N/2 - 1 are summed and doubled, and rows 0 and N/2
+    added once.
     """
     n = at.shape[0]
     h = n // 2
     diagonal = _contraction(shifts) == "diagonal"
+    diagonal_rows = _sector_diagonal_rows if sign else _diagonal_rows
 
     def block_sums(part, rows):
         if diagonal:
-            return (_sector_diagonal_rows if sign else _diagonal_rows)(at, d[0], scratch[part],
-                                                                       rows)
+            return diagonal_rows(at, d[0], scratch[part], rows)
         return _contract_rows(at, shifts, d, *scratch[part], rows)
 
     if sign and not diagonal:
@@ -279,20 +286,17 @@ def _sector_diagonal_rows(at: np.ndarray, d: np.ndarray, scratch: np.ndarray,
     (R_rc^2 + R_cr^2) / 2, so O1 = sum R_rc^2 Re(conj(d_r) d_c) and O2 = sum R_rc^2
     (|d_r|^2 + |d_c|^2) / 2.  The block's squares go into ``scratch``, read as reals,
     and one einsum weighs each row with d.real, d.imag, |d|^2 and ones."""
-    n = at.shape[1]
-    size = d.real * d.real + d.imag * d.imag
-    weights = np.stack([d.real, d.imag, size, np.ones(n)])
+    weights = np.stack([d.real, d.imag, d.real * d.real + d.imag * d.imag, np.ones(d.size)])
     squares = scratch.reshape(-1).view(float)
     sums = []
     for i in range(rows.start, rows.stop, _SQUARE_BLOCK):
         r = at[i:min(i + _SQUARE_BLOCK, rows.stop)].real
         s = squares[:r.size].reshape(r.shape)
         np.multiply(r, r, out=s)
-        u = np.einsum("rc,kc->kr", s, weights)
-        k = slice(i, i + s.shape[0])
-        sums.append((complex(np.einsum("r,r->", d.real[k], u[0])
-                             + np.einsum("r,r->", d.imag[k], u[1])),
-                     (u[2].sum() + np.einsum("r,r->", size[k], u[3])) / 2))
+        u = np.einsum("rc,kc->kr", s, weights)  # sum_c R_rc^2 d_c.real, d_c.imag, |d_c|^2, 1
+        w = weights[:, i:i + r.shape[0]]  # the same weights at the rows r
+        sums.append((complex(np.einsum("kr,kr->", w[:2], u[:2])),
+                     np.einsum("kr,kr->", w[3:1:-1], u[2:]) / 2))
     return sums
 
 

@@ -24,11 +24,16 @@ Parity q -> -q maps entries x[i, j] to x[-i, -j] (indices mod N) in both
 frames.  An operator of definite parity, x[-i, -j] = sign x[i, j], is fixed
 by its rows 0 .. N/2, the one parity-sector layout of the package: the OTOC
 series evolves those rows, and the Krylov solver stores its directions as
-slices of them.  At even N :func:`_change_frame` given the sign keeps only
-those rows valid and transforms N/2 + 1 columns and rows, each after filling
-its other half from the mirror entries (:func:`_mirror_fill`);
-:func:`_mirror_rows` fills the rows beyond N/2 where a whole operator is
-needed.
+slices of them.  The sector holds Z = (1 - i)A there, not A: for Hermitian
+A = S + iK (S real symmetric, K real antisymmetric) Re Z = R = S + K and
+Im Z = -R^T, so R alone fixes the operator, and a kick or a mask, which
+multiplies A entry by entry, multiplies Z the same way.  The frame change of
+a real R of definite parity is real, so at even N :func:`_change_frame` given
+the sign runs :func:`_sector_frame`: real FFTs of rows 0 .. N/2, half the FFT
+lines of a complex pass, with no mirror fill and its half spectrum held in
+the memory of the rows beyond N/2.  :func:`_imag_from_real` rebuilds Im Z
+with one transpose pass, and :func:`_mirror_rows` fills the rows beyond N/2
+where a whole operator is needed.
 
 A run's evolving N x N buffer comes from :func:`_working`.  At N >= 512 its
 rows are padded with (4 - N) mod 8 entries, so that the row stride is an odd

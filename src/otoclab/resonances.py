@@ -274,18 +274,25 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     is not Hermitian to 1e-12 raises.  Where the channel keeps parity in the
     form the sector step uses (even N, see
     :func:`~otoclab.coarse_graining._keeps_parity`), every later step of the
-    recursion is that step, on rows 0 .. N/2 only, which are the rows the
-    coordinates are read from.  The residual checks take the full step, so
-    they also check the sector steps independently.  The basis is one
+    recursion is that step, on rows 0 .. N/2 only: the direction's
+    coordinates are written as R into the real part of those rows
+    (:meth:`_RealSector.write`), the step advances Z = (1 - i)A there, and the
+    image is packed from its real part again, so no complex operator is
+    unpacked in the loop.  The Ritz operators and the residual checks keep
+    :meth:`_RealSector.unpack` and the full step, so they also check the
+    sector steps independently.  The basis is one
     preallocated (depth + 1) x d real array, d the sector dimension.  Each
     channel image is packed straight into the next row and orthogonalized by
     classical Gram-Schmidt, a pass being two real matrix-vector products
     against the rows built so far.  A second pass runs only when the first
     leaves less than 1/sqrt 2 of the norm (the DGKS test of Daniel, Gragg,
     Kaufman and Stewart, Math. Comp. 30, 1976): it never fires at depth 90
-    for N = 320 or 1000, and does near full depth.  Ritz operators are
-    assembled one at a time from the real and imaginary parts of their
-    coefficients.  Memory is that of the basis, 8 (depth + 1) d bytes, with d
+    for N = 320 or 1000, and does near full depth.  The coordinates of the
+    Ritz operators' real and imaginary parts come from one pass over the
+    basis, a block of columns at a time, each block's products written into
+    its first rows once it has been read (where 2 n_wanted exceeds the
+    dimension reached, one product per part instead); the operators are then
+    unpacked one at a time.  Memory is that of the basis, 8 (depth + 1) d bytes, with d
     about N^2 / 2 in a parity sector and N^2 without one.  ``params`` records
     ``sector`` (even, odd or none), ``krylov_dim`` (the dimension reached, below
     ``depth`` when an invariant subspace closes early, which warns),
