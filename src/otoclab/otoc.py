@@ -124,8 +124,9 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
     the one-pass form squares 32 rows of A(t) at a time into the same scratch.
     The parity sector (see the module notes) is picked from the data, and
     recorded as ``sector``; in it A's rows 0 .. N/2 become Z = (1 - i)A, and
-    their first change to the momentum frame is the sector's real transform.  ``layout`` and ``contraction`` record the buffer's
-    rows and the form of the contraction.
+    their first change to the momentum frame is the sector's real transform.
+    ``layout`` and ``contraction`` record the buffer's rows and the form of the
+    contraction.
     """
     t_max = _count(t_max, "t_max")
     buffer = _working(umap.dim)

@@ -209,10 +209,8 @@ class _RealSector:
             view = a[v]
             dest = out[seg].reshape(view.shape)
             if np.iscomplexobj(view):
-                np.add(view.real, view.imag, out=dest)
-            else:
-                np.copyto(dest, view)
-        out[:self._pairs] *= np.sqrt(2.0)
+                view = np.add(view.real, view.imag, out=dest)
+            np.multiply(view, np.sqrt(2.0) if seg.start < self._pairs else 1.0, out=dest)
         return out
 
     def write(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -343,7 +341,7 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     reorth = 0
     h = np.zeros((depth + 1, depth))
     for j in range(depth):
-        if j and step_sign:  # the sector step reads and writes R, the real part of rows 0 .. N/2
+        if j and step_sign:  # the sector step reads and writes R = Re Z on rows 0 .. N/2
             sector.write(basis[j], buf.real)
             _step(umap, mask, buf, step_sign)
         elif j:

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otoclab import phase_space
@@ -353,6 +353,13 @@ def test_coherent_state_refuses_a_centre_that_is_not_finite(name, value):
 
 
 @settings(max_examples=60, deadline=None)
+@example("torus dimension", float("nan"))
+@example("torus dimension", float("inf"))
+@example("t_max", 2.5)
+@example("n_traj", 2.5)
+@example("depth", 20.5)
+@example("steps", 2.5)
+@example("q0", float("nan"))
 @given(st.sampled_from(sorted(_COUNT_ENTRY_POINTS)),
        st.floats().filter(lambda x: not x.is_integer()) | st.integers(-10**6, -1))
 def test_every_count_size_and_centre_refuses_bad_values(name, value):
