@@ -45,7 +45,7 @@ from .classical import ehrenfest_time, lyapunov
 from .coarse_graining import build_kernel
 from .maps import (AS_PRINTED, CAT, CORRESPONDENCE, HARPER, STANDARD,
                    ClassicalMapSpec, cat_map, harper_map, quantize, standard_map)
-from .otoc import analytic_cat_otoc, fit_growth, otoc_series
+from .otoc import _displacement_sector, analytic_cat_otoc, fit_growth, otoc_series
 from .phase_space import TorusSpace, sine_position
 from .resonances import (_DENSE_LIMIT, _sector_dim, dense_superoperator, fit_tail_rate,
                          full_spectrum, krylov_leading, random_traceless_hermitian)
@@ -229,10 +229,17 @@ def _write_run(config: RunConfig, start: float, name: str, header: list[str], ro
 # bytes), 40.0 MB + 16.4 N^2, and 40.5-40.8 MB at N <= 256: the interpreter and
 # libraries plus one complex N x N array, the buffer that holds B, then A and
 # A(t).  The base is rounded up by 3 MB for other library builds, the N^2 term
-# to 17 N^2.
+# to 17 N^2.  That is the full path, which writes every row of the buffer.
 _OTOC_BASE_BYTES = 44e6
 _OTOC_BYTES_PER_N2 = 17
 _OTOC_MEASURED_PER_N2 = 16.4
+# The parity sector writes rows 0 .. N/2 of the buffer (8 N^2 bytes) and the half
+# spectrum after them (4 N^2); the rest stays unmapped.  The larger of the XP and
+# F(1,1;0,1) peaks read 55.2 MB at N=1024 and 94.5 MB at N=2048 (numpy 2.4, 10^6
+# bytes), 42.1 MB + 12.5 N^2, under the same base; the N^2 term is rounded up to
+# 13 N^2.
+_OTOC_SECTOR_BYTES_PER_N2 = 13
+_OTOC_SECTOR_MEASURED_PER_N2 = 12.5
 # Peak RSS per time step of `otoc --n 8` with the cat k=0 overlay, the widest
 # rows (eleven columns), read at t_max 1000, 20000 and 40000: 948 and 966
 # bytes a step for the series arrays, the overlay points and the CSV text.
@@ -241,17 +248,41 @@ _OTOC_BYTES_PER_STEP = 970
 # 1-8 parts: +0.6 MB at N=512, +1.1 MB at N=1024, +1.4 MB at N=1536 and +1.8 MB
 # at N=2048 (2^20 bytes), 0.4 MB + 720 N bytes: the part's thread, its
 # temporaries and its pair of 16-row contraction blocks (512 N bytes).  They
-# are added to the measured 16.4 N^2, and count where that passes 17 N^2.
+# are added to the measured N^2 term, and count where that passes the rounded one.
 _OTOC_BYTES_PER_PART = 0.5e6
 _OTOC_BYTES_PER_PART_N = 800
+# the memory limit of this process's cgroup, v2 and then v1, in bytes, or "max"
+# for none (v1 writes a huge number instead); only read
+_MEMORY_MAX = "/sys/fs/cgroup/memory.max"
+_MEMORY_LIMIT_V1 = "/sys/fs/cgroup/memory/memory.limit_in_bytes"
+
+
+def _cgroup_memory() -> float:
+    """This process's cgroup memory limit in bytes: :data:`_MEMORY_MAX`, or
+    :data:`_MEMORY_LIMIT_V1` where that file is missing; inf for neither file, "max"
+    (no limit) or a garbled one."""
+    for path in (_MEMORY_MAX, _MEMORY_LIMIT_V1):
+        try:
+            with open(path) as f:
+                text = f.read()
+        except OSError:
+            continue
+        try:
+            return float(int(text))
+        except ValueError:
+            return float("inf")
+    return float("inf")
 
 
 def _refuse_beyond_memory(need: float, what: str) -> None:
-    """CliError when ``need`` bytes exceed physical memory, before anything is allocated."""
+    """CliError when ``need`` bytes exceed physical memory or the cgroup's memory limit,
+    whichever is smaller, before anything is allocated."""
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > physical:
-        raise CliError(f"{what} needs {need / 1e9:.1f} GB, "
-                       f"more than the {physical / 1e9:.1f} GB of physical memory")
+    limit = _cgroup_memory()
+    if need > min(physical, limit):
+        held = (f"the {physical / 1e9:.1f} GB of physical memory" if physical <= limit
+                else f"the {limit / 1e9:.1f} GB memory limit of this process's cgroup")
+        raise CliError(f"{what} needs {need / 1e9:.1f} GB, more than {held}")
 
 
 def _build_channel(config: RunConfig):
@@ -294,22 +325,26 @@ def _classical_estimate(estimator, spec: ClassicalMapSpec, n_traj: int, t_horizo
 def run_otoc(config: RunConfig) -> dict:
     """One correlator run: otoc.csv plus manifest; returns derived values.
 
-    A run whose working set exceeds physical memory is refused before
-    anything is allocated.  That is 44 MB + 970 (t_max + 1) bytes plus the
-    larger of 17 N^2 and 16.4 N^2 + (parts - 1)(0.5 MB + 800 N) bytes, where
-    the N x N passes run in parts (at most N / 256 of them, see
-    :func:`~otoclab.phase_space._parts`).  The manifest records that
-    preflight and the peak RSS, in MB of 2^20 bytes.
+    A run whose working set exceeds physical memory, or the cgroup's memory
+    limit, is refused before anything is allocated.  That is 44 MB + 970
+    (t_max + 1) bytes plus the larger of c N^2 and m N^2 + (parts - 1)(0.5 MB +
+    800 N) bytes, where the N x N passes run in parts (at most N / 256 of them,
+    see :func:`~otoclab.phase_space._parts`): c = 17 and m = 16.4 on the full
+    path, c = 13 and m = 12.5 in the parity sector, which every run takes at
+    even N (:func:`~otoclab.otoc._displacement_sector`).  The manifest records
+    that preflight and the peak RSS, in MB of 2^20 bytes.
     """
     start = time.monotonic()
     n, parts = config.n, len(phase_space._parts(config.n))
+    rounded, measured = ((_OTOC_SECTOR_BYTES_PER_N2, _OTOC_SECTOR_MEASURED_PER_N2)
+                         if _displacement_sector(n) else
+                         (_OTOC_BYTES_PER_N2, _OTOC_MEASURED_PER_N2))
     need = (_OTOC_BASE_BYTES + _OTOC_BYTES_PER_STEP * (config.t_max + 1)
-            + max(_OTOC_BYTES_PER_N2 * n ** 2,
-                  _OTOC_MEASURED_PER_N2 * n ** 2
+            + max(rounded * n ** 2, measured * n ** 2
                   + (parts - 1) * (_OTOC_BYTES_PER_PART + _OTOC_BYTES_PER_PART_N * n)))
-    _refuse_beyond_memory(need, "otoc working set (44 MB + 970 x (t_max + 1) bytes + the larger"
-                                " of 17 x N^2 and 16.4 x N^2 + (parts - 1) x (0.5 MB + 800 x N)"
-                                " bytes)")
+    _refuse_beyond_memory(need, f"otoc working set (44 MB + 970 x (t_max + 1) bytes + the larger"
+                                f" of {rounded} x N^2 and {measured} x N^2 + (parts - 1) x"
+                                f" (0.5 MB + 800 x N) bytes)")
     with warnings.catch_warnings(record=True) as caught:
         _, umap, kernel = _build_channel(config)
         a, b = _operator_pair(config)
@@ -445,7 +480,8 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
     """Channel eigenvalues to resonances.csv; dense is refused above N=24.
 
     A dense run above N=24, and a Krylov run whose real basis, 8 (depth + 1) d
-    bytes, exceeds physical memory, are refused before anything is allocated.
+    bytes, exceeds physical memory or the cgroup's memory limit, are refused
+    before anything is allocated.
     d is N^2 without a parity sector and about N^2 / 2 in one, the sector
     predicted from the map, N and the seed (:func:`_krylov_sector`); the
     manifest records that preflight as ``resource.preflight_mb``.

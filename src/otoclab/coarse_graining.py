@@ -40,8 +40,8 @@ import numpy as np
 
 from .maps import QuantumMap
 from .phase_space import (MOMENTUM, POSITION, TorusSpace, _change_frame, _cyclic_diagonals,
-                          _count, _from_cyclic_diagonals, _imag_from_real, _operator, _row_width,
-                          _split, _whole_rows, translation)
+                          _count, _finite, _from_cyclic_diagonals, _imag_from_real, _operator,
+                          _row_width, _split, _to_momentum, _whole_rows, translation)
 
 __all__ = [
     "CoarseGrainKernel",
@@ -226,7 +226,8 @@ def evolve(umap: QuantumMap, kernel: CoarseGrainKernel | None, a: np.ndarray, st
     is copied and evolved by :func:`_evolve_in_place`, so one buffer is
     yielded each time and overwritten by the next step.
     """
-    yield from _evolve_in_place(umap, kernel, np.array(_operator(a, umap.dim, "operator")), steps)
+    a = np.array(_finite(_operator(a, umap.dim, "operator"), "operator"))
+    yield from _evolve_in_place(umap, kernel, a, steps)
 
 
 def _evolve_in_place(umap: QuantumMap, kernel: CoarseGrainKernel | None, at: np.ndarray,
@@ -239,9 +240,7 @@ def _evolve_in_place(umap: QuantumMap, kernel: CoarseGrainKernel | None, at: np.
     0 .. N/2 is valid."""
     steps = _count(steps, "steps")
     mask = _mask(kernel)
-    if sign:
-        at[:at.shape[0] // 2 + 1] *= 1 - 1j
-    yield _change_frame(at, MOMENTUM, sign)
+    yield _to_momentum(at, sign)
     for _ in range(steps):
         yield _step(umap, mask, at, sign)
 

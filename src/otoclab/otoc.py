@@ -31,7 +31,10 @@ At even N, when A and B each have a definite parity x[-i, -j] = +-x[i, j]
 A(t) keeps A's parity, and the series runs in that sector: A(t) is held as
 R = Re Z, Z = (1 - i)A(t), on rows 0 .. N/2 (see
 :mod:`~otoclab.phase_space`), and each step works on those rows only
-(:func:`~otoclab.coarse_graining._step`).  The contraction sums rows
+(:func:`~otoclab.coarse_graining._step`).  B and A are written on those rows
+alone, and B's momentum-frame diagonals come from its own sector transform, so
+the run touches no row of its buffer beyond them and the half spectrum that
+the transforms carve after them.  The contraction sums rows
 1 .. N/2 - 1 twice and rows 0 and N/2 once, since AB and BA have the same
 parity.  Its constant factors are exact: for B diagonal the one-pass sums
 read R alone, as |A_rc|^2 = (R_rc^2 + R_cr^2) / 2; any other B sums blocks
@@ -54,11 +57,10 @@ from . import coarse_graining
 from .classical import _cat_power
 from .coarse_graining import _keeps_parity
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
-from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame, _count,
-                          _cyclic_diagonals, _diagonal_pair_defect, _displacement,
-                          _imag_from_real, _mirror_rows, _operator, _parity, _parts, _size,
-                          _split, _whole_rows, _working, _write_f, hermiticity_defect,
-                          symplectic_product)
+from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, TorusSpace, _count, _cyclic_diagonals,
+                          _displacement, _f_defect, _imag_from_real, _mirror_rows, _operator,
+                          _parity, _parts, _size, _split, _to_momentum, _whole_rows, _working,
+                          _write_f, hermiticity_defect, symplectic_product)
 
 __all__ = [
     "OtocSeries",
@@ -112,61 +114,93 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
     diagonal in the momentum frame, B = diag(d) (one cyclic diagonal, shift 0,
     as for F_(q,0)), they come from one pass over |A(t)|^2 instead:
     O1 = sum conj(d_r) d_q |A_rq|^2 / N and O2 = sum |d_q|^2 |A_rq|^2 / N
-    (:func:`_contract`).  The call
-    holds one N x N array (:func:`~otoclab.phase_space._working`, rows
-    padded at some N): B is written into it, checked and changed to the
-    momentum frame, where its nonzero cyclic diagonals are gathered; A is then
-    written over it, checked, and evolved there in place.  Only an array B has
-    all N diagonals scanned: F_(q,p) is F_(p,-q) in the momentum frame, so
-    only its diagonals +-p are read.  Beside it the
-    contraction holds two 16-row blocks of AB and BA per part, at most N / 256
-    parts (:func:`~otoclab.phase_space._parts`), so at most N^2 / 8 entries;
-    the one-pass form squares 32 rows of A(t) at a time into the same scratch.
-    The parity sector (see the module notes) is picked from the data, and
-    recorded as ``sector``; in it A's rows 0 .. N/2 become Z = (1 - i)A, and
-    their first change to the momentum frame is the sector's real transform.
+    (:func:`_contract`).  B, then A, is checked (:func:`_operand`) before
+    anything is written, and the parity sector (see the module notes) is picked
+    from the two, and recorded as ``sector``.  The call then holds one N x N array
+    (:func:`~otoclab.phase_space._working`, allocated zeroed, rows padded at some
+    N): B is written into it (:func:`_fill`) and changed to the momentum frame,
+    where its nonzero cyclic diagonals are gathered; A is then written over it
+    and evolved there in place.  Only an array B has all N diagonals scanned:
+    F_(q,p) is F_(p,-q) in the momentum frame, so only its diagonals +-p are
+    read.  In the sector B and A are written on rows 0 .. N/2 only, B's change
+    of frame is the sector's real transform, whose half spectrum takes the rows
+    after them, and B's diagonals are read from R through its mirrors, so the
+    rest of the buffer is never touched.  Beside it the contraction holds two
+    16-row blocks of AB and BA per part, at most N / 256 parts
+    (:func:`~otoclab.phase_space._parts`), so at most N^2 / 8 entries; the
+    one-pass form squares 32 rows of A(t) at a time into the same scratch.
     ``layout`` and ``contraction`` record the buffer's rows and the form of the
     contraction.
     """
     t_max = _count(t_max, "t_max")
-    buffer = _working(umap.dim)
-    b_sign, b_shifts = _fill(umap.space, b, buffer, "B", _keeps_parity(umap))
-    shifts, d = _nonzero_diagonals(_change_frame(buffer, MOMENTUM), b_shifts)
-    sign, _ = _fill(umap.space, a, buffer, "A", b_sign != 0)
+    space, n = umap.space, umap.dim
+    b, b_sign, b_shifts = _operand(space, b, "B", _keeps_parity(umap))
+    a, sign, _ = _operand(space, a, "A", b_sign != 0)
+    b_sign = b_sign if sign else 0  # B's set-up takes the sector only when the run does
+    rows = n // 2 + 1 if sign else n
+    buffer = _working(n)
+    _fill(space, b, buffer, rows)
+    shifts, d = _nonzero_diagonals(_to_momentum(buffer, b_sign), b_shifts, b_sign)
+    _fill(space, a, buffer, rows)
+    del a, b  # a complex copy of a real or integer array operand is not kept
     # one ab/ba pair per part, zeroed, so a zero B (no diagonals) gives O1 = O2 = 0
-    scratch = [np.zeros((2, min(_ROW_BLOCK, umap.dim), umap.dim), dtype=complex)
-               for _ in _parts(umap.dim, _ROW_BLOCK)]
+    scratch = [np.zeros((2, min(_ROW_BLOCK, n), n), dtype=complex)
+               for _ in _parts(n, _ROW_BLOCK)]
     o1 = np.empty(t_max + 1, dtype=complex)
     o2 = np.empty(t_max + 1)
     for t, at in enumerate(coarse_graining._evolve_in_place(umap, kernel, buffer, t_max, sign)):
         o1[t], o2[t] = _contract(at, shifts, d, scratch, sign)
     c = -2.0 * (o1 - o2).real
     width = _whole_rows(buffer).shape[1]
-    layout = f"{'padded' if width > umap.dim else 'plain'} {width}"
+    layout = f"{'padded' if width > n else 'plain'} {width}"
     return OtocSeries(np.arange(t_max + 1), c, o1, o2, _SECTOR_NAMES[sign], layout,
                       _contraction(shifts))
 
 
-def _fill(space: TorusSpace, op: np.ndarray | tuple[int, int], out: np.ndarray,
-          name: str, parity: bool) -> tuple[int, list[int] | None]:
-    """Write the position-basis entries of ``op``, an N x N array or the integer
-    displacement (q, p) of F_xi, into ``out``, check that they are Hermitian (NaN
-    refused), and return (sign, shifts).
+# the parity of every F_xi: F_xi[-i, -j] = -F_xi[i, j]
+_DISPLACEMENT_PARITY = -1
 
-    ``sign`` is the parity of ``op`` when ``parity`` asks for it, else 0: F_xi is odd,
-    and only then is an array scanned.  ``shifts`` are the momentum-frame cyclic
-    diagonals where ``op`` can be nonzero: +-p for F_(q,p), as F^dag F_(q,p) F =
-    F_(p,-q), and None, every diagonal, for an array.  Only an array is checked whole;
-    F_xi is checked on its two cyclic diagonals +-q, off which every entry is zero."""
+
+def _displacement_sector(n: int) -> int:
+    """The parity sector of a series between two displacements under a map that
+    :func:`~otoclab.maps.quantize` builds, known before anything is built: every such
+    map keeps parity exactly at even N (:func:`~otoclab.coarse_graining._keeps_parity`)
+    and none does at odd N, and F_xi is odd."""
+    return _DISPLACEMENT_PARITY if n % 2 == 0 else 0
+
+
+def _operand(space: TorusSpace, op: np.ndarray | tuple[int, int], name: str, parity: bool
+             ) -> tuple[np.ndarray | tuple[int, int], int, list[int] | None]:
+    """``op``, an N x N array or the integer displacement (q, p) of F_xi, checked to be
+    Hermitian (NaN refused) before anything is written, as (op, sign, shifts).
+
+    ``op`` comes back as two ints or as a complex array.  ``sign`` is the parity of
+    ``op`` when ``parity`` asks for it, else 0: F_xi is odd, and only then is an array
+    scanned.  ``shifts`` are the momentum-frame cyclic diagonals where ``op`` can be
+    nonzero: +-p for F_(q,p), as F^dag F_(q,p) F = F_(p,-q), and None, every diagonal,
+    for an array.  An array is checked whole; F_xi on its two cyclic diagonals +-q, off
+    which every entry is zero, computed in O(N)."""
     if np.shape(op) == (2,):
         q, p = _displacement(op, f"operator {name} displacement")
-        out.fill(0)
-        _write_f(space, (q, p), out)
-        _check_hermitian(_diagonal_pair_defect(out, q), name)
-        return (-1 if parity else 0), sorted({p % space.dim, -p % space.dim})
-    np.copyto(out, _operator(op, space.dim, f"operator {name}"))
-    _check_hermitian(hermiticity_defect(out), name)
-    return (_parity(out) if parity else 0), None
+        _check_hermitian(_f_defect(space, (q, p)), name)
+        return (q, p), (_DISPLACEMENT_PARITY if parity else 0), sorted({p % space.dim,
+                                                                         -p % space.dim})
+    op = _operator(op, space.dim, f"operator {name}")
+    _check_hermitian(hermiticity_defect(op), name)
+    return op, (_parity(op) if parity else 0), None
+
+
+def _fill(space: TorusSpace, op: np.ndarray | tuple[int, int], out: np.ndarray,
+          rows: int) -> None:
+    """Write rows 0 .. ``rows`` - 1 of the position-basis entries of ``op``, a checked
+    N x N array or displacement (:func:`_operand`), into ``out``; no other row is
+    touched.  A displacement is F_xi's two cyclic diagonals on zeroed rows
+    (:func:`~otoclab.phase_space._write_f`)."""
+    if isinstance(op, tuple):
+        out[:rows] = 0
+        _write_f(space, op, out, rows)
+    else:
+        np.copyto(out[:rows], op[:rows])
 
 
 def _check_hermitian(defect: float, name: str) -> None:
@@ -174,16 +208,45 @@ def _check_hermitian(defect: float, name: str) -> None:
         raise ValueError(f"operator {name} is not Hermitian (defect {defect:.2e})")
 
 
-def _nonzero_diagonals(bm: np.ndarray, candidates: list[int] | None = None
+def _nonzero_diagonals(bm: np.ndarray, candidates: list[int] | None = None, sign: int = 0
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Shifts j and rows d[k, q] = bm[q + j_k, q] of the cyclic diagonals that are not noise,
-    among the shifts ``candidates`` (ascending, every diagonal when None), found a block
-    of diagonals at a time so no N x N gather is made."""
+    """Shifts j and rows d[k, q] = B[q + j_k, q] of the cyclic diagonals of momentum-frame
+    B that are not noise, among the shifts ``candidates`` (ascending, every diagonal when
+    None), found a block of diagonals at a time so no N x N gather is made.  ``bm`` holds
+    B, or with B's parity ``sign`` the sector, R = Re Z on rows 0 .. N/2, read through
+    its mirrors (:func:`_sector_diagonals`)."""
     j = np.arange(bm.shape[0]) if candidates is None else np.asarray(candidates)
-    blocks = np.split(j, range(_ROW_BLOCK, j.size, _ROW_BLOCK))
-    size = np.concatenate([np.abs(_cyclic_diagonals(bm, js)).max(axis=1) for js in blocks])
+
+    def gather(js):
+        return _sector_diagonals(bm, js, sign) if sign else _cyclic_diagonals(bm, js)
+
+    def blocks(js):
+        return (gather(b) for b in np.split(js, range(_ROW_BLOCK, js.size, _ROW_BLOCK)))
+
+    size = np.concatenate([np.abs(b).max(axis=1) for b in blocks(j)])
     shifts = j[size > _DIAG_TOL * max(size.max(), 1.0)]
-    return shifts, _cyclic_diagonals(bm, shifts)
+    return shifts, np.concatenate(list(blocks(shifts)))
+
+
+def _sector_diagonals(x: np.ndarray, shifts: np.ndarray, sign: int) -> np.ndarray:
+    """d[k, q] = B[q + j_k, q] of a Hermitian B of parity ``sign`` from the sector R =
+    Re Z, Z = (1 - i)B, on rows 0 .. N/2 of x: B = S + iK with S = (R + R^T) / 2 and
+    K = (R - R^T) / 2, and a row r beyond N/2 is read as R[r, c] = sign R[N - r, -c]."""
+    n = x.shape[0]
+    r = x[:n // 2 + 1].real
+    q = np.arange(n)
+    rows = (q[None, :] + np.asarray(shifts)[:, None]) % n
+    cols = np.broadcast_to(q, rows.shape)
+
+    def read(i, j):
+        far = i > n // 2
+        v = r[np.where(far, n - i, i), np.where(far, -j % n, j)]
+        return np.where(far, sign * v, v)
+
+    here, transposed = read(rows, cols), read(cols, rows)  # R[q + j, q] and R[q, q + j]
+    d = np.empty(rows.shape, dtype=complex)
+    d.real, d.imag = (here + transposed) / 2, (here - transposed) / 2
+    return d
 
 
 def _wrapped(start: int, m: int, n: int) -> list[tuple[slice, slice]]:

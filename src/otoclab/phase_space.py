@@ -39,12 +39,15 @@ A run's evolving N x N buffer comes from :func:`_working`.  At N >= 512 its
 rows are padded with (4 - N) mod 8 entries, so that the row stride is an odd
 number of 64-byte lines: the lines of a column pass then spread over all the
 L1 sets instead of a few.  The buffer is the N x N view of an N x width array
-with 64-byte aligned rows, and its pad entries are zeroed once, when it is
-allocated; at an N whose stride is already an odd number of lines (N = 4 mod
-8) it is plain.  Below 512 the half matrix sits in L2 and the padding only adds
-loop overhead.  The elementwise passes of a step run over whole padded rows
-(:func:`_whole_rows`), one contiguous block per part, with factors that are
-finite on the pad, so the pad stays zero.  Every line and elementwise pass
+with 64-byte aligned rows; at an N whose stride is already an odd number of
+lines (N = 4 mod 8) it is plain.  Below 512 the half matrix sits in L2 and the
+padding only adds loop overhead.  A padded buffer is allocated zeroed, so its
+pad needs no pass, and no buffer is written when it is allocated: a page is
+mapped only when it is first written.  A parity-sector OTOC run writes rows
+0 .. N/2 and the half spectrum after them (:func:`_half_spectrum`), and the rest
+of the buffer, about N/4 rows, is never touched.  The elementwise passes of a
+step run over whole padded rows (:func:`_whole_rows`), one contiguous block per
+part, with factors that are finite on the pad, so the pad stays zero.  Every line and elementwise pass
 does the same arithmetic on either layout, so no bit changes.
 """
 
@@ -197,18 +200,17 @@ def _row_width(n: int) -> int:
 
 
 def _working(n: int) -> np.ndarray:
-    """An uninitialized N x N complex buffer, laid out as the module notes say: the N x N
-    view of an N x :func:`_row_width` array with 64-byte aligned rows and zeroed pad
-    entries when the width exceeds N, plain otherwise."""
+    """An N x N complex buffer, laid out as the module notes say: the N x N view of an
+    N x :func:`_row_width` array with 64-byte aligned rows, allocated zeroed, when the
+    width exceeds N, so the pad is zero with no pass over it; plain and uninitialized
+    otherwise.  Either way a page is mapped only when it is first written."""
     width = _row_width(n)
     if width == n:
         return np.empty((n, n), dtype=complex)
     size = n * width * 16
-    raw = np.empty(size + 64, dtype=np.uint8)
+    raw = np.zeros(size + 64, dtype=np.uint8)
     start = -raw.ctypes.data % 64
-    rows = raw[start:start + size].view(complex).reshape(n, width)
-    rows[:, n:] = 0
-    return rows[:, :n]
+    return raw[start:start + size].view(complex).reshape(n, width)[:, :n]
 
 
 def _whole_rows(x: np.ndarray) -> np.ndarray:
@@ -232,6 +234,13 @@ def _operator(a, n: int, name: str) -> np.ndarray:
         raise ValueError(f"{name} entries must be square, got shape {a.shape}")
     if a.shape[0] != n:
         raise ValueError(f"dimension mismatch: {name} {a.shape[0]}, map {n}")
+    return a
+
+
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
+    """``a``; ValueError, naming it ``name``, when an entry is NaN or infinite."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} entries must be finite")
     return a
 
 
@@ -265,6 +274,16 @@ def _change_frame(x: np.ndarray, to: str, sign: int = 0) -> np.ndarray:
     _split(lambda _, s: first(x[:, s], axis=0, out=x[:, s]), n)
     _split(lambda _, s: second(x[s], axis=1, out=x[s]), n)
     return x
+
+
+def _to_momentum(x: np.ndarray, sign: int = 0) -> np.ndarray:
+    """In place: position-frame entries of x to the momentum frame.  A nonzero ``sign``,
+    the parity of the Hermitian operator A that rows 0 .. N/2 of x hold, turns those
+    rows into the parity sector Z = (1 - i)A first and takes the sector's real
+    transform, so afterwards only R = Re Z on rows 0 .. N/2 is valid."""
+    if sign:
+        x[:x.shape[0] // 2 + 1] *= 1 - 1j
+    return _change_frame(x, MOMENTUM, sign)
 
 
 def _sector_frame(x: np.ndarray, to: str, sign: int) -> np.ndarray:
@@ -435,18 +454,20 @@ def translation(space: TorusSpace, xi) -> np.ndarray:
     the canonical [0, N) square; canonicalizing the phase instead would cost
     a sign on every wrap.
     """
-    return _write_translation(space, xi, np.zeros((space.dim, space.dim), dtype=complex))
-
-
-def _write_translation(space: TorusSpace, xi, out: np.ndarray) -> np.ndarray:
-    """T_xi's one cyclic diagonal xi_q written into ``out``, whose other entries are left."""
     n = space.dim
     a, b = _displacement(xi, "xi")
     q = np.arange(n)
-    diag = space.tau_power(2 * (b % n) * q)
-    phase = space.tau_power((a * b) % (2 * n))
-    out[(q + a) % n, q] = phase * diag
+    out = np.zeros((n, n), dtype=complex)
+    out[(q + a) % n, q] = _translation_diagonal(space, a, b)
     return out
+
+
+def _translation_diagonal(space: TorusSpace, a: int, b: int) -> np.ndarray:
+    """T_(a,b)'s one cyclic diagonal a: t[q] = T[q + a, q]."""
+    n = space.dim
+    diag = space.tau_power(2 * (b % n) * np.arange(n))
+    phase = space.tau_power((a * b) % (2 * n))
+    return phase * diag
 
 
 def hermitian_f(space: TorusSpace, xi) -> np.ndarray:
@@ -459,29 +480,40 @@ def hermitian_f(space: TorusSpace, xi) -> np.ndarray:
     return _write_f(space, xi, np.zeros((space.dim, space.dim), dtype=complex))
 
 
-def _write_f(space: TorusSpace, xi, out: np.ndarray) -> np.ndarray:
-    """F_xi's two cyclic diagonals written into ``out``, a zeroed N x N complex array;
-    only they are gathered, so no N x N temporary is made."""
-    _write_translation(space, xi, out)
-    r, c = _diagonal_pair(space.dim, int(xi[0]))
-    # (T - T^dag) / 2i on the two cyclic diagonals, entry by entry as the dense formula
-    out[r, c] = (out[r, c] - out[c, r].conj()) / 2j
-    return out
+def _f_diagonals(space: TorusSpace, xi) -> tuple[int, np.ndarray, np.ndarray]:
+    """F_xi on its two cyclic diagonals, in O(N): (j, lower, upper) with j = xi_q mod N,
+    lower[q] = F[q + j, q] and upper[q] = F[q, q + j], each entry (T[r, c] -
+    conj(T[c, r])) / 2i from T_xi's one diagonal, as the dense formula.  Where
+    diagonal j is its own transpose (j = 0 or N/2) T[q, q + j] is T's own entry,
+    and lower and upper name the same entries with the same bits."""
+    n = space.dim
+    a, b = _displacement(xi, "xi")
+    t = _translation_diagonal(space, a, b)
+    j = a % n
+    t_up = np.roll(t, -j) if 2 * j % n == 0 else np.zeros(n, dtype=complex)
+    return j, (t - t_up.conj()) / 2j, (t_up - t.conj()) / 2j
 
 
-def _diagonal_pair(n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of cyclic diagonal j followed by their transposes, which
-    are diagonal -j."""
+def _f_defect(space: TorusSpace, xi) -> float:
+    """:func:`hermiticity_defect` of F_xi, read from its two cyclic diagonals in O(N)
+    (every other entry is zero)."""
+    _, lower, upper = _f_diagonals(space, xi)
+    return float(np.abs(lower - upper.conj()).max())
+
+
+def _write_f(space: TorusSpace, xi, out: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """F_xi's entries on rows 0 .. ``rows`` - 1 (every row by default) written into
+    ``out``, whose other entries are left: the two cyclic diagonals of
+    :func:`_f_diagonals`, so no N x N temporary is made."""
+    n = space.dim
+    rows = n if rows is None else rows
+    j, lower, upper = _f_diagonals(space, xi)
     q = np.arange(n)
-    rows = (q + j) % n
-    return np.concatenate((rows, q)), np.concatenate((q, rows))
-
-
-def _diagonal_pair_defect(a: np.ndarray, j: int) -> float:
-    """:func:`hermiticity_defect` of an ``a`` whose entries off cyclic diagonals +-j are
-    zero, read from those two diagonals in O(N)."""
-    r, c = _diagonal_pair(a.shape[0], j)
-    return float(np.abs(a[r, c] - a[c, r].conj()).max())
+    r = (q + j) % n
+    held = r < rows
+    out[r[held], q[held]] = lower[held]
+    out[q[:rows], r[:rows]] = upper[:rows]
+    return out
 
 
 def sine_position(space: TorusSpace) -> np.ndarray:
@@ -518,7 +550,7 @@ def chord_transform(space: TorusSpace, a: np.ndarray) -> np.ndarray:
     translations are trace-orthogonal.
     """
     n = space.dim
-    d = _cyclic_diagonals(_operator(a, n, "operator"))
+    d = _finite(_cyclic_diagonals(_operator(a, n, "operator")), "operator")
     c = np.fft.fft(d, axis=1) / n
     j = np.arange(n)
     c *= space.tau_power(-(j[:, None] * j[None, :]))

@@ -418,8 +418,9 @@ def test_krylov_preflight_predicts_the_sector_the_run_takes(tmp_path, spec, n, s
 
 
 def test_otoc_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
-    """N=100000 needs about 170 GB of working set: refused before the map or
-    the kernel is built, for a run and for a sweep sub-run alike."""
+    """N=100000 needs about 130 GB of working set, 13 N^2 bytes in the parity sector of
+    an even N: refused before the map or the kernel is built, for a run and for a sweep
+    sub-run alike."""
     def unreachable(*args, **kwargs):
         raise AssertionError("built before the memory preflight")
 
@@ -429,13 +430,69 @@ def test_otoc_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path / "big")])
     assert code == 1
     lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "170.0 GB" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "130.0 GB" in lines[0]
     assert not (tmp_path / "big").exists()
     summary = run_sweep(RunConfig(map="cat", n=16, epsilon=0.0001, outputs=str(tmp_path / "sw")),
                         "N", [100000.0])
     _, rows = read_csv(summary)
     assert rows[0][1] == "error" and "physical memory" in rows[0][6]
     assert not (tmp_path / "sw" / "N=100000").exists()
+
+
+@pytest.mark.parametrize("spec", ["cat", "standard", "harper"])
+@pytest.mark.parametrize("kick_mode", ["correspondence", "as_printed"])
+@pytest.mark.parametrize("n", [8, 9])
+def test_otoc_preflight_predicts_the_sector_the_run_takes(tmp_path, spec, kick_mode, n):
+    """Every CLI operand is a displacement and every quantized map keeps parity at even
+    N, so the run takes the sector the preflight predicts from N alone, and sizes it."""
+    out = tmp_path / "otoc"
+    assert main(["otoc", "--map", spec, "--n", str(n), "--map-param", "0.3", "--kick-mode",
+                 kick_mode, "--epsilon", "0.1", "--t-max", "4", "--operators", "F(1,1;0,1)",
+                 "--out", str(out)]) == 0
+    manifest = dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    sign = cli._displacement_sector(n)
+    assert manifest["derived.otoc_sector"] == {-1: "odd", 0: "none"}[sign]
+    per_n2 = cli._OTOC_SECTOR_BYTES_PER_N2 if sign else cli._OTOC_BYTES_PER_N2
+    need = cli._OTOC_BASE_BYTES + cli._OTOC_BYTES_PER_STEP * 5 + per_n2 * n ** 2
+    assert manifest["resource.preflight_mb"] == f"{need / 2**20:.1f}"
+
+
+@pytest.mark.parametrize("v2, v1, limit", [
+    ("max\n", "4000000000\n", None), ("4000000000\n", None, 4e9), (None, "4000000000\n", 4e9),
+    (None, "9223372036854771712\n", None), (None, None, None), ("garbled\n", None, None)],
+    ids=["v2-no-limit", "v2-limit", "v1-limit", "v1-no-limit", "no-files", "garbled"])
+def test_memory_refusal_honours_a_cgroup_limit(tmp_path, monkeypatch, v2, v1, limit):
+    """The preflight compares against the smaller of physical memory (8 GB here) and the
+    cgroup's memory.max, or memory.limit_in_bytes without it; "max", a limit above
+    physical memory, no file or a garbled one leave the physical-memory text."""
+    for name, text in (("_MEMORY_MAX", v2), ("_MEMORY_LIMIT_V1", v1)):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        monkeypatch.setattr(cli, name, str(path))
+    pages = {"SC_PHYS_PAGES": 2 * 10**6, "SC_PAGE_SIZE": 4000}
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    cli._refuse_beyond_memory(3.9e9, "run")
+    if limit is None:
+        cli._refuse_beyond_memory(7.9e9, "run")
+        with pytest.raises(CliError, match="^run needs 8.1 GB, more than the 8.0 GB of "
+                                           "physical memory$"):
+            cli._refuse_beyond_memory(8.1e9, "run")
+    else:
+        with pytest.raises(CliError, match="^run needs 4.1 GB, more than the 4.0 GB memory "
+                                           "limit of this process's cgroup$"):
+            cli._refuse_beyond_memory(4.1e9, "run")
+
+
+def test_otoc_refused_beyond_a_cgroup_memory_limit(tmp_path, monkeypatch, capsys):
+    """A cgroup limit of 50 MB refuses the N=1024 run (59.6 MB of preflight) before
+    anything is built."""
+    path = tmp_path / "memory.max"
+    path.write_text("50000000\n")
+    monkeypatch.setattr(cli, "_MEMORY_MAX", str(path))
+    line = _refused_before_building(monkeypatch, capsys, ["otoc", "--map", "cat", "--n", "1024",
+                                                          "--epsilon", "0.01"], tmp_path / "run")
+    assert "0.1 GB, more than the 0.1 GB memory limit of this process's cgroup" in line
 
 
 def test_otoc_t_max_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):

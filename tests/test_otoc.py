@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from otoclab import otoc
+from otoclab import otoc, phase_space
 from otoclab.classical import CAT_LYAPUNOV, ehrenfest_time
 from otoclab.coarse_graining import build_kernel, channel_step, evolve
 from otoclab.maps import cat_map, harper_map, quantize, standard_map
@@ -347,23 +347,73 @@ def test_otoc_series_refuses_nan_operators(cat64, name):
         otoc_series(cat64, *ops, 2)
 
 
+@pytest.mark.parametrize("bad", [(0.5, 1), (0, np.nan), np.full((64, 64), np.nan, dtype=complex),
+                                 1j * np.eye(64), (1, 2, 3)],
+                         ids=["fractional", "nan", "nan-array", "skew", "three-entries"])
+@pytest.mark.parametrize("name", ["A", "B"])
+def test_otoc_series_checks_both_operands_before_writing(monkeypatch, space64, cat64, name, bad):
+    """A bad A or B is refused before the working buffer is allocated, B first."""
+    def unreachable(n):
+        raise AssertionError("allocated before both operands were checked")
+
+    monkeypatch.setattr(otoc, "_working", unreachable)
+    pair = (bad, (1, 0)) if name == "A" else ((0, 1), bad)
+    with pytest.raises(ValueError, match=f"operator {name}"):
+        otoc_series(cat64, *pair, 2)
+    with pytest.raises(ValueError, match="operator B"):  # B is checked first
+        otoc_series(cat64, bad, bad, 2)
+
+
+@pytest.mark.parametrize("n", [4, 10, 64, 66, 1024])
+def test_b_sector_set_up_matches_the_full_frame_change(n):
+    """In the sector B is written on rows 0 .. N/2, takes the real sector transform, and
+    has its momentum-frame diagonals read from R through the parity mirrors: the shifts
+    of change_basis and _nonzero_diagonals, and their rows to 1e-15 relative, for
+    displacements (among them vanishing ones) and for even and odd arrays."""
+    space = TorusSpace(n)
+    h = n // 2
+    rand = random_traceless_hermitian(space, n)
+    cases = [(xi, -1) for xi in [(1, 0), (0, 1), (1, 1), (2, 3), (h, 1), (0, 0), (h, 0)]]
+    cases += [((rand + s * _mirror(rand)) / 2, s) for s in (1, -1)]
+    for op, sign in cases:
+        checked, got_sign, candidates = otoc._operand(space, op, "B", True)
+        assert got_sign == sign
+        buf = phase_space._working(n)
+        otoc._fill(space, checked, buf, h + 1)
+        shifts, d = otoc._nonzero_diagonals(phase_space._to_momentum(buf, sign), candidates,
+                                            sign)
+        full = change_basis(hermitian_f(space, op) if isinstance(op, tuple) else op,
+                            POSITION, MOMENTUM)
+        want_shifts, want = otoc._nonzero_diagonals(full, candidates)
+        assert np.array_equal(shifts, want_shifts), op
+        assert np.abs(d - want).max(initial=0) <= 1e-15 * np.abs(want).max(initial=0), op
+
+
 @pytest.mark.parametrize("n", [8, 9])
 def test_fill_classifies_displacements_and_arrays(n):
     """(sign, shifts): F_xi is odd with momentum-frame shifts +-p; an array has its
-    parity scanned, and every diagonal a candidate; no sign unless asked for."""
+    parity scanned, and every diagonal a candidate; no sign unless asked for.  The
+    checked operand is then written on every row, or on rows 0 .. N/2 and no other."""
     space = TorusSpace(n)
-    buf = np.empty((n, n), dtype=complex)
+
+    def writes(op, entries):
+        for rows in (n, n // 2 + 1):
+            buf = np.full((n, n), np.nan, dtype=complex)
+            otoc._fill(space, op, buf, rows)
+            assert np.array_equal(buf[:rows], entries[:rows]) and np.isnan(buf[rows:]).all()
+
     for xi in [(1, 0), (0, 1), (2, 3), (-1, -2), (n + 1, 2 * n + 3), (0, 0)]:
         expected = sorted({xi[1] % n, -xi[1] % n})
-        assert otoc._fill(space, xi, buf, "A", True) == (-1, expected)
-        assert otoc._fill(space, xi, buf, "A", False) == (0, expected)
-        assert np.array_equal(buf, hermitian_f(space, xi))
+        op, *classified = otoc._operand(space, xi, "A", True)
+        assert classified == [-1, expected]
+        assert otoc._operand(space, xi, "A", False)[1:] == (0, expected)
+        writes(op, hermitian_f(space, xi))
     cosine = (translation(space, (1, 1)) + translation(space, (-1, -1))) / 2
     for op, sign in [(sine_position(space), -1), (cosine, 1),
                      (random_traceless_hermitian(space, 5), 0)]:
-        assert otoc._fill(space, op, buf, "B", True) == (sign, None)
-        assert otoc._fill(space, op, buf, "B", False) == (0, None)
-        assert np.array_equal(buf, op)
+        assert otoc._operand(space, op, "B", True)[1:] == (sign, None)
+        assert otoc._operand(space, op, "B", False)[1:] == (0, None)
+        writes(op, op)
 
 
 @pytest.mark.parametrize("n, b, scans, sector", [(64, "even", ["B", "A"], "even"),

@@ -223,6 +223,21 @@ def test_f_writer_reproduces_translation_based_hermitian_f():
         assert hermitian_f(space, xi).tobytes() == f.tobytes(), xi
 
 
+@pytest.mark.parametrize("n", [16, 17, 1024])
+def test_f_writer_on_rows_0_to_half_gives_the_rows_of_hermitian_f(n):
+    """F_xi written on rows 0 .. N/2 alone has hermitian_f's bits there, also where
+    diagonal xi_q is its own transpose (xi_q = 0 or N/2), and no other row is written."""
+    space = TorusSpace(n)
+    h = n // 2
+    for xi in [(1, 0), (0, 1), (1, 1), (2, 3), (h, 1), (0, 0), (h, 0), (0, h), (h, h),
+               (-1, 2), (n + 1, 2 * n + 3), (-n - 2, -3 * n + 1)]:
+        out = np.full((n, n), np.nan, dtype=complex)
+        out[:h + 1] = 0
+        _write_f(space, xi, out, h + 1)
+        assert out[:h + 1].tobytes() == hermitian_f(space, xi)[:h + 1].tobytes(), xi
+        assert np.isnan(out[h + 1:]).all(), xi
+
+
 @pytest.mark.parametrize("xi", [(1, 1), (2, 3), (3, 1)])
 def test_hermitian_f_is_hermitian_traceless(xi):
     space = TorusSpace(4)
@@ -370,6 +385,68 @@ def test_every_count_size_and_centre_refuses_bad_values(name, value):
     umap = quantize(cat_map(0.02), TorusSpace(8))
     with pytest.raises(ValueError, match=f"^{name} must be"):
         _COUNT_ENTRY_POINTS[name](umap, value)
+
+
+# every public entry point that takes an operator or a displacement, called on the cat
+# map at N=8: (the argument's name in the error, the call)
+_OPERAND_ENTRY_POINTS = {
+    "otoc_series a": ("operator A", lambda umap, x: otoc_series(umap, x, (1, 0), 2)),
+    "otoc_series b": ("operator B", lambda umap, x: otoc_series(umap, (0, 1), x, 2)),
+    "hermitian_f": ("xi", lambda umap, x: hermitian_f(umap.space, x)),
+    "translation": ("xi", lambda umap, x: translation(umap.space, x)),
+    "chord_transform": ("operator", lambda umap, x: chord_transform(umap.space, x)),
+    "channel_step": ("operator", lambda umap, x: channel_step(umap, None, x)),
+    "evolve": ("operator", lambda umap, x: next(evolve(umap, None, x, 2))),
+    "krylov_leading": ("Krylov seed", lambda umap, x: krylov_leading(umap, None, x, depth=10)),
+}
+_NON_INTEGRAL_FLOATS = st.floats().filter(lambda x: not x.is_integer())
+_SMALL = st.integers(-10, 10)
+_BAD_OPERANDS = (
+    # a displacement with a fractional, NaN or infinite entry
+    st.tuples(st.just("pair"), _NON_INTEGRAL_FLOATS, _SMALL)
+    | st.tuples(st.just("pair"), _SMALL, _NON_INTEGRAL_FLOATS)
+    # a displacement of the wrong length
+    | st.tuples(st.just("list"), st.lists(_SMALL, max_size=5).filter(lambda v: len(v) != 2))
+    # the sine operator with one NaN or infinite entry
+    | st.tuples(st.just("entry"), st.integers(0, 7), st.integers(0, 7),
+                st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.inf)]))
+    # an array of the wrong shape; a shape (2,) array is a displacement
+    | st.tuples(st.just("shape"), st.lists(st.integers(0, 9), max_size=3).map(tuple)
+                .filter(lambda s: s not in ((8, 8), (2,)))))
+
+
+def _bad_operand(space, bad):
+    kind, *args = bad
+    if kind == "pair":
+        return tuple(args)
+    if kind == "list":
+        return args[0]
+    if kind == "entry":
+        i, j, value = args
+        x = sine_position(space)
+        x[i, j] = value
+        return x
+    return np.zeros(args[0])
+
+
+@settings(max_examples=120, deadline=None)
+@example("otoc_series a", ("pair", 0.5, 1))
+@example("otoc_series b", ("entry", 0, 0, np.nan))
+@example("hermitian_f", ("list", [1, 2, 3]))
+@example("evolve", ("entry", 0, 0, np.nan))
+@example("channel_step", ("entry", 3, 5, np.inf))
+@example("chord_transform", ("entry", 1, 2, np.nan))
+@example("krylov_leading", ("shape", (8, 7)))
+@given(st.sampled_from(sorted(_OPERAND_ENTRY_POINTS)), _BAD_OPERANDS)
+def test_every_operator_and_displacement_refuses_bad_values(entry, bad):
+    """A displacement with a fractional, NaN or infinite entry or of the wrong length, an
+    operator with a NaN or infinite entry, and an array of the wrong shape are each
+    refused with a ValueError that names the argument (evolve, channel_step and
+    chord_transform computed NaN from a non-finite operator before)."""
+    umap = quantize(cat_map(0.02), TorusSpace(8))
+    name, call = _OPERAND_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=name):
+        call(umap, _bad_operand(umap.space, bad))
 
 
 def _mirror(x):

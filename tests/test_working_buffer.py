@@ -161,6 +161,36 @@ def test_a_step_on_the_padded_buffer_allocates_no_more_than_on_a_plain_array():
     assert padded <= plain + 4096, peaks
 
 
+@pytest.mark.parametrize("n", [64, 66, 1024])
+def test_a_sector_series_touches_no_row_past_the_half_spectrum(n, monkeypatch):
+    """A sector XP series works on rows 0 .. N/2 and on the half spectrum carved after
+    them (phase_space._half_spectrum), and on no row past it: filled with NaN, those rows
+    leave every bit of the series as it is and still hold NaN afterwards."""
+    space = TorusSpace(n)
+    umap = quantize(cat_map(0.02), space)
+    kernel = coarse_graining.build_kernel(space, 0.01)
+    expected = otoc.otoc_series(umap, (0, 1), (1, 0), 6, kernel)
+    buffers = []
+
+    def sentinel(m):
+        buf = phase_space._working(m)
+        assert np.shares_memory(phase_space._half_spectrum(buf), buf)
+        rows = phase_space._whole_rows(buf)
+        h = m // 2
+        past = h + 1 + -(-(h + 1) ** 2 // rows.shape[1])
+        rows[past:] = np.nan
+        buffers.append(rows[past:])
+        return buf
+
+    monkeypatch.setattr(otoc, "_working", sentinel)
+    got = otoc.otoc_series(umap, (0, 1), (1, 0), 6, kernel)
+    assert got.sector == expected.sector == "odd"
+    for name in ("c", "o1", "o2"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+    (past,) = buffers
+    assert past.shape[0] > n // 5 and np.isnan(past).all()
+
+
 @pytest.mark.parametrize("n", list(range(2, 25)) + [63, 64, 512, 1000, 1024])
 def test_gathered_diagonals_match_the_full_scan(n):
     """F_(q,p) in the momentum frame lies on diagonals +-p; gathered there with the
@@ -168,7 +198,8 @@ def test_gathered_diagonals_match_the_full_scan(n):
     space = TorusSpace(n)
     buf = phase_space._working(n)
     for xi in _displacements(n):
-        _, candidates = otoc._fill(space, xi, buf, "B", False)
+        op, _, candidates = otoc._operand(space, xi, "B", False)
+        otoc._fill(space, op, buf, n)
         bm = phase_space._change_frame(buf, MOMENTUM)
         shifts, d = otoc._nonzero_diagonals(bm)
         gathered, dg = otoc._nonzero_diagonals(bm, candidates)
@@ -179,16 +210,25 @@ def test_gathered_diagonals_match_the_full_scan(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 63, 64, 512])
-def test_two_diagonal_defect_equals_the_blocked_scan(n):
+def test_two_diagonal_defect_equals_the_blocked_scan(n, monkeypatch):
+    """F_xi's defect, read from its two diagonals, is the blocked scan's of the written
+    F_xi; a perturbed or NaN diagonal entry is seen as the scan sees it."""
     space = TorusSpace(n)
-    buf = phase_space._working(n)
+    diagonals = phase_space._f_diagonals
     for xi in _displacements(n):
-        buf.fill(0)
-        phase_space._write_f(space, xi, buf)
-        assert phase_space._diagonal_pair_defect(buf, xi[0]) == hermiticity_defect(buf)
-        buf[xi[0] % n, 0] += 0.25 + 0.5j  # off the diagonal, or an imaginary part on it
-        defect = phase_space._diagonal_pair_defect(buf, xi[0])
-        assert defect > 0 and defect == hermiticity_defect(buf)
-        buf[xi[0] % n, 0] = np.nan
-        assert np.isnan(phase_space._diagonal_pair_defect(buf, xi[0]))
-        assert np.isnan(hermiticity_defect(buf))
+        assert phase_space._f_defect(space, xi) == hermiticity_defect(hermitian_f(space, xi))
+        for bad in (0.25 + 0.5j, np.nan):
+            def perturbed(space, xi):
+                j, lower, upper = diagonals(space, xi)
+                lower[0] += bad  # entry (j, 0): off the diagonal, or an imaginary part on it
+                if 2 * j % n == 0:  # diagonal j is its own transpose: upper[j] is (j, 0) too
+                    upper[j] = lower[0]
+                return j, lower, upper
+
+            monkeypatch.setattr(phase_space, "_f_diagonals", perturbed)
+            defect, buf = phase_space._f_defect(space, xi), hermitian_f(space, xi)
+            monkeypatch.undo()
+            if np.isnan(bad):
+                assert np.isnan(defect) and np.isnan(hermiticity_defect(buf))
+            else:
+                assert defect > 0 and defect == hermiticity_defect(buf)
