@@ -73,11 +73,7 @@ def lyapunov(spec: ClassicalMapSpec, n_traj: int = 100, t_horizon: int = 1000,
     Trajectories that start within 1e-12 of a fixed point are redrawn and
     counted.
     """
-    n_traj, t_horizon = _count(n_traj, "n_traj"), _count(t_horizon, "t_horizon")
-    if t_horizon < 10:
-        raise ValueError(f"t_horizon must be at least 10, got {t_horizon}")
-    if n_traj < 1:
-        raise ValueError("need at least one trajectory")
+    n_traj, t_horizon = _count(n_traj, "n_traj", 1), _count(t_horizon, "t_horizon", 10)
     points = np.empty((n_traj, 2))
     angles = np.empty(n_traj)
     resampled = 0

@@ -47,7 +47,7 @@ from .maps import (AS_PRINTED, CAT, CORRESPONDENCE, HARPER, STANDARD,
                    ClassicalMapSpec, cat_map, harper_map, quantize, standard_map)
 from .otoc import _displacement_sector, analytic_cat_otoc, fit_growth, otoc_series
 from .phase_space import TorusSpace, sine_position
-from .resonances import (_DENSE_LIMIT, _sector_dim, dense_superoperator, fit_tail_rate,
+from .resonances import (_DENSE_LIMIT, _RealSector, dense_superoperator, fit_tail_rate,
                          full_spectrum, krylov_leading, random_traceless_hermitian)
 
 __all__ = ["RunConfig", "run_otoc", "run_sweep", "run_resonances", "run_lyapunov", "main"]
@@ -251,6 +251,14 @@ _OTOC_BYTES_PER_STEP = 970
 # are added to the measured N^2 term, and count where that passes the rounded one.
 _OTOC_BYTES_PER_PART = 0.5e6
 _OTOC_BYTES_PER_PART_N = 800
+# Peak RSS of a depth-12 Krylov run (cat, sine seed, odd sector) less its basis read
+# 81.9 MB at N=768, 115.4 MB at N=1024, 157.3 MB at N=1280, 219.3 MB at N=1536 and
+# 358.8 MB at N=2048 (numpy 2.4, MB = 10^6 bytes), 34 MB + 77.4 N^2 from N=1024 on.
+# About 72 N^2 of it (tracemalloc) are complex N x N arrays held at the Ritz checks:
+# the seed the caller keeps, the working buffer, the Ritz operator, the temporary of
+# its imaginary part, and the scratch R of the unpack.  Charged over the otoc base, the
+# N^2 term rounded up to 80 N^2; 1-64 forced parts moved the peak by at most 1 MB.
+_KRYLOV_BYTES_PER_N2 = 80
 # the memory limit of this process's cgroup, v2 and then v1, in bytes, or "max"
 # for none (v1 writes a huge number instead); only read
 _MEMORY_MAX = "/sys/fs/cgroup/memory.max"
@@ -479,12 +487,13 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
                    n_wanted: int = 10, seed_op: str = "sine") -> Path:
     """Channel eigenvalues to resonances.csv; dense is refused above N=24.
 
-    A dense run above N=24, and a Krylov run whose real basis, 8 (depth + 1) d
-    bytes, exceeds physical memory or the cgroup's memory limit, are refused
-    before anything is allocated.
-    d is N^2 without a parity sector and about N^2 / 2 in one, the sector
-    predicted from the map, N and the seed (:func:`_krylov_sector`); the
-    manifest records that preflight as ``resource.preflight_mb``.
+    A dense run above N=24, and a Krylov run whose working set exceeds physical
+    memory or the cgroup's memory limit, are refused before anything is
+    allocated.  That working set is 44 MB + 80 N^2 bytes, the interpreter and the
+    run's N x N arrays, plus the real basis, 8 (depth + 1) d bytes: d is N^2
+    without a parity sector and about N^2 / 2 in one, the sector predicted from
+    the map, N and the seed (:func:`_krylov_sector`).  The manifest records that
+    preflight as ``resource.preflight_mb``.
     """
     start = time.monotonic()
     if method not in ("dense", "krylov"):
@@ -494,9 +503,11 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
     if method == "krylov":
         if seed_op not in ("sine", "random"):
             raise CliError(f"seed_op must be sine or random, got {seed_op!r}")
-        need = 8 * (depth + 1) * _sector_dim(config.n, _krylov_sector(config, seed_op))
-        _refuse_beyond_memory(need, "Krylov basis (8 x (depth + 1) x d bytes, d = N^2, or "
-                                    "about N^2 / 2 in a parity sector)")
+        need = (_OTOC_BASE_BYTES + _KRYLOV_BYTES_PER_N2 * config.n ** 2
+                + 8 * (depth + 1) * _RealSector(config.n, _krylov_sector(config, seed_op)).dim)
+        _refuse_beyond_memory(need, "Krylov working set (44 MB + 80 x N^2 bytes + the basis, "
+                                    "8 x (depth + 1) x d bytes, d = N^2, or about N^2 / 2 in "
+                                    "a parity sector)")
     with warnings.catch_warnings(record=True) as caught:
         space, umap, kernel = _build_channel(config)
         derived: list[tuple[str, str]] = [("derived.method", method)]

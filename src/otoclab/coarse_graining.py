@@ -20,15 +20,14 @@ The package's one Heisenberg step, :func:`_step`, applies each kick and
 mask in place in the frame where it is elementwise and starts and ends in
 the momentum frame; :func:`_evolve_in_place` iterates it on a caller's
 buffer (for :func:`evolve` and the OTOC series) and the Krylov solver calls
-it directly.  Given a parity sign the step works on R = Re Z, Z = (1 - i)A, on
-rows 0 .. N/2 only (the parity sector of :mod:`otoclab.phase_space`): the
-OTOC series and the Krylov solver pass one when their operator keeps a
-definite parity, x[-i, -j] = sign x[i, j], which holds at even N when the
-kick phases are exactly mirror-symmetric (:func:`_keeps_parity`, true of
+it directly.  Both hold Z = (1 - i)A (:mod:`otoclab.phase_space`), which
+the step advances as it does A.  Given a parity sign the step works on R =
+Re Z on rows 0 .. N/2 only, the parity sector, which holds at even N when
+the kick phases are exactly mirror-symmetric (:func:`_keeps_parity`, true of
 every map :func:`~otoclab.maps.quantize` builds; the mask f[(r - s) % N]
-always is).  :func:`evolve` takes the full step.  The chord-space dephasing
-and the literal sum over all N^2 translations are
-kept as oracles.
+always is).  :func:`evolve` takes the full step on A itself.  The
+chord-space dephasing and the literal sum over all N^2 translations are kept
+as oracles.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import numpy as np
 from .maps import QuantumMap
 from .phase_space import (MOMENTUM, POSITION, TorusSpace, _change_frame, _cyclic_diagonals,
                           _count, _finite, _from_cyclic_diagonals, _imag_from_real, _operator,
-                          _row_width, _split, _to_momentum, _whole_rows, translation)
+                          _row_width, _split, _whole_rows, translation)
 
 __all__ = [
     "CoarseGrainKernel",
@@ -59,24 +58,19 @@ _DENSE_LIMIT = 64
 class CoarseGrainKernel:
     """Dephasing data for one (N, epsilon) pair, as 1D factors.
 
-    ``axis`` is one factor of c~, ``w`` the 1D weights and ``f`` their DFT,
-    real and in [0, 1].  c_tilde, the convex translation weights c_weights
-    and the chord eigenvalues diag_chord[chi_q, chi_p] are their N x N outer
-    products, built on first use.  clip_magnitude is the most negative 2D
+    ``w`` holds the 1D weights and ``f`` their DFT, real and in [0, 1].  The
+    convex translation weights c_weights and the chord eigenvalues
+    diag_chord[chi_q, chi_p] are their N x N outer products, built on first
+    use.  clip_magnitude is the most negative 2D
     weight clipped away (zero in exact arithmetic: the kernel is a product of
     von Mises factors, whose Fourier coefficients are strictly positive).
     """
 
     space: TorusSpace
     epsilon: float
-    axis: np.ndarray
     w: np.ndarray
     f: np.ndarray
     clip_magnitude: float
-
-    @functools.cached_property
-    def c_tilde(self) -> np.ndarray:
-        return np.outer(self.axis, self.axis)
 
     @functools.cached_property
     def c_weights(self) -> np.ndarray:
@@ -109,7 +103,7 @@ def build_kernel(space: TorusSpace, epsilon: float) -> CoarseGrainKernel:
     f = np.fft.fft(w)
     if np.abs(f.imag).max() > 1e-10:
         raise ValueError("chord eigenvalues acquired an imaginary part; kernel symmetry broken")
-    return CoarseGrainKernel(space, float(epsilon), axis, w, f.real.copy(), clip)
+    return CoarseGrainKernel(space, float(epsilon), w, f.real.copy(), clip)
 
 
 def apply_dephasing_dense(kernel: CoarseGrainKernel, a: np.ndarray) -> np.ndarray:
@@ -190,12 +184,11 @@ def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray,
 
     A nonzero ``sign`` is the parity of the operator at even N, which the caller
     vouches the channel keeps (:func:`_keeps_parity`).  ``at`` then holds the
-    parity sector of :mod:`~otoclab.phase_space`, R = Re Z on rows 0 .. N/2 with
-    Z = (1 - i)A, and only R is read and written.  A kick multiplies A entry by
-    entry, so it multiplies Z the same way, after Im Z = -R^T is rebuilt
-    (:func:`~otoclab.phase_space._imag_from_real`); the frame changes are the real
-    ones (:func:`~otoclab.phase_space._sector_frame`), and the last mask, which is
-    real, multiplies R alone.  Rows beyond N/2 and Im Z are left stale.
+    parity sector of :mod:`~otoclab.phase_space`, R = Re Z on rows 0 .. N/2, and
+    only R is read and written: each kick multiplies Z after Im Z = -R^T is
+    rebuilt (:func:`~otoclab.phase_space._imag_from_real`), the frame changes are
+    the real ones (:func:`~otoclab.phase_space._sector_frame`), and the last mask,
+    which is real, multiplies R alone.  Rows beyond N/2 and Im Z are left stale.
     """
     n = at.shape[0]
     rows = _whole_rows(at)
@@ -234,13 +227,12 @@ def _evolve_in_place(umap: QuantumMap, kernel: CoarseGrainKernel | None, at: np.
                      steps: int, sign: int = 0):
     """:func:`evolve` on the caller's N x N complex buffer of position-basis entries: it is
     changed to the momentum frame once, yielded, and advanced by :func:`_step`, the step
-    the Krylov solver shares, each time.  A nonzero ``sign``, the buffer's parity, turns
-    rows 0 .. N/2 into the parity sector Z = (1 - i)A first and makes the first change of
-    frame and every step the sector's, so from the first yield on only R = Re Z on rows
-    0 .. N/2 is valid."""
+    the Krylov solver shares, each time.  A nonzero ``sign``, the buffer's parity, means
+    that rows 0 .. N/2 hold Z = (1 - i)A and makes the first change of frame and every
+    step the sector's, so from the first yield on only R = Re Z on those rows is valid."""
     steps = _count(steps, "steps")
     mask = _mask(kernel)
-    yield _to_momentum(at, sign)
+    yield _change_frame(at, MOMENTUM, sign)
     for _ in range(steps):
         yield _step(umap, mask, at, sign)
 

@@ -26,22 +26,19 @@ over it.  The blocks are spread over the CPUs with
 are added in block order on the calling thread, so the series does not depend
 on the part count.
 
-At even N, when A and B each have a definite parity x[-i, -j] = +-x[i, j]
-(F_xi is odd) and both kick phase vectors of the map are mirror-symmetric,
-A(t) keeps A's parity, and the series runs in that sector: A(t) is held as
-R = Re Z, Z = (1 - i)A(t), on rows 0 .. N/2 (see
-:mod:`~otoclab.phase_space`), and each step works on those rows only
-(:func:`~otoclab.coarse_graining._step`).  B and A are written on those rows
-alone, and B's momentum-frame diagonals come from its own sector transform, so
-the run touches no row of its buffer beyond them and the half spectrum that
-the transforms carve after them.  The contraction sums rows
-1 .. N/2 - 1 twice and rows 0 and N/2 once, since AB and BA have the same
-parity.  Its constant factors are exact: for B diagonal the one-pass sums
-read R alone, as |A_rc|^2 = (R_rc^2 + R_cr^2) / 2; any other B sums blocks
-of ZB and BZ, after Im Z = -R^T is rebuilt and the few rows beyond N/2 that
-BZ reads are filled from their mirrors, and |1 - i|^2 = 2 divides both sums.
-The sector agrees with the full path to rounding, and its bits do not depend
-on the part count either.  Every other case takes the full path.
+The buffer holds Z = (1 - i)A(t), on the full path as in the parity sector
+(see :mod:`~otoclab.phase_space`), and B's diagonals are read from R = Re Z
+of its momentum-frame (1 - i)B.  For B diagonal the one-pass sums read R
+alone, as |A_rc|^2 = (R_rc^2 + R_cr^2) / 2; any other B sums blocks of ZB and
+BZ, and |1 - i|^2 = 2 divides both sums.  At even N, when A and B each have a
+definite parity x[-i, -j] = +-x[i, j] (F_xi is odd) and both kick phase
+vectors of the map are mirror-symmetric, A(t) keeps A's parity and the series
+runs in that sector: B and A are written on rows 0 .. N/2 alone, every step
+works on R there (:func:`~otoclab.coarse_graining._step`), and the
+contraction sums rows 1 .. N/2 - 1 twice and rows 0 and N/2 once, since AB
+and BA have the same parity; the blocks form first rebuilds Im Z = -R^T and
+fills the few rows beyond N/2 that BZ reads from their mirrors.  The sector
+agrees with the full path to rounding.  Every other case takes the full path.
 """
 
 from __future__ import annotations
@@ -57,9 +54,9 @@ from . import coarse_graining
 from .classical import _cat_power
 from .coarse_graining import _keeps_parity
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
-from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, TorusSpace, _count, _cyclic_diagonals,
-                          _displacement, _f_defect, _imag_from_real, _mirror_rows, _operator,
-                          _parity, _parts, _size, _split, _to_momentum, _whole_rows, _working,
+from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame,
+                          _count, _displacement, _f_defect, _imag_from_real, _mirror_rows,
+                          _operator, _parity, _parts, _size, _split, _whole_rows, _working,
                           _write_f, hermiticity_defect, symplectic_product)
 
 __all__ = [
@@ -77,8 +74,8 @@ __all__ = [
 _HERMITIAN_TOL = 1e-10
 _DIAG_TOL = 1e-12
 _COMMUTATOR_LIMIT = 64
-# rows a block of the one-pass contraction squares: as many rows of 2N reals as a
-# part's scratch pair of 16-row complex blocks holds
+# rows of N reals a block of the one-pass contraction squares, in a part's scratch
+# pair of 16-row complex blocks
 _SQUARE_BLOCK = 2 * _ROW_BLOCK
 
 
@@ -118,19 +115,18 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
     anything is written, and the parity sector (see the module notes) is picked
     from the two, and recorded as ``sector``.  The call then holds one N x N array
     (:func:`~otoclab.phase_space._working`, allocated zeroed, rows padded at some
-    N): B is written into it (:func:`_fill`) and changed to the momentum frame,
-    where its nonzero cyclic diagonals are gathered; A is then written over it
-    and evolved there in place.  Only an array B has all N diagonals scanned:
-    F_(q,p) is F_(p,-q) in the momentum frame, so only its diagonals +-p are
-    read.  In the sector B and A are written on rows 0 .. N/2 only, B's change
-    of frame is the sector's real transform, whose half spectrum takes the rows
-    after them, and B's diagonals are read from R through its mirrors, so the
-    rest of the buffer is never touched.  Beside it the contraction holds two
-    16-row blocks of AB and BA per part, at most N / 256 parts
-    (:func:`~otoclab.phase_space._parts`), so at most N^2 / 8 entries; the
-    one-pass form squares 32 rows of A(t) at a time into the same scratch.
-    ``layout`` and ``contraction`` record the buffer's rows and the form of the
-    contraction.
+    N): (1 - i)B is written into it (:func:`_fill`) and changed to the momentum
+    frame, where its nonzero cyclic diagonals are gathered; (1 - i)A is then
+    written over it and evolved there in place.  Only an array B has all N
+    diagonals scanned: F_(q,p) is F_(p,-q) in the momentum frame, so only its
+    diagonals +-p are read.  In the sector B and A are written on rows 0 .. N/2
+    only, and B's change of frame is the sector's real transform, whose half
+    spectrum takes the rows after them, so the rest of the buffer is never
+    touched.  Beside it the contraction holds two 16-row blocks of AB and BA per
+    part, at most N / 256 parts (:func:`~otoclab.phase_space._parts`), so at most
+    N^2 / 8 entries; the one-pass form squares 32 rows of A(t) at a time into the
+    same scratch.  ``layout`` and ``contraction`` record the buffer's rows and the
+    form of the contraction.
     """
     t_max = _count(t_max, "t_max")
     space, n = umap.space, umap.dim
@@ -140,7 +136,7 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
     rows = n // 2 + 1 if sign else n
     buffer = _working(n)
     _fill(space, b, buffer, rows)
-    shifts, d = _nonzero_diagonals(_to_momentum(buffer, b_sign), b_shifts, b_sign)
+    shifts, d = _nonzero_diagonals(_change_frame(buffer, MOMENTUM, b_sign), b_shifts, b_sign)
     _fill(space, a, buffer, rows)
     del a, b  # a complex copy of a real or integer array operand is not kept
     # one ab/ba pair per part, zeroed, so a zero B (no diagonals) gives O1 = O2 = 0
@@ -192,15 +188,16 @@ def _operand(space: TorusSpace, op: np.ndarray | tuple[int, int], name: str, par
 
 def _fill(space: TorusSpace, op: np.ndarray | tuple[int, int], out: np.ndarray,
           rows: int) -> None:
-    """Write rows 0 .. ``rows`` - 1 of the position-basis entries of ``op``, a checked
-    N x N array or displacement (:func:`_operand`), into ``out``; no other row is
-    touched.  A displacement is F_xi's two cyclic diagonals on zeroed rows
-    (:func:`~otoclab.phase_space._write_f`)."""
+    """Write rows 0 .. ``rows`` - 1 of Z = (1 - i)op, ``op`` a checked N x N array or
+    displacement (:func:`_operand`) in the position basis, into ``out``; no other row
+    is touched.  A displacement is F_xi's two cyclic diagonals on zeroed rows
+    (:func:`~otoclab.phase_space._write_f`), then scaled."""
     if isinstance(op, tuple):
         out[:rows] = 0
         _write_f(space, op, out, rows)
+        out[:rows] *= 1 - 1j
     else:
-        np.copyto(out[:rows], op[:rows])
+        np.multiply(op[:rows], 1 - 1j, out=out[:rows])
 
 
 def _check_hermitian(defect: float, name: str) -> None:
@@ -208,38 +205,37 @@ def _check_hermitian(defect: float, name: str) -> None:
         raise ValueError(f"operator {name} is not Hermitian (defect {defect:.2e})")
 
 
-def _nonzero_diagonals(bm: np.ndarray, candidates: list[int] | None = None, sign: int = 0
+def _nonzero_diagonals(zm: np.ndarray, candidates: list[int] | None = None, sign: int = 0
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Shifts j and rows d[k, q] = B[q + j_k, q] of the cyclic diagonals of momentum-frame
     B that are not noise, among the shifts ``candidates`` (ascending, every diagonal when
-    None), found a block of diagonals at a time so no N x N gather is made.  ``bm`` holds
-    B, or with B's parity ``sign`` the sector, R = Re Z on rows 0 .. N/2, read through
-    its mirrors (:func:`_sector_diagonals`)."""
-    j = np.arange(bm.shape[0]) if candidates is None else np.asarray(candidates)
-
-    def gather(js):
-        return _sector_diagonals(bm, js, sign) if sign else _cyclic_diagonals(bm, js)
+    None), found a block of diagonals at a time so no N x N gather is made.  ``zm`` holds
+    Z = (1 - i)B, with B's parity ``sign`` as the sector's R = Re Z on rows 0 .. N/2
+    (:func:`_real_diagonals`)."""
+    j = np.arange(zm.shape[0]) if candidates is None else np.asarray(candidates)
 
     def blocks(js):
-        return (gather(b) for b in np.split(js, range(_ROW_BLOCK, js.size, _ROW_BLOCK)))
+        return (_real_diagonals(zm, b, sign)
+                for b in np.split(js, range(_ROW_BLOCK, js.size, _ROW_BLOCK)))
 
     size = np.concatenate([np.abs(b).max(axis=1) for b in blocks(j)])
     shifts = j[size > _DIAG_TOL * max(size.max(), 1.0)]
     return shifts, np.concatenate(list(blocks(shifts)))
 
 
-def _sector_diagonals(x: np.ndarray, shifts: np.ndarray, sign: int) -> np.ndarray:
-    """d[k, q] = B[q + j_k, q] of a Hermitian B of parity ``sign`` from the sector R =
-    Re Z, Z = (1 - i)B, on rows 0 .. N/2 of x: B = S + iK with S = (R + R^T) / 2 and
-    K = (R - R^T) / 2, and a row r beyond N/2 is read as R[r, c] = sign R[N - r, -c]."""
+def _real_diagonals(x: np.ndarray, shifts: np.ndarray, sign: int) -> np.ndarray:
+    """d[k, q] = B[q + j_k, q] of a Hermitian B from R = Re Z, Z = (1 - i)B, in x: B =
+    S + iK with S = (R + R^T) / 2 and K = (R - R^T) / 2.  With B's parity ``sign`` x
+    holds R on rows 0 .. N/2 only, and a row r beyond N/2 is read as R[r, c] =
+    sign R[N - r, -c]."""
     n = x.shape[0]
-    r = x[:n // 2 + 1].real
+    r = x.real
     q = np.arange(n)
     rows = (q[None, :] + np.asarray(shifts)[:, None]) % n
     cols = np.broadcast_to(q, rows.shape)
 
     def read(i, j):
-        far = i > n // 2
+        far = i > (n // 2 if sign else n)
         v = r[np.where(far, n - i, i), np.where(far, -j % n, j)]
         return np.where(far, sign * v, v)
 
@@ -272,33 +268,29 @@ def _contraction(shifts: np.ndarray) -> str:
 
 def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
               scratch: list[np.ndarray], sign: int = 0) -> tuple[complex, float]:
-    """O1 = <BA, AB>_F / N and O2 = ||AB||_F^2 / N of momentum-frame A(t) against
-    B's cyclic diagonals, a block of rows at a time.
+    """O1 = <BA, AB>_F / N and O2 = ||AB||_F^2 / N of momentum-frame A(t), held as Z =
+    (1 - i)A(t) in ``at``, against B's cyclic diagonals, a block of rows at a time.
 
-    For B diagonal, B = diag(d) (:func:`_contraction`), AB[r, q] = A[r, q] d_q and
-    BA[r, q] = d_r A[r, q], so O1 = sum conj(d_r) d_q |A_rq|^2 and O2 = sum
-    |d_q|^2 |A_rq|^2 (before the 1/N) come from one pass over |A(t)|^2, 32 rows
-    at a time (:func:`_diagonal_rows`).  Any other B sums blocks of 16 rows of AB
-    and BA (:func:`_contract_rows`).  The blocks are spread over the parts of
-    :func:`~otoclab.phase_space._split`, part i working in ``scratch[i]``, and
-    start on fixed edges; the per-block sums come back and are added here in
-    block order, so the bits depend on neither the part count nor the BLAS
-    thread count: every sum is a ufunc or einsum reduction.  With A(t)'s parity
-    ``sign`` ``at`` holds the sector, R = Re Z on rows 0 .. N/2: the diagonal
-    form reads R alone (:func:`_sector_diagonal_rows`); the blocks rebuild Im Z,
-    fill the rows beyond N/2 that BZ reads from their mirrors and halve their
-    sums over Z = (1 - i)A.  Row r of AB and BA is row -r up to one common
-    sign, so rows 1 .. N/2 - 1 are summed and doubled, and rows 0 and N/2
-    added once.
+    For B diagonal, B = diag(d) (:func:`_contraction`), O1 = sum conj(d_r) d_q
+    |A_rq|^2 and O2 = sum |d_q|^2 |A_rq|^2 (before the 1/N) come from one pass
+    over R = Re Z, 32 rows at a time (:func:`_diagonal_rows`).  Any other B sums
+    blocks of 16 rows of ZB and BZ (:func:`_contract_rows`) and halves both sums.
+    The blocks are spread over the parts of :func:`~otoclab.phase_space._split`,
+    part i working in ``scratch[i]``, and start on fixed edges; the per-block sums
+    come back and are added here in block order, so the bits depend on neither the
+    part count nor the BLAS thread count: every sum is a ufunc or einsum
+    reduction.  With A(t)'s parity ``sign`` ``at`` holds the sector, R on rows
+    0 .. N/2: the blocks first rebuild Im Z and fill the rows beyond N/2 that BZ
+    reads from their mirrors.  Row r of AB and BA is row -r up to one common sign,
+    so rows 1 .. N/2 - 1 are summed and doubled, and rows 0 and N/2 added once.
     """
     n = at.shape[0]
     h = n // 2
     diagonal = _contraction(shifts) == "diagonal"
-    diagonal_rows = _sector_diagonal_rows if sign else _diagonal_rows
 
     def block_sums(part, rows):
         if diagonal:
-            return diagonal_rows(at, d[0], scratch[part], rows)
+            return _diagonal_rows(at, d[0], scratch[part], rows)
         return _contract_rows(at, shifts, d, *scratch[part], rows)
 
     if sign and not diagonal:
@@ -318,38 +310,18 @@ def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
             ((b1, b2),) = block_sums(0, slice(r, r + 1))
             o1 += b1
             o2 += b2
-        if not diagonal:  # the blocks summed Z = (1 - i)A: |1 - i|^2 = 2 in both sums
-            o1, o2 = o1 / 2, o2 / 2
+    if not diagonal:  # the blocks summed Z = (1 - i)A: |1 - i|^2 = 2 in both sums
+        o1, o2 = o1 / 2, o2 / 2
     return o1 / n, o2 / n
 
 
 def _diagonal_rows(at: np.ndarray, d: np.ndarray, scratch: np.ndarray,
                    rows: slice) -> list[tuple[complex, float]]:
-    """(O1, O2) partial sums, unscaled, of each block of 32 ``rows`` for B = diag(d):
-    the block's squared real and imaginary parts go into ``scratch``, read as reals,
-    and one einsum weighs each row with d.real, d.imag and |d|^2, every entry twice
-    to meet the (real, imaginary) pairs of a row of A(t)."""
-    width = 2 * at.shape[1]
-    weights = np.repeat([d.real, d.imag, d.real * d.real + d.imag * d.imag], 2, axis=1)
-    d_conj = d.conj()
-    squares = scratch.reshape(-1).view(float)
-    sums = []
-    for i in range(rows.start, rows.stop, _SQUARE_BLOCK):
-        a = at[i:min(i + _SQUARE_BLOCK, rows.stop)].view(float)
-        s = squares[:a.size].reshape(-1, width)
-        np.multiply(a, a, out=s)
-        u = np.einsum("rj,kj->kr", s, weights)
-        sums.append((np.einsum("r,r->", d_conj[i:i + s.shape[0]], u[0] + 1j * u[1]),
-                     u[2].sum()))
-    return sums
-
-
-def _sector_diagonal_rows(at: np.ndarray, d: np.ndarray, scratch: np.ndarray,
-                          rows: slice) -> list[tuple[complex, float]]:
-    """:func:`_diagonal_rows` on the parity sector, from R = Re Z alone: |A_rc|^2 =
-    (R_rc^2 + R_cr^2) / 2, so O1 = sum R_rc^2 Re(conj(d_r) d_c) and O2 = sum R_rc^2
-    (|d_r|^2 + |d_c|^2) / 2.  The block's squares go into ``scratch``, read as reals,
-    and one einsum weighs each row with d.real, d.imag, |d|^2 and ones."""
+    """(O1, O2) partial sums, unscaled, of each block of 32 ``rows`` for B = diag(d), from
+    R = Re Z alone: |A_rc|^2 = (R_rc^2 + R_cr^2) / 2, so O1 = sum R_rc^2 Re(conj(d_r)
+    d_c) and O2 = sum R_rc^2 (|d_r|^2 + |d_c|^2) / 2.  The block's squares go into
+    ``scratch``, read as reals, and one einsum weighs each row with d.real, d.imag,
+    |d|^2 and ones."""
     weights = np.stack([d.real, d.imag, d.real * d.real + d.imag * d.imag, np.ones(d.size)])
     squares = scratch.reshape(-1).view(float)
     sums = []

@@ -20,20 +20,26 @@ and at most one per 256 lines of N, on a per-process thread pool.  Every
 line or block gets the same arithmetic as in one serial pass, so no result
 depends on the part count.
 
+A run does not hold the Hermitian operator A it evolves but Z = (1 - i)A:
+every OTOC series and every Krylov recursion writes its operands so, on the
+full path and in the parity sector alike.  For A = S + iK (S real symmetric,
+K real antisymmetric) Re Z = R = S + K and Im Z = -R^T, so R alone fixes A,
+and |A_rc|^2 = (R_rc^2 + R_cr^2) / 2.  A kick or a mask multiplies A entry by
+entry, so it multiplies Z the same way, and the full step, being linear,
+advances Z as it does A; a sum over Z that is quadratic in A carries the
+factor |1 - i|^2 = 2.
+
 Parity q -> -q maps entries x[i, j] to x[-i, -j] (indices mod N) in both
 frames.  An operator of definite parity, x[-i, -j] = sign x[i, j], is fixed
 by its rows 0 .. N/2, the one parity-sector layout of the package: the OTOC
-series evolves those rows, and the Krylov solver stores its directions as
-slices of them.  The sector holds Z = (1 - i)A there, not A: for Hermitian
-A = S + iK (S real symmetric, K real antisymmetric) Re Z = R = S + K and
-Im Z = -R^T, so R alone fixes the operator, and a kick or a mask, which
-multiplies A entry by entry, multiplies Z the same way.  The frame change of
-a real R of definite parity is real, so at even N :func:`_change_frame` given
-the sign runs :func:`_sector_frame`: real FFTs of rows 0 .. N/2, half the FFT
-lines of a complex pass, with no mirror fill and its half spectrum held in
-the memory of the rows beyond N/2.  :func:`_imag_from_real` rebuilds Im Z
-with one transpose pass, and :func:`_mirror_rows` fills the rows beyond N/2
-where a whole operator is needed.
+series evolves R on those rows, and the Krylov solver stores its directions as
+slices of them.  The frame change of a real R of definite parity is real, so
+at even N :func:`_change_frame` given the sign runs :func:`_sector_frame`:
+real FFTs of rows 0 .. N/2, half the FFT lines of a complex pass, with no
+mirror fill and its half spectrum held in the memory of the rows beyond N/2.
+:func:`_imag_from_real` rebuilds Im Z with one transpose pass, and
+:func:`_mirror_rows` fills the rows beyond N/2 where a whole operator is
+needed.
 
 A run's evolving N x N buffer comes from :func:`_working`.  At N >= 512 its
 rows are padded with (4 - N) mod 8 entries, so that the row stride is an odd
@@ -264,8 +270,8 @@ def _change_frame(x: np.ndarray, to: str, sign: int = 0) -> np.ndarray:
     parts of the columns and the axis-1 FFT over parts of the rows
     (:func:`_split`); each line is transformed alone, so the bits do not depend
     on the part count.  A nonzero ``sign`` is the parity of the operator at even
-    N, held as the parity sector Z = (1 - i)A of the module notes, and the
-    frame change is :func:`_sector_frame`'s real one.
+    N, held as R = Re Z on rows 0 .. N/2 (the parity sector of the module notes),
+    and the frame change is :func:`_sector_frame`'s real one.
     """
     if sign:
         return _sector_frame(x, to, sign)
@@ -274,16 +280,6 @@ def _change_frame(x: np.ndarray, to: str, sign: int = 0) -> np.ndarray:
     _split(lambda _, s: first(x[:, s], axis=0, out=x[:, s]), n)
     _split(lambda _, s: second(x[s], axis=1, out=x[s]), n)
     return x
-
-
-def _to_momentum(x: np.ndarray, sign: int = 0) -> np.ndarray:
-    """In place: position-frame entries of x to the momentum frame.  A nonzero ``sign``,
-    the parity of the Hermitian operator A that rows 0 .. N/2 of x hold, turns those
-    rows into the parity sector Z = (1 - i)A first and takes the sector's real
-    transform, so afterwards only R = Re Z on rows 0 .. N/2 is valid."""
-    if sign:
-        x[:x.shape[0] // 2 + 1] *= 1 - 1j
-    return _change_frame(x, MOMENTUM, sign)
 
 
 def _sector_frame(x: np.ndarray, to: str, sign: int) -> np.ndarray:
@@ -526,12 +522,11 @@ def sine_momentum(space: TorusSpace) -> np.ndarray:
     return hermitian_f(space, (1, 0))
 
 
-def _cyclic_diagonals(a: np.ndarray, shifts=None) -> np.ndarray:
-    """d[k, q] = a[(q + j_k) % n, q]: cyclic diagonal j_k as row k, every diagonal by default."""
+def _cyclic_diagonals(a: np.ndarray) -> np.ndarray:
+    """d[k, q] = a[(q + k) % n, q]: cyclic diagonal k as row k."""
     n = a.shape[0]
     q = np.arange(n)
-    j = q if shifts is None else np.asarray(shifts)
-    return a[(q[None, :] + j[:, None]) % n, q[None, :]]
+    return a[(q[None, :] + q[:, None]) % n, q[None, :]]
 
 
 def _from_cyclic_diagonals(d: np.ndarray) -> np.ndarray:

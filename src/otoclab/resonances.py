@@ -156,61 +156,44 @@ def random_traceless_hermitian(space: TorusSpace, seed: int = 0) -> np.ndarray:
     return h
 
 
-def _sector_dim(n: int, sign: int) -> int:
-    """The coordinates :class:`_RealSector` keeps: N^2 without a sector, else one per
-    mirror pair of the N^2 - f entries that are not their own mirror (f = 4 at even N
-    and 1 at odd N), plus, in the even sector, those f."""
-    if not sign:
-        return n * n
-    fixed = 4 if n % 2 == 0 else 1
-    return (n * n - fixed) // 2 + (fixed if sign > 0 else 0)
-
-
 class _RealSector:
     """Real coordinates of the Hermitian operators in one parity sector.
 
-    A Hermitian A = S + iK (S real symmetric, K real antisymmetric) is the
-    real matrix R = A.real + A.imag, with Tr(A^dag B) = R_A . R_B and
-    A = (R + R^T)/2 + i(R - R^T)/2.  Parity A[i, j] -> A[-i, -j] preserves
-    R, so in a sector A[-i, -j] = sign A[i, j] R is fixed by its rows
-    0 .. N/2, the layout of the sector step, which holds R as the real part
-    of Z = (1 - i)A (see :mod:`~otoclab.phase_space`).  One entry per mirror
-    pair is kept, scaled by sqrt 2 so the dot product stays the
-    Hilbert-Schmidt one, as slices of those rows in flat order: row 0 columns
-    1 .. ceil(N/2) - 1, rows 1 .. ceil(N/2) - 1 whole and, at even N, row N/2
-    columns 1 .. N/2 - 1; then, in the even sector only, the self-mirrored
-    entries (0, 0) and, at even N, (0, h), (h, 0) and (h, h), h = N/2.
-    ``sign`` 0 keeps every entry of R.  :meth:`pack` reads only those rows, of
-    an operator or of R itself; :meth:`write` writes R's rows 0 .. N/2, all
-    the sector step reads, and :meth:`unpack` every entry of an operator,
-    through one scratch R allocated once.
+    An operator A is held as R = Re Z, Z = (1 - i)A (see
+    :mod:`~otoclab.phase_space`), with Tr(A^dag B) = R_A . R_B.  Parity A[i, j] ->
+    A[-i, -j] preserves R, so in a sector A[-i, -j] = sign A[i, j] R is fixed by
+    its rows 0 .. N/2.  One entry per mirror pair is kept, scaled by sqrt 2 so the
+    dot product stays the Hilbert-Schmidt one, as slices of those rows in flat
+    order: row 0 columns 1 .. ceil(N/2) - 1, rows 1 .. ceil(N/2) - 1 whole and, at
+    even N, row N/2 columns 1 .. N/2 - 1; then, in the even sector only, the
+    self-mirrored entries (0, 0) and, at even N, (0, h), (h, 0) and (h, h), h =
+    N/2.  ``sign`` 0 keeps every entry of R.  :meth:`pack` reads only those rows of
+    R; :meth:`write` writes R's rows 0 .. N/2, all the sector step reads, and
+    :meth:`unpack` every entry of Z, through one scratch R allocated on first use.
     """
 
     def __init__(self, n: int, sign: int):
         h, c = n // 2, (n + 1) // 2
-        # unpack's scratch R: np.zeros leaves its pages untouched when there is no sector
-        self.n, self.sign, self._r = n, sign, np.zeros((n, n))
+        self.n, self.sign, self._r = n, sign, None
         # (rows, columns) of R in coordinate order: the mirror pairs, then the fixed entries
         views = ([(slice(0, 1), slice(1, c)), (slice(1, c), slice(None)),
                   (slice(c, h + 1), slice(1, h))] if sign else [(slice(None), slice(None))])
-        self._pairs = sum(self._r[v].size for v in views) if sign else 0
         # the self-mirrored entries, zero and not stored in the odd sector
         fixed = slice(0, h + 1, h) if n % 2 == 0 else slice(0, 1)
         self._fixed = (fixed, fixed)
         if sign > 0:
             views.append(self._fixed)
-        edges = np.cumsum([0] + [self._r[v].size for v in views])
+        sizes = [len(range(n)[rows]) * len(range(n)[cols]) for rows, cols in views]
+        self._pairs = sum(sizes[:3]) if sign else 0
+        edges = np.cumsum([0] + sizes)
         self._views = [(v, slice(lo, hi)) for v, lo, hi in zip(views, edges, edges[1:])]
         self.dim = int(edges[-1])
 
-    def pack(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The coordinates of ``a``, a complex operator or its real R, into ``out``."""
+    def pack(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The coordinates of the real R into ``out``."""
         for v, seg in self._views:
-            view = a[v]
-            dest = out[seg].reshape(view.shape)
-            if np.iscomplexobj(view):
-                view = np.add(view.real, view.imag, out=dest)
-            np.multiply(view, np.sqrt(2.0) if seg.start < self._pairs else 1.0, out=dest)
+            np.multiply(r[v], np.sqrt(2.0) if seg.start < self._pairs else 1.0,
+                        out=out[seg].reshape(r[v].shape))
         return out
 
     def write(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -227,14 +210,16 @@ class _RealSector:
         return r
 
     def unpack(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Z = R - iR^T of the coordinates ``x`` into every entry of the complex ``out``."""
         if self.sign == 0:
             r = x.reshape(self.n, self.n)
         else:
+            if self._r is None:
+                self._r = np.empty((self.n, self.n))
             r = self.write(x, self._r)
             _mirror_rows(r, slice(self.n // 2 + 1, self.n), self.sign)
-        np.add(r, r.T, out=out.real)
-        np.subtract(r, r.T, out=out.imag)
-        out *= 0.5
+        np.copyto(out.real, r)
+        np.negative(r.T, out=out.imag)
         return out
 
 
@@ -266,32 +251,32 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     stays in the seed's sector.  Each Krylov direction is stored as the real
     coordinates of :class:`_RealSector`: in the even or odd sector one entry
     per mirror pair, slices of rows 0 .. N/2 (about N^2 / 2 reals; the odd
-    sector holds no identity component), all N^2 entries of A.real + A.imag
-    otherwise.  The sector is read from the seed and kept only if the first
-    channel image, a full step, has the same parity to 1e-12; an image that
-    is not Hermitian to 1e-12 raises.  Where the channel keeps parity in the
-    form the sector step uses (even N, see
-    :func:`~otoclab.coarse_graining._keeps_parity`), every later step of the
-    recursion is that step, on rows 0 .. N/2 only: the direction's
-    coordinates are written as R into the real part of those rows
-    (:meth:`_RealSector.write`), the step advances Z = (1 - i)A there, and the
-    image is packed from its real part again, so no complex operator is
-    unpacked in the loop.  The Ritz operators and the residual checks keep
-    :meth:`_RealSector.unpack` and the full step, so they also check the
-    sector steps independently.  The basis is one
-    preallocated (depth + 1) x d real array, d the sector dimension.  Each
-    channel image is packed straight into the next row and orthogonalized by
-    classical Gram-Schmidt, a pass being two real matrix-vector products
-    against the rows built so far.  A second pass runs only when the first
-    leaves less than 1/sqrt 2 of the norm (the DGKS test of Daniel, Gragg,
-    Kaufman and Stewart, Math. Comp. 30, 1976): it never fires at depth 90
-    for N = 320 or 1000, and does near full depth.  The coordinates of the
-    Ritz operators' real and imaginary parts come from one pass over the
-    basis, a block of columns at a time, each block's products written into
-    its first rows once it has been read (where 2 n_wanted exceeds the
-    dimension reached, one product per part instead); the operators are then
-    unpacked one at a time.  Memory is that of the basis, 8 (depth + 1) d bytes, with d
-    about N^2 / 2 in a parity sector and N^2 without one.  ``params`` records
+    sector holds no identity component), all N^2 entries of R otherwise.  The
+    sector is read from the seed and kept only if the first channel image, a
+    full step, has the same parity to 1e-12; an image that is not Hermitian to
+    1e-12 raises.  The seed and that image are then scaled to Z = (1 - i)A in
+    place, which the buffer holds from then on, and every image is packed from
+    its real part.  Where the channel keeps parity in the form the sector step
+    uses (even N, see :func:`~otoclab.coarse_graining._keeps_parity`), every
+    later step of the recursion is that step, on R's rows 0 .. N/2 only
+    (:meth:`_RealSector.write`), so no operator is unpacked in the loop;
+    elsewhere each direction is unpacked to Z and takes the full step.  The Ritz
+    operators and the residual checks keep :meth:`_RealSector.unpack` and the
+    full step, so they also check the sector steps independently; a Ritz
+    operator is normalized before its check, so its (1 - i) scale cancels.  The
+    basis is one preallocated (depth + 1) x d real array, d the sector
+    dimension.  Each channel image is packed straight into the next row and
+    orthogonalized by classical Gram-Schmidt, a pass being two real
+    matrix-vector products against the rows built so far.  A second pass runs
+    only when the first leaves less than 1/sqrt 2 of the norm (the DGKS test of
+    Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30, 1976): it never fires at
+    depth 90 for N = 320 or 1000, and does near full depth.  The coordinates of
+    the Ritz operators' real and imaginary parts come from one pass over the
+    basis, a block of columns at a time, each block's products written into its
+    first rows once it has been read (where 2 n_wanted exceeds the dimension
+    reached, one product per part instead); the operators are then unpacked one
+    at a time.  Memory is that of the basis, 8 (depth + 1) d bytes, with d about
+    N^2 / 2 in a parity sector and N^2 without one.  ``params`` records
     ``sector`` (even, odd or none), ``krylov_dim`` (the dimension reached, below
     ``depth`` when an invariant subspace closes early, which warns),
     ``matvecs`` (channel applications, including the residual checks) and
@@ -326,15 +311,18 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     sign = sign if _parity(buf) == sign else 0
     sector = _RealSector(n, sign)
     step_sign = sign if _keeps_parity(umap) else 0
+    seed *= 1 - 1j  # from here on every operator is held as Z = (1 - i)A
+    buf *= 1 - 1j
     # the odd sector is traceless by construction; elsewhere every new
-    # direction has its identity component projected out (see below)
-    ident = (sector.pack(np.eye(n, dtype=complex) / np.sqrt(n), np.empty(sector.dim))
+    # direction has its identity component projected out (see below); R of the
+    # identity is the identity
+    ident = (sector.pack(np.eye(n) / np.sqrt(n), np.empty(sector.dim))
              if sign >= 0 else np.zeros(sector.dim))
     diag = np.flatnonzero(ident)
     ident = ident[diag]
 
     basis = np.empty((depth + 1, sector.dim))
-    sector.pack(seed, basis[0])
+    sector.pack(seed.real, basis[0])
     basis[0] /= np.linalg.norm(basis[0])
     del seed
     m = depth
@@ -346,7 +334,7 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
             _step(umap, mask, buf, step_sign)
         elif j:
             _step(umap, mask, sector.unpack(basis[j], buf))
-        w = sector.pack(buf.real if j and step_sign else buf, basis[j + 1])
+        w = sector.pack(buf.real, basis[j + 1])
         v = basis[: j + 1]
         before = np.linalg.norm(w)
         coeff = v @ w

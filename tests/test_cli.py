@@ -380,30 +380,32 @@ def _refused_before_building(monkeypatch, capsys, argv, out):
 
 
 def test_resonances_krylov_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
-    """N=100000 at depth 90 in the odd sector of the sine seed needs about 3.6 TB of
-    basis, half the N^2 reals a row: refused before anything is built."""
+    """N=100000 at depth 90 in the odd sector of the sine seed needs about 4.4 TB: 3.6 TB
+    of basis, half the N^2 reals a row, and 80 N^2 bytes of N x N arrays; refused before
+    anything is built."""
     line = _refused_before_building(
         monkeypatch, capsys, ["resonances", "--map", "cat", "--n", "100000", "--epsilon",
                               "0.0001", "--method", "krylov", "--depth", "90"], tmp_path / "big")
-    assert "3640.0 GB" in line
+    assert "4440.0 GB" in line
 
 
 def test_resonances_krylov_preflight_sizes_a_random_seed_by_n_squared(tmp_path, monkeypatch,
                                                                       capsys):
-    """A random seed has no parity: its basis keeps all N^2 reals a row, 7.3 TB."""
+    """A random seed has no parity: its basis keeps all N^2 reals a row, 7.3 TB, and the
+    run needs 8.1 TB with its N x N arrays."""
     line = _refused_before_building(
         monkeypatch, capsys, ["resonances", "--map", "cat", "--n", "100000", "--epsilon",
                               "0.0001", "--method", "krylov", "--depth", "90", "--seed-op",
                               "random"], tmp_path / "big")
-    assert "7280.0 GB" in line
+    assert "8080.0 GB" in line
 
 
 @pytest.mark.parametrize("spec", ["cat", "standard", "harper"])
 @pytest.mark.parametrize("n", [8, 9])
 @pytest.mark.parametrize("seed_op", ["sine", "random"])
 def test_krylov_preflight_predicts_the_sector_the_run_takes(tmp_path, spec, n, seed_op):
-    """The predicted sector is the one recorded, and the preflight is the basis of the
-    recorded sector's dimension."""
+    """The predicted sector is the one recorded, and the preflight charges the basis of
+    the recorded sector's dimension."""
     out = tmp_path / "kry"
     assert main(["resonances", "--map", spec, "--n", str(n), "--map-param", "0.3",
                  "--epsilon", "0.5", "--method", "krylov", "--depth", "12", "--n-wanted", "3",
@@ -412,9 +414,9 @@ def test_krylov_preflight_predicts_the_sector_the_run_takes(tmp_path, spec, n, s
     config = cli.RunConfig(map=spec, n=n)
     sign = cli._krylov_sector(config, seed_op)
     assert manifest["derived.krylov_sector"] == {-1: "odd", 0: "none"}[sign]
-    dim = resonances._RealSector(n, sign).dim
-    assert dim == resonances._sector_dim(n, sign)
-    assert manifest["resource.preflight_mb"] == f"{8 * 13 * dim / 2**20:.1f}"
+    need = (cli._OTOC_BASE_BYTES + cli._KRYLOV_BYTES_PER_N2 * n ** 2
+            + 8 * 13 * resonances._RealSector(n, sign).dim)
+    assert manifest["resource.preflight_mb"] == f"{need / 2**20:.1f}"
 
 
 def test_otoc_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
@@ -549,6 +551,22 @@ def test_otoc_preflight_bounds_peak_rss_at_the_most_parts(tmp_path):
         peak, preflight = (float(manifest[f"resource.{key}"])
                            for key in ("peak_rss_mb", "preflight_mb"))
         assert preflight >= peak > 0, n
+
+
+@pytest.mark.parametrize("argv", [
+    ["--map", "cat", "--n", "320", "--map-param", "0.02", "--epsilon", "0.03125",
+     "--depth", "90", "--n-wanted", "10"],
+    ["--map", "harper", "--n", "63", "--map-param", "0.94", "--epsilon", "0.16",
+     "--depth", "30"]], ids=["cat-320-depth-90", "harper-63-depth-30"])
+def test_krylov_preflight_bounds_peak_rss(tmp_path, argv):
+    """The Krylov preflight that a run records is at least the peak RSS it reaches, for
+    the benchmark's N=320 sector run and an odd-N Harper run, as for otoc runs."""
+    out = tmp_path / "kry"
+    result = run_cli(["resonances", *argv, "--method", "krylov", "--out", str(out)])
+    assert result.returncode == 0, result.stderr
+    manifest = dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    peak, preflight = (float(manifest[f"resource.{key}"]) for key in ("peak_rss_mb", "preflight_mb"))
+    assert preflight >= peak > 0
 
 
 def test_cli_otoc_working_set_is_one_array(tmp_path):

@@ -366,10 +366,11 @@ def test_otoc_series_checks_both_operands_before_writing(monkeypatch, space64, c
 
 @pytest.mark.parametrize("n", [4, 10, 64, 66, 1024])
 def test_b_sector_set_up_matches_the_full_frame_change(n):
-    """In the sector B is written on rows 0 .. N/2, takes the real sector transform, and
-    has its momentum-frame diagonals read from R through the parity mirrors: the shifts
-    of change_basis and _nonzero_diagonals, and their rows to 1e-15 relative, for
-    displacements (among them vanishing ones) and for even and odd arrays."""
+    """In the sector (1 - i)B is written on rows 0 .. N/2, takes the real sector
+    transform, and has its momentum-frame diagonals read from R through the parity
+    mirrors: the shifts of (1 - i) change_basis and _nonzero_diagonals, and their rows
+    to 1e-15 relative, for displacements (among them vanishing ones) and for even and
+    odd arrays."""
     space = TorusSpace(n)
     h = n // 2
     rand = random_traceless_hermitian(space, n)
@@ -380,11 +381,11 @@ def test_b_sector_set_up_matches_the_full_frame_change(n):
         assert got_sign == sign
         buf = phase_space._working(n)
         otoc._fill(space, checked, buf, h + 1)
-        shifts, d = otoc._nonzero_diagonals(phase_space._to_momentum(buf, sign), candidates,
-                                            sign)
+        shifts, d = otoc._nonzero_diagonals(phase_space._change_frame(buf, MOMENTUM, sign),
+                                            candidates, sign)
         full = change_basis(hermitian_f(space, op) if isinstance(op, tuple) else op,
                             POSITION, MOMENTUM)
-        want_shifts, want = otoc._nonzero_diagonals(full, candidates)
+        want_shifts, want = otoc._nonzero_diagonals((1 - 1j) * full, candidates)
         assert np.array_equal(shifts, want_shifts), op
         assert np.abs(d - want).max(initial=0) <= 1e-15 * np.abs(want).max(initial=0), op
 
@@ -393,14 +394,16 @@ def test_b_sector_set_up_matches_the_full_frame_change(n):
 def test_fill_classifies_displacements_and_arrays(n):
     """(sign, shifts): F_xi is odd with momentum-frame shifts +-p; an array has its
     parity scanned, and every diagonal a candidate; no sign unless asked for.  The
-    checked operand is then written on every row, or on rows 0 .. N/2 and no other."""
+    checked operand is then written as Z = (1 - i)op on every row, or on rows 0 .. N/2
+    and no other."""
     space = TorusSpace(n)
 
     def writes(op, entries):
         for rows in (n, n // 2 + 1):
             buf = np.full((n, n), np.nan, dtype=complex)
             otoc._fill(space, op, buf, rows)
-            assert np.array_equal(buf[:rows], entries[:rows]) and np.isnan(buf[rows:]).all()
+            assert np.array_equal(buf[:rows], (1 - 1j) * entries[:rows])
+            assert np.isnan(buf[rows:]).all()
 
     for xi in [(1, 0), (0, 1), (2, 3), (-1, -2), (n + 1, 2 * n + 3), (0, 0)]:
         expected = sorted({xi[1] % n, -xi[1] % n})
@@ -558,14 +561,16 @@ def _mirror(x):
 
 
 def _full_path_by_hand(umap, a, b, t_max, kernel):
-    """O1 and O2 from the public full-path evolve and the full contraction."""
+    """O1 and O2 from the public full-path evolve and the full contraction, both fed
+    Z = (1 - i)A and (1 - i)B, as the series holds them."""
     space = umap.space
-    bm = change_basis(hermitian_f(space, b) if np.shape(b) == (2,) else b, POSITION, MOMENTUM)
-    shifts, d = otoc._nonzero_diagonals(bm)
+    b = hermitian_f(space, b) if np.shape(b) == (2,) else b
+    shifts, d = otoc._nonzero_diagonals(change_basis((1 - 1j) * b, POSITION, MOMENTUM))
     a = hermitian_f(space, a) if np.shape(a) == (2,) else a
     scratch = [np.zeros((2, min(16, space.dim), space.dim), dtype=complex)
                for _ in otoc._parts(space.dim, 16)]
-    o1, o2 = zip(*(otoc._contract(at, shifts, d, scratch) for at in evolve(umap, kernel, a, t_max)))
+    o1, o2 = zip(*(otoc._contract(at, shifts, d, scratch)
+                   for at in evolve(umap, kernel, (1 - 1j) * a, t_max)))
     return np.array(o1), np.array(o2)
 
 
