@@ -46,7 +46,7 @@ from .coarse_graining import build_kernel
 from .maps import (AS_PRINTED, CAT, CORRESPONDENCE, HARPER, STANDARD,
                    ClassicalMapSpec, cat_map, harper_map, quantize, standard_map)
 from .otoc import _displacement_sector, analytic_cat_otoc, fit_growth, otoc_series
-from .phase_space import TorusSpace, sine_position
+from .phase_space import TorusSpace
 from .resonances import (_DENSE_LIMIT, _RealSector, dense_superoperator, fit_tail_rate,
                          full_spectrum, krylov_leading, random_traceless_hermitian)
 
@@ -251,14 +251,14 @@ _OTOC_BYTES_PER_STEP = 970
 # are added to the measured N^2 term, and count where that passes the rounded one.
 _OTOC_BYTES_PER_PART = 0.5e6
 _OTOC_BYTES_PER_PART_N = 800
-# Peak RSS of a depth-12 Krylov run (cat, sine seed, odd sector) less its basis read
-# 81.9 MB at N=768, 115.4 MB at N=1024, 157.3 MB at N=1280, 219.3 MB at N=1536 and
-# 358.8 MB at N=2048 (numpy 2.4, MB = 10^6 bytes), 34 MB + 77.4 N^2 from N=1024 on.
-# About 72 N^2 of it (tracemalloc) are complex N x N arrays held at the Ritz checks:
-# the seed the caller keeps, the working buffer, the Ritz operator, the temporary of
-# its imaginary part, and the scratch R of the unpack.  Charged over the otoc base, the
-# N^2 term rounded up to 80 N^2; 1-64 forced parts moved the peak by at most 1 MB.
-_KRYLOV_BYTES_PER_N2 = 80
+# Peak RSS of a Krylov run (cat, eps N = 10, random seed) less its basis: 65.9, 84.2,
+# 107.9, 136.7 and 210.4 MB at N = 768-2048 (depth 12; numpy 2.4, MB = 10^6 bytes),
+# 42 MB + 40.1 N^2 from N=1024 on: the caller's seed, the buffer and a d-vector
+# temporary.  Below N=512 freed arrays stay in the malloc heap (MALLOC_MMAP_THRESHOLD_
+# =131072 takes 4.5 MB off at N=448), and depth 90 needs 55.7-57.7 N^2 over the otoc
+# base at N=416-508.  The sine seed, which the call writes and drops, needs 16 N^2 at
+# N=1000.  Rounded up to 64 N^2; 64 forced parts added 1.2 MB.
+_KRYLOV_BYTES_PER_N2 = 64
 # the memory limit of this process's cgroup, v2 and then v1, in bytes, or "max"
 # for none (v1 writes a huge number instead); only read
 _MEMORY_MAX = "/sys/fs/cgroup/memory.max"
@@ -489,10 +489,11 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
 
     A dense run above N=24, and a Krylov run whose working set exceeds physical
     memory or the cgroup's memory limit, are refused before anything is
-    allocated.  That working set is 44 MB + 80 N^2 bytes, the interpreter and the
-    run's N x N arrays, plus the real basis, 8 (depth + 1) d bytes: d is N^2
-    without a parity sector and about N^2 / 2 in one, the sector predicted from
-    the map, N and the seed (:func:`_krylov_sector`).  The manifest records that
+    allocated.  That working set is 44 MB + 64 N^2 bytes, the interpreter, the
+    working buffer and, for ``seed_op`` random, the seed array (the sine seed is the
+    displacement (0, 1)), plus the real basis, 8 (depth + 1) d bytes: d is N^2
+    without a parity sector and about N^2 / 2 in one, the sector predicted from the
+    map, N and the seed (:func:`_krylov_sector`).  The manifest records that
     preflight as ``resource.preflight_mb``.
     """
     start = time.monotonic()
@@ -505,7 +506,7 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
             raise CliError(f"seed_op must be sine or random, got {seed_op!r}")
         need = (_OTOC_BASE_BYTES + _KRYLOV_BYTES_PER_N2 * config.n ** 2
                 + 8 * (depth + 1) * _RealSector(config.n, _krylov_sector(config, seed_op)).dim)
-        _refuse_beyond_memory(need, "Krylov working set (44 MB + 80 x N^2 bytes + the basis, "
+        _refuse_beyond_memory(need, "Krylov working set (44 MB + 64 x N^2 bytes + the basis, "
                                     "8 x (depth + 1) x d bytes, d = N^2, or about N^2 / 2 in "
                                     "a parity sector)")
     with warnings.catch_warnings(record=True) as caught:
@@ -515,7 +516,8 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
             spectrum = full_spectrum(dense_superoperator(umap, kernel),
                                      params={"n": config.n, "epsilon": config.epsilon})
         else:
-            a0 = (sine_position(space) if seed_op == "sine"
+            # the sine seed is F_(0,1), a displacement that krylov_leading writes itself
+            a0 = ((0, 1) if seed_op == "sine"
                   else random_traceless_hermitian(space, seed=config.seed))
             spectrum = krylov_leading(umap, kernel, a0, depth=depth, n_wanted=n_wanted)
             derived += [("derived.depth", str(depth)), ("derived.seed_op", seed_op),

@@ -21,10 +21,9 @@ its columns shifted and scaled by B's diagonals, and a row of B A(t) a sum of
 K scaled rows of A(t), so both sums run over blocks of rows in two scratch
 arrays: W is never formed, and every read is along a row.  For K = 1 at shift
 0, B = diag(d), both sums are weighted sums of |A(t)|^2 and come from one pass
-over it.  The blocks are spread over the CPUs with
-:func:`~otoclab.phase_space._split`, one scratch pair per part, and their sums
-are added in block order on the calling thread, so the series does not depend
-on the part count.
+over it.  The blocks run in parts (:func:`~otoclab.phase_space._split`), one
+scratch pair a part, and their sums are added in block order, so the series
+does not depend on the part count.
 
 The buffer holds Z = (1 - i)A(t), on the full path as in the parity sector
 (see :mod:`~otoclab.phase_space`), and B's diagonals are read from R = Re Z
@@ -107,26 +106,21 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
 
     ``a`` and ``b`` are each a Hermitian N x N array or an integer
     displacement (xi_q, xi_p) standing for F_xi.  O1 = <B A(t), A(t) B>_F / N
-    and O2 = ||A(t) B||_F^2 / N are summed over blocks of rows; when B is
-    diagonal in the momentum frame, B = diag(d) (one cyclic diagonal, shift 0,
-    as for F_(q,0)), they come from one pass over |A(t)|^2 instead:
-    O1 = sum conj(d_r) d_q |A_rq|^2 / N and O2 = sum |d_q|^2 |A_rq|^2 / N
-    (:func:`_contract`).  B, then A, is checked (:func:`_operand`) before
-    anything is written, and the parity sector (see the module notes) is picked
-    from the two, and recorded as ``sector``.  The call then holds one N x N array
-    (:func:`~otoclab.phase_space._working`, allocated zeroed, rows padded at some
-    N): (1 - i)B is written into it (:func:`_fill`) and changed to the momentum
-    frame, where its nonzero cyclic diagonals are gathered; (1 - i)A is then
-    written over it and evolved there in place.  Only an array B has all N
-    diagonals scanned: F_(q,p) is F_(p,-q) in the momentum frame, so only its
-    diagonals +-p are read.  In the sector B and A are written on rows 0 .. N/2
-    only, and B's change of frame is the sector's real transform, whose half
-    spectrum takes the rows after them, so the rest of the buffer is never
-    touched.  Beside it the contraction holds two 16-row blocks of AB and BA per
-    part, at most N / 256 parts (:func:`~otoclab.phase_space._parts`), so at most
-    N^2 / 8 entries; the one-pass form squares 32 rows of A(t) at a time into the
-    same scratch.  ``layout`` and ``contraction`` record the buffer's rows and the
-    form of the contraction.
+    and O2 = ||A(t) B||_F^2 / N are summed over blocks of rows, or, when B is
+    diagonal in the momentum frame, B = diag(d) (as for F_(q,0)), from one pass
+    over |A(t)|^2: O1 = sum conj(d_r) d_q |A_rq|^2 / N and O2 = sum |d_q|^2
+    |A_rq|^2 / N (:func:`_contract`).  B, then A, is checked (:func:`_operand`)
+    before anything is written, and the parity sector (see the module notes) is
+    picked from the two and recorded as ``sector``.  The call holds one N x N
+    array (:func:`~otoclab.phase_space._working`): (1 - i)B is written into it
+    (:func:`_fill`) and changed to the momentum frame, where its nonzero cyclic
+    diagonals are gathered (for F_(q,p), which is F_(p,-q) there, only +-p);
+    (1 - i)A is then written over it and evolved in place.  In the sector only
+    rows 0 .. N/2 and the half spectrum after them are touched.  Beside it the
+    contraction holds two 16-row blocks of AB and BA per part, at most N / 256
+    parts (:func:`~otoclab.phase_space._parts`), so at most N^2 / 8 entries.
+    ``layout`` and ``contraction`` record the buffer's rows and the form of the
+    contraction.
     """
     t_max = _count(t_max, "t_max")
     space, n = umap.space, umap.dim

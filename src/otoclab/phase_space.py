@@ -33,10 +33,9 @@ Parity q -> -q maps entries x[i, j] to x[-i, -j] (indices mod N) in both
 frames.  An operator of definite parity, x[-i, -j] = sign x[i, j], is fixed
 by its rows 0 .. N/2, the one parity-sector layout of the package: the OTOC
 series evolves R on those rows, and the Krylov solver stores its directions as
-slices of them.  The frame change of a real R of definite parity is real, so
-at even N :func:`_change_frame` given the sign runs :func:`_sector_frame`:
-real FFTs of rows 0 .. N/2, half the FFT lines of a complex pass, with no
-mirror fill and its half spectrum held in the memory of the rows beyond N/2.
+slices of them.  At even N :func:`_change_frame` given the sign runs
+:func:`_sector_frame`, the real frame change of a real R of definite parity:
+real FFTs of rows 0 .. N/2, with its half spectrum in the rows beyond N/2.
 :func:`_imag_from_real` rebuilds Im Z with one transpose pass, and
 :func:`_mirror_rows` fills the rows beyond N/2 where a whole operator is
 needed.
@@ -47,9 +46,8 @@ number of 64-byte lines: the lines of a column pass then spread over all the
 L1 sets instead of a few.  The buffer is the N x N view of an N x width array
 with 64-byte aligned rows; at an N whose stride is already an odd number of
 lines (N = 4 mod 8) it is plain.  Below 512 the half matrix sits in L2 and the
-padding only adds loop overhead.  A padded buffer is allocated zeroed, so its
-pad needs no pass, and no buffer is written when it is allocated: a page is
-mapped only when it is first written.  A parity-sector OTOC run writes rows
+padding only adds loop overhead.  A page of the buffer is mapped only when it is
+first written.  A parity-sector OTOC run writes rows
 0 .. N/2 and the half spectrum after them (:func:`_half_spectrum`), and the rest
 of the buffer, about N/4 rows, is never touched.  The elementwise passes of a
 step run over whole padded rows (:func:`_whole_rows`), one contiguous block per
@@ -68,16 +66,13 @@ import numpy as np
 
 POSITION = "position"
 MOMENTUM = "momentum"
-# Rows per block of the N x N passes that work in blocks to keep their
-# temporaries small.  For the OTOC contraction (2 vCPUs, 2 MB of L2 per core)
-# 16 and 32 rows ran alike at N=1000 and N=1024, and 64 rows were slower.
+# Rows per block of the N x N passes that work in blocks to keep their temporaries
+# small: 16 and 32 ran alike for the OTOC contraction at N=1000 and 1024, 64 slower.
 _ROW_BLOCK = 16
 # Lines (rows or columns) per part of an N x N pass, at least: N < 512 runs
-# inline, N = 1024 in at most 4 parts.  On 2 vCPUs a channel step fell from
-# 13.5 to 7.8 ms at N=512 on two parts and from 4.2 to 3.5 ms at N=320, but the
-# depth-90 Krylov call at N=320, whose BLAS threads share the CPUs, went from
-# 0.70-0.88 s inline to 0.77-1.12 s split.  The bound also keeps the OTOC
-# contraction's scratch, one pair of row blocks per part, within N^2 / 8 entries.
+# inline, where splitting slowed the depth-90 Krylov call at N=320 (CHANGES.md),
+# and N = 1024 in at most 4 parts.  The bound also keeps the OTOC contraction's
+# scratch, one pair of row blocks per part, within N^2 / 8 entries.
 _PART_MIN = 256
 # the cgroup v2 CPU quota of this process's cgroup: "<quota> <period>" in
 # microseconds, or "max <period>" for none; only read
@@ -357,18 +352,30 @@ def _mirror_rows(x: np.ndarray, rows: slice, sign: int) -> None:
 _SECTOR_NAMES = {1: "even", -1: "odd", 0: "none"}
 
 
+def _squared_norms(x: np.ndarray, image) -> np.ndarray:
+    """||x||^2, ||x - Px||^2 and ||x + Px||^2 (Frobenius), ``image(rows)`` those rows of
+    Px, summed a block of rows at a time, so no N x N temporary is made."""
+    norms = np.zeros(3)
+    for i in range(0, x.shape[0], _ROW_BLOCK):
+        rows = slice(i, i + _ROW_BLOCK)
+        block, other = x[rows], image(rows)
+        norms += [np.vdot(y, y).real for y in (block, block - other, block + other)]
+    return norms
+
+
 def _parity(x: np.ndarray) -> int:
     """+1 or -1 when x[-i, -j] = +-x[i, j] to 1e-12 relative in the Frobenius norm,
-    else 0; summed a block of rows at a time, so no N x N temporary is made."""
-    n = x.shape[0]
-    neg = -np.arange(n) % n
-    norms = np.zeros(3)  # ||x||^2, ||x - Px||^2, ||x + Px||^2
-    for i in range(0, n, _ROW_BLOCK):
-        block = x[i:i + _ROW_BLOCK]
-        mirrored = x[np.ix_(neg[i:i + _ROW_BLOCK], neg)]
-        norms += [np.vdot(y, y).real for y in (block, block - mirrored, block + mirrored)]
+    else 0 (:func:`_squared_norms`)."""
+    neg = -np.arange(x.shape[0]) % x.shape[0]
+    norms = _squared_norms(x, lambda rows: x[np.ix_(neg[rows], neg)])
     limit = 1e-24 * norms[0]
     return next((s for s, d in ((1, norms[1]), (-1, norms[2])) if d <= limit), 0)
+
+
+def _hermitian(x: np.ndarray) -> bool:
+    """Whether ||x - x^dag|| <= 1e-12 ||x|| (Frobenius, :func:`_squared_norms`); False on NaN."""
+    norms = _squared_norms(x, lambda rows: x[:, rows].conj().T)
+    return bool(norms[1] <= 1e-24 * norms[0])
 
 
 def hermiticity_defect(a: np.ndarray) -> float:

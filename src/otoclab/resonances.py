@@ -22,7 +22,8 @@ from .coarse_graining import CoarseGrainKernel, _keeps_parity, _mask, _step, cha
 from .maps import QuantumMap
 from .otoc import OtocSeries, WindowFit, loglinear_fit
 from .phase_space import (_SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame, _count,
-                          _mirror_rows, _operator, _parity, _working)
+                          _displacement, _f_defect, _hermitian, _mirror_rows, _operator,
+                          _parity, _working, _write_f)
 
 __all__ = [
     "ResonanceSpectrum",
@@ -159,17 +160,16 @@ def random_traceless_hermitian(space: TorusSpace, seed: int = 0) -> np.ndarray:
 class _RealSector:
     """Real coordinates of the Hermitian operators in one parity sector.
 
-    An operator A is held as R = Re Z, Z = (1 - i)A (see
-    :mod:`~otoclab.phase_space`), with Tr(A^dag B) = R_A . R_B.  Parity A[i, j] ->
-    A[-i, -j] preserves R, so in a sector A[-i, -j] = sign A[i, j] R is fixed by
-    its rows 0 .. N/2.  One entry per mirror pair is kept, scaled by sqrt 2 so the
-    dot product stays the Hilbert-Schmidt one, as slices of those rows in flat
-    order: row 0 columns 1 .. ceil(N/2) - 1, rows 1 .. ceil(N/2) - 1 whole and, at
-    even N, row N/2 columns 1 .. N/2 - 1; then, in the even sector only, the
-    self-mirrored entries (0, 0) and, at even N, (0, h), (h, 0) and (h, h), h =
-    N/2.  ``sign`` 0 keeps every entry of R.  :meth:`pack` reads only those rows of
-    R; :meth:`write` writes R's rows 0 .. N/2, all the sector step reads, and
-    :meth:`unpack` every entry of Z, through one scratch R allocated on first use.
+    An operator A is held as R = Re Z, Z = (1 - i)A (see :mod:`~otoclab.phase_space`),
+    with Tr(A^dag B) = R_A . R_B.  In a sector A[-i, -j] = sign A[i, j], R is fixed by
+    its rows 0 .. N/2, and one entry per mirror pair is kept, scaled by sqrt 2 so the
+    dot product stays the Hilbert-Schmidt one, as slices of those rows in flat order:
+    row 0 columns 1 .. ceil(N/2) - 1, rows 1 .. ceil(N/2) - 1 whole and, at even N,
+    row N/2 columns 1 .. N/2 - 1; then, in the even sector only, the self-mirrored
+    entries (0, 0) and, at even N, (0, h), (h, 0) and (h, h), h = N/2.  ``sign`` 0
+    keeps every entry of R.  :meth:`pack` reads only those rows of R, :meth:`write`
+    writes R's rows 0 .. N/2, and :meth:`unpack` every entry of Z, through one
+    scratch R allocated on first use.
     """
 
     def __init__(self, n: int, sign: int):
@@ -224,86 +224,72 @@ class _RealSector:
 
 
 def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
-                   a0: np.ndarray, depth: int = 40, n_wanted: int = 5) -> ResonanceSpectrum:
+                   a0: np.ndarray | tuple[int, int], depth: int = 40,
+                   n_wanted: int = 5) -> ResonanceSpectrum:
     """Leading channel eigenvalues by Arnoldi iteration in operator space.
 
-    Builds the forward orbit of a traceless Hermitian seed, orthonormalizes
-    it in the Hilbert-Schmidt inner product against every earlier direction
-    (the channel is not normal, so plain Lanczos three-term recurrences are
-    unsafe), projects the channel onto the subspace, and returns the largest
-    Ritz values by modulus.  Residuals ||S R - alpha R|| are recomputed
-    explicitly for the returned pairs; entries above 1e-4 are marked
-    unconverged.  Deterministic given the seed operator and the BLAS thread
-    count (threaded reductions may change the last bits).
+    Orthonormalizes the forward orbit of a traceless Hermitian seed in the
+    Hilbert-Schmidt product against every earlier direction (the channel is not
+    normal) and returns the Ritz values of largest modulus, each with its residual
+    ||S X - alpha X|| / ||X||; one above 1e-4 is marked unconverged.  Deterministic
+    given the seed and the BLAS thread count.  ``a0`` is an N x N array, or an
+    integer displacement (xi_q, xi_p) standing for F_xi, which the call writes
+    (:func:`~otoclab.phase_space._write_f`) and, like its copy of an array, drops
+    once the basis holds it; (0, 1) gives the sine seed's results bit for bit.  A
+    seed that is not finite, nonzero, traceless and Hermitian (1e-12 relative in
+    the Frobenius norm; F_xi checked from its two cyclic diagonals) is refused.
 
-    The recursion runs on momentum-frame operators.  The seed changes frame
-    once; the change is unitary, so the Hilbert-Schmidt product, Hermiticity,
-    the identity and parity (q -> -q is p -> -p) keep their form there.  Each
-    channel application, residual checks included, is the in-place step that
-    :func:`~otoclab.coarse_graining.evolve` iterates, on one complex buffer
-    (:func:`~otoclab.phase_space._working`) reused for the whole run: four 1D
-    FFT passes, where a matvec that starts and ends in the position frame
-    needs eight.
+    The recursion runs in the momentum frame.  A direction is stored as the real
+    coordinates of :class:`_RealSector`: one entry per mirror pair in the seed's
+    parity sector, kept only if the first channel image (a full step) has the same
+    parity to 1e-12, else every entry of R; an image that is not Hermitian to 1e-12
+    raises.  Every later channel application is one matvec on coordinates: R is
+    written into the run's one complex buffer (:func:`~otoclab.phase_space._working`),
+    which holds Z = (1 - i)A, it takes the step :func:`~otoclab.coarse_graining.evolve`
+    iterates, on rows 0 .. N/2 where the channel keeps parity in the sector step's
+    form (:func:`~otoclab.coarse_graining._keeps_parity`) and whole elsewhere, and
+    its real part is packed.  Classical Gram-Schmidt orthogonalizes each image, with a
+    second pass only when the first leaves less than 1/sqrt 2 of the norm (DGKS:
+    Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30, 1976).
 
-    The channel maps Hermitian operators to Hermitian operators, and the
-    Harper channel at every N and the cat and standard channels at even N
-    commute with parity, so the orbit of a Hermitian seed of definite parity
-    stays in the seed's sector.  Each Krylov direction is stored as the real
-    coordinates of :class:`_RealSector`: in the even or odd sector one entry
-    per mirror pair, slices of rows 0 .. N/2 (about N^2 / 2 reals; the odd
-    sector holds no identity component), all N^2 entries of R otherwise.  The
-    sector is read from the seed and kept only if the first channel image, a
-    full step, has the same parity to 1e-12; an image that is not Hermitian to
-    1e-12 raises.  The seed and that image are then scaled to Z = (1 - i)A in
-    place, which the buffer holds from then on, and every image is packed from
-    its real part.  Where the channel keeps parity in the form the sector step
-    uses (even N, see :func:`~otoclab.coarse_graining._keeps_parity`), every
-    later step of the recursion is that step, on R's rows 0 .. N/2 only
-    (:meth:`_RealSector.write`), so no operator is unpacked in the loop;
-    elsewhere each direction is unpacked to Z and takes the full step.  The Ritz
-    operators and the residual checks keep :meth:`_RealSector.unpack` and the
-    full step, so they also check the sector steps independently; a Ritz
-    operator is normalized before its check, so its (1 - i) scale cancels.  The
-    basis is one preallocated (depth + 1) x d real array, d the sector
-    dimension.  Each channel image is packed straight into the next row and
-    orthogonalized by classical Gram-Schmidt, a pass being two real
-    matrix-vector products against the rows built so far.  A second pass runs
-    only when the first leaves less than 1/sqrt 2 of the norm (the DGKS test of
-    Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30, 1976): it never fires at
-    depth 90 for N = 320 or 1000, and does near full depth.  The coordinates of
-    the Ritz operators' real and imaginary parts come from one pass over the
-    basis, a block of columns at a time, each block's products written into its
-    first rows once it has been read (where 2 n_wanted exceeds the dimension
-    reached, one product per part instead); the operators are then unpacked one
-    at a time.  Memory is that of the basis, 8 (depth + 1) d bytes, with d about
-    N^2 / 2 in a parity sector and N^2 without one.  ``params`` records
-    ``sector`` (even, odd or none), ``krylov_dim`` (the dimension reached, below
-    ``depth`` when an invariant subspace closes early, which warns),
-    ``matvecs`` (channel applications, including the residual checks) and
-    ``reorth`` (second Gram-Schmidt passes).
+    The coordinates x and y of a Ritz vector X + iY (X, Y Hermitian) come from one
+    pass over the basis into its first rows; a listed conjugate partner X - iY gets
+    its pair's residual.  With alpha = a + ib the residual is ||(Sx - ax + by, Sy -
+    ay - bx)|| / ||(x, y)||, as ||H1 + iH2||^2 = ||H1||^2 + ||H2||^2 for Hermitian H1,
+    H2 and the coordinates keep the Hilbert-Schmidt product (Saad, Numerical Methods
+    for Large Eigenvalue Problems, 2nd ed., ch. 6): one matvec into row m for a real
+    Ritz value and two for a complex one, with no N x N array beside the buffer.  The
+    basis takes 8 (depth + 1) d bytes, d the sector dimension.  ``params`` records
+    ``sector`` (even, odd or none), ``krylov_dim`` (the dimension m reached, below
+    ``depth`` when an invariant subspace closes early, which warns), ``matvecs`` (m
+    plus the residual matvecs) and ``reorth`` (second Gram-Schmidt passes).
     """
     depth, n_wanted = _count(depth, "depth"), _count(n_wanted, "n_wanted", 1)
     if depth < n_wanted + 2:
         raise ValueError(f"depth must be at least n_wanted + 2 = {n_wanted + 2}, got {depth}")
-    n = umap.dim
-    entries = _operator(a0, n, "Krylov seed")
-    scale = np.linalg.norm(entries)
+    space, n = umap.space, umap.dim
+    displaced = np.shape(a0) == (2,)
+    if displaced:  # F_xi, written into an array of this call's own
+        xi = _displacement(a0, "Krylov seed displacement")
+        seed = _write_f(space, xi, np.zeros((n, n), dtype=complex))
+    else:  # a copy, changed to the momentum frame in place below
+        seed = _operator(np.array(a0, dtype=complex), n, "Krylov seed")
+    scale = np.linalg.norm(seed)
     if not 0 < scale < np.inf:
         raise ValueError(f"Krylov seed must be finite and nonzero, got norm {scale}")
-    if not np.linalg.norm(entries - entries.conj().T) <= 1e-12 * scale:
+    if not (_f_defect(space, xi) <= 1e-12 * scale if displaced else _hermitian(seed)):
         raise ValueError("Krylov seed must be Hermitian")
-    trace = abs(np.trace(entries))
+    trace = abs(np.trace(seed))
     if not trace <= 1e-9 * max(1.0, scale):
         raise ValueError(f"Krylov seed must be traceless, got |Tr| = {trace:.2e}")
-    # the whole recursion runs on momentum-frame operators: a unitary change
-    # of frame that keeps the Hilbert-Schmidt product, Hermiticity, the
-    # identity and parity (q -> -q is p -> -p), so each matvec is one step
-    seed = _change_frame(np.array(entries, dtype=complex) / scale, MOMENTUM)
+    # the momentum frame keeps the Hilbert-Schmidt product, Hermiticity and parity
+    seed /= scale
+    _change_frame(seed, MOMENTUM)
     mask = _mask(kernel)
     buf = _working(n)  # the one complex buffer of the run
     np.copyto(buf, seed)
     buf = _step(umap, mask, buf)
-    if np.linalg.norm(buf - buf.conj().T) > 1e-12 * np.linalg.norm(buf):
+    if not _hermitian(buf):
         raise ValueError("channel image of the Hermitian seed is not Hermitian")
     # The seed's parity sector, kept only when its image stays in it: the
     # quadratic kicks of the cat and standard maps break parity at odd N.
@@ -325,16 +311,20 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     sector.pack(seed.real, basis[0])
     basis[0] /= np.linalg.norm(basis[0])
     del seed
-    m = depth
-    reorth = 0
+
+    def matvec(x, out):
+        """The coordinates of S(A) into ``out``, A's coordinates ``x``."""
+        if step_sign:  # the sector step reads and writes R = Re Z on rows 0 .. N/2
+            sector.write(x, buf.real)
+            _step(umap, mask, buf, step_sign)
+        else:
+            _step(umap, mask, sector.unpack(x, buf))
+        return sector.pack(buf.real, out)
+
+    m, reorth = depth, 0
     h = np.zeros((depth + 1, depth))
     for j in range(depth):
-        if j and step_sign:  # the sector step reads and writes R = Re Z on rows 0 .. N/2
-            sector.write(basis[j], buf.real)
-            _step(umap, mask, buf, step_sign)
-        elif j:
-            _step(umap, mask, sector.unpack(basis[j], buf))
-        w = sector.pack(buf.real, basis[j + 1])
+        w = matvec(basis[j], basis[j + 1]) if j else sector.pack(buf.real, basis[1])
         v = basis[: j + 1]
         before = np.linalg.norm(w)
         coeff = v @ w
@@ -370,36 +360,39 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     order = np.lexsort((-ritz.imag, -np.abs(ritz)))
     ritz, vecs = ritz[order], vecs[:, order]
     keep = min(n_wanted, m)
-    # the coordinates of the Ritz operators' real and imaginary parts, each a real
-    # product: a complex coefficient vector times the real basis would cast it whole
-    coeffs = np.concatenate((vecs[:, :keep].real.T, vecs[:, :keep].imag.T))
-    one_pass = 2 * keep <= min(m, sector.dim)
-    if one_pass:
-        # one pass over the basis, a block of columns at a time: the block's products
-        # go through row m, which no Ritz operator reads, into its first rows
-        width = min(_RITZ_COLUMNS, sector.dim // (2 * keep))
-        products = basis[m, :2 * keep * width].reshape(2 * keep, width)
-        for c in range(0, sector.dim, width):
-            block = basis[:m, c:c + width]
-            out = products[:, :block.shape[1]]
-            np.matmul(coeffs, block, out=out)
-            block[:2 * keep] = out
-
-    def coordinates(k):
-        return basis[k] if one_pass else coeffs[k] @ basis[:m]
-
+    # Real rows of coefficients of x and y, the real and imaginary parts of each kept
+    # Ritz vector (a complex row would cast the basis whole), none for a conjugate
+    # partner, which gets its pair's residual: at most m rows, applied in one pass over
+    # the basis, a block of columns at a time, through row m into its first rows.
+    partner = [next((k for k in range(i) if ritz[k] == ritz[i].conjugate()
+                     and np.array_equal(vecs[:, k], vecs[:, i].conj())), None)
+               for i in range(keep)]
+    coeffs = np.array([part for i in range(keep) if partner[i] is None
+                       for part in (vecs[:, i].real, vecs[:, i].imag)[:1 + bool(ritz[i].imag)]])
+    width = min(_RITZ_COLUMNS, sector.dim // len(coeffs))
+    products = basis[m, :len(coeffs) * width].reshape(len(coeffs), width)
+    for c in range(0, sector.dim, width):
+        block = basis[:m, c:c + width]
+        out = products[:, :block.shape[1]]
+        np.matmul(coeffs, block, out=out)
+        block[:len(coeffs)] = out
+    spare, row = basis[m], 0
     residuals = np.empty(keep)
-    op = np.empty_like(buf)
     for i in range(keep):
-        sector.unpack(coordinates(i), op)
-        if vecs[:, i].imag.any():
-            op += 1j * sector.unpack(coordinates(keep + i), buf)
-        op /= np.linalg.norm(op)
-        np.copyto(buf, op)
-        _step(umap, mask, buf)
-        op *= -ritz[i]  # S R - alpha R, formed in R's array
-        op += buf
-        residuals[i] = np.linalg.norm(op)
+        if partner[i] is not None:
+            residuals[i] = residuals[partner[i]]
+            continue
+        a, b = ritz[i].real, ritz[i].imag
+        parts = basis[row:row + (2 if b else 1)]
+        squares = 0.0
+        for k, u in enumerate(parts):  # Sx - ax + by, then Sy - ay - bx, in row m
+            matvec(u, spare)
+            spare -= a * u
+            if b:
+                spare += (b, -b)[k] * parts[1 - k]
+            squares += np.linalg.norm(spare) ** 2
+        residuals[i] = np.sqrt(squares) / np.linalg.norm(parts)
+        row += len(parts)
     converged = residuals < _KRYLOV_RESIDUAL_TOL
     if not converged.all():
         warnings.warn(
@@ -409,7 +402,7 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
         alphas=ritz[:keep], method="krylov",
         params={"n": n, "epsilon": 0.0 if kernel is None else kernel.epsilon,
                 "map": umap.map_spec, "depth": depth, "sector": _SECTOR_NAMES[sign],
-                "krylov_dim": m, "matvecs": m + keep, "reorth": reorth},
+                "krylov_dim": m, "matvecs": m + row, "reorth": reorth},
         residuals=residuals, converged=converged, includes_identity=False)
     cluster = spectrum.leading_cluster().size
     if cluster > 1:
@@ -425,8 +418,10 @@ def fit_tail_rate(series: OtocSeries, t_start: int, t_end: int,
     The window must hold at least four samples and, when the Ehrenfest time
     is supplied, start at or beyond it (the growth regime would bias the
     slope).  Warns when |O1| dips to the numerical trace floor inside the
-    window, where the fit degrades into noise.
+    window, where the fit degrades into noise.  ``t_start`` and ``t_end`` are
+    non-negative integers (:func:`~otoclab.phase_space._count`).
     """
+    t_start, t_end = _count(t_start, "t_start"), _count(t_end, "t_end")
     if t_end - t_start < 3:
         raise ValueError("tail window must contain at least 4 time steps")
     if t_ehrenfest is not None and t_start < np.ceil(t_ehrenfest):
@@ -437,7 +432,7 @@ def fit_tail_rate(series: OtocSeries, t_start: int, t_end: int,
     o1 = series.o1_abs[mask]
     if o1.min() < 1e-13:
         warnings.warn("|O1| reached the numerical floor inside the fit window", stacklevel=2)
-    return WindowFit(*loglinear_fit(series.t[mask], o1), (int(t_start), int(t_end)))
+    return WindowFit(*loglinear_fit(series.t[mask], o1), (t_start, t_end))
 
 
 def spectral_o1_prediction(spectrum: ResonanceSpectrum, a: np.ndarray,
@@ -448,8 +443,10 @@ def spectral_o1_prediction(spectrum: ResonanceSpectrum, a: np.ndarray,
     evolves each term as alpha_i^t, and evaluates Tr(A(t) B A(t) B)/N.  With
     ``terms`` the expansion is truncated to that many leading eigenvalues;
     the identity direction contributes x_0 = Tr(A)/N = 0 for traceless A, so
-    ``terms=2`` isolates the leading resonance.
+    ``terms=2`` isolates the leading resonance.  ``t`` is a non-negative integer
+    (:func:`~otoclab.phase_space._count`).
     """
+    t = _count(t, "t")
     if spectrum.rights is None or spectrum.lefts is None:
         raise ValueError("spectral prediction needs a dense spectrum with eigenoperators")
     n = spectrum.rights.shape[1]

@@ -360,7 +360,11 @@ def test_resonances_krylov_cli(tmp_path):
     manifest = dict(line.split("=", 1) for line in
                     (tmp_path / "kry" / "manifest.txt").read_text().splitlines())
     assert manifest["derived.krylov_dim"] == "20"
-    assert manifest["derived.krylov_matvecs"] == "23"  # 20 Arnoldi steps + 3 residual checks
+    # 20 Arnoldi steps + 3 residual matvecs: one for the real leader and two for the
+    # complex pair after it, whose conjugate partner reuses its residual
+    assert float(rows[0][2]) == 0 and rows[2][1:3] == [rows[1][1], "-" + rows[1][2]]
+    assert rows[2][4] == rows[1][4]
+    assert manifest["derived.krylov_matvecs"] == "23"
     assert manifest["derived.krylov_sector"] == "none"  # a random seed has no parity
     assert manifest["derived.krylov_reorth"].isdigit()  # second Gram-Schmidt passes
 
@@ -370,7 +374,7 @@ def _refused_before_building(monkeypatch, capsys, argv, out):
     def unreachable(*args, **kwargs):
         raise AssertionError("built before the memory preflight")
 
-    for name in ("quantize", "build_kernel", "sine_position", "random_traceless_hermitian"):
+    for name in ("quantize", "build_kernel", "krylov_leading", "random_traceless_hermitian"):
         monkeypatch.setattr(cli, name, unreachable)
     assert main(argv + ["--out", str(out)]) == 1
     lines = capsys.readouterr().err.strip().splitlines()
@@ -380,24 +384,24 @@ def _refused_before_building(monkeypatch, capsys, argv, out):
 
 
 def test_resonances_krylov_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
-    """N=100000 at depth 90 in the odd sector of the sine seed needs about 4.4 TB: 3.6 TB
-    of basis, half the N^2 reals a row, and 80 N^2 bytes of N x N arrays; refused before
+    """N=100000 at depth 90 in the odd sector of the sine seed needs about 4.3 TB: 3.6 TB
+    of basis, half the N^2 reals a row, and 64 N^2 bytes of N x N arrays; refused before
     anything is built."""
     line = _refused_before_building(
         monkeypatch, capsys, ["resonances", "--map", "cat", "--n", "100000", "--epsilon",
                               "0.0001", "--method", "krylov", "--depth", "90"], tmp_path / "big")
-    assert "4440.0 GB" in line
+    assert "4280.0 GB" in line
 
 
 def test_resonances_krylov_preflight_sizes_a_random_seed_by_n_squared(tmp_path, monkeypatch,
                                                                       capsys):
     """A random seed has no parity: its basis keeps all N^2 reals a row, 7.3 TB, and the
-    run needs 8.1 TB with its N x N arrays."""
+    run needs 7.9 TB with its N x N arrays."""
     line = _refused_before_building(
         monkeypatch, capsys, ["resonances", "--map", "cat", "--n", "100000", "--epsilon",
                               "0.0001", "--method", "krylov", "--depth", "90", "--seed-op",
                               "random"], tmp_path / "big")
-    assert "8080.0 GB" in line
+    assert "7920.0 GB" in line
 
 
 @pytest.mark.parametrize("spec", ["cat", "standard", "harper"])
@@ -557,7 +561,11 @@ def test_otoc_preflight_bounds_peak_rss_at_the_most_parts(tmp_path):
     ["--map", "cat", "--n", "320", "--map-param", "0.02", "--epsilon", "0.03125",
      "--depth", "90", "--n-wanted", "10"],
     ["--map", "harper", "--n", "63", "--map-param", "0.94", "--epsilon", "0.16",
-     "--depth", "30"]], ids=["cat-320-depth-90", "harper-63-depth-30"])
+     "--depth", "30"],
+    # the random seed, held by the caller, needs the most of the N^2 term below N=512
+    ["--map", "cat", "--n", "480", "--map-param", "0.02", "--epsilon", "0.02",
+     "--depth", "90", "--n-wanted", "10", "--seed-op", "random"]],
+    ids=["cat-320-depth-90", "harper-63-depth-30", "cat-480-random-depth-90"])
 def test_krylov_preflight_bounds_peak_rss(tmp_path, argv):
     """The Krylov preflight that a run records is at least the peak RSS it reaches, for
     the benchmark's N=320 sector run and an odd-N Harper run, as for otoc runs."""

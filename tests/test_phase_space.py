@@ -16,8 +16,8 @@ from otoclab.phase_space import (MOMENTUM, POSITION, TorusSpace, change_basis,
                                  hermitian_f, hermiticity_defect, shift_v, sine_momentum,
                                  sine_position, symplectic_product, translation)
 from otoclab.phase_space import _write_f
-from otoclab.resonances import (dense_superoperator, full_spectrum, krylov_leading,
-                                spectral_o1_prediction)
+from otoclab.resonances import (dense_superoperator, fit_tail_rate, full_spectrum,
+                                krylov_leading, spectral_o1_prediction)
 
 
 def test_torus_space_rejects_small_dims():
@@ -343,6 +343,11 @@ _COUNT_ENTRY_POINTS = {
     "n_traj": lambda umap, k: lyapunov(umap.map_spec, n_traj=k, t_horizon=10),
     "t_horizon": lambda umap, k: lyapunov(umap.map_spec, n_traj=2, t_horizon=k),
     "torus dimension": lambda umap, k: TorusSpace(k),
+    "t_start": lambda umap, k: fit_tail_rate(otoc_series(umap, (0, 1), (1, 0), 12), k, 9),
+    "t_end": lambda umap, k: fit_tail_rate(otoc_series(umap, (0, 1), (1, 0), 12), 0, k),
+    "t": lambda umap, k: spectral_o1_prediction(full_spectrum(dense_superoperator(umap, None)),
+                                                sine_position(umap.space),
+                                                sine_momentum(umap.space), k),
     "q0": lambda umap, k: coherent_state(umap.space, k, 0.0),
     "p0": lambda umap, k: coherent_state(umap.space, 0.0, k),
 }
@@ -375,6 +380,8 @@ def test_coherent_state_refuses_a_centre_that_is_not_finite(name, value):
 @example("depth", 20.5)
 @example("steps", 2.5)
 @example("q0", float("nan"))
+@example("t_start", 2.5)  # fitted t = 3..9 but recorded the window as (2, 9)
+@example("t", 2.5)  # returned a value computed from alpha^2.5
 @given(st.sampled_from(sorted(_COUNT_ENTRY_POINTS)),
        st.floats().filter(lambda x: not x.is_integer()) | st.integers(-10**6, -1))
 def test_every_count_size_and_centre_refuses_bad_values(name, value):
@@ -468,6 +475,25 @@ def test_parity_reads_the_sector_a_block_at_a_time(n):
         assert phase_space._parity(y + noise) == 0
     assert phase_space._parity(x) == 0
     assert phase_space._parity(np.zeros((n, n), dtype=complex)) == 1
+
+
+@pytest.mark.parametrize("n", [3, 8, 33, 516])
+def test_hermitian_keeps_the_dense_frobenius_rule(n):
+    """||x - x^dag|| <= 1e-12 ||x||, summed a block of rows at a time, decides as the
+    dense formula does, on a plain array and on a padded working buffer (N = 516):
+    a defect of 1e-14 relative passes, one of 1e-10 fails, and a NaN entry fails."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x = x + x.conj().T
+    buf = phase_space._working(n)
+    for scale in (0.0, 1e-14, 1e-10):
+        noise = np.zeros((n, n), dtype=complex)
+        noise[0, n - 1] = scale * np.linalg.norm(x)
+        np.copyto(buf, x + noise)
+        dense = np.linalg.norm(buf - buf.conj().T) <= 1e-12 * np.linalg.norm(buf)
+        assert phase_space._hermitian(buf) == dense == (scale < 1e-12)
+    buf[1, 0] = np.nan
+    assert not phase_space._hermitian(buf)
 
 
 @pytest.mark.parametrize("n", [2, 4, 10, 64])

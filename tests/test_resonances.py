@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from otoclab import resonances
+from otoclab import coarse_graining, resonances
 from otoclab.coarse_graining import build_kernel, channel_step
 from otoclab.maps import AS_PRINTED, CORRESPONDENCE, cat_map, harper_map, quantize, standard_map
 from otoclab.otoc import OtocSeries
@@ -275,9 +276,9 @@ def test_sector_slices_match_the_index_tables(n, sign):
                          ids=["cat", "standard", "harper"])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_krylov_steps_in_the_sector(monkeypatch, spec, sign):
-    """At even N the Arnoldi steps after the first take the sector step, with the
-    seed's sign; the first image, which decides the sector, and the residual checks
-    take the full step.  The result agrees with the full step throughout."""
+    """At even N the Arnoldi steps after the first and the residual matvecs take the
+    sector step, with the seed's sign; only the first image, which decides the sector,
+    takes the full step.  The result agrees with the full step throughout."""
     n = 16
     space = TorusSpace(n)
     umap = quantize(spec, space)
@@ -295,7 +296,8 @@ def test_krylov_steps_in_the_sector(monkeypatch, spec, sign):
     monkeypatch.setattr(resonances, "_step", recording)
     got = krylov_leading(umap, kernel, a, depth=30, n_wanted=3)
     m, keep = got.params["krylov_dim"], got.alphas.size
-    assert signs == [0] + [sign] * (m - 1) + [0] * keep
+    assert signs == [0] + [sign] * (got.params["matvecs"] - 1)
+    assert m < got.params["matvecs"] <= m + 2 * keep  # one or two a Ritz value, none a partner
     monkeypatch.setattr(resonances, "_keeps_parity", lambda umap: False)
     signs.clear()
     want = krylov_leading(umap, kernel, a, depth=30, n_wanted=3)
@@ -305,6 +307,118 @@ def test_krylov_steps_in_the_sector(monkeypatch, spec, sign):
         assert got.params[key] == want.params[key], key
     assert np.abs(np.abs(got.alphas) - np.abs(want.alphas)).max() <= 1e-13
     assert np.array_equal(got.converged, want.converged)
+
+
+def _sector_seed(space, sign, seed=5):
+    """A random traceless Hermitian operator of parity ``sign``, or of none for 0."""
+    a = random_traceless_hermitian(space, seed)
+    if not sign:
+        return a
+    neg = -np.arange(space.dim) % space.dim
+    return (a + sign * a[np.ix_(neg, neg)]) / 2
+
+
+@pytest.mark.parametrize("spec", [cat_map(0.3), standard_map(1.5), harper_map(0.94)],
+                         ids=["cat", "standard", "harper"])
+@pytest.mark.parametrize("n", [8, 33, 64])
+@pytest.mark.parametrize("sign", [1, -1, 0], ids=["even", "odd", "none"])
+def test_krylov_coordinate_residuals_match_the_full_step(monkeypatch, spec, n, sign):
+    """Each residual, read from the Ritz coordinates x + iy through the loop's matvec as
+    ||(Sx - ax + by, Sy - ay - bx)|| / ||(x, y)||, agrees to 1e-13 with the full-step
+    form: Z = (1 - i)(X + iY) unpacked, normalized, given the full step, and
+    ||S Z - alpha Z|| (operators of unit norm, so the tolerance is absolute).  The
+    coordinates are read from the basis, whose first rows hold x, or x and y, of each
+    listed Ritz vector in turn once the call returns.  A listed conjugate partner
+    x - iy takes no rows and gets its pair's residual, and the full step gives it the
+    same one."""
+    space = TorusSpace(n)
+    umap, kernel = quantize(spec, space), build_kernel(space, 10.0 / n)
+    bases = []
+    pack = resonances._RealSector.pack
+
+    def recording(self, r, out):
+        if out.base is not None and not bases:  # basis[0], a row of the basis
+            bases.append((self, out.base))
+        return pack(self, r, out)
+
+    monkeypatch.setattr(resonances._RealSector, "pack", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = krylov_leading(umap, kernel, _sector_seed(space, sign), depth=30, n_wanted=6)
+    sector, basis = bases[0]
+    mask = coarse_graining._mask(kernel)
+    buf = np.empty((n, n), dtype=complex)
+    want, rows, row = [], [], 0
+    for i, alpha in enumerate(got.alphas):
+        pair = [j for j in range(i) if got.alphas[j] == alpha.conjugate() and alpha.imag]
+        if pair:
+            assert got.residuals[i] == got.residuals[pair[0]]
+            x, y = rows[pair[0]]
+            y = -y
+        elif alpha.imag:
+            x, y = basis[row], basis[row + 1]
+            row += 2
+        else:
+            x, y = basis[row], np.zeros_like(basis[row])
+            row += 1
+        rows.append((x, y))
+        z = sector.unpack(x, np.empty((n, n), dtype=complex))
+        z += 1j * sector.unpack(y, buf)
+        z /= np.linalg.norm(z)
+        np.copyto(buf, z)
+        coarse_graining._step(umap, mask, buf)
+        want.append(np.linalg.norm(buf - alpha * z))
+    assert got.params["matvecs"] == got.params["krylov_dim"] + row
+    assert np.abs(got.residuals - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("spec, n", [(cat_map(0.02), 16), (harper_map(0.94), 15),
+                                     (standard_map(1.5), 15)], ids=["cat-16", "harper-15",
+                                                                    "standard-15"])
+def test_krylov_displacement_seed_is_the_sine_seed(spec, n):
+    """The displacement (0, 1) stands for F_(0,1), the sine seed: the same alphas,
+    residuals and counts, bit for bit, in the odd sector and without one.  A
+    displacement whose F_xi is zero is refused as the zero array is."""
+    space = TorusSpace(n)
+    umap, kernel = quantize(spec, space), build_kernel(space, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = krylov_leading(umap, kernel, (0, 1), depth=20, n_wanted=4)
+        want = krylov_leading(umap, kernel, sine_position(space), depth=20, n_wanted=4)
+    assert np.array_equal(got.alphas, want.alphas)
+    assert np.array_equal(got.residuals, want.residuals)
+    assert got.params == want.params
+    with pytest.raises(ValueError, match="Krylov seed must be finite and nonzero"):
+        krylov_leading(umap, kernel, (0, 0), depth=20, n_wanted=4)
+
+
+@pytest.mark.parametrize("spec, n", [(cat_map(0.02), 128), (harper_map(0.94), 63)],
+                         ids=["sector-step-128", "full-step-63"])
+def test_krylov_residual_checks_hold_no_array_beside_the_buffer(monkeypatch, spec, n):
+    """During the residual matvecs of a sine-seeded run the only traced block of at
+    least 16 N^2 bytes, a complex N x N array, besides the basis is the working
+    buffer: no Ritz operator, no temporary of its imaginary part and no seed."""
+    space = TorusSpace(n)
+    umap, kernel = quantize(spec, space), build_kernel(space, 10.0 / n)
+    depth, big, calls, seen = 20, 16 * n * n, [], []
+    step = resonances._step
+
+    def snapshotting(umap, mask, at, sign=0):
+        calls.append(sign)
+        if len(calls) > depth:  # the first image and depth - 1 Arnoldi steps come first
+            seen.append(sorted(t.size for t in tracemalloc.take_snapshot().traces
+                               if t.size >= big))
+        return step(umap, mask, at, sign)
+
+    monkeypatch.setattr(resonances, "_step", snapshotting)
+    tracemalloc.start()
+    try:
+        got = krylov_leading(umap, kernel, (0, 1), depth=depth, n_wanted=4)
+    finally:
+        tracemalloc.stop()
+    basis = 8 * (depth + 1) * resonances._RealSector(n, -1).dim
+    assert got.params["krylov_dim"] == depth and len(seen) == got.params["matvecs"] - depth > 0
+    assert all(sizes == sorted([big, basis]) for sizes in seen), seen
 
 
 def test_krylov_sector_is_checked_on_the_channel_image():
