@@ -24,7 +24,6 @@ import argparse
 import concurrent.futures
 import dataclasses
 import functools
-import hashlib
 import math
 import os
 import platform
@@ -38,7 +37,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, phase_space
 from .classical import ehrenfest_time, lyapunov
@@ -178,6 +176,8 @@ def _environment() -> list[tuple[str, str]]:
     is the most parts an N x N pass runs in (one per 256 lines at most), which
     changes timings only.
     """
+    import scipy  # only for its version: loaded after the run's arrays are freed
+
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     items = [("environment.python", platform.python_version()),
              ("environment.numpy", np.__version__),
@@ -206,6 +206,8 @@ def _write_run(config: RunConfig, start: float, name: str, header: list[str], ro
     """``<name>.csv`` plus manifest.txt (config echo, wallclock since ``start``,
     environment, derived values, peak RSS, the ``caught`` warnings, checksum) in
     the run's output directory; the warnings are then echoed to stderr."""
+    import hashlib  # OpenSSL: loaded after the run's arrays are freed
+
     csv_path = config.output_dir() / f"{name}.csv"
     _write_csv(csv_path, header, rows)
     lines = [f"config.{k}={_fmt(v)}" for k, v in dataclasses.asdict(config).items()
@@ -224,19 +226,21 @@ def _write_run(config: RunConfig, start: float, name: str, header: list[str], ro
     return csv_path
 
 
-# Peak RSS of `otoc` with eps 0.01 and t_max 18, largest with the F(1,1;0,1)
-# pair, read 57.2 MB at N=1024 and 108.7 MB at N=2048 (numpy 2.4, MB = 10^6
-# bytes), 40.0 MB + 16.4 N^2, and 40.5-40.8 MB at N <= 256: the interpreter and
-# libraries plus one complex N x N array, the buffer that holds B, then A and
-# A(t).  The base is rounded up by 3 MB for other library builds, the N^2 term
-# to 17 N^2.  That is the full path, which writes every row of the buffer.
+# Peak RSS of `otoc` on the full path with eps 0.01 and t_max 18, largest with the
+# F(1,1;0,1) pair, read 52.0, 73.8 and 104.1 MB at N = 1023, 1535 and 2047 (numpy
+# 2.4, MB = 10^6 bytes), 34.6 MB + 16.5-16.6 N^2: the interpreter and the libraries
+# the compute loads plus one complex N x N array, the buffer that holds B, then A and
+# A(t).  OpenSSL, scipy and numpy.random load once that buffer is freed, so at N <=
+# 256 the peak, 41.3-41.4 MB, is the process with every library.  The base is
+# rounded up to 44 MB for other library builds, the N^2 term to 17 N^2.  The parts
+# term below keeps the 16.4 N^2 of an earlier fit: the base's 9 MB margin covers it.
 _OTOC_BASE_BYTES = 44e6
 _OTOC_BYTES_PER_N2 = 17
 _OTOC_MEASURED_PER_N2 = 16.4
 # The parity sector writes rows 0 .. N/2 of the buffer (8 N^2 bytes) and the half
 # spectrum after them (4 N^2); the rest stays unmapped.  The larger of the XP and
-# F(1,1;0,1) peaks read 55.2 MB at N=1024 and 94.5 MB at N=2048 (numpy 2.4, 10^6
-# bytes), 42.1 MB + 12.5 N^2, under the same base; the N^2 term is rounded up to
+# F(1,1;0,1) peaks read 49.1 MB at N=1024 and 87.5 MB at N=2048 (numpy 2.4, 10^6
+# bytes), 36.3 MB + 12.2 N^2, under the same base; the N^2 term is rounded up to
 # 13 N^2.
 _OTOC_SECTOR_BYTES_PER_N2 = 13
 _OTOC_SECTOR_MEASURED_PER_N2 = 12.5
@@ -251,13 +255,15 @@ _OTOC_BYTES_PER_STEP = 970
 # are added to the measured N^2 term, and count where that passes the rounded one.
 _OTOC_BYTES_PER_PART = 0.5e6
 _OTOC_BYTES_PER_PART_N = 800
-# Peak RSS of a Krylov run (cat, eps N = 10, random seed) less its basis: 65.9, 84.2,
-# 107.9, 136.7 and 210.4 MB at N = 768-2048 (depth 12; numpy 2.4, MB = 10^6 bytes),
-# 42 MB + 40.1 N^2 from N=1024 on: the caller's seed, the buffer and a d-vector
-# temporary.  Below N=512 freed arrays stay in the malloc heap (MALLOC_MMAP_THRESHOLD_
-# =131072 takes 4.5 MB off at N=448), and depth 90 needs 55.7-57.7 N^2 over the otoc
-# base at N=416-508.  The sine seed, which the call writes and drops, needs 16 N^2 at
-# N=1000.  Rounded up to 64 N^2; 64 forced parts added 1.2 MB.
+# Peak RSS of a Krylov run (cat, eps N = 10, random seed) less its basis: 60.5, 75.0
+# and 142.4 MB at N = 768, 1024 and 2048 (depth 12; numpy 2.4, MB = 10^6 bytes),
+# 52.6 MB + 21.4 N^2 from N=1024 on: the seed, which the call drops once the basis
+# holds it, the buffer and a d-vector temporary.  Depth 90 needs 18.0-23.8 N^2 over
+# the otoc base at N=416-508 (MALLOC_MMAP_THRESHOLD_=131072 takes 1.9 MB off at
+# N=448).  The sine seed, which the call writes itself, needs 16 N^2 at N=1000.  The
+# constant, fitted at 55.7-57.7 N^2 when the caller held its seed and the seed's
+# freed temporaries kept later arrays in the malloc heap, stays 64 N^2; 64 forced
+# parts added 1.2 MB.
 _KRYLOV_BYTES_PER_N2 = 64
 # the memory limit of this process's cgroup, v2 and then v1, in bytes, or "max"
 # for none (v1 writes a huge number instead); only read
@@ -356,9 +362,11 @@ def run_otoc(config: RunConfig) -> dict:
     with warnings.catch_warnings(record=True) as caught:
         _, umap, kernel = _build_channel(config)
         a, b = _operator_pair(config)
+        series = otoc_series(umap, a, b, config.t_max, kernel=kernel)
+        # after the series, so that numpy.random loads once its buffer is freed; the
+        # estimate sets only the fit windows, and the series raises no warnings
         est = _classical_estimate(lyapunov, config.map_spec(), 200, 400, config.seed)
         t_e = ehrenfest_time(config.n, est.lam) if est.lam > 0 else float("nan")
-        series = otoc_series(umap, a, b, config.t_max, kernel=kernel)
 
         derived: list[tuple[str, str]] = [
             ("derived.lambda_classical", _fmt(est.lam)),
@@ -461,6 +469,11 @@ def run_sweep(config: RunConfig, axis: str, values: list[float], jobs: int = 1) 
     cpus = phase_space._usable_cpus()
     workers = min(jobs, len(tasks), cpus)
     if workers > 1:
+        # the manifest's checksum and version libraries, loaded once here so that the
+        # forked workers share them instead of each loading them between sub-runs
+        import hashlib  # noqa: F401
+        import scipy  # noqa: F401
+
         # each worker splits its N x N passes over its share of the CPUs
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=phase_space._set_parts,
@@ -516,10 +529,11 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
             spectrum = full_spectrum(dense_superoperator(umap, kernel),
                                      params={"n": config.n, "epsilon": config.epsilon})
         else:
-            # the sine seed is F_(0,1), a displacement that krylov_leading writes itself
-            a0 = ((0, 1) if seed_op == "sine"
-                  else random_traceless_hermitian(space, seed=config.seed))
-            spectrum = krylov_leading(umap, kernel, a0, depth=depth, n_wanted=n_wanted)
+            # the sine seed is F_(0,1), a displacement that krylov_leading writes itself;
+            # a random one is passed unnamed, so the call frees it once it holds a copy
+            spectrum = krylov_leading(umap, kernel, (0, 1) if seed_op == "sine"
+                                      else random_traceless_hermitian(space, seed=config.seed),
+                                      depth=depth, n_wanted=n_wanted)
             derived += [("derived.depth", str(depth)), ("derived.seed_op", seed_op),
                         ("derived.krylov_sector", spectrum.params["sector"]),
                         ("derived.krylov_dim", str(spectrum.params["krylov_dim"])),

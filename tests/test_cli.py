@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -635,12 +636,79 @@ def test_sweep_estimates_lyapunov_once_per_map(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("module", ["otoclab", "otoclab.cli"])
 def test_import_loads_no_scipy_submodules(module):
-    """A run imports scipy.linalg and scipy.special only where it calls them."""
-    code = (f"import sys, {module}; "
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules))")
+    """A run imports scipy.linalg and scipy.special only where it calls them, and the
+    manifest's version and checksum libraries, scipy and hashlib, only when it writes;
+    what ``import numpy`` loads itself is not counted."""
+    code = (f"import sys, numpy; before = set(sys.modules); import {module}; "
+            "print(sorted(m for m in ('scipy', 'scipy.linalg', 'scipy.special', 'hashlib') "
+            "if m in sys.modules and m not in before))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True)
     assert result.stdout.strip() == "[]"
+
+
+_SPY = """
+import sys
+import numpy
+before = set(sys.modules)  # what numpy loads itself is not the package's to defer
+from otoclab import cli
+
+def spy(name):
+    real = getattr(cli, name)
+
+    def call(*args, **kwargs):
+        print(name, sorted(m for m in ("hashlib", "_hashlib", "scipy", "numpy.random")
+                           if m in sys.modules and m not in before))
+        return real(*args, **kwargs)
+    setattr(cli, name, call)
+
+spy("otoc_series")
+spy("krylov_leading")
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (["otoc", "--map", "cat", "--n", "64", "--map-param", "0.02", "--epsilon", "0.05",
+      "--t-max", "8"], "otoc_series"),
+    (["resonances", "--map", "cat", "--n", "32", "--map-param", "0.02", "--epsilon", "0.3",
+      "--method", "krylov", "--depth", "20", "--n-wanted", "3"], "krylov_leading"),
+], ids=["otoc", "krylov-sine"])
+def test_n2_compute_runs_before_the_libraries_it_does_not_call(tmp_path, argv, entry):
+    """The N x N compute of an otoc run and of a sine-seeded Krylov run starts before
+    OpenSSL (hashlib), scipy and numpy.random are loaded: the manifest's checksum and
+    version and the classical estimate load them once the run's arrays are freed, so
+    they do not add to its peak RSS."""
+    result = subprocess.run([sys.executable, "-c", _SPY, *argv, "--out", str(tmp_path / "run")],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [f"{entry} []"]
+
+
+def test_random_seed_krylov_run_holds_no_seed_through_the_loop(tmp_path, monkeypatch):
+    """A --seed-op random Krylov run passes its seed to krylov_leading unnamed, and the
+    call drops it once copied: during the Arnoldi steps after the first image the only
+    traced blocks of at least 16 N^2 bytes are the working buffer and the basis."""
+    n, depth, seen = 48, 16, []
+    step = resonances._step
+
+    def snapshotting(umap, mask, at, sign=0):
+        seen.append(sorted(t.size for t in tracemalloc.take_snapshot().traces
+                           if t.size >= 16 * n * n))
+        return step(umap, mask, at, sign)
+
+    monkeypatch.setattr(resonances, "_step", snapshotting)
+    config = RunConfig(map="cat", n=n, map_param=0.02, epsilon=0.2, outputs=str(tmp_path / "r"))
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_resonances(config, "krylov", depth=depth, n_wanted=3, seed_op="random")
+    finally:
+        tracemalloc.stop()
+    basis = 8 * (depth + 1) * n * n  # a random seed has no parity sector
+    assert len(seen) > depth
+    assert all(sizes == sorted([16 * n * n, basis]) for sizes in seen[1:]), seen
 
 
 def test_lyapunov_cli(tmp_path):

@@ -642,3 +642,17 @@ def test_full_spectrum_flags_a_defective_superoperator():
     assert spectrum.degenerate
     assert np.allclose(np.sort(np.abs(spectrum.alphas)), [0.2, 0.5, 0.9, 0.9])
     assert np.isfinite(spectrum.lefts).all()
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n", [8, 63, 320])
+def test_random_seed_is_the_symmetrized_gaussian_bit_for_bit(n, seed):
+    """The seed built in its one array is (R + R^dag) / 2 - Tr / N for R = X + iY, X and
+    Y the two standard_normal((N, N)) draws, to the bit, signs of zero included."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    want = (raw + raw.conj().T) / 2.0
+    want -= np.trace(want) / n * np.eye(n)
+    got = random_traceless_hermitian(TorusSpace(n), seed)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
