@@ -46,7 +46,7 @@ from .maps import (AS_PRINTED, CAT, CORRESPONDENCE, HARPER, STANDARD,
 from .otoc import _displacement_sector, analytic_cat_otoc, fit_growth, otoc_series
 from .phase_space import TorusSpace
 from .resonances import (_DENSE_LIMIT, _RealSector, dense_superoperator, fit_tail_rate,
-                         full_spectrum, krylov_leading, random_traceless_hermitian)
+                         full_spectrum, krylov_leading)
 
 __all__ = ["RunConfig", "run_otoc", "run_sweep", "run_resonances", "run_lyapunov", "main"]
 
@@ -227,11 +227,11 @@ def _write_run(config: RunConfig, start: float, name: str, header: list[str], ro
 
 
 # Peak RSS of `otoc` on the full path with eps 0.01 and t_max 18, largest with the
-# F(1,1;0,1) pair, read 52.0, 73.8 and 104.1 MB at N = 1023, 1535 and 2047 (numpy
-# 2.4, MB = 10^6 bytes), 34.6 MB + 16.5-16.6 N^2: the interpreter and the libraries
+# F(1,1;0,1) pair, read 52.0-52.2, 74.0 and 104.0-104.1 MB at N = 1023, 1535 and 2047
+# (numpy 2.4, MB = 10^6 bytes), 34.8 MB + 16.5 N^2: the interpreter and the libraries
 # the compute loads plus one complex N x N array, the buffer that holds B, then A and
 # A(t).  OpenSSL, scipy and numpy.random load once that buffer is freed, so at N <=
-# 256 the peak, 41.3-41.4 MB, is the process with every library.  The base is
+# 256 the peak, 41.2-41.5 MB, is the process with every library.  The base is
 # rounded up to 44 MB for other library builds, the N^2 term to 17 N^2.  The parts
 # term below keeps the 16.4 N^2 of an earlier fit: the base's 9 MB margin covers it.
 _OTOC_BASE_BYTES = 44e6
@@ -239,9 +239,9 @@ _OTOC_BYTES_PER_N2 = 17
 _OTOC_MEASURED_PER_N2 = 16.4
 # The parity sector writes rows 0 .. N/2 of the buffer (8 N^2 bytes) and the half
 # spectrum after them (4 N^2); the rest stays unmapped.  The larger of the XP and
-# F(1,1;0,1) peaks read 49.1 MB at N=1024 and 87.5 MB at N=2048 (numpy 2.4, 10^6
-# bytes), 36.3 MB + 12.2 N^2, under the same base; the N^2 term is rounded up to
-# 13 N^2.
+# F(1,1;0,1) peaks read 48.0-49.1 MB at N=1024 and 87.5-88.6 MB at N=2048 (three runs,
+# numpy 2.4, 10^6 bytes), 35.8 MB + 12.6 N^2 from the medians, 12.2-12.9 N^2 between
+# runs, under the same base; the N^2 term is rounded up to 13 N^2.
 _OTOC_SECTOR_BYTES_PER_N2 = 13
 _OTOC_SECTOR_MEASURED_PER_N2 = 12.5
 # Peak RSS per time step of `otoc --n 8` with the cat k=0 overlay, the widest
@@ -255,15 +255,14 @@ _OTOC_BYTES_PER_STEP = 970
 # are added to the measured N^2 term, and count where that passes the rounded one.
 _OTOC_BYTES_PER_PART = 0.5e6
 _OTOC_BYTES_PER_PART_N = 800
-# Peak RSS of a Krylov run (cat, eps N = 10, random seed) less its basis: 60.5, 75.0
-# and 142.4 MB at N = 768, 1024 and 2048 (depth 12; numpy 2.4, MB = 10^6 bytes),
-# 52.6 MB + 21.4 N^2 from N=1024 on: the seed, which the call drops once the basis
-# holds it, the buffer and a d-vector temporary.  Depth 90 needs 18.0-23.8 N^2 over
-# the otoc base at N=416-508 (MALLOC_MMAP_THRESHOLD_=131072 takes 1.9 MB off at
-# N=448).  The sine seed, which the call writes itself, needs 16 N^2 at N=1000.  The
-# constant, fitted at 55.7-57.7 N^2 when the caller held its seed and the seed's
-# freed temporaries kept later arrays in the malloc heap, stays 64 N^2; 64 forced
-# parts added 1.2 MB.
+# Peak RSS of a Krylov run (cat, eps N = 10, random seed) less its basis: 60.5, 75.1
+# and 142.3 MB at N = 768, 1024 and 2048 (depth 12; numpy 2.4, MB = 10^6 bytes),
+# 52.6 MB + 21.4 N^2 from N=1024 on: the seed, which the call draws from its integer
+# seed and drops once the basis holds it, the buffer and a d-vector temporary.  Depth
+# 90 needs 19.3-23.9 N^2 over the otoc base at N=416-508 (MALLOC_MMAP_THRESHOLD_=
+# 131072 takes 1.4 MB off at N=448).  The sine seed, which the call writes itself,
+# needs 16 N^2 at N=1000.  The constant, fitted at 55.7-57.7 N^2 when the caller held
+# its seed array, stays 64 N^2; 64 forced parts added 1.2 MB.
 _KRYLOV_BYTES_PER_N2 = 64
 # the memory limit of this process's cgroup, v2 and then v1, in bytes, or "max"
 # for none (v1 writes a huge number instead); only read
@@ -469,8 +468,10 @@ def run_sweep(config: RunConfig, axis: str, values: list[float], jobs: int = 1) 
     cpus = phase_space._usable_cpus()
     workers = min(jobs, len(tasks), cpus)
     if workers > 1:
-        # the manifest's checksum and version libraries, loaded once here so that the
-        # forked workers share them instead of each loading them between sub-runs
+        # the manifest's checksum and version libraries, loaded once here so that
+        # workers forked from this process share them instead of each loading them
+        # between sub-runs; under the forkserver or spawn start method (the pool takes
+        # the platform's default) each worker loads them itself, as it did before
         import hashlib  # noqa: F401
         import scipy  # noqa: F401
 
@@ -503,8 +504,9 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
     A dense run above N=24, and a Krylov run whose working set exceeds physical
     memory or the cgroup's memory limit, are refused before anything is
     allocated.  That working set is 44 MB + 64 N^2 bytes, the interpreter, the
-    working buffer and, for ``seed_op`` random, the seed array (the sine seed is the
-    displacement (0, 1)), plus the real basis, 8 (depth + 1) d bytes: d is N^2
+    working buffer and the seed, which :func:`krylov_leading` builds (the sine seed
+    from the displacement (0, 1), a random one from ``config.seed``) and drops once
+    the basis holds it, plus the real basis, 8 (depth + 1) d bytes: d is N^2
     without a parity sector and about N^2 / 2 in one, the sector predicted from the
     map, N and the seed (:func:`_krylov_sector`).  The manifest records that
     preflight as ``resource.preflight_mb``.
@@ -523,16 +525,15 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
                                     "8 x (depth + 1) x d bytes, d = N^2, or about N^2 / 2 in "
                                     "a parity sector)")
     with warnings.catch_warnings(record=True) as caught:
-        space, umap, kernel = _build_channel(config)
+        _, umap, kernel = _build_channel(config)
         derived: list[tuple[str, str]] = [("derived.method", method)]
         if method == "dense":
             spectrum = full_spectrum(dense_superoperator(umap, kernel),
                                      params={"n": config.n, "epsilon": config.epsilon})
         else:
-            # the sine seed is F_(0,1), a displacement that krylov_leading writes itself;
-            # a random one is passed unnamed, so the call frees it once it holds a copy
-            spectrum = krylov_leading(umap, kernel, (0, 1) if seed_op == "sine"
-                                      else random_traceless_hermitian(space, seed=config.seed),
+            # krylov_leading builds the seed itself and drops it once the basis holds
+            # it: the sine seed is F_(0,1), a displacement, a random one its integer seed
+            spectrum = krylov_leading(umap, kernel, (0, 1) if seed_op == "sine" else config.seed,
                                       depth=depth, n_wanted=n_wanted)
             derived += [("derived.depth", str(depth)), ("derived.seed_op", seed_op),
                         ("derived.krylov_sector", spectrum.params["sector"]),

@@ -21,9 +21,9 @@ import numpy as np
 from .coarse_graining import CoarseGrainKernel, _keeps_parity, _mask, _step, channel_step
 from .maps import QuantumMap
 from .otoc import OtocSeries, WindowFit, loglinear_fit
-from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame,
-                          _count, _displacement, _f_defect, _hermitian, _mirror_rows,
-                          _operator, _parity, _working, _write_f)
+from .phase_space import (_SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame, _count,
+                          _displacement, _f_defect, _hermitian, _mirror_rows, _operator,
+                          _parity, _working, _write_f)
 
 __all__ = [
     "ResonanceSpectrum",
@@ -148,25 +148,12 @@ def full_spectrum(superop: np.ndarray, params: dict | None = None) -> ResonanceS
 
 
 def random_traceless_hermitian(space: TorusSpace, seed: int = 0) -> np.ndarray:
-    """Seeded random Hermitian operator with the trace projected out.
-
-    (R + R^dag) / 2 - Tr / N, R = X + iY with X and Y the standard_normal((N, N))
-    draws in that order, built in its one N x N array: the draws a row at a time,
-    the symmetrization a strip of rows and columns at a time, the trace on the
-    diagonal only.
-    """
+    """Seeded random Hermitian operator with the trace projected out."""
     rng = np.random.default_rng(seed)
     n = space.dim
-    h = np.empty((n, n), dtype=complex)
-    for part in (h.real, h.imag):
-        for row in part:
-            row[:] = rng.standard_normal(n)
-    for i in range(0, n, _ROW_BLOCK):
-        j = min(i + _ROW_BLOCK, n)
-        strip = (h[i:j, i:] + h[i:, i:j].conj().T) / 2.0
-        h[i:, i:j] = strip.conj().T
-        h[i:j, i:] = strip  # last, so the diagonal block keeps the strip's +0 imaginary parts
-    h.reshape(-1)[:: n + 1] -= np.trace(h) / n
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (raw + raw.conj().T) / 2.0
+    h -= np.trace(h) / n * np.eye(n)
     return h
 
 
@@ -237,7 +224,7 @@ class _RealSector:
 
 
 def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
-                   a0: np.ndarray | tuple[int, int], depth: int = 40,
+                   a0: np.ndarray | tuple[int, int] | int, depth: int = 40,
                    n_wanted: int = 5) -> ResonanceSpectrum:
     """Leading channel eigenvalues by Arnoldi iteration in operator space.
 
@@ -245,14 +232,16 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     Hilbert-Schmidt product against every earlier direction (the channel is not
     normal) and returns the Ritz values of largest modulus, each with its residual
     ||S X - alpha X|| / ||X||; one above 1e-4 is marked unconverged.  Deterministic
-    given the seed and the BLAS thread count.  ``a0`` is an N x N array, or an
-    integer displacement (xi_q, xi_p) standing for F_xi, which the call writes
-    (:func:`~otoclab.phase_space._write_f`) and, like its copy of an array, drops
-    once the basis holds it; (0, 1) gives the sine seed's results bit for bit.  The
-    call lets go of ``a0`` once it holds that copy, so an array passed unnamed is
-    freed before the iteration.  A seed that is not finite, nonzero, traceless and
-    Hermitian (1e-12 relative in the Frobenius norm; F_xi checked from its two
-    cyclic diagonals) is refused.
+    given the seed and the BLAS thread count.  ``a0`` is an N x N array; an integer
+    displacement (xi_q, xi_p) standing for F_xi, which the call writes
+    (:func:`~otoclab.phase_space._write_f`); or an integer seed standing for
+    :func:`random_traceless_hermitian` of that seed, which the call draws.  Each of
+    the two gives the results of the array it stands for bit for bit ((0, 1): the
+    sine seed).  The call drops the array it writes, draws or copies once the basis
+    holds it, so a caller that passes either holds no N x N seed through the
+    iteration.  A seed that is not finite, nonzero, traceless and Hermitian (1e-12
+    relative in the Frobenius norm; F_xi checked from its two cyclic diagonals) is
+    refused.
 
     The recursion runs in the momentum frame.  A direction is stored as the real
     coordinates of :class:`_RealSector`: one entry per mirror pair in the seed's
@@ -287,9 +276,10 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     if displaced:  # F_xi, written into an array of this call's own
         xi = _displacement(a0, "Krylov seed displacement")
         seed = _write_f(space, xi, np.zeros((n, n), dtype=complex))
+    elif isinstance(a0, (int, np.integer)):  # a seed, drawn into an array of this call's own
+        seed = random_traceless_hermitian(space, _count(a0, "Krylov seed"))
     else:  # a copy, changed to the momentum frame in place below
         seed = _operator(np.array(a0, dtype=complex), n, "Krylov seed")
-    del a0  # a caller that passes its seed unnamed frees it here
     scale = np.linalg.norm(seed)
     if not 0 < scale < np.inf:
         raise ValueError(f"Krylov seed must be finite and nonzero, got norm {scale}")

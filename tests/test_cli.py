@@ -375,7 +375,7 @@ def _refused_before_building(monkeypatch, capsys, argv, out):
     def unreachable(*args, **kwargs):
         raise AssertionError("built before the memory preflight")
 
-    for name in ("quantize", "build_kernel", "krylov_leading", "random_traceless_hermitian"):
+    for name in ("quantize", "build_kernel", "krylov_leading"):
         monkeypatch.setattr(cli, name, unreachable)
     assert main(argv + ["--out", str(out)]) == 1
     lines = capsys.readouterr().err.strip().splitlines()
@@ -686,9 +686,10 @@ def test_n2_compute_runs_before_the_libraries_it_does_not_call(tmp_path, argv, e
 
 
 def test_random_seed_krylov_run_holds_no_seed_through_the_loop(tmp_path, monkeypatch):
-    """A --seed-op random Krylov run passes its seed to krylov_leading unnamed, and the
-    call drops it once copied: during the Arnoldi steps after the first image the only
-    traced blocks of at least 16 N^2 bytes are the working buffer and the basis."""
+    """A --seed-op random Krylov run passes krylov_leading its integer seed, and the call
+    drops the array it draws once the basis holds it: during the Arnoldi steps after the
+    first image the only traced blocks of at least 16 N^2 bytes are the working buffer
+    and the basis, on any interpreter."""
     n, depth, seen = 48, 16, []
     step = resonances._step
 

@@ -392,6 +392,26 @@ def test_krylov_displacement_seed_is_the_sine_seed(spec, n):
         krylov_leading(umap, kernel, (0, 0), depth=20, n_wanted=4)
 
 
+@pytest.mark.parametrize("spec, n", [(cat_map(0.02), 16), (harper_map(0.94), 15)],
+                         ids=["cat-16", "harper-15"])
+def test_krylov_integer_seed_is_the_random_seed(spec, n):
+    """An integer seed stands for random_traceless_hermitian of that seed, which the
+    call draws itself: the same alphas, residuals and counts, bit for bit.  A negative
+    seed is refused by name."""
+    space = TorusSpace(n)
+    umap, kernel = quantize(spec, space), build_kernel(space, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = krylov_leading(umap, kernel, 3, depth=20, n_wanted=4)
+        want = krylov_leading(umap, kernel, random_traceless_hermitian(space, 3), depth=20,
+                              n_wanted=4)
+    assert np.array_equal(got.alphas, want.alphas)
+    assert np.array_equal(got.residuals, want.residuals)
+    assert got.params == want.params
+    with pytest.raises(ValueError, match="Krylov seed must be non-negative"):
+        krylov_leading(umap, kernel, -1, depth=20, n_wanted=4)
+
+
 @pytest.mark.parametrize("spec, n", [(cat_map(0.02), 128), (harper_map(0.94), 63)],
                          ids=["sector-step-128", "full-step-63"])
 def test_krylov_residual_checks_hold_no_array_beside_the_buffer(monkeypatch, spec, n):
@@ -643,16 +663,3 @@ def test_full_spectrum_flags_a_defective_superoperator():
     assert np.allclose(np.sort(np.abs(spectrum.alphas)), [0.2, 0.5, 0.9, 0.9])
     assert np.isfinite(spectrum.lefts).all()
 
-
-@pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("n", [8, 63, 320])
-def test_random_seed_is_the_symmetrized_gaussian_bit_for_bit(n, seed):
-    """The seed built in its one array is (R + R^dag) / 2 - Tr / N for R = X + iY, X and
-    Y the two standard_normal((N, N)) draws, to the bit, signs of zero included."""
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    want = (raw + raw.conj().T) / 2.0
-    want -= np.trace(want) / n * np.eye(n)
-    got = random_traceless_hermitian(TorusSpace(n), seed)
-    assert np.array_equal(got, want)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
