@@ -74,6 +74,7 @@ def lyapunov(spec: ClassicalMapSpec, n_traj: int = 100, t_horizon: int = 1000,
     counted.
     """
     n_traj, t_horizon = _count(n_traj, "n_traj", 1), _count(t_horizon, "t_horizon", 10)
+    seed = _count(seed, "seed")
     points = np.empty((n_traj, 2))
     angles = np.empty(n_traj)
     resampled = 0

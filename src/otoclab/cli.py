@@ -43,7 +43,7 @@ from .classical import ehrenfest_time, lyapunov
 from .coarse_graining import build_kernel
 from .maps import (AS_PRINTED, CAT, CORRESPONDENCE, HARPER, STANDARD,
                    ClassicalMapSpec, cat_map, harper_map, quantize, standard_map)
-from .otoc import _displacement_sector, analytic_cat_otoc, fit_growth, otoc_series
+from .otoc import analytic_cat_otoc, fit_growth, otoc_series
 from .phase_space import TorusSpace
 from .resonances import (_DENSE_LIMIT, _RealSector, dense_superoperator, fit_tail_rate,
                          full_spectrum, krylov_leading)
@@ -343,14 +343,15 @@ def run_otoc(config: RunConfig) -> dict:
     (t_max + 1) bytes plus the larger of c N^2 and m N^2 + (parts - 1)(0.5 MB +
     800 N) bytes, where the N x N passes run in parts (at most N / 256 of them,
     see :func:`~otoclab.phase_space._parts`): c = 17 and m = 16.4 on the full
-    path, c = 13 and m = 12.5 in the parity sector, which every run takes at
-    even N (:func:`~otoclab.otoc._displacement_sector`).  The manifest records
-    that preflight and the peak RSS, in MB of 2^20 bytes.
+    path, c = 13 and m = 12.5 in the parity sector, which every run takes where the
+    kick phases are mirror-symmetric: all three maps at even N, Harper at every N
+    (:func:`_sector`).  The manifest records that preflight and the peak RSS, in MB
+    of 2^20 bytes.
     """
     start = time.monotonic()
     n, parts = config.n, len(phase_space._parts(config.n))
     rounded, measured = ((_OTOC_SECTOR_BYTES_PER_N2, _OTOC_SECTOR_MEASURED_PER_N2)
-                         if _displacement_sector(n) else
+                         if _sector(config, odd=True) else
                          (_OTOC_BYTES_PER_N2, _OTOC_MEASURED_PER_N2))
     need = (_OTOC_BASE_BYTES + _OTOC_BYTES_PER_STEP * (config.t_max + 1)
             + max(rounded * n ** 2, measured * n ** 2
@@ -490,11 +491,13 @@ def run_sweep(config: RunConfig, axis: str, values: list[float], jobs: int = 1) 
     return summary
 
 
-def _krylov_sector(config: RunConfig, seed_op: str) -> int:
-    """The parity sector a Krylov run will take, known before anything is built: the
-    sine seed is odd and a random one has none, and the channel keeps parity, exactly,
-    for the Harper map at every N and for the cat and standard maps at even N."""
-    return -1 if seed_op == "sine" and (config.map == HARPER or config.n % 2 == 0) else 0
+def _sector(config: RunConfig, odd: bool) -> int:
+    """The parity sector a run will take, known before anything is built: -1 when its
+    operands are ``odd``, as every F_xi is, and the channel keeps parity, else 0.  The
+    quantized kick phases are mirror-symmetric, which is the run's rule
+    (:func:`~otoclab.coarse_graining._keeps_parity`), for all three maps at even N and
+    for Harper at every N."""
+    return -1 if odd and (config.map == HARPER or config.n % 2 == 0) else 0
 
 
 def run_resonances(config: RunConfig, method: str, depth: int = 40,
@@ -508,7 +511,7 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
     from the displacement (0, 1), a random one from ``config.seed``) and drops once
     the basis holds it, plus the real basis, 8 (depth + 1) d bytes: d is N^2
     without a parity sector and about N^2 / 2 in one, the sector predicted from the
-    map, N and the seed (:func:`_krylov_sector`).  The manifest records that
+    map, N and the seed (:func:`_sector`).  The manifest records that
     preflight as ``resource.preflight_mb``.
     """
     start = time.monotonic()
@@ -520,7 +523,7 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
         if seed_op not in ("sine", "random"):
             raise CliError(f"seed_op must be sine or random, got {seed_op!r}")
         need = (_OTOC_BASE_BYTES + _KRYLOV_BYTES_PER_N2 * config.n ** 2
-                + 8 * (depth + 1) * _RealSector(config.n, _krylov_sector(config, seed_op)).dim)
+                + 8 * (depth + 1) * _RealSector(config.n, _sector(config, seed_op == "sine")).dim)
         _refuse_beyond_memory(need, "Krylov working set (44 MB + 64 x N^2 bytes + the basis, "
                                     "8 x (depth + 1) x d bytes, d = N^2, or about N^2 / 2 in "
                                     "a parity sector)")

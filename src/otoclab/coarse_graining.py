@@ -22,17 +22,18 @@ the momentum frame; :func:`_evolve_in_place` iterates it on a caller's
 buffer (for :func:`evolve` and the OTOC series) and the Krylov solver calls
 it directly.  Both hold Z = (1 - i)A (:mod:`otoclab.phase_space`), which
 the step advances as it does A.  Given a parity sign the step works on R =
-Re Z on rows 0 .. N/2 only, the parity sector, which holds at even N when
-the kick phases are exactly mirror-symmetric (:func:`_keeps_parity`, true of
-every map :func:`~otoclab.maps.quantize` builds; the mask f[(r - s) % N]
-always is).  :func:`evolve` takes the full step on A itself.  The
-chord-space dephasing and the literal sum over all N^2 translations are kept
-as oracles.
+Re Z on rows 0 .. N/2 only, the parity sector, which holds when the kick
+phases are exactly mirror-symmetric (:func:`_keeps_parity`; the mask
+f[(r - s) % N] always is): all three maps :func:`~otoclab.maps.quantize`
+builds at even N, Harper at every N.  :func:`evolve` takes the full step on A
+itself.  The chord-space dephasing and the literal sum over all N^2
+translations are kept as oracles.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,7 @@ def build_kernel(space: TorusSpace, epsilon: float) -> CoarseGrainKernel:
     f[chi] = sum_xi w(xi) exp(2i pi chi xi / N); its imaginary part vanishes
     by the even symmetry of w and is discarded after a consistency check.
     """
-    if not np.isfinite(epsilon):
+    if not (isinstance(epsilon, numbers.Real) and np.isfinite(epsilon)):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
@@ -162,11 +163,11 @@ def _kick(rows: np.ndarray, phase_rows: np.ndarray, phase: np.ndarray,
 
 
 def _keeps_parity(umap: QuantumMap) -> bool:
-    """Whether the channel keeps an operator's parity in a form :func:`_step` uses: N
-    even and both kick phase vectors exactly mirror-symmetric, v[-q] = v[q] (the mask
+    """Whether the channel keeps an operator's parity, the one rule for the parity
+    sector: both kick phase vectors exactly mirror-symmetric, v[-q] = v[q] (the mask
     always is)."""
-    return umap.dim % 2 == 0 and all(np.array_equal(v[1:], v[:0:-1])
-                                     for v in (umap.phase_position, umap.phase_momentum))
+    return all(np.array_equal(v[1:], v[:0:-1])
+               for v in (umap.phase_position, umap.phase_momentum))
 
 
 def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray,
@@ -182,10 +183,10 @@ def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray,
     with the phase vectors widened by ones (``QuantumMap._row_phases``) and
     ``mask`` as wide as the rows.
 
-    A nonzero ``sign`` is the parity of the operator at even N, which the caller
-    vouches the channel keeps (:func:`_keeps_parity`).  ``at`` then holds the
-    parity sector of :mod:`~otoclab.phase_space`, R = Re Z on rows 0 .. N/2, and
-    only R is read and written: each kick multiplies Z after Im Z = -R^T is
+    A nonzero ``sign`` is the parity of the operator, which the caller vouches the
+    channel keeps (:func:`_keeps_parity`).  ``at`` then holds the parity sector of
+    :mod:`~otoclab.phase_space`, R = Re Z on rows 0 .. N/2, and only R is read
+    and written: each kick multiplies Z after Im Z = -R^T is
     rebuilt (:func:`~otoclab.phase_space._imag_from_real`), the frame changes are
     the real ones (:func:`~otoclab.phase_space._sector_frame`), and the last mask,
     which is real, multiplies R alone.  Rows beyond N/2 and Im Z are left stale.

@@ -194,7 +194,8 @@ def quantize(spec: ClassicalMapSpec, space: TorusSpace, kick_mode: str = CORRESP
     The quadratic phases use exact integer reduction of q^2 mod 2N so the
     stored phases stay on the unit circle to machine precision for any N.  The
     cosine is taken at min(q, N - q), so at even N, where (N - q)^2 = q^2 mod
-    2N, both phase vectors are exactly mirror-symmetric, v[N - q] = v[q].
+    2N, both phase vectors are exactly mirror-symmetric, v[N - q] = v[q]; Harper's,
+    which hold no quadratic phase, are so at every N.
     """
     n = space.dim
     idx = np.arange(n)

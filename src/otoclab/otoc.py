@@ -29,12 +29,14 @@ The buffer holds Z = (1 - i)A(t), on the full path as in the parity sector
 (see :mod:`~otoclab.phase_space`), and B's diagonals are read from R = Re Z
 of its momentum-frame (1 - i)B.  For B diagonal the one-pass sums read R
 alone, as |A_rc|^2 = (R_rc^2 + R_cr^2) / 2; any other B sums blocks of ZB and
-BZ, and |1 - i|^2 = 2 divides both sums.  At even N, when A and B each have a
-definite parity x[-i, -j] = +-x[i, j] (F_xi is odd) and both kick phase
-vectors of the map are mirror-symmetric, A(t) keeps A's parity and the series
+BZ, and |1 - i|^2 = 2 divides both sums.  When A and B each have a definite
+parity x[-i, -j] = +-x[i, j] (F_xi is odd) and both kick phase vectors of the
+map are mirror-symmetric (:func:`~otoclab.coarse_graining._keeps_parity`: all
+three maps at even N, Harper at every N), A(t) keeps A's parity and the series
 runs in that sector: B and A are written on rows 0 .. N/2 alone, every step
 works on R there (:func:`~otoclab.coarse_graining._step`), and the
-contraction sums rows 1 .. N/2 - 1 twice and rows 0 and N/2 once, since AB
+contraction sums the rows whose mirror is another row of the half twice and
+the self-mirrored rows once (0 and N/2 at even N, 0 alone at odd N), since AB
 and BA have the same parity; the blocks form first rebuilds Im Z = -R^T and
 fills the few rows beyond N/2 that BZ reads from their mirrors.  The sector
 agrees with the full path to rounding.  Every other case takes the full path.
@@ -54,9 +56,9 @@ from .classical import _cat_power
 from .coarse_graining import _keeps_parity
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
 from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame,
-                          _count, _displacement, _f_defect, _imag_from_real, _mirror_rows,
-                          _operator, _parity, _parts, _size, _split, _whole_rows, _working,
-                          _write_f, hermiticity_defect, symplectic_product)
+                          _count, _displacement, _f_defect, _finite, _imag_from_real,
+                          _mirror_rows, _operator, _parity, _parts, _size, _split, _whole_rows,
+                          _working, _write_f, hermiticity_defect, symplectic_product)
 
 __all__ = [
     "OtocSeries",
@@ -149,14 +151,6 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
 
 # the parity of every F_xi: F_xi[-i, -j] = -F_xi[i, j]
 _DISPLACEMENT_PARITY = -1
-
-
-def _displacement_sector(n: int) -> int:
-    """The parity sector of a series between two displacements under a map that
-    :func:`~otoclab.maps.quantize` builds, known before anything is built: every such
-    map keeps parity exactly at even N (:func:`~otoclab.coarse_graining._keeps_parity`)
-    and none does at odd N, and F_xi is odd."""
-    return _DISPLACEMENT_PARITY if n % 2 == 0 else 0
 
 
 def _operand(space: TorusSpace, op: np.ndarray | tuple[int, int], name: str, parity: bool
@@ -276,7 +270,8 @@ def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
     reduction.  With A(t)'s parity ``sign`` ``at`` holds the sector, R on rows
     0 .. N/2: the blocks first rebuild Im Z and fill the rows beyond N/2 that BZ
     reads from their mirrors.  Row r of AB and BA is row -r up to one common sign,
-    so rows 1 .. N/2 - 1 are summed and doubled, and rows 0 and N/2 added once.
+    so rows 1 .. N - N/2 - 1, whose mirrors lie beyond N/2, are summed and doubled,
+    and the self-mirrored rows, 0 and N/2 at even N and 0 alone at odd N, added once.
     """
     n = at.shape[0]
     h = n // 2
@@ -291,7 +286,7 @@ def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
         _imag_from_real(at, sign)
         for rows in _mirrored_rows(shifts, n):
             _mirror_rows(at, rows, sign)
-    start, stop = (1, h) if sign else (0, n)
+    start, stop = (1, n - h) if sign else (0, n)
     o1, o2 = 0j, 0.0
     for part in _split(lambda i, s: block_sums(i, slice(start + s.start, start + s.stop)),
                        n, _SQUARE_BLOCK if diagonal else _ROW_BLOCK, stop - start):
@@ -300,7 +295,7 @@ def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
             o2 += b2
     if sign:
         o1, o2 = 2 * o1, 2 * o2
-        for r in (0, h):
+        for r in (0, h) if n % 2 == 0 else (0,):
             ((b1, b2),) = block_sums(0, slice(r, r + 1))
             o1 += b1
             o2 += b2
@@ -336,7 +331,7 @@ def _mirrored_rows(shifts: np.ndarray, n: int) -> list[slice]:
     .. N - 1 for 0 < j <= N/2.  None for B diagonal in momentum (shift 0 only)."""
     h = n // 2
     below = h + 1 + max((n - j for j in shifts if j > h), default=0)
-    above = n - max((min(j, h - 1) for j in shifts if 0 < j <= h), default=0)
+    above = n - max((min(j, n - h - 1) for j in shifts if 0 < j <= h), default=0)
     runs = [slice(h + 1, n)] if below >= above else [slice(h + 1, below), slice(above, n)]
     return [s for s in runs if s.start < s.stop]
 
@@ -367,11 +362,14 @@ def otoc_via_commutator(umap: QuantumMap, a: np.ndarray, b: np.ndarray,
 
     Evaluates Tr([A(t), B][A(t), B]^dag)/N with dense products, independent
     of the O1/O2 decomposition.  Cost O(N^3) per step, refused above N = 64.
+    ``t_max`` is a non-negative integer and A and B finite N x N arrays, each
+    refused by name otherwise.
     """
     if umap.dim > _COMMUTATOR_LIMIT:
         raise ValueError(f"commutator oracle is O(N^3) per step; refused above N={_COMMUTATOR_LIMIT}")
-    b = _operator(b, umap.dim, "operator B")
-    at = _operator(a, umap.dim, "operator A").copy()
+    t_max = _count(t_max, "t_max")
+    b = _finite(_operator(b, umap.dim, "operator B"), "operator B")
+    at = _finite(_operator(a, umap.dim, "operator A"), "operator A").copy()
     dephase = kernel is not None and kernel.epsilon > 0
     c = np.empty(t_max + 1)
     for t in range(t_max + 1):
@@ -441,9 +439,10 @@ class WindowFit:
 
 
 def loglinear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line through (x, ln y); returns slope, intercept, R^2."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """Least-squares line through (x, ln y); returns slope, intercept, R^2.  NaN or
+    infinite entries of either are refused by name."""
+    x = _finite(np.asarray(x, dtype=float), "x")
+    y = _finite(np.asarray(y, dtype=float), "values")
     if x.size < 2:
         raise ValueError("need at least two points to fit")
     if np.any(y <= 0):
@@ -457,10 +456,16 @@ def loglinear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
+def _window(window: tuple[int, int]) -> tuple[int, int]:
+    """The two ends of a fit window as Python ints, each checked by name."""
+    return _count(window[0], "window start"), _count(window[1], "window end")
+
+
 def fit_growth(series: OtocSeries, window: tuple[int, int]) -> WindowFit:
     """Log-linear fit of C(t) over [window[0], window[1]], lambda = slope / 2; any
-    start, 0 included, is accepted.  Warns when R^2 < 0.98."""
-    lo, hi = int(window[0]), int(window[1])
+    start, 0 included, is accepted.  Both ends are non-negative integers
+    (:func:`~otoclab.phase_space._count`).  Warns when R^2 < 0.98."""
+    lo, hi = _window(window)
     mask = (series.t >= lo) & (series.t <= hi)
     slope, intercept, r2 = loglinear_fit(series.t[mask], series.c[mask])
     if r2 < 0.98:  # blame the nearest caller outside this module
@@ -478,7 +483,7 @@ def fit_lyapunov_from_otoc(series: OtocSeries, window: tuple[int, int],
     fewer than two samples, or one where C(t) is not positive, raises in
     :func:`loglinear_fit`.
     """
-    lo, hi = int(window[0]), int(window[1])
+    lo, hi = _window(window)
     if lo < 1:
         raise ValueError("growth-rate window must start at t >= 1")
     if t_ehrenfest is not None and hi > t_ehrenfest - 1:

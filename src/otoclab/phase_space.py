@@ -31,11 +31,14 @@ factor |1 - i|^2 = 2.
 
 Parity q -> -q maps entries x[i, j] to x[-i, -j] (indices mod N) in both
 frames.  An operator of definite parity, x[-i, -j] = sign x[i, j], is fixed
-by its rows 0 .. N/2, the one parity-sector layout of the package: the OTOC
-series evolves R on those rows, and the Krylov solver stores its directions as
-slices of them.  At even N :func:`_change_frame` given the sign runs
-:func:`_sector_frame`, the real frame change of a real R of definite parity:
-real FFTs of rows 0 .. N/2, with its half spectrum in the rows beyond N/2.
+by its rows 0 .. N/2 (N/2 rounded down), the one parity-sector layout of the
+package: the OTOC series evolves R on those rows, and the Krylov solver stores
+its directions as slices of them.  The channel keeps parity when its kick
+phases are mirror-symmetric (:func:`~otoclab.coarse_graining._keeps_parity`):
+all three maps at even N, Harper at every N.  Given the sign,
+:func:`_change_frame` runs :func:`_sector_frame`, the real frame change of a
+real R of definite parity: real FFTs of rows 0 .. N/2, with its half spectrum
+in the rows beyond N/2.
 :func:`_imag_from_real` rebuilds Im Z with one transpose pass, and
 :func:`_mirror_rows` fills the rows beyond N/2 where a whole operator is
 needed.
@@ -264,9 +267,9 @@ def _change_frame(x: np.ndarray, to: str, sign: int = 0) -> np.ndarray:
     Without ``sign`` x holds complex entries: the axis-0 FFT runs over fixed
     parts of the columns and the axis-1 FFT over parts of the rows
     (:func:`_split`); each line is transformed alone, so the bits do not depend
-    on the part count.  A nonzero ``sign`` is the parity of the operator at even
-    N, held as R = Re Z on rows 0 .. N/2 (the parity sector of the module notes),
-    and the frame change is :func:`_sector_frame`'s real one.
+    on the part count.  A nonzero ``sign`` is the parity of the operator, held as
+    R = Re Z on rows 0 .. N/2 (the parity sector of the module notes), and the
+    frame change is :func:`_sector_frame`'s real one.
     """
     if sign:
         return _sector_frame(x, to, sign)
@@ -326,7 +329,7 @@ def _imag_from_real(x: np.ndarray, sign: int) -> None:
     n = x.shape[0]
     h = n // 2
     r, imag = x[:h + 1].real, x[:h + 1].imag
-    mirrors = r[h - 1:0:-1]  # rows N - c for the columns c = N/2 + 1 .. N - 1
+    mirrors = r[n - h - 1:0:-1]  # rows N - c for the columns c = N/2 + 1 .. N - 1
 
     def fill(_, s):
         a, b = s.start, s.stop
@@ -342,7 +345,7 @@ def _imag_from_real(x: np.ndarray, sign: int) -> None:
 
 def _mirror_rows(x: np.ndarray, rows: slice, sign: int) -> None:
     """x[r, c] = sign x[-r, -c] for the ``rows`` r within N/2 + 1 .. N - 1 and every c,
-    from rows 1 .. N/2 - 1."""
+    from their mirror rows N - r."""
     n = x.shape[0]
     src = slice(n - rows.start, n - rows.stop, -1)
     np.multiply(x[src, 0], sign, out=x[rows, 0])

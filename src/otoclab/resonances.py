@@ -22,8 +22,8 @@ from .coarse_graining import CoarseGrainKernel, _keeps_parity, _mask, _step, cha
 from .maps import QuantumMap
 from .otoc import OtocSeries, WindowFit, loglinear_fit
 from .phase_space import (_SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame, _count,
-                          _displacement, _f_defect, _hermitian, _mirror_rows, _operator,
-                          _parity, _working, _write_f)
+                          _displacement, _f_defect, _hermitian, _operator, _parity,
+                          _working, _write_f)
 
 __all__ = [
     "ResonanceSpectrum",
@@ -148,8 +148,9 @@ def full_spectrum(superop: np.ndarray, params: dict | None = None) -> ResonanceS
 
 
 def random_traceless_hermitian(space: TorusSpace, seed: int = 0) -> np.ndarray:
-    """Seeded random Hermitian operator with the trace projected out."""
-    rng = np.random.default_rng(seed)
+    """Seeded random Hermitian operator with the trace projected out; ``seed`` is a
+    non-negative integer (:func:`~otoclab.phase_space._count`)."""
+    rng = np.random.default_rng(_count(seed, "seed"))
     n = space.dim
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (raw + raw.conj().T) / 2.0
@@ -167,14 +168,14 @@ class _RealSector:
     row 0 columns 1 .. ceil(N/2) - 1, rows 1 .. ceil(N/2) - 1 whole and, at even N,
     row N/2 columns 1 .. N/2 - 1; then, in the even sector only, the self-mirrored
     entries (0, 0) and, at even N, (0, h), (h, 0) and (h, h), h = N/2.  ``sign`` 0
-    keeps every entry of R.  :meth:`pack` reads only those rows of R, :meth:`write`
-    writes R's rows 0 .. N/2, and :meth:`unpack` every entry of Z, through one
-    scratch R allocated on first use.
+    keeps every entry of R.  :meth:`pack` reads only those rows of R and
+    :meth:`write` writes R's rows 0 .. N/2, what the sector step reads and writes;
+    without a sector :meth:`unpack` writes every entry of Z for the full step.
     """
 
     def __init__(self, n: int, sign: int):
         h, c = n // 2, (n + 1) // 2
-        self.n, self.sign, self._r = n, sign, None
+        self.n, self.sign = n, sign
         # (rows, columns) of R in coordinate order: the mirror pairs, then the fixed entries
         views = ([(slice(0, 1), slice(1, c)), (slice(1, c), slice(None)),
                   (slice(c, h + 1), slice(1, h))] if sign else [(slice(None), slice(None))])
@@ -210,14 +211,9 @@ class _RealSector:
         return r
 
     def unpack(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Z = R - iR^T of the coordinates ``x`` into every entry of the complex ``out``."""
-        if self.sign == 0:
-            r = x.reshape(self.n, self.n)
-        else:
-            if self._r is None:
-                self._r = np.empty((self.n, self.n))
-            r = self.write(x, self._r)
-            _mirror_rows(r, slice(self.n // 2 + 1, self.n), self.sign)
+        """Z = R - iR^T of the coordinates ``x`` of ``sign`` 0 into every entry of the
+        complex ``out``."""
+        r = x.reshape(self.n, self.n)
         np.copyto(out.real, r)
         np.negative(r.T, out=out.imag)
         return out
@@ -245,16 +241,17 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
 
     The recursion runs in the momentum frame.  A direction is stored as the real
     coordinates of :class:`_RealSector`: one entry per mirror pair in the seed's
-    parity sector, kept only if the first channel image (a full step) has the same
-    parity to 1e-12, else every entry of R; an image that is not Hermitian to 1e-12
-    raises.  Every later channel application is one matvec on coordinates: R is
-    written into the run's one complex buffer (:func:`~otoclab.phase_space._working`),
-    which holds Z = (1 - i)A, it takes the step :func:`~otoclab.coarse_graining.evolve`
-    iterates, on rows 0 .. N/2 where the channel keeps parity in the sector step's
-    form (:func:`~otoclab.coarse_graining._keeps_parity`) and whole elsewhere, and
-    its real part is packed.  Classical Gram-Schmidt orthogonalizes each image, with a
-    second pass only when the first leaves less than 1/sqrt 2 of the norm (DGKS:
-    Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30, 1976).
+    parity sector (to 1e-12) when the channel keeps parity
+    (:func:`~otoclab.coarse_graining._keeps_parity`: all three maps at even N, Harper
+    at every N), else every entry of R.  The first channel image is a full step, and
+    one that is not Hermitian to 1e-12 raises.  Every later channel application is
+    one matvec on coordinates: R is written into the run's one complex buffer
+    (:func:`~otoclab.phase_space._working`), which holds Z = (1 - i)A, it takes the
+    step :func:`~otoclab.coarse_graining.evolve` iterates, on rows 0 .. N/2 in the
+    sector and whole without one, and its real part is packed.  Classical
+    Gram-Schmidt orthogonalizes each image, with a second pass only when the first
+    leaves less than 1/sqrt 2 of the norm (DGKS: Daniel, Gragg, Kaufman and
+    Stewart, Math. Comp. 30, 1976).
 
     The coordinates x and y of a Ritz vector X + iY (X, Y Hermitian) come from one
     pass over the basis into its first rows; a listed conjugate partner X - iY gets
@@ -297,12 +294,8 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     buf = _step(umap, mask, buf)
     if not _hermitian(buf):
         raise ValueError("channel image of the Hermitian seed is not Hermitian")
-    # The seed's parity sector, kept only when its image stays in it: the
-    # quadratic kicks of the cat and standard maps break parity at odd N.
-    sign = _parity(seed)
-    sign = sign if _parity(buf) == sign else 0
+    sign = _parity(seed) if _keeps_parity(umap) else 0
     sector = _RealSector(n, sign)
-    step_sign = sign if _keeps_parity(umap) else 0
     seed *= 1 - 1j  # from here on every operator is held as Z = (1 - i)A
     buf *= 1 - 1j
     # the odd sector is traceless by construction; elsewhere every new
@@ -320,9 +313,9 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
 
     def matvec(x, out):
         """The coordinates of S(A) into ``out``, A's coordinates ``x``."""
-        if step_sign:  # the sector step reads and writes R = Re Z on rows 0 .. N/2
+        if sign:  # the sector step reads and writes R = Re Z on rows 0 .. N/2
             sector.write(x, buf.real)
-            _step(umap, mask, buf, step_sign)
+            _step(umap, mask, buf, sign)
         else:
             _step(umap, mask, sector.unpack(x, buf))
         return sector.pack(buf.real, out)

@@ -406,18 +406,20 @@ def test_resonances_krylov_preflight_sizes_a_random_seed_by_n_squared(tmp_path, 
 
 
 @pytest.mark.parametrize("spec", ["cat", "standard", "harper"])
-@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("n", [8, 9, 63, 64])
 @pytest.mark.parametrize("seed_op", ["sine", "random"])
 def test_krylov_preflight_predicts_the_sector_the_run_takes(tmp_path, spec, n, seed_op):
     """The predicted sector is the one recorded, and the preflight charges the basis of
-    the recorded sector's dimension."""
+    the recorded sector's dimension: the sine seed takes the odd sector under every map
+    at even N and under Harper at odd N too."""
     out = tmp_path / "kry"
     assert main(["resonances", "--map", spec, "--n", str(n), "--map-param", "0.3",
                  "--epsilon", "0.5", "--method", "krylov", "--depth", "12", "--n-wanted", "3",
                  "--seed-op", seed_op, "--out", str(out)]) == 0
     manifest = dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
     config = cli.RunConfig(map=spec, n=n)
-    sign = cli._krylov_sector(config, seed_op)
+    sign = cli._sector(config, odd=seed_op == "sine")
+    assert sign == (-1 if seed_op == "sine" and (spec == "harper" or n % 2 == 0) else 0)
     assert manifest["derived.krylov_sector"] == {-1: "odd", 0: "none"}[sign]
     need = (cli._OTOC_BASE_BYTES + cli._KRYLOV_BYTES_PER_N2 * n ** 2
             + 8 * 13 * resonances._RealSector(n, sign).dim)
@@ -448,16 +450,18 @@ def test_otoc_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("spec", ["cat", "standard", "harper"])
 @pytest.mark.parametrize("kick_mode", ["correspondence", "as_printed"])
-@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("n", [8, 9, 63, 64])
 def test_otoc_preflight_predicts_the_sector_the_run_takes(tmp_path, spec, kick_mode, n):
-    """Every CLI operand is a displacement and every quantized map keeps parity at even
-    N, so the run takes the sector the preflight predicts from N alone, and sizes it."""
+    """Every CLI operand is a displacement, which is odd, and the kick phases are
+    mirror-symmetric under every map at even N and under Harper at every N, so the run
+    takes the sector the preflight predicts from the map and N, and sizes it."""
     out = tmp_path / "otoc"
     assert main(["otoc", "--map", spec, "--n", str(n), "--map-param", "0.3", "--kick-mode",
                  kick_mode, "--epsilon", "0.1", "--t-max", "4", "--operators", "F(1,1;0,1)",
                  "--out", str(out)]) == 0
     manifest = dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
-    sign = cli._displacement_sector(n)
+    sign = cli._sector(cli.RunConfig(map=spec, n=n), odd=True)
+    assert sign == (-1 if spec == "harper" or n % 2 == 0 else 0)
     assert manifest["derived.otoc_sector"] == {-1: "odd", 0: "none"}[sign]
     per_n2 = cli._OTOC_SECTOR_BYTES_PER_N2 if sign else cli._OTOC_BYTES_PER_N2
     need = cli._OTOC_BASE_BYTES + cli._OTOC_BYTES_PER_STEP * 5 + per_n2 * n ** 2

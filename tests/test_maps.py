@@ -238,6 +238,17 @@ def test_every_even_n_keeps_parity_exactly(family, half, k, kick_mode):
     assert _keeps_parity(umap)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((cat_map, standard_map, harper_map)), st.integers(1, 1024),
+       st.floats(0.0, 0.5), st.sampled_from(("correspondence", "as_printed")))
+def test_at_odd_n_only_harper_keeps_parity(family, half, k, kick_mode):
+    """With the even-N test above, the one sector rule at every N: Harper's phases hold
+    only the cosine kick, so they are mirror-symmetric at odd N too; the quadratic phase
+    of the cat and standard maps is shifted by pi at every q but 0 there."""
+    umap = quantize(family(k), TorusSpace(2 * half + 1), kick_mode)
+    assert _keeps_parity(umap) == (family is harper_map)
+
+
 def test_asymmetric_phases_take_the_full_path():
     """One phase moved by one ulp breaks the mirror symmetry: the sector is refused."""
     umap = quantize(cat_map(0.3), TorusSpace(64))

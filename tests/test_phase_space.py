@@ -10,14 +10,16 @@ from otoclab.classical import lyapunov
 from otoclab.coarse_graining import (apply_dephasing_chord, apply_dephasing_dense, build_kernel,
                                      channel_step, evolve)
 from otoclab.maps import apply_map, cat_map, quantize
-from otoclab.otoc import otoc_series, otoc_via_commutator
+from otoclab.otoc import (fit_growth, fit_lyapunov_from_otoc, loglinear_fit, otoc_series,
+                          otoc_via_commutator)
 from otoclab.phase_space import (MOMENTUM, POSITION, TorusSpace, change_basis,
                                  chord_inverse, chord_transform, clock_u, coherent_state,
                                  hermitian_f, hermiticity_defect, shift_v, sine_momentum,
                                  sine_position, symplectic_product, translation)
 from otoclab.phase_space import _write_f
 from otoclab.resonances import (dense_superoperator, fit_tail_rate, full_spectrum,
-                                krylov_leading, spectral_o1_prediction)
+                                krylov_leading, random_traceless_hermitian,
+                                spectral_o1_prediction)
 
 
 def test_torus_space_rejects_small_dims():
@@ -345,6 +347,9 @@ _COUNT_ENTRY_POINTS = {
     "torus dimension": lambda umap, k: TorusSpace(k),
     "t_start": lambda umap, k: fit_tail_rate(otoc_series(umap, (0, 1), (1, 0), 12), k, 9),
     "t_end": lambda umap, k: fit_tail_rate(otoc_series(umap, (0, 1), (1, 0), 12), 0, k),
+    "window start": lambda umap, k: fit_growth(otoc_series(umap, (0, 1), (1, 0), 8), (k, 5)),
+    "window end": lambda umap, k: fit_growth(otoc_series(umap, (0, 1), (1, 0), 8), (1, k)),
+    "seed": lambda umap, k: lyapunov(umap.map_spec, n_traj=2, t_horizon=10, seed=k),
     "t": lambda umap, k: spectral_o1_prediction(full_spectrum(dense_superoperator(umap, None)),
                                                 sine_position(umap.space),
                                                 sine_momentum(umap.space), k),
@@ -382,6 +387,9 @@ def test_coherent_state_refuses_a_centre_that_is_not_finite(name, value):
 @example("q0", float("nan"))
 @example("t_start", 2.5)  # fitted t = 3..9 but recorded the window as (2, 9)
 @example("t", 2.5)  # returned a value computed from alpha^2.5
+@example("window start", 1.5)  # fitted t = 1..5 and recorded the window as (1, 5)
+@example("window start", float("nan"))  # "cannot convert float NaN to integer"
+@example("seed", float("nan"))  # numpy's SeedSequence TypeError
 @given(st.sampled_from(sorted(_COUNT_ENTRY_POINTS)),
        st.floats().filter(lambda x: not x.is_integer()) | st.integers(-10**6, -1))
 def test_every_count_size_and_centre_refuses_bad_values(name, value):
@@ -392,6 +400,36 @@ def test_every_count_size_and_centre_refuses_bad_values(name, value):
     umap = quantize(cat_map(0.02), TorusSpace(8))
     with pytest.raises(ValueError, match=f"^{name} must be"):
         _COUNT_ENTRY_POINTS[name](umap, value)
+
+
+def _fit_lyapunov(window):
+    series = otoc_series(quantize(cat_map(0.02), TorusSpace(8)), (0, 1), (1, 0), 8)
+    return fit_lyapunov_from_otoc(series, window)
+
+
+# entry points that named no argument on a bad value: (the message's start, the call)
+_NAMED_REFUSALS = {
+    "commutator t_max": ("t_max must be an integer", lambda space: otoc_via_commutator(
+        quantize(cat_map(0.02), space), sine_position(space), sine_momentum(space), 2.5)),
+    "loglinear_fit NaN value": ("values entries must be finite",
+                                lambda space: loglinear_fit(np.arange(3), [1.0, np.nan, 2.0])),
+    "build_kernel None": ("epsilon must be finite", lambda space: build_kernel(space, None)),
+    "random seed NaN": ("seed must be an integer",
+                        lambda space: random_traceless_hermitian(space, float("nan"))),
+    "fit_lyapunov window start": ("window start must be an integer",
+                                  lambda space: _fit_lyapunov((1.5, 5))),
+    "fit_lyapunov window end": ("window end must be an integer",
+                                lambda space: _fit_lyapunov((1, float("nan")))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NAMED_REFUSALS))
+def test_bad_values_are_refused_by_name(case):
+    """Each of these raised a TypeError from numpy or Python, returned NaN or fitted a
+    truncated window; each is now a ValueError that names the argument."""
+    message, call = _NAMED_REFUSALS[case]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(TorusSpace(8))
 
 
 # every public entry point that takes an operator or a displacement, called on the cat
@@ -405,6 +443,10 @@ _OPERAND_ENTRY_POINTS = {
     "channel_step": ("operator", lambda umap, x: channel_step(umap, None, x)),
     "evolve": ("operator", lambda umap, x: next(evolve(umap, None, x, 2))),
     "krylov_leading": ("Krylov seed", lambda umap, x: krylov_leading(umap, None, x, depth=10)),
+    "otoc_via_commutator a": ("operator A", lambda umap, x: otoc_via_commutator(
+        umap, x, sine_momentum(umap.space), 2)),
+    "otoc_via_commutator b": ("operator B", lambda umap, x: otoc_via_commutator(
+        umap, sine_position(umap.space), x, 2)),
 }
 _NON_INTEGRAL_FLOATS = st.floats().filter(lambda x: not x.is_integer())
 _SMALL = st.integers(-10, 10)
@@ -444,6 +486,7 @@ def _bad_operand(space, bad):
 @example("channel_step", ("entry", 3, 5, np.inf))
 @example("chord_transform", ("entry", 1, 2, np.nan))
 @example("krylov_leading", ("shape", (8, 7)))
+@example("otoc_via_commutator a", ("entry", 0, 0, np.nan))  # returned NaN
 @given(st.sampled_from(sorted(_OPERAND_ENTRY_POINTS)), _BAD_OPERANDS)
 def test_every_operator_and_displacement_refuses_bad_values(entry, bad):
     """A displacement with a fractional, NaN or infinite entry or of the wrong length, an
