@@ -255,15 +255,17 @@ _OTOC_BYTES_PER_STEP = 970
 # are added to the measured N^2 term, and count where that passes the rounded one.
 _OTOC_BYTES_PER_PART = 0.5e6
 _OTOC_BYTES_PER_PART_N = 800
-# Peak RSS of a Krylov run (cat, eps N = 10, random seed) less its basis: 60.5, 75.1
-# and 142.3 MB at N = 768, 1024 and 2048 (depth 12; numpy 2.4, MB = 10^6 bytes),
-# 52.6 MB + 21.4 N^2 from N=1024 on: the seed, which the call draws from its integer
-# seed and drops once the basis holds it, the buffer and a d-vector temporary.  Depth
-# 90 needs 19.3-23.9 N^2 over the otoc base at N=416-508 (MALLOC_MMAP_THRESHOLD_=
-# 131072 takes 1.4 MB off at N=448).  The sine seed, which the call writes itself,
-# needs 16 N^2 at N=1000.  The constant, fitted at 55.7-57.7 N^2 when the caller held
-# its seed array, stays 64 N^2; 64 forced parts added 1.2 MB.
-_KRYLOV_BYTES_PER_N2 = 64
+# Peak RSS of a Krylov run less its basis: the interpreter, the working buffer (16
+# N^2 bytes), into which the call writes its seed, and the d-vector temporaries of
+# the Gram-Schmidt and residual passes, 8 N^2 bytes each without a parity sector (d =
+# N^2), which the allocator may keep mapped once freed.  With a random seed (cat, eps
+# N = 10; numpy 2.4, MB = 10^6 bytes) it read 44 MB + 22.6-23.9 N^2 at N = 416-508,
+# depth 90, and at depth 12 44 MB + 22.6-31.0 N^2 at N = 512-1408, the most near N =
+# 1408, and 23.1-23.5 N^2 at N = 1536-2048 (MALLOC_MMAP_THRESHOLD_=131072 gave 22.7
+# N^2 at N = 1280, against 30.7); 64 forced parts added 0.6 MB at N = 1408.  The sine
+# seed's odd sector needs less: 8.5 and 14.2 N^2 at N = 1024 and 2048.  The constant
+# is rounded up to 34 N^2.
+_KRYLOV_BYTES_PER_N2 = 34
 # the memory limit of this process's cgroup, v2 and then v1, in bytes, or "max"
 # for none (v1 writes a huge number instead); only read
 _MEMORY_MAX = "/sys/fs/cgroup/memory.max"
@@ -506,10 +508,10 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
 
     A dense run above N=24, and a Krylov run whose working set exceeds physical
     memory or the cgroup's memory limit, are refused before anything is
-    allocated.  That working set is 44 MB + 64 N^2 bytes, the interpreter, the
-    working buffer and the seed, which :func:`krylov_leading` builds (the sine seed
-    from the displacement (0, 1), a random one from ``config.seed``) and drops once
-    the basis holds it, plus the real basis, 8 (depth + 1) d bytes: d is N^2
+    allocated.  That working set is 44 MB + 34 N^2 bytes, the interpreter, the
+    working buffer, into which :func:`krylov_leading` writes the seed (the sine seed
+    from the displacement (0, 1), a random one drawn from ``config.seed``), and the
+    temporaries of its passes, plus the real basis, 8 (depth + 1) d bytes: d is N^2
     without a parity sector and about N^2 / 2 in one, the sector predicted from the
     map, N and the seed (:func:`_sector`).  The manifest records that
     preflight as ``resource.preflight_mb``.
@@ -524,7 +526,7 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
             raise CliError(f"seed_op must be sine or random, got {seed_op!r}")
         need = (_OTOC_BASE_BYTES + _KRYLOV_BYTES_PER_N2 * config.n ** 2
                 + 8 * (depth + 1) * _RealSector(config.n, _sector(config, seed_op == "sine")).dim)
-        _refuse_beyond_memory(need, "Krylov working set (44 MB + 64 x N^2 bytes + the basis, "
+        _refuse_beyond_memory(need, "Krylov working set (44 MB + 34 x N^2 bytes + the basis, "
                                     "8 x (depth + 1) x d bytes, d = N^2, or about N^2 / 2 in "
                                     "a parity sector)")
     with warnings.catch_warnings(record=True) as caught:
@@ -534,8 +536,8 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
             spectrum = full_spectrum(dense_superoperator(umap, kernel),
                                      params={"n": config.n, "epsilon": config.epsilon})
         else:
-            # krylov_leading builds the seed itself and drops it once the basis holds
-            # it: the sine seed is F_(0,1), a displacement, a random one its integer seed
+            # krylov_leading writes the seed into its working buffer itself: the sine
+            # seed is F_(0,1), a displacement, a random one its integer seed
             spectrum = krylov_leading(umap, kernel, (0, 1) if seed_op == "sine" else config.seed,
                                       depth=depth, n_wanted=n_wanted)
             derived += [("derived.depth", str(depth)), ("derived.seed_op", seed_op),

@@ -376,8 +376,11 @@ def _parity(x: np.ndarray) -> int:
 
 
 def _hermitian(x: np.ndarray) -> bool:
-    """Whether ||x - x^dag|| <= 1e-12 ||x|| (Frobenius, :func:`_squared_norms`); False on NaN."""
-    norms = _squared_norms(x, lambda rows: x[:, rows].conj().T)
+    """Whether x holds Z = (1 - i)A of a Hermitian A, Im Z = -(Re Z)^T, to 1e-12
+    relative in the Frobenius norm: ||x + i x^dag|| = sqrt 2 ||A - A^dag|| and ||x|| =
+    sqrt 2 ||A||, so the rule is ||A - A^dag|| <= 1e-12 ||A|| (:func:`_squared_norms`);
+    False on NaN."""
+    norms = _squared_norms(x, lambda rows: -1j * x[:, rows].conj().T)
     return bool(norms[1] <= 1e-24 * norms[0])
 
 

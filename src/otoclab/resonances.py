@@ -20,10 +20,9 @@ import numpy as np
 
 from .coarse_graining import CoarseGrainKernel, _keeps_parity, _mask, _step, channel_step
 from .maps import QuantumMap
-from .otoc import OtocSeries, WindowFit, loglinear_fit
-from .phase_space import (_SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame, _count,
-                          _displacement, _f_defect, _hermitian, _operator, _parity,
-                          _working, _write_f)
+from .otoc import OtocSeries, WindowFit, _fill, _operand, loglinear_fit
+from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame,
+                          _count, _hermitian, _operator, _working)
 
 __all__ = [
     "ResonanceSpectrum",
@@ -149,12 +148,21 @@ def full_spectrum(superop: np.ndarray, params: dict | None = None) -> ResonanceS
 
 def random_traceless_hermitian(space: TorusSpace, seed: int = 0) -> np.ndarray:
     """Seeded random Hermitian operator with the trace projected out; ``seed`` is a
-    non-negative integer (:func:`~otoclab.phase_space._count`)."""
+    non-negative integer (:func:`~otoclab.phase_space._count`).
+
+    The bits of (G + G^dag) / 2 - Tr / N, G = X + iY of two N x N standard normal
+    draws, built in the one array it returns: the draws a row at a time, the
+    symmetrization a strip of rows and the columns beneath it at a time."""
     rng = np.random.default_rng(_count(seed, "seed"))
     n = space.dim
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = (raw + raw.conj().T) / 2.0
-    h -= np.trace(h) / n * np.eye(n)
+    h = np.empty((n, n), dtype=complex)
+    for row in (*h.real, *h.imag):
+        row[...] = rng.standard_normal(n)
+    for i in range(0, n, _ROW_BLOCK):
+        s = slice(i, i + _ROW_BLOCK)
+        sym = (h[s, i:] + h[i:, s].conj().T) / 2.0
+        h[s, i:], h[i:, s] = sym, sym.T.conj()
+    h.flat[::n + 1] -= np.trace(h) / n
     return h
 
 
@@ -228,76 +236,55 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     Hilbert-Schmidt product against every earlier direction (the channel is not
     normal) and returns the Ritz values of largest modulus, each with its residual
     ||S X - alpha X|| / ||X||; one above 1e-4 is marked unconverged.  Deterministic
-    given the seed and the BLAS thread count.  ``a0`` is an N x N array; an integer
-    displacement (xi_q, xi_p) standing for F_xi, which the call writes
-    (:func:`~otoclab.phase_space._write_f`); or an integer seed standing for
-    :func:`random_traceless_hermitian` of that seed, which the call draws.  Each of
-    the two gives the results of the array it stands for bit for bit ((0, 1): the
-    sine seed).  The call drops the array it writes, draws or copies once the basis
-    holds it, so a caller that passes either holds no N x N seed through the
-    iteration.  A seed that is not finite, nonzero, traceless and Hermitian (1e-12
-    relative in the Frobenius norm; F_xi checked from its two cyclic diagonals) is
-    refused.
+    given the seed and the BLAS thread count.  ``a0`` is an N x N array, a
+    displacement (xi_q, xi_p) standing for F_xi ((0, 1): the sine seed) or an integer
+    seed standing for :func:`random_traceless_hermitian` of that seed.  It must be
+    finite and nonzero, Hermitian as an operand of :func:`~otoclab.otoc.otoc_series`
+    (:func:`~otoclab.otoc._operand`) and traceless.
 
-    The recursion runs in the momentum frame.  A direction is stored as the real
-    coordinates of :class:`_RealSector`: one entry per mirror pair in the seed's
-    parity sector (to 1e-12) when the channel keeps parity
-    (:func:`~otoclab.coarse_graining._keeps_parity`: all three maps at even N, Harper
-    at every N), else every entry of R.  The first channel image is a full step, and
-    one that is not Hermitian to 1e-12 raises.  Every later channel application is
-    one matvec on coordinates: R is written into the run's one complex buffer
-    (:func:`~otoclab.phase_space._working`), which holds Z = (1 - i)A, it takes the
-    step :func:`~otoclab.coarse_graining.evolve` iterates, on rows 0 .. N/2 in the
-    sector and whole without one, and its real part is packed.  Classical
+    The seed is set up as ``otoc_series`` sets up A: Z = (1 - i)A is written into the
+    run's one complex buffer (:func:`~otoclab.otoc._fill`), with no copy of an array
+    seed, and changed to the momentum frame, where the recursion runs.  A direction
+    is stored as the real coordinates of :class:`_RealSector`: one entry per mirror
+    pair in the seed's parity sector when the channel keeps parity
+    (:func:`~otoclab.coarse_graining._keeps_parity`), else every entry of R = Re Z.
+    Every channel application, the first included, is one matvec: R is written into
+    the buffer, takes the step :func:`~otoclab.coarse_graining.evolve` iterates (on
+    rows 0 .. N/2 in the sector) and is packed.  A first full-step image that is not
+    Hermitian (:func:`~otoclab.phase_space._hermitian`) raises.  Classical
     Gram-Schmidt orthogonalizes each image, with a second pass only when the first
-    leaves less than 1/sqrt 2 of the norm (DGKS: Daniel, Gragg, Kaufman and
-    Stewart, Math. Comp. 30, 1976).
+    leaves less than 1/sqrt 2 of the norm (DGKS: Daniel, Gragg, Kaufman and Stewart,
+    Math. Comp. 30, 1976).
 
     The coordinates x and y of a Ritz vector X + iY (X, Y Hermitian) come from one
     pass over the basis into its first rows; a listed conjugate partner X - iY gets
     its pair's residual.  With alpha = a + ib the residual is ||(Sx - ax + by, Sy -
-    ay - bx)|| / ||(x, y)||, as ||H1 + iH2||^2 = ||H1||^2 + ||H2||^2 for Hermitian H1,
-    H2 and the coordinates keep the Hilbert-Schmidt product (Saad, Numerical Methods
-    for Large Eigenvalue Problems, 2nd ed., ch. 6): one matvec into row m for a real
-    Ritz value and two for a complex one, with no N x N array beside the buffer.  The
-    basis takes 8 (depth + 1) d bytes, d the sector dimension.  ``params`` records
-    ``sector`` (even, odd or none), ``krylov_dim`` (the dimension m reached, below
-    ``depth`` when an invariant subspace closes early, which warns), ``matvecs`` (m
-    plus the residual matvecs) and ``reorth`` (second Gram-Schmidt passes).
+    ay - bx)|| / ||(x, y)||, as the coordinates keep the Hilbert-Schmidt product
+    (Saad, Numerical Methods for Large Eigenvalue Problems, 2nd ed., ch. 6): one
+    matvec for a real Ritz value and two for a complex one.  No N x N array is held
+    beside the buffer and the basis, 8 (depth + 1) d bytes, d the sector dimension.
+    ``params`` records ``sector`` (even, odd or none), ``krylov_dim`` (the dimension m
+    reached, below ``depth`` when an invariant subspace closes early, which warns),
+    ``matvecs`` (m plus the residual matvecs) and ``reorth`` (second Gram-Schmidt
+    passes).
     """
     depth, n_wanted = _count(depth, "depth"), _count(n_wanted, "n_wanted", 1)
     if depth < n_wanted + 2:
         raise ValueError(f"depth must be at least n_wanted + 2 = {n_wanted + 2}, got {depth}")
     space, n = umap.space, umap.dim
-    displaced = np.shape(a0) == (2,)
-    if displaced:  # F_xi, written into an array of this call's own
-        xi = _displacement(a0, "Krylov seed displacement")
-        seed = _write_f(space, xi, np.zeros((n, n), dtype=complex))
-    elif isinstance(a0, (int, np.integer)):  # a seed, drawn into an array of this call's own
-        seed = random_traceless_hermitian(space, _count(a0, "Krylov seed"))
-    else:  # a copy, changed to the momentum frame in place below
-        seed = _operator(np.array(a0, dtype=complex), n, "Krylov seed")
-    scale = np.linalg.norm(seed)
-    if not 0 < scale < np.inf:
-        raise ValueError(f"Krylov seed must be finite and nonzero, got norm {scale}")
-    if not (_f_defect(space, xi) <= 1e-12 * scale if displaced else _hermitian(seed)):
-        raise ValueError("Krylov seed must be Hermitian")
-    trace = abs(np.trace(seed))
-    if not trace <= 1e-9 * max(1.0, scale):
-        raise ValueError(f"Krylov seed must be traceless, got |Tr| = {trace:.2e}")
-    # the momentum frame keeps the Hilbert-Schmidt product, Hermiticity and parity
-    seed /= scale
-    _change_frame(seed, MOMENTUM)
-    mask = _mask(kernel)
-    buf = _working(n)  # the one complex buffer of the run
-    np.copyto(buf, seed)
-    buf = _step(umap, mask, buf)
-    if not _hermitian(buf):
-        raise ValueError("channel image of the Hermitian seed is not Hermitian")
-    sign = _parity(seed) if _keeps_parity(umap) else 0
+    if isinstance(a0, (int, np.integer)):  # a seed, drawn into an array of this call's own
+        a0 = random_traceless_hermitian(space, _count(a0, "Krylov seed"))
+    elif np.shape(a0) != (2,):  # NaN and inf are refused before the Hermiticity rule
+        a0 = _operator(a0, n, "operator Krylov seed")
+        _seed_norm(np.linalg.norm(a0))
+    a0, sign, _ = _operand(space, a0, "Krylov seed", _keeps_parity(umap))
     sector = _RealSector(n, sign)
-    seed *= 1 - 1j  # from here on every operator is held as Z = (1 - i)A
-    buf *= 1 - 1j
+    buf = _working(n)  # the one complex buffer of the run, which holds Z = (1 - i)A
+    _fill(space, a0, buf, n // 2 + 1 if sign else n)
+    del a0  # a drawn seed or a complex copy of a real array is not kept
+    # the momentum frame keeps the Hilbert-Schmidt product, Hermiticity and parity
+    _change_frame(buf, MOMENTUM, sign)
+    mask = _mask(kernel)
     # the odd sector is traceless by construction; elsewhere every new
     # direction has its identity component projected out (see below); R of the
     # identity is the identity
@@ -307,23 +294,28 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     ident = ident[diag]
 
     basis = np.empty((depth + 1, sector.dim))
-    sector.pack(seed.real, basis[0])
-    basis[0] /= np.linalg.norm(basis[0])
-    del seed
+    scale = _seed_norm(np.linalg.norm(sector.pack(buf.real, basis[0])))
+    trace = np.sqrt(n) * abs(ident @ basis[0, diag])
+    if not trace <= 1e-9 * max(1.0, scale):
+        raise ValueError(f"Krylov seed must be traceless, got |Tr| = {trace:.2e}")
+    basis[0] /= scale
 
     def matvec(x, out):
-        """The coordinates of S(A) into ``out``, A's coordinates ``x``."""
+        """S(A) into the buffer, and its coordinates into ``out``, A's coordinates ``x``."""
         if sign:  # the sector step reads and writes R = Re Z on rows 0 .. N/2
             sector.write(x, buf.real)
-            _step(umap, mask, buf, sign)
+            image = _step(umap, mask, buf, sign)
         else:
-            _step(umap, mask, sector.unpack(x, buf))
-        return sector.pack(buf.real, out)
+            image = _step(umap, mask, sector.unpack(x, buf))
+        sector.pack(image.real, out)
+        return image
 
     m, reorth = depth, 0
     h = np.zeros((depth + 1, depth))
     for j in range(depth):
-        w = matvec(basis[j], basis[j + 1]) if j else sector.pack(buf.real, basis[1])
+        image, w = matvec(basis[j], basis[j + 1]), basis[j + 1]
+        if not (sign or j or _hermitian(image)):  # only a full step's image holds Im Z
+            raise ValueError("channel image of the Hermitian seed is not Hermitian")
         v = basis[: j + 1]
         before = np.linalg.norm(w)
         coeff = v @ w
@@ -408,6 +400,13 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
         warnings.warn(f"{cluster} eigenvalues within 1% modulus of the leader; "
                       "tail decays will look averaged", stacklevel=2)
     return replace(spectrum, degenerate=cluster > 1)
+
+
+def _seed_norm(norm: float) -> float:
+    """The Hilbert-Schmidt norm of a Krylov seed, refused unless finite and nonzero."""
+    if not 0 < norm < np.inf:
+        raise ValueError(f"Krylov seed must be finite and nonzero, got norm {norm}")
+    return norm
 
 
 def fit_tail_rate(series: OtocSeries, t_start: int, t_end: int,

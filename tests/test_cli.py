@@ -385,24 +385,24 @@ def _refused_before_building(monkeypatch, capsys, argv, out):
 
 
 def test_resonances_krylov_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
-    """N=100000 at depth 90 in the odd sector of the sine seed needs about 4.3 TB: 3.6 TB
-    of basis, half the N^2 reals a row, and 64 N^2 bytes of N x N arrays; refused before
-    anything is built."""
+    """N=100000 at depth 90 in the odd sector of the sine seed needs about 4.0 TB: 3.6 TB
+    of basis, half the N^2 reals a row, and 34 N^2 bytes of buffer and temporaries;
+    refused before anything is built."""
     line = _refused_before_building(
         monkeypatch, capsys, ["resonances", "--map", "cat", "--n", "100000", "--epsilon",
                               "0.0001", "--method", "krylov", "--depth", "90"], tmp_path / "big")
-    assert "4280.0 GB" in line
+    assert "3980.0 GB" in line
 
 
 def test_resonances_krylov_preflight_sizes_a_random_seed_by_n_squared(tmp_path, monkeypatch,
                                                                       capsys):
     """A random seed has no parity: its basis keeps all N^2 reals a row, 7.3 TB, and the
-    run needs 7.9 TB with its N x N arrays."""
+    run needs 7.6 TB with its buffer and temporaries."""
     line = _refused_before_building(
         monkeypatch, capsys, ["resonances", "--map", "cat", "--n", "100000", "--epsilon",
                               "0.0001", "--method", "krylov", "--depth", "90", "--seed-op",
                               "random"], tmp_path / "big")
-    assert "7920.0 GB" in line
+    assert "7620.0 GB" in line
 
 
 @pytest.mark.parametrize("spec", ["cat", "standard", "harper"])

@@ -522,18 +522,20 @@ def test_parity_reads_the_sector_a_block_at_a_time(n):
 
 @pytest.mark.parametrize("n", [3, 8, 33, 516])
 def test_hermitian_keeps_the_dense_frobenius_rule(n):
-    """||x - x^dag|| <= 1e-12 ||x||, summed a block of rows at a time, decides as the
-    dense formula does, on a plain array and on a padded working buffer (N = 516):
-    a defect of 1e-14 relative passes, one of 1e-10 fails, and a NaN entry fails."""
+    """On Z = (1 - i)A held in a buffer, sqrt 2 ||Im Z + (Re Z)^T|| <= 1e-12 ||Z||, the
+    rule ||A - A^dag|| <= 1e-12 ||A||, summed a block of rows at a time, decides as the
+    dense formula does, on a plain array and on a padded working buffer (N = 516): a
+    defect of 1e-14 relative passes, one of 1e-10 fails, and a NaN entry fails."""
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    x = x + x.conj().T
+    z = (1 - 1j) * (x + x.conj().T)
     buf = phase_space._working(n)
     for scale in (0.0, 1e-14, 1e-10):
         noise = np.zeros((n, n), dtype=complex)
-        noise[0, n - 1] = scale * np.linalg.norm(x)
-        np.copyto(buf, x + noise)
-        dense = np.linalg.norm(buf - buf.conj().T) <= 1e-12 * np.linalg.norm(buf)
+        noise[0, n - 1] = scale * np.linalg.norm(z)
+        np.copyto(buf, z + noise)
+        defect = np.sqrt(2) * np.linalg.norm(buf.imag + buf.real.T)
+        dense = defect <= 1e-12 * np.linalg.norm(buf)
         assert phase_space._hermitian(buf) == dense == (scale < 1e-12)
     buf[1, 0] = np.nan
     assert not phase_space._hermitian(buf)

@@ -205,6 +205,18 @@ def test_krylov_parity_sector_matches_dense_oracle(n, family, param, kick_mode, 
     assert np.abs(expected[:krylov.alphas.size] - np.abs(krylov.alphas)).max() < 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 7, 64, 320])
+def test_random_traceless_hermitian_is_the_three_line_formula(n):
+    """Built in its one array, the draw is bit for bit the formula it replaced."""
+    space = TorusSpace(n)
+    for seed in (0, 1, 7, 497639016):
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        want = (raw + raw.conj().T) / 2.0
+        want -= np.trace(want) / n * np.eye(n)
+        assert np.array_equal(random_traceless_hermitian(space, seed), want)
+
+
 def test_krylov_refuses_non_hermitian_seed():
     space = TorusSpace(8)
     umap = quantize(cat_map(0.02), space)
@@ -278,10 +290,9 @@ def test_sector_slices_match_the_index_tables(n, sign):
                          ids=["cat", "standard", "harper"])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_krylov_steps_in_the_sector(monkeypatch, spec, sign):
-    """At even N the Arnoldi steps after the first and the residual matvecs take the
-    sector step, with the seed's sign; only the first image takes the full step.  The
-    result agrees to rounding with the run that has no sector, where every step is
-    full and every entry of R is stored."""
+    """At even N every Arnoldi step, the first included, and every residual matvec takes
+    the sector step with the seed's sign.  The result agrees to rounding with the run
+    that has no sector, where every step is full and every entry of R is stored."""
     n = 16
     space = TorusSpace(n)
     umap = quantize(spec, space)
@@ -299,7 +310,7 @@ def test_krylov_steps_in_the_sector(monkeypatch, spec, sign):
     monkeypatch.setattr(resonances, "_step", recording)
     got = krylov_leading(umap, kernel, a, depth=30, n_wanted=3)
     m, keep = got.params["krylov_dim"], got.alphas.size
-    assert signs == [0] + [sign] * (got.params["matvecs"] - 1)
+    assert signs == [sign] * got.params["matvecs"]
     assert m < got.params["matvecs"] <= m + 2 * keep  # one or two a Ritz value, none a partner
     monkeypatch.setattr(resonances, "_keeps_parity", lambda umap: False)
     signs.clear()
@@ -428,33 +439,35 @@ def test_krylov_integer_seed_is_the_random_seed(spec, n):
 @pytest.mark.parametrize("spec, n", [(cat_map(0.02), 128), (cat_map(0.02), 63)],
                          ids=["sector-step-128", "full-step-63"])
 def test_krylov_residual_checks_hold_no_array_beside_the_buffer(monkeypatch, spec, n):
-    """During the residual matvecs of a sine-seeded run the only traced block of at
-    least 16 N^2 bytes, a complex N x N array, besides the basis is the working
-    buffer: no Ritz operator, no temporary of its imaginary part and no seed, in the
-    odd sector (N=128) and without one (the cat map at N=63)."""
+    """At every channel application of a sine-seeded run, the first image, the Arnoldi
+    steps and the residual matvecs, the only traced block of at least 16 N^2 bytes, a
+    complex N x N array, besides the basis is the working buffer: no Ritz operator, no
+    temporary of its imaginary part and no seed array or copy of one, in the odd sector
+    (N=128) and without one (the cat map at N=63).  The seed is the displacement (0, 1)
+    and then the caller's own sine array, made before tracing starts."""
     space = TorusSpace(n)
     umap, kernel = quantize(spec, space), build_kernel(space, 10.0 / n)
-    depth, big, calls, seen = 20, 16 * n * n, [], []
+    depth, big = 20, 16 * n * n
     step = resonances._step
+    for a0 in ((0, 1), sine_position(space)):
+        seen = []
 
-    def snapshotting(umap, mask, at, sign=0):
-        calls.append(sign)
-        if len(calls) > depth:  # the first image and depth - 1 Arnoldi steps come first
+        def snapshotting(umap, mask, at, sign=0):
             seen.append(sorted(t.size for t in tracemalloc.take_snapshot().traces
                                if t.size >= big))
-        return step(umap, mask, at, sign)
+            return step(umap, mask, at, sign)
 
-    monkeypatch.setattr(resonances, "_step", snapshotting)
-    tracemalloc.start()
-    try:
-        got = krylov_leading(umap, kernel, (0, 1), depth=depth, n_wanted=4)
-    finally:
-        tracemalloc.stop()
-    sign = {"odd": -1, "none": 0}[got.params["sector"]]
-    assert sign == (0 if n % 2 else -1)
-    basis = 8 * (depth + 1) * resonances._RealSector(n, sign).dim
-    assert got.params["krylov_dim"] == depth and len(seen) == got.params["matvecs"] - depth > 0
-    assert all(sizes == sorted([big, basis]) for sizes in seen), seen
+        monkeypatch.setattr(resonances, "_step", snapshotting)
+        tracemalloc.start()
+        try:
+            got = krylov_leading(umap, kernel, a0, depth=depth, n_wanted=4)
+        finally:
+            tracemalloc.stop()
+        sign = {"odd": -1, "none": 0}[got.params["sector"]]
+        assert sign == (0 if n % 2 else -1)
+        basis = 8 * (depth + 1) * resonances._RealSector(n, sign).dim
+        assert got.params["krylov_dim"] == depth and len(seen) == got.params["matvecs"] > depth
+        assert all(sizes == sorted([big, basis]) for sizes in seen), seen
 
 
 def test_krylov_sector_is_checked_on_the_channel_image():
