@@ -232,18 +232,15 @@ def _write_run(config: RunConfig, start: float, name: str, header: list[str], ro
 # the compute loads plus one complex N x N array, the buffer that holds B, then A and
 # A(t).  OpenSSL, scipy and numpy.random load once that buffer is freed, so at N <=
 # 256 the peak, 41.2-41.5 MB, is the process with every library.  The base is
-# rounded up to 44 MB for other library builds, the N^2 term to 17 N^2.  The parts
-# term below keeps the 16.4 N^2 of an earlier fit: the base's 9 MB margin covers it.
+# rounded up to 44 MB for other library builds, the N^2 term to 17 N^2.
 _OTOC_BASE_BYTES = 44e6
 _OTOC_BYTES_PER_N2 = 17
-_OTOC_MEASURED_PER_N2 = 16.4
 # The parity sector writes rows 0 .. N/2 of the buffer (8 N^2 bytes) and the half
 # spectrum after them (4 N^2); the rest stays unmapped.  The larger of the XP and
 # F(1,1;0,1) peaks read 48.0-49.1 MB at N=1024 and 87.5-88.6 MB at N=2048 (three runs,
 # numpy 2.4, 10^6 bytes), 35.8 MB + 12.6 N^2 from the medians, 12.2-12.9 N^2 between
 # runs, under the same base; the N^2 term is rounded up to 13 N^2.
 _OTOC_SECTOR_BYTES_PER_N2 = 13
-_OTOC_SECTOR_MEASURED_PER_N2 = 12.5
 # Peak RSS per time step of `otoc --n 8` with the cat k=0 overlay, the widest
 # rows (eleven columns), read at t_max 1000, 20000 and 40000: 948 and 966
 # bytes a step for the series arrays, the overlay points and the CSV text.
@@ -251,8 +248,7 @@ _OTOC_BYTES_PER_STEP = 970
 # Peak RSS of the N^2 run per part of its passes beyond the first, forced to
 # 1-8 parts: +0.6 MB at N=512, +1.1 MB at N=1024, +1.4 MB at N=1536 and +1.8 MB
 # at N=2048 (2^20 bytes), 0.4 MB + 720 N bytes: the part's thread, its
-# temporaries and its pair of 16-row contraction blocks (512 N bytes).  They
-# are added to the measured N^2 term, and count where that passes the rounded one.
+# temporaries and its pair of 16-row contraction blocks (512 N bytes).
 _OTOC_BYTES_PER_PART = 0.5e6
 _OTOC_BYTES_PER_PART_N = 800
 # Peak RSS of a Krylov run less its basis: the interpreter, the working buffer (16
@@ -342,25 +338,28 @@ def run_otoc(config: RunConfig) -> dict:
 
     A run whose working set exceeds physical memory, or the cgroup's memory
     limit, is refused before anything is allocated.  That is 44 MB + 970
-    (t_max + 1) bytes plus the larger of c N^2 and m N^2 + (parts - 1)(0.5 MB +
-    800 N) bytes, where the N x N passes run in parts (at most N / 256 of them,
-    see :func:`~otoclab.phase_space._parts`): c = 17 and m = 16.4 on the full
-    path, c = 13 and m = 12.5 in the parity sector, which every run takes where the
-    kick phases are mirror-symmetric: all three maps at even N, Harper at every N
-    (:func:`_sector`).  The manifest records that preflight and the peak RSS, in MB
-    of 2^20 bytes.
+    (t_max + 1) + c N^2 + (parts - 1)(0.5 MB + 800 N) bytes, where the N x N
+    passes run in parts (at most N / 256 of them, see
+    :func:`~otoclab.phase_space._parts`): c = 17 on the full path and 13 in the
+    parity sector, which every run takes where the kick phases are
+    mirror-symmetric: all three maps at even N, Harper at every N
+    (:func:`_sector`).  The manifest records that preflight and the peak RSS, in
+    MB of 2^20 bytes.
+
+    The growth window defaults to [1, floor(t_E) - 1], its end clamped to t_max, and
+    the tail window to [ceil(t_E) + 2, t_max].  Each fit checks its own window: one
+    that ends past t_max or holds too few samples is refused by the fit, and the
+    refusal is recorded as ``skipped (...)``.
     """
     start = time.monotonic()
     n, parts = config.n, len(phase_space._parts(config.n))
-    rounded, measured = ((_OTOC_SECTOR_BYTES_PER_N2, _OTOC_SECTOR_MEASURED_PER_N2)
-                         if _sector(config, odd=True) else
-                         (_OTOC_BYTES_PER_N2, _OTOC_MEASURED_PER_N2))
-    need = (_OTOC_BASE_BYTES + _OTOC_BYTES_PER_STEP * (config.t_max + 1)
-            + max(rounded * n ** 2, measured * n ** 2
-                  + (parts - 1) * (_OTOC_BYTES_PER_PART + _OTOC_BYTES_PER_PART_N * n)))
-    _refuse_beyond_memory(need, f"otoc working set (44 MB + 970 x (t_max + 1) bytes + the larger"
-                                f" of {rounded} x N^2 and {measured} x N^2 + (parts - 1) x"
-                                f" (0.5 MB + 800 x N) bytes)")
+    per_n2 = _OTOC_SECTOR_BYTES_PER_N2 if _sector(config, odd=True) else _OTOC_BYTES_PER_N2
+    need = (_OTOC_BASE_BYTES + _OTOC_BYTES_PER_STEP * (config.t_max + 1) + per_n2 * n ** 2
+            + (parts - 1) * (_OTOC_BYTES_PER_PART + _OTOC_BYTES_PER_PART_N * n))
+    _refuse_beyond_memory(need, f"otoc working set ({_OTOC_BASE_BYTES / 1e6:g} MB + "
+                                f"{_OTOC_BYTES_PER_STEP} (t_max + 1) + {per_n2} N^2 + (parts - 1)"
+                                f" ({_OTOC_BYTES_PER_PART / 1e6:g} MB + {_OTOC_BYTES_PER_PART_N} N)"
+                                f" bytes)")
     with warnings.catch_warnings(record=True) as caught:
         _, umap, kernel = _build_channel(config)
         a, b = _operator_pair(config)
@@ -386,9 +385,8 @@ def run_otoc(config: RunConfig) -> dict:
         # no positive exponent has no growth regime, so fall back to short windows
         t_e_windows = t_e if np.isfinite(t_e) else float(config.t_max)
         lyap_window = (1 if config.lyap_fit_start is None else config.lyap_fit_start,
-                       max(2, int(np.floor(t_e_windows)) - 1) if config.lyap_fit_end is None
-                       else config.lyap_fit_end)
-        lyap_window = (lyap_window[0], min(lyap_window[1], config.t_max))
+                       min(max(2, int(np.floor(t_e_windows)) - 1), config.t_max)
+                       if config.lyap_fit_end is None else config.lyap_fit_end)
         try:
             fit = fit_growth(series, lyap_window)
             derived += [("derived.lyapunov_fit", _fmt(fit.slope / 2.0)),
@@ -402,18 +400,15 @@ def run_otoc(config: RunConfig) -> dict:
         tail_window = (int(np.ceil(t_e_windows)) + 2 if config.tail_fit_start is None
                        else config.tail_fit_start,
                        config.t_max if config.tail_fit_end is None else config.tail_fit_end)
-        if tail_window[1] - tail_window[0] >= 3 and tail_window[1] <= config.t_max:
-            try:
-                fit = fit_tail_rate(series, tail_window[0], tail_window[1])
-                derived += [("derived.alpha1_tail", _fmt(fit.alpha1)),
-                            ("derived.alpha1_tail_r2", _fmt(fit.r2)),
-                            ("derived.alpha1_tail_window", f"{fit.window[0]}:{fit.window[1]}")]
-                header.append("ref_ruelle")
-                columns.append(np.exp(fit.intercept + fit.slope * series.t.astype(float)))
-            except ValueError as exc:
-                derived.append(("derived.alpha1_tail", f"skipped ({exc})"))
-        else:
-            derived.append(("derived.alpha1_tail", "skipped (window does not fit in t_max)"))
+        try:
+            fit = fit_tail_rate(series, tail_window[0], tail_window[1])
+            derived += [("derived.alpha1_tail", _fmt(fit.alpha1)),
+                        ("derived.alpha1_tail_r2", _fmt(fit.r2)),
+                        ("derived.alpha1_tail_window", f"{fit.window[0]}:{fit.window[1]}")]
+            header.append("ref_ruelle")
+            columns.append(np.exp(fit.intercept + fit.slope * series.t.astype(float)))
+        except ValueError as exc:
+            derived.append(("derived.alpha1_tail", f"skipped ({exc})"))
 
         if config.map == CAT and config.map_param == 0.0 and config.operators == "XP":
             exact = [analytic_cat_otoc(int(t), config.n) for t in series.t]
@@ -526,9 +521,9 @@ def run_resonances(config: RunConfig, method: str, depth: int = 40,
             raise CliError(f"seed_op must be sine or random, got {seed_op!r}")
         need = (_OTOC_BASE_BYTES + _KRYLOV_BYTES_PER_N2 * config.n ** 2
                 + 8 * (depth + 1) * _RealSector(config.n, _sector(config, seed_op == "sine")).dim)
-        _refuse_beyond_memory(need, "Krylov working set (44 MB + 34 x N^2 bytes + the basis, "
-                                    "8 x (depth + 1) x d bytes, d = N^2, or about N^2 / 2 in "
-                                    "a parity sector)")
+        _refuse_beyond_memory(need, f"Krylov working set ({_OTOC_BASE_BYTES / 1e6:g} MB + "
+                                    f"{_KRYLOV_BYTES_PER_N2} N^2 bytes + the basis, 8 (depth + 1) d"
+                                    f" bytes, d = N^2, or about N^2 / 2 in a parity sector)")
     with warnings.catch_warnings(record=True) as caught:
         _, umap, kernel = _build_channel(config)
         derived: list[tuple[str, str]] = [("derived.method", method)]

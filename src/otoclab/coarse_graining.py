@@ -129,9 +129,10 @@ def apply_dephasing_chord(kernel: CoarseGrainKernel, a: np.ndarray) -> np.ndarra
     """Oracle path: multiply each chord coefficient by its eigenvalue.
 
     Works diagonal by diagonal; the translation phases cancel between the
-    forward and inverse transforms, leaving one FFT pair per diagonal.
+    forward and inverse transforms, leaving one FFT pair per diagonal.  ``a`` is an
+    N x N array of finite values.
     """
-    d = _cyclic_diagonals(_operator(a, kernel.space.dim, "operator"))
+    d = _cyclic_diagonals(_finite(_operator(a, kernel.space.dim, "operator"), "operator"))
     d = np.fft.ifft(np.fft.fft(d, axis=1) * kernel.diag_chord, axis=1)
     return _from_cyclic_diagonals(d)
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import TorusSpace, _operator, _row_width
+from .phase_space import TorusSpace, _finite, _operator, _row_width
 
 __all__ = [
     "ClassicalMapSpec",
@@ -247,7 +247,9 @@ def apply_map(umap: QuantumMap, operand):
 
 
 def heisenberg_conjugate(umap: QuantumMap, entries: np.ndarray) -> np.ndarray:
-    """One Heisenberg step U^dag A U on raw position-basis entries."""
+    """One Heisenberg step U^dag A U on raw position-basis entries, an N x N array
+    of finite values."""
+    entries = _finite(_operator(entries, umap.dim, "operator"), "operator")
     return _rmul(_lmul(umap, entries, adjoint=True), umap)
 
 

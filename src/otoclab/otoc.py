@@ -456,17 +456,27 @@ def loglinear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def _window(window: tuple[int, int]) -> tuple[int, int]:
-    """The two ends of a fit window as Python ints, each checked by name."""
-    return _count(window[0], "window start"), _count(window[1], "window end")
+def _window(series: OtocSeries, window: tuple[int, int], names=("window start", "window end"),
+            least: int = 2) -> tuple[int, int, np.ndarray]:
+    """The two ends of a fit window over ``series`` as Python ints, and the mask of its
+    samples.  Each end is a non-negative integer (:func:`~otoclab.phase_space._count`),
+    checked first; then an end past the series' last step and a window of fewer than
+    ``least`` samples are refused, each by name."""
+    lo, hi = _count(window[0], names[0]), _count(window[1], names[1])
+    if hi > series.t[-1]:
+        raise ValueError(f"{names[1]} {hi} is past the series' last step t = {series.t[-1]}")
+    mask = (series.t >= lo) & (series.t <= hi)
+    if mask.sum() < least:
+        raise ValueError(f"window [{lo}, {hi}] holds fewer than the {least} samples the fit needs")
+    return lo, hi, mask
 
 
 def fit_growth(series: OtocSeries, window: tuple[int, int]) -> WindowFit:
     """Log-linear fit of C(t) over [window[0], window[1]], lambda = slope / 2; any
-    start, 0 included, is accepted.  Both ends are non-negative integers
-    (:func:`~otoclab.phase_space._count`).  Warns when R^2 < 0.98."""
-    lo, hi = _window(window)
-    mask = (series.t >= lo) & (series.t <= hi)
+    start, 0 included, is accepted.  Both ends are non-negative integers, the end at
+    most the series' last step, and the window holds at least two samples
+    (:func:`_window`).  Warns when R^2 < 0.98."""
+    lo, hi, mask = _window(series, window)
     slope, intercept, r2 = loglinear_fit(series.t[mask], series.c[mask])
     if r2 < 0.98:  # blame the nearest caller outside this module
         warnings.warn(f"Lyapunov fit R^2 = {r2:.4f} below 0.98; window may span a regime change",
@@ -478,12 +488,12 @@ def fit_lyapunov_from_otoc(series: OtocSeries, window: tuple[int, int],
                            t_ehrenfest: float | None = None) -> float:
     """Half the :func:`fit_growth` slope of C(t) over [window[0], window[1]].
 
-    Warns when the fit quality drops below R^2 = 0.98.  When the Ehrenfest
-    time is supplied the window is checked against [1, t_E - 1]; a window of
-    fewer than two samples, or one where C(t) is not positive, raises in
-    :func:`loglinear_fit`.
+    The window is checked as :func:`fit_growth` checks it (:func:`_window`) and must
+    start at t >= 1; when the Ehrenfest time is supplied it must end by t_E - 1.
+    Warns when the fit quality drops below R^2 = 0.98; a window where C(t) is not
+    positive raises in :func:`loglinear_fit`.
     """
-    lo, hi = _window(window)
+    lo, hi, _ = _window(series, window)
     if lo < 1:
         raise ValueError("growth-rate window must start at t >= 1")
     if t_ehrenfest is not None and hi > t_ehrenfest - 1:

@@ -230,13 +230,13 @@ def _whole_rows(x: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(x, (x.shape[0], width), x.strides)
 
 
-def _operator(a, n: int, name: str) -> np.ndarray:
+def _operator(a, n: int | None, name: str) -> np.ndarray:
     """``a`` as an n x n complex array, not copied when it is one already; ValueError,
-    naming it ``name``, when it is not square or not n x n."""
+    naming it ``name``, when it is not square or, unless n is None, not n x n."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} entries must be square, got shape {a.shape}")
-    if a.shape[0] != n:
+    if n is not None and a.shape[0] != n:
         raise ValueError(f"dimension mismatch: {name} {a.shape[0]}, map {n}")
     return a
 
@@ -252,13 +252,15 @@ def change_basis(entries: np.ndarray, frm: str, to: str) -> np.ndarray:
     """Re-express operator entries between the position and momentum bases.
 
     With F[q, p] = exp(2i pi q p / N)/sqrt(N), the momentum representation is
-    F^dag A F; the FFT normalization factors cancel exactly.
+    F^dag A F; the FFT normalization factors cancel exactly.  The entries are
+    refused by name unless square and finite, also where ``frm == to`` returns them.
     """
+    entries = _finite(_operator(entries, None, "operator"), "operator")
     if frm == to:
         return entries
     if {frm, to} != {POSITION, MOMENTUM}:
         raise ValueError(f"unknown basis pair {frm!r} -> {to!r}")
-    return _change_frame(np.array(entries, dtype=complex), to)
+    return _change_frame(entries.copy(), to)
 
 
 def _change_frame(x: np.ndarray, to: str, sign: int = 0) -> np.ndarray:
@@ -566,8 +568,10 @@ def chord_transform(space: TorusSpace, a: np.ndarray) -> np.ndarray:
 
 
 def chord_inverse(space: TorusSpace, c: np.ndarray) -> np.ndarray:
-    """Rebuild the operator from its translation expansion c[chi_q, chi_p]."""
+    """Rebuild the operator from its translation expansion c[chi_q, chi_p], an N x N
+    array of finite coefficients."""
     n = space.dim
+    c = _finite(_operator(c, n, "chord coefficients"), "chord coefficients")
     j = np.arange(n)
     d = np.fft.ifft(c * space.tau_power(j[:, None] * j[None, :]), axis=1) * n
     return _from_cyclic_diagonals(d)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .coarse_graining import CoarseGrainKernel, _keeps_parity, _mask, _step, channel_step
 from .maps import QuantumMap
-from .otoc import OtocSeries, WindowFit, _fill, _operand, loglinear_fit
+from .otoc import OtocSeries, WindowFit, _fill, _operand, _window, loglinear_fit
 from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame,
                           _count, _hermitian, _operator, _working)
 
@@ -413,20 +413,15 @@ def fit_tail_rate(series: OtocSeries, t_start: int, t_end: int,
                   t_ehrenfest: float | None = None) -> WindowFit:
     """Least squares on ln |O1(t)|; the fit's ``alpha1`` = exp(slope/2) estimates |alpha_1|.
 
-    The window must hold at least four samples and, when the Ehrenfest time
-    is supplied, start at or beyond it (the growth regime would bias the
-    slope).  Warns when |O1| dips to the numerical trace floor inside the
-    window, where the fit degrades into noise.  ``t_start`` and ``t_end`` are
-    non-negative integers (:func:`~otoclab.phase_space._count`).
+    ``t_start`` and ``t_end`` are non-negative integers, ``t_end`` at most the series'
+    last step, and the window holds at least four samples
+    (:func:`~otoclab.otoc._window`); when the Ehrenfest time is supplied it must start
+    at or beyond it (the growth regime would bias the slope).  Warns when |O1| dips to
+    the numerical trace floor inside the window, where the fit degrades into noise.
     """
-    t_start, t_end = _count(t_start, "t_start"), _count(t_end, "t_end")
-    if t_end - t_start < 3:
-        raise ValueError("tail window must contain at least 4 time steps")
+    t_start, t_end, mask = _window(series, (t_start, t_end), ("t_start", "t_end"), least=4)
     if t_ehrenfest is not None and t_start < np.ceil(t_ehrenfest):
         raise ValueError(f"tail window must start at or after ceil(t_E) = {np.ceil(t_ehrenfest):.0f}")
-    mask = (series.t >= t_start) & (series.t <= t_end)
-    if mask.sum() < 4:
-        raise ValueError(f"window [{t_start}, {t_end}] selects fewer than 4 samples")
     o1 = series.o1_abs[mask]
     if o1.min() < 1e-13:
         warnings.warn("|O1| reached the numerical floor inside the fit window", stacklevel=2)

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from otoclab import cli, resonances
+from otoclab import cli, phase_space, resonances
 from otoclab.cli import (CliError, RunConfig, main, parse_config_file, run_otoc,
                          run_resonances, run_sweep)
 
@@ -165,6 +165,39 @@ def test_cli_fit_window_starts_at_zero(tmp_path):
     manifest = dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
     assert manifest["derived.alpha1_tail_window"] == "0:12"
     assert manifest["derived.lyapunov_fit_window"].startswith("0:")
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--n", "64", "--epsilon", "0.05", "--t-max", "12", "--tail-fit-end", "20"],
+     "t_end 20 is past the series' last step t = 12"),
+    # the default tail window starts at ceil(t_E) + 2 = 10 and ends at t_max
+    (["--n", "1024", "--epsilon", "0.01", "--t-max", "10"],
+     "window [10, 10] holds fewer than the 4 samples the fit needs")],
+    ids=["tail-end-past-t-max", "default-tail-window-past-t-max"])
+def test_cli_records_a_tail_window_the_fit_refuses_as_skipped(tmp_path, argv, reason):
+    """A tail window that ends past t_max, or holds fewer than four samples, is refused by
+    fit_tail_rate; the run still writes its series and records the refusal."""
+    out = tmp_path / "run"
+    assert main(["otoc", "--map", "cat", "--map-param", "0.02", *argv, "--out", str(out)]) == 0
+    manifest = dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    assert manifest["derived.alpha1_tail"] == f"skipped ({reason})"
+    assert "derived.alpha1_tail_window" not in manifest
+    header, rows = read_csv(out / "otoc.csv")
+    assert "ref_ruelle" not in header and "ref_lyapunov" in header
+    assert len(rows) == int(argv[argv.index("--t-max") + 1]) + 1
+
+
+def test_cli_records_a_growth_window_past_t_max_as_skipped(tmp_path):
+    """Only the default growth end is clamped to t_max; a given end past it is refused by
+    fit_growth (it was clamped before), and the tail fit still runs."""
+    out = tmp_path / "run"
+    assert main(["otoc", "--map", "cat", "--n", "64", "--map-param", "0.02", "--epsilon",
+                 "0.05", "--t-max", "12", "--lyap-fit-end", "20", "--out", str(out)]) == 0
+    manifest = dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    assert manifest["derived.lyapunov_fit"] == (
+        "skipped (window end 20 is past the series' last step t = 12)")
+    header, _ = read_csv(out / "otoc.csv")
+    assert "ref_lyapunov" not in header and "ref_ruelle" in header
 
 
 def test_cli_rejects_bad_fit_windows(tmp_path):
@@ -429,10 +462,12 @@ def test_krylov_preflight_predicts_the_sector_the_run_takes(tmp_path, spec, n, s
 def test_otoc_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
     """N=100000 needs about 130 GB of working set, 13 N^2 bytes in the parity sector of
     an even N: refused before the map or the kernel is built, for a run and for a sweep
-    sub-run alike."""
+    sub-run alike.  The passes are pinned to one part, so the figure does not depend on
+    the host's CPUs: each part beyond the first adds 0.5 MB + 800 N bytes."""
     def unreachable(*args, **kwargs):
         raise AssertionError("built before the memory preflight")
 
+    monkeypatch.setattr(phase_space, "_part_count", 1)
     monkeypatch.setattr(cli, "quantize", unreachable)
     monkeypatch.setattr(cli, "build_kernel", unreachable)
     code = main(["otoc", "--map", "cat", "--n", "100000", "--epsilon", "0.0001",

@@ -647,6 +647,18 @@ def test_fit_lyapunov_is_half_the_growth_slope(space64):
     assert (fit.slope, fit.intercept, fit.r2, fit.window) == (slope, intercept, r2, (0, 4))
 
 
+@pytest.mark.parametrize("fit", [fit_growth, fit_lyapunov_from_otoc])
+def test_growth_fits_refuse_an_end_past_the_series(fit):
+    """An end past the last step used to fit t = 1 .. 9 and, for fit_growth, record the
+    window as asked."""
+    t = np.arange(10)
+    series = OtocSeries(t, np.exp(t), np.zeros(10, complex), np.zeros(10))
+    with pytest.raises(ValueError, match="^window end 100 is past the series' last step t = 9$"):
+        fit(series, (1, 100))
+    with pytest.raises(ValueError, match="^window \\[9, 9\\] holds fewer than the 2 samples"):
+        fit(series, (9, 9))
+
+
 def test_fit_lyapunov_window_validation():
     t = np.arange(10)
     series = OtocSeries(t, np.exp(t), np.zeros(10, complex), np.zeros(10))

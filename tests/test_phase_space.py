@@ -2,14 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from otoclab import phase_space
 from otoclab.classical import lyapunov
 from otoclab.coarse_graining import (apply_dephasing_chord, apply_dephasing_dense, build_kernel,
                                      channel_step, evolve)
-from otoclab.maps import apply_map, cat_map, quantize
+from otoclab.maps import apply_map, cat_map, heisenberg_conjugate, quantize
 from otoclab.otoc import (fit_growth, fit_lyapunov_from_otoc, loglinear_fit, otoc_series,
                           otoc_via_commutator)
 from otoclab.phase_space import (MOMENTUM, POSITION, TorusSpace, change_basis,
@@ -313,6 +313,8 @@ _OPERATOR_ENTRY_POINTS = {
     "otoc_series_A": lambda umap, kernel, x: otoc_series(umap, x, (1, 0), 2, kernel),
     "otoc_series_B": lambda umap, kernel, x: otoc_series(umap, (0, 1), x, 2, kernel),
     "chord_transform": lambda umap, kernel, x: chord_transform(umap.space, x),
+    "chord_inverse": lambda umap, kernel, x: chord_inverse(umap.space, x),
+    "heisenberg_conjugate": lambda umap, kernel, x: heisenberg_conjugate(umap, x),
     "otoc_via_commutator_A": lambda umap, kernel, x: otoc_via_commutator(
         umap, x, sine_momentum(umap.space), 1, kernel),
     "otoc_via_commutator_B": lambda umap, kernel, x: otoc_via_commutator(
@@ -440,6 +442,12 @@ _OPERAND_ENTRY_POINTS = {
     "hermitian_f": ("xi", lambda umap, x: hermitian_f(umap.space, x)),
     "translation": ("xi", lambda umap, x: translation(umap.space, x)),
     "chord_transform": ("operator", lambda umap, x: chord_transform(umap.space, x)),
+    "chord_inverse": ("chord coefficients", lambda umap, x: chord_inverse(umap.space, x)),
+    "change_basis": ("operator", lambda umap, x: change_basis(x, POSITION, MOMENTUM)),
+    "change_basis same basis": ("operator", lambda umap, x: change_basis(x, POSITION, POSITION)),
+    "heisenberg_conjugate": ("operator", lambda umap, x: heisenberg_conjugate(umap, x)),
+    "apply_dephasing_chord": ("operator", lambda umap, x: apply_dephasing_chord(
+        build_kernel(umap.space, 0.1), x)),
     "channel_step": ("operator", lambda umap, x: channel_step(umap, None, x)),
     "evolve": ("operator", lambda umap, x: next(evolve(umap, None, x, 2))),
     "krylov_leading": ("Krylov seed", lambda umap, x: krylov_leading(umap, None, x, depth=10)),
@@ -487,12 +495,20 @@ def _bad_operand(space, bad):
 @example("chord_transform", ("entry", 1, 2, np.nan))
 @example("krylov_leading", ("shape", (8, 7)))
 @example("otoc_via_commutator a", ("entry", 0, 0, np.nan))  # returned NaN
+@example("chord_inverse", ("entry", 0, 0, np.nan))  # returned NaN
+@example("change_basis", ("entry", 2, 1, np.nan))  # returned NaN
+@example("change_basis same basis", ("entry", 2, 1, np.nan))  # returned its input
+@example("heisenberg_conjugate", ("entry", 4, 4, np.nan))  # returned NaN
+@example("apply_dephasing_chord", ("entry", 1, 0, np.nan))  # returned NaN
 @given(st.sampled_from(sorted(_OPERAND_ENTRY_POINTS)), _BAD_OPERANDS)
 def test_every_operator_and_displacement_refuses_bad_values(entry, bad):
     """A displacement with a fractional, NaN or infinite entry or of the wrong length, an
     operator with a NaN or infinite entry, and an array of the wrong shape are each
-    refused with a ValueError that names the argument (evolve, channel_step and
-    chord_transform computed NaN from a non-finite operator before)."""
+    refused with a ValueError that names the argument (evolve, channel_step,
+    chord_transform and the linear oracles computed NaN from a non-finite operator
+    before).  change_basis takes no map, so any square array is an operator to it."""
+    assume(not (entry.startswith("change_basis") and bad[0] == "shape" and len(bad[1]) == 2
+                and bad[1][0] == bad[1][1]))
     umap = quantize(cat_map(0.02), TorusSpace(8))
     name, call = _OPERAND_ENTRY_POINTS[entry]
     with pytest.raises(ValueError, match=name):

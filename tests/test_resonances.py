@@ -573,12 +573,18 @@ def test_fit_tail_rate_synthetic_exact():
 
 def test_fit_tail_rate_validation():
     series = _synthetic_series(0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^window \\[8, 10\\] holds fewer than the 4 samples"):
         fit_tail_rate(series, 8, 10)  # too short
     with pytest.raises(ValueError):
         fit_tail_rate(series, 3, 12, t_ehrenfest=6.4)  # starts before ceil(t_E)
     with pytest.warns(UserWarning, match="floor"):
         fit_tail_rate(_synthetic_series(0.2, floor=1e-15), 14, 22)
+
+
+def test_fit_tail_rate_refuses_an_end_past_the_series():
+    """An end past the last step used to fit t = 5 .. 24 and record the window as asked."""
+    with pytest.raises(ValueError, match="^t_end 100 is past the series' last step t = 24$"):
+        fit_tail_rate(_synthetic_series(0.5), 5, 100)
 
 
 def test_spectral_prediction_complete_at_t0():
