@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import ClassicalMapSpec, _advance, classical_step
-from .phase_space import _count, _size
+from .phase_space import _count, _integral, _size
 
 __all__ = [
     "LyapunovEstimate",
@@ -28,7 +28,7 @@ def _cat_power(t: int, n: int = 0) -> tuple[int, int, int, int]:
     """Entries (a, b, c, d) of M^t, M = (2 1; 1 1), by square-and-multiply in Python
     ints: exact when n = 0, reduced mod n after every product when n > 0, so each
     entry stays below n."""
-    if t < 0 or int(t) != t:
+    if not (_integral(t) and t >= 0):
         raise ValueError(f"power must be a non-negative integer, got {t}")
     ra, rb, rc, rd = 1, 0, 0, 1
     ba, bb, bc, bd = 2, 1, 1, 1

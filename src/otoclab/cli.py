@@ -341,10 +341,8 @@ def run_otoc(config: RunConfig) -> dict:
     (t_max + 1) + c N^2 + (parts - 1)(0.5 MB + 800 N) bytes, where the N x N
     passes run in parts (at most N / 256 of them, see
     :func:`~otoclab.phase_space._parts`): c = 17 on the full path and 13 in the
-    parity sector, which every run takes where the kick phases are
-    mirror-symmetric: all three maps at even N, Harper at every N
-    (:func:`_sector`).  The manifest records that preflight and the peak RSS, in
-    MB of 2^20 bytes.
+    parity sector, which the run takes as :func:`_sector` says.  The manifest
+    records that preflight and the peak RSS, in MB of 2^20 bytes.
 
     The growth window defaults to [1, floor(t_E) - 1], its end clamped to t_max, and
     the tail window to [ceil(t_E) + 2, t_max].  Each fit checks its own window: one
@@ -410,7 +408,8 @@ def run_otoc(config: RunConfig) -> dict:
         except ValueError as exc:
             derived.append(("derived.alpha1_tail", f"skipped ({exc})"))
 
-        if config.map == CAT and config.map_param == 0.0 and config.operators == "XP":
+        if (config.map == CAT and config.map_param == 0.0 and config.operators == "XP"
+                and config.n % 2 == 0):  # the closed form breaks at the wrap at odd N
             exact = [analytic_cat_otoc(int(t), config.n) for t in series.t]
             header += ["C_exact", "O1_abs_exact", "O2_exact"]
             columns += [np.array([e.c for e in exact]),

@@ -22,12 +22,10 @@ the momentum frame; :func:`_evolve_in_place` iterates it on a caller's
 buffer (for :func:`evolve` and the OTOC series) and the Krylov solver calls
 it directly.  Both hold Z = (1 - i)A (:mod:`otoclab.phase_space`), which
 the step advances as it does A.  Given a parity sign the step works on R =
-Re Z on rows 0 .. N/2 only, the parity sector, which holds when the kick
-phases are exactly mirror-symmetric (:func:`_keeps_parity`; the mask
-f[(r - s) % N] always is): all three maps :func:`~otoclab.maps.quantize`
-builds at even N, Harper at every N.  :func:`evolve` takes the full step on A
-itself.  The chord-space dephasing and the literal sum over all N^2
-translations are kept as oracles.
+Re Z in the parity sector of :mod:`~otoclab.phase_space` only, which holds
+when the channel keeps parity (:func:`_keeps_parity`).  :func:`evolve` takes
+the full step on A itself.  The chord-space dephasing and the literal sum
+over all N^2 translations are kept as oracles.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import numpy as np
 from .maps import QuantumMap
 from .phase_space import (MOMENTUM, POSITION, TorusSpace, _change_frame, _cyclic_diagonals,
                           _count, _finite, _from_cyclic_diagonals, _imag_from_real, _operator,
-                          _row_width, _split, _whole_rows, translation)
+                          _row_width, _sector, _split, _whole_rows, translation)
 
 __all__ = [
     "CoarseGrainKernel",
@@ -197,7 +195,7 @@ def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray,
     width = rows.shape[1]
     pos, mom = (v[:width] for v in umap._row_phases)
     mask = None if mask is None else mask[:, :width]
-    lines = n // 2 + 1 if sign else n
+    lines = _sector(n, sign)[0]
     if sign:
         _imag_from_real(at, sign)
     _split(lambda _, s: _kick(rows[s], mom[s], mom, None), n, lines=lines)

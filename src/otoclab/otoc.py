@@ -30,16 +30,15 @@ The buffer holds Z = (1 - i)A(t), on the full path as in the parity sector
 of its momentum-frame (1 - i)B.  For B diagonal the one-pass sums read R
 alone, as |A_rc|^2 = (R_rc^2 + R_cr^2) / 2; any other B sums blocks of ZB and
 BZ, and |1 - i|^2 = 2 divides both sums.  When A and B each have a definite
-parity x[-i, -j] = +-x[i, j] (F_xi is odd) and both kick phase vectors of the
-map are mirror-symmetric (:func:`~otoclab.coarse_graining._keeps_parity`: all
-three maps at even N, Harper at every N), A(t) keeps A's parity and the series
-runs in that sector: B and A are written on rows 0 .. N/2 alone, every step
-works on R there (:func:`~otoclab.coarse_graining._step`), and the
-contraction sums the rows whose mirror is another row of the half twice and
-the self-mirrored rows once (0 and N/2 at even N, 0 alone at odd N), since AB
-and BA have the same parity; the blocks form first rebuilds Im Z = -R^T and
-fills the few rows beyond N/2 that BZ reads from their mirrors.  The sector
-agrees with the full path to rounding.  Every other case takes the full path.
+parity x[-i, -j] = +-x[i, j] (F_xi is odd) and the channel keeps parity
+(:func:`~otoclab.coarse_graining._keeps_parity`), A(t) keeps A's parity and
+the series runs in that sector: B and A are written on rows 0 .. N/2 alone,
+every step works on R there (:func:`~otoclab.coarse_graining._step`), and the
+contraction sums the paired rows twice and the self-mirrored rows once
+(:func:`~otoclab.phase_space._sector`), since AB and BA have the same parity;
+the blocks form first rebuilds Im Z = -R^T and fills the few rows beyond N/2
+that BZ reads from their mirrors.  The sector agrees with the full path to
+rounding.  Every other case takes the full path.
 """
 
 from __future__ import annotations
@@ -55,9 +54,9 @@ from . import coarse_graining
 from .classical import _cat_power
 from .coarse_graining import _keeps_parity
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
-from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame,
-                          _count, _displacement, _f_defect, _finite, _imag_from_real,
-                          _mirror_rows, _operator, _parity, _parts, _size, _split, _whole_rows,
+from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame, _count,
+                          _displacement, _f_defect, _finite, _imag_from_real, _mirror_rows,
+                          _operator, _parity, _parts, _sector, _size, _split, _whole_rows,
                           _working, _write_f, hermiticity_defect, symplectic_product)
 
 __all__ = [
@@ -108,28 +107,27 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
 
     ``a`` and ``b`` are each a Hermitian N x N array or an integer
     displacement (xi_q, xi_p) standing for F_xi.  O1 = <B A(t), A(t) B>_F / N
-    and O2 = ||A(t) B||_F^2 / N are summed over blocks of rows, or, when B is
-    diagonal in the momentum frame, B = diag(d) (as for F_(q,0)), from one pass
-    over |A(t)|^2: O1 = sum conj(d_r) d_q |A_rq|^2 / N and O2 = sum |d_q|^2
-    |A_rq|^2 / N (:func:`_contract`).  B, then A, is checked (:func:`_operand`)
-    before anything is written, and the parity sector (see the module notes) is
-    picked from the two and recorded as ``sector``.  The call holds one N x N
-    array (:func:`~otoclab.phase_space._working`): (1 - i)B is written into it
+    and O2 = ||A(t) B||_F^2 / N are summed over blocks of rows, or from one pass
+    over |A(t)|^2 when B is diagonal in the momentum frame, as F_(q,0) is
+    (:func:`_contract`).  B, then A, is checked (:func:`_operand`) before
+    anything is written, and the parity sector (see the module notes) is picked
+    from the two and recorded as ``sector``.  The call holds one N x N array
+    (:func:`~otoclab.phase_space._working`): (1 - i)B is written into it
     (:func:`_fill`) and changed to the momentum frame, where its nonzero cyclic
     diagonals are gathered (for F_(q,p), which is F_(p,-q) there, only +-p);
     (1 - i)A is then written over it and evolved in place.  In the sector only
     rows 0 .. N/2 and the half spectrum after them are touched.  Beside it the
     contraction holds two 16-row blocks of AB and BA per part, at most N / 256
     parts (:func:`~otoclab.phase_space._parts`), so at most N^2 / 8 entries.
-    ``layout`` and ``contraction`` record the buffer's rows and the form of the
-    contraction.
+    ``layout`` and ``contraction`` record the buffer's rows and the contraction's
+    form.
     """
     t_max = _count(t_max, "t_max")
     space, n = umap.space, umap.dim
     b, b_sign, b_shifts = _operand(space, b, "B", _keeps_parity(umap))
     a, sign, _ = _operand(space, a, "A", b_sign != 0)
     b_sign = b_sign if sign else 0  # B's set-up takes the sector only when the run does
-    rows = n // 2 + 1 if sign else n
+    rows = _sector(n, sign)[0]
     buffer = _working(n)
     _fill(space, b, buffer, rows)
     shifts, d = _nonzero_diagonals(_change_frame(buffer, MOMENTUM, b_sign), b_shifts, b_sign)
@@ -198,8 +196,7 @@ def _nonzero_diagonals(zm: np.ndarray, candidates: list[int] | None = None, sign
     """Shifts j and rows d[k, q] = B[q + j_k, q] of the cyclic diagonals of momentum-frame
     B that are not noise, among the shifts ``candidates`` (ascending, every diagonal when
     None), found a block of diagonals at a time so no N x N gather is made.  ``zm`` holds
-    Z = (1 - i)B, with B's parity ``sign`` as the sector's R = Re Z on rows 0 .. N/2
-    (:func:`_real_diagonals`)."""
+    Z = (1 - i)B, or with B's parity ``sign`` the sector's R (:func:`_real_diagonals`)."""
     j = np.arange(zm.shape[0]) if candidates is None else np.asarray(candidates)
 
     def blocks(js):
@@ -223,7 +220,7 @@ def _real_diagonals(x: np.ndarray, shifts: np.ndarray, sign: int) -> np.ndarray:
     cols = np.broadcast_to(q, rows.shape)
 
     def read(i, j):
-        far = i > (n // 2 if sign else n)
+        far = i >= _sector(n, sign)[0]
         v = r[np.where(far, n - i, i), np.where(far, -j % n, j)]
         return np.where(far, sign * v, v)
 
@@ -259,22 +256,21 @@ def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
     """O1 = <BA, AB>_F / N and O2 = ||AB||_F^2 / N of momentum-frame A(t), held as Z =
     (1 - i)A(t) in ``at``, against B's cyclic diagonals, a block of rows at a time.
 
-    For B diagonal, B = diag(d) (:func:`_contraction`), O1 = sum conj(d_r) d_q
-    |A_rq|^2 and O2 = sum |d_q|^2 |A_rq|^2 (before the 1/N) come from one pass
-    over R = Re Z, 32 rows at a time (:func:`_diagonal_rows`).  Any other B sums
-    blocks of 16 rows of ZB and BZ (:func:`_contract_rows`) and halves both sums.
-    The blocks are spread over the parts of :func:`~otoclab.phase_space._split`,
-    part i working in ``scratch[i]``, and start on fixed edges; the per-block sums
-    come back and are added here in block order, so the bits depend on neither the
-    part count nor the BLAS thread count: every sum is a ufunc or einsum
-    reduction.  With A(t)'s parity ``sign`` ``at`` holds the sector, R on rows
-    0 .. N/2: the blocks first rebuild Im Z and fill the rows beyond N/2 that BZ
-    reads from their mirrors.  Row r of AB and BA is row -r up to one common sign,
-    so rows 1 .. N - N/2 - 1, whose mirrors lie beyond N/2, are summed and doubled,
-    and the self-mirrored rows, 0 and N/2 at even N and 0 alone at odd N, added once.
+    For B diagonal, B = diag(d) (:func:`_contraction`), O1 = sum conj(d_r) d_q |A_rq|^2
+    and O2 = sum |d_q|^2 |A_rq|^2 (before the 1/N) come from one pass over R = Re Z, 32
+    rows at a time (:func:`_diagonal_rows`).  Any other B sums blocks of 16 rows of ZB
+    and BZ (:func:`_contract_rows`) and halves both sums.  The blocks are spread over the
+    parts of :func:`~otoclab.phase_space._split`, part i working in ``scratch[i]``, and
+    start on fixed edges; the per-block sums come back and are added here in block
+    order, so the bits depend on neither the part count nor the BLAS thread count: every
+    sum is a ufunc or einsum reduction.  With A(t)'s parity ``sign`` ``at`` holds the
+    sector, R on rows 0 .. N/2: the blocks first rebuild Im Z and fill the rows beyond
+    N/2 that BZ reads from their mirrors.  Row r of AB and BA is row -r up to one common
+    sign, so the paired rows (:func:`~otoclab.phase_space._sector`) are summed, doubled
+    in a sector, and the self-mirrored rows added once.
     """
     n = at.shape[0]
-    h = n // 2
+    _, paired, fixed = _sector(n, sign)
     diagonal = _contraction(shifts) == "diagonal"
 
     def block_sums(part, rows):
@@ -286,19 +282,19 @@ def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
         _imag_from_real(at, sign)
         for rows in _mirrored_rows(shifts, n):
             _mirror_rows(at, rows, sign)
-    start, stop = (1, n - h) if sign else (0, n)
+    start = paired.start
     o1, o2 = 0j, 0.0
     for part in _split(lambda i, s: block_sums(i, slice(start + s.start, start + s.stop)),
-                       n, _SQUARE_BLOCK if diagonal else _ROW_BLOCK, stop - start):
+                       n, _SQUARE_BLOCK if diagonal else _ROW_BLOCK, paired.stop - start):
         for b1, b2 in part:
             o1 += b1
             o2 += b2
-    if sign:
+    if sign:  # not o1 * 1, which can flip the sign of a zero
         o1, o2 = 2 * o1, 2 * o2
-        for r in (0, h) if n % 2 == 0 else (0,):
-            ((b1, b2),) = block_sums(0, slice(r, r + 1))
-            o1 += b1
-            o2 += b2
+    for r in range(n)[fixed]:
+        ((b1, b2),) = block_sums(0, slice(r, r + 1))
+        o1 += b1
+        o2 += b2
     if not diagonal:  # the blocks summed Z = (1 - i)A: |1 - i|^2 = 2 in both sums
         o1, o2 = o1 / 2, o2 / 2
     return o1 / n, o2 / n
@@ -326,13 +322,14 @@ def _diagonal_rows(at: np.ndarray, d: np.ndarray, scratch: np.ndarray,
 
 
 def _mirrored_rows(shifts: np.ndarray, n: int) -> list[slice]:
-    """The rows beyond N/2 that rows 0 .. N/2 of BA read, (r - j) % N for B's shifts j,
-    as at most two runs: N/2 + 1 .. N/2 + N - j for j > N/2, and max(N - j, N/2 + 1)
-    .. N - 1 for 0 < j <= N/2.  None for B diagonal in momentum (shift 0 only)."""
-    h = n // 2
-    below = h + 1 + max((n - j for j in shifts if j > h), default=0)
-    above = n - max((min(j, n - h - 1) for j in shifts if 0 < j <= h), default=0)
-    runs = [slice(h + 1, n)] if below >= above else [slice(h + 1, below), slice(above, n)]
+    """The rows beyond N/2 that the sector's rows (:func:`~otoclab.phase_space._sector`)
+    of BA read, (r - j) % N for B's shifts j, as at most two runs: N/2 + 1 .. N/2 + N - j
+    for j > N/2, and max(N - j, N/2 + 1) .. N - 1 for 0 < j <= N/2.  None for B
+    diagonal in momentum (shift 0 only)."""
+    rows, paired, _ = _sector(n, 1)  # the same in either sector
+    below = rows + max((n - j for j in shifts if j >= rows), default=0)
+    above = n - max((min(j, paired.stop - 1) for j in shifts if 0 < j < rows), default=0)
+    runs = [slice(rows, n)] if below >= above else [slice(rows, below), slice(above, n)]
     return [s for s in runs if s.start < s.stop]
 
 
@@ -395,8 +392,6 @@ def analytic_cat_otoc(t: int, n: int) -> CatOtocPoint:
     a_t is the top-left integer entry of the t-th cat matrix power, computed
     mod N in O(log t) so large t stays exact.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
     n = _size(n, "n")
     angle = np.pi * _cat_power(t, n)[0] / n
     c = float(np.sin(angle) ** 2)

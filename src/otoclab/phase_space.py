@@ -30,32 +30,30 @@ advances Z as it does A; a sum over Z that is quadratic in A carries the
 factor |1 - i|^2 = 2.
 
 Parity q -> -q maps entries x[i, j] to x[-i, -j] (indices mod N) in both
-frames.  An operator of definite parity, x[-i, -j] = sign x[i, j], is fixed
-by its rows 0 .. N/2 (N/2 rounded down), the one parity-sector layout of the
-package: the OTOC series evolves R on those rows, and the Krylov solver stores
-its directions as slices of them.  The channel keeps parity when its kick
-phases are mirror-symmetric (:func:`~otoclab.coarse_graining._keeps_parity`):
-all three maps at even N, Harper at every N.  Given the sign,
-:func:`_change_frame` runs :func:`_sector_frame`, the real frame change of a
-real R of definite parity: real FFTs of rows 0 .. N/2, with its half spectrum
-in the rows beyond N/2.
-:func:`_imag_from_real` rebuilds Im Z with one transpose pass, and
-:func:`_mirror_rows` fills the rows beyond N/2 where a whole operator is
-needed.
+frames.  An operator of definite parity, x[-i, -j] = sign x[i, j], is fixed by
+its rows 0 .. N/2, the package's one parity-sector layout, whose index rules
+:func:`_sector` derives: the OTOC series evolves R on those rows, and the
+Krylov solver stores its directions as slices of them.  The channel keeps
+parity when its kick phases are mirror-symmetric
+(:func:`~otoclab.coarse_graining._keeps_parity`).  Given the sign,
+:func:`_change_frame` runs :func:`_sector_frame`, the real frame change of R,
+with its half spectrum in the rows beyond N/2; :func:`_imag_from_real`
+rebuilds Im Z with one transpose pass, and :func:`_mirror_rows` fills the rows
+beyond N/2 where a whole operator is needed.
 
-A run's evolving N x N buffer comes from :func:`_working`.  At N >= 512 its
-rows are padded with (4 - N) mod 8 entries, so that the row stride is an odd
-number of 64-byte lines: the lines of a column pass then spread over all the
-L1 sets instead of a few.  The buffer is the N x N view of an N x width array
-with 64-byte aligned rows; at an N whose stride is already an odd number of
-lines (N = 4 mod 8) it is plain.  Below 512 the half matrix sits in L2 and the
-padding only adds loop overhead.  A page of the buffer is mapped only when it is
-first written.  A parity-sector OTOC run writes rows
-0 .. N/2 and the half spectrum after them (:func:`_half_spectrum`), and the rest
-of the buffer, about N/4 rows, is never touched.  The elementwise passes of a
-step run over whole padded rows (:func:`_whole_rows`), one contiguous block per
-part, with factors that are finite on the pad, so the pad stays zero.  Every line and elementwise pass
-does the same arithmetic on either layout, so no bit changes.
+A run's evolving N x N buffer comes from :func:`_working`.  At N >= 512 its rows
+are padded with (4 - N) mod 8 entries, so that the row stride is an odd number
+of 64-byte lines: the lines of a column pass then spread over all the L1 sets
+instead of a few.  The buffer is the N x N view of an N x width array with
+64-byte aligned rows; at an N whose stride is already an odd number of lines
+(N = 4 mod 8) it is plain.  Below 512 the half matrix sits in L2 and the
+padding only adds loop overhead.  A page of the buffer is mapped only when it
+is first written.  A parity-sector OTOC run writes rows 0 .. N/2 and the half
+spectrum after them (:func:`_half_spectrum`), and the rest of the buffer,
+about N/4 rows, is never touched.  The elementwise passes of a step run over
+whole padded rows (:func:`_whole_rows`), one contiguous block per part, with
+factors that are finite on the pad, so the pad stays zero.  Every line and
+elementwise pass does the same arithmetic on either layout, so no bit changes.
 """
 
 from __future__ import annotations
@@ -269,9 +267,8 @@ def _change_frame(x: np.ndarray, to: str, sign: int = 0) -> np.ndarray:
     Without ``sign`` x holds complex entries: the axis-0 FFT runs over fixed
     parts of the columns and the axis-1 FFT over parts of the rows
     (:func:`_split`); each line is transformed alone, so the bits do not depend
-    on the part count.  A nonzero ``sign`` is the parity of the operator, held as
-    R = Re Z on rows 0 .. N/2 (the parity sector of the module notes), and the
-    frame change is :func:`_sector_frame`'s real one.
+    on the part count.  A nonzero ``sign`` is the parity of the operator, held as R =
+    Re Z in the parity sector, and the frame change is :func:`_sector_frame`'s real one.
     """
     if sign:
         return _sector_frame(x, to, sign)
@@ -280,6 +277,19 @@ def _change_frame(x: np.ndarray, to: str, sign: int = 0) -> np.ndarray:
     _split(lambda _, s: first(x[:, s], axis=0, out=x[:, s]), n)
     _split(lambda _, s: second(x[s], axis=1, out=x[s]), n)
     return x
+
+
+def _sector(n: int, sign: int) -> tuple[int, slice, slice]:
+    """The parity sector's index rules at N = n, derived here alone: (rows, paired,
+    fixed).  Line r mirrors to N - r (mod N); an operator of parity ``sign`` is fixed
+    by its ``rows`` = N/2 + 1 rows 0 .. N/2 (N/2 rounded down).  ``paired`` slices the
+    lines 1 .. N - N/2 - 1, whose mirrors lie beyond N/2, and ``fixed`` the
+    self-mirrored lines, 0 and N/2 at even N and 0 alone at odd N, rows and columns
+    alike, in either sector.  Without one (``sign`` 0) rows = N, all paired, none fixed."""
+    if not sign:
+        return n, slice(0, n), slice(0, 0)
+    h = n // 2
+    return h + 1, slice(1, n - h), slice(0, h + 1, n - h)  # 0, and N/2 = N - N/2 at even N
 
 
 def _sector_frame(x: np.ndarray, to: str, sign: int) -> np.ndarray:
@@ -298,7 +308,7 @@ def _sector_frame(x: np.ndarray, to: str, sign: int) -> np.ndarray:
     irfft reads only the half spectrum, which is all the sector holds.
     """
     n = x.shape[0]
-    z = x[:n // 2 + 1]
+    z = x[:_sector(n, sign)[0]]
     spectrum = _half_spectrum(x)
     factor = (-1j if to == MOMENTUM else 1j) if sign < 0 else -1
     source, rows_out = (z.real if sign < 0 else z.imag), z.real.T
@@ -317,32 +327,32 @@ def _half_spectrum(x: np.ndarray) -> np.ndarray:
     """(N/2 + 1)^2 complex scratch for :func:`_sector_frame`, carved from the memory
     of x's rows beyond N/2 with their pad (:func:`_whole_rows`), which the sector does
     not hold; a new array where they are too few (N < 10 unpadded) or not contiguous."""
-    h = x.shape[0] // 2
-    beyond = _whole_rows(x)[h + 1:]
-    if beyond.size < (h + 1) ** 2 or not beyond.flags.c_contiguous:
-        return np.empty((h + 1, h + 1), dtype=complex)
-    return beyond.reshape(-1)[:(h + 1) ** 2].reshape(h + 1, h + 1)
+    rows = _sector(x.shape[0], 1)[0]  # the same in either sector
+    beyond = _whole_rows(x)[rows:]
+    if beyond.size < rows ** 2 or not beyond.flags.c_contiguous:
+        return np.empty((rows, rows), dtype=complex)
+    return beyond.reshape(-1)[:rows ** 2].reshape(rows, rows)
 
 
 def _imag_from_real(x: np.ndarray, sign: int) -> None:
-    """Im Z = -R^T on rows 0 .. N/2 of x from R = Re Z there, for the parity sector
-    ``sign``: Im Z[r, c] = -R[c, r] for c <= N/2 and -sign R[N - c, -r] beyond, through
-    strided views in fixed parts of the rows, so no part reads what another writes."""
+    """Im Z = -R^T on the sector's rows of x (:func:`_sector`) from R = Re Z there, for
+    parity ``sign``: Im Z[r, c] = -R[c, r] for c < rows and -sign R[N - c, -r] beyond,
+    through strided views in fixed parts of the rows, so no part reads another's writes."""
     n = x.shape[0]
-    h = n // 2
-    r, imag = x[:h + 1].real, x[:h + 1].imag
-    mirrors = r[n - h - 1:0:-1]  # rows N - c for the columns c = N/2 + 1 .. N - 1
+    rows, paired, _ = _sector(n, sign)
+    r, imag = x[:rows].real, x[:rows].imag
+    mirrors = r[paired][::-1]  # rows N - c for the columns c = rows .. N - 1
 
     def fill(_, s):
         a, b = s.start, s.stop
-        np.negative(r[:, a:b].T, out=imag[a:b, :h + 1])
+        np.negative(r[:, a:b].T, out=imag[a:b, :rows])
         if a == 0:  # row 0 reads column 0
-            np.multiply(mirrors[:, 0], -sign, out=imag[0, h + 1:])
+            np.multiply(mirrors[:, 0], -sign, out=imag[0, rows:])
             a = 1
         if a < b:  # rows a .. b - 1 read columns N - a down to N - b + 1
-            np.multiply(mirrors[:, n - a:n - b:-1].T, -sign, out=imag[a:b, h + 1:])
+            np.multiply(mirrors[:, n - a:n - b:-1].T, -sign, out=imag[a:b, rows:])
 
-    _split(fill, n, lines=h + 1)
+    _split(fill, n, lines=rows)
 
 
 def _mirror_rows(x: np.ndarray, rows: slice, sign: int) -> None:

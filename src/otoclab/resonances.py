@@ -22,7 +22,7 @@ from .coarse_graining import CoarseGrainKernel, _keeps_parity, _mask, _step, cha
 from .maps import QuantumMap
 from .otoc import OtocSeries, WindowFit, _fill, _operand, _window, loglinear_fit
 from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame,
-                          _count, _hermitian, _operator, _working)
+                          _count, _hermitian, _operator, _sector, _working)
 
 __all__ = [
     "ResonanceSpectrum",
@@ -170,25 +170,23 @@ class _RealSector:
     """Real coordinates of the Hermitian operators in one parity sector.
 
     An operator A is held as R = Re Z, Z = (1 - i)A (see :mod:`~otoclab.phase_space`),
-    with Tr(A^dag B) = R_A . R_B.  In a sector A[-i, -j] = sign A[i, j], R is fixed by
-    its rows 0 .. N/2, and one entry per mirror pair is kept, scaled by sqrt 2 so the
-    dot product stays the Hilbert-Schmidt one, as slices of those rows in flat order:
-    row 0 columns 1 .. ceil(N/2) - 1, rows 1 .. ceil(N/2) - 1 whole and, at even N,
-    row N/2 columns 1 .. N/2 - 1; then, in the even sector only, the self-mirrored
-    entries (0, 0) and, at even N, (0, h), (h, 0) and (h, h), h = N/2.  ``sign`` 0
-    keeps every entry of R.  :meth:`pack` reads only those rows of R and
-    :meth:`write` writes R's rows 0 .. N/2, what the sector step reads and writes;
-    without a sector :meth:`unpack` writes every entry of Z for the full step.
+    with Tr(A^dag B) = R_A . R_B.  In a sector A[-i, -j] = sign A[i, j] one entry per
+    mirror pair, scaled by sqrt 2 to keep that product, is kept in flat order, in the
+    lines of :func:`~otoclab.phase_space._sector`: row 0 on the paired columns, the
+    paired rows whole, the other fixed rows on the paired columns; then, in the even
+    sector only, the entries whose row and column are both fixed.  ``sign`` 0 keeps all
+    of R.  :meth:`pack` reads and :meth:`write` writes the sector's rows 0 .. N/2, as
+    the sector step does; :meth:`unpack` writes every entry of Z for the full step.
     """
 
     def __init__(self, n: int, sign: int):
-        h, c = n // 2, (n + 1) // 2
         self.n, self.sign = n, sign
+        self._rows, self._paired, fixed = _sector(n, sign)
         # (rows, columns) of R in coordinate order: the mirror pairs, then the fixed entries
-        views = ([(slice(0, 1), slice(1, c)), (slice(1, c), slice(None)),
-                  (slice(c, h + 1), slice(1, h))] if sign else [(slice(None), slice(None))])
+        views = ([(slice(0, 1), self._paired), (self._paired, slice(None)),
+                  (slice(self._paired.stop, self._rows), self._paired)]
+                 if sign else [(slice(None), slice(None))])
         # the self-mirrored entries, zero and not stored in the odd sector
-        fixed = slice(0, h + 1, h) if n % 2 == 0 else slice(0, 1)
         self._fixed = (fixed, fixed)
         if sign > 0:
             views.append(self._fixed)
@@ -213,9 +211,9 @@ class _RealSector:
                       np.sqrt(2.0) if seg.start < self._pairs else 1.0, out=r[v])
         if self.sign < 0:
             r[self._fixed] = 0
-        # rows 0 and N/2 are their own mirrors: r[i, -c] = sign r[i, c]
-        rows, n = self._fixed[0], self.n
-        np.multiply(r[rows, (n - 1) // 2:0:-1], self.sign, out=r[rows, n // 2 + 1:])
+        # the self-mirrored rows are their own mirrors: r[i, -c] = sign r[i, c]
+        rows = self._fixed[0]
+        np.multiply(r[rows, self._paired][:, ::-1], self.sign, out=r[rows, self._rows:])
         return r
 
     def unpack(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -280,7 +278,7 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     a0, sign, _ = _operand(space, a0, "Krylov seed", _keeps_parity(umap))
     sector = _RealSector(n, sign)
     buf = _working(n)  # the one complex buffer of the run, which holds Z = (1 - i)A
-    _fill(space, a0, buf, n // 2 + 1 if sign else n)
+    _fill(space, a0, buf, _sector(n, sign)[0])
     del a0  # a drawn seed or a complex copy of a real array is not kept
     # the momentum frame keeps the Hilbert-Schmidt product, Hermiticity and parity
     _change_frame(buf, MOMENTUM, sign)

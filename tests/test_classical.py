@@ -41,7 +41,7 @@ def test_cat_power_mod_n_agrees_with_the_exact_power():
 
 
 def test_cat_power_rejects_negative():
-    for t in (-1, 2.5):
+    for t in (-1, 2.5, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="non-negative integer"):
             _cat_power(t)
 

@@ -91,8 +91,9 @@ def test_run_otoc_emits_exact_row(tmp_path):
     c3 = float(rows[3][header.index("C")])
     assert c3 == pytest.approx(np.sin(13 * np.pi / 64) ** 2, abs=1e-10)
     assert float(rows[3][header.index("O2")]) == pytest.approx(0.25, abs=1e-10)
-    # analytic overlay present for the unperturbed cat
-    assert "C_exact" in header
+    # analytic overlay present for the unperturbed cat, and equal to C at even N
+    c, c_exact = (np.array([float(row[header.index(k)]) for row in rows]) for k in ("C", "C_exact"))
+    assert np.abs(c - c_exact).max() <= 1e-12
     manifest = (tmp_path / "run" / "manifest.txt").read_text()
     assert "config.map=cat" in manifest
     assert "derived.lambda_classical=" in manifest
@@ -100,6 +101,11 @@ def test_run_otoc_emits_exact_row(tmp_path):
     for key in ("python", "numpy", "scipy", "blas", "cpu_count",
                 "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         assert f"\nenvironment.{key}=" in manifest
+    # odd N breaks the closed form at the wrap, so no overlay is written there
+    run_otoc(RunConfig(map="cat", n=63, map_param=0.0, t_max=6, outputs=str(tmp_path / "odd")))
+    header, _ = read_csv(tmp_path / "odd" / "otoc.csv")
+    assert header[:6] == ["t", "C", "O1_re", "O1_im", "O1_abs", "O2"]
+    assert not [k for k in header if k.endswith("_exact")]
 
 
 def test_run_otoc_deterministic_bytes(tmp_path):

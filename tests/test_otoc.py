@@ -141,8 +141,9 @@ def test_analytic_cat_otoc_growth_ratio():
 
 
 def test_analytic_cat_rejects_bad_args():
-    with pytest.raises(ValueError):
-        analytic_cat_otoc(-1, 64)
+    for t in (-1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            analytic_cat_otoc(t, 64)
     with pytest.raises(ValueError):
         analytic_cat_otoc(3, 1)
 

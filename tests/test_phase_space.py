@@ -520,6 +520,23 @@ def _mirror(x):
     return x[np.ix_(neg, neg)]
 
 
+def test_sector_geometry_covers_each_mirror_pair_once():
+    """In a sector the held rows 0 .. rows - 1 are the paired and the fixed ones, a
+    paired row's mirror N - r is not held, a fixed row is its own mirror, and every row
+    is held or mirrors a paired one; without a sector all N rows are paired, none fixed."""
+    for n in range(2, 18):
+        for sign in (-1, 0, 1):
+            rows, paired, fixed = phase_space._sector(n, sign)
+            paired, fixed = list(range(n)[paired]), list(range(n)[fixed])
+            if not sign:
+                assert (rows, paired, fixed) == (n, list(range(n)), []), n
+                continue
+            assert sorted(paired + fixed) == list(range(rows)), (n, sign)
+            assert all(n - r >= rows for r in paired), (n, sign)
+            assert all(-r % n == r for r in fixed), (n, sign)
+            assert set(range(rows)) | {n - r for r in paired} == set(range(n)), (n, sign)
+
+
 @pytest.mark.parametrize("n", [3, 8, 33, 40])
 def test_parity_reads_the_sector_a_block_at_a_time(n):
     """x[-i, -j] = +-x[i, j] to 1e-12 relative in the Frobenius norm gives +-1; a
