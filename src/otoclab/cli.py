@@ -235,12 +235,12 @@ def _write_run(config: RunConfig, start: float, name: str, header: list[str], ro
 # rounded up to 44 MB for other library builds, the N^2 term to 17 N^2.
 _OTOC_BASE_BYTES = 44e6
 _OTOC_BYTES_PER_N2 = 17
-# The parity sector writes rows 0 .. N/2 of the buffer (8 N^2 bytes) and the half
-# spectrum after them (4 N^2); the rest stays unmapped.  The larger of the XP and
-# F(1,1;0,1) peaks read 48.0-49.1 MB at N=1024 and 87.5-88.6 MB at N=2048 (three runs,
-# numpy 2.4, 10^6 bytes), 35.8 MB + 12.6 N^2 from the medians, 12.2-12.9 N^2 between
-# runs, under the same base; the N^2 term is rounded up to 13 N^2.
-_OTOC_SECTOR_BYTES_PER_N2 = 13
+# The parity sector holds the real R on rows 0 .. N/2 (4 N^2 bytes) and its half
+# spectrum (4 N^2) in one allocation.  The larger of the XP and F(1,1;0,1) peaks read
+# 43.6-43.9 MB at N=1024 and 70.5-71.0 MB at N=2048 (three runs on 2 parts, numpy 2.4,
+# 10^6 bytes), 35.0 MB + 8.5 N^2 from the medians, 8.3-8.6 N^2 between runs, under the
+# same base; the N^2 term is rounded up to 9 N^2.
+_OTOC_SECTOR_BYTES_PER_N2 = 9
 # Peak RSS per time step of `otoc --n 8` with the cat k=0 overlay, the widest
 # rows (eleven columns), read at t_max 1000, 20000 and 40000: 948 and 966
 # bytes a step for the series arrays, the overlay points and the CSV text.
@@ -340,7 +340,7 @@ def run_otoc(config: RunConfig) -> dict:
     limit, is refused before anything is allocated.  That is 44 MB + 970
     (t_max + 1) + c N^2 + (parts - 1)(0.5 MB + 800 N) bytes, where the N x N
     passes run in parts (at most N / 256 of them, see
-    :func:`~otoclab.phase_space._parts`): c = 17 on the full path and 13 in the
+    :func:`~otoclab.phase_space._parts`): c = 17 on the full path and 9 in the
     parity sector, which the run takes as :func:`_sector` says.  The manifest
     records that preflight and the peak RSS, in MB of 2^20 bytes.
 

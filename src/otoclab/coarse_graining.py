@@ -21,9 +21,9 @@ mask in place in the frame where it is elementwise and starts and ends in
 the momentum frame; :func:`_evolve_in_place` iterates it on a caller's
 buffer (for :func:`evolve` and the OTOC series) and the Krylov solver calls
 it directly.  Both hold Z = (1 - i)A (:mod:`otoclab.phase_space`), which
-the step advances as it does A.  Given a parity sign the step works on R =
-Re Z in the parity sector of :mod:`~otoclab.phase_space` only, which holds
-when the channel keeps parity (:func:`_keeps_parity`).  :func:`evolve` takes
+the step advances as it does A.  Given a parity sign the step works on the
+real R = Re Z of the parity sector of :mod:`~otoclab.phase_space` only, which
+holds when the channel keeps parity (:func:`_keeps_parity`).  :func:`evolve` takes
 the full step on A itself.  The chord-space dephasing and the literal sum
 over all N^2 translations are kept as oracles.
 """
@@ -37,9 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import QuantumMap
-from .phase_space import (MOMENTUM, POSITION, TorusSpace, _change_frame, _cyclic_diagonals,
-                          _count, _finite, _from_cyclic_diagonals, _imag_from_real, _operator,
-                          _row_width, _sector, _split, _whole_rows, translation)
+from .phase_space import (_ROW_BLOCK, MOMENTUM, POSITION, TorusSpace, _change_frame,
+                          _cyclic_diagonals, _count, _finite, _from_cyclic_diagonals,
+                          _operator, _row_width, _scratch, _spare, _split, _whole_rows,
+                          _z_rows, translation)
 
 __all__ = [
     "CoarseGrainKernel",
@@ -169,8 +170,8 @@ def _keeps_parity(umap: QuantumMap) -> bool:
                for v in (umap.phase_position, umap.phase_momentum))
 
 
-def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray,
-          sign: int = 0) -> np.ndarray:
+def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray, sign: int = 0,
+          scratch: list[np.ndarray] | None = None) -> np.ndarray:
     """One channel step in place on momentum-frame entries: four 1D FFT passes.
 
     The momentum kick, the frame change to position, the position kick, the
@@ -184,31 +185,50 @@ def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray,
 
     A nonzero ``sign`` is the parity of the operator, which the caller vouches the
     channel keeps (:func:`_keeps_parity`).  ``at`` then holds the parity sector of
-    :mod:`~otoclab.phase_space`, R = Re Z on rows 0 .. N/2, and only R is read
-    and written: each kick multiplies Z after Im Z = -R^T is
-    rebuilt (:func:`~otoclab.phase_space._imag_from_real`), the frame changes are
-    the real ones (:func:`~otoclab.phase_space._sector_frame`), and the last mask,
-    which is real, multiplies R alone.  Rows beyond N/2 and Im Z are left stale.
+    :mod:`~otoclab.phase_space`, the real R = Re Z on rows 0 .. N/2: each kick is
+    :func:`_sector_kick`, in ``scratch`` (:func:`~otoclab.phase_space._scratch`, made
+    here when None), the frame changes are the real ones, and the last mask multiplies R.
     """
-    n = at.shape[0]
+    n = at.shape[1]
     rows = _whole_rows(at)
     width = rows.shape[1]
     pos, mom = (v[:width] for v in umap._row_phases)
     mask = None if mask is None else mask[:, :width]
-    lines = _sector(n, sign)[0]
-    if sign:
-        _imag_from_real(at, sign)
-    _split(lambda _, s: _kick(rows[s], mom[s], mom, None), n, lines=lines)
+    scratch = _scratch(n) if sign and scratch is None else scratch
+
+    def kick(phase, m):
+        if sign:
+            return _sector_kick(at, sign, scratch, phase, m)
+        _split(lambda _, s: _kick(rows[s], phase[s], phase, None if m is None else m[s]), n)
+
+    kick(mom, None)
     _change_frame(at, POSITION, sign)
-    if sign:
-        _imag_from_real(at, sign)
-    _split(lambda _, s: _kick(rows[s], pos[s], pos, None if mask is None else mask[s]), n,
-           lines=lines)
+    kick(pos, mask)
     _change_frame(at, MOMENTUM, sign)
     if mask is not None:
-        last = rows.real if sign else rows
-        _split(lambda _, s: np.multiply(last[s], mask[s], out=last[s]), n, lines=lines)
+        _split(lambda _, s: np.multiply(rows[s], mask[s], out=rows[s]), n, lines=at.shape[0])
     return at
+
+
+def _sector_kick(r: np.ndarray, sign: int, scratch: list[np.ndarray], phase: np.ndarray,
+                 mask: np.ndarray | None) -> None:
+    """A kick, and the mask when given, in place on the sector's R in ``r``: with R^T
+    copied aside (:func:`~otoclab.phase_space._spare`), each part builds blocks of
+    Z's rows in its scratch (:func:`~otoclab.phase_space._z_rows`), multiplies them as
+    the full step does and writes back Re Z (odd) or Im Z (even, the next frame change's source)."""
+    n = r.shape[1]
+    rt = _spare(r, r.shape[::-1])
+    _split(lambda _, s: np.copyto(rt[s], r[:, s].T), n)
+
+    def kick(part, s):
+        block = scratch[part].reshape(-1, n)
+        for i in range(s.start, s.stop, len(block)):
+            rows = slice(i, min(i + len(block), s.stop))
+            z = _z_rows(r, rt, sign, rows, block[:rows.stop - i])
+            _kick(z, phase[rows], phase[:n], None if mask is None else mask[rows, :n])
+            np.copyto(r[rows], z.real if sign < 0 else z.imag)
+
+    _split(kick, n, _ROW_BLOCK, r.shape[0])
 
 
 def evolve(umap: QuantumMap, kernel: CoarseGrainKernel | None, a: np.ndarray, steps: int):
@@ -224,17 +244,18 @@ def evolve(umap: QuantumMap, kernel: CoarseGrainKernel | None, a: np.ndarray, st
 
 
 def _evolve_in_place(umap: QuantumMap, kernel: CoarseGrainKernel | None, at: np.ndarray,
-                     steps: int, sign: int = 0):
-    """:func:`evolve` on the caller's N x N complex buffer of position-basis entries: it is
+                     steps: int, sign: int = 0, scratch: list[np.ndarray] | None = None):
+    """:func:`evolve` on the caller's working array of position-basis entries: it is
     changed to the momentum frame once, yielded, and advanced by :func:`_step`, the step
     the Krylov solver shares, each time.  A nonzero ``sign``, the buffer's parity, means
-    that rows 0 .. N/2 hold Z = (1 - i)A and makes the first change of frame and every
-    step the sector's, so from the first yield on only R = Re Z on those rows is valid."""
+    that ``at`` holds the sector as :func:`~otoclab.otoc._fill` writes it and makes the
+    first change of frame and every step, in ``scratch``, the sector's; each yield holds
+    R = Re Z on rows 0 .. N/2."""
     steps = _count(steps, "steps")
     mask = _mask(kernel)
     yield _change_frame(at, MOMENTUM, sign)
     for _ in range(steps):
-        yield _step(umap, mask, at, sign)
+        yield _step(umap, mask, at, sign, scratch)
 
 
 def channel_step(umap: QuantumMap, kernel: CoarseGrainKernel | None, a: np.ndarray) -> np.ndarray:

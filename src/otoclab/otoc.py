@@ -32,13 +32,13 @@ alone, as |A_rc|^2 = (R_rc^2 + R_cr^2) / 2; any other B sums blocks of ZB and
 BZ, and |1 - i|^2 = 2 divides both sums.  When A and B each have a definite
 parity x[-i, -j] = +-x[i, j] (F_xi is odd) and the channel keeps parity
 (:func:`~otoclab.coarse_graining._keeps_parity`), A(t) keeps A's parity and
-the series runs in that sector: B and A are written on rows 0 .. N/2 alone,
-every step works on R there (:func:`~otoclab.coarse_graining._step`), and the
-contraction sums the paired rows twice and the self-mirrored rows once
+the series runs in that sector: the buffer is the sector's real R on rows
+0 .. N/2, B and A are written there alone, every step works on it
+(:func:`~otoclab.coarse_graining._step`), and the contraction sums the paired
+rows twice and the self-mirrored rows once
 (:func:`~otoclab.phase_space._sector`), since AB and BA have the same parity;
-the blocks form first rebuilds Im Z = -R^T and fills the few rows beyond N/2
-that BZ reads from their mirrors.  The sector agrees with the full path to
-rounding.  Every other case takes the full path.
+the blocks form builds the rows of Z it reads from R.  The sector agrees with
+the full path to rounding.  Every other case takes the full path.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ from .classical import _cat_power
 from .coarse_graining import _keeps_parity
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
 from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame, _count,
-                          _displacement, _f_defect, _finite, _imag_from_real, _mirror_rows,
-                          _operator, _parity, _parts, _sector, _size, _split, _whole_rows,
-                          _working, _write_f, hermiticity_defect, symplectic_product)
+                          _displacement, _f_defect, _finite, _operator, _parity, _scratch,
+                          _sector, _size, _spare, _split, _whole_rows, _working,
+                          _write_f, _z_rows, hermiticity_defect, symplectic_product)
 
 __all__ = [
     "OtocSeries",
@@ -111,34 +111,31 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
     over |A(t)|^2 when B is diagonal in the momentum frame, as F_(q,0) is
     (:func:`_contract`).  B, then A, is checked (:func:`_operand`) before
     anything is written, and the parity sector (see the module notes) is picked
-    from the two and recorded as ``sector``.  The call holds one N x N array
-    (:func:`~otoclab.phase_space._working`): (1 - i)B is written into it
-    (:func:`_fill`) and changed to the momentum frame, where its nonzero cyclic
-    diagonals are gathered (for F_(q,p), which is F_(p,-q) there, only +-p);
-    (1 - i)A is then written over it and evolved in place.  In the sector only
-    rows 0 .. N/2 and the half spectrum after them are touched.  Beside it the
-    contraction holds two 16-row blocks of AB and BA per part, at most N / 256
-    parts (:func:`~otoclab.phase_space._parts`), so at most N^2 / 8 entries.
-    ``layout`` and ``contraction`` record the buffer's rows and the contraction's
-    form.
+    from the two and recorded as ``sector``.  The call holds one working array
+    (:func:`~otoclab.phase_space._working`), 16 N^2 bytes on the full path and 8 N^2
+    in the sector: (1 - i)B is written into it (:func:`_fill`) and changed to the
+    momentum frame, where its nonzero cyclic diagonals are gathered (for F_(q,p),
+    which is F_(p,-q) there, only +-p); (1 - i)A is then written over it and evolved
+    in place.  Beside it each part, at most N / 256 of them
+    (:func:`~otoclab.phase_space._parts`), holds two 16-row blocks of AB and BA, which
+    a sector step's kicks reuse, so at most N^2 / 8 entries.  ``layout`` and
+    ``contraction`` record the buffer's rows and the contraction's form.
     """
     t_max = _count(t_max, "t_max")
     space, n = umap.space, umap.dim
     b, b_sign, b_shifts = _operand(space, b, "B", _keeps_parity(umap))
     a, sign, _ = _operand(space, a, "A", b_sign != 0)
     b_sign = b_sign if sign else 0  # B's set-up takes the sector only when the run does
-    rows = _sector(n, sign)[0]
-    buffer = _working(n)
-    _fill(space, b, buffer, rows)
+    buffer = _working(n, sign)
+    _fill(space, b, buffer, b_sign)
     shifts, d = _nonzero_diagonals(_change_frame(buffer, MOMENTUM, b_sign), b_shifts, b_sign)
-    _fill(space, a, buffer, rows)
+    _fill(space, a, buffer, sign)
     del a, b  # a complex copy of a real or integer array operand is not kept
-    # one ab/ba pair per part, zeroed, so a zero B (no diagonals) gives O1 = O2 = 0
-    scratch = [np.zeros((2, min(_ROW_BLOCK, n), n), dtype=complex)
-               for _ in _parts(n, _ROW_BLOCK)]
+    scratch = _scratch(n)  # an ab/ba pair per part
     o1 = np.empty(t_max + 1, dtype=complex)
     o2 = np.empty(t_max + 1)
-    for t, at in enumerate(coarse_graining._evolve_in_place(umap, kernel, buffer, t_max, sign)):
+    steps = coarse_graining._evolve_in_place(umap, kernel, buffer, t_max, sign, scratch)
+    for t, at in enumerate(steps):
         o1[t], o2[t] = _contract(at, shifts, d, scratch, sign)
     c = -2.0 * (o1 - o2).real
     width = _whole_rows(buffer).shape[1]
@@ -173,17 +170,22 @@ def _operand(space: TorusSpace, op: np.ndarray | tuple[int, int], name: str, par
 
 
 def _fill(space: TorusSpace, op: np.ndarray | tuple[int, int], out: np.ndarray,
-          rows: int) -> None:
-    """Write rows 0 .. ``rows`` - 1 of Z = (1 - i)op, ``op`` a checked N x N array or
-    displacement (:func:`_operand`) in the position basis, into ``out``; no other row
-    is touched.  A displacement is F_xi's two cyclic diagonals on zeroed rows
-    (:func:`~otoclab.phase_space._write_f`), then scaled."""
+          sign: int = 0) -> None:
+    """Write Z = (1 - i)op, ``op`` a checked N x N array or displacement (:func:`_operand`)
+    in the position basis, into the working array ``out``: all of Z, or with the parity
+    ``sign`` the first frame change's source, Re Z (odd) or Im Z (even) on rows 0 ..
+    N/2, with Z's bits; F_xi as its two cyclic diagonals, scaled (``_write_f``)."""
+    rows = out.shape[0]
     if isinstance(op, tuple):
-        out[:rows] = 0
-        _write_f(space, op, out, rows)
-        out[:rows] *= 1 - 1j
+        out[...] = 0
+        part = {0: np.asarray, -1: np.real, 1: np.imag}[sign]
+        _write_f(space, op, out, rows, lambda v: part(v * (1 - 1j)))
+    elif not sign:
+        np.multiply(op, 1 - 1j, out=out)
+    elif sign < 0:
+        np.add(op.real[:rows], op.imag[:rows], out=out)
     else:
-        np.multiply(op[:rows], 1 - 1j, out=out[:rows])
+        np.subtract(op.imag[:rows], op.real[:rows], out=out)
 
 
 def _check_hermitian(defect: float, name: str) -> None:
@@ -197,7 +199,7 @@ def _nonzero_diagonals(zm: np.ndarray, candidates: list[int] | None = None, sign
     B that are not noise, among the shifts ``candidates`` (ascending, every diagonal when
     None), found a block of diagonals at a time so no N x N gather is made.  ``zm`` holds
     Z = (1 - i)B, or with B's parity ``sign`` the sector's R (:func:`_real_diagonals`)."""
-    j = np.arange(zm.shape[0]) if candidates is None else np.asarray(candidates)
+    j = np.arange(zm.shape[1]) if candidates is None else np.asarray(candidates)
 
     def blocks(js):
         return (_real_diagonals(zm, b, sign)
@@ -213,7 +215,7 @@ def _real_diagonals(x: np.ndarray, shifts: np.ndarray, sign: int) -> np.ndarray:
     S + iK with S = (R + R^T) / 2 and K = (R - R^T) / 2.  With B's parity ``sign`` x
     holds R on rows 0 .. N/2 only, and a row r beyond N/2 is read as R[r, c] =
     sign R[N - r, -c]."""
-    n = x.shape[0]
+    n = x.shape[1]
     r = x.real
     q = np.arange(n)
     rows = (q[None, :] + np.asarray(shifts)[:, None]) % n
@@ -259,29 +261,31 @@ def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
     For B diagonal, B = diag(d) (:func:`_contraction`), O1 = sum conj(d_r) d_q |A_rq|^2
     and O2 = sum |d_q|^2 |A_rq|^2 (before the 1/N) come from one pass over R = Re Z, 32
     rows at a time (:func:`_diagonal_rows`).  Any other B sums blocks of 16 rows of ZB
-    and BZ (:func:`_contract_rows`) and halves both sums.  The blocks are spread over the
-    parts of :func:`~otoclab.phase_space._split`, part i working in ``scratch[i]``, and
-    start on fixed edges; the per-block sums come back and are added here in block
-    order, so the bits depend on neither the part count nor the BLAS thread count: every
-    sum is a ufunc or einsum reduction.  With A(t)'s parity ``sign`` ``at`` holds the
-    sector, R on rows 0 .. N/2: the blocks first rebuild Im Z and fill the rows beyond
-    N/2 that BZ reads from their mirrors.  Row r of AB and BA is row -r up to one common
-    sign, so the paired rows (:func:`~otoclab.phase_space._sector`) are summed, doubled
-    in a sector, and the self-mirrored rows added once.
+    and BZ (:func:`_contract_rows`) and halves both sums; a B with no diagonals gives
+    zero.  The blocks are spread over the parts of
+    :func:`~otoclab.phase_space._split`, part i working in ``scratch[i]``, and start on
+    fixed edges; the per-block sums come back and are added here in block order, so the
+    bits depend on neither the part count nor the BLAS thread count: every sum is a
+    ufunc or einsum reduction.  With A(t)'s parity ``sign`` ``at`` holds the sector's
+    R, which is only read: the blocks form builds the rows of Z it reads in the half
+    spectrum's memory.  Row r of AB and BA is row -r up to one common sign, so the
+    paired rows (:func:`~otoclab.phase_space._sector`) are summed, doubled in a
+    sector, and the self-mirrored rows added once.
     """
-    n = at.shape[0]
+    n = at.shape[1]
     _, paired, fixed = _sector(n, sign)
     diagonal = _contraction(shifts) == "diagonal"
+    if not shifts.size:
+        return 0j, 0.0
+
+    # in the sector, 32 rows of Z a part
+    z = _spare(at, (len(scratch), 2 * scratch[0].shape[1], n), complex) if sign else scratch
 
     def block_sums(part, rows):
         if diagonal:
             return _diagonal_rows(at, d[0], scratch[part], rows)
-        return _contract_rows(at, shifts, d, *scratch[part], rows)
+        return _contract_rows(at, shifts, d, scratch[part], rows, sign, z[part])
 
-    if sign and not diagonal:
-        _imag_from_real(at, sign)
-        for rows in _mirrored_rows(shifts, n):
-            _mirror_rows(at, rows, sign)
     start = paired.start
     o1, o2 = 0j, 0.0
     for part in _split(lambda i, s: block_sums(i, slice(start + s.start, start + s.stop)),
@@ -321,31 +325,37 @@ def _diagonal_rows(at: np.ndarray, d: np.ndarray, scratch: np.ndarray,
     return sums
 
 
-def _mirrored_rows(shifts: np.ndarray, n: int) -> list[slice]:
-    """The rows beyond N/2 that the sector's rows (:func:`~otoclab.phase_space._sector`)
-    of BA read, (r - j) % N for B's shifts j, as at most two runs: N/2 + 1 .. N/2 + N - j
-    for j > N/2, and max(N - j, N/2 + 1) .. N - 1 for 0 < j <= N/2.  None for B
-    diagonal in momentum (shift 0 only)."""
-    rows, paired, _ = _sector(n, 1)  # the same in either sector
-    below = rows + max((n - j for j in shifts if j >= rows), default=0)
-    above = n - max((min(j, paired.stop - 1) for j in shifts if 0 < j < rows), default=0)
-    runs = [slice(rows, n)] if below >= above else [slice(rows, below), slice(above, n)]
-    return [s for s in runs if s.start < s.stop]
-
-
-def _contract_rows(at: np.ndarray, shifts: np.ndarray, d: np.ndarray, ab: np.ndarray,
-                   ba: np.ndarray, rows: slice) -> list[tuple[complex, float]]:
-    """(O1, O2) partial sums, unscaled, of each block of ``rows`` in ``ab`` and ``ba``."""
-    n = at.shape[0]
+def _contract_rows(at: np.ndarray, shifts: np.ndarray, d: np.ndarray, scratch: np.ndarray,
+                   rows: slice, sign: int = 0, z=None) -> list[tuple[complex, float]]:
+    """(O1, O2) partial sums, unscaled, of each block of ``rows`` in the pair ``ab``, ``ba``
+    of ``scratch``, reading ``at``'s rows of Z or with the parity ``sign`` building them
+    from R into ``z`` (:func:`~otoclab.phase_space._z_rows`): a block's rows at once
+    where they fit, else each shift's rows in turn."""
+    n = at.shape[1]
+    ab, ba = scratch
+    offsets = [(j + n // 2) % n - n // 2 for j in shifts]  # BA's row r reads row r - o
+    far, near = max(offsets + [0]), min(offsets + [0])
     sums = []
     for i in range(rows.start, rows.stop, ab.shape[0]):
         x, y = ab[:rows.stop - i], ba[:rows.stop - i]
         m = x.shape[0]
-        for k, j in enumerate(shifts):
-            for dst, src in _wrapped(j, n, n):  # AB[r, q] = sum_j A[r, q + j] d[j, q]
-                _axpy(k == 0, x[:, dst], at[i:i + m, src], d[k, dst])
-            for dst, src in _wrapped(i - j, m, n):  # BA[r, :] = sum_j d[j, r - j] A[r - j, :]
-                _axpy(k == 0, y[dst], at[src], d[k, src, None])
+        window = m + far - near if sign and m + far - near <= min(len(z), n) else 0
+        for dst, src in _wrapped(i - far, window, n):  # rows i - far .. i + m - 1 - near
+            _z_rows(at, at.T, sign, src, z[dst])
+
+        def read(o, dst, src):  # rows src of Z, the rows i - o + dst
+            if window:
+                return z[far - o + dst.start:far - o + dst.stop]
+            return _z_rows(at, at.T, sign, src, z[dst]) if sign else at[src]
+
+        ai = read(0, slice(0, m), slice(i, i + m))
+        for k, j in enumerate(shifts):  # AB[r, q] = sum_j A[r, q + j] d[j, q]
+            for dst, src in _wrapped(j, n, n):
+                _axpy(k == 0, x[:, dst], ai[:, src], d[k, dst])
+        # BA[r, :] = sum_j d[j, r - j] A[r - j, :]
+        for k, (j, o) in enumerate(zip(shifts, offsets)):
+            for dst, src in _wrapped(i - j, m, n):
+                _axpy(k == 0, y[dst], read(o, dst, src), d[k, src, None])
         xv = x.view(float)
         np.conjugate(y, out=y)
         y *= x

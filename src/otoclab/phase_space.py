@@ -37,23 +37,19 @@ Krylov solver stores its directions as slices of them.  The channel keeps
 parity when its kick phases are mirror-symmetric
 (:func:`~otoclab.coarse_graining._keeps_parity`).  Given the sign,
 :func:`_change_frame` runs :func:`_sector_frame`, the real frame change of R,
-with its half spectrum in the rows beyond N/2; :func:`_imag_from_real`
-rebuilds Im Z with one transpose pass, and :func:`_mirror_rows` fills the rows
-beyond N/2 where a whole operator is needed.
+and a pass that needs Z itself builds blocks of its rows from R (:func:`_z_rows`).
 
-A run's evolving N x N buffer comes from :func:`_working`.  At N >= 512 its rows
-are padded with (4 - N) mod 8 entries, so that the row stride is an odd number
-of 64-byte lines: the lines of a column pass then spread over all the L1 sets
-instead of a few.  The buffer is the N x N view of an N x width array with
-64-byte aligned rows; at an N whose stride is already an odd number of lines
-(N = 4 mod 8) it is plain.  Below 512 the half matrix sits in L2 and the
-padding only adds loop overhead.  A page of the buffer is mapped only when it
-is first written.  A parity-sector OTOC run writes rows 0 .. N/2 and the half
-spectrum after them (:func:`_half_spectrum`), and the rest of the buffer,
-about N/4 rows, is never touched.  The elementwise passes of a step run over
-whole padded rows (:func:`_whole_rows`), one contiguous block per part, with
-factors that are finite on the pad, so the pad stays zero.  Every line and
-elementwise pass does the same arithmetic on either layout, so no bit changes.
+A run's working array comes from :func:`_working`: an N x N complex buffer on
+the full path, and in the sector the real R on rows 0 .. N/2 followed in one
+allocation by its (N/2 + 1)^2 complex half spectrum (:func:`_half_spectrum`),
+8 N^2 bytes in all; the half spectrum is free between frame changes.  At N >= 512
+rows are padded to :func:`_row_width` entries, so that a complex row's stride is
+an odd number of 64-byte lines and a real row's half that: a column pass then
+spreads over the L1 sets.  Below 512 the padding only adds loop overhead.  A page
+is mapped only when it is first written.  The elementwise passes over the array run over whole
+padded rows (:func:`_whole_rows`), one contiguous block per part, with factors
+that are finite on the pad, so the pad stays zero.  Every line and elementwise
+pass does the same arithmetic on either layout, so no bit changes.
 """
 
 from __future__ import annotations
@@ -201,18 +197,37 @@ def _row_width(n: int) -> int:
     return n + (4 - n) % 8 if n >= 512 else n
 
 
-def _working(n: int) -> np.ndarray:
-    """An N x N complex buffer, laid out as the module notes say: the N x N view of an
-    N x :func:`_row_width` array with 64-byte aligned rows, allocated zeroed, when the
-    width exceeds N, so the pad is zero with no pass over it; plain and uninitialized
-    otherwise.  Either way a page is mapped only when it is first written."""
-    width = _row_width(n)
-    if width == n:
+def _working(n: int, sign: int = 0) -> np.ndarray:
+    """A run's working array (module notes): the complex N x N buffer, or with the parity
+    ``sign`` the real R on the rows of :func:`_sector` and then its half spectrum, as
+    N-wide views of :func:`_row_width`-wide rows, 64-byte aligned and allocated zeroed,
+    so the pad is zero with no pass over it; a plain N x N buffer is left uninitialized."""
+    rows, width = _sector(n, sign)[0], _row_width(n)
+    if not sign and width == n:
         return np.empty((n, n), dtype=complex)
-    size = n * width * 16
-    raw = np.zeros(size + 64, dtype=np.uint8)
+    dtype = np.dtype(float if sign else complex)
+    size = rows * width * dtype.itemsize
+    raw = np.zeros(size + (16 * rows ** 2 if sign else 0) + 64, dtype=np.uint8)
     start = -raw.ctypes.data % 64
-    return raw[start:start + size].view(complex).reshape(n, width)[:, :n]
+    return raw[start:start + size].view(dtype).reshape(rows, width)[:, :n]
+
+
+def _half_spectrum(x: np.ndarray) -> np.ndarray:
+    """The (N/2 + 1)^2 complex half spectrum of the sector's R in x: the memory after R's
+    rows where :func:`_working` allocated x, else a new array."""
+    rows = x.shape[0]
+    size, head, base = 16 * rows ** 2, x.strides[0] * rows, x.base
+    if not (isinstance(base, np.ndarray) and base.dtype == np.uint8
+            and base.size == head + size + 64):
+        return np.empty((rows, rows), dtype=complex)
+    start = x.ctypes.data - base.ctypes.data + head
+    return base[start:start + size].view(complex).reshape(rows, rows)
+
+
+def _scratch(n: int) -> list[np.ndarray]:
+    """A pair of blocks of :data:`_ROW_BLOCK` rows (N at most) of N complex entries for
+    each part of :func:`_parts` (n, :data:`_ROW_BLOCK`), the most a block pass uses."""
+    return [np.empty((2, min(_ROW_BLOCK, n), n), dtype=complex) for _ in _parts(n, _ROW_BLOCK)]
 
 
 def _whole_rows(x: np.ndarray) -> np.ndarray:
@@ -267,8 +282,8 @@ def _change_frame(x: np.ndarray, to: str, sign: int = 0) -> np.ndarray:
     Without ``sign`` x holds complex entries: the axis-0 FFT runs over fixed
     parts of the columns and the axis-1 FFT over parts of the rows
     (:func:`_split`); each line is transformed alone, so the bits do not depend
-    on the part count.  A nonzero ``sign`` is the parity of the operator, held as R =
-    Re Z in the parity sector, and the frame change is :func:`_sector_frame`'s real one.
+    on the part count.  A nonzero ``sign`` is the parity of the operator, whose sector
+    x holds, and the frame change is :func:`_sector_frame`'s real one.
     """
     if sign:
         return _sector_frame(x, to, sign)
@@ -293,75 +308,64 @@ def _sector(n: int, sign: int) -> tuple[int, slice, slice]:
 
 
 def _sector_frame(x: np.ndarray, to: str, sign: int) -> np.ndarray:
-    """The frame change of Z = (1 - i)A, A Hermitian of parity ``sign``, from
-    rows 0 .. N/2 of x to rows 0 .. N/2 of Re x, the new R; Im x is left stale
-    (:func:`_imag_from_real` rebuilds it).
+    """The frame change of Z = (1 - i)A, A Hermitian of parity ``sign``, in place on the
+    sector's rows of x (:func:`_sector`): from R = Re Z in the odd sector, or Im Z in
+    the even sector, to the new R.
 
     For real R of parity s the transform G = F^dag R F is real (s = 1) or
     imaginary (s = -1), and the new R is Re G - (Im G)^T.  In the odd sector
     rows 0 .. N/2 of it are irfft(-+i rfft(R[:N/2 + 1], axis=1), n=N, axis=0),
     minus to momentum and plus to position, the irfft written into the rows of
-    Re x through their transposed view.  The even sector reads Im Z = -R^T
+    x through their transposed view.  The even sector reads Im Z = -R^T
     instead, with the factor -1 both ways.  Each rfft covers a row and each irfft
     a column of the (N/2 + 1)^2 half spectrum H (:func:`_half_spectrum`), in
     fixed parts (:func:`_split`), so the bits do not depend on the part count;
     irfft reads only the half spectrum, which is all the sector holds.
     """
-    n = x.shape[0]
-    z = x[:_sector(n, sign)[0]]
+    n = x.shape[1]
     spectrum = _half_spectrum(x)
     factor = (-1j if to == MOMENTUM else 1j) if sign < 0 else -1
-    source, rows_out = (z.real if sign < 0 else z.imag), z.real.T
 
     def rows(_, s):
-        np.fft.rfft(source[s], axis=1, out=spectrum[s])
+        np.fft.rfft(x[s], axis=1, out=spectrum[s])
         spectrum[s] *= factor
 
-    _split(rows, n, lines=z.shape[0])
-    _split(lambda _, s: np.fft.irfft(spectrum[:, s], n=n, axis=0, out=rows_out[:, s]), n,
-           lines=z.shape[0])
+    _split(rows, n, lines=x.shape[0])
+    _split(lambda _, s: np.fft.irfft(spectrum[:, s], n=n, axis=0, out=x.T[:, s]), n,
+           lines=x.shape[0])
     return x
 
 
-def _half_spectrum(x: np.ndarray) -> np.ndarray:
-    """(N/2 + 1)^2 complex scratch for :func:`_sector_frame`, carved from the memory
-    of x's rows beyond N/2 with their pad (:func:`_whole_rows`), which the sector does
-    not hold; a new array where they are too few (N < 10 unpadded) or not contiguous."""
-    rows = _sector(x.shape[0], 1)[0]  # the same in either sector
-    beyond = _whole_rows(x)[rows:]
-    if beyond.size < rows ** 2 or not beyond.flags.c_contiguous:
-        return np.empty((rows, rows), dtype=complex)
-    return beyond.reshape(-1)[:rows ** 2].reshape(rows, rows)
+def _spare(x: np.ndarray, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """An array of ``shape`` in the memory of the half spectrum of the sector's R in x,
+    which is free between frame changes, or a new one where it does not fit."""
+    free, size = _half_spectrum(x).reshape(-1).view(dtype), int(np.prod(shape))
+    return free[:size].reshape(shape) if free.size >= size else np.empty(shape, dtype)
 
 
-def _imag_from_real(x: np.ndarray, sign: int) -> None:
-    """Im Z = -R^T on the sector's rows of x (:func:`_sector`) from R = Re Z there, for
-    parity ``sign``: Im Z[r, c] = -R[c, r] for c < rows and -sign R[N - c, -r] beyond,
-    through strided views in fixed parts of the rows, so no part reads another's writes."""
-    n = x.shape[0]
-    rows, paired, _ = _sector(n, sign)
-    r, imag = x[:rows].real, x[:rows].imag
-    mirrors = r[paired][::-1]  # rows N - c for the columns c = rows .. N - 1
-
-    def fill(_, s):
-        a, b = s.start, s.stop
-        np.negative(r[:, a:b].T, out=imag[a:b, :rows])
-        if a == 0:  # row 0 reads column 0
-            np.multiply(mirrors[:, 0], -sign, out=imag[0, rows:])
-            a = 1
-        if a < b:  # rows a .. b - 1 read columns N - a down to N - b + 1
-            np.multiply(mirrors[:, n - a:n - b:-1].T, -sign, out=imag[a:b, rows:])
-
-    _split(fill, n, lines=rows)
-
-
-def _mirror_rows(x: np.ndarray, rows: slice, sign: int) -> None:
-    """x[r, c] = sign x[-r, -c] for the ``rows`` r within N/2 + 1 .. N - 1 and every c,
-    from their mirror rows N - r."""
-    n = x.shape[0]
-    src = slice(n - rows.start, n - rows.stop, -1)
-    np.multiply(x[src, 0], sign, out=x[rows, 0])
-    np.multiply(x[src, :0:-1], sign, out=x[rows, 1:])
+def _z_rows(r: np.ndarray, rt: np.ndarray, sign: int, rows: slice, out: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` (within 0 .. N - 1) of Z = R - iR^T, R = Re Z of parity ``sign`` on
+    the sector's rows of ``r`` and R^T in ``rt`` (a copy or ``r.T``), into the complex
+    ``out``, returned.
+    Im Z[g, c] = -R[c, g] for c < N/2 + 1 and -sign R[N - c, -g] beyond; a row g beyond
+    N/2 is sign times row N - g with its columns mirrored, c -> -c."""
+    n = out.shape[1]
+    held, paired, _ = _sector(n, sign)
+    a, b = rows.start, min(rows.stop, held)
+    if a < b:
+        z = out[:b - a]
+        mirrors = rt[:, paired][:, ::-1]  # R[N - c, g'] for the columns c = held .. N - 1
+        np.copyto(z.real, r[a:b])
+        np.multiply(rt[a:b], -1, out=z.imag[:, :held])  # np.negative errs on some strides
+        if a == 0:  # row 0 reads row 0 of R^T
+            np.multiply(mirrors[0], -sign, out=z.imag[0, held:])
+        g = max(a, 1)  # rows g .. b - 1 read rows N - g down to N - b + 1 of R^T
+        np.multiply(mirrors[n - g:n - b:-1], -sign, out=z.imag[g - a:, held:])
+    for k, g in enumerate(range(max(a, held), rows.stop), max(held - a, 0)):
+        mirror = _z_rows(r, rt, sign, slice(n - g, n - g + 1), np.empty((1, n), dtype=complex))
+        np.multiply(mirror[:, 0], sign, out=out[k:k + 1, 0])
+        np.multiply(mirror[:, :0:-1], sign, out=out[k:k + 1, 1:])
+    return out
 
 
 _SECTOR_NAMES = {1: "even", -1: "odd", 0: "none"}
@@ -522,13 +526,15 @@ def _f_defect(space: TorusSpace, xi) -> float:
     return float(np.abs(lower - upper.conj()).max())
 
 
-def _write_f(space: TorusSpace, xi, out: np.ndarray, rows: int | None = None) -> np.ndarray:
-    """F_xi's entries on rows 0 .. ``rows`` - 1 (every row by default) written into
-    ``out``, whose other entries are left: the two cyclic diagonals of
-    :func:`_f_diagonals`, so no N x N temporary is made."""
+def _write_f(space: TorusSpace, xi, out: np.ndarray, rows: int | None = None,
+             scale=np.asarray) -> np.ndarray:
+    """F_xi's entries on rows 0 .. ``rows`` - 1 (every row by default), each mapped by
+    ``scale``, written into ``out``, whose other entries are left: the two cyclic
+    diagonals of :func:`_f_diagonals`, so no N x N temporary is made."""
     n = space.dim
     rows = n if rows is None else rows
     j, lower, upper = _f_diagonals(space, xi)
+    lower, upper = scale(lower), scale(upper)
     q = np.arange(n)
     r = (q + j) % n
     held = r < rows

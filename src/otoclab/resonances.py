@@ -22,7 +22,7 @@ from .coarse_graining import CoarseGrainKernel, _keeps_parity, _mask, _step, cha
 from .maps import QuantumMap
 from .otoc import OtocSeries, WindowFit, _fill, _operand, _window, loglinear_fit
 from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame,
-                          _count, _hermitian, _operator, _sector, _working)
+                          _count, _hermitian, _operator, _scratch, _sector, _working)
 
 __all__ = [
     "ResonanceSpectrum",
@@ -175,8 +175,8 @@ class _RealSector:
     lines of :func:`~otoclab.phase_space._sector`: row 0 on the paired columns, the
     paired rows whole, the other fixed rows on the paired columns; then, in the even
     sector only, the entries whose row and column are both fixed.  ``sign`` 0 keeps all
-    of R.  :meth:`pack` reads and :meth:`write` writes the sector's rows 0 .. N/2, as
-    the sector step does; :meth:`unpack` writes every entry of Z for the full step.
+    of R.  :meth:`pack` reads and :meth:`write` writes the sector's rows 0 .. N/2, all
+    that the sector step holds; :meth:`unpack` writes every entry of Z for the full step.
     """
 
     def __init__(self, n: int, sign: int):
@@ -204,8 +204,8 @@ class _RealSector:
         return out
 
     def write(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Rows 0 .. N/2 of R from the sector coordinates ``x`` into the real N x N ``r``;
-        its other rows are left."""
+        """Rows 0 .. N/2 of R from the sector coordinates ``x`` into the real ``r``, which
+        holds them; any other rows are left."""
         for v, seg in self._views:
             np.divide(x[seg].reshape(r[v].shape),
                       np.sqrt(2.0) if seg.start < self._pairs else 1.0, out=r[v])
@@ -241,14 +241,15 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     (:func:`~otoclab.otoc._operand`) and traceless.
 
     The seed is set up as ``otoc_series`` sets up A: Z = (1 - i)A is written into the
-    run's one complex buffer (:func:`~otoclab.otoc._fill`), with no copy of an array
+    run's one working array (:func:`~otoclab.otoc._fill`), with no copy of an array
     seed, and changed to the momentum frame, where the recursion runs.  A direction
     is stored as the real coordinates of :class:`_RealSector`: one entry per mirror
     pair in the seed's parity sector when the channel keeps parity
     (:func:`~otoclab.coarse_graining._keeps_parity`), else every entry of R = Re Z.
     Every channel application, the first included, is one matvec: R is written into
-    the buffer, takes the step :func:`~otoclab.coarse_graining.evolve` iterates (on
-    rows 0 .. N/2 in the sector) and is packed.  A first full-step image that is not
+    the array (:func:`~otoclab.phase_space._working`, in the sector R on rows 0 .. N/2),
+    takes the step :func:`~otoclab.coarse_graining.evolve` iterates, whose sector kicks
+    use a pair of 16-row blocks a part, and is packed.  A first full-step image that is not
     Hermitian (:func:`~otoclab.phase_space._hermitian`) raises.  Classical
     Gram-Schmidt orthogonalizes each image, with a second pass only when the first
     leaves less than 1/sqrt 2 of the norm (DGKS: Daniel, Gragg, Kaufman and Stewart,
@@ -260,7 +261,8 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     ay - bx)|| / ||(x, y)||, as the coordinates keep the Hilbert-Schmidt product
     (Saad, Numerical Methods for Large Eigenvalue Problems, 2nd ed., ch. 6): one
     matvec for a real Ritz value and two for a complex one.  No N x N array is held
-    beside the buffer and the basis, 8 (depth + 1) d bytes, d the sector dimension.
+    beside the working array and the basis, 8 (depth + 1) d bytes, d the sector
+    dimension.
     ``params`` records ``sector`` (even, odd or none), ``krylov_dim`` (the dimension m
     reached, below ``depth`` when an invariant subspace closes early, which warns),
     ``matvecs`` (m plus the residual matvecs) and ``reorth`` (second Gram-Schmidt
@@ -277,12 +279,12 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
         _seed_norm(np.linalg.norm(a0))
     a0, sign, _ = _operand(space, a0, "Krylov seed", _keeps_parity(umap))
     sector = _RealSector(n, sign)
-    buf = _working(n)  # the one complex buffer of the run, which holds Z = (1 - i)A
-    _fill(space, a0, buf, _sector(n, sign)[0])
+    buf = _working(n, sign)  # the one working array of the run, which holds Z = (1 - i)A
+    _fill(space, a0, buf, sign)
     del a0  # a drawn seed or a complex copy of a real array is not kept
     # the momentum frame keeps the Hilbert-Schmidt product, Hermiticity and parity
     _change_frame(buf, MOMENTUM, sign)
-    mask = _mask(kernel)
+    mask, scratch = _mask(kernel), _scratch(n) if sign else None
     # the odd sector is traceless by construction; elsewhere every new
     # direction has its identity component projected out (see below); R of the
     # identity is the identity
@@ -301,8 +303,8 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     def matvec(x, out):
         """S(A) into the buffer, and its coordinates into ``out``, A's coordinates ``x``."""
         if sign:  # the sector step reads and writes R = Re Z on rows 0 .. N/2
-            sector.write(x, buf.real)
-            image = _step(umap, mask, buf, sign)
+            sector.write(x, buf)
+            image = _step(umap, mask, buf, sign, scratch)
         else:
             image = _step(umap, mask, sector.unpack(x, buf))
         sector.pack(image.real, out)

@@ -466,7 +466,7 @@ def test_krylov_preflight_predicts_the_sector_the_run_takes(tmp_path, spec, n, s
 
 
 def test_otoc_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
-    """N=100000 needs about 130 GB of working set, 13 N^2 bytes in the parity sector of
+    """N=100000 needs about 90 GB of working set, 9 N^2 bytes in the parity sector of
     an even N: refused before the map or the kernel is built, for a run and for a sweep
     sub-run alike.  The passes are pinned to one part, so the figure does not depend on
     the host's CPUs: each part beyond the first adds 0.5 MB + 800 N bytes."""
@@ -480,7 +480,7 @@ def test_otoc_refused_beyond_physical_memory(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path / "big")])
     assert code == 1
     lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "130.0 GB" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith("ERROR:") and "90.0 GB" in lines[0]
     assert not (tmp_path / "big").exists()
     summary = run_sweep(RunConfig(map="cat", n=16, epsilon=0.0001, outputs=str(tmp_path / "sw")),
                         "N", [100000.0])
@@ -537,8 +537,8 @@ def test_memory_refusal_honours_a_cgroup_limit(tmp_path, monkeypatch, v2, v1, li
 
 
 def test_otoc_refused_beyond_a_cgroup_memory_limit(tmp_path, monkeypatch, capsys):
-    """A cgroup limit of 50 MB refuses the N=1024 run (59.6 MB of preflight) before
-    anything is built."""
+    """A cgroup limit of 50 MB refuses the N=1024 run (53.5 MB of preflight on one part,
+    more on several) before anything is built."""
     path = tmp_path / "memory.max"
     path.write_text("50000000\n")
     monkeypatch.setattr(cli, "_MEMORY_MAX", str(path))

@@ -286,8 +286,11 @@ def test_position_diagonal_b_fast_path(space64):
 
 
 def test_otoc_series_working_set_is_one_operator():
-    """Besides the given A and B, otoc_series holds one N x N array, the buffer
-    that holds B, then A and A(t); no product W = A(t) B and no dense temporaries."""
+    """Besides the given A and B, otoc_series holds one working array, which holds B, then
+    A and A(t): in the sector the real R on rows 0 .. N/2 with its half spectrum, 8.08
+    N^2 bytes.  No product W = A(t) B and no dense temporaries: the peak, 11.3-11.4 N^2
+    on two parts (the most at N=512), leaves room for the parts' scratch (N^2 each) and
+    no N x N array."""
     n = 512
     space = TorusSpace(n)
     umap = quantize(cat_map(0.02), space)
@@ -301,7 +304,33 @@ def test_otoc_series_working_set_is_one_operator():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 1.6 * 16 * n**2
+    assert peak < 12 * n**2
+
+
+def test_a_sector_series_holds_its_working_array_and_scratch_alone(monkeypatch):
+    """A sector XP series at N=512 peaks at the real R on rows 0 .. N/2 with its half
+    spectrum (phase_space._working, 8.08 N^2 bytes with the row pad), the part's pair of
+    16-row blocks (N^2 bytes) and 256 KB for numpy's iteration buffers and the O(N)
+    arrays.  The complex rows 0 .. N/2 and their half spectrum took 12 N^2 bytes of a
+    16 N^2 allocation.  One part, so the figure does not depend on the host's CPUs."""
+    monkeypatch.setattr(phase_space, "_part_count", 1)
+    n = 512
+    space = TorusSpace(n)
+    umap = quantize(cat_map(0.02), space)
+    kernel = build_kernel(space, 0.01)
+    work = phase_space._working(n, -1).base.size
+    scratch = sum(block.nbytes for block in phase_space._scratch(n))
+    assert work < 8.1 * n**2 and scratch == 16 * 32 * n
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        series = otoc_series(umap, (0, 1), (1, 0), 3, kernel=kernel)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert series.sector == "odd"
+    assert peak <= work + scratch + 2**18, (peak, work, scratch)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1])
@@ -380,8 +409,9 @@ def test_b_sector_set_up_matches_the_full_frame_change(n):
     for op, sign in cases:
         checked, got_sign, candidates = otoc._operand(space, op, "B", True)
         assert got_sign == sign
-        buf = phase_space._working(n)
-        otoc._fill(space, checked, buf, h + 1)
+        buf = phase_space._working(n, sign)
+        assert buf.shape == (h + 1, n)
+        otoc._fill(space, checked, buf, sign)
         shifts, d = otoc._nonzero_diagonals(phase_space._change_frame(buf, MOMENTUM, sign),
                                             candidates, sign)
         full = change_basis(hermitian_f(space, op) if isinstance(op, tuple) else op,
@@ -395,29 +425,82 @@ def test_b_sector_set_up_matches_the_full_frame_change(n):
 def test_fill_classifies_displacements_and_arrays(n):
     """(sign, shifts): F_xi is odd with momentum-frame shifts +-p; an array has its
     parity scanned, and every diagonal a candidate; no sign unless asked for.  The
-    checked operand is then written as Z = (1 - i)op on every row, or on rows 0 .. N/2
-    and no other."""
+    checked operand is then written as Z = (1 - i)op on every row, or in its sector as
+    R = Re Z (odd) or Im Z (even) on rows 0 .. N/2 and no other."""
     space = TorusSpace(n)
 
-    def writes(op, entries):
-        for rows in (n, n // 2 + 1):
-            buf = np.full((n, n), np.nan, dtype=complex)
-            otoc._fill(space, op, buf, rows)
-            assert np.array_equal(buf[:rows], (1 - 1j) * entries[:rows])
-            assert np.isnan(buf[rows:]).all()
+    def writes(op, entries, sign):
+        buf = np.full((n, n), np.nan, dtype=complex)
+        otoc._fill(space, op, buf)
+        assert np.array_equal(buf, (1 - 1j) * entries)
+        if sign:
+            rows, part = n // 2 + 1, (np.real if sign < 0 else np.imag)
+            real = np.full((n, n), np.nan)
+            otoc._fill(space, op, real[:rows], sign)
+            assert np.array_equal(real[:rows], part((1 - 1j) * entries[:rows]))
+            assert np.isnan(real[rows:]).all()
 
     for xi in [(1, 0), (0, 1), (2, 3), (-1, -2), (n + 1, 2 * n + 3), (0, 0)]:
         expected = sorted({xi[1] % n, -xi[1] % n})
         op, *classified = otoc._operand(space, xi, "A", True)
         assert classified == [-1, expected]
         assert otoc._operand(space, xi, "A", False)[1:] == (0, expected)
-        writes(op, hermitian_f(space, xi))
+        writes(op, hermitian_f(space, xi), -1)
     cosine = (translation(space, (1, 1)) + translation(space, (-1, -1))) / 2
     for op, sign in [(sine_position(space), -1), (cosine, 1),
                      (random_traceless_hermitian(space, 5), 0)]:
         assert otoc._operand(space, op, "B", True)[1:] == (sign, None)
         assert otoc._operand(space, op, "B", False)[1:] == (0, None)
-        writes(op, op)
+        writes(op, op, sign)
+
+
+@pytest.mark.parametrize("n", [8, 9, 64])
+def test_sector_fill_is_the_complex_fill_bit_for_bit(n):
+    """In a sector _fill writes the real rows 0 .. N/2 that the first frame change reads:
+    Re((1 - i)op) in the odd sector and Im((1 - i)op) in the even one, each bit as in
+    the complex fill, for displacements (vanishing, negative and beyond N among them)
+    and for arrays of either parity."""
+    space = TorusSpace(n)
+    h = n // 2
+    rand = random_traceless_hermitian(space, n)
+    cases = [(xi, -1) for xi in [(1, 0), (0, 1), (2, 3), (-1, -2), (n + 1, 2 * n + 3), (0, 0),
+                                 (h, 1)]]
+    cases += [((rand + s * _mirror(rand)) / 2, s) for s in (1, -1)]
+    cases += [((translation(space, (1, 1)) + translation(space, (-1, -1))) / 2, 1),
+              (sine_position(space), -1)]
+    for op, sign in cases:
+        checked, got_sign, _ = otoc._operand(space, op, "A", True)
+        assert got_sign == sign
+        full = np.empty((n, n), dtype=complex)
+        otoc._fill(space, checked, full)
+        half = phase_space._working(n, sign)
+        otoc._fill(space, checked, half, sign)
+        want = (full.real if sign < 0 else full.imag)[:h + 1]
+        assert np.array_equal(half, want) and np.array_equal(np.signbit(half), np.signbit(want))
+
+
+@pytest.mark.parametrize("n", [64, 66, 1024])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sector_contraction_leaves_r_as_it_is(n, sign):
+    """_contract reads the sector's R and writes nothing into the working array, pad
+    included, in the diagonal form, the blocks form with every row a block reads built
+    at once (B = F_(0,1), shifts +-1) and the blocks form a shift at a time (shifts
+    +-20, 56 rows a block)."""
+    space = TorusSpace(n)
+    rng = np.random.default_rng(n)
+    for b, form in (((1, 0), "diagonal"), ((0, 1), "blocks"), ((0, 20), "blocks")):
+        buf = phase_space._working(n, -1)
+        checked, _, candidates = otoc._operand(space, b, "B", True)
+        otoc._fill(space, checked, buf, -1)
+        shifts, d = otoc._nonzero_diagonals(phase_space._change_frame(buf, MOMENTUM, -1),
+                                            candidates, -1)
+        assert otoc._contraction(shifts) == form
+        np.copyto(buf, rng.standard_normal(buf.shape))
+        whole = phase_space._whole_rows(buf)
+        before = whole.copy()
+        o1, o2 = otoc._contract(buf, shifts, d, phase_space._scratch(n), sign)
+        assert np.isfinite(o1) and o2 > 0
+        assert np.array_equal(whole, before), b
 
 
 @pytest.mark.parametrize("n, b, scans, sector", [(64, "even", ["B", "A"], "even"),
@@ -456,7 +539,7 @@ def _full_path(monkeypatch, umap, a, b, t_max, kernel):
         return otoc_series(umap, a, b, t_max, kernel=kernel)
 
 
-@pytest.mark.parametrize("n", [64, 66, 63, 65])
+@pytest.mark.parametrize("n", [8, 64, 66, 63, 65])
 @pytest.mark.parametrize("spec", [cat_map(0.3), standard_map(1.5), harper_map(0.94)],
                          ids=["cat", "standard", "harper"])
 @pytest.mark.parametrize("pair", [((0, 1), (1, 0)), ((1, 1), (0, 1))], ids=["XP", "F11-F01"])
@@ -465,7 +548,9 @@ def test_parity_sector_agrees_with_the_full_path(monkeypatch, n, spec, pair, eps
     """At even N the F_xi pair runs in the odd sector under every map, and at odd N
     under Harper, on half the rows, and agrees with the full path to rounding; at odd N
     the cat and standard maps take the full path.  C = -2 Re(O1 - O2) is a difference
-    of terms of the size of O2, so every error is measured relative to max O2."""
+    of terms of the size of O2, so every error is measured relative to max O2.  At N=8
+    the rows of R are 64 bytes apart, a stride at which numpy 2.4's negative misread a
+    transposed view of one or two rows (F11-F01 off by 0.05)."""
     space = TorusSpace(n)
     umap = quantize(spec, space)
     kernel = None if eps is None else build_kernel(space, eps)
@@ -571,7 +656,7 @@ def _full_path_by_hand(umap, a, b, t_max, kernel):
     shifts, d = otoc._nonzero_diagonals(change_basis((1 - 1j) * b, POSITION, MOMENTUM))
     a = hermitian_f(space, a) if np.shape(a) == (2,) else a
     scratch = [np.zeros((2, min(16, space.dim), space.dim), dtype=complex)
-               for _ in otoc._parts(space.dim, 16)]
+               for _ in phase_space._parts(space.dim, 16)]
     o1, o2 = zip(*(otoc._contract(at, shifts, d, scratch)
                    for at in evolve(umap, kernel, (1 - 1j) * a, t_max)))
     return np.array(o1), np.array(o2)
@@ -596,16 +681,27 @@ def test_operators_and_maps_without_the_symmetry_take_the_full_path(case):
 
 @pytest.mark.parametrize("n", [2, 4, 8, 10, 64, 3, 9, 63])
 def test_mirrored_rows_are_the_rows_beyond_the_half_that_ba_reads(n):
-    """Rows 0 .. N/2 of BA read rows (r - j) % N for each of B's shifts j."""
+    """Rows 0 .. N/2 of BA read rows (r - j) % N for each of B's shifts j.  Built from R
+    on rows 0 .. N/2 alone (phase_space._z_rows), each such row, beyond N/2 too, is that
+    row of Z = (1 - i)A, A Hermitian of either parity, bit for bit, one at a time and
+    in one run of every row."""
     h = n // 2
     rng = np.random.default_rng(n)
     cases = [[0], [1], [h], [n - 1], [h + 1], list(range(n))]
     cases += [sorted(rng.choice(n, size=min(k, n), replace=False)) for k in (1, 2, 3)
               for _ in range(5)]
-    for shifts in cases:
-        want = {(r - j) % n for r in range(h + 1) for j in shifts} - set(range(h + 1))
-        got = [r for s in otoc._mirrored_rows(np.array(shifts), n) for r in range(n)[s]]
-        assert sorted(got) == sorted(want) and len(got) == len(set(got)), shifts
+    a = random_traceless_hermitian(TorusSpace(n), n)
+    for sign in (1, -1):
+        z = (1 - 1j) * (a + sign * _mirror(a)) / 2
+        held = z.real[:h + 1].copy()
+        rt = held.T
+        assert np.array_equal(phase_space._z_rows(held, rt, sign, slice(0, n),
+                                                  np.empty((n, n), dtype=complex)), z)
+        for shifts in cases:
+            for g in {(r - j) % n for r in range(h + 1) for j in shifts}:
+                row = phase_space._z_rows(held, rt, sign, slice(g, g + 1),
+                                          np.empty((1, n), dtype=complex))
+                assert np.array_equal(row[0], z[g]), (shifts, g)
 
 
 def test_loglinear_fit_recovers_synthetic_rate():

@@ -577,9 +577,10 @@ def test_hermitian_keeps_the_dense_frobenius_rule(n):
 @pytest.mark.parametrize("n", [2, 4, 10, 64])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_half_frame_change_matches_the_full_one(n, sign):
-    """Given the parity, rows 0 .. N/2 of R = Re Z, Z = (1 - i)A, alone determine the
-    frame change: Im Z = -R^T rebuilt from them, the real sector transform, and Im Z
-    rebuilt again give (1 - i) times the full complex pass's rows 0 .. N/2."""
+    """Given the parity, rows 0 .. N/2 of Z = (1 - i)A alone determine the frame change:
+    R = Re Z (odd sector) or Im Z (even sector) on them, all the sector's working array
+    holds, takes the real sector transform, and Z rebuilt from the new R gives (1 - i)
+    times the full complex pass's rows 0 .. N/2."""
     h = n // 2
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -587,13 +588,14 @@ def test_half_frame_change_matches_the_full_one(n, sign):
     x = (x + sign * _mirror(x)) / 2
     for to in (MOMENTUM, POSITION):
         full = (1 - 1j) * phase_space._change_frame(x.copy(), to)
-        half = (1 - 1j) * x
-        half[h + 1:] = np.nan  # rows the sector must not read
-        half.imag[:h + 1] = np.nan
-        phase_space._imag_from_real(half, sign)
+        z = (1 - 1j) * x
+        half = phase_space._working(n, sign)
+        assert half.shape == (h + 1, n) and half.dtype == float
+        np.copyto(half, (z.real if sign < 0 else z.imag)[:h + 1])
         phase_space._change_frame(half, to, sign)
-        phase_space._imag_from_real(half, sign)
-        assert np.abs(half[:h + 1] - full[:h + 1]).max() <= 1e-13 * np.abs(full).max()
+        rows = phase_space._z_rows(half, half.T, sign, slice(0, h + 1),
+                                   np.empty((h + 1, n), dtype=complex))
+        assert np.abs(rows - full[:h + 1]).max() <= 1e-13 * np.abs(full).max()
 
 
 def test_coherent_state_centers():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from otoclab import coarse_graining, resonances
+from otoclab import coarse_graining, phase_space, resonances
 from otoclab.coarse_graining import build_kernel, channel_step
 from otoclab.maps import AS_PRINTED, CORRESPONDENCE, cat_map, harper_map, quantize, standard_map
 from otoclab.otoc import OtocSeries
@@ -303,9 +303,9 @@ def test_krylov_steps_in_the_sector(monkeypatch, spec, sign):
     signs = []
     step = resonances._step
 
-    def recording(umap, mask, at, sign=0):
+    def recording(umap, mask, at, sign=0, scratch=None):
         signs.append(sign)
-        return step(umap, mask, at, sign)
+        return step(umap, mask, at, sign, scratch)
 
     monkeypatch.setattr(resonances, "_step", recording)
     got = krylov_leading(umap, kernel, a, depth=30, n_wanted=3)
@@ -440,22 +440,26 @@ def test_krylov_integer_seed_is_the_random_seed(spec, n):
                          ids=["sector-step-128", "full-step-63"])
 def test_krylov_residual_checks_hold_no_array_beside_the_buffer(monkeypatch, spec, n):
     """At every channel application of a sine-seeded run, the first image, the Arnoldi
-    steps and the residual matvecs, the only traced block of at least 16 N^2 bytes, a
-    complex N x N array, besides the basis is the working buffer: no Ritz operator, no
-    temporary of its imaginary part and no seed array or copy of one, in the odd sector
-    (N=128) and without one (the cat map at N=63).  The seed is the displacement (0, 1)
-    and then the caller's own sine array, made before tracing starts."""
+    steps and the residual matvecs, the only traced block as large as the working array
+    or larger besides the basis is the working array: no Ritz operator, no temporary of
+    its imaginary part and no seed array or copy of one, in the odd sector (N=128, where
+    the array is R on rows 0 .. N/2 with its half spectrum, about 8 N^2 bytes) and
+    without one (the cat map at N=63, a complex N x N array of 16 N^2 bytes).  The seed
+    is the displacement (0, 1) and then the caller's own sine array, made before
+    tracing starts."""
     space = TorusSpace(n)
     umap, kernel = quantize(spec, space), build_kernel(space, 10.0 / n)
-    depth, big = 20, 16 * n * n
+    depth = 20
+    big = phase_space._working(n, -1).base.size if n % 2 == 0 else 16 * n * n
+    assert big < 9 * n * n or n % 2
     step = resonances._step
     for a0 in ((0, 1), sine_position(space)):
         seen = []
 
-        def snapshotting(umap, mask, at, sign=0):
+        def snapshotting(umap, mask, at, sign=0, scratch=None):
             seen.append(sorted(t.size for t in tracemalloc.take_snapshot().traces
                                if t.size >= big))
-            return step(umap, mask, at, sign)
+            return step(umap, mask, at, sign, scratch)
 
         monkeypatch.setattr(resonances, "_step", snapshotting)
         tracemalloc.start()

@@ -16,8 +16,10 @@ from otoclab.phase_space import MOMENTUM, TorusSpace, hermitian_f, hermiticity_d
 SIZES = [256, 512, 600, 1000, 1024]
 
 
-def _plain(n: int) -> np.ndarray:
-    return np.empty((n, n), dtype=complex)
+def _plain(n: int, sign: int = 0) -> np.ndarray:
+    """A plain array of what phase_space._working holds: N x N complex without a parity
+    sector, the real rows 0 .. N/2 in one."""
+    return np.empty((n, n), dtype=complex) if not sign else np.empty((n // 2 + 1, n))
 
 
 def _random(n: int) -> np.ndarray:
@@ -79,18 +81,20 @@ def test_only_a_working_buffer_is_widened_to_its_pad():
 
 @pytest.mark.parametrize("n", SIZES)
 def test_step_on_the_working_buffer_gives_the_plain_bits(n):
-    """The full step on every row; the sector step on Z = (1 - i)A on rows 0 .. N/2, the
-    rows it holds (the rows beyond hold the half spectrum, laid out by the row width)."""
+    """The full step on every row of the complex buffer; the sector step on R = Re Z on
+    rows 0 .. N/2, all the sector's real working array holds (its half spectrum after
+    it), laid out by the row width, against a plain array of those rows."""
     space = TorusSpace(n)
     umap = quantize(cat_map(0.3), space)
     mask = coarse_graining._mask(coarse_graining.build_kernel(space, 0.01))
     x = _random(n)
-    buf = phase_space._working(n)
-    for sign, rows in ((0, n), (1, n // 2 + 1), (-1, n // 2 + 1)):
-        np.copyto(buf, x)
-        expected = coarse_graining._step(umap, mask, x.copy(), sign)
+    for sign in (0, 1, -1):
+        held = x if not sign else x.real[:n // 2 + 1]
+        buf = phase_space._working(n, sign)
+        np.copyto(buf, held)
+        expected = coarse_graining._step(umap, mask, held.copy(), sign)
         got = coarse_graining._step(umap, mask, buf, sign)
-        assert np.array_equal(got[:rows], expected[:rows])
+        assert got.shape == held.shape and np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -139,9 +143,11 @@ def test_krylov_on_the_working_buffer_gives_the_plain_bits(n, monkeypatch):
 
 
 def test_a_step_on_the_padded_buffer_allocates_no_more_than_on_a_plain_array(monkeypatch):
-    """The kick and mask passes run over whole padded rows, one contiguous block a part,
-    so numpy allocates no iteration buffer for them (a pass over the padded 2-D view
-    took a 256 KiB one).  The few hundred bytes of the whole-row view are allowed.
+    """The mask pass runs over whole padded rows of R, one contiguous block a part, and
+    the kicks over contiguous blocks of Z in the part's scratch, so numpy allocates no
+    iteration buffer for the pad: a sector step on the working array, rows 1028 reals
+    wide at N=1024, allocates no more than on one laid out plain, 1024 wide.  The few
+    hundred bytes of the whole-row view are allowed.
 
     Both steps run in one part.  tracemalloc counts every thread, so with two parts the
     pool thread's ~130 KB mask-pass buffer adds to the caller's peak only when the two
@@ -153,14 +159,20 @@ def test_a_step_on_the_padded_buffer_allocates_no_more_than_on_a_plain_array(mon
     space = TorusSpace(n)
     umap = quantize(cat_map(0.02), space)
     mask = coarse_graining._mask(coarse_graining.build_kernel(space, 0.01))
-    x = _random(n)
+    x = _random(n).real[:n // 2 + 1]
+    scratch = phase_space._scratch(n)
+    with monkeypatch.context() as m:
+        m.setattr(phase_space, "_row_width", lambda n: n)
+        plain = phase_space._working(n, -1)
+    padded = phase_space._working(n, -1)
+    assert [phase_space._whole_rows(b).shape[1] for b in (padded, plain)] == [n + 4, n]
     peaks = []
-    for buf in (phase_space._working(n), _plain(n)):
+    for buf in (padded, plain):
         np.copyto(buf, x)
-        coarse_graining._step(umap, mask, buf, -1)  # widens the phases
+        coarse_graining._step(umap, mask, buf, -1, scratch)  # widens the phases
         tracemalloc.start()
         try:
-            coarse_graining._step(umap, mask, buf, -1)
+            coarse_graining._step(umap, mask, buf, -1, scratch)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -170,32 +182,34 @@ def test_a_step_on_the_padded_buffer_allocates_no_more_than_on_a_plain_array(mon
 
 @pytest.mark.parametrize("n", [64, 66, 1024])
 def test_a_sector_series_touches_no_row_past_the_half_spectrum(n, monkeypatch):
-    """A sector XP series works on rows 0 .. N/2 and on the half spectrum carved after
-    them (phase_space._half_spectrum), and on no row past it: filled with NaN, those rows
-    leave every bit of the series as it is and still hold NaN afterwards."""
+    """A sector XP series works on R, rows 0 .. N/2, and on its half spectrum, which the
+    working array holds right after R in one allocation (phase_space._half_spectrum),
+    and on nothing else: given an R that is the top rows of a NaN-filled array wider
+    than N, the series leaves every bit as it is, and the rows past N/2 and the columns
+    past N still hold NaN afterwards."""
     space = TorusSpace(n)
     umap = quantize(cat_map(0.02), space)
     kernel = coarse_graining.build_kernel(space, 0.01)
     expected = otoc.otoc_series(umap, (0, 1), (1, 0), 6, kernel)
+    work = phase_space._working(n, -1)
+    spectrum = phase_space._half_spectrum(work)
+    assert np.shares_memory(spectrum, work.base) and not np.shares_memory(spectrum, work)
+    assert spectrum.ctypes.data >= work.ctypes.data + work.strides[0] * work.shape[0]
     buffers = []
 
-    def sentinel(m):
-        buf = phase_space._working(m)
-        assert np.shares_memory(phase_space._half_spectrum(buf), buf)
-        rows = phase_space._whole_rows(buf)
-        h = m // 2
-        past = h + 1 + -(-(h + 1) ** 2 // rows.shape[1])
-        rows[past:] = np.nan
-        buffers.append(rows[past:])
-        return buf
+    def sentinel(m, sign):
+        big = np.full((m, m + 5), np.nan)
+        buffers.append(big)
+        return big[:m // 2 + 1, :m]
 
     monkeypatch.setattr(otoc, "_working", sentinel)
     got = otoc.otoc_series(umap, (0, 1), (1, 0), 6, kernel)
     assert got.sector == expected.sector == "odd"
     for name in ("c", "o1", "o2"):
         assert np.array_equal(getattr(got, name), getattr(expected, name)), name
-    (past,) = buffers
-    assert past.shape[0] > n // 5 and np.isnan(past).all()
+    (big,) = buffers
+    past = big[n // 2 + 1:]
+    assert past.shape[0] > n // 5 and np.isnan(past).all() and np.isnan(big[:, n:]).all()
 
 
 @pytest.mark.parametrize("n", list(range(2, 25)) + [63, 64, 512, 1000, 1024])
@@ -206,7 +220,7 @@ def test_gathered_diagonals_match_the_full_scan(n):
     buf = phase_space._working(n)
     for xi in _displacements(n):
         op, _, candidates = otoc._operand(space, xi, "B", False)
-        otoc._fill(space, op, buf, n)
+        otoc._fill(space, op, buf)
         bm = phase_space._change_frame(buf, MOMENTUM)
         shifts, d = otoc._nonzero_diagonals(bm)
         gathered, dg = otoc._nonzero_diagonals(bm, candidates)
