@@ -46,10 +46,10 @@ allocation by its (N/2 + 1)^2 complex half spectrum (:func:`_half_spectrum`),
 rows are padded to :func:`_row_width` entries, so that a complex row's stride is
 an odd number of 64-byte lines and a real row's half that: a column pass then
 spreads over the L1 sets.  Below 512 the padding only adds loop overhead.  A page
-is mapped only when it is first written.  The elementwise passes over the array run over whole
-padded rows (:func:`_whole_rows`), one contiguous block per part, with factors
-that are finite on the pad, so the pad stays zero.  Every line and elementwise
-pass does the same arithmetic on either layout, so no bit changes.
+is mapped only when it is first written.  The elementwise passes over the array
+run over whole padded rows (:func:`_whole_rows`), one contiguous block per part,
+with factors that are finite on the pad, so the pad stays zero.  Every line and
+elementwise pass does the same arithmetic on either layout, so no bit changes.
 """
 
 from __future__ import annotations
@@ -346,9 +346,8 @@ def _spare(x: np.ndarray, shape: tuple[int, ...], dtype=float) -> np.ndarray:
 def _z_rows(r: np.ndarray, rt: np.ndarray, sign: int, rows: slice, out: np.ndarray) -> np.ndarray:
     """Rows ``rows`` (within 0 .. N - 1) of Z = R - iR^T, R = Re Z of parity ``sign`` on
     the sector's rows of ``r`` and R^T in ``rt`` (a copy or ``r.T``), into the complex
-    ``out``, returned.
-    Im Z[g, c] = -R[c, g] for c < N/2 + 1 and -sign R[N - c, -g] beyond; a row g beyond
-    N/2 is sign times row N - g with its columns mirrored, c -> -c."""
+    ``out``, returned: Im Z[g, c] = -R[c, g] for c < N/2 + 1 and -sign R[N - c, -g]
+    beyond, and a row g beyond N/2 is sign times row N - g, columns mirrored c -> -c."""
     n = out.shape[1]
     held, paired, _ = _sector(n, sign)
     a, b = rows.start, min(rows.stop, held)
