@@ -39,7 +39,7 @@ import numpy as np
 from .maps import QuantumMap
 from .phase_space import (_ROW_BLOCK, MOMENTUM, POSITION, TorusSpace, _change_frame,
                           _cyclic_diagonals, _count, _finite, _from_cyclic_diagonals,
-                          _operator, _row_width, _scratch, _spare, _split, _whole_rows,
+                          _operator, _row_width, _spare, _split, _whole_rows,
                           _z_rows, translation)
 
 __all__ = [
@@ -186,15 +186,15 @@ def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray, sign: int =
     A nonzero ``sign`` is the parity of the operator, which the caller vouches the
     channel keeps (:func:`_keeps_parity`).  ``at`` then holds the parity sector of
     :mod:`~otoclab.phase_space`, the real R = Re Z on rows 0 .. N/2: each kick is
-    :func:`_sector_kick`, in ``scratch`` (:func:`~otoclab.phase_space._scratch`, made
-    here when None), the frame changes are the real ones, and the last mask multiplies R.
+    :func:`_sector_kick`, in the caller's ``scratch``
+    (:func:`~otoclab.phase_space._scratch`), the frame changes are the real ones, and the
+    last mask multiplies R.
     """
     n = at.shape[1]
     rows = _whole_rows(at)
     width = rows.shape[1]
     pos, mom = (v[:width] for v in umap._row_phases)
     mask = None if mask is None else mask[:, :width]
-    scratch = _scratch(n) if sign and scratch is None else scratch
 
     def kick(phase, m):
         if sign:

@@ -267,24 +267,26 @@ def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
     fixed edges; the per-block sums come back and are added here in block order, so the
     bits depend on neither the part count nor the BLAS thread count: every sum is a
     ufunc or einsum reduction.  With A(t)'s parity ``sign`` ``at`` holds the sector's
-    R, which is only read: the blocks form builds the rows of Z it reads in the half
-    spectrum's memory.  Row r of AB and BA is row -r up to one common sign, so the
-    paired rows (:func:`~otoclab.phase_space._sector`) are summed, doubled in a
-    sector, and the self-mirrored rows added once.
+    R, which is only read: the blocks form builds the rows of Z it reads, a block's rows
+    for each shift in turn, in the half spectrum's memory.  Row r of AB and BA is row -r
+    up to one common sign, so the paired rows (:func:`~otoclab.phase_space._sector`) are
+    summed, doubled in a sector, and the self-mirrored rows added once.
     """
     n = at.shape[1]
     _, paired, fixed = _sector(n, sign)
     diagonal = _contraction(shifts) == "diagonal"
     if not shifts.size:
         return 0j, 0.0
-
-    # in the sector, 32 rows of Z a part
-    z = _spare(at, (len(scratch), 2 * scratch[0].shape[1], n), complex) if sign else scratch
+    if sign and not diagonal:  # a block of Z's rows a part
+        z = _spare(at, (len(scratch),) + scratch[0].shape[1:], complex)
 
     def block_sums(part, rows):
         if diagonal:
             return _diagonal_rows(at, d[0], scratch[part], rows)
-        return _contract_rows(at, shifts, d, scratch[part], rows, sign, z[part])
+
+        def read(src, dst):  # rows src of Z, which a sector builds into rows dst of a block
+            return _z_rows(at, at.T, sign, src, z[part][dst]) if sign else at[src]
+        return _contract_rows(at, shifts, d, *scratch[part], rows, read)
 
     start = paired.start
     o1, o2 = 0j, 0.0
@@ -325,37 +327,23 @@ def _diagonal_rows(at: np.ndarray, d: np.ndarray, scratch: np.ndarray,
     return sums
 
 
-def _contract_rows(at: np.ndarray, shifts: np.ndarray, d: np.ndarray, scratch: np.ndarray,
-                   rows: slice, sign: int = 0, z=None) -> list[tuple[complex, float]]:
-    """(O1, O2) partial sums, unscaled, of each block of ``rows`` in the pair ``ab``, ``ba``
-    of ``scratch``, reading ``at``'s rows of Z or with the parity ``sign`` building them
-    from R into ``z`` (:func:`~otoclab.phase_space._z_rows`): a block's rows at once
-    where they fit, else each shift's rows in turn."""
+def _contract_rows(at: np.ndarray, shifts: np.ndarray, d: np.ndarray, ab: np.ndarray,
+                   ba: np.ndarray, rows: slice, read) -> list[tuple[complex, float]]:
+    """(O1, O2) partial sums, unscaled, of each block of ``rows`` in ``ab`` and ``ba``, with
+    ``read(src, dst)`` the rows ``src`` of Z, for rows ``dst`` of the block."""
     n = at.shape[1]
-    ab, ba = scratch
-    offsets = [(j + n // 2) % n - n // 2 for j in shifts]  # BA's row r reads row r - o
-    far, near = max(offsets + [0]), min(offsets + [0])
     sums = []
     for i in range(rows.start, rows.stop, ab.shape[0]):
         x, y = ab[:rows.stop - i], ba[:rows.stop - i]
         m = x.shape[0]
-        window = m + far - near if sign and m + far - near <= min(len(z), n) else 0
-        for dst, src in _wrapped(i - far, window, n):  # rows i - far .. i + m - 1 - near
-            _z_rows(at, at.T, sign, src, z[dst])
-
-        def read(o, dst, src):  # rows src of Z, the rows i - o + dst
-            if window:
-                return z[far - o + dst.start:far - o + dst.stop]
-            return _z_rows(at, at.T, sign, src, z[dst]) if sign else at[src]
-
-        ai = read(0, slice(0, m), slice(i, i + m))
+        ai = read(slice(i, i + m), slice(0, m))
         for k, j in enumerate(shifts):  # AB[r, q] = sum_j A[r, q + j] d[j, q]
             for dst, src in _wrapped(j, n, n):
                 _axpy(k == 0, x[:, dst], ai[:, src], d[k, dst])
         # BA[r, :] = sum_j d[j, r - j] A[r - j, :]
-        for k, (j, o) in enumerate(zip(shifts, offsets)):
+        for k, j in enumerate(shifts):
             for dst, src in _wrapped(i - j, m, n):
-                _axpy(k == 0, y[dst], read(o, dst, src), d[k, src, None])
+                _axpy(k == 0, y[dst], read(src, dst), d[k, src, None])
         xv = x.view(float)
         np.conjugate(y, out=y)
         y *= x

@@ -483,9 +483,8 @@ def test_sector_fill_is_the_complex_fill_bit_for_bit(n):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_sector_contraction_leaves_r_as_it_is(n, sign):
     """_contract reads the sector's R and writes nothing into the working array, pad
-    included, in the diagonal form, the blocks form with every row a block reads built
-    at once (B = F_(0,1), shifts +-1) and the blocks form a shift at a time (shifts
-    +-20, 56 rows a block)."""
+    included, in the diagonal form and in the blocks form, whose shifts read rows next to
+    a block's (B = F_(0,1), shifts +-1) or 20 rows away (shifts +-20)."""
     space = TorusSpace(n)
     rng = np.random.default_rng(n)
     for b, form in (((1, 0), "diagonal"), ((0, 1), "blocks"), ((0, 20), "blocks")):

@@ -112,7 +112,8 @@ def test_step_bits_do_not_depend_on_parts(split_all, n, epsilon):
     x = _random(n)
     for sign in _SIGNS:
         first, *rest = _at_part_counts(
-            split_all, lambda: coarse_graining._step(umap, mask, _held(x, sign), sign))
+            split_all, lambda: coarse_graining._step(umap, mask, _held(x, sign), sign,
+                                                phase_space._scratch(n)))
         assert all(np.array_equal(first, r) for r in rest)
 
 

@@ -92,8 +92,9 @@ def test_step_on_the_working_buffer_gives_the_plain_bits(n):
         held = x if not sign else x.real[:n // 2 + 1]
         buf = phase_space._working(n, sign)
         np.copyto(buf, held)
-        expected = coarse_graining._step(umap, mask, held.copy(), sign)
-        got = coarse_graining._step(umap, mask, buf, sign)
+        scratch = phase_space._scratch(n)
+        expected = coarse_graining._step(umap, mask, held.copy(), sign, scratch)
+        got = coarse_graining._step(umap, mask, buf, sign, scratch)
         assert got.shape == held.shape and np.array_equal(got, expected)
 
 
