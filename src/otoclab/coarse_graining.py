@@ -21,9 +21,10 @@ mask in place in the frame where it is elementwise and starts and ends in
 the momentum frame; :func:`_evolve_in_place` iterates it on a caller's
 buffer (for :func:`evolve` and the OTOC series) and the Krylov solver calls
 it directly.  Both hold Z = (1 - i)A (:mod:`otoclab.phase_space`), which
-the step advances as it does A.  Given a parity sign the step works on the
-real R = Re Z of the parity sector of :mod:`~otoclab.phase_space` only, which
-holds when the channel keeps parity (:func:`_keeps_parity`).  :func:`evolve` takes
+the step advances as it does A.  Given the odd sign (-1) the step works on
+the real R = Re Z of the odd parity sector of :mod:`~otoclab.phase_space`
+only, which holds when the channel keeps parity (:func:`_keeps_parity`), and
+leaves R there after each kick and frame change.  :func:`evolve` takes
 the full step on A itself.  The chord-space dephasing and the literal sum
 over all N^2 translations are kept as oracles.
 """
@@ -183,7 +184,7 @@ def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray, sign: int =
     with the phase vectors widened by ones (``QuantumMap._row_phases``) and
     ``mask`` as wide as the rows.
 
-    A nonzero ``sign`` is the parity of the operator, which the caller vouches the
+    A nonzero ``sign``, -1, says the operator is odd, a parity the caller vouches the
     channel keeps (:func:`_keeps_parity`).  ``at`` then holds the parity sector of
     :mod:`~otoclab.phase_space`, the real R = Re Z on rows 0 .. N/2: each kick is
     :func:`_sector_kick`, in the caller's ``scratch``
@@ -215,7 +216,7 @@ def _sector_kick(r: np.ndarray, sign: int, scratch: list[np.ndarray], phase: np.
     """A kick, and the mask when given, in place on the sector's R in ``r``: with R^T
     copied aside (:func:`~otoclab.phase_space._spare`), each part builds blocks of
     Z's rows in its scratch (:func:`~otoclab.phase_space._z_rows`), multiplies them as
-    the full step does and writes back Re Z (odd) or Im Z (even, the next frame change's source)."""
+    the full step does and writes back R = Re Z, the next frame change's source."""
     n = r.shape[1]
     rt = _spare(r, r.shape[::-1])
     _split(lambda _, s: np.copyto(rt[s], r[:, s].T), n)
@@ -226,7 +227,7 @@ def _sector_kick(r: np.ndarray, sign: int, scratch: list[np.ndarray], phase: np.
             rows = slice(i, min(i + len(block), s.stop))
             z = _z_rows(r, rt, sign, rows, block[:rows.stop - i])
             _kick(z, phase[rows], phase[:n], None if mask is None else mask[rows, :n])
-            np.copyto(r[rows], z.real if sign < 0 else z.imag)
+            np.copyto(r[rows], z.real)
 
     _split(kick, n, _ROW_BLOCK, r.shape[0])
 
@@ -247,10 +248,10 @@ def _evolve_in_place(umap: QuantumMap, kernel: CoarseGrainKernel | None, at: np.
                      steps: int, sign: int = 0, scratch: list[np.ndarray] | None = None):
     """:func:`evolve` on the caller's working array of position-basis entries: it is
     changed to the momentum frame once, yielded, and advanced by :func:`_step`, the step
-    the Krylov solver shares, each time.  A nonzero ``sign``, the buffer's parity, means
-    that ``at`` holds the sector as :func:`~otoclab.otoc._fill` writes it and makes the
-    first change of frame and every step, in ``scratch``, the sector's; each yield holds
-    R = Re Z on rows 0 .. N/2."""
+    the Krylov solver shares, each time.  A nonzero ``sign``, -1 for an odd buffer, means
+    that ``at`` holds the sector's R = Re Z on rows 0 .. N/2 as
+    :func:`~otoclab.otoc._fill` writes it and makes the first change of frame and every
+    step, in ``scratch``, the sector's; each yield holds that R."""
     steps = _count(steps, "steps")
     mask = _mask(kernel)
     yield _change_frame(at, MOMENTUM, sign)

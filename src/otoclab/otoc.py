@@ -29,16 +29,17 @@ The buffer holds Z = (1 - i)A(t), on the full path as in the parity sector
 (see :mod:`~otoclab.phase_space`), and B's diagonals are read from R = Re Z
 of its momentum-frame (1 - i)B.  For B diagonal the one-pass sums read R
 alone, as |A_rc|^2 = (R_rc^2 + R_cr^2) / 2; any other B sums blocks of ZB and
-BZ, and |1 - i|^2 = 2 divides both sums.  When A and B each have a definite
-parity x[-i, -j] = +-x[i, j] (F_xi is odd) and the channel keeps parity
-(:func:`~otoclab.coarse_graining._keeps_parity`), A(t) keeps A's parity and
-the series runs in that sector: the buffer is the sector's real R on rows
+BZ, and |1 - i|^2 = 2 divides both sums.  When A and B are both parity odd,
+x[-i, -j] = -x[i, j], as every F_xi is, and the channel keeps parity
+(:func:`~otoclab.coarse_graining._keeps_parity`), A(t) stays odd and the
+series runs in the odd sector: the buffer is the sector's real R on rows
 0 .. N/2, B and A are written there alone, every step works on it
 (:func:`~otoclab.coarse_graining._step`), and the contraction sums the paired
 rows twice and the self-mirrored rows once
 (:func:`~otoclab.phase_space._sector`), since AB and BA have the same parity;
-the blocks form builds the rows of Z it reads from R.  The sector agrees with
-the full path to rounding.  Every other case takes the full path.
+the blocks form builds the rows of Z it reads from R, which the buffer holds
+throughout.  The sector agrees with the full path to rounding.  Every other
+case, a parity-even operand among them, takes the full path.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ _SQUARE_BLOCK = 2 * _ROW_BLOCK
 @dataclass(frozen=True, eq=False)
 class OtocSeries:
     """Per-step record of C(t), O1(t), O2(t) and the path the series took: ``sector``
-    is the parity sector it ran in (odd, even, or none for the full path), ``layout``
+    is the parity sector it ran in (odd, or none for the full path), ``layout``
     the working buffer's rows (padded or plain, then the entries a row holds) and
     ``contraction`` the form of the O1/O2 sums (diagonal or blocks)."""
 
@@ -124,11 +125,10 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
     t_max = _count(t_max, "t_max")
     space, n = umap.space, umap.dim
     b, b_sign, b_shifts = _operand(space, b, "B", _keeps_parity(umap))
-    a, sign, _ = _operand(space, a, "A", b_sign != 0)
-    b_sign = b_sign if sign else 0  # B's set-up takes the sector only when the run does
+    a, sign, _ = _operand(space, a, "A", b_sign != 0)  # B's set-up takes the run's path
     buffer = _working(n, sign)
-    _fill(space, b, buffer, b_sign)
-    shifts, d = _nonzero_diagonals(_change_frame(buffer, MOMENTUM, b_sign), b_shifts, b_sign)
+    _fill(space, b, buffer, sign)
+    shifts, d = _nonzero_diagonals(_change_frame(buffer, MOMENTUM, sign), b_shifts, sign)
     _fill(space, a, buffer, sign)
     del a, b  # a complex copy of a real or integer array operand is not kept
     scratch = _scratch(n)  # an ab/ba pair per part
@@ -144,26 +144,22 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
                       _contraction(shifts))
 
 
-# the parity of every F_xi: F_xi[-i, -j] = -F_xi[i, j]
-_DISPLACEMENT_PARITY = -1
-
-
 def _operand(space: TorusSpace, op: np.ndarray | tuple[int, int], name: str, parity: bool
              ) -> tuple[np.ndarray | tuple[int, int], int, list[int] | None]:
     """``op``, an N x N array or the integer displacement (q, p) of F_xi, checked to be
     Hermitian (NaN refused) before anything is written, as (op, sign, shifts).
 
-    ``op`` comes back as two ints or as a complex array.  ``sign`` is the parity of
-    ``op`` when ``parity`` asks for it, else 0: F_xi is odd, and only then is an array
-    scanned.  ``shifts`` are the momentum-frame cyclic diagonals where ``op`` can be
-    nonzero: +-p for F_(q,p), as F^dag F_(q,p) F = F_(p,-q), and None, every diagonal,
-    for an array.  An array is checked whole; F_xi on its two cyclic diagonals +-q, off
-    which every entry is zero, computed in O(N)."""
+    ``op`` comes back as two ints or as a complex array.  ``sign`` is -1, the odd
+    sector, when ``parity`` asks for it and ``op`` is odd, else 0: F_xi is odd,
+    F_xi[-i, -j] = -F_xi[i, j], and only when asked is an array scanned.  ``shifts``
+    are the momentum-frame cyclic diagonals where ``op`` can be nonzero: +-p for
+    F_(q,p), as F^dag F_(q,p) F = F_(p,-q), and None, every diagonal, for an array.
+    An array is checked whole; F_xi on its two cyclic diagonals +-q, off which every
+    entry is zero, computed in O(N)."""
     if np.shape(op) == (2,):
         q, p = _displacement(op, f"operator {name} displacement")
         _check_hermitian(_f_defect(space, (q, p)), name)
-        return (q, p), (_DISPLACEMENT_PARITY if parity else 0), sorted({p % space.dim,
-                                                                         -p % space.dim})
+        return (q, p), -1 if parity else 0, sorted({p % space.dim, -p % space.dim})
     op = _operator(op, space.dim, f"operator {name}")
     _check_hermitian(hermiticity_defect(op), name)
     return op, (_parity(op) if parity else 0), None
@@ -172,20 +168,18 @@ def _operand(space: TorusSpace, op: np.ndarray | tuple[int, int], name: str, par
 def _fill(space: TorusSpace, op: np.ndarray | tuple[int, int], out: np.ndarray,
           sign: int = 0) -> None:
     """Write Z = (1 - i)op, ``op`` a checked N x N array or displacement (:func:`_operand`)
-    in the position basis, into the working array ``out``: all of Z, or with the parity
-    ``sign`` the first frame change's source, Re Z (odd) or Im Z (even) on rows 0 ..
-    N/2, with Z's bits; F_xi as its two cyclic diagonals, scaled (``_write_f``)."""
+    in the position basis, into the working array ``out``: all of Z, or in the odd
+    sector (``sign`` -1) R = Re Z on rows 0 .. N/2, with Z's bits; F_xi as its two
+    cyclic diagonals, scaled (``_write_f``)."""
     rows = out.shape[0]
     if isinstance(op, tuple):
         out[...] = 0
-        part = {0: np.asarray, -1: np.real, 1: np.imag}[sign]
+        part = np.real if sign else np.asarray
         _write_f(space, op, out, rows, lambda v: part(v * (1 - 1j)))
-    elif not sign:
-        np.multiply(op, 1 - 1j, out=out)
-    elif sign < 0:
+    elif sign:
         np.add(op.real[:rows], op.imag[:rows], out=out)
     else:
-        np.subtract(op.imag[:rows], op.real[:rows], out=out)
+        np.multiply(op, 1 - 1j, out=out)
 
 
 def _check_hermitian(defect: float, name: str) -> None:

@@ -30,14 +30,16 @@ advances Z as it does A; a sum over Z that is quadratic in A carries the
 factor |1 - i|^2 = 2.
 
 Parity q -> -q maps entries x[i, j] to x[-i, -j] (indices mod N) in both
-frames.  An operator of definite parity, x[-i, -j] = sign x[i, j], is fixed by
-its rows 0 .. N/2, the package's one parity-sector layout, whose index rules
+frames.  An operator of odd parity, x[-i, -j] = -x[i, j], as every F_xi is, is
+fixed by its rows 0 .. N/2, the package's one parity sector, whose index rules
 :func:`_sector` derives: the OTOC series evolves R on those rows, and the
-Krylov solver stores its directions as slices of them.  The channel keeps
-parity when its kick phases are mirror-symmetric
-(:func:`~otoclab.coarse_graining._keeps_parity`).  Given the sign,
-:func:`_change_frame` runs :func:`_sector_frame`, the real frame change of R,
-and a pass that needs Z itself builds blocks of its rows from R (:func:`_z_rows`).
+Krylov solver stores its directions as slices of them.  A ``sign`` argument is
+-1 for that sector and 0 for the full path, which every other operand takes, a
+parity-even one too (:func:`_parity`).  The channel keeps parity when its kick
+phases are mirror-symmetric (:func:`~otoclab.coarse_graining._keeps_parity`).
+In the sector :func:`_change_frame` runs :func:`_sector_frame`, the real frame
+change of R, and a pass that needs Z itself builds blocks of its rows from R
+(:func:`_z_rows`); the sector's array holds R throughout.
 
 A run's working array comes from :func:`_working`: an N x N complex buffer on
 the full path, and in the sector the real R on rows 0 .. N/2 followed in one
@@ -282,11 +284,11 @@ def _change_frame(x: np.ndarray, to: str, sign: int = 0) -> np.ndarray:
     Without ``sign`` x holds complex entries: the axis-0 FFT runs over fixed
     parts of the columns and the axis-1 FFT over parts of the rows
     (:func:`_split`); each line is transformed alone, so the bits do not depend
-    on the part count.  A nonzero ``sign`` is the parity of the operator, whose sector
-    x holds, and the frame change is :func:`_sector_frame`'s real one.
+    on the part count.  With ``sign`` -1, the odd operator's sector, x holds R on the
+    sector's rows, and the frame change is :func:`_sector_frame`'s real one.
     """
     if sign:
-        return _sector_frame(x, to, sign)
+        return _sector_frame(x, to)
     first, second = (np.fft.fft, np.fft.ifft) if to == MOMENTUM else (np.fft.ifft, np.fft.fft)
     n = x.shape[0]
     _split(lambda _, s: first(x[:, s], axis=0, out=x[:, s]), n)
@@ -296,35 +298,33 @@ def _change_frame(x: np.ndarray, to: str, sign: int = 0) -> np.ndarray:
 
 def _sector(n: int, sign: int) -> tuple[int, slice, slice]:
     """The parity sector's index rules at N = n, derived here alone: (rows, paired,
-    fixed).  Line r mirrors to N - r (mod N); an operator of parity ``sign`` is fixed
+    fixed).  Line r mirrors to N - r (mod N); an odd operator (``sign`` -1) is fixed
     by its ``rows`` = N/2 + 1 rows 0 .. N/2 (N/2 rounded down).  ``paired`` slices the
     lines 1 .. N - N/2 - 1, whose mirrors lie beyond N/2, and ``fixed`` the
     self-mirrored lines, 0 and N/2 at even N and 0 alone at odd N, rows and columns
-    alike, in either sector.  Without one (``sign`` 0) rows = N, all paired, none fixed."""
+    alike.  Without one (``sign`` 0) rows = N, all paired, none fixed."""
     if not sign:
         return n, slice(0, n), slice(0, 0)
     h = n // 2
     return h + 1, slice(1, n - h), slice(0, h + 1, n - h)  # 0, and N/2 = N - N/2 at even N
 
 
-def _sector_frame(x: np.ndarray, to: str, sign: int) -> np.ndarray:
-    """The frame change of Z = (1 - i)A, A Hermitian of parity ``sign``, in place on the
-    sector's rows of x (:func:`_sector`): from R = Re Z in the odd sector, or Im Z in
-    the even sector, to the new R.
+def _sector_frame(x: np.ndarray, to: str) -> np.ndarray:
+    """The frame change of Z = (1 - i)A, A Hermitian and parity odd, in place on the
+    sector's rows of x (:func:`_sector`): from R = Re Z to the new R, which is all
+    the sector's array holds, before and after.
 
-    For real R of parity s the transform G = F^dag R F is real (s = 1) or
-    imaginary (s = -1), and the new R is Re G - (Im G)^T.  In the odd sector
-    rows 0 .. N/2 of it are irfft(-+i rfft(R[:N/2 + 1], axis=1), n=N, axis=0),
-    minus to momentum and plus to position, the irfft written into the rows of
-    x through their transposed view.  The even sector reads Im Z = -R^T
-    instead, with the factor -1 both ways.  Each rfft covers a row and each irfft
+    For real R of odd parity the transform G = F^dag R F is imaginary, and the new R
+    is Re G - (Im G)^T.  Rows 0 .. N/2 of it are irfft(-+i rfft(R[:N/2 + 1], axis=1),
+    n=N, axis=0), minus to momentum and plus to position, the irfft written into the
+    rows of x through their transposed view.  Each rfft covers a row and each irfft
     a column of the (N/2 + 1)^2 half spectrum H (:func:`_half_spectrum`), in
     fixed parts (:func:`_split`), so the bits do not depend on the part count;
     irfft reads only the half spectrum, which is all the sector holds.
     """
     n = x.shape[1]
     spectrum = _half_spectrum(x)
-    factor = (-1j if to == MOMENTUM else 1j) if sign < 0 else -1
+    factor = -1j if to == MOMENTUM else 1j
 
     def rows(_, s):
         np.fft.rfft(x[s], axis=1, out=spectrum[s])
@@ -367,27 +367,27 @@ def _z_rows(r: np.ndarray, rt: np.ndarray, sign: int, rows: slice, out: np.ndarr
     return out
 
 
-_SECTOR_NAMES = {1: "even", -1: "odd", 0: "none"}
+_SECTOR_NAMES = {-1: "odd", 0: "none"}
 
 
 def _squared_norms(x: np.ndarray, image) -> np.ndarray:
-    """||x||^2, ||x - Px||^2 and ||x + Px||^2 (Frobenius), ``image(rows)`` those rows of
-    Px, summed a block of rows at a time, so no N x N temporary is made."""
-    norms = np.zeros(3)
+    """||x||^2 and ||x - image||^2 (Frobenius), ``image(rows)`` those rows of the image,
+    summed a block of rows at a time, so no N x N temporary is made."""
+    norms = np.zeros(2)
     for i in range(0, x.shape[0], _ROW_BLOCK):
         rows = slice(i, i + _ROW_BLOCK)
         block, other = x[rows], image(rows)
-        norms += [np.vdot(y, y).real for y in (block, block - other, block + other)]
+        norms += [np.vdot(y, y).real for y in (block, block - other)]
     return norms
 
 
 def _parity(x: np.ndarray) -> int:
-    """+1 or -1 when x[-i, -j] = +-x[i, j] to 1e-12 relative in the Frobenius norm,
-    else 0 (:func:`_squared_norms`)."""
+    """-1 when x is parity odd, x[-i, -j] = -x[i, j], to 1e-12 relative in the Frobenius
+    norm, ||x + Px|| <= 1e-12 ||x|| (:func:`_squared_norms` against -Px), else 0: an
+    even x has no sector and takes the full path, as one without parity does."""
     neg = -np.arange(x.shape[0]) % x.shape[0]
-    norms = _squared_norms(x, lambda rows: x[np.ix_(neg[rows], neg)])
-    limit = 1e-24 * norms[0]
-    return next((s for s, d in ((1, norms[1]), (-1, norms[2])) if d <= limit), 0)
+    norms = _squared_norms(x, lambda rows: -x[np.ix_(neg[rows], neg)])
+    return -1 if norms[1] <= 1e-24 * norms[0] else 0
 
 
 def _hermitian(x: np.ndarray) -> bool:

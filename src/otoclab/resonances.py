@@ -167,52 +167,46 @@ def random_traceless_hermitian(space: TorusSpace, seed: int = 0) -> np.ndarray:
 
 
 class _RealSector:
-    """Real coordinates of the Hermitian operators in one parity sector.
+    """Real coordinates of the Hermitian operators in the odd parity sector, or of all.
 
     An operator A is held as R = Re Z, Z = (1 - i)A (see :mod:`~otoclab.phase_space`),
-    with Tr(A^dag B) = R_A . R_B.  In a sector A[-i, -j] = sign A[i, j] one entry per
-    mirror pair, scaled by sqrt 2 to keep that product, is kept in flat order, in the
-    lines of :func:`~otoclab.phase_space._sector`: row 0 on the paired columns, the
-    paired rows whole, the other fixed rows on the paired columns; then, in the even
-    sector only, the entries whose row and column are both fixed.  ``sign`` 0 keeps all
-    of R.  :meth:`pack` reads and :meth:`write` writes the sector's rows 0 .. N/2, all
-    that the sector step holds; :meth:`unpack` writes every entry of Z for the full step.
+    with Tr(A^dag B) = R_A . R_B.  In the sector (``sign`` -1) A[-i, -j] = -A[i, j]:
+    one entry per mirror pair, scaled by sqrt 2 to keep that product, is kept in flat
+    order, in the lines of :func:`~otoclab.phase_space._sector`: row 0 on the paired
+    columns, the paired rows whole, the other fixed rows on the paired columns; the
+    entries whose row and column are both fixed are their own mirrors, so zero.
+    ``sign`` 0 keeps all of R, unscaled.  :meth:`pack` reads and :meth:`write` writes
+    the sector's rows 0 .. N/2, all that the sector step holds, R throughout;
+    :meth:`unpack` writes every entry of Z for the full step.
     """
 
     def __init__(self, n: int, sign: int):
         self.n, self.sign = n, sign
-        self._rows, self._paired, fixed = _sector(n, sign)
-        # (rows, columns) of R in coordinate order: the mirror pairs, then the fixed entries
+        self._rows, self._paired, self._fixed = _sector(n, sign)
+        # (rows, columns) of R in coordinate order, one entry of each mirror pair
         views = ([(slice(0, 1), self._paired), (self._paired, slice(None)),
                   (slice(self._paired.stop, self._rows), self._paired)]
                  if sign else [(slice(None), slice(None))])
-        # the self-mirrored entries, zero and not stored in the odd sector
-        self._fixed = (fixed, fixed)
-        if sign > 0:
-            views.append(self._fixed)
         sizes = [len(range(n)[rows]) * len(range(n)[cols]) for rows, cols in views]
-        self._pairs = sum(sizes[:3]) if sign else 0
         edges = np.cumsum([0] + sizes)
         self._views = [(v, slice(lo, hi)) for v, lo, hi in zip(views, edges, edges[1:])]
         self.dim = int(edges[-1])
+        self._scale = np.sqrt(2.0) if sign else 1.0
 
     def pack(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The coordinates of the real R into ``out``."""
         for v, seg in self._views:
-            np.multiply(r[v], np.sqrt(2.0) if seg.start < self._pairs else 1.0,
-                        out=out[seg].reshape(r[v].shape))
+            np.multiply(r[v], self._scale, out=out[seg].reshape(r[v].shape))
         return out
 
     def write(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Rows 0 .. N/2 of R from the sector coordinates ``x`` into the real ``r``, which
         holds them; any other rows are left."""
         for v, seg in self._views:
-            np.divide(x[seg].reshape(r[v].shape),
-                      np.sqrt(2.0) if seg.start < self._pairs else 1.0, out=r[v])
-        if self.sign < 0:
-            r[self._fixed] = 0
+            np.divide(x[seg].reshape(r[v].shape), self._scale, out=r[v])
+        rows = self._fixed
+        r[rows, rows] = 0
         # the self-mirrored rows are their own mirrors: r[i, -c] = sign r[i, c]
-        rows = self._fixed[0]
         np.multiply(r[rows, self._paired][:, ::-1], self.sign, out=r[rows, self._rows:])
         return r
 
@@ -244,8 +238,9 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     run's one working array (:func:`~otoclab.otoc._fill`), with no copy of an array
     seed, and changed to the momentum frame, where the recursion runs.  A direction
     is stored as the real coordinates of :class:`_RealSector`: one entry per mirror
-    pair in the seed's parity sector when the channel keeps parity
-    (:func:`~otoclab.coarse_graining._keeps_parity`), else every entry of R = Re Z.
+    pair in the odd sector when the seed is odd and the channel keeps parity
+    (:func:`~otoclab.coarse_graining._keeps_parity`), else every entry of R = Re Z,
+    where each new direction loses its identity component, R's diagonal.
     Every channel application, the first included, is one matvec: R is written into
     the array (:func:`~otoclab.phase_space._working`, in the sector R on rows 0 .. N/2),
     takes the step :func:`~otoclab.coarse_graining.evolve` iterates, whose sector kicks
@@ -263,7 +258,7 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     matvec for a real Ritz value and two for a complex one.  No N x N array is held
     beside the working array and the basis, 8 (depth + 1) d bytes, d the sector
     dimension.
-    ``params`` records ``sector`` (even, odd or none), ``krylov_dim`` (the dimension m
+    ``params`` records ``sector`` (odd or none), ``krylov_dim`` (the dimension m
     reached, below ``depth`` when an invariant subspace closes early, which warns),
     ``matvecs`` (m plus the residual matvecs) and ``reorth`` (second Gram-Schmidt
     passes).
@@ -285,13 +280,11 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     # the momentum frame keeps the Hilbert-Schmidt product, Hermiticity and parity
     _change_frame(buf, MOMENTUM, sign)
     mask, scratch = _mask(kernel), _scratch(n) if sign else None
-    # the odd sector is traceless by construction; elsewhere every new
-    # direction has its identity component projected out (see below); R of the
-    # identity is the identity
-    ident = (sector.pack(np.eye(n) / np.sqrt(n), np.empty(sector.dim))
-             if sign >= 0 else np.zeros(sector.dim))
-    diag = np.flatnonzero(ident)
-    ident = ident[diag]
+    # the odd sector is traceless by construction; on the full path every new
+    # direction has its identity component projected out (see below): R of the
+    # identity is the identity, whose coordinates are R's diagonal
+    diag = np.arange(sector.dim if sign else 0, sector.dim, n + 1)
+    ident = np.full(diag.size, 1 / np.sqrt(n))
 
     basis = np.empty((depth + 1, sector.dim))
     scale = _seed_norm(np.linalg.norm(sector.pack(buf.real, basis[0])))

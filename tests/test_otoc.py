@@ -246,6 +246,32 @@ def test_family_linear_matches_numerics_for_random_pairs(space64, cat64):
             a = channel_step(cat64, None, a)
 
 
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("a, b, form", [((1, 1), (0, 1), "blocks"), ((2, 3), (1, 1), "blocks"),
+                                        ((1, 1), (3, 0), "diagonal")],
+                         ids=["F11-F01", "F23-F11", "F11-F30"])
+def test_series_of_non_sine_pairs_matches_the_closed_form(monkeypatch, n, a, b, form):
+    """Under the k = 0 cat map the series of A = F_(a_q, a_p) against B = F_(b_q, b_p) is
+    otoc_family_linear((a_p, a_q), (b_p, b_q), t, N), q and p mirrored as its docstring
+    says, to 1e-12 in C: in the odd sector and on the full path, at N = 64 and at
+    N = 1024 (padded rows), in the form the pair takes and, for B diagonal in momentum,
+    in the blocks form too."""
+    umap = quantize(cat_map(0.0), TorusSpace(n))
+    t_max = 22 if n > 64 else 12
+    want = [otoc_family_linear(a[::-1], b[::-1], t, n) for t in range(t_max + 1)]
+    for keeps in (True, False):
+        for blocks in (False, True) if form == "diagonal" else (False,):
+            with monkeypatch.context() as m:
+                if not keeps:
+                    m.setattr(otoc, "_keeps_parity", lambda umap: False)
+                if blocks:
+                    m.setattr(otoc, "_contraction", lambda shifts: "blocks")
+                series = otoc_series(umap, a, b, t_max)
+            path = ("odd" if keeps else "none", "blocks" if blocks else form)
+            assert (series.sector, series.contraction) == path
+            assert np.abs(series.c - want).max() <= 1e-12, path
+
+
 def test_commutator_oracle_agrees_with_decomposition(space64):
     umap = quantize(cat_map(0.05), space64)
     x, p = sine_position(space64), sine_momentum(space64)
@@ -399,18 +425,19 @@ def test_b_sector_set_up_matches_the_full_frame_change(n):
     """In the sector (1 - i)B is written on rows 0 .. N/2, takes the real sector
     transform, and has its momentum-frame diagonals read from R through the parity
     mirrors: the shifts of (1 - i) change_basis and _nonzero_diagonals, and their rows
-    to 1e-15 relative, for displacements (among them vanishing ones) and for even and
-    odd arrays."""
+    to 1e-15 relative, for displacements (among them vanishing ones) and for an odd
+    array.  An even array takes the full path's set-up on all N rows, with the same
+    result."""
     space = TorusSpace(n)
     h = n // 2
     rand = random_traceless_hermitian(space, n)
     cases = [(xi, -1) for xi in [(1, 0), (0, 1), (1, 1), (2, 3), (h, 1), (0, 0), (h, 0)]]
-    cases += [((rand + s * _mirror(rand)) / 2, s) for s in (1, -1)]
+    cases += [((rand + s * _mirror(rand)) / 2, min(s, 0)) for s in (1, -1)]
     for op, sign in cases:
         checked, got_sign, candidates = otoc._operand(space, op, "B", True)
         assert got_sign == sign
         buf = phase_space._working(n, sign)
-        assert buf.shape == (h + 1, n)
+        assert buf.shape == (h + 1 if sign else n, n)
         otoc._fill(space, checked, buf, sign)
         shifts, d = otoc._nonzero_diagonals(phase_space._change_frame(buf, MOMENTUM, sign),
                                             candidates, sign)
@@ -424,9 +451,10 @@ def test_b_sector_set_up_matches_the_full_frame_change(n):
 @pytest.mark.parametrize("n", [8, 9])
 def test_fill_classifies_displacements_and_arrays(n):
     """(sign, shifts): F_xi is odd with momentum-frame shifts +-p; an array has its
-    parity scanned, and every diagonal a candidate; no sign unless asked for.  The
-    checked operand is then written as Z = (1 - i)op on every row, or in its sector as
-    R = Re Z (odd) or Im Z (even) on rows 0 .. N/2 and no other."""
+    parity scanned, and every diagonal a candidate; no sign unless asked for, and none
+    for an even array, which takes the full path.  The checked operand is then written
+    as Z = (1 - i)op on every row, or in the odd sector as R = Re Z on rows 0 .. N/2 and
+    no other."""
     space = TorusSpace(n)
 
     def writes(op, entries, sign):
@@ -434,10 +462,10 @@ def test_fill_classifies_displacements_and_arrays(n):
         otoc._fill(space, op, buf)
         assert np.array_equal(buf, (1 - 1j) * entries)
         if sign:
-            rows, part = n // 2 + 1, (np.real if sign < 0 else np.imag)
+            rows = n // 2 + 1
             real = np.full((n, n), np.nan)
             otoc._fill(space, op, real[:rows], sign)
-            assert np.array_equal(real[:rows], part((1 - 1j) * entries[:rows]))
+            assert np.array_equal(real[:rows], ((1 - 1j) * entries[:rows]).real)
             assert np.isnan(real[rows:]).all()
 
     for xi in [(1, 0), (0, 1), (2, 3), (-1, -2), (n + 1, 2 * n + 3), (0, 0)]:
@@ -447,7 +475,7 @@ def test_fill_classifies_displacements_and_arrays(n):
         assert otoc._operand(space, xi, "A", False)[1:] == (0, expected)
         writes(op, hermitian_f(space, xi), -1)
     cosine = (translation(space, (1, 1)) + translation(space, (-1, -1))) / 2
-    for op, sign in [(sine_position(space), -1), (cosine, 1),
+    for op, sign in [(sine_position(space), -1), (cosine, 0),
                      (random_traceless_hermitian(space, 5), 0)]:
         assert otoc._operand(space, op, "B", True)[1:] == (sign, None)
         assert otoc._operand(space, op, "B", False)[1:] == (0, None)
@@ -456,17 +484,17 @@ def test_fill_classifies_displacements_and_arrays(n):
 
 @pytest.mark.parametrize("n", [8, 9, 64])
 def test_sector_fill_is_the_complex_fill_bit_for_bit(n):
-    """In a sector _fill writes the real rows 0 .. N/2 that the first frame change reads:
-    Re((1 - i)op) in the odd sector and Im((1 - i)op) in the even one, each bit as in
-    the complex fill, for displacements (vanishing, negative and beyond N among them)
-    and for arrays of either parity."""
+    """In the odd sector _fill writes the real rows 0 .. N/2 that the first frame change
+    reads, Re((1 - i)op), each bit as in the complex fill, for displacements (vanishing,
+    negative and beyond N among them) and for odd arrays.  An even array has no sector
+    and is written whole into the complex working array, again as the complex fill."""
     space = TorusSpace(n)
     h = n // 2
     rand = random_traceless_hermitian(space, n)
     cases = [(xi, -1) for xi in [(1, 0), (0, 1), (2, 3), (-1, -2), (n + 1, 2 * n + 3), (0, 0),
                                  (h, 1)]]
-    cases += [((rand + s * _mirror(rand)) / 2, s) for s in (1, -1)]
-    cases += [((translation(space, (1, 1)) + translation(space, (-1, -1))) / 2, 1),
+    cases += [((rand + s * _mirror(rand)) / 2, min(s, 0)) for s in (1, -1)]
+    cases += [((translation(space, (1, 1)) + translation(space, (-1, -1))) / 2, 0),
               (sine_position(space), -1)]
     for op, sign in cases:
         checked, got_sign, _ = otoc._operand(space, op, "A", True)
@@ -475,26 +503,29 @@ def test_sector_fill_is_the_complex_fill_bit_for_bit(n):
         otoc._fill(space, checked, full)
         half = phase_space._working(n, sign)
         otoc._fill(space, checked, half, sign)
-        want = (full.real if sign < 0 else full.imag)[:h + 1]
-        assert np.array_equal(half, want) and np.array_equal(np.signbit(half), np.signbit(want))
+        got, want = (half, full.real[:h + 1]) if sign else (half.view(float), full.view(float))
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("n", [64, 66, 1024])
-@pytest.mark.parametrize("sign", [1, -1])
-def test_sector_contraction_leaves_r_as_it_is(n, sign):
-    """_contract reads the sector's R and writes nothing into the working array, pad
-    included, in the diagonal form and in the blocks form, whose shifts read rows next to
-    a block's (B = F_(0,1), shifts +-1) or 20 rows away (shifts +-20)."""
+@pytest.mark.parametrize("parity", [1, -1])
+def test_sector_contraction_leaves_r_as_it_is(n, parity):
+    """_contract reads the working array and writes nothing into it, pad included: the
+    sector's R for an odd A, and Z on all N rows for an even one, which takes the full
+    path; in the diagonal form and in the blocks form, whose shifts read rows next to a
+    block's (B = F_(0,1), shifts +-1) or 20 rows away (shifts +-20)."""
     space = TorusSpace(n)
     rng = np.random.default_rng(n)
+    sign = min(parity, 0)
     for b, form in (((1, 0), "diagonal"), ((0, 1), "blocks"), ((0, 20), "blocks")):
-        buf = phase_space._working(n, -1)
-        checked, _, candidates = otoc._operand(space, b, "B", True)
-        otoc._fill(space, checked, buf, -1)
-        shifts, d = otoc._nonzero_diagonals(phase_space._change_frame(buf, MOMENTUM, -1),
-                                            candidates, -1)
+        buf = phase_space._working(n, sign)
+        checked, _, candidates = otoc._operand(space, b, "B", bool(sign))
+        otoc._fill(space, checked, buf, sign)
+        shifts, d = otoc._nonzero_diagonals(phase_space._change_frame(buf, MOMENTUM, sign),
+                                            candidates, sign)
         assert otoc._contraction(shifts) == form
-        np.copyto(buf, rng.standard_normal(buf.shape))
+        r = rng.standard_normal(buf.shape)
+        np.copyto(buf, r if sign else r - 1j * r.T)
         whole = phase_space._whole_rows(buf)
         before = whole.copy()
         o1, o2 = otoc._contract(buf, shifts, d, phase_space._scratch(n), sign)
@@ -502,16 +533,17 @@ def test_sector_contraction_leaves_r_as_it_is(n, sign):
         assert np.array_equal(whole, before), b
 
 
-@pytest.mark.parametrize("n, b, scans, sector", [(64, "even", ["B", "A"], "even"),
-                                                (64, "displacement", ["A"], "even"),
+@pytest.mark.parametrize("n, b, scans, sector", [(64, "even", ["B"], "none"),
+                                                (64, "displacement", ["A"], "none"),
                                                 (64, "random", ["B"], "none"),
                                                 (63, "even", [], "none"),
                                                 (63, "displacement", [], "none")])
 def test_an_array_a_is_scanned_only_while_the_sector_is_possible(monkeypatch, n, b, scans,
                                                                  sector):
-    """A's parity is scanned only when B has one at even N, and nothing at odd N.  A is
-    the even array (T_xi + T_-xi) / 2 at xi = (1, 1); B is that array at (2, 1), the
-    displacement of the odd F_(1,0), or a random array of no parity."""
+    """A's parity is scanned only when B is odd at even N, and nothing at odd N.  A is
+    the even array (T_xi + T_-xi) / 2 at xi = (1, 1), so every run takes the full path;
+    B is that array at (2, 1), the displacement of the odd F_(1,0), or a random array
+    of no parity."""
     space = TorusSpace(n)
 
     def cosine(xi):
@@ -616,8 +648,9 @@ def test_otoc_series_records_its_layout_and_contraction(b, contraction):
 @pytest.mark.parametrize("sign_a", [1, -1])
 @pytest.mark.parametrize("sign_b", [1, -1])
 def test_parity_sector_of_arrays_agrees_with_the_full_path(monkeypatch, sign_a, sign_b):
-    """Arrays of definite parity run in A's sector; B dense in the momentum frame makes
-    the contraction fill every row beyond N/2 that BA reads."""
+    """Arrays run in the odd sector when both are odd, and on the full path when either
+    is even; B dense in the momentum frame makes the contraction fill every row beyond
+    N/2 that BA reads."""
     space = TorusSpace(12)
     umap = quantize(cat_map(0.3), space)
     kernel = build_kernel(space, 0.1)
@@ -626,7 +659,7 @@ def test_parity_sector_of_arrays_agrees_with_the_full_path(monkeypatch, sign_a, 
     a, b = (a + sign_a * _mirror(a)) / 2, (b + sign_b * _mirror(b)) / 2
     sector = otoc_series(umap, a, b, 6, kernel=kernel)
     full = _full_path(monkeypatch, umap, a, b, 6, kernel)
-    assert sector.sector == ("even" if sign_a > 0 else "odd")
+    assert sector.sector == ("odd" if sign_a < 0 and sign_b < 0 else "none")
     assert np.abs(sector.o1 - full.o1).max() <= 1e-14 * np.abs(full.o2).max()
     assert np.abs(sector.o2 - full.o2).max() <= 1e-14 * np.abs(full.o2).max()
 

@@ -521,11 +521,11 @@ def _mirror(x):
 
 
 def test_sector_geometry_covers_each_mirror_pair_once():
-    """In a sector the held rows 0 .. rows - 1 are the paired and the fixed ones, a
+    """In the odd sector the held rows 0 .. rows - 1 are the paired and the fixed ones, a
     paired row's mirror N - r is not held, a fixed row is its own mirror, and every row
     is held or mirrors a paired one; without a sector all N rows are paired, none fixed."""
     for n in range(2, 18):
-        for sign in (-1, 0, 1):
+        for sign in (-1, 0):
             rows, paired, fixed = phase_space._sector(n, sign)
             paired, fixed = list(range(n)[paired]), list(range(n)[fixed])
             if not sign:
@@ -539,18 +539,19 @@ def test_sector_geometry_covers_each_mirror_pair_once():
 
 @pytest.mark.parametrize("n", [3, 8, 33, 40])
 def test_parity_reads_the_sector_a_block_at_a_time(n):
-    """x[-i, -j] = +-x[i, j] to 1e-12 relative in the Frobenius norm gives +-1; a
-    perturbation of 1e-10 relative, or no symmetry, gives 0."""
+    """x[-i, -j] = -x[i, j] to 1e-12 relative in the Frobenius norm gives -1, the odd
+    sector, as the zero array does; an even x, x[-i, -j] = x[i, j], gives 0, the full
+    path, as do a perturbation of 1e-10 relative of either and no symmetry."""
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     for sign in (1, -1):
         y = (x + sign * _mirror(x)) / 2
-        assert phase_space._parity(y) == sign
+        assert phase_space._parity(y) == min(sign, 0)
         noise = np.zeros((n, n), dtype=complex)
         noise[0, 1] = 1e-10 * np.linalg.norm(y)
         assert phase_space._parity(y + noise) == 0
     assert phase_space._parity(x) == 0
-    assert phase_space._parity(np.zeros((n, n), dtype=complex)) == 1
+    assert phase_space._parity(np.zeros((n, n), dtype=complex)) == -1
 
 
 @pytest.mark.parametrize("n", [3, 8, 33, 516])
@@ -575,27 +576,31 @@ def test_hermitian_keeps_the_dense_frobenius_rule(n):
 
 
 @pytest.mark.parametrize("n", [2, 4, 10, 64])
-@pytest.mark.parametrize("sign", [1, -1])
-def test_half_frame_change_matches_the_full_one(n, sign):
-    """Given the parity, rows 0 .. N/2 of Z = (1 - i)A alone determine the frame change:
-    R = Re Z (odd sector) or Im Z (even sector) on them, all the sector's working array
-    holds, takes the real sector transform, and Z rebuilt from the new R gives (1 - i)
-    times the full complex pass's rows 0 .. N/2."""
+@pytest.mark.parametrize("parity", [1, -1])
+def test_half_frame_change_matches_the_full_one(n, parity):
+    """For an odd A rows 0 .. N/2 of Z = (1 - i)A alone determine the frame change:
+    R = Re Z on them, all the sector's working array holds, takes the real sector
+    transform, and Z rebuilt from the new R gives (1 - i) times the full complex pass's
+    rows 0 .. N/2.  An even A has no sector (phase_space._parity): its working array
+    is the complex N x N one, whose frame change gives the full pass's rows, all N."""
     h = n // 2
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     x = x + x.conj().T
-    x = (x + sign * _mirror(x)) / 2
+    x = (x + parity * _mirror(x)) / 2
+    sign = phase_space._parity(x)
+    assert sign == min(parity, 0)
+    held = h + 1 if sign else n
     for to in (MOMENTUM, POSITION):
         full = (1 - 1j) * phase_space._change_frame(x.copy(), to)
         z = (1 - 1j) * x
-        half = phase_space._working(n, sign)
-        assert half.shape == (h + 1, n) and half.dtype == float
-        np.copyto(half, (z.real if sign < 0 else z.imag)[:h + 1])
-        phase_space._change_frame(half, to, sign)
-        rows = phase_space._z_rows(half, half.T, sign, slice(0, h + 1),
-                                   np.empty((h + 1, n), dtype=complex))
-        assert np.abs(rows - full[:h + 1]).max() <= 1e-13 * np.abs(full).max()
+        work = phase_space._working(n, sign)
+        assert work.shape == (held, n) and work.dtype == (float if sign else complex)
+        np.copyto(work, z.real[:held] if sign else z)
+        phase_space._change_frame(work, to, sign)
+        rows = (phase_space._z_rows(work, work.T, sign, slice(0, held),
+                                    np.empty((held, n), dtype=complex)) if sign else work)
+        assert np.abs(rows - full[:held]).max() <= 1e-13 * np.abs(full).max()
 
 
 def test_coherent_state_centers():

@@ -169,12 +169,13 @@ def test_krylov_full_depth_matches_dense_oracle(n, family, param, kick_mode, eps
 @example(7, harper_map, 0.6, AS_PRINTED, 1.1, 1, 4)
 def test_krylov_parity_sector_matches_dense_oracle(n, family, param, kick_mode, eps, sign, seed):
     """A channel that commutes with parity A[i, j] -> A[-i, -j] keeps the
-    Krylov space of a seed of definite parity in that sector.  At depth equal
-    to the sector's traceless dimension the Ritz values are the eigenvalues
+    Krylov space of a seed of definite parity in that parity's operators.  At
+    depth equal to their traceless dimension the Ritz values are the eigenvalues
     whose right eigenoperators share the seed's parity, the identity
-    excluded.  The cat and standard maps break parity at odd N (their
-    quadratic kick phases flip sign under q -> -q for q != 0); there the
-    basis keeps every entry."""
+    excluded: an odd seed's run stores the odd sector's coordinates, an even
+    seed's every entry, as on the full path.  The cat and standard maps break
+    parity at odd N (their quadratic kick phases flip sign under q -> -q for
+    q != 0); there the basis keeps every entry."""
     space = TorusSpace(n)
     umap = quantize(family(param), space, kick_mode)
     kernel = build_kernel(space, eps)
@@ -195,7 +196,7 @@ def test_krylov_parity_sector_matches_dense_oracle(n, family, param, kick_mode, 
         assert family is not harper_map and n % 2
         assert krylov.params["sector"] == "none"
         return
-    assert krylov.params["sector"] == ("even" if sign > 0 else "odd")
+    assert krylov.params["sector"] == ("odd" if sign < 0 else "none")
     assert krylov.params["krylov_dim"] == dim
     in_sector = np.array([np.linalg.norm(r - sign * r[np.ix_(neg, neg)]) < 1e-6
                           for r in dense.rights])
@@ -240,29 +241,30 @@ def test_krylov_refuses_a_non_finite_or_zero_seed(value):
 
 
 class _IndexTableSector:
-    """The parity-sector coordinates as index tables over the flattened R, as they
-    were stored before the slice layout: the reference it must match bit for bit."""
+    """The odd sector's coordinates (``sign`` -1) as index tables over the flattened R,
+    as they were stored before the slice layout, or every entry of R unscaled (``sign``
+    0): the reference it must match bit for bit."""
 
     def __init__(self, n, sign):
         flat = np.arange(n * n)
         mirror = ((-(flat // n)) % n) * n + (-flat) % n
         self.n, self.sign = n, sign
-        self.pairs = flat[flat < mirror]
-        self.mirrors = mirror[self.pairs]
-        self.fixed = flat[flat == mirror]
+        self.pairs = flat[flat < mirror] if sign else flat
+        self.mirrors, self.fixed = mirror[self.pairs], flat[flat == mirror]
+        self.scale = np.sqrt(2.0) if sign else 1.0
 
     def pack(self, r):
-        r = r.reshape(-1)
-        out = np.take(r, self.pairs)
-        out *= np.sqrt(2.0)
-        return np.concatenate((out, np.take(r, self.fixed))) if self.sign > 0 else out
+        out = np.take(r.reshape(-1), self.pairs)
+        out *= self.scale
+        return out
 
     def unpack(self, x):
-        half = x[:self.pairs.size] / np.sqrt(2.0)
+        half = x / self.scale
         flat = np.empty(self.n * self.n)
         flat[self.pairs] = half
-        flat[self.mirrors] = half if self.sign > 0 else np.negative(half)
-        flat[self.fixed] = x[self.pairs.size:] if self.sign > 0 else 0.0
+        if self.sign:
+            flat[self.mirrors] = np.negative(half)
+            flat[self.fixed] = 0.0
         r = flat.reshape(self.n, self.n)
         out = np.empty((self.n, self.n), dtype=complex)
         out.real, out.imag = r, -r.T
@@ -270,36 +272,46 @@ class _IndexTableSector:
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 320])
-@pytest.mark.parametrize("sign", [1, -1])
-def test_sector_slices_match_the_index_tables(n, sign):
+@pytest.mark.parametrize("parity", [1, -1])
+def test_sector_slices_match_the_index_tables(n, parity):
     """Pack reads the entries of R the tables name (of any R, so stale rows beyond N/2
     are never read) and write gives rows 0 .. N/2 of the R the tables unpack, both bit
-    for bit; a second write over the first shows that nothing of it is left there."""
+    for bit; a second write over the first shows that nothing of it is left there.  The
+    coordinates are the odd sector's for an odd seed, and every entry of R for an even
+    one, which has no sector: unpack, the full step's write, then gives the Z that the
+    tables unpack."""
     rng = np.random.default_rng(n)
+    sign = min(parity, 0)
     sector, tables = resonances._RealSector(n, sign), _IndexTableSector(n, sign)
     r = rng.standard_normal((n, n))
     want = tables.pack(r)
     assert sector.dim == want.size
     assert np.array_equal(sector.pack(r, np.empty(sector.dim)), want)
     for x in rng.standard_normal((2, sector.dim)):
+        if not sign:
+            z = sector.unpack(x, np.empty((n, n), dtype=complex))
+            assert np.array_equal(z, tables.unpack(x))
+            continue
         sector.write(x, r)
         assert np.array_equal(r[:n // 2 + 1], tables.unpack(x).real[:n // 2 + 1])
 
 
 @pytest.mark.parametrize("spec", [cat_map(0.3), standard_map(1.5), harper_map(0.94)],
                          ids=["cat", "standard", "harper"])
-@pytest.mark.parametrize("sign", [1, -1])
-def test_krylov_steps_in_the_sector(monkeypatch, spec, sign):
-    """At even N every Arnoldi step, the first included, and every residual matvec takes
-    the sector step with the seed's sign.  The result agrees to rounding with the run
-    that has no sector, where every step is full and every entry of R is stored."""
+@pytest.mark.parametrize("parity", [1, -1])
+def test_krylov_steps_in_the_sector(monkeypatch, spec, parity):
+    """At even N every Arnoldi step, the first included, and every residual matvec of an
+    odd seed takes the odd sector's step, and of an even seed the full step.  The result
+    agrees to rounding with the run that has no sector, where every step is full and
+    every entry of R is stored."""
     n = 16
     space = TorusSpace(n)
     umap = quantize(spec, space)
     kernel = build_kernel(space, 10.0 / n)
     neg = -np.arange(n) % n
     a = random_traceless_hermitian(space, 5)
-    a = (a + sign * a[np.ix_(neg, neg)]) / 2
+    a = (a + parity * a[np.ix_(neg, neg)]) / 2
+    sign = min(parity, 0)
     signs = []
     step = resonances._step
 
@@ -316,7 +328,7 @@ def test_krylov_steps_in_the_sector(monkeypatch, spec, sign):
     signs.clear()
     want = krylov_leading(umap, kernel, a, depth=30, n_wanted=3)
     assert not any(signs)
-    assert got.params["sector"] == ("even" if sign > 0 else "odd")
+    assert got.params["sector"] == ("odd" if sign else "none")
     assert want.params["sector"] == "none"
     for key in ("krylov_dim", "matvecs", "reorth"):
         assert got.params[key] == want.params[key], key

@@ -82,8 +82,8 @@ def _at_part_counts(split_all, compute):
     return results
 
 
-# the full pass and the half passes of both parity sectors, at odd N as at even N
-_SIGNS = (0, 1, -1)
+# the full pass and the half passes of the odd sector, at odd N as at even N
+_SIGNS = (0, -1)
 
 
 def _held(x: np.ndarray, sign: int) -> np.ndarray:
