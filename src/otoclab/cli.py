@@ -487,13 +487,13 @@ def run_sweep(config: RunConfig, axis: str, values: list[float], jobs: int = 1) 
     return summary
 
 
-def _sector(config: RunConfig, odd: bool) -> int:
-    """The parity sector a run will take, known before anything is built: -1 when its
-    operands are ``odd``, as every F_xi is, and the channel keeps parity, else 0.  The
+def _sector(config: RunConfig, odd: bool) -> bool:
+    """Whether a run will take the odd parity sector, known before anything is built:
+    when its operands are ``odd``, as every F_xi is, and the channel keeps parity.  The
     quantized kick phases are mirror-symmetric, which is the run's rule
     (:func:`~otoclab.coarse_graining._keeps_parity`), for all three maps at even N and
     for Harper at every N."""
-    return -1 if odd and (config.map == HARPER or config.n % 2 == 0) else 0
+    return odd and (config.map == HARPER or config.n % 2 == 0)
 
 
 def run_resonances(config: RunConfig, method: str, depth: int = 40,

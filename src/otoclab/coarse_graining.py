@@ -21,9 +21,9 @@ mask in place in the frame where it is elementwise and starts and ends in
 the momentum frame; :func:`_evolve_in_place` iterates it on a caller's
 buffer (for :func:`evolve` and the OTOC series) and the Krylov solver calls
 it directly.  Both hold Z = (1 - i)A (:mod:`otoclab.phase_space`), which
-the step advances as it does A.  Given the odd sign (-1) the step works on
-the real R = Re Z of the odd parity sector of :mod:`~otoclab.phase_space`
-only, which holds when the channel keeps parity (:func:`_keeps_parity`), and
+the step advances as it does A.  Given a real array the step works on
+R = Re Z of the odd parity sector of :mod:`~otoclab.phase_space` only,
+which holds when the channel keeps parity (:func:`_keeps_parity`), and
 leaves R there after each kick and frame change.  :func:`evolve` takes
 the full step on A itself.  The chord-space dephasing and the literal sum
 over all N^2 translations are kept as oracles.
@@ -171,7 +171,7 @@ def _keeps_parity(umap: QuantumMap) -> bool:
                for v in (umap.phase_position, umap.phase_momentum))
 
 
-def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray, sign: int = 0,
+def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray,
           scratch: list[np.ndarray] | None = None) -> np.ndarray:
     """One channel step in place on momentum-frame entries: four 1D FFT passes.
 
@@ -184,9 +184,9 @@ def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray, sign: int =
     with the phase vectors widened by ones (``QuantumMap._row_phases``) and
     ``mask`` as wide as the rows.
 
-    A nonzero ``sign``, -1, says the operator is odd, a parity the caller vouches the
-    channel keeps (:func:`_keeps_parity`).  ``at`` then holds the parity sector of
-    :mod:`~otoclab.phase_space`, the real R = Re Z on rows 0 .. N/2: each kick is
+    A real ``at`` holds the parity sector of :mod:`~otoclab.phase_space`, the real
+    R = Re Z of an odd operator on rows 0 .. N/2, a parity the caller vouches the
+    channel keeps (:func:`_keeps_parity`): each kick is
     :func:`_sector_kick`, in the caller's ``scratch``
     (:func:`~otoclab.phase_space._scratch`), the frame changes are the real ones, and the
     last mask multiplies R.
@@ -198,20 +198,20 @@ def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray, sign: int =
     mask = None if mask is None else mask[:, :width]
 
     def kick(phase, m):
-        if sign:
-            return _sector_kick(at, sign, scratch, phase, m)
+        if np.isrealobj(at):
+            return _sector_kick(at, scratch, phase, m)
         _split(lambda _, s: _kick(rows[s], phase[s], phase, None if m is None else m[s]), n)
 
     kick(mom, None)
-    _change_frame(at, POSITION, sign)
+    _change_frame(at, POSITION)
     kick(pos, mask)
-    _change_frame(at, MOMENTUM, sign)
+    _change_frame(at, MOMENTUM)
     if mask is not None:
         _split(lambda _, s: np.multiply(rows[s], mask[s], out=rows[s]), n, lines=at.shape[0])
     return at
 
 
-def _sector_kick(r: np.ndarray, sign: int, scratch: list[np.ndarray], phase: np.ndarray,
+def _sector_kick(r: np.ndarray, scratch: list[np.ndarray], phase: np.ndarray,
                  mask: np.ndarray | None) -> None:
     """A kick, and the mask when given, in place on the sector's R in ``r``: with R^T
     copied aside (:func:`~otoclab.phase_space._spare`), each part builds blocks of
@@ -225,7 +225,7 @@ def _sector_kick(r: np.ndarray, sign: int, scratch: list[np.ndarray], phase: np.
         block = scratch[part].reshape(-1, n)
         for i in range(s.start, s.stop, len(block)):
             rows = slice(i, min(i + len(block), s.stop))
-            z = _z_rows(r, rt, sign, rows, block[:rows.stop - i])
+            z = _z_rows(r, rt, rows, block[:rows.stop - i])
             _kick(z, phase[rows], phase[:n], None if mask is None else mask[rows, :n])
             np.copyto(r[rows], z.real)
 
@@ -245,18 +245,18 @@ def evolve(umap: QuantumMap, kernel: CoarseGrainKernel | None, a: np.ndarray, st
 
 
 def _evolve_in_place(umap: QuantumMap, kernel: CoarseGrainKernel | None, at: np.ndarray,
-                     steps: int, sign: int = 0, scratch: list[np.ndarray] | None = None):
+                     steps: int, scratch: list[np.ndarray] | None = None):
     """:func:`evolve` on the caller's working array of position-basis entries: it is
     changed to the momentum frame once, yielded, and advanced by :func:`_step`, the step
-    the Krylov solver shares, each time.  A nonzero ``sign``, -1 for an odd buffer, means
-    that ``at`` holds the sector's R = Re Z on rows 0 .. N/2 as
-    :func:`~otoclab.otoc._fill` writes it and makes the first change of frame and every
-    step, in ``scratch``, the sector's; each yield holds that R."""
+    the Krylov solver shares, each time.  A real ``at`` holds the odd sector's R = Re Z
+    on rows 0 .. N/2 as :func:`~otoclab.otoc._fill` writes it, which makes the first
+    change of frame and every step, in ``scratch``, the sector's; each yield holds that
+    R."""
     steps = _count(steps, "steps")
     mask = _mask(kernel)
-    yield _change_frame(at, MOMENTUM, sign)
+    yield _change_frame(at, MOMENTUM)
     for _ in range(steps):
-        yield _step(umap, mask, at, sign, scratch)
+        yield _step(umap, mask, at, scratch)
 
 
 def channel_step(umap: QuantumMap, kernel: CoarseGrainKernel | None, a: np.ndarray) -> np.ndarray:

@@ -55,8 +55,8 @@ from . import coarse_graining
 from .classical import _cat_power
 from .coarse_graining import _keeps_parity
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
-from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame, _count,
-                          _displacement, _f_defect, _finite, _operator, _parity, _scratch,
+from .phase_space import (_ROW_BLOCK, MOMENTUM, TorusSpace, _change_frame, _count,
+                          _displacement, _f_defect, _finite, _odd, _operator, _scratch,
                           _sector, _size, _spare, _split, _whole_rows, _working,
                           _write_f, _z_rows, hermiticity_defect, symplectic_product)
 
@@ -124,33 +124,33 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
     """
     t_max = _count(t_max, "t_max")
     space, n = umap.space, umap.dim
-    b, b_sign, b_shifts = _operand(space, b, "B", _keeps_parity(umap))
-    a, sign, _ = _operand(space, a, "A", b_sign != 0)  # B's set-up takes the run's path
-    buffer = _working(n, sign)
-    _fill(space, b, buffer, sign)
-    shifts, d = _nonzero_diagonals(_change_frame(buffer, MOMENTUM, sign), b_shifts, sign)
-    _fill(space, a, buffer, sign)
+    b, b_odd, b_shifts = _operand(space, b, "B", _keeps_parity(umap))
+    a, odd, _ = _operand(space, a, "A", b_odd)  # B's set-up takes the run's path
+    buffer = _working(n, odd)
+    _fill(space, b, buffer)
+    shifts, d = _nonzero_diagonals(_change_frame(buffer, MOMENTUM), b_shifts)
+    _fill(space, a, buffer)
     del a, b  # a complex copy of a real or integer array operand is not kept
     scratch = _scratch(n)  # an ab/ba pair per part
     o1 = np.empty(t_max + 1, dtype=complex)
     o2 = np.empty(t_max + 1)
-    steps = coarse_graining._evolve_in_place(umap, kernel, buffer, t_max, sign, scratch)
+    steps = coarse_graining._evolve_in_place(umap, kernel, buffer, t_max, scratch)
     for t, at in enumerate(steps):
-        o1[t], o2[t] = _contract(at, shifts, d, scratch, sign)
+        o1[t], o2[t] = _contract(at, shifts, d, scratch)
     c = -2.0 * (o1 - o2).real
     width = _whole_rows(buffer).shape[1]
     layout = f"{'padded' if width > n else 'plain'} {width}"
-    return OtocSeries(np.arange(t_max + 1), c, o1, o2, _SECTOR_NAMES[sign], layout,
+    return OtocSeries(np.arange(t_max + 1), c, o1, o2, "odd" if odd else "none", layout,
                       _contraction(shifts))
 
 
 def _operand(space: TorusSpace, op: np.ndarray | tuple[int, int], name: str, parity: bool
-             ) -> tuple[np.ndarray | tuple[int, int], int, list[int] | None]:
+             ) -> tuple[np.ndarray | tuple[int, int], bool, list[int] | None]:
     """``op``, an N x N array or the integer displacement (q, p) of F_xi, checked to be
-    Hermitian (NaN refused) before anything is written, as (op, sign, shifts).
+    Hermitian (NaN refused) before anything is written, as (op, odd, shifts).
 
-    ``op`` comes back as two ints or as a complex array.  ``sign`` is -1, the odd
-    sector, when ``parity`` asks for it and ``op`` is odd, else 0: F_xi is odd,
+    ``op`` comes back as two ints or as a complex array.  ``odd``, the odd sector, holds
+    when ``parity`` asks for it and ``op`` is odd: F_xi is odd,
     F_xi[-i, -j] = -F_xi[i, j], and only when asked is an array scanned.  ``shifts``
     are the momentum-frame cyclic diagonals where ``op`` can be nonzero: +-p for
     F_(q,p), as F^dag F_(q,p) F = F_(p,-q), and None, every diagonal, for an array.
@@ -159,24 +159,23 @@ def _operand(space: TorusSpace, op: np.ndarray | tuple[int, int], name: str, par
     if np.shape(op) == (2,):
         q, p = _displacement(op, f"operator {name} displacement")
         _check_hermitian(_f_defect(space, (q, p)), name)
-        return (q, p), -1 if parity else 0, sorted({p % space.dim, -p % space.dim})
+        return (q, p), parity, sorted({p % space.dim, -p % space.dim})
     op = _operator(op, space.dim, f"operator {name}")
     _check_hermitian(hermiticity_defect(op), name)
-    return op, (_parity(op) if parity else 0), None
+    return op, parity and _odd(op), None
 
 
-def _fill(space: TorusSpace, op: np.ndarray | tuple[int, int], out: np.ndarray,
-          sign: int = 0) -> None:
+def _fill(space: TorusSpace, op: np.ndarray | tuple[int, int], out: np.ndarray) -> None:
     """Write Z = (1 - i)op, ``op`` a checked N x N array or displacement (:func:`_operand`)
-    in the position basis, into the working array ``out``: all of Z, or in the odd
-    sector (``sign`` -1) R = Re Z on rows 0 .. N/2, with Z's bits; F_xi as its two
-    cyclic diagonals, scaled (``_write_f``)."""
-    rows = out.shape[0]
+    in the position basis, into the working array ``out``: all of Z into a complex one,
+    or the odd sector's R = Re Z on rows 0 .. N/2 into a real one, with Z's bits; F_xi
+    as its two cyclic diagonals, scaled (``_write_f``)."""
+    rows, odd = out.shape[0], np.isrealobj(out)
     if isinstance(op, tuple):
         out[...] = 0
-        part = np.real if sign else np.asarray
+        part = np.real if odd else np.asarray
         _write_f(space, op, out, rows, lambda v: part(v * (1 - 1j)))
-    elif sign:
+    elif odd:
         np.add(op.real[:rows], op.imag[:rows], out=out)
     else:
         np.multiply(op, 1 - 1j, out=out)
@@ -187,16 +186,16 @@ def _check_hermitian(defect: float, name: str) -> None:
         raise ValueError(f"operator {name} is not Hermitian (defect {defect:.2e})")
 
 
-def _nonzero_diagonals(zm: np.ndarray, candidates: list[int] | None = None, sign: int = 0
+def _nonzero_diagonals(zm: np.ndarray, candidates: list[int] | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Shifts j and rows d[k, q] = B[q + j_k, q] of the cyclic diagonals of momentum-frame
     B that are not noise, among the shifts ``candidates`` (ascending, every diagonal when
     None), found a block of diagonals at a time so no N x N gather is made.  ``zm`` holds
-    Z = (1 - i)B, or with B's parity ``sign`` the sector's R (:func:`_real_diagonals`)."""
+    Z = (1 - i)B, or, real, the odd sector's R (:func:`_real_diagonals`)."""
     j = np.arange(zm.shape[1]) if candidates is None else np.asarray(candidates)
 
     def blocks(js):
-        return (_real_diagonals(zm, b, sign)
+        return (_real_diagonals(zm, b)
                 for b in np.split(js, range(_ROW_BLOCK, js.size, _ROW_BLOCK)))
 
     size = np.concatenate([np.abs(b).max(axis=1) for b in blocks(j)])
@@ -204,11 +203,11 @@ def _nonzero_diagonals(zm: np.ndarray, candidates: list[int] | None = None, sign
     return shifts, np.concatenate(list(blocks(shifts)))
 
 
-def _real_diagonals(x: np.ndarray, shifts: np.ndarray, sign: int) -> np.ndarray:
+def _real_diagonals(x: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """d[k, q] = B[q + j_k, q] of a Hermitian B from R = Re Z, Z = (1 - i)B, in x: B =
-    S + iK with S = (R + R^T) / 2 and K = (R - R^T) / 2.  With B's parity ``sign`` x
-    holds R on rows 0 .. N/2 only, and a row r beyond N/2 is read as R[r, c] =
-    sign R[N - r, -c]."""
+    S + iK with S = (R + R^T) / 2 and K = (R - R^T) / 2.  For an odd B x may hold R on
+    rows 0 .. N/2 only, and a row r beyond the held rows is read as R[r, c] =
+    -R[N - r, -c]."""
     n = x.shape[1]
     r = x.real
     q = np.arange(n)
@@ -216,9 +215,9 @@ def _real_diagonals(x: np.ndarray, shifts: np.ndarray, sign: int) -> np.ndarray:
     cols = np.broadcast_to(q, rows.shape)
 
     def read(i, j):
-        far = i >= _sector(n, sign)[0]
+        far = i >= x.shape[0]
         v = r[np.where(far, n - i, i), np.where(far, -j % n, j)]
-        return np.where(far, sign * v, v)
+        return np.where(far, -v, v)
 
     here, transposed = read(rows, cols), read(cols, rows)  # R[q + j, q] and R[q, q + j]
     d = np.empty(rows.shape, dtype=complex)
@@ -248,7 +247,7 @@ def _contraction(shifts: np.ndarray) -> str:
 
 
 def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
-              scratch: list[np.ndarray], sign: int = 0) -> tuple[complex, float]:
+              scratch: list[np.ndarray]) -> tuple[complex, float]:
     """O1 = <BA, AB>_F / N and O2 = ||AB||_F^2 / N of momentum-frame A(t), held as Z =
     (1 - i)A(t) in ``at``, against B's cyclic diagonals, a block of rows at a time.
 
@@ -260,18 +259,19 @@ def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
     :func:`~otoclab.phase_space._split`, part i working in ``scratch[i]``, and start on
     fixed edges; the per-block sums come back and are added here in block order, so the
     bits depend on neither the part count nor the BLAS thread count: every sum is a
-    ufunc or einsum reduction.  With A(t)'s parity ``sign`` ``at`` holds the sector's
-    R, which is only read: the blocks form builds the rows of Z it reads, a block's rows
+    ufunc or einsum reduction.  A real ``at`` holds the odd sector's R, which is only
+    read: the blocks form builds the rows of Z it reads, a block's rows
     for each shift in turn, in the half spectrum's memory.  Row r of AB and BA is row -r
     up to one common sign, so the paired rows (:func:`~otoclab.phase_space._sector`) are
     summed, doubled in a sector, and the self-mirrored rows added once.
     """
     n = at.shape[1]
-    _, paired, fixed = _sector(n, sign)
+    odd = np.isrealobj(at)
+    _, paired, fixed = _sector(n, odd)
     diagonal = _contraction(shifts) == "diagonal"
     if not shifts.size:
         return 0j, 0.0
-    if sign and not diagonal:  # a block of Z's rows a part
+    if odd and not diagonal:  # a block of Z's rows a part
         z = _spare(at, (len(scratch),) + scratch[0].shape[1:], complex)
 
     def block_sums(part, rows):
@@ -279,7 +279,7 @@ def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
             return _diagonal_rows(at, d[0], scratch[part], rows)
 
         def read(src, dst):  # rows src of Z, which a sector builds into rows dst of a block
-            return _z_rows(at, at.T, sign, src, z[part][dst]) if sign else at[src]
+            return _z_rows(at, at.T, src, z[part][dst]) if odd else at[src]
         return _contract_rows(at, shifts, d, *scratch[part], rows, read)
 
     start = paired.start
@@ -289,7 +289,7 @@ def _contract(at: np.ndarray, shifts: np.ndarray, d: np.ndarray,
         for b1, b2 in part:
             o1 += b1
             o2 += b2
-    if sign:  # not o1 * 1, which can flip the sign of a zero
+    if odd:  # not o1 * 1, which can flip the sign of a zero
         o1, o2 = 2 * o1, 2 * o2
     for r in range(n)[fixed]:
         ((b1, b2),) = block_sums(0, slice(r, r + 1))

@@ -33,13 +33,14 @@ Parity q -> -q maps entries x[i, j] to x[-i, -j] (indices mod N) in both
 frames.  An operator of odd parity, x[-i, -j] = -x[i, j], as every F_xi is, is
 fixed by its rows 0 .. N/2, the package's one parity sector, whose index rules
 :func:`_sector` derives: the OTOC series evolves R on those rows, and the
-Krylov solver stores its directions as slices of them.  A ``sign`` argument is
--1 for that sector and 0 for the full path, which every other operand takes, a
-parity-even one too (:func:`_parity`).  The channel keeps parity when its kick
-phases are mirror-symmetric (:func:`~otoclab.coarse_graining._keeps_parity`).
-In the sector :func:`_change_frame` runs :func:`_sector_frame`, the real frame
-change of R, and a pass that needs Z itself builds blocks of its rows from R
-(:func:`_z_rows`); the sector's array holds R throughout.
+Krylov solver stores its directions as slices of them.  Every other operand, a
+parity-even one too (:func:`_odd`), takes the full path.  The channel keeps
+parity when its kick phases are mirror-symmetric
+(:func:`~otoclab.coarse_graining._keeps_parity`).  The working array names its
+path: a real working array is the odd sector's R, a complex one the full path's
+Z.  On a real array :func:`_change_frame` runs :func:`_sector_frame`, the real
+frame change of R, and a pass that needs Z itself builds blocks of its rows from
+R (:func:`_z_rows`); the sector's array holds R throughout.
 
 A run's working array comes from :func:`_working`: an N x N complex buffer on
 the full path, and in the sector the real R on rows 0 .. N/2 followed in one
@@ -199,17 +200,17 @@ def _row_width(n: int) -> int:
     return n + (4 - n) % 8 if n >= 512 else n
 
 
-def _working(n: int, sign: int = 0) -> np.ndarray:
-    """A run's working array (module notes): the complex N x N buffer, or with the parity
-    ``sign`` the real R on the rows of :func:`_sector` and then its half spectrum, as
+def _working(n: int, odd: bool = False) -> np.ndarray:
+    """A run's working array (module notes): the complex N x N buffer, or for an ``odd``
+    operator the real R on the rows of :func:`_sector` and then its half spectrum, as
     N-wide views of :func:`_row_width`-wide rows, 64-byte aligned and allocated zeroed,
     so the pad is zero with no pass over it; a plain N x N buffer is left uninitialized."""
-    rows, width = _sector(n, sign)[0], _row_width(n)
-    if not sign and width == n:
+    rows, width = _sector(n, odd)[0], _row_width(n)
+    if not odd and width == n:
         return np.empty((n, n), dtype=complex)
-    dtype = np.dtype(float if sign else complex)
+    dtype = np.dtype(float if odd else complex)
     size = rows * width * dtype.itemsize
-    raw = np.zeros(size + (16 * rows ** 2 if sign else 0) + 64, dtype=np.uint8)
+    raw = np.zeros(size + (16 * rows ** 2 if odd else 0) + 64, dtype=np.uint8)
     start = -raw.ctypes.data % 64
     return raw[start:start + size].view(dtype).reshape(rows, width)[:, :n]
 
@@ -278,16 +279,16 @@ def change_basis(entries: np.ndarray, frm: str, to: str) -> np.ndarray:
     return _change_frame(entries.copy(), to)
 
 
-def _change_frame(x: np.ndarray, to: str, sign: int = 0) -> np.ndarray:
+def _change_frame(x: np.ndarray, to: str) -> np.ndarray:
     """In place: F^dag x F to momentum, F x F^dag to position.
 
-    Without ``sign`` x holds complex entries: the axis-0 FFT runs over fixed
+    A complex x holds all entries: the axis-0 FFT runs over fixed
     parts of the columns and the axis-1 FFT over parts of the rows
     (:func:`_split`); each line is transformed alone, so the bits do not depend
-    on the part count.  With ``sign`` -1, the odd operator's sector, x holds R on the
-    sector's rows, and the frame change is :func:`_sector_frame`'s real one.
+    on the part count.  A real x holds the odd sector's R on the sector's rows, and
+    the frame change is :func:`_sector_frame`'s real one.
     """
-    if sign:
+    if np.isrealobj(x):
         return _sector_frame(x, to)
     first, second = (np.fft.fft, np.fft.ifft) if to == MOMENTUM else (np.fft.ifft, np.fft.fft)
     n = x.shape[0]
@@ -296,14 +297,14 @@ def _change_frame(x: np.ndarray, to: str, sign: int = 0) -> np.ndarray:
     return x
 
 
-def _sector(n: int, sign: int) -> tuple[int, slice, slice]:
+def _sector(n: int, odd: bool) -> tuple[int, slice, slice]:
     """The parity sector's index rules at N = n, derived here alone: (rows, paired,
-    fixed).  Line r mirrors to N - r (mod N); an odd operator (``sign`` -1) is fixed
+    fixed).  Line r mirrors to N - r (mod N); an ``odd`` operator is fixed
     by its ``rows`` = N/2 + 1 rows 0 .. N/2 (N/2 rounded down).  ``paired`` slices the
     lines 1 .. N - N/2 - 1, whose mirrors lie beyond N/2, and ``fixed`` the
     self-mirrored lines, 0 and N/2 at even N and 0 alone at odd N, rows and columns
-    alike.  Without one (``sign`` 0) rows = N, all paired, none fixed."""
-    if not sign:
+    alike.  Without a sector (``odd`` False) rows = N, all paired, none fixed."""
+    if not odd:
         return n, slice(0, n), slice(0, 0)
     h = n // 2
     return h + 1, slice(1, n - h), slice(0, h + 1, n - h)  # 0, and N/2 = N - N/2 at even N
@@ -343,13 +344,13 @@ def _spare(x: np.ndarray, shape: tuple[int, ...], dtype=float) -> np.ndarray:
     return free[:size].reshape(shape) if free.size >= size else np.empty(shape, dtype)
 
 
-def _z_rows(r: np.ndarray, rt: np.ndarray, sign: int, rows: slice, out: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` (within 0 .. N - 1) of Z = R - iR^T, R = Re Z of parity ``sign`` on
+def _z_rows(r: np.ndarray, rt: np.ndarray, rows: slice, out: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` (within 0 .. N - 1) of Z = R - iR^T, R = Re Z of an odd operator on
     the sector's rows of ``r`` and R^T in ``rt`` (a copy or ``r.T``), into the complex
-    ``out``, returned: Im Z[g, c] = -R[c, g] for c < N/2 + 1 and -sign R[N - c, -g]
-    beyond, and a row g beyond N/2 is sign times row N - g, columns mirrored c -> -c."""
+    ``out``, returned: Im Z[g, c] = -R[c, g] for c < N/2 + 1 and R[N - c, -g]
+    beyond, and a row g beyond N/2 is minus row N - g, columns mirrored c -> -c."""
     n = out.shape[1]
-    held, paired, _ = _sector(n, sign)
+    held, paired, _ = _sector(n, True)
     a, b = rows.start, min(rows.stop, held)
     if a < b:
         z = out[:b - a]
@@ -357,17 +358,14 @@ def _z_rows(r: np.ndarray, rt: np.ndarray, sign: int, rows: slice, out: np.ndarr
         np.copyto(z.real, r[a:b])
         np.multiply(rt[a:b], -1, out=z.imag[:, :held])  # np.negative errs on some strides
         if a == 0:  # row 0 reads row 0 of R^T
-            np.multiply(mirrors[0], -sign, out=z.imag[0, held:])
+            np.copyto(z.imag[0, held:], mirrors[0])
         g = max(a, 1)  # rows g .. b - 1 read rows N - g down to N - b + 1 of R^T
-        np.multiply(mirrors[n - g:n - b:-1], -sign, out=z.imag[g - a:, held:])
-    for k, g in enumerate(range(max(a, held), rows.stop), max(held - a, 0)):
-        mirror = _z_rows(r, rt, sign, slice(n - g, n - g + 1), np.empty((1, n), dtype=complex))
-        np.multiply(mirror[:, 0], sign, out=out[k:k + 1, 0])
-        np.multiply(mirror[:, :0:-1], sign, out=out[k:k + 1, 1:])
+        np.copyto(z.imag[g - a:, held:], mirrors[n - g:n - b:-1])
+    far = max(a, held)
+    if far < rows.stop:  # rows far .. stop - 1 from rows N - stop + 1 .. N - far, all held
+        z = _z_rows(r, rt, slice(n - rows.stop + 1, n - far + 1), out[far - a:rows.stop - a])
+        np.multiply(z[::-1, -np.arange(n) % n], -1, out=z)
     return out
-
-
-_SECTOR_NAMES = {-1: "odd", 0: "none"}
 
 
 def _squared_norms(x: np.ndarray, image) -> np.ndarray:
@@ -381,13 +379,13 @@ def _squared_norms(x: np.ndarray, image) -> np.ndarray:
     return norms
 
 
-def _parity(x: np.ndarray) -> int:
-    """-1 when x is parity odd, x[-i, -j] = -x[i, j], to 1e-12 relative in the Frobenius
-    norm, ||x + Px|| <= 1e-12 ||x|| (:func:`_squared_norms` against -Px), else 0: an
-    even x has no sector and takes the full path, as one without parity does."""
+def _odd(x: np.ndarray) -> bool:
+    """Whether x is parity odd, x[-i, -j] = -x[i, j], to 1e-12 relative in the Frobenius
+    norm, ||x + Px|| <= 1e-12 ||x|| (:func:`_squared_norms` against -Px): an even x
+    has no sector and takes the full path, as one without parity does."""
     neg = -np.arange(x.shape[0]) % x.shape[0]
     norms = _squared_norms(x, lambda rows: -x[np.ix_(neg[rows], neg)])
-    return -1 if norms[1] <= 1e-24 * norms[0] else 0
+    return bool(norms[1] <= 1e-24 * norms[0])
 
 
 def _hermitian(x: np.ndarray) -> bool:

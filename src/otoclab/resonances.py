@@ -21,8 +21,8 @@ import numpy as np
 from .coarse_graining import CoarseGrainKernel, _keeps_parity, _mask, _step, channel_step
 from .maps import QuantumMap
 from .otoc import OtocSeries, WindowFit, _fill, _operand, _window, loglinear_fit
-from .phase_space import (_ROW_BLOCK, _SECTOR_NAMES, MOMENTUM, TorusSpace, _change_frame,
-                          _count, _hermitian, _operator, _scratch, _sector, _working)
+from .phase_space import (_ROW_BLOCK, MOMENTUM, TorusSpace, _change_frame, _count,
+                          _hermitian, _operator, _scratch, _sector, _working)
 
 __all__ = [
     "ResonanceSpectrum",
@@ -170,28 +170,28 @@ class _RealSector:
     """Real coordinates of the Hermitian operators in the odd parity sector, or of all.
 
     An operator A is held as R = Re Z, Z = (1 - i)A (see :mod:`~otoclab.phase_space`),
-    with Tr(A^dag B) = R_A . R_B.  In the sector (``sign`` -1) A[-i, -j] = -A[i, j]:
+    with Tr(A^dag B) = R_A . R_B.  In the ``odd`` sector A[-i, -j] = -A[i, j]:
     one entry per mirror pair, scaled by sqrt 2 to keep that product, is kept in flat
     order, in the lines of :func:`~otoclab.phase_space._sector`: row 0 on the paired
     columns, the paired rows whole, the other fixed rows on the paired columns; the
     entries whose row and column are both fixed are their own mirrors, so zero.
-    ``sign`` 0 keeps all of R, unscaled.  :meth:`pack` reads and :meth:`write` writes
+    Without it all of R is kept, unscaled.  :meth:`pack` reads and :meth:`write` writes
     the sector's rows 0 .. N/2, all that the sector step holds, R throughout;
     :meth:`unpack` writes every entry of Z for the full step.
     """
 
-    def __init__(self, n: int, sign: int):
-        self.n, self.sign = n, sign
-        self._rows, self._paired, self._fixed = _sector(n, sign)
+    def __init__(self, n: int, odd: bool):
+        self.n = n
+        self._rows, self._paired, self._fixed = _sector(n, odd)
         # (rows, columns) of R in coordinate order, one entry of each mirror pair
         views = ([(slice(0, 1), self._paired), (self._paired, slice(None)),
                   (slice(self._paired.stop, self._rows), self._paired)]
-                 if sign else [(slice(None), slice(None))])
+                 if odd else [(slice(None), slice(None))])
         sizes = [len(range(n)[rows]) * len(range(n)[cols]) for rows, cols in views]
         edges = np.cumsum([0] + sizes)
         self._views = [(v, slice(lo, hi)) for v, lo, hi in zip(views, edges, edges[1:])]
         self.dim = int(edges[-1])
-        self._scale = np.sqrt(2.0) if sign else 1.0
+        self._scale = np.sqrt(2.0) if odd else 1.0
 
     def pack(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The coordinates of the real R into ``out``."""
@@ -206,13 +206,13 @@ class _RealSector:
             np.divide(x[seg].reshape(r[v].shape), self._scale, out=r[v])
         rows = self._fixed
         r[rows, rows] = 0
-        # the self-mirrored rows are their own mirrors: r[i, -c] = sign r[i, c]
-        np.multiply(r[rows, self._paired][:, ::-1], self.sign, out=r[rows, self._rows:])
+        # the self-mirrored rows are their own mirrors: r[i, -c] = -r[i, c]
+        np.multiply(r[rows, self._paired][:, ::-1], -1, out=r[rows, self._rows:])
         return r
 
     def unpack(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Z = R - iR^T of the coordinates ``x`` of ``sign`` 0 into every entry of the
-        complex ``out``."""
+        """Z = R - iR^T from the coordinates ``x`` that keep all of R, into every entry
+        of the complex ``out``."""
         r = x.reshape(self.n, self.n)
         np.copyto(out.real, r)
         np.negative(r.T, out=out.imag)
@@ -272,18 +272,18 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     elif np.shape(a0) != (2,):  # NaN and inf are refused before the Hermiticity rule
         a0 = _operator(a0, n, "operator Krylov seed")
         _seed_norm(np.linalg.norm(a0))
-    a0, sign, _ = _operand(space, a0, "Krylov seed", _keeps_parity(umap))
-    sector = _RealSector(n, sign)
-    buf = _working(n, sign)  # the one working array of the run, which holds Z = (1 - i)A
-    _fill(space, a0, buf, sign)
+    a0, odd, _ = _operand(space, a0, "Krylov seed", _keeps_parity(umap))
+    sector = _RealSector(n, odd)
+    buf = _working(n, odd)  # the one working array of the run, which holds Z = (1 - i)A
+    _fill(space, a0, buf)
     del a0  # a drawn seed or a complex copy of a real array is not kept
     # the momentum frame keeps the Hilbert-Schmidt product, Hermiticity and parity
-    _change_frame(buf, MOMENTUM, sign)
-    mask, scratch = _mask(kernel), _scratch(n) if sign else None
+    _change_frame(buf, MOMENTUM)
+    mask, scratch = _mask(kernel), _scratch(n) if odd else None
     # the odd sector is traceless by construction; on the full path every new
     # direction has its identity component projected out (see below): R of the
     # identity is the identity, whose coordinates are R's diagonal
-    diag = np.arange(sector.dim if sign else 0, sector.dim, n + 1)
+    diag = np.arange(sector.dim if odd else 0, sector.dim, n + 1)
     ident = np.full(diag.size, 1 / np.sqrt(n))
 
     basis = np.empty((depth + 1, sector.dim))
@@ -295,9 +295,9 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
 
     def matvec(x, out):
         """S(A) into the buffer, and its coordinates into ``out``, A's coordinates ``x``."""
-        if sign:  # the sector step reads and writes R = Re Z on rows 0 .. N/2
+        if odd:  # the sector step reads and writes R = Re Z on rows 0 .. N/2
             sector.write(x, buf)
-            image = _step(umap, mask, buf, sign, scratch)
+            image = _step(umap, mask, buf, scratch)
         else:
             image = _step(umap, mask, sector.unpack(x, buf))
         sector.pack(image.real, out)
@@ -307,7 +307,7 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     h = np.zeros((depth + 1, depth))
     for j in range(depth):
         image, w = matvec(basis[j], basis[j + 1]), basis[j + 1]
-        if not (sign or j or _hermitian(image)):  # only a full step's image holds Im Z
+        if not (odd or j or _hermitian(image)):  # only a full step's image holds Im Z
             raise ValueError("channel image of the Hermitian seed is not Hermitian")
         v = basis[: j + 1]
         before = np.linalg.norm(w)
@@ -385,7 +385,7 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     spectrum = ResonanceSpectrum(
         alphas=ritz[:keep], method="krylov",
         params={"n": n, "epsilon": 0.0 if kernel is None else kernel.epsilon,
-                "map": umap.map_spec, "depth": depth, "sector": _SECTOR_NAMES[sign],
+                "map": umap.map_spec, "depth": depth, "sector": "odd" if odd else "none",
                 "krylov_dim": m, "matvecs": m + row, "reorth": reorth},
         residuals=residuals, converged=converged, includes_identity=False)
     cluster = spectrum.leading_cluster().size

@@ -457,11 +457,11 @@ def test_krylov_preflight_predicts_the_sector_the_run_takes(tmp_path, spec, n, s
                  "--seed-op", seed_op, "--out", str(out)]) == 0
     manifest = dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
     config = cli.RunConfig(map=spec, n=n)
-    sign = cli._sector(config, odd=seed_op == "sine")
-    assert sign == (-1 if seed_op == "sine" and (spec == "harper" or n % 2 == 0) else 0)
-    assert manifest["derived.krylov_sector"] == {-1: "odd", 0: "none"}[sign]
+    odd = cli._sector(config, odd=seed_op == "sine")
+    assert odd is (seed_op == "sine" and (spec == "harper" or n % 2 == 0))
+    assert manifest["derived.krylov_sector"] == ("odd" if odd else "none")
     need = (cli._OTOC_BASE_BYTES + cli._KRYLOV_BYTES_PER_N2 * n ** 2
-            + 8 * 13 * resonances._RealSector(n, sign).dim)
+            + 8 * 13 * resonances._RealSector(n, odd).dim)
     assert manifest["resource.preflight_mb"] == f"{need / 2**20:.1f}"
 
 
@@ -501,10 +501,10 @@ def test_otoc_preflight_predicts_the_sector_the_run_takes(tmp_path, spec, kick_m
                  kick_mode, "--epsilon", "0.1", "--t-max", "4", "--operators", "F(1,1;0,1)",
                  "--out", str(out)]) == 0
     manifest = dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
-    sign = cli._sector(cli.RunConfig(map=spec, n=n), odd=True)
-    assert sign == (-1 if spec == "harper" or n % 2 == 0 else 0)
-    assert manifest["derived.otoc_sector"] == {-1: "odd", 0: "none"}[sign]
-    per_n2 = cli._OTOC_SECTOR_BYTES_PER_N2 if sign else cli._OTOC_BYTES_PER_N2
+    odd = cli._sector(cli.RunConfig(map=spec, n=n), odd=True)
+    assert odd is (spec == "harper" or n % 2 == 0)
+    assert manifest["derived.otoc_sector"] == ("odd" if odd else "none")
+    per_n2 = cli._OTOC_SECTOR_BYTES_PER_N2 if odd else cli._OTOC_BYTES_PER_N2
     need = cli._OTOC_BASE_BYTES + cli._OTOC_BYTES_PER_STEP * 5 + per_n2 * n ** 2
     assert manifest["resource.preflight_mb"] == f"{need / 2**20:.1f}"
 
@@ -738,10 +738,10 @@ def test_random_seed_krylov_run_holds_no_seed_through_the_loop(tmp_path, monkeyp
     n, depth, seen = 48, 16, []
     step = resonances._step
 
-    def snapshotting(umap, mask, at, sign=0):
+    def snapshotting(umap, mask, at, scratch=None):
         seen.append(sorted(t.size for t in tracemalloc.take_snapshot().traces
                            if t.size >= 16 * n * n))
-        return step(umap, mask, at, sign)
+        return step(umap, mask, at, scratch)
 
     monkeypatch.setattr(resonances, "_step", snapshotting)
     config = RunConfig(map="cat", n=n, map_param=0.02, epsilon=0.2, outputs=str(tmp_path / "r"))

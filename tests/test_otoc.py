@@ -431,16 +431,16 @@ def test_b_sector_set_up_matches_the_full_frame_change(n):
     space = TorusSpace(n)
     h = n // 2
     rand = random_traceless_hermitian(space, n)
-    cases = [(xi, -1) for xi in [(1, 0), (0, 1), (1, 1), (2, 3), (h, 1), (0, 0), (h, 0)]]
-    cases += [((rand + s * _mirror(rand)) / 2, min(s, 0)) for s in (1, -1)]
-    for op, sign in cases:
-        checked, got_sign, candidates = otoc._operand(space, op, "B", True)
-        assert got_sign == sign
-        buf = phase_space._working(n, sign)
-        assert buf.shape == (h + 1 if sign else n, n)
-        otoc._fill(space, checked, buf, sign)
-        shifts, d = otoc._nonzero_diagonals(phase_space._change_frame(buf, MOMENTUM, sign),
-                                            candidates, sign)
+    cases = [(xi, True) for xi in [(1, 0), (0, 1), (1, 1), (2, 3), (h, 1), (0, 0), (h, 0)]]
+    cases += [((rand + s * _mirror(rand)) / 2, s < 0) for s in (1, -1)]
+    for op, odd in cases:
+        checked, got_odd, candidates = otoc._operand(space, op, "B", True)
+        assert got_odd is odd
+        buf = phase_space._working(n, odd)
+        assert buf.shape == (h + 1 if odd else n, n)
+        otoc._fill(space, checked, buf)
+        shifts, d = otoc._nonzero_diagonals(phase_space._change_frame(buf, MOMENTUM),
+                                            candidates)
         full = change_basis(hermitian_f(space, op) if isinstance(op, tuple) else op,
                             POSITION, MOMENTUM)
         want_shifts, want = otoc._nonzero_diagonals((1 - 1j) * full, candidates)
@@ -450,36 +450,36 @@ def test_b_sector_set_up_matches_the_full_frame_change(n):
 
 @pytest.mark.parametrize("n", [8, 9])
 def test_fill_classifies_displacements_and_arrays(n):
-    """(sign, shifts): F_xi is odd with momentum-frame shifts +-p; an array has its
-    parity scanned, and every diagonal a candidate; no sign unless asked for, and none
+    """(odd, shifts): F_xi is odd with momentum-frame shifts +-p; an array has its
+    parity scanned, and every diagonal a candidate; not odd unless asked for, and not
     for an even array, which takes the full path.  The checked operand is then written
     as Z = (1 - i)op on every row, or in the odd sector as R = Re Z on rows 0 .. N/2 and
     no other."""
     space = TorusSpace(n)
 
-    def writes(op, entries, sign):
+    def writes(op, entries, odd):
         buf = np.full((n, n), np.nan, dtype=complex)
         otoc._fill(space, op, buf)
         assert np.array_equal(buf, (1 - 1j) * entries)
-        if sign:
+        if odd:
             rows = n // 2 + 1
             real = np.full((n, n), np.nan)
-            otoc._fill(space, op, real[:rows], sign)
+            otoc._fill(space, op, real[:rows])
             assert np.array_equal(real[:rows], ((1 - 1j) * entries[:rows]).real)
             assert np.isnan(real[rows:]).all()
 
     for xi in [(1, 0), (0, 1), (2, 3), (-1, -2), (n + 1, 2 * n + 3), (0, 0)]:
         expected = sorted({xi[1] % n, -xi[1] % n})
         op, *classified = otoc._operand(space, xi, "A", True)
-        assert classified == [-1, expected]
-        assert otoc._operand(space, xi, "A", False)[1:] == (0, expected)
-        writes(op, hermitian_f(space, xi), -1)
+        assert classified == [True, expected]
+        assert otoc._operand(space, xi, "A", False)[1:] == (False, expected)
+        writes(op, hermitian_f(space, xi), True)
     cosine = (translation(space, (1, 1)) + translation(space, (-1, -1))) / 2
-    for op, sign in [(sine_position(space), -1), (cosine, 0),
-                     (random_traceless_hermitian(space, 5), 0)]:
-        assert otoc._operand(space, op, "B", True)[1:] == (sign, None)
-        assert otoc._operand(space, op, "B", False)[1:] == (0, None)
-        writes(op, op, sign)
+    for op, odd in [(sine_position(space), True), (cosine, False),
+                    (random_traceless_hermitian(space, 5), False)]:
+        assert otoc._operand(space, op, "B", True)[1:] == (odd, None)
+        assert otoc._operand(space, op, "B", False)[1:] == (False, None)
+        writes(op, op, odd)
 
 
 @pytest.mark.parametrize("n", [8, 9, 64])
@@ -491,19 +491,19 @@ def test_sector_fill_is_the_complex_fill_bit_for_bit(n):
     space = TorusSpace(n)
     h = n // 2
     rand = random_traceless_hermitian(space, n)
-    cases = [(xi, -1) for xi in [(1, 0), (0, 1), (2, 3), (-1, -2), (n + 1, 2 * n + 3), (0, 0),
-                                 (h, 1)]]
-    cases += [((rand + s * _mirror(rand)) / 2, min(s, 0)) for s in (1, -1)]
-    cases += [((translation(space, (1, 1)) + translation(space, (-1, -1))) / 2, 0),
-              (sine_position(space), -1)]
-    for op, sign in cases:
-        checked, got_sign, _ = otoc._operand(space, op, "A", True)
-        assert got_sign == sign
+    cases = [(xi, True) for xi in [(1, 0), (0, 1), (2, 3), (-1, -2), (n + 1, 2 * n + 3),
+                                   (0, 0), (h, 1)]]
+    cases += [((rand + s * _mirror(rand)) / 2, s < 0) for s in (1, -1)]
+    cases += [((translation(space, (1, 1)) + translation(space, (-1, -1))) / 2, False),
+              (sine_position(space), True)]
+    for op, odd in cases:
+        checked, got_odd, _ = otoc._operand(space, op, "A", True)
+        assert got_odd is odd
         full = np.empty((n, n), dtype=complex)
         otoc._fill(space, checked, full)
-        half = phase_space._working(n, sign)
-        otoc._fill(space, checked, half, sign)
-        got, want = (half, full.real[:h + 1]) if sign else (half.view(float), full.view(float))
+        half = phase_space._working(n, odd)
+        otoc._fill(space, checked, half)
+        got, want = (half, full.real[:h + 1]) if odd else (half.view(float), full.view(float))
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
@@ -516,19 +516,19 @@ def test_sector_contraction_leaves_r_as_it_is(n, parity):
     block's (B = F_(0,1), shifts +-1) or 20 rows away (shifts +-20)."""
     space = TorusSpace(n)
     rng = np.random.default_rng(n)
-    sign = min(parity, 0)
+    odd = parity < 0
     for b, form in (((1, 0), "diagonal"), ((0, 1), "blocks"), ((0, 20), "blocks")):
-        buf = phase_space._working(n, sign)
-        checked, _, candidates = otoc._operand(space, b, "B", bool(sign))
-        otoc._fill(space, checked, buf, sign)
-        shifts, d = otoc._nonzero_diagonals(phase_space._change_frame(buf, MOMENTUM, sign),
-                                            candidates, sign)
+        buf = phase_space._working(n, odd)
+        checked, _, candidates = otoc._operand(space, b, "B", odd)
+        otoc._fill(space, checked, buf)
+        shifts, d = otoc._nonzero_diagonals(phase_space._change_frame(buf, MOMENTUM),
+                                            candidates)
         assert otoc._contraction(shifts) == form
         r = rng.standard_normal(buf.shape)
-        np.copyto(buf, r if sign else r - 1j * r.T)
+        np.copyto(buf, r if odd else r - 1j * r.T)
         whole = phase_space._whole_rows(buf)
         before = whole.copy()
-        o1, o2 = otoc._contract(buf, shifts, d, phase_space._scratch(n), sign)
+        o1, o2 = otoc._contract(buf, shifts, d, phase_space._scratch(n))
         assert np.isfinite(o1) and o2 > 0
         assert np.array_equal(whole, before), b
 
@@ -552,13 +552,13 @@ def test_an_array_a_is_scanned_only_while_the_sector_is_possible(monkeypatch, n,
     a_op = cosine((1, 1))
     b_op = {"even": cosine((2, 1)), "displacement": (1, 0),
             "random": random_traceless_hermitian(space, 3)}[b]
-    parity, seen = otoc._parity, []
+    odd, seen = otoc._odd, []
 
     def counting(x):
         seen.append("A" if np.array_equal(x, a_op) else "B")
-        return parity(x)
+        return odd(x)
 
-    monkeypatch.setattr(otoc, "_parity", counting)
+    monkeypatch.setattr(otoc, "_odd", counting)
     series = otoc_series(quantize(cat_map(0.02), space), a_op, b_op, 2)
     assert seen == scans and series.sector == sector
 
@@ -715,25 +715,28 @@ def test_operators_and_maps_without_the_symmetry_take_the_full_path(case):
 def test_mirrored_rows_are_the_rows_beyond_the_half_that_ba_reads(n):
     """Rows 0 .. N/2 of BA read rows (r - j) % N for each of B's shifts j.  Built from R
     on rows 0 .. N/2 alone (phase_space._z_rows), each such row, beyond N/2 too, is that
-    row of Z = (1 - i)A, A Hermitian of either parity, bit for bit, one at a time and
-    in one run of every row."""
+    row of Z = (1 - i)A, A Hermitian and odd, bit for bit, one at a time, in one run of
+    every row and in every contiguous run of rows, those that straddle N/2 among
+    them."""
     h = n // 2
     rng = np.random.default_rng(n)
     cases = [[0], [1], [h], [n - 1], [h + 1], list(range(n))]
     cases += [sorted(rng.choice(n, size=min(k, n), replace=False)) for k in (1, 2, 3)
               for _ in range(5)]
     a = random_traceless_hermitian(TorusSpace(n), n)
-    for sign in (1, -1):
-        z = (1 - 1j) * (a + sign * _mirror(a)) / 2
-        held = z.real[:h + 1].copy()
-        rt = held.T
-        assert np.array_equal(phase_space._z_rows(held, rt, sign, slice(0, n),
-                                                  np.empty((n, n), dtype=complex)), z)
-        for shifts in cases:
-            for g in {(r - j) % n for r in range(h + 1) for j in shifts}:
-                row = phase_space._z_rows(held, rt, sign, slice(g, g + 1),
-                                          np.empty((1, n), dtype=complex))
-                assert np.array_equal(row[0], z[g]), (shifts, g)
+    z = (1 - 1j) * (a - _mirror(a)) / 2
+    held = z.real[:h + 1].copy()
+    rt = held.T
+    assert np.array_equal(phase_space._z_rows(held, rt, slice(0, n),
+                                              np.empty((n, n), dtype=complex)), z)
+    for shifts in cases:
+        for g in {(r - j) % n for r in range(h + 1) for j in shifts}:
+            row = phase_space._z_rows(held, rt, slice(g, g + 1), np.empty((1, n), dtype=complex))
+            assert np.array_equal(row[0], z[g]), (shifts, g)
+    for s in range(n):
+        for e in range(s + 1, n + 1):
+            rows = phase_space._z_rows(held, rt, slice(s, e), np.empty((e - s, n), dtype=complex))
+            assert np.array_equal(rows, z[s:e]), (s, e)
 
 
 def test_loglinear_fit_recovers_synthetic_rate():

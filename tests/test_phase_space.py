@@ -525,33 +525,33 @@ def test_sector_geometry_covers_each_mirror_pair_once():
     paired row's mirror N - r is not held, a fixed row is its own mirror, and every row
     is held or mirrors a paired one; without a sector all N rows are paired, none fixed."""
     for n in range(2, 18):
-        for sign in (-1, 0):
-            rows, paired, fixed = phase_space._sector(n, sign)
+        for odd in (True, False):
+            rows, paired, fixed = phase_space._sector(n, odd)
             paired, fixed = list(range(n)[paired]), list(range(n)[fixed])
-            if not sign:
+            if not odd:
                 assert (rows, paired, fixed) == (n, list(range(n)), []), n
                 continue
-            assert sorted(paired + fixed) == list(range(rows)), (n, sign)
-            assert all(n - r >= rows for r in paired), (n, sign)
-            assert all(-r % n == r for r in fixed), (n, sign)
-            assert set(range(rows)) | {n - r for r in paired} == set(range(n)), (n, sign)
+            assert sorted(paired + fixed) == list(range(rows)), n
+            assert all(n - r >= rows for r in paired), n
+            assert all(-r % n == r for r in fixed), n
+            assert set(range(rows)) | {n - r for r in paired} == set(range(n)), n
 
 
 @pytest.mark.parametrize("n", [3, 8, 33, 40])
 def test_parity_reads_the_sector_a_block_at_a_time(n):
-    """x[-i, -j] = -x[i, j] to 1e-12 relative in the Frobenius norm gives -1, the odd
-    sector, as the zero array does; an even x, x[-i, -j] = x[i, j], gives 0, the full
-    path, as do a perturbation of 1e-10 relative of either and no symmetry."""
+    """x[-i, -j] = -x[i, j] to 1e-12 relative in the Frobenius norm is odd, the odd
+    sector, as the zero array is; an even x, x[-i, -j] = x[i, j], is not, and takes the
+    full path, as do a perturbation of 1e-10 relative of either and no symmetry."""
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    for sign in (1, -1):
-        y = (x + sign * _mirror(x)) / 2
-        assert phase_space._parity(y) == min(sign, 0)
+    for parity in (1, -1):
+        y = (x + parity * _mirror(x)) / 2
+        assert phase_space._odd(y) is (parity < 0)
         noise = np.zeros((n, n), dtype=complex)
         noise[0, 1] = 1e-10 * np.linalg.norm(y)
-        assert phase_space._parity(y + noise) == 0
-    assert phase_space._parity(x) == 0
-    assert phase_space._parity(np.zeros((n, n), dtype=complex)) == -1
+        assert phase_space._odd(y + noise) is False
+    assert phase_space._odd(x) is False
+    assert phase_space._odd(np.zeros((n, n), dtype=complex)) is True
 
 
 @pytest.mark.parametrize("n", [3, 8, 33, 516])
@@ -581,25 +581,25 @@ def test_half_frame_change_matches_the_full_one(n, parity):
     """For an odd A rows 0 .. N/2 of Z = (1 - i)A alone determine the frame change:
     R = Re Z on them, all the sector's working array holds, takes the real sector
     transform, and Z rebuilt from the new R gives (1 - i) times the full complex pass's
-    rows 0 .. N/2.  An even A has no sector (phase_space._parity): its working array
+    rows 0 .. N/2.  An even A has no sector (phase_space._odd): its working array
     is the complex N x N one, whose frame change gives the full pass's rows, all N."""
     h = n // 2
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     x = x + x.conj().T
     x = (x + parity * _mirror(x)) / 2
-    sign = phase_space._parity(x)
-    assert sign == min(parity, 0)
-    held = h + 1 if sign else n
+    odd = phase_space._odd(x)
+    assert odd is (parity < 0)
+    held = h + 1 if odd else n
     for to in (MOMENTUM, POSITION):
         full = (1 - 1j) * phase_space._change_frame(x.copy(), to)
         z = (1 - 1j) * x
-        work = phase_space._working(n, sign)
-        assert work.shape == (held, n) and work.dtype == (float if sign else complex)
-        np.copyto(work, z.real[:held] if sign else z)
-        phase_space._change_frame(work, to, sign)
-        rows = (phase_space._z_rows(work, work.T, sign, slice(0, held),
-                                    np.empty((held, n), dtype=complex)) if sign else work)
+        work = phase_space._working(n, odd)
+        assert work.shape == (held, n) and work.dtype == (float if odd else complex)
+        np.copyto(work, z.real[:held] if odd else z)
+        phase_space._change_frame(work, to)
+        rows = (phase_space._z_rows(work, work.T, slice(0, held),
+                                    np.empty((held, n), dtype=complex)) if odd else work)
         assert np.abs(rows - full[:held]).max() <= 1e-13 * np.abs(full).max()
 
 

@@ -241,17 +241,17 @@ def test_krylov_refuses_a_non_finite_or_zero_seed(value):
 
 
 class _IndexTableSector:
-    """The odd sector's coordinates (``sign`` -1) as index tables over the flattened R,
-    as they were stored before the slice layout, or every entry of R unscaled (``sign``
-    0): the reference it must match bit for bit."""
+    """The odd sector's coordinates (``odd``) as index tables over the flattened R, as
+    they were stored before the slice layout, or every entry of R unscaled (not
+    ``odd``): the reference it must match bit for bit."""
 
-    def __init__(self, n, sign):
+    def __init__(self, n, odd):
         flat = np.arange(n * n)
         mirror = ((-(flat // n)) % n) * n + (-flat) % n
-        self.n, self.sign = n, sign
-        self.pairs = flat[flat < mirror] if sign else flat
+        self.n, self.odd = n, odd
+        self.pairs = flat[flat < mirror] if odd else flat
         self.mirrors, self.fixed = mirror[self.pairs], flat[flat == mirror]
-        self.scale = np.sqrt(2.0) if sign else 1.0
+        self.scale = np.sqrt(2.0) if odd else 1.0
 
     def pack(self, r):
         out = np.take(r.reshape(-1), self.pairs)
@@ -262,7 +262,7 @@ class _IndexTableSector:
         half = x / self.scale
         flat = np.empty(self.n * self.n)
         flat[self.pairs] = half
-        if self.sign:
+        if self.odd:
             flat[self.mirrors] = np.negative(half)
             flat[self.fixed] = 0.0
         r = flat.reshape(self.n, self.n)
@@ -281,14 +281,14 @@ def test_sector_slices_match_the_index_tables(n, parity):
     one, which has no sector: unpack, the full step's write, then gives the Z that the
     tables unpack."""
     rng = np.random.default_rng(n)
-    sign = min(parity, 0)
-    sector, tables = resonances._RealSector(n, sign), _IndexTableSector(n, sign)
+    odd = parity < 0
+    sector, tables = resonances._RealSector(n, odd), _IndexTableSector(n, odd)
     r = rng.standard_normal((n, n))
     want = tables.pack(r)
     assert sector.dim == want.size
     assert np.array_equal(sector.pack(r, np.empty(sector.dim)), want)
     for x in rng.standard_normal((2, sector.dim)):
-        if not sign:
+        if not odd:
             z = sector.unpack(x, np.empty((n, n), dtype=complex))
             assert np.array_equal(z, tables.unpack(x))
             continue
@@ -301,7 +301,8 @@ def test_sector_slices_match_the_index_tables(n, parity):
 @pytest.mark.parametrize("parity", [1, -1])
 def test_krylov_steps_in_the_sector(monkeypatch, spec, parity):
     """At even N every Arnoldi step, the first included, and every residual matvec of an
-    odd seed takes the odd sector's step, and of an even seed the full step.  The result
+    odd seed takes the odd sector's step, on a real array, and of an even seed the full
+    step, on a complex one.  The result
     agrees to rounding with the run that has no sector, where every step is full and
     every entry of R is stored."""
     n = 16
@@ -311,24 +312,24 @@ def test_krylov_steps_in_the_sector(monkeypatch, spec, parity):
     neg = -np.arange(n) % n
     a = random_traceless_hermitian(space, 5)
     a = (a + parity * a[np.ix_(neg, neg)]) / 2
-    sign = min(parity, 0)
-    signs = []
+    odd = parity < 0
+    dtypes = []
     step = resonances._step
 
-    def recording(umap, mask, at, sign=0, scratch=None):
-        signs.append(sign)
-        return step(umap, mask, at, sign, scratch)
+    def recording(umap, mask, at, scratch=None):
+        dtypes.append(at.dtype)
+        return step(umap, mask, at, scratch)
 
     monkeypatch.setattr(resonances, "_step", recording)
     got = krylov_leading(umap, kernel, a, depth=30, n_wanted=3)
     m, keep = got.params["krylov_dim"], got.alphas.size
-    assert signs == [sign] * got.params["matvecs"]
+    assert dtypes == [np.dtype(float if odd else complex)] * got.params["matvecs"]
     assert m < got.params["matvecs"] <= m + 2 * keep  # one or two a Ritz value, none a partner
     monkeypatch.setattr(resonances, "_keeps_parity", lambda umap: False)
-    signs.clear()
+    dtypes.clear()
     want = krylov_leading(umap, kernel, a, depth=30, n_wanted=3)
-    assert not any(signs)
-    assert got.params["sector"] == ("odd" if sign else "none")
+    assert dtypes == [np.dtype(complex)] * want.params["matvecs"]
+    assert got.params["sector"] == ("odd" if odd else "none")
     assert want.params["sector"] == "none"
     for key in ("krylov_dim", "matvecs", "reorth"):
         assert got.params[key] == want.params[key], key
@@ -336,29 +337,29 @@ def test_krylov_steps_in_the_sector(monkeypatch, spec, parity):
     assert np.array_equal(got.converged, want.converged)
 
 
-def _unpack(sector, x, out):
-    """Z = R - iR^T of the coordinates ``x`` into ``out``: the index tables' unpack in a
-    sector, the sector's own without one."""
-    if not sector.sign:
+def _unpack(sector, odd, x, out):
+    """Z = R - iR^T of the coordinates ``x`` into ``out``: the index tables' unpack in the
+    ``odd`` sector, the sector's own without one."""
+    if not odd:
         return sector.unpack(x, out)
-    np.copyto(out, _IndexTableSector(sector.n, sector.sign).unpack(x))
+    np.copyto(out, _IndexTableSector(sector.n, odd).unpack(x))
     return out
 
 
-def _sector_seed(space, sign, seed=5):
-    """A random traceless Hermitian operator of parity ``sign``, or of none for 0."""
+def _sector_seed(space, parity, seed=5):
+    """A random traceless Hermitian operator of ``parity`` +-1, or of none for 0."""
     a = random_traceless_hermitian(space, seed)
-    if not sign:
+    if not parity:
         return a
     neg = -np.arange(space.dim) % space.dim
-    return (a + sign * a[np.ix_(neg, neg)]) / 2
+    return (a + parity * a[np.ix_(neg, neg)]) / 2
 
 
 @pytest.mark.parametrize("spec", [cat_map(0.3), standard_map(1.5), harper_map(0.94)],
                          ids=["cat", "standard", "harper"])
 @pytest.mark.parametrize("n", [8, 33, 64])
-@pytest.mark.parametrize("sign", [1, -1, 0], ids=["even", "odd", "none"])
-def test_krylov_coordinate_residuals_match_the_full_step(monkeypatch, spec, n, sign):
+@pytest.mark.parametrize("parity", [1, -1, 0], ids=["even", "odd", "none"])
+def test_krylov_coordinate_residuals_match_the_full_step(monkeypatch, spec, n, parity):
     """Each residual, read from the Ritz coordinates x + iy through the loop's matvec as
     ||(Sx - ax + by, Sy - ay - bx)|| / ||(x, y)||, agrees to 1e-13 with the full-step
     form: Z = (1 - i)(X + iY) unpacked (by the index tables in a sector), normalized,
@@ -380,8 +381,9 @@ def test_krylov_coordinate_residuals_match_the_full_step(monkeypatch, spec, n, s
     monkeypatch.setattr(resonances._RealSector, "pack", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        got = krylov_leading(umap, kernel, _sector_seed(space, sign), depth=30, n_wanted=6)
+        got = krylov_leading(umap, kernel, _sector_seed(space, parity), depth=30, n_wanted=6)
     sector, basis = bases[0]
+    odd = got.params["sector"] == "odd"
     mask = coarse_graining._mask(kernel)
     buf = np.empty((n, n), dtype=complex)
     want, rows, row = [], [], 0
@@ -398,8 +400,8 @@ def test_krylov_coordinate_residuals_match_the_full_step(monkeypatch, spec, n, s
             x, y = basis[row], np.zeros_like(basis[row])
             row += 1
         rows.append((x, y))
-        z = _unpack(sector, x, np.empty((n, n), dtype=complex))
-        z += 1j * _unpack(sector, y, buf)
+        z = _unpack(sector, odd, x, np.empty((n, n), dtype=complex))
+        z += 1j * _unpack(sector, odd, y, buf)
         z /= np.linalg.norm(z)
         np.copyto(buf, z)
         coarse_graining._step(umap, mask, buf)
@@ -462,16 +464,16 @@ def test_krylov_residual_checks_hold_no_array_beside_the_buffer(monkeypatch, spe
     space = TorusSpace(n)
     umap, kernel = quantize(spec, space), build_kernel(space, 10.0 / n)
     depth = 20
-    big = phase_space._working(n, -1).base.size if n % 2 == 0 else 16 * n * n
+    big = phase_space._working(n, True).base.size if n % 2 == 0 else 16 * n * n
     assert big < 9 * n * n or n % 2
     step = resonances._step
     for a0 in ((0, 1), sine_position(space)):
         seen = []
 
-        def snapshotting(umap, mask, at, sign=0, scratch=None):
+        def snapshotting(umap, mask, at, scratch=None):
             seen.append(sorted(t.size for t in tracemalloc.take_snapshot().traces
                                if t.size >= big))
-            return step(umap, mask, at, sign, scratch)
+            return step(umap, mask, at, scratch)
 
         monkeypatch.setattr(resonances, "_step", snapshotting)
         tracemalloc.start()
@@ -479,9 +481,9 @@ def test_krylov_residual_checks_hold_no_array_beside_the_buffer(monkeypatch, spe
             got = krylov_leading(umap, kernel, a0, depth=depth, n_wanted=4)
         finally:
             tracemalloc.stop()
-        sign = {"odd": -1, "none": 0}[got.params["sector"]]
-        assert sign == (0 if n % 2 else -1)
-        basis = 8 * (depth + 1) * resonances._RealSector(n, sign).dim
+        odd = got.params["sector"] == "odd"
+        assert odd is (n % 2 == 0)
+        basis = 8 * (depth + 1) * resonances._RealSector(n, odd).dim
         assert got.params["krylov_dim"] == depth and len(seen) == got.params["matvecs"] > depth
         assert all(sizes == sorted([big, basis]) for sizes in seen), seen
 

@@ -82,23 +82,19 @@ def _at_part_counts(split_all, compute):
     return results
 
 
-# the full pass and the half passes of the odd sector, at odd N as at even N
-_SIGNS = (0, -1)
-
-
-def _held(x: np.ndarray, sign: int) -> np.ndarray:
-    """What a run's working array holds: all of x without a sector, and in one the real
-    rows 0 .. N/2 (phase_space._working)."""
-    return x.copy() if not sign else x.real[:x.shape[0] // 2 + 1].copy()
+def _held(x: np.ndarray, odd: bool) -> np.ndarray:
+    """What a run's working array holds: all of x without a sector, and in the ``odd``
+    one the real rows 0 .. N/2 (phase_space._working), whose dtype names the path."""
+    return x.real[:x.shape[0] // 2 + 1].copy() if odd else x.copy()
 
 
 @pytest.mark.parametrize("n", [63, 64, 66])
 def test_change_frame_bits_do_not_depend_on_parts(split_all, n):
     x = _random(n)
-    for sign in _SIGNS:
+    for odd in (False, True):  # the full pass and the odd sector's, at odd N as at even N
         for to in (MOMENTUM, POSITION):
             first, *rest = _at_part_counts(
-                split_all, lambda: phase_space._change_frame(_held(x, sign), to, sign))
+                split_all, lambda: phase_space._change_frame(_held(x, odd), to))
             assert all(np.array_equal(first, r) for r in rest)
 
 
@@ -110,9 +106,9 @@ def test_step_bits_do_not_depend_on_parts(split_all, n, epsilon):
     mask = None if epsilon is None else coarse_graining._mask(
         coarse_graining.build_kernel(space, epsilon))
     x = _random(n)
-    for sign in _SIGNS:
+    for odd in (False, True):
         first, *rest = _at_part_counts(
-            split_all, lambda: coarse_graining._step(umap, mask, _held(x, sign), sign,
+            split_all, lambda: coarse_graining._step(umap, mask, _held(x, odd),
                                                 phase_space._scratch(n)))
         assert all(np.array_equal(first, r) for r in rest)
 

@@ -16,10 +16,10 @@ from otoclab.phase_space import MOMENTUM, TorusSpace, hermitian_f, hermiticity_d
 SIZES = [256, 512, 600, 1000, 1024]
 
 
-def _plain(n: int, sign: int = 0) -> np.ndarray:
+def _plain(n: int, odd: bool = False) -> np.ndarray:
     """A plain array of what phase_space._working holds: N x N complex without a parity
-    sector, the real rows 0 .. N/2 in one."""
-    return np.empty((n, n), dtype=complex) if not sign else np.empty((n // 2 + 1, n))
+    sector, the real rows 0 .. N/2 in the odd one."""
+    return np.empty((n // 2 + 1, n)) if odd else np.empty((n, n), dtype=complex)
 
 
 def _random(n: int) -> np.ndarray:
@@ -88,13 +88,13 @@ def test_step_on_the_working_buffer_gives_the_plain_bits(n):
     umap = quantize(cat_map(0.3), space)
     mask = coarse_graining._mask(coarse_graining.build_kernel(space, 0.01))
     x = _random(n)
-    for sign in (0, -1):
-        held = x if not sign else x.real[:n // 2 + 1]
-        buf = phase_space._working(n, sign)
+    for odd in (False, True):
+        held = x.real[:n // 2 + 1] if odd else x
+        buf = phase_space._working(n, odd)
         np.copyto(buf, held)
         scratch = phase_space._scratch(n)
-        expected = coarse_graining._step(umap, mask, held.copy(), sign, scratch)
-        got = coarse_graining._step(umap, mask, buf, sign, scratch)
+        expected = coarse_graining._step(umap, mask, held.copy(), scratch)
+        got = coarse_graining._step(umap, mask, buf, scratch)
         assert got.shape == held.shape and np.array_equal(got, expected)
 
 
@@ -164,16 +164,16 @@ def test_a_step_on_the_padded_buffer_allocates_no_more_than_on_a_plain_array(mon
     scratch = phase_space._scratch(n)
     with monkeypatch.context() as m:
         m.setattr(phase_space, "_row_width", lambda n: n)
-        plain = phase_space._working(n, -1)
-    padded = phase_space._working(n, -1)
+        plain = phase_space._working(n, True)
+    padded = phase_space._working(n, True)
     assert [phase_space._whole_rows(b).shape[1] for b in (padded, plain)] == [n + 4, n]
     peaks = []
     for buf in (padded, plain):
         np.copyto(buf, x)
-        coarse_graining._step(umap, mask, buf, -1, scratch)  # widens the phases
+        coarse_graining._step(umap, mask, buf, scratch)  # widens the phases
         tracemalloc.start()
         try:
-            coarse_graining._step(umap, mask, buf, -1, scratch)
+            coarse_graining._step(umap, mask, buf, scratch)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -192,13 +192,13 @@ def test_a_sector_series_touches_no_row_past_the_half_spectrum(n, monkeypatch):
     umap = quantize(cat_map(0.02), space)
     kernel = coarse_graining.build_kernel(space, 0.01)
     expected = otoc.otoc_series(umap, (0, 1), (1, 0), 6, kernel)
-    work = phase_space._working(n, -1)
+    work = phase_space._working(n, True)
     spectrum = phase_space._half_spectrum(work)
     assert np.shares_memory(spectrum, work.base) and not np.shares_memory(spectrum, work)
     assert spectrum.ctypes.data >= work.ctypes.data + work.strides[0] * work.shape[0]
     buffers = []
 
-    def sentinel(m, sign):
+    def sentinel(m, odd):
         big = np.full((m, m + 5), np.nan)
         buffers.append(big)
         return big[:m // 2 + 1, :m]
