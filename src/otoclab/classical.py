@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -71,10 +72,15 @@ def lyapunov(spec: ClassicalMapSpec, n_traj: int = 100, t_horizon: int = 1000,
     the per-trajectory log growth rates; ``lam_generalized`` averages the
     growth factors before taking the logarithm, so it is never below ``lam``.
     Trajectories that start within 1e-12 of a fixed point are redrawn and
-    counted.
+    counted.  Every map's shear slopes are at most s = 1 + 4 pi^2 |k| in size, so a
+    step takes |v|^2 from 1 to at most (1 + s)^4; a map parameter for which that
+    bound overflows is refused.
     """
     n_traj, t_horizon = _count(n_traj, "n_traj", 1), _count(t_horizon, "t_horizon", 10)
     seed = _count(seed, "seed")
+    if not 2.0 + 4.0 * np.pi ** 2 * abs(spec.k) < sys.float_info.max ** 0.25:
+        raise ValueError(f"map parameter {spec.k} is too large: the tangent vector's "
+                         f"squared norm, up to (2 + 4 pi^2 |k|)^4, overflows")
     points = np.empty((n_traj, 2))
     angles = np.empty(n_traj)
     resampled = 0

@@ -18,15 +18,15 @@ the position basis and chi_p in the momentum basis, so D_eps is a circulant
 mask f[(r - s) % N] in one frame times f[(p - p') % N] in the other.
 The package's one Heisenberg step, :func:`_step`, applies each kick and
 mask in place in the frame where it is elementwise and starts and ends in
-the momentum frame; :func:`_evolve_in_place` iterates it on a caller's
-buffer (for :func:`evolve` and the OTOC series) and the Krylov solver calls
-it directly.  Both hold Z = (1 - i)A (:mod:`otoclab.phase_space`), which
-the step advances as it does A.  Given a real array the step works on
-R = Re Z of the odd parity sector of :mod:`~otoclab.phase_space` only,
-which holds when the channel keeps parity (:func:`_keeps_parity`), and
-leaves R there after each kick and frame change.  :func:`evolve` takes
-the full step on A itself.  The chord-space dephasing and the literal sum
-over all N^2 translations are kept as oracles.
+the momentum frame; :func:`evolve`, the OTOC series and the Krylov solver
+each change their buffer to the momentum frame once and then call it in
+their own loop.  The series and the solver hold Z = (1 - i)A
+(:mod:`otoclab.phase_space`), which the step advances as it does A.
+Given a real array the step works on R = Re Z of the odd parity sector of
+:mod:`~otoclab.phase_space` only, which holds when the channel keeps parity
+(:func:`_keeps_parity`), and leaves R there after each kick and frame
+change.  :func:`evolve` takes the full step on A itself.  The chord-space
+dephasing and the literal sum over all N^2 translations are kept as oracles.
 """
 
 from __future__ import annotations
@@ -93,8 +93,11 @@ def build_kernel(space: TorusSpace, epsilon: float) -> CoarseGrainKernel:
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     n = space.dim
+    rate = epsilon * n / (2.0 * np.pi)
+    if not np.isfinite(rate):
+        raise ValueError(f"epsilon {epsilon} is too large at N={n}: epsilon N overflows")
     idx = np.arange(n)
-    axis = np.exp(-(epsilon * n / (2.0 * np.pi)) * np.sin(np.pi * idx / n) ** 2)
+    axis = np.exp(-rate * np.sin(np.pi * idx / n) ** 2)
     w = np.fft.ifft(axis).real
     clip = max(0.0, -float(w.min() * w.max()))  # most negative entry of outer(w, w)
     if clip > 1e-10:
@@ -181,8 +184,7 @@ def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray,
     it is elementwise, so the bits do not depend on the part count.  On a
     padded working buffer these passes cover whole rows with their zero pad
     (:func:`~otoclab.phase_space._whole_rows`), one contiguous block a part,
-    with the phase vectors widened by ones (``QuantumMap._row_phases``) and
-    ``mask`` as wide as the rows.
+    with the phase vectors padded with ones and ``mask`` as wide as the rows.
 
     A real ``at`` holds the parity sector of :mod:`~otoclab.phase_space`, the real
     R = Re Z of an odd operator on rows 0 .. N/2, a parity the caller vouches the
@@ -194,17 +196,17 @@ def _step(umap: QuantumMap, mask: np.ndarray | None, at: np.ndarray,
     n = at.shape[1]
     rows = _whole_rows(at)
     width = rows.shape[1]
-    pos, mom = (v[:width] for v in umap._row_phases)
     mask = None if mask is None else mask[:, :width]
 
     def kick(phase, m):
         if np.isrealobj(at):
             return _sector_kick(at, scratch, phase, m)
+        phase = np.concatenate((phase, np.ones(width - n)))
         _split(lambda _, s: _kick(rows[s], phase[s], phase, None if m is None else m[s]), n)
 
-    kick(mom, None)
+    kick(umap.phase_momentum, None)
     _change_frame(at, POSITION)
-    kick(pos, mask)
+    kick(umap.phase_position, mask)
     _change_frame(at, MOMENTUM)
     if mask is not None:
         _split(lambda _, s: np.multiply(rows[s], mask[s], out=rows[s]), n, lines=at.shape[0])
@@ -226,7 +228,7 @@ def _sector_kick(r: np.ndarray, scratch: list[np.ndarray], phase: np.ndarray,
         for i in range(s.start, s.stop, len(block)):
             rows = slice(i, min(i + len(block), s.stop))
             z = _z_rows(r, rt, rows, block[:rows.stop - i])
-            _kick(z, phase[rows], phase[:n], None if mask is None else mask[rows, :n])
+            _kick(z, phase[rows], phase, None if mask is None else mask[rows, :n])
             np.copyto(r[rows], z.real)
 
     _split(kick, n, _ROW_BLOCK, r.shape[0])
@@ -237,26 +239,16 @@ def evolve(umap: QuantumMap, kernel: CoarseGrainKernel | None, a: np.ndarray, st
 
     A(t+1) = D_eps(U^dag A(t) U), or U^dag A(t) U when ``kernel`` is None or
     has epsilon 0; ``a`` is A's N x N array of position-basis entries.  It
-    is copied and evolved by :func:`_evolve_in_place`, so one buffer is
-    yielded each time and overwritten by the next step.
+    is copied, changed to the momentum frame once and advanced by :func:`_step`
+    each time, so one buffer is yielded each time and overwritten by the next
+    step.
     """
     a = np.array(_finite(_operator(a, umap.dim, "operator"), "operator"))
-    yield from _evolve_in_place(umap, kernel, a, steps)
-
-
-def _evolve_in_place(umap: QuantumMap, kernel: CoarseGrainKernel | None, at: np.ndarray,
-                     steps: int, scratch: list[np.ndarray] | None = None):
-    """:func:`evolve` on the caller's working array of position-basis entries: it is
-    changed to the momentum frame once, yielded, and advanced by :func:`_step`, the step
-    the Krylov solver shares, each time.  A real ``at`` holds the odd sector's R = Re Z
-    on rows 0 .. N/2 as :func:`~otoclab.otoc._fill` writes it, which makes the first
-    change of frame and every step, in ``scratch``, the sector's; each yield holds that
-    R."""
     steps = _count(steps, "steps")
     mask = _mask(kernel)
-    yield _change_frame(at, MOMENTUM)
+    yield _change_frame(a, MOMENTUM)
     for _ in range(steps):
-        yield _step(umap, mask, at, scratch)
+        yield _step(umap, mask, a)
 
 
 def channel_step(umap: QuantumMap, kernel: CoarseGrainKernel | None, a: np.ndarray) -> np.ndarray:

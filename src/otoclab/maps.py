@@ -29,13 +29,12 @@ for the as-printed alternative coefficients of the nonlinear kicks.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import TorusSpace, _finite, _operator, _row_width
+from .phase_space import TorusSpace, _finite, _operator
 
 __all__ = [
     "ClassicalMapSpec",
@@ -153,15 +152,6 @@ class QuantumMap:
     def dim(self) -> int:
         return self.space.dim
 
-    @functools.cached_property
-    def _row_phases(self) -> tuple[np.ndarray, np.ndarray]:
-        """The position and momentum phases followed by ones up to the row width of the
-        working buffer (:func:`~otoclab.phase_space._row_width`), for the passes of the
-        channel step over whole padded rows; built on first use."""
-        ones = np.ones(_row_width(self.dim) - self.dim)
-        return (np.concatenate((self.phase_position, ones)),
-                np.concatenate((self.phase_momentum, ones)))
-
 
 def kick_prefactor(spec: ClassicalMapSpec, space: TorusSpace, kick_mode: str = CORRESPONDENCE) -> float:
     """Coefficient of the cosine kick inside each map's phase template.
@@ -195,22 +185,26 @@ def quantize(spec: ClassicalMapSpec, space: TorusSpace, kick_mode: str = CORRESP
     stored phases stay on the unit circle to machine precision for any N.  The
     cosine is taken at min(q, N - q), so at even N, where (N - q)^2 = q^2 mod
     2N, both phase vectors are exactly mirror-symmetric, v[N - q] = v[q]; Harper's,
-    which hold no quadratic phase, are so at every N.
+    which hold no quadratic phase, are so at every N.  A map parameter whose cosine
+    kick coefficient (:func:`kick_prefactor`, times 2 pi for cat) overflows at this N
+    is refused.
     """
     n = space.dim
+    kappa = kick_prefactor(spec, space, kick_mode)
+    if not math.isfinite(_TWO_PI * kappa if spec.kind == CAT else kappa):
+        raise ValueError(f"map parameter {spec.k} is too large at N={n}: "
+                         f"its cosine kick coefficient overflows")
     idx = np.arange(n)
     quad = np.pi * ((idx * idx) % (2 * n)) / n
     cosine = np.cos(_TWO_PI * np.minimum(idx, n - idx) / n)
     if spec.kind == CAT:
-        kappa = kick_prefactor(spec, space, kick_mode)
         pos = np.exp(-1j * (quad + _TWO_PI * kappa * cosine))
         mom = np.exp(+1j * (quad - _TWO_PI * kappa * cosine))
     elif spec.kind == STANDARD:
-        kappa = kick_prefactor(spec, space, kick_mode)
         pos = np.exp(+1j * kappa * cosine)
         mom = np.exp(+1j * quad)
     else:
-        pos = mom = np.exp(-1j * kick_prefactor(spec, space, kick_mode) * cosine)
+        pos = mom = np.exp(-1j * kappa * cosine)
     return QuantumMap(space, pos, mom, spec, kick_mode)
 
 

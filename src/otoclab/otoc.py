@@ -53,7 +53,7 @@ import numpy as np
 
 from . import coarse_graining
 from .classical import _cat_power
-from .coarse_graining import _keeps_parity
+from .coarse_graining import _keeps_parity, _mask, _step
 from .maps import CAT, ClassicalMapSpec, QuantumMap, heisenberg_conjugate
 from .phase_space import (_ROW_BLOCK, MOMENTUM, TorusSpace, _change_frame, _count,
                           _displacement, _f_defect, _finite, _odd, _operator, _scratch,
@@ -116,10 +116,12 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
     (:func:`~otoclab.phase_space._working`), 16 N^2 bytes on the full path and 8 N^2
     in the sector: (1 - i)B is written into it (:func:`_fill`) and changed to the
     momentum frame, where its nonzero cyclic diagonals are gathered (for F_(q,p),
-    which is F_(p,-q) there, only +-p); (1 - i)A is then written over it and evolved
-    in place.  Beside it each part, at most N / 256 of them
-    (:func:`~otoclab.phase_space._parts`), holds two 16-row blocks of AB and BA, which
-    a sector step's kicks reuse, so at most N^2 / 8 entries.  ``layout`` and
+    which is F_(p,-q) there, only +-p); (1 - i)A is then written over it, changed to
+    the momentum frame once and advanced in place by
+    :func:`~otoclab.coarse_graining._step` between contractions.  Beside it each
+    part, at most N / 256 of them (:func:`~otoclab.phase_space._parts`), holds two
+    16-row blocks of AB and BA, which a sector step's kicks reuse, so at most N^2 / 8
+    entries.  ``layout`` and
     ``contraction`` record the buffer's rows and the contraction's form.
     """
     t_max = _count(t_max, "t_max")
@@ -134,9 +136,10 @@ def otoc_series(umap: QuantumMap, a: np.ndarray | tuple[int, int],
     scratch = _scratch(n)  # an ab/ba pair per part
     o1 = np.empty(t_max + 1, dtype=complex)
     o2 = np.empty(t_max + 1)
-    steps = coarse_graining._evolve_in_place(umap, kernel, buffer, t_max, scratch)
-    for t, at in enumerate(steps):
-        o1[t], o2[t] = _contract(at, shifts, d, scratch)
+    mask = _mask(kernel)
+    o1[0], o2[0] = _contract(_change_frame(buffer, MOMENTUM), shifts, d, scratch)
+    for t in range(1, t_max + 1):
+        o1[t], o2[t] = _contract(_step(umap, mask, buffer, scratch), shifts, d, scratch)
     c = -2.0 * (o1 - o2).real
     width = _whole_rows(buffer).shape[1]
     layout = f"{'padded' if width > n else 'plain'} {width}"

@@ -596,11 +596,13 @@ def coherent_state(space: TorusSpace, q0: float, p0: float) -> np.ndarray:
     Phased so that <sine_position> tracks sin(2 pi q0) and <sine_momentum>
     tracks sin(2 pi p0), each up to an O(1/N) width correction.  Centers on
     the grid (integer multiples of 1/N) avoid an extra phase mismatch across
-    the periodization images.
+    the periodization images.  The center is reduced mod 1 first, so the nine
+    images summed cover it wherever it lies.
     """
     for name, value in (("q0", q0), ("p0", p0)):
         if not (isinstance(value, numbers.Real) and np.isfinite(value)):
             raise ValueError(f"{name} must be a finite real number, got {value}")
+    q0, p0 = q0 % 1.0, p0 % 1.0
     n = space.dim
     x = np.arange(n) / n
     psi = np.zeros(n, dtype=complex)

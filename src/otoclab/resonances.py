@@ -243,8 +243,9 @@ def krylov_leading(umap: QuantumMap, kernel: CoarseGrainKernel | None,
     where each new direction loses its identity component, R's diagonal.
     Every channel application, the first included, is one matvec: R is written into
     the array (:func:`~otoclab.phase_space._working`, in the sector R on rows 0 .. N/2),
-    takes the step :func:`~otoclab.coarse_graining.evolve` iterates, whose sector kicks
-    use a pair of 16-row blocks a part, and is packed.  A first full-step image that is not
+    takes one :func:`~otoclab.coarse_graining._step`, the step ``evolve`` and
+    ``otoc_series`` call in their loops, whose sector kicks use a pair of 16-row
+    blocks a part, and is packed.  A first full-step image that is not
     Hermitian (:func:`~otoclab.phase_space._hermitian`) raises.  Classical
     Gram-Schmidt orthogonalizes each image, with a second pass only when the first
     leaves less than 1/sqrt 2 of the norm (DGKS: Daniel, Gragg, Kaufman and Stewart,

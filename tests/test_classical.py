@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,25 @@ def test_ehrenfest_time_refuses_non_finite_and_fractional_inputs(n, lam, name):
     """NaN gave NaN, 8.5 gave a value and an infinite exponent gave 0."""
     with pytest.raises(ValueError, match=name):
         ehrenfest_time(n, lam)
+
+
+@pytest.mark.parametrize("spec", [cat_map(1e308), cat_map(3e75), standard_map(1e308),
+                                  harper_map(-1e100)])
+def test_lyapunov_refuses_a_map_parameter_whose_tangent_norm_overflows(spec):
+    """Each of these gave lambda = nan: the tangent vector's squared norm overflowed and
+    its renormalization divided inf by inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="map parameter .* is too large"):
+            lyapunov(spec, n_traj=2, t_horizon=10)
+
+
+def test_lyapunov_runs_below_the_tangent_norm_bound():
+    """cat at k = 2e75, the last power of ten's step below the bound, gives a finite
+    exponent, as it did before the bound."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(lyapunov(cat_map(2e75), n_traj=2, t_horizon=10).lam)
 
 
 def test_logsumexp_bit_identical_to_scipy():

@@ -163,6 +163,29 @@ def test_cli_rejects_nan_epsilon(tmp_path):
     assert not (tmp_path / "nan").exists()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["otoc", "--t-max", "2", "--epsilon", "1e308"], "epsilon"),
+    (["otoc", "--t-max", "2", "--map-param", "1e308"], "map parameter"),
+    (["lyapunov", "--map-param", "1e308"], "map parameter")],
+    ids=["otoc-epsilon", "otoc-map-param", "lyapunov-map-param"])
+def test_cli_refuses_finite_parameters_that_overflow(tmp_path, argv, name):
+    """Each of these exited 0 and wrote NaN: epsilon N, k N or the tangent norm
+    overflowed.  Each is refused by name before anything is written."""
+    out = tmp_path / "run"
+    result = run_cli([*argv[:1], "--map", "cat", "--n", "16", *argv[1:], "--out", str(out)])
+    assert result.returncode == 1
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR:") and name in lines[0]
+    assert not out.exists()
+
+
+def test_sweep_records_an_overflowing_epsilon_as_error(tmp_path):
+    config = RunConfig(map="cat", n=16, t_max=4, outputs=str(tmp_path / "sweep"))
+    header, rows = read_csv(run_sweep(config, "epsilon", [0.01, 1e308]))
+    assert rows[0][1] == "ok"
+    assert rows[1][1] == "error" and "epsilon 1e+308 is too large" in rows[1][-1]
+
+
 def test_cli_fit_window_starts_at_zero(tmp_path):
     out = tmp_path / "zero"
     assert main(["otoc", "--map", "cat", "--n", "32", "--map-param", "0.02", "--epsilon", "0.2",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,16 @@ def test_kernel_rejects_non_finite_epsilon(eps):
     """NaN compares False with everything, so a sign check alone let it build an all-NaN kernel."""
     with pytest.raises(ValueError, match="epsilon must be finite"):
         build_kernel(TorusSpace(8), eps)
+
+
+def test_kernel_refuses_an_epsilon_whose_product_with_n_overflows():
+    """epsilon = 1e308 is finite but epsilon N is not at N = 16: the kernel came out
+    NaN, and every step after t = 0 with it.  epsilon N = 1.6e307 still builds."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"epsilon 1e\+308 is too large at N=16"):
+            build_kernel(TorusSpace(16), 1e308)
+        assert np.isfinite(build_kernel(TorusSpace(16), 1e306).f).all()
 
 
 def _kernel_2d(n, eps):

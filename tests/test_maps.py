@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,17 @@ from otoclab.phase_space import (TorusSpace, coherent_state, sine_momentum, sine
 # index matrix of the exact translation covariance U^dag T_xi U = T_{S xi}
 # realized by the k=0 quantization (the cat matrix with q and p roles swapped)
 COVARIANCE_S = np.array([[1, 1], [1, 2]])
+
+
+@pytest.mark.parametrize("spec", [cat_map(1e308), cat_map(1e307), standard_map(1e308),
+                                  harper_map(-1e308)])
+def test_quantize_refuses_a_map_parameter_whose_kick_overflows(spec):
+    """k N overflowed to inf, and the kick phases came out NaN with no error (for cat
+    at k = 1e307 only 2 pi k N overflows)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="map parameter .* is too large at N=16"):
+            quantize(spec, TorusSpace(16))
 
 
 def test_map_spec_validation():

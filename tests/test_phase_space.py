@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -601,6 +602,18 @@ def test_half_frame_change_matches_the_full_one(n, parity):
         rows = (phase_space._z_rows(work, work.T, slice(0, held),
                                     np.empty((held, n), dtype=complex)) if odd else work)
         assert np.abs(rows - full[:held]).max() <= 1e-13 * np.abs(full).max()
+
+
+def test_coherent_state_reduces_its_centre_mod_1():
+    """A centre outside the unit square gave NaN: the nine images summed did not reach
+    it.  Reduced mod 1 first, it gives the bits of the centre in [0, 1)."""
+    space = TorusSpace(64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = coherent_state(space, 6.5, -0.75)
+        assert np.isfinite(coherent_state(space, 6.5, 0.0)).all()
+    assert np.array_equal(far, coherent_state(space, 0.5, 0.25))
+    assert np.array_equal(coherent_state(space, 6.5, 0.0), coherent_state(space, 0.5, 0.0))
 
 
 def test_coherent_state_centers():
